@@ -16,6 +16,10 @@ checks live here:
   (not ``run_stream`` wall clock) because program compilation and the
   closed-form multiply stage are backend-independent and would dilute
   the comparison.
+* ``test_rowmul_lane_parallel_speedup`` runs the n = 256 multiply
+  stage (m = 66 rows, 64 jobs x 9 rows) as one bit-sliced lock-step
+  pass and as one row-multiplier call per product, and asserts the
+  batched stage is at least 4x faster with identical products.
 
 Runs under pytest (``pytest benchmarks/bench_batched_pipeline.py``)
 and as a script (``python benchmarks/bench_batched_pipeline.py``),
@@ -30,6 +34,8 @@ import sys
 import time
 
 from repro.eval.report import format_table
+from repro.arith.rowmul import RowMultiplier, RowMultiplierSpec
+from repro.karatsuba.multiply import MultiplicationStage
 from repro.karatsuba.pipeline import KaratsubaPipeline
 from repro.karatsuba.postcompute import PostcomputeStage
 from repro.karatsuba.precompute import PrecomputeStage
@@ -55,6 +61,13 @@ MIN_BACKEND_SPEEDUP = 4.0
 #: Timing repetitions per backend; best-of is reported so scheduler
 #: noise cannot fail the floor.
 BACKEND_REPS = 3
+
+#: Jobs in the lock-step multiply-stage batch (9 rows each).
+ROWMUL_JOBS = 64
+
+#: Required advantage of the bit-sliced lock-step multiply stage over
+#: one row-multiplier call per sub-product.
+MIN_ROWMUL_SPEEDUP = 4.0
 
 
 def _measure(batch_size):
@@ -180,6 +193,48 @@ def run_backend_bench():
     return speedup, table
 
 
+def run_rowmul_bench():
+    stage = MultiplicationStage(N_BITS)
+    rng = random.Random(0x66)
+    names = {name for _, lhs, rhs in stage.steps for name in (lhs, rhs)}
+    jobs = [
+        {name: rng.getrandbits(stage.width) for name in names}
+        for _ in range(ROWMUL_JOBS)
+    ]
+    loop_best = batch_best = float("inf")
+    for _ in range(BACKEND_REPS):
+        rows = {out: RowMultiplier(RowMultiplierSpec(stage.width))
+                for out, _, _ in stage.steps}
+        begin = time.perf_counter()
+        looped = [
+            {out: rows[out].multiply(ops[lhs], ops[rhs])
+             for out, lhs, rhs in stage.steps}
+            for ops in jobs
+        ]
+        loop_best = min(loop_best, time.perf_counter() - begin)
+        begin = time.perf_counter()
+        batched = MultiplicationStage(N_BITS).process_batch(jobs)
+        batch_best = min(batch_best, time.perf_counter() - begin)
+        assert [r.products for r in batched] == looped
+    speedup = loop_best / batch_best
+    products = ROWMUL_JOBS * len(stage.steps)
+    table = format_table(
+        ("multiply stage", "wall ms", "us/product"),
+        [
+            ("per-product loop", f"{loop_best * 1e3:.1f}",
+             f"{loop_best / products * 1e6:.1f}"),
+            ("lock-step batch", f"{batch_best * 1e3:.1f}",
+             f"{batch_best / products * 1e6:.1f}"),
+        ],
+        title=(
+            f"Bit-sliced row multipliers, {ROWMUL_JOBS} jobs x "
+            f"{len(stage.steps)} rows at m = {stage.width}: {speedup:.1f}x "
+            f"speedup (floor {MIN_ROWMUL_SPEEDUP:.0f}x)"
+        ),
+    )
+    return speedup, table
+
+
 def _register(name, table):
     try:
         from benchmarks.conftest import register_report
@@ -207,11 +262,21 @@ def test_word_backend_speedup():
     )
 
 
+def test_rowmul_lane_parallel_speedup():
+    speedup, table = run_rowmul_bench()
+    _register("rowmul-lanes", table)
+    assert speedup >= MIN_ROWMUL_SPEEDUP, (
+        f"lock-step multiply stage only {speedup:.2f}x faster than the "
+        f"per-product loop (needs >= {MIN_ROWMUL_SPEEDUP}x)"
+    )
+
+
 if __name__ == "__main__":
     failed = False
     for measured, report, floor, name in (
         (*run_bench(), MIN_SPEEDUP, "batched"),
         (*run_backend_bench(), MIN_BACKEND_SPEEDUP, "word backend"),
+        (*run_rowmul_bench(), MIN_ROWMUL_SPEEDUP, "row multiplier"),
     ):
         print(report)
         if measured < floor:

@@ -27,15 +27,24 @@ partition once and its two hot scratch cells up to four times (init +
 switch, twice), so the hottest cell receives ``4m`` writes per
 multiplication — matching the 256/512/1,024/1,536 max-writes column the
 paper reports for [9] at n = 64..384.
+
+Lock-step stages run many rows and many jobs at once, so the simulator
+evaluates them the same way: :func:`carry_save_products` bit-slices all
+lanes into one pass of the algorithm, and
+:meth:`RowMultiplier.charge_passes` charges a batch's wear in closed
+form.  Products, cycle counts and write images equal those of one
+multiplication at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.arith.bitops import ceil_log2
+from repro.magic.executor import pack_lanes, unpack_lanes
 from repro.sim.clock import Clock
 from repro.sim.exceptions import DesignError
 from repro.sim.stats import RunStats
@@ -51,6 +60,11 @@ STEPS_PER_ITERATION = 14
 
 #: Cycles of the final merge/readout phase.
 FINAL_CYCLES = 3
+
+#: Per-partition columns of the hot scratch pair and its cold twin, and
+#: the same columns after the wear-leveling swap exchanges them.
+_HOT_PAIRS = [4, 5, 8, 9]
+_SWAPPED_PAIRS = [8, 9, 4, 5]
 
 
 def latency_cc(width: int) -> int:
@@ -70,6 +84,73 @@ def area_cells(width: int) -> int:
 def max_writes_per_cell(width: int) -> int:
     """Writes to the hottest cell during one multiplication: ``4 m``."""
     return 4 * width
+
+
+def carry_save_products(
+    width: int, pairs: Sequence[Tuple[int, int]]
+) -> List[int]:
+    """Products of every ``(a, b)`` pair through the row's carry-save
+    serial-parallel algorithm, all lanes in one bit-sliced pass.
+
+    An operand field is one integer in which bit ``j*S + lane`` is bit
+    *j* of that lane's operand.  The stride ``S`` is the lane count
+    rounded up to whole bytes (padding lanes repeat the last pair), or
+    1 for a single lane, whose field is then the value itself.  Each of
+    the ``m`` iterations ANDs the multiplicand field with multiplier
+    bit *t* of every lane, replicated to all ``m`` positions; adds it
+    to the carry-save accumulator (the sum is a 3-way XOR, the carry
+    the majority); and releases product bit *t* of every lane as the
+    low ``S`` bits of the sum.  The residual upper half is a lane-wise
+    ripple add.  All operands are validated before any work is done.
+    """
+    m = width
+    lanes = len(pairs)
+    if not lanes:
+        return []
+    for a, b in pairs:
+        if a >> m or b >> m or a < 0 or b < 0:
+            raise DesignError(f"operands must be {m}-bit non-negative integers")
+    if lanes == 1:
+        stride = 1
+        (a_field, b), = pairs
+        ones = (1 << m) - 1
+        b_masks = [ones if (b >> t) & 1 else 0 for t in range(m)]
+    else:
+        stride = -(-lanes // 8) * 8
+        a_field = pack_lanes([a for a, _ in pairs], m, stride)
+        step = stride // 8
+        b_bytes = pack_lanes([b for _, b in pairs], m, stride).to_bytes(
+            m * step, "little"
+        )
+        # Bit t of every lane, repeated at all m positions: byte-string
+        # repetition of the bit-t word is far cheaper than a big multiply.
+        b_masks = (
+            int.from_bytes(b_bytes[t * step:(t + 1) * step] * m, "little")
+            for t in range(m)
+        )
+    lane_mask = (1 << stride) - 1
+
+    sum_acc = 0
+    carry_acc = 0
+    low = 0
+    for t, b_mask in enumerate(b_masks):
+        partial = a_field & b_mask
+        # One carry-save adder layer across all partitions and lanes.
+        half = sum_acc ^ carry_acc
+        new_sum = half ^ partial
+        carry_acc = (sum_acc & carry_acc) | (half & partial)
+        low |= (new_sum & lane_mask) << (t * stride)
+        sum_acc = new_sum >> stride
+    # Final carry propagation of the residual upper half, overlapped
+    # with the epilogue cycles.
+    while carry_acc:
+        sum_acc, carry_acc = sum_acc ^ carry_acc, (sum_acc & carry_acc) << stride
+    product = low | (sum_acc << (m * stride))
+    if product >> (2 * m * stride):
+        raise AssertionError("row multiplier produced an overflowing product")
+    if lanes == 1:
+        return [product]
+    return unpack_lanes(product, 2 * m, stride, lanes)
 
 
 @dataclass(frozen=True)
@@ -124,52 +205,41 @@ class RowMultiplier:
         advances by the row's full latency (callers modelling parallel
         rows advance a shared clock once for the slowest row instead).
         """
-        m = self.spec.width
-        if a >> m or b >> m or a < 0 or b < 0:
-            raise DesignError(f"operands must be {m}-bit non-negative integers")
-
-        sum_acc = 0
-        carry_acc = 0
-        product = 0
-        for t in range(m):
-            partial = a if (b >> t) & 1 else 0
-            # One carry-save adder layer across all partitions.
-            new_sum = sum_acc ^ carry_acc ^ partial
-            new_carry = (
-                (sum_acc & carry_acc) | (sum_acc & partial) | (carry_acc & partial)
-            ) << 1
-            product |= (new_sum & 1) << t
-            sum_acc = new_sum >> 1
-            carry_acc = new_carry >> 1
-        self._charge_multiplication_writes()
-        # Final carry propagation of the residual upper half, overlapped
-        # with the epilogue cycles.
-        product |= (sum_acc + carry_acc) << m
-        if product >> (2 * m):
-            raise AssertionError("row multiplier produced an overflowing product")
-
+        product = carry_save_products(self.spec.width, [(a, b)])[0]
+        self.charge_passes(1, rotate=False)
         if clock is not None:
             clock.tick(self.spec.latency_cc, category="rowmul")
-        self.multiplications += 1
         return product
 
-    def _charge_multiplication_writes(self) -> None:
-        """Charge one multiplication's write wear to the row image.
+    def charge_passes(self, passes: int, rotate: bool) -> None:
+        """Charge the wear of *passes* multiplications in closed form.
 
         Per partition and iteration: the sum and carry cells are
         rewritten once each, and the two hot scratch cells absorb four
         write pulses each (initialise + conditional switch, twice).
-        The per-iteration increments are data-independent, so all ``m``
-        iterations are charged in one vectorised step.
+        The increments are data-independent, so all ``m`` iterations of
+        all *passes* multiplications are charged in one step.
+
+        With *rotate*, every multiplication is followed by the
+        wear-leveling swap of the hot scratch pair (columns 4, 5) with
+        the cold pair (8, 9).  After an even count both pairs have
+        absorbed ``passes/2`` multiplications' hot writes and sit in
+        their original places; an odd count adds one more to the active
+        pair and leaves the two swapped.
         """
         m = self.spec.width
+        hot = 4 * m
         cells = self.cell_writes.reshape(m, CELLS_PER_PARTITION)
-        cells[:, 2] += m       # sum accumulator
-        cells[:, 3] += m       # carry accumulator
-        cells[:, 4] += 4 * m   # hot scratch A
-        cells[:, 5] += 4 * m   # hot scratch B
-        cells[:, 6] += 2 * m   # cool scratch
-        cells[:, 7] += 2 * m   # cool scratch
+        cells[:, 2:4] += passes * m        # sum, carry accumulators
+        cells[:, 6:8] += passes * 2 * m    # cool scratch
+        if not rotate:
+            cells[:, 4:6] += passes * hot  # hot scratch A, B
+        else:
+            cells[:, _HOT_PAIRS] += (passes // 2) * hot
+            if passes % 2:
+                cells[:, 4:6] += hot
+                cells[:, _HOT_PAIRS] = cells[:, _SWAPPED_PAIRS]
+        self.multiplications += passes
 
     # ------------------------------------------------------------------
     def stats(self) -> RunStats:
@@ -182,3 +252,43 @@ class RowMultiplier:
     def max_writes(self) -> int:
         """Hottest-cell write count accumulated so far."""
         return int(self.cell_writes.max()) if self.cell_writes.size else 0
+
+
+def lockstep_pass(
+    rows: Mapping[str, RowMultiplier],
+    steps: Sequence[Tuple[str, str, str]],
+    operands_list: Sequence[Mapping[str, int]],
+    checker,
+    rotate: bool,
+) -> List[Dict[str, int]]:
+    """Run lock-step rows over a batch of jobs; one product map per job.
+
+    *steps* lists ``(out, lhs, rhs)`` operand names, one per row of
+    *rows* (all of one width).  All ``len(steps) * B`` sub-products go
+    through one :func:`carry_save_products` call, every row is charged
+    ``B`` multiplications (plus the hot-cell swap when *rotate*), and
+    every sub-product is residue-verified on its own under its *out*
+    label: ``res(z) == res(x)·res(y) mod (2^r − 1)``.
+    """
+    try:
+        pairs = [
+            (operands[lhs], operands[rhs])
+            for operands in operands_list
+            for _, lhs, rhs in steps
+        ]
+    except KeyError as missing:
+        raise DesignError(f"missing operand {missing}") from None
+    width = next(iter(rows.values())).spec.width
+    products = iter(zip(pairs, carry_save_products(width, pairs)))
+    for row in rows.values():
+        row.charge_passes(len(operands_list), rotate)
+    res = checker.res
+    results: List[Dict[str, int]] = []
+    for _ in operands_list:
+        job: Dict[str, int] = {}
+        for out, _, _ in steps:
+            (lhs, rhs), product = next(products)
+            checker.check_product(product, res(lhs), res(rhs), out)
+            job[out] = product
+        results.append(job)
+    return results

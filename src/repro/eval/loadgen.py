@@ -350,6 +350,7 @@ def run_sync(
             priority=entry.priority,
             deadline_cc=entry.deadline_cc,
             arrival_cc=entry.arrival_cc,
+            flexible_width=service.config.portfolio,
         )
         try:
             service.submit_request(request)

@@ -285,6 +285,7 @@ class AsyncShardedFrontend:
             arrival_cc=arrival_cc,
             kind=kind,
             modulus_bits=modulus_bits,
+            flexible_width=self.config.service.portfolio,
         )
         if arrival_cc is not None and arrival_cc > self._clock_cc:
             self._clock_cc = arrival_cc

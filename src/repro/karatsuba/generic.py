@@ -30,7 +30,11 @@ from repro.arith.koggestone import (
     KoggeStoneAdder,
     KoggeStoneLayout,
 )
-from repro.arith.rowmul import RowMultiplier, RowMultiplierSpec
+from repro.arith.rowmul import (
+    RowMultiplier,
+    RowMultiplierSpec,
+    carry_save_products,
+)
 from repro.crossbar.array import CrossbarArray
 from repro.karatsuba.unroll import UnrolledPlan, build_plan
 from repro.magic.executor import MagicExecutor, int_to_bits
@@ -152,10 +156,14 @@ class GenericKaratsubaMultiplier:
 
         # ---- multiply (lock-step rows) ---------------------------------
         start = self.clock.cycles
-        for step in plan.multiplications:
-            values[step.out] = self.rows[step.out].multiply(
-                values[step.lhs], values[step.rhs]
-            )
+        steps = plan.multiplications
+        products = carry_save_products(
+            plan.max_mult_width,
+            [(values[step.lhs], values[step.rhs]) for step in steps],
+        )
+        for step, product in zip(steps, products):
+            values[step.out] = product
+            self.rows[step.out].charge_passes(1, rotate=False)
         self.clock.tick(
             RowMultiplierSpec(plan.max_mult_width).latency_cc,
             category="rowmul",

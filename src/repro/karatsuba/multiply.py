@@ -11,7 +11,8 @@ operands, so every row is provisioned for that width:
 
 Wear-leveling alternates each row's hot scratch cells between two
 partition-internal locations on successive multiplications, halving
-the hottest cell's write accumulation.
+the hottest cell's write accumulation
+(:meth:`~repro.arith.rowmul.RowMultiplier.charge_passes`).
 """
 
 from __future__ import annotations
@@ -76,9 +77,12 @@ class MultiplicationStage:
         self.plan: UnrolledPlan = build_plan(n_bits, 2)
         self.wear_leveling = wear_leveling
         self.checker = ResidueChecker("multiply", residue_bits)
+        self.steps = tuple(
+            (step.out, step.lhs, step.rhs) for step in self.plan.multiplications
+        )
         spec = RowMultiplierSpec(self.width)
         self.rows: Dict[str, RowMultiplier] = {
-            step.out: RowMultiplier(spec) for step in self.plan.multiplications
+            out: RowMultiplier(spec) for out, _, _ in self.steps
         }
         if len(self.rows) != NUM_ROWS:
             raise AssertionError("unexpected L=2 multiplication count")
@@ -92,17 +96,7 @@ class MultiplicationStage:
         *operands* must contain every name referenced by the plan
         (the precompute stage's output mapping is exactly that).
         """
-        start = self.clock.cycles
-        products = self._multiply_checked(operands)
-        # All nine rows operate in lock-step SIMD fashion; the stage
-        # advances by one row latency, not nine.
-        self.clock.tick(latency_cc(self.n_bits), category="rowmul")
-        if self.wear_leveling:
-            self._rotate_hot_cells()
-        self.passes += 1
-        return MultiplicationResult(
-            products=products, cycles=self.clock.cycles - start
-        )
+        return self.process_batch([operands])[0]
 
     def process_batch(
         self, operands_list: List[Dict[str, int]]
@@ -111,54 +105,22 @@ class MultiplicationStage:
 
         The nine rows already run in lock-step within a pass; batching
         extends the lock-step across operand sets, so the stage clock
-        advances by a single row latency for the whole batch.  Products
-        and wear accumulation are identical to calling :meth:`process`
-        per job (each job still charges its writes and rotates the hot
-        cells in order).
+        advances by a single row latency for the whole batch.  All
+        ``9 B`` sub-products run as one bit-sliced
+        :func:`~repro.arith.rowmul.lockstep_pass`, each residue-verified;
+        products and wear are identical to calling :meth:`process` per
+        job.
         """
         operands_list = list(operands_list)
         if not operands_list:
             return []
+        products = rowmul.lockstep_pass(
+            self.rows, self.steps, operands_list, self.checker, self.wear_leveling
+        )
         cycles = latency_cc(self.n_bits)
-        results: List[MultiplicationResult] = []
-        for operands in operands_list:
-            products = self._multiply_checked(operands)
-            if self.wear_leveling:
-                self._rotate_hot_cells()
-            self.passes += 1
-            results.append(MultiplicationResult(products=products, cycles=cycles))
+        self.passes += len(operands_list)
         self.clock.tick(cycles, category="rowmul")
-        return results
-
-    def _multiply_checked(self, operands: Dict[str, int]) -> Dict[str, int]:
-        """The nine partial multiplications, each residue-verified:
-        ``res(z) == res(x)·res(y) mod (2^r − 1)`` per sub-product."""
-        products: Dict[str, int] = {}
-        for step in self.plan.multiplications:
-            try:
-                lhs = operands[step.lhs]
-                rhs = operands[step.rhs]
-            except KeyError as missing:
-                raise DesignError(f"missing operand {missing} for {step.out}")
-            product = self.rows[step.out].multiply(lhs, rhs)
-            self.checker.check_product(
-                product, self.checker.res(lhs), self.checker.res(rhs), step.out
-            )
-            products[step.out] = product
-        return products
-
-    def _rotate_hot_cells(self) -> None:
-        """Swap each row's hot scratch columns with a cold pair.
-
-        Modeled by rotating the per-partition write image so the 4x
-        hot cells alternate between two physical locations, halving
-        the long-run maximum (Sec. IV-B wear-leveling, applied to the
-        multiplier rows)."""
-        for row in self.rows.values():
-            cells = row.cell_writes.reshape(self.width, rowmul.CELLS_PER_PARTITION)
-            # Exchange the roles of columns (4,5) and (8,9) for the
-            # next pass by physically relabeling the accumulated image.
-            cells[:, [4, 5, 8, 9]] = cells[:, [8, 9, 4, 5]]
+        return [MultiplicationResult(products=p, cycles=cycles) for p in products]
 
     # ------------------------------------------------------------------
     @property

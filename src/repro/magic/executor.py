@@ -114,6 +114,34 @@ def unpack_ints(words: np.ndarray) -> List[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def pack_lanes(values: Sequence[int], width: int, lane_bits: int) -> int:
+    """Bit-slice per-lane values position-major into one integer.
+
+    Bit ``i * lane_bits + lane`` of the result is bit *i* of
+    ``values[lane]``.  Lanes past ``len(values)`` repeat the last value,
+    so full-word invariants (strict NOR checks) stay equivalent to
+    per-lane ones.
+    """
+    bits = pack_ints(values, width)
+    if width == 0:
+        return 0
+    if lane_bits != bits.shape[0]:
+        pad = np.broadcast_to(bits[-1:], (lane_bits - bits.shape[0], width))
+        bits = np.concatenate([bits, pad], axis=0)
+    raw = np.packbits(np.ascontiguousarray(bits.T).reshape(-1), bitorder="little")
+    return int.from_bytes(raw.tobytes(), "little")
+
+
+def unpack_lanes(value: int, width: int, lane_bits: int, lanes: int) -> List[int]:
+    """The first *lanes* per-lane integers of a :func:`pack_lanes` field."""
+    if width == 0:
+        return [0] * lanes
+    total = width * lane_bits
+    raw = np.frombuffer(value.to_bytes((total + 7) // 8, "little"), dtype=np.uint8)
+    bits = np.unpackbits(raw, bitorder="little")[:total].reshape(width, lane_bits)
+    return unpack_ints(np.ascontiguousarray(bits[:, :lanes].T))
+
+
 #: Compiled-step opcodes (tuple dispatch in the batched inner loop).
 #: _PACK carries a gang of independent NOR gates retired in one cycle.
 _INIT, _NOR, _WRITE, _READ, _SHIFT, _NOP, _PACK = range(7)
@@ -998,38 +1026,6 @@ class WordPackedMagicExecutor:
             cache[lane_bits] = lowered
         return lowered
 
-    def _pack_field(self, values: Sequence[int], width: int) -> int:
-        """Marshal one per-lane operand column-major into a field int.
-
-        Bit ``i * lane_bits + lane`` of the result is bit *i* of lane's
-        value; padding lanes replicate the last real lane so full-word
-        invariants (strict NOR checks) stay equivalent to per-lane ones.
-        """
-        bits = pack_ints(values, width)
-        if width == 0:
-            return 0
-        lane_bits = self.array.lane_bits
-        if lane_bits != bits.shape[0]:
-            pad = np.broadcast_to(
-                bits[-1:], (lane_bits - bits.shape[0], width)
-            )
-            bits = np.concatenate([bits, pad], axis=0)
-        raw = np.packbits(
-            np.ascontiguousarray(bits.T).reshape(-1), bitorder="little"
-        )
-        return int.from_bytes(raw.tobytes(), "little")
-
-    def _read_field(self, value: int, width: int) -> List[int]:
-        """Per-lane integers of one packed field (inverse marshalling)."""
-        if width == 0:
-            return [0] * self.array.batch
-        lane_bits = self.array.lane_bits
-        raw = np.frombuffer(
-            value.to_bytes(width * lane_bits // 8, "little"), dtype=np.uint8
-        )
-        bits = np.unpackbits(raw, bitorder="little").reshape(width, lane_bits)
-        return unpack_ints(np.ascontiguousarray(bits[:, : self.array.batch].T))
-
     # ------------------------------------------------------------------
     def execute(
         self,
@@ -1064,7 +1060,7 @@ class WordPackedMagicExecutor:
                 raise ProgramError(
                     f"WRITE references unbound operand {name!r}"
                 ) from None
-            packed[(name, width)] = self._pack_field(values, width)
+            packed[(name, width)] = pack_lanes(values, width, array.lane_bits)
 
         energy_before = array.energy_fj.copy()
         results: List[Dict[str, int]] = [{} for _ in range(batch)]
@@ -1164,7 +1160,9 @@ class WordPackedMagicExecutor:
                 word = (state[rmap[row]] >> (start * lane_bits)) & (
                     (1 << (width * lane_bits)) - 1
                 )
-                for lane, value in enumerate(self._read_field(word, width)):
+                for lane, value in enumerate(
+                    unpack_lanes(word, width, lane_bits, batch)
+                ):
                     results[lane][name] = value
                 if hook is not None:
                     hook.on_read(array, row)

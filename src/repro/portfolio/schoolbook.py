@@ -43,6 +43,9 @@ MIN_BITS = 4
 OPERAND_CYCLES = 2
 STORE_CYCLES = 1
 
+#: The single row's one product, as a lock-step ``(out, lhs, rhs)`` step.
+_STEPS = (("product", "a", "b"),)
+
 
 def latency_cc(n_bits: int) -> int:
     """Row latency at full width: ``n(ceil(log2 n) + 14) + 3``."""
@@ -121,28 +124,14 @@ class SchoolbookController:
             else NOOP_SPAN
         )
         mul_cc = latency_cc(self.n_bits)
-        records: List[JobRecord] = []
         with stage_span:
-            for a, b in pairs:
-                product = self.row.multiply(a, b)
-                self.checker.check_product(
-                    product,
-                    self.checker.res(a),
-                    self.checker.res(b),
-                    "product",
-                )
-                if self.wear_leveling:
-                    self._rotate_hot_cells()
-                records.append(
-                    JobRecord(
-                        a=a,
-                        b=b,
-                        product=product,
-                        precompute_cycles=OPERAND_CYCLES,
-                        multiply_cycles=mul_cc,
-                        postcompute_cycles=STORE_CYCLES,
-                    )
-                )
+            products = rowmul.lockstep_pass(
+                {"product": self.row},
+                _STEPS,
+                [{"a": a, "b": b} for a, b in pairs],
+                self.checker,
+                self.wear_leveling,
+            )
             # Jobs run back to back in the single row; the batch
             # advances the clock once per job (no lane parallelism to
             # exploit — the row is the whole datapath).
@@ -151,13 +140,17 @@ class SchoolbookController:
                 category="rowmul",
             )
         self.jobs += len(pairs)
-        return records
-
-    def _rotate_hot_cells(self) -> None:
-        cells = self.row.cell_writes.reshape(
-            self.n_bits, rowmul.CELLS_PER_PARTITION
-        )
-        cells[:, [4, 5, 8, 9]] = cells[:, [8, 9, 4, 5]]
+        return [
+            JobRecord(
+                a=a,
+                b=b,
+                product=product["product"],
+                precompute_cycles=OPERAND_CYCLES,
+                multiply_cycles=mul_cc,
+                postcompute_cycles=STORE_CYCLES,
+            )
+            for (a, b), product in zip(pairs, products)
+        ]
 
     # ------------------------------------------------------------------
     def stage_latencies(self) -> Tuple[int, int, int]:

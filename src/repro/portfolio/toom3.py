@@ -519,31 +519,14 @@ class PointwiseStage:
         operands_list = list(operands_list)
         if not operands_list:
             return []
+        products = rowmul.lockstep_pass(
+            self.rows, POINTWISE_STEPS, operands_list, self.checker,
+            self.wear_leveling,
+        )
         cycles = self.latency_cc()
-        results: List[PointwiseResult] = []
-        for operands in operands_list:
-            products: Dict[str, int] = {}
-            for out, lhs_name, rhs_name in POINTWISE_STEPS:
-                lhs = operands[lhs_name]
-                rhs = operands[rhs_name]
-                product = self.rows[out].multiply(lhs, rhs)
-                self.checker.check_product(
-                    product, self.checker.res(lhs), self.checker.res(rhs), out
-                )
-                products[out] = product
-            if self.wear_leveling:
-                self._rotate_hot_cells()
-            self.passes += 1
-            results.append(PointwiseResult(products=products, cycles=cycles))
+        self.passes += len(operands_list)
         self.clock.tick(cycles, category="rowmul")
-        return results
-
-    def _rotate_hot_cells(self) -> None:
-        for row in self.rows.values():
-            cells = row.cell_writes.reshape(
-                self.width, rowmul.CELLS_PER_PARTITION
-            )
-            cells[:, [4, 5, 8, 9]] = cells[:, [8, 9, 4, 5]]
+        return [PointwiseResult(products=p, cycles=cycles) for p in products]
 
     def latency_cc(self) -> int:
         return pointwise_latency_cc(self.n_bits)

@@ -10,13 +10,18 @@ service.
 
 from __future__ import annotations
 
+import asyncio
 import os
 import random
 
+import numpy as np
 import pytest
 
 from repro.algorithms.toomcook import INFINITY, ToomCook, inverse_cache_len
 from repro.crossbar.faults import TransientFaultInjector, TransientFaultModel
+from repro.eval.loadgen import LoadItem, run_sync
+from repro.eval.workloads import TraceItem
+from repro.frontend import AsyncShardedFrontend, FrontendConfig
 from repro.karatsuba import cost as kcost
 from repro.karatsuba.pipeline import KaratsubaPipeline
 from repro.portfolio import (
@@ -486,3 +491,89 @@ class TestPortfolioService:
         results = service.drain()
         assert results[-1].product == a2 * b2
         assert way_id  # fault was injected into a live toom3 way
+
+    def test_offgrid_width_through_sharded_frontend(self):
+        """Portfolio shards admit off-grid widths at the front-end too."""
+        config = FrontendConfig(
+            shards=2,
+            inline=True,
+            service=ServiceConfig(
+                batch_size=4,
+                ways_per_width=1,
+                portfolio=True,
+                portfolio_table=self.TABLE_PATH,
+            ),
+        )
+        rng = random.Random(0x90F)
+        pairs = [(rng.getrandbits(90), rng.getrandbits(90)) for _ in range(4)]
+
+        async def run():
+            async with AsyncShardedFrontend(config) as fe:
+                futures = [await fe.submit(a, b, 90) for a, b in pairs]
+                await fe.drain()
+                return await asyncio.gather(*futures)
+
+        results = asyncio.run(run())
+        assert [r.product for r in results] == [a * b for a, b in pairs]
+
+    def test_offgrid_width_through_sync_loadgen(self):
+        rng = random.Random(0x90A)
+        load = [
+            LoadItem(
+                arrival_cc=100 * i,
+                item=TraceItem(90, rng.getrandbits(90), rng.getrandbits(90)),
+            )
+            for i in range(3)
+        ]
+        config = ServiceConfig(
+            batch_size=4, portfolio=True, portfolio_table=self.TABLE_PATH
+        )
+        report, _service = run_sync(load, config)
+        assert report.completed == len(load)
+
+
+# ----------------------------------------------------------------------
+# Lock-step row multipliers: batched wear equals job-by-job wear
+# ----------------------------------------------------------------------
+class TestBatchedRowWear:
+    @pytest.mark.parametrize("jobs", (4, 5))
+    def test_toom3_pointwise_batch_matches_sequential(self, jobs):
+        n = 90
+        rng = random.Random(jobs)
+        width = t3.pointwise_width(n)
+        operands = [
+            {name: rng.getrandbits(width)
+             for _, lhs, rhs in t3.POINTWISE_STEPS for name in (lhs, rhs)}
+            for _ in range(jobs)
+        ]
+        sequential = t3.PointwiseStage(n)
+        batched = t3.PointwiseStage(n)
+        seq = [sequential.process_batch([ops])[0] for ops in operands]
+        bat = batched.process_batch(operands)
+        assert [r.products for r in seq] == [r.products for r in bat] == [
+            {out: ops[lhs] * ops[rhs] for out, lhs, rhs in t3.POINTWISE_STEPS}
+            for ops in operands
+        ]
+        for out, row in sequential.rows.items():
+            assert np.array_equal(row.cell_writes, batched.rows[out].cell_writes)
+        assert sequential.max_writes() == batched.max_writes()
+        assert sequential.checker.checks == batched.checker.checks == 5 * jobs
+
+    @pytest.mark.parametrize("wear_leveling", (False, True))
+    def test_schoolbook_batch_matches_sequential(self, wear_leveling):
+        rng = random.Random(0x5B)
+        pairs = [(rng.getrandbits(32), rng.getrandbits(32)) for _ in range(5)]
+        sequential = SchoolbookPipeline(32, wear_leveling=wear_leveling)
+        batched = SchoolbookPipeline(32, wear_leveling=wear_leveling)
+        seq = [sequential.controller.run_job(a, b) for a, b in pairs]
+        bat = batched.controller.run_jobs_batch(pairs)
+        assert [r.product for r in seq] == [r.product for r in bat] == [
+            a * b for a, b in pairs
+        ]
+        assert np.array_equal(
+            sequential.controller.row.cell_writes,
+            batched.controller.row.cell_writes,
+        )
+        assert (
+            sequential.controller.max_writes() == batched.controller.max_writes()
+        )

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arith import rowmul
 from repro.arith.rowmul import RowMultiplier, RowMultiplierSpec
+from repro.karatsuba.multiply import MultiplicationStage
 from repro.sim.clock import Clock
 from repro.sim.exceptions import DesignError
 
@@ -105,3 +109,75 @@ class TestWear:
         stats = mul.stats()
         assert stats.cycles == 2 * spec.latency_cc
         assert stats.cell_writes > 0
+
+
+class TestLaneParallelKernel:
+    @pytest.mark.parametrize("width", (1, 2, 3, 4, 18, 66, 95, 98))
+    @pytest.mark.parametrize("lanes", (1, 2, 7, 64, 65, 576))
+    def test_products_match_integer_multiplication(self, width, lanes):
+        rng = random.Random(width * 1000 + lanes)
+        top = (1 << width) - 1
+        pairs = [(rng.getrandbits(width), rng.getrandbits(width)) for _ in range(lanes)]
+        pairs[0] = (top, top)
+        pairs[-1] = (top, rng.getrandbits(width))
+        assert rowmul.carry_save_products(width, pairs) == [a * b for a, b in pairs]
+
+    def test_no_pairs(self):
+        assert rowmul.carry_save_products(8, []) == []
+
+    @pytest.mark.parametrize("bad", ((1 << 8, 1), (3, -1)))
+    def test_any_lane_out_of_range_rejected(self, bad):
+        pairs = [(1, 2)] * 5
+        pairs[3] = bad
+        with pytest.raises(DesignError):
+            rowmul.carry_save_products(8, pairs)
+
+
+def _charge_one_by_one(cell_writes, width, passes, rotate):
+    """Reference wear: one multiplication's increments, then the swap."""
+    cells = cell_writes.reshape(width, rowmul.CELLS_PER_PARTITION)
+    increments = {2: width, 3: width, 4: 4 * width, 5: 4 * width,
+                  6: 2 * width, 7: 2 * width}
+    for _ in range(passes):
+        for col, count in increments.items():
+            cells[:, col] += count
+        if rotate:
+            cells[:, [4, 5, 8, 9]] = cells[:, [8, 9, 4, 5]]
+
+
+class TestChargePasses:
+    @pytest.mark.parametrize("passes", range(6))
+    @pytest.mark.parametrize("rotate", (False, True))
+    def test_closed_form_equals_sequential_steps(self, passes, rotate):
+        width = 6
+        rng = np.random.default_rng(passes + 10 * rotate)
+        start = rng.integers(0, 50, size=rowmul.area_cells(width))
+        batched = RowMultiplier(RowMultiplierSpec(width))
+        batched.cell_writes[:] = start
+        batched.charge_passes(passes, rotate)
+        expected = start.copy()
+        _charge_one_by_one(expected, width, passes, rotate)
+        assert np.array_equal(batched.cell_writes, expected)
+        assert batched.multiplications == passes
+
+
+class TestStageBatchValidation:
+    def test_bad_lane_leaves_wear_untouched(self):
+        stage = MultiplicationStage(64)
+        rng = random.Random(0xBAD)
+        names = {name for _, lhs, rhs in stage.steps for name in (lhs, rhs)}
+        jobs = [
+            {name: rng.getrandbits(stage.width) for name in names}
+            for _ in range(4)
+        ]
+        stage.process_batch(jobs[:1])
+        before = {out: row.cell_writes.copy() for out, row in stage.rows.items()}
+        checks = stage.checker.stats()
+        jobs[2][stage.steps[4][1]] = 1 << stage.width
+        with pytest.raises(DesignError):
+            stage.process_batch(jobs)
+        for out, row in stage.rows.items():
+            assert np.array_equal(row.cell_writes, before[out])
+            assert row.multiplications == 1
+        assert stage.passes == 1
+        assert stage.checker.stats() == checks
