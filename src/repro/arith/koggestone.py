@@ -40,6 +40,7 @@ from typing import Optional, Tuple
 
 from repro.arith.bitops import ceil_log2
 from repro.crossbar.array import BatchedCrossbarArray, CrossbarArray
+from repro.magic.backend import DEFAULT_BACKEND, get_backend
 from repro.magic.executor import (
     BatchedMagicExecutor,
     MagicExecutor,
@@ -300,7 +301,7 @@ class KoggeStoneAdder:
         op: str = OP_ADD,
         first_use: bool = False,
         optimize: bool = False,
-        backend: object = "bitplane",
+        backend: object = DEFAULT_BACKEND,
         fault_hook=None,
     ):
         """Batched counterpart of :meth:`run`: one SIMD pass over many
@@ -318,8 +319,6 @@ class KoggeStoneAdder:
         executor (transient-fault injection), mirroring the stage
         mega-program path.
         """
-        from repro.magic.backend import get_backend
-
         resolved = get_backend(backend)
         lay = self.layout
         pairs = list(pairs)

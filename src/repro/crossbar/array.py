@@ -739,23 +739,69 @@ class BatchedCrossbarArray:
         )
 
 
-def _csa_add(planes: list, mask: int) -> None:
-    """Add a packed bit-mask into a binary carry-save counter.
+def _csa_add(levels: list, mask: int) -> None:
+    """Add a packed bit-mask into a redundant carry-save counter.
 
-    ``planes[k]`` holds bit *k* of every cell's running event count, so
-    one add is amortized ~2 big-integer operations and a counter over
-    *N* events needs only ``log2(N)`` planes — the word-packed array's
-    deferred energy accounting flushes planes, not events.
+    Level *k* owns the two slots ``levels[2k]`` and ``levels[2k + 1]``:
+    at most two masks of weight ``2**k`` (a zero slot is empty — and
+    counts nothing).  A third arrival at a full level is compressed 3:2
+    by one full-adder step: the sum stays at level *k* and the carry
+    moves up, stopping as soon as it is zero.  Every compression halves
+    what travels upward, so an add costs an amortised single full-adder
+    step however many cells carry, and a counter over *N* events holds
+    at most ``2 * log2(N)`` masks — the word-packed array's deferred
+    energy accounting flushes masks, not events.
     """
-    i = 0
+    k = 0
     while mask:
-        if i == len(planes):
-            planes.append(mask)
+        if k == len(levels):
+            levels.append(mask)
+            levels.append(0)
             return
-        carry = planes[i] & mask
-        planes[i] ^= mask
-        mask = carry
-        i += 1
+        a = levels[k]
+        if not a:
+            levels[k] = mask
+            return
+        b = levels[k + 1]
+        if not b:
+            levels[k + 1] = mask
+            return
+        x = a ^ b
+        levels[k] = x ^ mask
+        levels[k + 1] = 0
+        mask = (a & b) | (x & mask)
+        k += 2
+
+
+def _lane_popcounts(masks: Sequence[int], cols: int, lane_bits: int) -> np.ndarray:
+    """Per-lane set-cell counts of packed masks, ``(len(masks), lane_bits)``.
+
+    Bit ``col * lane_bits + lane`` of a mask is lane *lane*'s cell in
+    column *col*.  The count stays packed: shift ``b`` of every 64-bit
+    word, masked to one bit per byte, holds lanes ``8j + b`` in byte
+    *j*, and summing at most 255 columns of it cannot carry out of a
+    byte — eight shifts and one add per column chunk, not one byte per
+    cell.
+    """
+    words = lane_bits // 64
+    nbytes = cols * lane_bits // 8
+    w = np.frombuffer(
+        b"".join(mask.to_bytes(nbytes, "little") for mask in masks), dtype="<u8"
+    ).reshape(len(masks), cols, words)
+    chunk = 255
+    pad = -cols % chunk
+    if pad:
+        w = np.concatenate(
+            [w, np.zeros((len(masks), pad, words), dtype=w.dtype)], axis=1
+        )
+    w = w.reshape(len(masks), -1, chunk, words)
+    shifts = np.arange(8, dtype=np.uint64).reshape(8, 1, 1, 1, 1)
+    spread = (w[None] >> shifts) & np.uint64(0x0101010101010101)
+    sums = spread.sum(axis=3, dtype=np.uint64).astype("<u8", copy=False)
+    # (shift, mask, chunk, byte) -> per-byte totals, then lane 8j + b.
+    per_byte = sums.view(np.uint8).reshape(8, len(masks), -1, words * 8)
+    counts = per_byte.sum(axis=2, dtype=np.int64)
+    return counts.transpose(1, 2, 0).reshape(len(masks), lane_bits)
 
 
 class WordPackedCrossbarArray:
@@ -825,10 +871,10 @@ class WordPackedCrossbarArray:
         self._energy = np.zeros(batch, dtype=np.float64)
         #: Deferred per-lane-identical energy (data-independent pulses).
         self._energy_const = 0.0
-        #: Deferred data-dependent energy, per coefficient: a binary
-        #: carry-save counter over packed masks (plane *k* holds bit
-        #: *k* of each cell's event count), so a program contributes
-        #: O(log events) planes to flush instead of one mask per event.
+        #: Deferred data-dependent energy, per coefficient: a redundant
+        #: carry-save counter over packed masks (see :func:`_csa_add`),
+        #: so a program contributes O(log events) masks to flush
+        #: instead of one mask per event.
         self._energy_acc: Dict[float, list] = {}
         self._faults: Dict[Tuple[int, int], str] = {}
         self._row_map = list(range(rows))
@@ -906,38 +952,39 @@ class WordPackedCrossbarArray:
     # ------------------------------------------------------------------
     def _add_energy_event(self, coeff: float, mask: int) -> None:
         """Charge *coeff* femtojoules to every set cell of *mask*."""
-        planes = self._energy_acc.get(coeff)
-        if planes is None:
-            planes = self._energy_acc[coeff] = []
-        _csa_add(planes, mask)
+        levels = self._energy_acc.get(coeff)
+        if levels is None:
+            levels = self._energy_acc[coeff] = []
+        _csa_add(levels, mask)
 
     def _flush_energy(self) -> None:
         acc = self._energy_acc
         if acc:
-            # Weight plane k of the coeff-c counter by c * 2**k; each
-            # plane popcounts per lane in one vectorised unpackbits.
-            # Plane lists are emptied in place so executor hot loops
-            # may keep a binding to them across a flush.
+            # Resolve each counter to one mask per level — a final
+            # carry-propagate pass, one full-adder step per level, which
+            # halves the masks to popcount — and weight the level-k mask
+            # of the coeff-c counter by c * 2**k.  Level lists are
+            # emptied in place so executor hot loops may keep a binding
+            # to them across a flush.
             items = []
-            for coeff, planes in acc.items():
-                for k, plane in enumerate(planes):
-                    if plane:
-                        items.append((coeff * (1 << k), plane))
-                planes.clear()
+            for coeff, levels in acc.items():
+                carry = 0
+                for k in range(0, len(levels), 2):
+                    a, b = levels[k], levels[k + 1]
+                    x = a ^ b
+                    items.append((coeff * (1 << (k >> 1)), x ^ carry))
+                    carry = (a & b) | (x & carry)
+                items.append((coeff * (1 << (len(levels) >> 1)), carry))
+                levels.clear()
+            items = [(weight, mask) for weight, mask in items if mask]
             if items:
-                nbytes = self.row_bits // 8
-                buf = b"".join(
-                    plane.to_bytes(nbytes, "little") for _, plane in items
+                counts = _lane_popcounts(
+                    [mask for _, mask in items], self.cols, self.lane_bits
                 )
-                raw = np.frombuffer(buf, dtype=np.uint8).reshape(
-                    len(items), self.cols, self.lane_bits // 8
-                )
-                bits = np.unpackbits(raw, axis=2, bitorder="little")
-                counts = bits.sum(axis=1, dtype=np.int64)[:, : self.batch]
                 coeffs = np.array(
                     [coeff for coeff, _ in items], dtype=np.float64
                 )
-                self._energy += coeffs @ counts
+                self._energy += coeffs @ counts[:, : self.batch]
         if self._energy_const:
             self._energy += self._energy_const
             self._energy_const = 0.0

@@ -175,6 +175,27 @@ class TransientFaultModel:
         )
 
 
+def row_view(array, row: int):
+    """Mutable bit view of logical *row* plus its write-back.
+
+    Returns ``(bits, commit)``: (cols,) for a scalar array, (batch,
+    cols) for the batched containers.  Arrays whose state is not an
+    ndarray slice (the word-packed backend) expose an
+    ``unpack_row``/``store_row`` pair; mutating the unpacked copy and
+    calling ``commit()`` stores it back (``commit`` is ``None`` when the
+    view already aliases the state).  The shapes — and therefore rng
+    draws and upset patterns under a fixed seed — are identical across
+    the SIMD backends.
+    """
+    if hasattr(array, "unpack_row"):
+        bits = array.unpack_row(row)
+        return bits, (lambda: array.store_row(row, bits))
+    phys = array.physical_row(row)
+    state = array.state
+    view = state[:, phys] if state.ndim == 3 else state[phys]
+    return view, None
+
+
 class TransientFaultInjector:
     """Seeded executor hook that strikes cells mid-program.
 
@@ -206,30 +227,11 @@ class TransientFaultInjector:
         return self.nor_flips + self.write_failures + self.read_disturbs
 
     # -- hook callbacks -------------------------------------------------
-    def _row_view(self, array, row: int):
-        """Mutable bit view of logical *row* plus its write-back.
-
-        Returns ``(bits, commit)``: (cols,) for a scalar array,
-        (batch, cols) for the batched containers.  Arrays whose state
-        is not an ndarray slice (the word-packed backend) expose an
-        ``unpack_row``/``store_row`` pair; mutating the unpacked copy
-        and committing it keeps the rng draw shapes — and therefore the
-        upset pattern under a fixed seed — identical across the SIMD
-        backends.
-        """
-        if hasattr(array, "unpack_row"):
-            bits = array.unpack_row(row)
-            return bits, (lambda: array.store_row(row, bits))
-        phys = array.physical_row(row)
-        state = array.state
-        view = state[:, phys] if state.ndim == 3 else state[phys]
-        return view, None
-
     def on_nor(self, array, out_row: int, mask) -> None:
         prob = self.model.nor_flip_prob
         if prob <= 0.0:
             return
-        view, commit = self._row_view(array, out_row)
+        view, commit = row_view(array, out_row)
         hits = self.rng.random(view.shape) < prob
         if mask is not None:
             hits &= self._np.asarray(mask, dtype=bool)
@@ -245,7 +247,7 @@ class TransientFaultInjector:
         prob = self.model.write_fail_prob
         if prob <= 0.0 or pre is None:
             return
-        view, commit = self._row_view(array, row)
+        view, commit = row_view(array, row)
         hits = self.rng.random(view.shape) < prob
         hits &= self._np.asarray(mask, dtype=bool)
         # A failed pulse leaves the cell at its pre-write value.
@@ -262,7 +264,7 @@ class TransientFaultInjector:
         prob = self.model.read_disturb_prob
         if prob <= 0.0:
             return
-        view, commit = self._row_view(array, row)
+        view, commit = row_view(array, row)
         hits = self.rng.random(view.shape) < prob
         count = int(hits.sum())
         if count:

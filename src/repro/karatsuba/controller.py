@@ -17,6 +17,7 @@ from repro.arith.bitops import split_chunks
 from repro.karatsuba.multiply import MultiplicationStage
 from repro.karatsuba.postcompute import PostcomputeStage
 from repro.karatsuba.precompute import PrecomputeStage
+from repro.magic.backend import DEFAULT_BACKEND
 from repro.sim.exceptions import DesignError
 from repro.telemetry import spans as _telemetry
 
@@ -57,7 +58,7 @@ class KaratsubaController:
         spare_rows: int = 2,
         residue_bits: int = 8,
         optimize: bool = False,
-        backend: object = "bitplane",
+        backend: object = DEFAULT_BACKEND,
     ):
         if n_bits < MIN_BITS or n_bits % 4:
             raise DesignError(

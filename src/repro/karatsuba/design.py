@@ -21,6 +21,7 @@ from repro.crossbar.device import DeviceModel
 from repro.crossbar.endurance import EnduranceReport, analyze
 from repro.karatsuba import cost
 from repro.karatsuba.pipeline import KaratsubaPipeline, PipelineTiming, StreamResult
+from repro.magic.backend import DEFAULT_BACKEND
 from repro.sim.exceptions import DesignError
 from repro.sim.stats import DesignMetrics
 
@@ -42,7 +43,7 @@ class KaratsubaCimMultiplier:
     backend:
         Batched executor backend the pipeline stages run on (one of
         :data:`repro.magic.BACKEND_NAMES` or an instance); defaults to
-        the pipeline's bit-plane engine.
+        :data:`repro.magic.backend.DEFAULT_BACKEND`.
     """
 
     def __init__(
@@ -50,7 +51,7 @@ class KaratsubaCimMultiplier:
         n_bits: int,
         wear_leveling: bool = True,
         device: DeviceModel = None,
-        backend: object = "bitplane",
+        backend: object = DEFAULT_BACKEND,
     ):
         self.n_bits = n_bits
         self.wear_leveling = wear_leveling

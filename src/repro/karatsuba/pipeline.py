@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from repro.karatsuba.controller import JobRecord, KaratsubaController
+from repro.magic.backend import DEFAULT_BACKEND
 from repro.sim.exceptions import DesignError
 from repro.telemetry import spans as _telemetry
 from repro.telemetry.spans import NOOP_SPAN
@@ -102,7 +103,7 @@ class KaratsubaPipeline:
         spare_rows: int = 2,
         residue_bits: int = 8,
         optimize: bool = False,
-        backend: object = "bitplane",
+        backend: object = DEFAULT_BACKEND,
     ):
         self.controller = type(self).controller_factory(
             n_bits,

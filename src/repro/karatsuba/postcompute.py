@@ -50,7 +50,7 @@ from repro.arith.koggestone import (
     KoggeStoneLayout,
 )
 from repro.crossbar.array import CrossbarArray
-from repro.magic.backend import get_backend
+from repro.magic.backend import DEFAULT_BACKEND, get_backend
 from repro.crossbar.endurance import WearLevelingController
 from repro.magic.executor import MagicExecutor, int_to_bits
 from repro.magic.passes import summarize_reports
@@ -121,7 +121,7 @@ class PostcomputeStage:
         spare_rows: int = 2,
         residue_bits: int = DEFAULT_RESIDUE_BITS,
         optimize: bool = False,
-        backend: object = "bitplane",
+        backend: object = DEFAULT_BACKEND,
     ):
         _check_width(n_bits)
         self.n_bits = n_bits
@@ -131,7 +131,7 @@ class PostcomputeStage:
         self.optimize = optimize
         #: Batched execution strategy (see :mod:`repro.magic.backend`).
         #: Per-lane results and accounting are bit-identical across
-        #: backends; defaults to the historical bit-plane path.
+        #: backends; defaults to the word-packed replay.
         self.backend = get_backend(backend)
         self.cols = columns(n_bits)
         self.adder_width = self.cols - 1

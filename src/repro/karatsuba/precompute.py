@@ -33,7 +33,7 @@ from repro.arith.koggestone import (
     KoggeStoneLayout,
 )
 from repro.crossbar.array import CrossbarArray
-from repro.magic.backend import get_backend
+from repro.magic.backend import DEFAULT_BACKEND, get_backend
 from repro.crossbar.endurance import WearLevelingController
 from repro.karatsuba.unroll import UnrolledPlan, build_plan
 from repro.magic.executor import MagicExecutor, int_to_bits
@@ -97,7 +97,7 @@ class PrecomputeStage:
         spare_rows: int = DEFAULT_SPARE_ROWS,
         residue_bits: int = DEFAULT_RESIDUE_BITS,
         optimize: bool = False,
-        backend: object = "bitplane",
+        backend: object = DEFAULT_BACKEND,
     ):
         _check_width(n_bits)
         self.n_bits = n_bits
@@ -107,7 +107,7 @@ class PrecomputeStage:
         self.optimize = optimize
         #: Batched execution strategy (see :mod:`repro.magic.backend`).
         #: Per-lane results and accounting are bit-identical across
-        #: backends; defaults to the historical bit-plane path.
+        #: backends; defaults to the word-packed replay.
         self.backend = get_backend(backend)
         self.cols = n_bits // 4 + 2
         self.adder_width = n_bits // 4 + 1

@@ -1,21 +1,27 @@
 """Cycle-accurate executors for MAGIC programs on crossbar arrays.
 
-Two execution paths share one instruction set:
+Three execution paths share one instruction set:
 
 * :class:`MagicExecutor` — the scalar reference path.  It applies
   micro-ops one at a time to a :class:`CrossbarArray`, advancing a
   :class:`Clock` by each op's cycle cost and collecting a
   :class:`RunStats`.  The per-op costs match the paper's accounting:
   1 cc for any row-parallel NOR/NOT/INIT/WRITE/READ, 2 cc for a
-  periphery shift (read + write-back).
-* :class:`BatchedMagicExecutor` — the SIMD path (paper Sec. II-B).  A
-  :class:`Program` is *compiled once* (parsed, validated, column masks
-  and field slices precomputed) into a :class:`CompiledProgram`, then
-  replayed against a :class:`BatchedCrossbarArray` so one pass of numpy
-  kernels evaluates every lane of a ``(batch, rows, cols)`` state
-  tensor.  Per-lane results, cycle counts, write counters and energy
-  are bit-identical to running the scalar executor once per lane — the
-  scalar path is kept as the differential-testing oracle.
+  periphery shift (read + write-back).  It is kept as the
+  differential-testing oracle.
+* :class:`WordPackedMagicExecutor` — the default SIMD path (paper
+  Sec. II-B).  A :class:`Program` is *compiled once* (parsed,
+  validated, column masks and field slices precomputed) into a
+  :class:`CompiledProgram`, lowered to big-integer masks, then replayed
+  against a :class:`WordPackedCrossbarArray` whose rows each pack every
+  lane into one Python integer, 64 lanes per machine word.
+* :class:`BatchedMagicExecutor` — the bit-plane SIMD path: the same
+  compiled program replayed as numpy kernels over a
+  :class:`BatchedCrossbarArray`'s ``(batch, rows, cols)`` bool tensor.
+  It survives only as a second reference until it is deleted.
+
+Per-lane results, cycle counts, write counters and energy of both SIMD
+paths are bit-identical to running the scalar executor once per lane.
 
 Data enters a program through *bindings* (name -> integer) consumed by
 WRITE ops and leaves through *results* (name -> integer) produced by
@@ -506,21 +512,21 @@ class MagicExecutor:
 
         *backend* selects the batched execution strategy (an
         :class:`~repro.magic.backend.ExecutorBackend` instance or its
-        registry name: ``"scalar"``, ``"bitplane"``, ``"word"``); the
-        bit-plane path remains the default.  All backends are
-        accounting-equivalent, so the choice only affects wall-clock
-        simulation speed.
+        registry name: ``"scalar"``, ``"bitplane"``, ``"word"``); it
+        defaults to :data:`~repro.magic.backend.DEFAULT_BACKEND`.  All
+        backends are accounting-equivalent, so the choice only affects
+        wall-clock simulation speed.
 
         Returns one :class:`RunStats` per lane, bit-identical (results,
         cycles, op counts, energy) to running :meth:`execute` with that
         lane's bindings on a scalar copy of the array.
         """
-        from repro.magic.backend import get_backend
+        from repro.magic.backend import DEFAULT_BACKEND, get_backend
 
         if not bindings_list:
             return []
         compiled = self._compile_cache.get(program)
-        resolved = get_backend(backend if backend is not None else "bitplane")
+        resolved = get_backend(backend if backend is not None else DEFAULT_BACKEND)
         batched = resolved.make_array(self.array, len(bindings_list))
         executor = resolved.make_executor(
             batched,
@@ -850,36 +856,30 @@ class _WordLoweredProgram:
         #: (row_map, phys_rows) -> materialised (phys_rows, cols) delta.
         self._writes_deltas: Dict[tuple, np.ndarray] = {}
 
+        def gate(in_rows, out_row, mask) -> tuple:
+            if out_row in in_rows:
+                # Row maps are injective, so logical aliasing is exactly
+                # physical aliasing; reject it once here instead of on
+                # every replay.
+                raise MagicProtocolError(
+                    f"output row {out_row} cannot also be a NOR input"
+                )
+            self.writes_recipe.append((out_row, mask))
+            if mask is None:
+                # Full-width gate: replay applies no mask at all.
+                return (in_rows[0], tuple(in_rows[1:]), out_row, None, 0, None)
+            m = mask_int(mask)
+            return (in_rows[0], tuple(in_rows[1:]), out_row, m, full ^ m, mask)
+
         for step in compiled.steps:
             code = step[0]
             if code == _NOR:
-                _, in_rows, out_row, mask = step
-                if out_row in in_rows:
-                    # Row maps are injective, so logical aliasing is
-                    # exactly physical aliasing; reject it once here
-                    # instead of on every replay.
-                    raise MagicProtocolError(
-                        f"output row {out_row} cannot also be a NOR input"
-                    )
-                m = mask_int(mask)
-                self.steps.append(
-                    (_NOR, tuple(in_rows), out_row, m, full ^ m, mask)
-                )
-                self.writes_recipe.append((out_row, mask))
+                # A lone NOR replays as a gang of one.
+                self.steps.append((_PACK, (gate(*step[1:]),)))
             elif code == _PACK:
-                gang = []
-                for in_rows, out_row, mask in step[1]:
-                    if out_row in in_rows:
-                        raise MagicProtocolError(
-                            f"output row {out_row} cannot also be a NOR "
-                            "input"
-                        )
-                    m = mask_int(mask)
-                    gang.append(
-                        (tuple(in_rows), out_row, m, full ^ m, mask)
-                    )
-                    self.writes_recipe.append((out_row, mask))
-                self.steps.append((_PACK, tuple(gang)))
+                self.steps.append(
+                    (_PACK, tuple(gate(*member) for member in step[1]))
+                )
             elif code == _INIT:
                 _, rows, mask = step
                 cells = cols if mask is None else int(mask.sum())
@@ -911,14 +911,13 @@ class _WordLoweredProgram:
                 span = window.stop - window.start
                 win_shift = window.start * lane_bits
                 window_block = (1 << (span * lane_bits)) - 1
-                offset_bits = offset * lane_bits
                 if not fill:
-                    fill_mask = 0
+                    fill_block = 0
                 elif offset >= 0:
-                    fill_mask = (1 << (min(offset, span) * lane_bits)) - 1
+                    fill_block = (1 << (min(offset, span) * lane_bits)) - 1
                 else:
                     keep = max(span + offset, 0)
-                    fill_mask = window_block ^ ((1 << (keep * lane_bits)) - 1)
+                    fill_block = window_block ^ ((1 << (keep * lane_bits)) - 1)
                 # One sensed read of the window, one masked write-back,
                 # plus a piggy-backed INIT of each listed row.
                 self.read_cells += span
@@ -927,18 +926,18 @@ class _WordLoweredProgram:
                 self.writes_recipe.append((dst, mask))
                 for row in also_init:
                     self.writes_recipe.append((row, mask))
+                # Both masks sit at the window's column position, so the
+                # replay shifts the source row once, in place.
                 window_mask = window_block << win_shift
                 self.steps.append(
                     (
                         _SHIFT,
                         src,
                         dst,
-                        offset_bits,
-                        win_shift,
-                        window_block,
+                        offset * lane_bits,
                         window_mask,
                         full ^ window_mask,
-                        fill_mask,
+                        fill_block << win_shift,
                         mask,
                         also_init,
                     )
@@ -977,6 +976,12 @@ class _WordLoweredProgram:
         return delta
 
 
+def _uninitialised(out_row: int) -> MagicProtocolError:
+    return MagicProtocolError(
+        f"NOR output row {out_row} not initialised to logic one in every lane"
+    )
+
+
 class WordPackedMagicExecutor:
     """Replays compiled programs against a :class:`WordPackedCrossbarArray`.
 
@@ -984,12 +989,16 @@ class WordPackedMagicExecutor:
     row is one big integer holding 64 batch lanes per machine word, so
     a row-parallel NOR over the whole batch is a handful of bitwise
     integer operations instead of a numpy pass over a byte-per-bit
-    tensor.  Accounting is deferred: data-dependent switching energy is
-    recorded as (coefficient, packed-mask) events popcounted lazily in
-    one vectorised pass, and write counters are applied as one
-    precomputed per-program delta — per-lane results, cycle counts,
-    write counters and energy stay bit-identical to the scalar oracle
-    and the bit-plane path.
+    tensor.  Every lowered micro-op costs a constant number of big-int
+    operations: a strict NOR writes back with one XOR, a SHIFT shifts
+    the masked source row once, and full-width gates apply no mask.
+    Accounting is deferred: data-dependent switching energy is added
+    as packed masks into a redundant carry-save counter per coefficient
+    (amortised one full-adder step per event) and popcounted per lane
+    when read, and write counters are applied as one precomputed
+    per-program delta — per-lane results, cycle counts, write counters
+    and energy stay bit-identical to the scalar oracle and the
+    bit-plane path.
     """
 
     def __init__(
@@ -1072,67 +1081,84 @@ class WordPackedMagicExecutor:
         state = array._state
         rmap = array._row_map
         lane_bits = array.lane_bits
-        # Carry-save energy counters; a flush empties these lists in
-        # place, so the bindings stay valid for the whole replay.  One
-        # counter per coefficient (setdefault aliases them if a device
-        # makes the two coefficients collide).
+        full = array._full
+        # Redundant carry-save energy counters; a flush empties these
+        # lists in place, so the bindings stay valid for the whole
+        # replay.  One counter per coefficient (setdefault aliases them
+        # if a device makes the two coefficients collide).
         acc_add = _csa_add
-        reset_planes = array._energy_acc.setdefault(e_reset, [])
-        write_planes = array._energy_acc.setdefault(w_coeff, [])
+        reset_levels = array._energy_acc.setdefault(e_reset, [])
+        write_levels = array._energy_acc.setdefault(w_coeff, [])
         strict = array.strict_magic
         have_faults = bool(array._faults)
         for index, step in enumerate(lowered.steps):
             code = step[0]
-            if code == _NOR:
-                _, in_rows, out_row, m, notm, np_mask = step
-                out_phys = rmap[out_row]
-                out = state[out_phys]
-                any_one = state[rmap[in_rows[0]]]
-                for row in in_rows[1:]:
-                    any_one = any_one | state[rmap[row]]
-                am = any_one & m
-                if strict:
-                    if (out & m) != m:
-                        raise MagicProtocolError(
-                            f"NOR output row {out_row} not initialised to "
-                            "logic one in every lane"
-                        )
-                    # out holds ones across m, so out & notm == out ^ m
-                    # and the RESET event am & out collapses to am.
-                    acc_add(reset_planes, am)
-                    state[out_phys] = (out ^ m) | (m ^ am)
-                else:
-                    acc_add(reset_planes, am & out)
-                    state[out_phys] = (out & notm) | (m ^ am)
-                if have_faults:
-                    array._apply_faults()
-                if hook is not None:
-                    hook.on_nor(array, out_row, np_mask)
-                    have_faults = bool(array._faults)
-            elif code == _PACK:
-                for in_rows, out_row, m, notm, np_mask in step[1]:
+            if code == _PACK:
+                for first, rest, out_row, m, notm, np_mask in step[1]:
                     out_phys = rmap[out_row]
                     out = state[out_phys]
-                    any_one = state[rmap[in_rows[0]]]
-                    for row in in_rows[1:]:
+                    any_one = state[rmap[first]]
+                    for row in rest:
                         any_one = any_one | state[rmap[row]]
-                    am = any_one & m
-                    if strict:
-                        if (out & m) != m:
-                            raise MagicProtocolError(
-                                f"NOR output row {out_row} not initialised "
-                                "to logic one in every lane"
-                            )
-                        acc_add(reset_planes, am)
-                        state[out_phys] = (out ^ m) | (m ^ am)
+                    if m is None:
+                        am = any_one
+                        if strict and out != full:
+                            raise _uninitialised(out_row)
                     else:
-                        acc_add(reset_planes, am & out)
-                        state[out_phys] = (out & notm) | (m ^ am)
+                        am = any_one & m
+                        if strict and (out & m) != m:
+                            raise _uninitialised(out_row)
+                    if strict:
+                        # out holds ones on every gate cell and am lies
+                        # inside them, so flipping am writes the NOR and
+                        # the RESET event am & out collapses to am.
+                        acc_add(reset_levels, am)
+                        state[out_phys] = out ^ am
+                    else:
+                        acc_add(reset_levels, am & out)
+                        state[out_phys] = (out & notm) | (
+                            (full if m is None else m) ^ am
+                        )
                     if have_faults:
                         array._apply_faults()
                     if hook is not None:
                         hook.on_nor(array, out_row, np_mask)
                         have_faults = bool(array._faults)
+            elif code == _SHIFT:
+                (
+                    _,
+                    src,
+                    dst,
+                    offset_bits,
+                    window_mask,
+                    not_window,
+                    fill_mask,
+                    np_mask,
+                    also_init,
+                ) = step
+                dst_phys = rmap[dst]
+                w = state[rmap[src]] & window_mask
+                if offset_bits >= 0:
+                    w <<= offset_bits
+                else:
+                    w >>= -offset_bits
+                sh = (w & window_mask) | fill_mask
+                pre = array.unpack_row(dst) if hook is not None else None
+                acc_add(write_levels, sh)
+                state[dst_phys] = (state[dst_phys] & not_window) | sh
+                if have_faults:
+                    array._apply_faults()
+                if hook is not None:
+                    write_mask = np_mask
+                    if write_mask is None:
+                        write_mask = np.ones(array.cols, dtype=bool)
+                    hook.on_write(array, dst, write_mask, pre)
+                    have_faults = bool(array._faults)
+                for row in also_init:
+                    phys = rmap[row]
+                    state[phys] = state[phys] | window_mask
+                if also_init and have_faults:
+                    array._apply_faults()
             elif code == _INIT:
                 _, rows, m, np_mask = step
                 for row in rows:
@@ -1145,7 +1171,7 @@ class WordPackedMagicExecutor:
                 phys = rmap[row]
                 pre = array.unpack_row(row) if hook is not None else None
                 value = packed[spec] << shift
-                acc_add(write_planes, value)
+                acc_add(write_levels, value)
                 state[phys] = (state[phys] & not_field) | value
                 if have_faults:
                     array._apply_faults()
@@ -1167,44 +1193,6 @@ class WordPackedMagicExecutor:
                 if hook is not None:
                     hook.on_read(array, row)
                     have_faults = bool(array._faults)
-            elif code == _SHIFT:
-                (
-                    _,
-                    src,
-                    dst,
-                    offset_bits,
-                    win_shift,
-                    window_block,
-                    window_mask,
-                    not_window,
-                    fill_mask,
-                    np_mask,
-                    also_init,
-                ) = step
-                dst_phys = rmap[dst]
-                w = (state[rmap[src]] >> win_shift) & window_block
-                if offset_bits >= 0:
-                    sh = (w << offset_bits) & window_block
-                else:
-                    sh = w >> -offset_bits
-                sh |= fill_mask
-                pre = array.unpack_row(dst) if hook is not None else None
-                new = (state[dst_phys] & not_window) | (sh << win_shift)
-                acc_add(write_planes, new & window_mask)
-                state[dst_phys] = new
-                if have_faults:
-                    array._apply_faults()
-                if hook is not None:
-                    write_mask = np_mask
-                    if write_mask is None:
-                        write_mask = np.ones(array.cols, dtype=bool)
-                    hook.on_write(array, dst, write_mask, pre)
-                    have_faults = bool(array._faults)
-                for row in also_init:
-                    phys = rmap[row]
-                    state[phys] = state[phys] | window_mask
-                if also_init and have_faults:
-                    array._apply_faults()
             # _NOP: nothing to evaluate.
             if trace_enabled:
                 op = compiled.program.ops[index]

@@ -27,6 +27,7 @@ from typing import Dict, Iterable, List, Tuple
 from repro.arith import rowmul
 from repro.arith.rowmul import RowMultiplier, RowMultiplierSpec
 from repro.karatsuba.controller import JobRecord
+from repro.magic.backend import DEFAULT_BACKEND
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
 from repro.sim.clock import Clock
 from repro.sim.exceptions import DesignError
@@ -82,7 +83,7 @@ class SchoolbookController:
         spare_rows: int = 2,
         residue_bits: int = DEFAULT_RESIDUE_BITS,
         optimize: bool = False,
-        backend: object = "bitplane",
+        backend: object = DEFAULT_BACKEND,
     ):
         _check_width(n_bits)
         self.n_bits = n_bits

@@ -67,7 +67,7 @@ from repro.arith.koggestone import (
 from repro.arith.rowmul import RowMultiplier, RowMultiplierSpec
 from repro.crossbar.array import CrossbarArray
 from repro.karatsuba.controller import JobRecord
-from repro.magic.backend import get_backend
+from repro.magic.backend import DEFAULT_BACKEND, get_backend
 from repro.magic.executor import MagicExecutor, pack_ints, unpack_ints
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
 from repro.sim.clock import Clock
@@ -201,7 +201,7 @@ class _BatchedAdderUnit:
         device=None,
         spare_rows: int = 2,
         optimize: bool = False,
-        backend: object = "bitplane",
+        backend: object = DEFAULT_BACKEND,
     ):
         self.width = width
         self.optimize = optimize
@@ -313,7 +313,7 @@ class EvaluationStage:
         spare_rows: int = 2,
         residue_bits: int = DEFAULT_RESIDUE_BITS,
         optimize: bool = False,
-        backend: object = "bitplane",
+        backend: object = DEFAULT_BACKEND,
     ):
         _check_width(n_bits)
         self.n_bits = n_bits
@@ -567,7 +567,7 @@ class InterpolationStage:
         spare_rows: int = 2,
         residue_bits: int = DEFAULT_RESIDUE_BITS,
         optimize: bool = False,
-        backend: object = "bitplane",
+        backend: object = DEFAULT_BACKEND,
     ):
         _check_width(n_bits)
         self.n_bits = n_bits
@@ -776,7 +776,7 @@ class Toom3Controller:
         spare_rows: int = 2,
         residue_bits: int = DEFAULT_RESIDUE_BITS,
         optimize: bool = False,
-        backend: object = "bitplane",
+        backend: object = DEFAULT_BACKEND,
     ):
         _check_width(n_bits)
         self.n_bits = n_bits

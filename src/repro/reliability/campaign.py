@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.crossbar.faults import StuckAtFault, inject
+from repro.crossbar.faults import StuckAtFault, inject, row_view
 from repro.service.degrade import DegradeController, RecoveryReport
 from repro.service.requests import NoHealthyWayError
 from repro.service.workers import BankDispatcher
@@ -105,16 +105,13 @@ class SingleUpsetInjector:
         return 1 if self.fired else 0
 
     # -- helpers --------------------------------------------------------
-    def _view(self, array, row: int):
-        phys = array.physical_row(row)
-        state = array.state
-        return state[:, phys] if state.ndim == 3 else state[phys]
-
-    def _strike(self, array, view, candidates) -> None:
+    def _strike(self, array, view, commit, candidates) -> None:
         """Flip one candidate cell (flat indices into *view*)."""
         flat = int(self.rng.choice(list(candidates)))
         index = self._np.unravel_index(flat, view.shape)
         view[index] = not bool(view[index])
+        if commit is not None:
+            commit()
         self.fired = True
         array.repin_faults()
 
@@ -128,19 +125,19 @@ class SingleUpsetInjector:
     def on_nor(self, array, out_row: int, mask) -> None:
         if self.fired or self.kind != KIND_TRANSIENT:
             return
-        view = self._view(array, out_row)
+        view, commit = row_view(array, out_row)
         cells = self._np.flatnonzero(self._masked(view, mask))
         if cells.size == 0:
             return
         if self.countdown > 0:
             self.countdown -= 1
             return
-        self._strike(array, view, cells)
+        self._strike(array, view, commit, cells)
 
     def on_write(self, array, row: int, mask, pre) -> None:
         if self.fired or self.kind != KIND_WRITE_FAILURE or pre is None:
             return
-        view = self._view(array, row)
+        view, commit = row_view(array, row)
         # A failed pulse only matters where the write changed the cell.
         changed = self._masked(view, mask) & (view != pre)
         cells = self._np.flatnonzero(changed)
@@ -152,6 +149,8 @@ class SingleUpsetInjector:
         flat = int(self.rng.choice(list(cells)))
         index = self._np.unravel_index(flat, view.shape)
         view[index] = pre[index]
+        if commit is not None:
+            commit()
         self.fired = True
         array.repin_faults()
 
@@ -161,9 +160,9 @@ class SingleUpsetInjector:
         if self.countdown > 0:
             self.countdown -= 1
             return
-        view = self._view(array, row)
+        view, commit = row_view(array, row)
         cells = self._np.flatnonzero(self._np.ones(view.shape, dtype=bool))
-        self._strike(array, view, cells)
+        self._strike(array, view, commit, cells)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.karatsuba.pipeline import KaratsubaPipeline, PipelineTiming
+from repro.magic.backend import DEFAULT_BACKEND
 from repro.portfolio.design import DesignPoint, build_pipeline
 from repro.service.cache import ProgramCache
 from repro.service.requests import NoHealthyWayError
@@ -135,7 +136,7 @@ class BankDispatcher:
         spare_rows: int = 2,
         ranker: WayRanker = least_loaded,
         optimize: bool = False,
-        backend: str = "bitplane",
+        backend: str = DEFAULT_BACKEND,
         design_resolver: Optional[Callable[[int], DesignPoint]] = None,
     ):
         if ways_per_width < 1:

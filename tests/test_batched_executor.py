@@ -151,8 +151,13 @@ def _random_window(rng):
     return (start, stop)
 
 
-def _random_program(rng, ops=40):
-    """A protocol-valid random program plus its write (name, width) list."""
+def _random_program(rng, ops=40, init_outputs=True):
+    """A protocol-valid random program plus its write (name, width) list.
+
+    With ``init_outputs=False`` half the NOR/NOT gates skip initialising
+    their output row — only valid on ``strict_magic=False`` arrays,
+    where it exercises the non-strict write-back.
+    """
     builder = ProgramBuilder(label="fuzz")
     writes = []
     reads = 0
@@ -167,7 +172,8 @@ def _random_program(rng, ops=40):
         elif kind in ("nor", "not"):
             out = rng.randrange(ROWS)
             candidates = [r for r in range(ROWS) if r != out]
-            builder.init([out], window)
+            if init_outputs or rng.random() < 0.5:
+                builder.init([out], window)
             if kind == "nor":
                 ins = rng.sample(candidates, rng.randrange(1, 4))
                 builder.nor(ins, out, window)
@@ -204,6 +210,42 @@ def _random_program(rng, ops=40):
     return builder.build(), writes
 
 
+def _assert_oracle_parity(program, bindings, backend, strict=True):
+    """Run *program* per lane on the scalar oracle and once batched on
+    *backend*; every lane must match bit for bit."""
+    scalar_runs = []
+    for lane_bindings in bindings:
+        array = CrossbarArray(ROWS, COLS, strict_magic=strict)
+        executor = MagicExecutor(array, clock=Clock())
+        stats = executor.execute(program, lane_bindings)
+        scalar_runs.append((stats, array))
+
+    resolved = get_backend(backend)
+    template = CrossbarArray(ROWS, COLS, strict_magic=strict)
+    batched_array = resolved.make_array(template, len(bindings))
+    batched = resolved.make_executor(batched_array, clock=Clock())
+    batched_stats = batched.execute(program, bindings)
+
+    for lane, (stats, array) in enumerate(scalar_runs):
+        got = batched_stats[lane]
+        assert got.results == stats.results
+        assert got.cycles == stats.cycles
+        assert got.op_counts == stats.op_counts
+        assert got.nor_ops == stats.nor_ops
+        assert got.shift_ops == stats.shift_ops
+        assert got.energy_fj == stats.energy_fj
+        assert got.energy_fj == batched_array.lane_energy_fj(lane)
+        assert np.array_equal(batched_array.snapshot(lane), array.snapshot())
+        assert np.array_equal(batched_array.writes, array.writes)
+
+
+def _random_bindings(rng, writes, batch):
+    return [
+        {name: rng.randrange(2**width) for name, width in writes}
+        for _ in range(batch)
+    ]
+
+
 class TestBatchedDifferential:
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     @pytest.mark.parametrize("seed", range(6))
@@ -211,34 +253,53 @@ class TestBatchedDifferential:
         rng = random.Random(seed)
         program, writes = _random_program(rng)
         batch = rng.randrange(1, 6)
-        bindings = [
-            {name: rng.randrange(2**width) for name, width in writes}
-            for _ in range(batch)
-        ]
+        _assert_oracle_parity(program, _random_bindings(rng, writes, batch), backend)
 
-        scalar_runs = []
-        for lane in range(batch):
-            array = CrossbarArray(ROWS, COLS)
-            executor = MagicExecutor(array, clock=Clock())
-            stats = executor.execute(program, bindings[lane])
-            scalar_runs.append((stats, array))
+    # Batches past one 64-lane word: padded lanes and lane_bits = 128
+    # meet windowed and negative-offset shifts, on strict and non-strict
+    # arrays (the latter with uninitialised NOR outputs).
+    @pytest.mark.parametrize("backend", ["word", "bitplane"])
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lax"])
+    @pytest.mark.parametrize("batch", [64, 65, 130])
+    def test_random_programs_wide_batches_bit_exact(self, batch, strict, backend):
+        rng = random.Random(1000 + batch + strict)
+        program, writes = _random_program(rng, ops=60, init_outputs=strict)
+        _assert_oracle_parity(
+            program, _random_bindings(rng, writes, batch), backend, strict
+        )
 
-        resolved = get_backend(backend)
-        batched_array = resolved.make_array(CrossbarArray(ROWS, COLS), batch)
-        batched = resolved.make_executor(batched_array, clock=Clock())
-        batched_stats = batched.execute(program, bindings)
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lax"])
+    def test_long_program_deep_energy_counter_bit_exact(self, strict, monkeypatch):
+        """A random prefix, then 1,100 NOTs of a near-all-ones row: a
+        cell's event count passes 2**10, so the word backend's redundant
+        carry-save counter reaches >= 10 levels; energy must stay exact."""
+        import repro.magic.executor as executor_mod
 
-        for lane, (stats, array) in enumerate(scalar_runs):
-            got = batched_stats[lane]
-            assert got.results == stats.results
-            assert got.cycles == stats.cycles
-            assert got.op_counts == stats.op_counts
-            assert got.nor_ops == stats.nor_ops
-            assert got.shift_ops == stats.shift_ops
-            assert got.energy_fj == stats.energy_fj
-            assert got.energy_fj == batched_array.lane_energy_fj(lane)
-            assert np.array_equal(batched_array.snapshot(lane), array.snapshot())
-            assert np.array_equal(batched_array.writes, array.writes)
+        deepest = [0]
+        add = executor_mod._csa_add
+
+        def recording_add(levels, mask):
+            add(levels, mask)
+            deepest[0] = max(deepest[0], len(levels) // 2)
+
+        monkeypatch.setattr(executor_mod, "_csa_add", recording_add)
+        rng = random.Random(77 + strict)
+        prefix, writes = _random_program(rng, ops=200, init_outputs=strict)
+        builder = ProgramBuilder(label="deep").concat(prefix)
+        builder.write(0, "dense", width=COLS)
+        for _ in range(1100):
+            builder.init([1]).not_(0, 1)
+        builder.read(1, "deep", width=COLS)
+        program = builder.build()
+        events = sum(
+            op.opcode in ("nor", "not", "write", "shift") for op in program
+        )
+        assert events >= 1024
+        bindings = _random_bindings(rng, writes, 3)
+        for lane, lane_bindings in enumerate(bindings):
+            lane_bindings["dense"] = (2**COLS - 1) ^ (1 << lane)
+        _assert_oracle_parity(program, bindings, "word", strict)
+        assert deepest[0] >= 10
 
     def test_simd_clock_advances_once_per_batch(self):
         adder, executor = standalone_adder(8)

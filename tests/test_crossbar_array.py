@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crossbar import (
     FAULT_STUCK_AT_0,
     FAULT_STUCK_AT_1,
     CrossbarArray,
+    DeviceModel,
+    WordPackedCrossbarArray,
 )
+from repro.crossbar.array import _csa_add, _lane_popcounts
+from repro.magic import MagicExecutor, ProgramBuilder, get_backend
 from repro.sim.exceptions import (
     AddressError,
     FaultInjectionError,
@@ -261,3 +267,142 @@ class TestEnergyAccounting:
         b = CrossbarArray(1, 8)
         b.write_row(0, np.zeros(8, dtype=bool))
         assert set_cost > b.energy_fj
+
+
+# ----------------------------------------------------------------------
+# Word-packed deferred energy: the redundant carry-save counter
+# ----------------------------------------------------------------------
+COUNTER_COLS = 3
+
+
+def _lane_counts(mask: int, batch: int, lane_bits: int) -> np.ndarray:
+    """Naive per-lane popcount of one packed mask (real lanes only)."""
+    return np.array(
+        [
+            sum(
+                (mask >> (col * lane_bits + lane)) & 1
+                for col in range(COUNTER_COLS)
+            )
+            for lane in range(batch)
+        ],
+        dtype=np.int64,
+    )
+
+
+@st.composite
+def _mask_runs(draw):
+    """A batch size plus a mask sequence rich in zero and all-ones masks."""
+    batch = draw(st.sampled_from([1, 5, 64, 65]))
+    row_bits = COUNTER_COLS * 64 * ((batch + 63) // 64)
+    full = (1 << row_bits) - 1
+    masks = draw(
+        st.lists(
+            st.one_of(
+                st.just(0),
+                st.just(full),
+                st.integers(min_value=0, max_value=full),
+            ),
+            max_size=80,
+        )
+    )
+    return batch, masks
+
+
+def _counter_value(levels: list, cell: int) -> int:
+    return sum(((mask >> cell) & 1) << (i >> 1) for i, mask in enumerate(levels))
+
+
+class TestRedundantEnergyCounter:
+    @settings(max_examples=60, deadline=None)
+    @given(_mask_runs(), st.sampled_from([1.0, 61.0, 115.0]))
+    def test_flush_equals_naive_popcount(self, run, coeff):
+        batch, masks = run
+        array = WordPackedCrossbarArray(batch, 1, COUNTER_COLS)
+        expected = np.zeros(batch, dtype=np.int64)
+        for mask in masks:
+            array._add_energy_event(coeff, mask)
+            expected += _lane_counts(mask, batch, array.lane_bits)
+        assert np.array_equal(array.energy_fj, coeff * expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_mask_runs())
+    def test_at_most_two_masks_per_level(self, run):
+        batch, masks = run
+        lane_bits = 64 * ((batch + 63) // 64)
+        cells = COUNTER_COLS * lane_bits
+        levels: list = []
+        counts = [0] * cells
+        for events, mask in enumerate(masks, start=1):
+            _csa_add(levels, mask)
+            # Two slots per level, and no deeper than the event count
+            # needs: each level holds at most two masks.
+            assert len(levels) % 2 == 0
+            assert len(levels) // 2 <= max(events.bit_length(), 1)
+            for cell in range(0, cells, 7):
+                counts[cell] += (mask >> cell) & 1
+                assert _counter_value(levels, cell) == counts[cell]
+
+    @settings(max_examples=40, deadline=None)
+    @given(_mask_runs(), st.integers(min_value=0, max_value=80))
+    def test_flush_with_bound_levels(self, run, split):
+        """Executors keep a binding to the level list across a flush."""
+        batch, masks = run
+        array = WordPackedCrossbarArray(batch, 1, COUNTER_COLS)
+        levels = array._energy_acc.setdefault(2.0, [])
+        expected = np.zeros(batch, dtype=np.int64)
+        for index, mask in enumerate(masks):
+            if index == split:
+                assert np.array_equal(array.energy_fj, 2.0 * expected)
+                assert levels == []
+            _csa_add(levels, mask)
+            expected += _lane_counts(mask, batch, array.lane_bits)
+        assert np.array_equal(array.energy_fj, 2.0 * expected)
+
+    @pytest.mark.parametrize("batch", [3, 65])
+    def test_aliased_coefficients(self, batch):
+        """e_set - e_reset == e_reset: write and reset events share one
+        counter and must still match the scalar oracle lane by lane."""
+        device = DeviceModel(e_set_fj=122.0, e_reset_fj=61.0)
+        assert device.e_set_fj - device.e_reset_fj == device.e_reset_fj
+        program = (
+            ProgramBuilder()
+            .write(0, "x", width=16)
+            .write(1, "y", width=16)
+            .init([2])
+            .nor([0, 1], 2)
+            .shift(2, 3, -3, fill=1, cols=(2, 14))
+            .init([4])
+            .not_(3, 4, cols=(0, 9))
+            .read(4, "out", width=16)
+            .build()
+        )
+        rng = np.random.default_rng(batch)
+        bindings = [
+            {"x": int(rng.integers(1 << 16)), "y": int(rng.integers(1 << 16))}
+            for _ in range(batch)
+        ]
+        backend = get_backend("word")
+        words = backend.make_array(CrossbarArray(6, 16, device=device), batch)
+        stats = backend.make_executor(words).execute(program, bindings)
+        assert list(words._energy_acc) == [61.0]
+        for lane, lane_bindings in enumerate(bindings):
+            oracle = MagicExecutor(CrossbarArray(6, 16, device=device))
+            expected = oracle.execute(program, lane_bindings)
+            assert stats[lane].results == expected.results
+            assert stats[lane].energy_fj == expected.energy_fj
+
+    @pytest.mark.parametrize("cols", [255, 256, 600])
+    @pytest.mark.parametrize("lane_bits", [64, 128])
+    def test_lane_popcounts_past_one_byte(self, cols, lane_bits):
+        """Rows wider than 255 columns: per-lane counts pass one byte."""
+        rng = np.random.default_rng(cols + lane_bits)
+        full = (1 << (cols * lane_bits)) - 1
+        masks = [full, 0, int(rng.integers(1 << 62)) << (cols * lane_bits - 62)]
+        masks.append(int.from_bytes(rng.bytes(cols * lane_bits // 8), "little"))
+        counts = _lane_popcounts(masks, cols, lane_bits)
+        for mask, got in zip(masks, counts):
+            raw = np.frombuffer(
+                mask.to_bytes(cols * lane_bits // 8, "little"), dtype=np.uint8
+            )
+            bits = np.unpackbits(raw, bitorder="little").reshape(cols, lane_bits)
+            assert np.array_equal(got, bits.sum(axis=0))

@@ -150,6 +150,20 @@ class TestWordPackedErrors:
         with pytest.raises(MagicProtocolError, match="not initialised"):
             executor.execute(program, [{}, {}, {}])
 
+    def test_strict_masked_nor_violation_raises(self):
+        backend = get_backend("word")
+        array = backend.make_array(CrossbarArray(2, 4), 3)
+        executor = backend.make_executor(array)
+        # Column 3 of the output row is zero in the last lane only.
+        word = np.ones((3, 4), dtype=bool)
+        word[2, 3] = False
+        array.write_row(1, word)
+        program = ProgramBuilder().nor([0], 1, cols=(1, 4)).build()
+        with pytest.raises(MagicProtocolError, match="not initialised"):
+            executor.execute(program, [{}, {}, {}])
+        # Outside the gate's window the zero is irrelevant.
+        executor.execute(ProgramBuilder().nor([0], 1, cols=(0, 3)).build(), [{}] * 3)
+
     def test_lane_count_mismatch_raises(self):
         backend = get_backend("word")
         array = backend.make_array(CrossbarArray(2, 4), 3)
