@@ -1,7 +1,7 @@
 """Benchmark: batched SIMD executor vs sequential scalar execution.
 
 The batched engines exist for one reason — to make the simulator's hot
-path keep up with the row-parallel hardware it models.  Two perf-smoke
+path keep up with the row-parallel hardware it models.  Four perf-smoke
 checks live here:
 
 * ``test_batched_run_stream_speedup`` replays the acceptance workload
@@ -16,6 +16,12 @@ checks live here:
   (not ``run_stream`` wall clock) because program compilation and the
   closed-form multiply stage are backend-independent and would dilute
   the comparison.
+* ``test_narrow_batch_replay_speedup`` replays the same mega-programs
+  on the word backend over 4 lanes and over 64 lanes and asserts the
+  4-lane replay is at least 1.5x faster, with the 4-lane results
+  bit-identical to the first four lanes of the 64-lane run: packed rows
+  are sized to the batch (power-of-two lane stride), so replay cost
+  follows the lanes a batch actually uses.
 * ``test_rowmul_lane_parallel_speedup`` runs the n = 256 multiply
   stage (m = 66 rows, 64 jobs x 9 rows) as one bit-sliced lock-step
   pass and as one row-multiplier call per product, and asserts the
@@ -50,8 +56,8 @@ BATCH_SIZE = 32
 #: Required advantage of the batched path over job-by-job execution.
 MIN_SPEEDUP = 8.0
 
-#: Lanes for the backend shoot-out — one full uint64 word per packed
-#: column bit, the word backend's sweet spot and the service default.
+#: Lanes for the backend shoot-out: a full 64-bit lane stride per
+#: packed column.
 BACKEND_LANES = 64
 
 #: Required advantage of the word-packed replay over the bit-plane
@@ -61,6 +67,16 @@ MIN_BACKEND_SPEEDUP = 6.0
 #: Timing repetitions per backend; best-of is reported so scheduler
 #: noise cannot fail the floor.
 BACKEND_REPS = 3
+
+#: Lanes of the narrow word-backend replay (a 4-bit lane stride).
+NARROW_LANES = 4
+
+#: Required advantage of the 4-lane replay over the 64-lane replay of
+#: the n = 256 stage mega-programs on the word backend.
+MIN_NARROW_SPEEDUP = 1.5
+
+#: Timing repetitions of the narrow-batch comparison (sub-10 ms each).
+NARROW_REPS = 40
 
 #: Jobs in the lock-step multiply-stage batch (9 rows each).
 ROWMUL_JOBS = 64
@@ -137,12 +153,12 @@ def _stage_workloads():
     return workloads
 
 
-def _replay(backend, stage, compiled, bindings):
-    """Best-of-``BACKEND_REPS`` replay time plus per-lane results."""
+def _replay(backend, stage, compiled, bindings, reps=BACKEND_REPS):
+    """Best-of-*reps* replay time plus per-lane results."""
     best = float("inf")
     results = None
-    for _ in range(BACKEND_REPS):
-        array = backend.make_array(stage.array, BACKEND_LANES)
+    for _ in range(reps):
+        array = backend.make_array(stage.array, len(bindings))
         array.reset_to_ones()
         executor = backend.make_executor(array, clock=Clock())
         begin = time.perf_counter()
@@ -188,6 +204,57 @@ def run_backend_bench():
         title=(
             f"Word-packed backend, {BACKEND_LANES} lanes at n = {N_BITS}: "
             f"{speedup:.1f}x speedup (floor {MIN_BACKEND_SPEEDUP:.0f}x)"
+        ),
+    )
+    return speedup, table
+
+
+def run_narrow_bench():
+    word = get_backend("word")
+    rows = []
+    wide_total = narrow_total = 0.0
+    for label, stage, compiled, bindings in _stage_workloads():
+        wide_seconds, wide_results = _replay(
+            word, stage, compiled, bindings, NARROW_REPS
+        )
+        narrow_seconds, narrow_results = _replay(
+            word, stage, compiled, bindings[:NARROW_LANES], NARROW_REPS
+        )
+        assert narrow_results == wide_results[:NARROW_LANES], (
+            f"{label}: {NARROW_LANES}-lane results diverge from "
+            f"{BACKEND_LANES} lanes"
+        )
+        wide_total += wide_seconds
+        narrow_total += narrow_seconds
+        rows.append(
+            (
+                label,
+                f"{wide_seconds * 1e3:.2f}",
+                f"{narrow_seconds * 1e3:.2f}",
+                f"{wide_seconds / narrow_seconds:.1f}x",
+            )
+        )
+    speedup = wide_total / narrow_total
+    rows.append(
+        (
+            "combined",
+            f"{wide_total * 1e3:.2f}",
+            f"{narrow_total * 1e3:.2f}",
+            f"{speedup:.1f}x",
+        )
+    )
+    table = format_table(
+        (
+            "stage replay",
+            f"{BACKEND_LANES} lanes ms",
+            f"{NARROW_LANES} lanes ms",
+            "speedup",
+        ),
+        rows,
+        title=(
+            f"Word backend, {NARROW_LANES} vs {BACKEND_LANES} lanes at "
+            f"n = {N_BITS}: {speedup:.1f}x speedup "
+            f"(floor {MIN_NARROW_SPEEDUP}x)"
         ),
     )
     return speedup, table
@@ -262,6 +329,15 @@ def test_word_backend_speedup():
     )
 
 
+def test_narrow_batch_replay_speedup():
+    speedup, table = run_narrow_bench()
+    _register("narrow-batch", table)
+    assert speedup >= MIN_NARROW_SPEEDUP, (
+        f"{NARROW_LANES}-lane replay only {speedup:.2f}x faster than "
+        f"{BACKEND_LANES} lanes (needs >= {MIN_NARROW_SPEEDUP}x)"
+    )
+
+
 def test_rowmul_lane_parallel_speedup():
     speedup, table = run_rowmul_bench()
     _register("rowmul-lanes", table)
@@ -276,6 +352,7 @@ if __name__ == "__main__":
     for measured, report, floor, name in (
         (*run_bench(), MIN_SPEEDUP, "batched"),
         (*run_backend_bench(), MIN_BACKEND_SPEEDUP, "word backend"),
+        (*run_narrow_bench(), MIN_NARROW_SPEEDUP, "narrow batch"),
         (*run_rowmul_bench(), MIN_ROWMUL_SPEEDUP, "row multiplier"),
     ):
         print(report)

@@ -773,23 +773,35 @@ def _csa_add(levels: list, mask: int) -> None:
         k += 2
 
 
+def _lane_spread(bits: np.ndarray, lane_bits: int) -> int:
+    """Packed row holding ``bits[col]`` in every lane of each column."""
+    expanded = np.repeat(np.asarray(bits, dtype=bool), lane_bits)
+    raw = np.packbits(expanded, bitorder="little")
+    return int.from_bytes(raw.tobytes(), "little")
+
+
 def _lane_popcounts(masks: Sequence[int], cols: int, lane_bits: int) -> np.ndarray:
     """Per-lane set-cell counts of packed masks, ``(len(masks), lane_bits)``.
 
     Bit ``col * lane_bits + lane`` of a mask is lane *lane*'s cell in
-    column *col*.  The count stays packed: shift ``b`` of every 64-bit
-    word, masked to one bit per byte, holds lanes ``8j + b`` in byte
-    *j*, and summing at most 255 columns of it cannot carry out of a
-    byte — eight shifts and one add per column chunk, not one byte per
-    cell.
+    column *col*; *lane_bits* is a power of two.  The count stays
+    packed: shift ``b`` of every 64-bit word, masked to one bit per
+    byte, holds bit positions ``8j + b`` in byte *j*, and summing at
+    most 255 words of it cannot carry out of a byte — eight shifts and
+    one add per word chunk, not one byte per cell.  A group of
+    ``max(lane_bits, 64)`` bits holds whole columns, so bit position
+    *p* of a group is lane ``p % lane_bits``: below 64 lanes the
+    ``64 // lane_bits`` columns a word holds fold onto their lanes.
     """
-    words = lane_bits // 64
-    nbytes = cols * lane_bits // 8
+    words = max(lane_bits // 64, 1)
+    group_bits = words * 64
+    groups = -(-cols * lane_bits // group_bits)
+    nbytes = groups * group_bits // 8
     w = np.frombuffer(
         b"".join(mask.to_bytes(nbytes, "little") for mask in masks), dtype="<u8"
-    ).reshape(len(masks), cols, words)
+    ).reshape(len(masks), groups, words)
     chunk = 255
-    pad = -cols % chunk
+    pad = -groups % chunk
     if pad:
         w = np.concatenate(
             [w, np.zeros((len(masks), pad, words), dtype=w.dtype)], axis=1
@@ -798,23 +810,25 @@ def _lane_popcounts(masks: Sequence[int], cols: int, lane_bits: int) -> np.ndarr
     shifts = np.arange(8, dtype=np.uint64).reshape(8, 1, 1, 1, 1)
     spread = (w[None] >> shifts) & np.uint64(0x0101010101010101)
     sums = spread.sum(axis=3, dtype=np.uint64).astype("<u8", copy=False)
-    # (shift, mask, chunk, byte) -> per-byte totals, then lane 8j + b.
+    # (shift, mask, chunk, byte) -> per-byte totals, then position 8j + b.
     per_byte = sums.view(np.uint8).reshape(8, len(masks), -1, words * 8)
     counts = per_byte.sum(axis=2, dtype=np.int64)
-    return counts.transpose(1, 2, 0).reshape(len(masks), lane_bits)
+    counts = counts.transpose(1, 2, 0).reshape(len(masks), -1, lane_bits)
+    return counts.sum(axis=1)
 
 
 class WordPackedCrossbarArray:
-    """Batched crossbar lanes packed 64-per-word into big integers.
+    """Batched crossbar lanes bit-sliced into big integers.
 
     The word-packed counterpart of :class:`BatchedCrossbarArray`: each
     physical word line is stored as one Python integer in which bit
     ``col * lane_bits + lane`` holds lane *lane*'s value of column
-    *col*, with ``lane_bits = 64 * ceil(batch / 64)``.  A row-parallel
-    MAGIC NOR over the whole batch is then a handful of bitwise integer
-    operations instead of a numpy pass over a byte-per-bit tensor —
-    the ~64x storage-density headroom the bit-plane layout leaves on
-    the table.
+    *col*.  The lane stride is the batch rounded up to a power of two,
+    ``lane_bits = 1 << (batch - 1).bit_length()`` (1, 2, 4, ..., 64,
+    128, ...), so a row is as wide as the work it holds and a program
+    meets at most a handful of distinct strides.  A row-parallel MAGIC
+    NOR over the whole batch is then a handful of bitwise integer
+    operations instead of a numpy pass over a byte-per-bit tensor.
 
     Accounting matches :class:`BatchedCrossbarArray` per lane exactly,
     but is *deferred* so the hot loop stays in integer land:
@@ -827,14 +841,12 @@ class WordPackedCrossbarArray:
       ``(phys_rows, cols)`` per-lane counters when :attr:`writes` is
       read.
 
-    Lanes beyond the real batch (``batch`` is rarely a multiple of 64)
+    Lanes beyond the real batch (when ``batch`` is not a power of two)
     replicate the last real lane everywhere — initial state, operand
     marshalling, fault pinning — so full-word invariants such as the
     strict-MAGIC init check are exactly equivalent to checking the real
     lanes, and the padding never contributes to trimmed accounting.
     """
-
-    LANE_WORD = 64
 
     def __init__(
         self,
@@ -857,9 +869,8 @@ class WordPackedCrossbarArray:
         self.spare_rows = spare_rows
         self.device = device if device is not None else DeviceModel()
         self.strict_magic = strict_magic
-        self.words = (batch + self.LANE_WORD - 1) // self.LANE_WORD
-        #: Bits reserved per column: one per lane, padded to whole words.
-        self.lane_bits = self.words * self.LANE_WORD
+        #: Bits reserved per column: one per lane, padded to a power of two.
+        self.lane_bits = 1 << (batch - 1).bit_length()
         self.row_bits = cols * self.lane_bits
         self._full = (1 << self.row_bits) - 1
         self._lane_block = (1 << self.lane_bits) - 1
@@ -908,9 +919,7 @@ class WordPackedCrossbarArray:
     # ------------------------------------------------------------------
     def _pack_uniform(self, bits: np.ndarray) -> int:
         """Packed row holding one ``(cols,)`` word in every lane."""
-        expanded = np.repeat(np.asarray(bits, dtype=bool), self.lane_bits)
-        raw = np.packbits(expanded, bitorder="little")
-        return int.from_bytes(raw.tobytes(), "little")
+        return _lane_spread(bits, self.lane_bits)
 
     def _pack_word(self, bits: np.ndarray) -> int:
         """Packed row from a ``(batch, cols)`` per-lane word matrix.
@@ -931,9 +940,9 @@ class WordPackedCrossbarArray:
     def _unpack_word(self, value: int) -> np.ndarray:
         """``(batch, cols)`` bool matrix of one packed row."""
         raw = np.frombuffer(
-            value.to_bytes(self.row_bits // 8, "little"), dtype=np.uint8
+            value.to_bytes((self.row_bits + 7) // 8, "little"), dtype=np.uint8
         )
-        bits = np.unpackbits(raw, bitorder="little").reshape(
+        bits = np.unpackbits(raw, bitorder="little")[: self.row_bits].reshape(
             self.cols, self.lane_bits
         )
         return np.ascontiguousarray(bits[:, : self.batch].T).astype(bool)
@@ -942,10 +951,7 @@ class WordPackedCrossbarArray:
         """Packed-cell mask selecting every lane of the masked columns."""
         if mask is None:
             return self._full
-        mask = self._mask(mask)
-        expanded = np.repeat(mask, self.lane_bits)
-        raw = np.packbits(expanded, bitorder="little")
-        return int.from_bytes(raw.tobytes(), "little")
+        return _lane_spread(self._mask(mask), self.lane_bits)
 
     # ------------------------------------------------------------------
     # Deferred accounting
@@ -1238,5 +1244,5 @@ class WordPackedCrossbarArray:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"WordPackedCrossbarArray({self.batch}x{self.rows}x{self.cols}, "
-            f"words={self.words})"
+            f"lane_bits={self.lane_bits})"
         )

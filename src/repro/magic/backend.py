@@ -12,8 +12,9 @@ strategies, all accounting-equivalent per lane:
   ``(batch, rows, cols)`` bool tensor (one byte per logical bit).
 * ``word`` — :class:`WordPackedBackend`: the
   :class:`~repro.magic.executor.WordPackedMagicExecutor` fast path
-  packing 64 lanes per machine word into big-integer rows; the
-  :data:`DEFAULT_BACKEND` of every batch path.
+  bit-slicing the lanes into big-integer rows at a power-of-two lane
+  stride (the batch rounded up: 1, 2, 4, ..., 64, 128 bits per
+  column); the :data:`DEFAULT_BACKEND` of every batch path.
 
 A backend is a factory pair: :meth:`ExecutorBackend.make_array` clones
 a scalar template array into a batch-capable container and
@@ -281,7 +282,7 @@ class BitPlaneBackend(ExecutorBackend):
 
 
 class WordPackedBackend(ExecutorBackend):
-    """Big-integer SIMD replay packing 64 lanes per machine word."""
+    """Big-integer SIMD replay at a power-of-two lane stride per column."""
 
     name = "word"
 

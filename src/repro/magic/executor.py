@@ -14,7 +14,8 @@ Three execution paths share one instruction set:
   validated, column masks and field slices precomputed) into a
   :class:`CompiledProgram`, lowered to big-integer masks, then replayed
   against a :class:`WordPackedCrossbarArray` whose rows each pack every
-  lane into one Python integer, 64 lanes per machine word.
+  lane into one Python integer, the batch rounded up to a power-of-two
+  lane stride per column.
 * :class:`BatchedMagicExecutor` — the bit-plane SIMD path: the same
   compiled program replayed as numpy kernels over a
   :class:`BatchedCrossbarArray`'s ``(batch, rows, cols)`` bool tensor.
@@ -41,6 +42,7 @@ from repro.crossbar.array import (
     CrossbarArray,
     WordPackedCrossbarArray,
     _csa_add,
+    _lane_spread,
 )
 from repro.magic.ops import (
     Init,
@@ -331,6 +333,34 @@ class CompileCacheStats:
         }
 
 
+#: Distinct programs the process-wide compile cache keeps (LRU).
+_SHARED_COMPILE_ENTRIES = 64
+
+#: ``(rows, cols, label, ops)`` -> compiled program, least recent first.
+_shared_compiled: Dict[tuple, CompiledProgram] = {}
+
+
+def _compile_shared(program: Program, rows: int, cols: int) -> CompiledProgram:
+    """The process-wide compiled form of *program*'s current content.
+
+    Every fresh service, way and shard builds its own copies of the same
+    few stage mega-programs; keyed by content (ops are frozen, hashable
+    dataclasses), they compile — and lower to word steps — once.  The
+    entry compiles a snapshot of the ops, so editing *program* in place
+    afterwards cannot leak into another program with the old content.
+    """
+    ops = tuple(program.ops)
+    key = (rows, cols, program.label, ops)
+    compiled = _shared_compiled.pop(key, None)
+    if compiled is None:
+        snapshot = Program(list(ops), program.label)
+        compiled = CompiledProgram(snapshot, rows, cols)
+    _shared_compiled[key] = compiled
+    if len(_shared_compiled) > _SHARED_COMPILE_ENTRIES:
+        del _shared_compiled[next(iter(_shared_compiled))]
+    return compiled
+
+
 class _CompileCache:
     """Identity-keyed cache of compiled programs.
 
@@ -339,7 +369,10 @@ class _CompileCache:
     Extending a program through :meth:`Program.extend` changes both the
     length and the mutation generation; replacing ops *in place* at an
     unchanged length bumps the generation alone — either way the stale
-    compiled artifact misses and the program is recompiled.
+    compiled artifact misses.  A miss resolves through the process-wide
+    content-keyed cache (:func:`_compile_shared`), so an equal program
+    seen by any executor before is not compiled again; the hit/miss
+    counters stay per-executor and identity-based.
 
     An optional *max_entries* bounds the cache with least-recently-used
     eviction; unbounded by default, which matches the historical
@@ -375,7 +408,7 @@ class _CompileCache:
             self._entries[key] = entry
             return entry[1]
         self.stats.misses += 1
-        compiled = CompiledProgram(program, self.rows, self.cols)
+        compiled = _compile_shared(program, self.rows, self.cols)
         self._entries[key] = (program, compiled)
         if self.max_entries is not None and len(self._entries) > self.max_entries:
             oldest = next(iter(self._entries))
@@ -815,39 +848,33 @@ class _WordLoweredProgram:
     """A :class:`CompiledProgram` re-lowered to packed-integer steps.
 
     The lowering converts every column mask and field slice into the
-    big-integer bit masks of one :class:`WordPackedCrossbarArray`
-    geometry, and precomputes the program's data-independent accounting:
+    big-integer bit masks of a :class:`WordPackedCrossbarArray` lane
+    stride, and precomputes the program's data-independent accounting:
     the per-lane pulse-cell counts (set/reset/read) behind the constant
     part of the energy model, and the write-pulse *recipe* from which a
     per-row-map ``(phys_rows, cols)`` write-counter delta is
-    materialised once and replayed per batch.  Cached on the compiled
-    program keyed by lane width, so stage mega-programs lower once for
-    the lifetime of the stage.
+    materialised once and replayed per batch.
+
+    One lowering exists per compiled program (cached on it, so it is
+    shared wherever the compiled program is).  Everything that does not
+    depend on the stride — the accounting, the write deltas, full-width
+    gates, READ and NOP steps — is built once; :meth:`steps` adds only
+    the big-int masks per stride, each distinct mask built once.
     """
 
     __slots__ = (
-        "steps",
+        "cols",
         "set_cells",
         "reset_cells",
         "read_cells",
         "writes_recipe",
         "_writes_deltas",
+        "_template",
+        "_strides",
     )
 
-    def __init__(self, compiled: CompiledProgram, lane_bits: int):
-        cols = compiled.cols
-        lane_block = (1 << lane_bits) - 1
-        full = (1 << (cols * lane_bits)) - 1
-
-        def mask_int(mask: Optional[np.ndarray]) -> int:
-            if mask is None:
-                return full
-            out = 0
-            for col in np.nonzero(mask)[0]:
-                out |= lane_block << (int(col) * lane_bits)
-            return out
-
-        self.steps: List[tuple] = []
+    def __init__(self, compiled: CompiledProgram):
+        cols = self.cols = compiled.cols
         self.set_cells = 0
         self.reset_cells = 0
         self.read_cells = 0
@@ -855,6 +882,11 @@ class _WordLoweredProgram:
         self.writes_recipe: List[Tuple[int, Optional[np.ndarray]]] = []
         #: (row_map, phys_rows) -> materialised (phys_rows, cols) delta.
         self._writes_deltas: Dict[tuple, np.ndarray] = {}
+        #: Stride-free steps: replay-ready where no mask is involved,
+        #: else the column masks :meth:`steps` turns into big-ints.
+        self._template: List[tuple] = []
+        #: lane_bits -> replay steps.
+        self._strides: Dict[int, List[tuple]] = {}
 
         def gate(in_rows, out_row, mask) -> tuple:
             if out_row in in_rows:
@@ -868,16 +900,17 @@ class _WordLoweredProgram:
             if mask is None:
                 # Full-width gate: replay applies no mask at all.
                 return (in_rows[0], tuple(in_rows[1:]), out_row, None, 0, None)
-            m = mask_int(mask)
-            return (in_rows[0], tuple(in_rows[1:]), out_row, m, full ^ m, mask)
+            # Masked gate: :meth:`_lower` adds its big-int masks.
+            return (in_rows[0], tuple(in_rows[1:]), out_row, mask)
 
+        template = self._template
         for step in compiled.steps:
             code = step[0]
             if code == _NOR:
                 # A lone NOR replays as a gang of one.
-                self.steps.append((_PACK, (gate(*step[1:]),)))
+                template.append((_PACK, (gate(*step[1:]),)))
             elif code == _PACK:
-                self.steps.append(
+                template.append(
                     (_PACK, tuple(gate(*member) for member in step[1]))
                 )
             elif code == _INIT:
@@ -886,38 +919,24 @@ class _WordLoweredProgram:
                 self.set_cells += cells * len(rows)
                 for row in rows:
                     self.writes_recipe.append((row, mask))
-                self.steps.append((_INIT, rows, mask_int(mask), mask))
+                template.append(step)
             elif code == _WRITE:
                 _, row, field, mask, spec = step
-                width = field.stop - field.start
-                shift = field.start * lane_bits
-                field_block = ((1 << (width * lane_bits)) - 1) << shift
                 # A full-row field lowers its mask to None; either way
                 # the driven cells are exactly the field's.
-                self.reset_cells += width
+                self.reset_cells += field.stop - field.start
                 self.writes_recipe.append((row, mask))
-                self.steps.append(
-                    (_WRITE, row, spec, shift, full ^ field_block, mask)
-                )
+                template.append(step)
             elif code == _READ:
                 _, row, field, name = step
                 # The batched read senses the full row (unmasked).
                 self.read_cells += cols
-                self.steps.append(
+                template.append(
                     (_READ, row, field.start, field.stop - field.start, name)
                 )
             elif code == _SHIFT:
                 _, src, dst, offset, fill, window, mask, also_init = step
                 span = window.stop - window.start
-                win_shift = window.start * lane_bits
-                window_block = (1 << (span * lane_bits)) - 1
-                if not fill:
-                    fill_block = 0
-                elif offset >= 0:
-                    fill_block = (1 << (min(offset, span) * lane_bits)) - 1
-                else:
-                    keep = max(span + offset, 0)
-                    fill_block = window_block ^ ((1 << (keep * lane_bits)) - 1)
                 # One sensed read of the window, one masked write-back,
                 # plus a piggy-backed INIT of each listed row.
                 self.read_cells += span
@@ -926,24 +945,92 @@ class _WordLoweredProgram:
                 self.writes_recipe.append((dst, mask))
                 for row in also_init:
                     self.writes_recipe.append((row, mask))
-                # Both masks sit at the window's column position, so the
-                # replay shifts the source row once, in place.
-                window_mask = window_block << win_shift
-                self.steps.append(
-                    (
-                        _SHIFT,
-                        src,
-                        dst,
-                        offset * lane_bits,
+                template.append(step)
+            else:  # _NOP
+                template.append((_NOP,))
+
+    def steps(self, lane_bits: int) -> List[tuple]:
+        """Replay steps at *lane_bits* lanes per column (built once)."""
+        steps = self._strides.get(lane_bits)
+        if steps is None:
+            steps = self._strides[lane_bits] = self._lower(lane_bits)
+        return steps
+
+    def _lower(self, lane_bits: int) -> List[tuple]:
+        full = (1 << (self.cols * lane_bits)) - 1
+        # Equal masks, fields and shift windows share one big-int each.
+        by_mask: Dict[bytes, tuple] = {}
+        by_field: Dict[tuple, tuple] = {}
+        by_window: Dict[tuple, tuple] = {}
+
+        def span(start: int, stop: int) -> int:
+            # Every lane of columns [start, stop).
+            width = (stop - start) * lane_bits
+            return ((1 << width) - 1) << (start * lane_bits)
+
+        def masked(mask: np.ndarray) -> tuple:
+            # (m, full ^ m) of a column mask; equal masks share one pair.
+            key = mask.tobytes()
+            pair = by_mask.get(key)
+            if pair is None:
+                m = _lane_spread(mask, lane_bits)
+                pair = by_mask[key] = (m, full ^ m)
+            return pair
+
+        out: List[tuple] = []
+        for step in self._template:
+            code = step[0]
+            if code == _PACK:
+                gates = step[1]
+                if all(len(g) == 6 for g in gates):
+                    out.append(step)  # full-width gang: stride-free
+                else:
+                    lowered = tuple(
+                        g if len(g) == 6 else (*g[:3], *masked(g[3]), g[3])
+                        for g in gates
+                    )
+                    out.append((_PACK, lowered))
+            elif code == _INIT:
+                _, rows, mask = step
+                m = full if mask is None else masked(mask)[0]
+                out.append((_INIT, rows, m, mask))
+            elif code == _WRITE:
+                _, row, field, mask, spec = step
+                key = (field.start, field.stop)
+                pair = by_field.get(key)
+                if pair is None:
+                    pair = by_field[key] = (
+                        field.start * lane_bits,
+                        full ^ span(field.start, field.stop),
+                    )
+                out.append((_WRITE, row, spec, *pair, mask))
+            elif code == _SHIFT:
+                _, src, dst, offset, fill, window, mask, also_init = step
+                key = (window.start, window.stop, offset, fill)
+                masks = by_window.get(key)
+                if masks is None:
+                    width = window.stop - window.start
+                    window_mask = span(window.start, window.stop)
+                    if not fill:
+                        fill_cols = (0, 0)
+                    elif offset >= 0:
+                        fill_cols = (0, min(offset, width))
+                    else:
+                        fill_cols = (max(width + offset, 0), width)
+                    fill_mask = span(*fill_cols) << (window.start * lane_bits)
+                    masks = by_window[key] = (
                         window_mask,
                         full ^ window_mask,
-                        fill_block << win_shift,
-                        mask,
-                        also_init,
+                        fill_mask,
                     )
+                # Both masks sit at the window's column position, so the
+                # replay shifts the source row once, in place.
+                out.append(
+                    (_SHIFT, src, dst, offset * lane_bits, *masks, mask, also_init)
                 )
-            else:  # _NOP
-                self.steps.append((_NOP,))
+            else:  # _READ, _NOP: stride-free
+                out.append(step)
+        return out
 
     def energy_const_fj(self, device) -> float:
         """Data-independent per-lane energy of one replay on *device*."""
@@ -986,12 +1073,13 @@ class WordPackedMagicExecutor:
     """Replays compiled programs against a :class:`WordPackedCrossbarArray`.
 
     The word-packed fast path of the batched executor: every physical
-    row is one big integer holding 64 batch lanes per machine word, so
-    a row-parallel NOR over the whole batch is a handful of bitwise
-    integer operations instead of a numpy pass over a byte-per-bit
-    tensor.  Every lowered micro-op costs a constant number of big-int
-    operations: a strict NOR writes back with one XOR, a SHIFT shifts
-    the masked source row once, and full-width gates apply no mask.
+    row is one big integer holding every batch lane of every column at
+    a power-of-two lane stride, so a row-parallel NOR over the whole
+    batch is a handful of bitwise integer operations instead of a numpy
+    pass over a byte-per-bit tensor.  Every lowered micro-op costs a
+    constant number of big-int operations: a strict NOR writes back
+    with one XOR, a SHIFT shifts the masked source row once, and
+    full-width gates apply no mask.
     Accounting is deferred: data-dependent switching energy is added
     as packed masks into a redundant carry-save counter per coefficient
     (amortised one full-adder step per event) and popcounted per lane
@@ -1024,15 +1112,9 @@ class WordPackedMagicExecutor:
 
     # ------------------------------------------------------------------
     def _lowered(self, compiled: CompiledProgram) -> _WordLoweredProgram:
-        lane_bits = self.array.lane_bits
-        cache = getattr(compiled, "_word_lowered", None)
-        if cache is None:
-            cache = {}
-            compiled._word_lowered = cache
-        lowered = cache.get(lane_bits)
+        lowered = getattr(compiled, "_word_lowered", None)
         if lowered is None:
-            lowered = _WordLoweredProgram(compiled, lane_bits)
-            cache[lane_bits] = lowered
+            lowered = compiled._word_lowered = _WordLoweredProgram(compiled)
         return lowered
 
     # ------------------------------------------------------------------
@@ -1091,7 +1173,7 @@ class WordPackedMagicExecutor:
         write_levels = array._energy_acc.setdefault(w_coeff, [])
         strict = array.strict_magic
         have_faults = bool(array._faults)
-        for index, step in enumerate(lowered.steps):
+        for index, step in enumerate(lowered.steps(lane_bits)):
             code = step[0]
             if code == _PACK:
                 for first, rest, out_row, m, notm, np_mask in step[1]:

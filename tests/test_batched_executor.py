@@ -255,12 +255,15 @@ class TestBatchedDifferential:
         batch = rng.randrange(1, 6)
         _assert_oracle_parity(program, _random_bindings(rng, writes, batch), backend)
 
-    # Batches past one 64-lane word: padded lanes and lane_bits = 128
-    # meet windowed and negative-offset shifts, on strict and non-strict
-    # arrays (the latter with uninitialised NOR outputs).
+    # Batches on and around every power-of-two lane stride from 1 to
+    # 256 bits: padded lanes meet windowed and negative-offset shifts,
+    # on strict and non-strict arrays (the latter with uninitialised
+    # NOR outputs).
     @pytest.mark.parametrize("backend", ["word", "bitplane"])
     @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lax"])
-    @pytest.mark.parametrize("batch", [64, 65, 130])
+    @pytest.mark.parametrize(
+        "batch", [1, 2, 3, 5, 8, 9, 31, 33, 63, 64, 65, 130]
+    )
     def test_random_programs_wide_batches_bit_exact(self, batch, strict, backend):
         rng = random.Random(1000 + batch + strict)
         program, writes = _random_program(rng, ops=60, init_outputs=strict)

@@ -291,9 +291,14 @@ def _lane_counts(mask: int, batch: int, lane_bits: int) -> np.ndarray:
 
 @st.composite
 def _mask_runs(draw):
-    """A batch size plus a mask sequence rich in zero and all-ones masks."""
-    batch = draw(st.sampled_from([1, 5, 64, 65]))
-    row_bits = COUNTER_COLS * 64 * ((batch + 63) // 64)
+    """A batch size plus a mask sequence rich in zero and all-ones masks.
+
+    Masks span the array's own row width, so every power-of-two lane
+    stride from 1 to 128 bits is exercised, padding lanes included.
+    """
+    batch = draw(st.sampled_from([1, 2, 3, 5, 8, 33, 64, 65]))
+    lane_bits = WordPackedCrossbarArray(batch, 1, COUNTER_COLS).lane_bits
+    row_bits = COUNTER_COLS * lane_bits
     full = (1 << row_bits) - 1
     masks = draw(
         st.lists(
@@ -328,7 +333,7 @@ class TestRedundantEnergyCounter:
     @given(_mask_runs())
     def test_at_most_two_masks_per_level(self, run):
         batch, masks = run
-        lane_bits = 64 * ((batch + 63) // 64)
+        lane_bits = WordPackedCrossbarArray(batch, 1, COUNTER_COLS).lane_bits
         cells = COUNTER_COLS * lane_bits
         levels: list = []
         counts = [0] * cells
@@ -392,17 +397,18 @@ class TestRedundantEnergyCounter:
             assert stats[lane].energy_fj == expected.energy_fj
 
     @pytest.mark.parametrize("cols", [255, 256, 600])
-    @pytest.mark.parametrize("lane_bits", [64, 128])
+    @pytest.mark.parametrize("lane_bits", [1, 2, 4, 8, 16, 32, 64, 128])
     def test_lane_popcounts_past_one_byte(self, cols, lane_bits):
         """Rows wider than 255 columns: per-lane counts pass one byte."""
         rng = np.random.default_rng(cols + lane_bits)
-        full = (1 << (cols * lane_bits)) - 1
-        masks = [full, 0, int(rng.integers(1 << 62)) << (cols * lane_bits - 62)]
-        masks.append(int.from_bytes(rng.bytes(cols * lane_bits // 8), "little"))
+        row_bits = cols * lane_bits
+        nbytes = (row_bits + 7) // 8
+        full = (1 << row_bits) - 1
+        masks = [full, 0, int(rng.integers(1 << 62)) << (row_bits - 62)]
+        masks.append(int.from_bytes(rng.bytes(nbytes), "little") & full)
         counts = _lane_popcounts(masks, cols, lane_bits)
+        assert counts.shape == (len(masks), lane_bits)
         for mask, got in zip(masks, counts):
-            raw = np.frombuffer(
-                mask.to_bytes(cols * lane_bits // 8, "little"), dtype=np.uint8
-            )
-            bits = np.unpackbits(raw, bitorder="little").reshape(cols, lane_bits)
-            assert np.array_equal(got, bits.sum(axis=0))
+            raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
+            bits = np.unpackbits(raw, bitorder="little")[:row_bits]
+            assert np.array_equal(got, bits.reshape(cols, lane_bits).sum(axis=0))

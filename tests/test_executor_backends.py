@@ -20,6 +20,7 @@ from repro.arith.koggestone import standalone_adder
 from repro.crossbar import CrossbarArray, WordPackedCrossbarArray
 from repro.crossbar.faults import TransientFaultInjector, TransientFaultModel
 from repro.karatsuba.pipeline import KaratsubaPipeline
+from repro.karatsuba.postcompute import PostcomputeStage
 from repro.magic import (
     BACKEND_NAMES,
     BACKENDS,
@@ -31,6 +32,7 @@ from repro.magic import (
     pack_ints,
     unpack_ints,
 )
+from repro.magic import executor as executor_mod
 from repro.sim.clock import Clock
 from repro.sim.exceptions import MagicProtocolError, ProgramError
 from repro.telemetry import spans
@@ -86,8 +88,9 @@ def _scalar_oracle(program, bindings):
 
 
 class TestBackendDifferential:
-    # Batch sizes straddle the 64-lane word boundary so the word
-    # backend's multi-word rows and padding lanes are exercised.
+    # Batch sizes span 1-, 4- (one padding lane), 64- and 128-bit lane
+    # strides, so the word backend's narrow and wide rows and its
+    # padding lanes are exercised.
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("seed,batch", [(0, 3), (1, 64), (2, 65), (3, 1)])
     def test_random_programs_bit_exact(self, backend, seed, batch):
@@ -213,43 +216,54 @@ def _fault_program():
     return builder.build()
 
 
+def _assert_hook_parity(batch, prob):
+    """Both SIMD backends draw (batch, cols) per callback in the same
+    order, so a fixed seed strikes identical cells."""
+    model = TransientFaultModel(
+        nor_flip_prob=prob, write_fail_prob=prob, read_disturb_prob=prob
+    )
+    program = _fault_program()
+    rng = random.Random(21)
+    bindings = [
+        {"x": rng.randrange(2**COLS), "y": rng.randrange(2**COLS)}
+        for _ in range(batch)
+    ]
+    outcomes = {}
+    for name in SIMD_BACKENDS:
+        backend = get_backend(name)
+        hook = TransientFaultInjector(model, seed=77)
+        array = backend.make_array(CrossbarArray(ROWS, COLS), batch)
+        executor = backend.make_executor(array, fault_hook=hook)
+        stats = executor.execute(program, bindings)
+        outcomes[name] = {
+            "results": [s.results for s in stats],
+            "energy": [s.energy_fj for s in stats],
+            "state": [array.snapshot(lane) for lane in range(batch)],
+            "nor_flips": hook.nor_flips,
+            "write_failures": hook.write_failures,
+            "read_disturbs": hook.read_disturbs,
+        }
+    word, plane = outcomes["word"], outcomes["bitplane"]
+    assert word["nor_flips"] == plane["nor_flips"] > 0
+    assert word["write_failures"] == plane["write_failures"]
+    assert word["read_disturbs"] == plane["read_disturbs"] > 0
+    assert word["results"] == plane["results"]
+    assert word["energy"] == plane["energy"]
+    for lane in range(batch):
+        assert np.array_equal(word["state"][lane], plane["state"][lane])
+
+
 class TestFaultHookParity:
     def test_word_matches_bitplane_under_same_seed(self):
-        """Both SIMD backends draw (batch, cols) per callback in the
-        same order, so a fixed seed strikes identical cells."""
-        model = TransientFaultModel(
-            nor_flip_prob=0.05, write_fail_prob=0.05, read_disturb_prob=0.05
-        )
-        program = _fault_program()
-        batch = 9
-        rng = random.Random(21)
-        bindings = [
-            {"x": rng.randrange(2**COLS), "y": rng.randrange(2**COLS)}
-            for _ in range(batch)
-        ]
-        outcomes = {}
-        for name in SIMD_BACKENDS:
-            backend = get_backend(name)
-            hook = TransientFaultInjector(model, seed=77)
-            array = backend.make_array(CrossbarArray(ROWS, COLS), batch)
-            executor = backend.make_executor(array, fault_hook=hook)
-            stats = executor.execute(program, bindings)
-            outcomes[name] = {
-                "results": [s.results for s in stats],
-                "energy": [s.energy_fj for s in stats],
-                "state": [array.snapshot(lane) for lane in range(batch)],
-                "nor_flips": hook.nor_flips,
-                "write_failures": hook.write_failures,
-                "read_disturbs": hook.read_disturbs,
-            }
-        word, plane = outcomes["word"], outcomes["bitplane"]
-        assert word["nor_flips"] == plane["nor_flips"] > 0
-        assert word["write_failures"] == plane["write_failures"]
-        assert word["read_disturbs"] == plane["read_disturbs"] > 0
-        assert word["results"] == plane["results"]
-        assert word["energy"] == plane["energy"]
-        for lane in range(batch):
-            assert np.array_equal(word["state"][lane], plane["state"][lane])
+        _assert_hook_parity(batch=9, prob=0.05)
+
+    def test_hook_meets_padding_lane(self):
+        """Three lanes pack at a 4-bit stride: the word backend's fourth
+        (padding) lane sits inside every row the hooks unpack and
+        re-store, and must not leak into real lanes."""
+        array = WordPackedCrossbarArray(3, ROWS, COLS)
+        assert array.lane_bits == 4
+        _assert_hook_parity(batch=3, prob=0.15)
 
     def test_hooks_compose_with_pinned_faults_on_word(self):
         """Transient strikes re-pin permanent faults (layer composition)."""
@@ -349,6 +363,113 @@ class TestCompileCacheGeneration:
         assert program.cycle_count == 3
         program.ops[0] = ProgramBuilder().nop(5).build().ops[0]
         assert program.cycle_count == 5
+
+
+# ----------------------------------------------------------------------
+# Process-wide compile cache: one compiled form per distinct program
+# ----------------------------------------------------------------------
+def _tiny_program(label="tiny", row=0):
+    return (
+        ProgramBuilder(label=label)
+        .write(row, "x", width=COLS)
+        .init([2])
+        .nor([row], 2, cols=(1, 9))
+        .read(2, "out", width=COLS)
+        .build()
+    )
+
+
+class TestSharedCompileCache:
+    def test_fresh_stages_share_one_compiled_program(self):
+        """Equal mega-programs built by independent stages compile once;
+        each stage's own cache still counts its first lookup a miss."""
+        first, second = PostcomputeStage(256), PostcomputeStage(256)
+        program_a = first._mega_program()[0]
+        program_b = second._mega_program()[0]
+        assert program_a is not program_b
+        compiled = first.executor.compile(program_a)
+        assert second.executor.compile(program_b) is compiled
+        assert first.executor.compile_cache_stats().as_dict() == {
+            "hits": 0, "misses": 1, "evictions": 0,
+        }
+        assert second.executor.compile_cache_stats().misses == 1
+        assert second.executor.compile(program_b) is compiled
+        assert second.executor.compile_cache_stats().hits == 1
+
+    def test_in_place_edit_and_label_miss(self):
+        executor = MagicExecutor(CrossbarArray(ROWS, COLS))
+        program = _tiny_program()
+        compiled = executor.compile(program)
+        assert MagicExecutor(CrossbarArray(ROWS, COLS)).compile(
+            _tiny_program()
+        ) is compiled
+        relabelled = MagicExecutor(CrossbarArray(ROWS, COLS)).compile(
+            _tiny_program(label="other")
+        )
+        assert relabelled is not compiled
+        assert relabelled.label == "other"
+
+        # A same-length in-place edit bumps the generation: the identity
+        # entry misses, and the new content misses the shared cache too.
+        program.ops[0] = _tiny_program(row=1).ops[0]
+        edited = executor.compile(program)
+        assert edited is not compiled
+        assert edited.program.ops[0] == program.ops[0]
+        # The shared entry compiled a snapshot: the edit did not leak
+        # into what an unedited equal program resolves to.
+        again = MagicExecutor(CrossbarArray(ROWS, COLS)).compile(
+            _tiny_program()
+        )
+        assert again is compiled
+        assert again.program.ops[0] == _tiny_program().ops[0]
+
+    def test_lru_stays_within_bound(self, monkeypatch):
+        monkeypatch.setattr(executor_mod, "_shared_compiled", {})
+        bound = executor_mod._SHARED_COMPILE_ENTRIES
+        executor = MagicExecutor(CrossbarArray(ROWS, COLS))
+        first = executor.compile(_tiny_program(label="0"))
+        for index in range(1, bound + 5):
+            executor.compile(_tiny_program(label=str(index)))
+            assert len(executor_mod._shared_compiled) <= bound
+        assert len(executor_mod._shared_compiled) == bound
+        # The oldest entry was evicted: a fresh equal program recompiles.
+        again = MagicExecutor(CrossbarArray(ROWS, COLS)).compile(
+            _tiny_program(label="0")
+        )
+        assert again is not first
+
+    def test_strides_share_stride_free_lowering(self):
+        """Per-stride lowerings of one program share everything but the
+        big-int masks: one write-delta dict, full-width steps by
+        identity, and equal masks as one integer."""
+        program = (
+            ProgramBuilder(label="strides")
+            .write(0, "x", width=COLS)
+            .init([2, 3, 4])
+            .nor([0], 2)
+            .nor([0], 3, cols=(1, 9))
+            .nor([0], 4, cols=(1, 9))
+            .read(2, "out", width=COLS)
+            .build()
+        )
+        word = get_backend("word")
+        compiled = MagicExecutor(CrossbarArray(ROWS, COLS)).compile(program)
+        lowered = {}
+        for batch in (1, 4, 64):
+            array = word.make_array(CrossbarArray(ROWS, COLS), batch)
+            executor = word.make_executor(array)
+            executor.execute(compiled, [{"x": 5}] * batch)
+            lowered[array.lane_bits] = executor._lowered(compiled)
+        one, four, wide = lowered[1], lowered[4], lowered[64]
+        assert one is four is wide
+        assert one._writes_deltas is four._writes_deltas
+        steps1, steps4 = one.steps(1), one.steps(4)
+        assert steps1 is one.steps(1)
+        full_nor, masked_nor, twin, read = steps1[2:6]
+        assert steps4[2] is full_nor and steps4[5] is read
+        assert steps4[3] is not masked_nor
+        assert masked_nor[1][0][3] == sum(1 << col for col in range(1, 9))
+        assert twin[1][0][3] is masked_nor[1][0][3]
 
 
 # ----------------------------------------------------------------------
