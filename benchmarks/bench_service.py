@@ -1,7 +1,7 @@
 """Benchmark: service-level batching efficiency and cache behaviour.
 
 The service layer exists to turn a stream of single multiplications
-into full SIMD bit-plane batches.  This bench pushes a 64-job
+into full SIMD batches.  This bench pushes a 64-job
 mixed-width stream (with repeated operand pairs in the tail and one
 injected stuck-at fault) through :class:`repro.service.
 MultiplicationService`, asserts every product bit-exact against Python

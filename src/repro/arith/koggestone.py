@@ -36,17 +36,12 @@ so no cross-talk occurs in either mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.arith.bitops import ceil_log2
-from repro.crossbar.array import BatchedCrossbarArray, CrossbarArray
+from repro.crossbar.array import CrossbarArray
 from repro.magic.backend import DEFAULT_BACKEND, get_backend
-from repro.magic.executor import (
-    BatchedMagicExecutor,
-    MagicExecutor,
-    pack_ints,
-    unpack_ints,
-)
+from repro.magic.executor import MagicExecutor, pack_ints, unpack_ints
 from repro.magic.program import Program, ProgramBuilder
 from repro.sim.exceptions import DesignError
 

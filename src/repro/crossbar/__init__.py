@@ -3,7 +3,6 @@
 from repro.crossbar.array import (
     FAULT_STUCK_AT_0,
     FAULT_STUCK_AT_1,
-    BatchedCrossbarArray,
     CrossbarArray,
     WordPackedCrossbarArray,
 )
@@ -43,7 +42,6 @@ from repro.crossbar.yieldsim import (
 )
 
 __all__ = [
-    "BatchedCrossbarArray",
     "WordPackedCrossbarArray",
     "CriticalityReport",
     "CrossbarArray",

@@ -17,13 +17,13 @@ and injected faults, but not time.  Cycle accounting belongs to the
 executors (:mod:`repro.magic.executor` and the baseline models), which
 call into this class.
 
-:class:`BatchedCrossbarArray` is the SIMD counterpart used by the
-batched executor: it holds ``(batch, rows, cols)`` state so one micro-op
-sequence evaluates *batch* independent operand sets in a single numpy
-pass.  Write-pulse counts are data-independent (every lane sees the
-same pulses for the same op sequence), so the write counters stay
-``(rows, cols)`` with per-lane semantics; energy is data-dependent and
-is tracked as one accumulator per lane.
+:class:`WordPackedCrossbarArray` is the SIMD counterpart used by the
+batched executor: it bit-slices *batch* independent operand sets into
+one big integer per word line, so one micro-op sequence evaluates every
+lane in a handful of integer operations.  Write-pulse counts are
+data-independent (every lane sees the same pulses for the same op
+sequence), so the write counters stay ``(rows, cols)`` with per-lane
+semantics; energy is data-dependent and is tracked per lane.
 """
 
 from __future__ import annotations
@@ -449,296 +449,6 @@ class CrossbarArray:
         )
 
 
-class BatchedCrossbarArray:
-    """``batch`` independent crossbar lanes evaluated in lock-step.
-
-    The batched array models the paper's row-parallel SIMD execution
-    across *B* replicated operand sets: one micro-op is applied to every
-    lane in a single vectorised numpy pass.  Semantics per lane are
-    identical to :class:`CrossbarArray` — the differential tests assert
-    this bit-for-bit.
-
-    Accounting:
-
-    * ``state`` is ``(batch, rows, cols)`` bool;
-    * ``writes`` stays ``(rows, cols)`` and counts pulses **per lane**
-      (pulse placement is data-independent, so every lane accumulates
-      the same counts — :meth:`max_writes` therefore matches what a
-      scalar array running any one lane would report);
-    * ``energy_fj`` is a ``(batch,)`` float vector, one accumulator per
-      lane (switching energy is data-dependent).
-
-    Stuck-at faults pin the same physical cell in every lane.
-    """
-
-    def __init__(
-        self,
-        batch: int,
-        rows: int,
-        cols: int,
-        device: Optional[DeviceModel] = None,
-        strict_magic: bool = True,
-        spare_rows: int = 0,
-    ):
-        if batch <= 0:
-            raise ValueError(f"batch size must be positive, got {batch}")
-        if rows <= 0 or cols <= 0:
-            raise ValueError(f"crossbar dimensions must be positive, got {rows}x{cols}")
-        if spare_rows < 0:
-            raise ValueError(f"spare_rows must be non-negative, got {spare_rows}")
-        self.batch = batch
-        self.rows = rows
-        self.cols = cols
-        self.spare_rows = spare_rows
-        self.device = device if device is not None else DeviceModel()
-        self.strict_magic = strict_magic
-        self.state = np.zeros((batch, rows + spare_rows, cols), dtype=bool)
-        self.writes = np.zeros((rows + spare_rows, cols), dtype=np.int64)
-        self.energy_fj = np.zeros(batch, dtype=np.float64)
-        self._faults: Dict[Tuple[int, int], str] = {}
-        self._row_map = list(range(rows))
-
-    @classmethod
-    def from_scalar(cls, array: CrossbarArray, batch: int) -> "BatchedCrossbarArray":
-        """Replicate a scalar array's current state into *batch* lanes.
-
-        Write counters and energy start at zero — the batched array
-        accounts only for what executes on it; faults and the spare-row
-        remap table carry over (so replays after a remap land on the
-        repaired word lines).
-        """
-        out = cls(
-            batch,
-            array.rows,
-            array.cols,
-            device=array.device,
-            strict_magic=array.strict_magic,
-            spare_rows=array.spare_rows,
-        )
-        out.state[:] = array.state[np.newaxis]
-        out._faults = dict(array._faults)
-        out._row_map = list(array._row_map)
-        out._apply_faults()
-        return out
-
-    # ------------------------------------------------------------------
-    @property
-    def cells(self) -> int:
-        """Logical memristors per lane."""
-        return self.rows * self.cols
-
-    def _check_row(self, row: int) -> None:
-        if not 0 <= row < self.rows:
-            raise AddressError(f"row {row} outside 0..{self.rows - 1}")
-
-    def _row(self, row: int) -> int:
-        """Translate a logical row address to its physical word line."""
-        self._check_row(row)
-        return self._row_map[row]
-
-    def physical_row(self, row: int) -> int:
-        """Public logical->physical translation (see the scalar array)."""
-        return self._row(row)
-
-    def _mask(self, mask: Optional[np.ndarray]) -> np.ndarray:
-        if mask is None:
-            return np.ones(self.cols, dtype=bool)
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.cols,):
-            raise AddressError(f"column mask shape {mask.shape} != ({self.cols},)")
-        return mask
-
-    # ------------------------------------------------------------------
-    # Fault injection
-    # ------------------------------------------------------------------
-    def inject_fault(self, row: int, col: int, kind: str) -> None:
-        """Pin cell (*row*, *col*) of every lane to a stuck-at fault."""
-        phys = self._row(row)
-        if not 0 <= col < self.cols:
-            raise AddressError(f"col {col} outside 0..{self.cols - 1}")
-        if kind not in _FAULT_KINDS:
-            raise FaultInjectionError(f"unknown fault kind {kind!r}")
-        self._faults[(phys, col)] = kind
-        self.state[:, phys, col] = kind == FAULT_STUCK_AT_1
-
-    @property
-    def faults(self) -> Dict[Tuple[int, int], str]:
-        """Read-only copy of the fault map (physical coordinates)."""
-        return dict(self._faults)
-
-    def _apply_faults(self) -> None:
-        for (row, col), kind in self._faults.items():
-            self.state[:, row, col] = kind == FAULT_STUCK_AT_1
-
-    def repin_faults(self) -> None:
-        """Re-assert every pinned fault onto the state (public hook)."""
-        self._apply_faults()
-
-    def reset_to_ones(self) -> None:
-        """Drive every cell (all lanes, spares included) to logic one.
-
-        The MAGIC steady state a stage batch starts from; no energy or
-        write pulses are charged — the stage's sequential path reaches
-        the same state through its accounted program, so the batch seed
-        is bookkeeping, not a modelled operation.  Re-pin faults after.
-        """
-        self.state[:] = True
-
-    # ------------------------------------------------------------------
-    # Plain memory operations (per-lane words)
-    # ------------------------------------------------------------------
-    def write_row(
-        self, row: int, bits: np.ndarray, mask: Optional[np.ndarray] = None
-    ) -> None:
-        """Program one word per lane: *bits* is ``(batch, cols)``."""
-        row = self._row(row)
-        bits = np.asarray(bits, dtype=bool)
-        if bits.shape != (self.batch, self.cols):
-            raise AddressError(
-                f"word shape {bits.shape} != ({self.batch}, {self.cols})"
-            )
-        if mask is None:
-            self.state[:, row] = bits
-            self.writes[row] += 1
-            masked = bits
-        else:
-            mask = self._mask(mask)
-            self.state[:, row, mask] = bits[:, mask]
-            self.writes[row, mask] += 1
-            masked = bits[:, mask]
-        self.energy_fj += np.where(
-            masked, self.device.e_set_fj, self.device.e_reset_fj
-        ).sum(axis=1)
-        if self._faults:
-            self._apply_faults()
-
-    def read_row(self, row: int, mask: Optional[np.ndarray] = None) -> np.ndarray:
-        """Sense one word per lane; returns ``(batch, cols)``.
-
-        As in the scalar array, a column *mask* restricts which sense
-        amplifiers fire and therefore which cells are charged read
-        energy; the full per-lane rows are returned regardless.
-        """
-        row = self._row(row)
-        if mask is None:
-            sensed = self.cols
-        else:
-            sensed = int(self._mask(mask).sum())
-        self.energy_fj += self.device.e_read_fj * sensed
-        return self.state[:, row].copy()
-
-    def peek_row(self, row: int) -> np.ndarray:
-        """Per-lane word of logical *row* without sensing (no energy)."""
-        return self.state[:, self._row(row)].copy()
-
-    # ------------------------------------------------------------------
-    # Stateful logic primitives
-    # ------------------------------------------------------------------
-    def init_rows(
-        self, rows: Iterable[int], mask: Optional[np.ndarray] = None
-    ) -> None:
-        """Initialise cells in *rows* to logic one across all lanes."""
-        if mask is None:
-            for row in dict.fromkeys(rows):
-                row = self._row(row)
-                self.state[:, row] = True
-                self.writes[row] += 1
-                self.energy_fj += self.device.e_set_fj * self.cols
-        else:
-            mask = self._mask(mask)
-            cells = int(mask.sum())
-            for row in dict.fromkeys(rows):
-                row = self._row(row)
-                self.state[:, row, mask] = True
-                self.writes[row, mask] += 1
-                self.energy_fj += self.device.e_set_fj * cells
-        if self._faults:
-            self._apply_faults()
-
-    def nor_rows(
-        self,
-        in_rows: Sequence[int],
-        out_row: int,
-        mask: Optional[np.ndarray] = None,
-    ) -> None:
-        """Row-parallel MAGIC NOR evaluated in every lane at once."""
-        if not in_rows:
-            raise MagicProtocolError("MAGIC NOR requires at least one input row")
-        in_phys = [self._row(row) for row in in_rows]
-        out_phys = self._row(out_row)
-        if out_phys in in_phys:
-            raise MagicProtocolError(
-                f"output row {out_row} cannot also be a NOR input"
-            )
-        state = self.state
-        if len(in_phys) == 1:
-            any_one = state[:, in_phys[0]]
-        else:
-            any_one = np.logical_or(state[:, in_phys[0]], state[:, in_phys[1]])
-            for row in in_phys[2:]:
-                np.logical_or(any_one, state[:, row], out=any_one)
-        out = state[:, out_phys]
-        if mask is None:
-            if self.strict_magic and not bool(out.all()):
-                raise MagicProtocolError(
-                    f"NOR output row {out_row} not initialised to logic one "
-                    "in every lane"
-                )
-            switching = np.count_nonzero(any_one & out, axis=1)
-            np.logical_not(any_one, out=out)
-            self.writes[out_phys] += 1
-            self.energy_fj += self.device.e_reset_fj * switching
-        else:
-            mask = self._mask(mask)
-            if self.strict_magic and not bool(out[:, mask].all()):
-                raise MagicProtocolError(
-                    f"NOR output row {out_row} not initialised to logic one "
-                    "in every lane"
-                )
-            switching = any_one & out
-            switching[:, ~mask] = False
-            state[:, out_phys, mask] = ~any_one[:, mask]
-            self.writes[out_phys, mask] += 1
-            self.energy_fj += self.device.e_reset_fj * switching.sum(axis=1)
-        if self._faults:
-            self._apply_faults()
-
-    def not_row(
-        self, in_row: int, out_row: int, mask: Optional[np.ndarray] = None
-    ) -> None:
-        """MAGIC NOT: single-input special case of :meth:`nor_rows`."""
-        self.nor_rows([in_row], out_row, mask)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def max_writes(self) -> int:
-        """Per-lane maximum write count (matches the scalar metric)."""
-        return int(self.writes.max())
-
-    def total_writes(self) -> int:
-        """Per-lane total write pulses."""
-        return int(self.writes.sum())
-
-    def lane_energy_fj(self, lane: int) -> float:
-        """Energy accumulated by one lane, in femtojoules."""
-        return float(self.energy_fj[lane])
-
-    def total_energy_fj(self) -> float:
-        """Energy summed over all lanes."""
-        return float(self.energy_fj.sum())
-
-    def snapshot(self, lane: int) -> np.ndarray:
-        """Copy of one lane's logical bit state (rows x cols)."""
-        return self.state[lane][self._row_map].copy()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BatchedCrossbarArray({self.batch}x{self.rows}x{self.cols}, "
-            f"max_writes={self.max_writes()})"
-        )
-
-
 def _csa_add(levels: list, mask: int) -> None:
     """Add a packed bit-mask into a redundant carry-save counter.
 
@@ -820,18 +530,23 @@ def _lane_popcounts(masks: Sequence[int], cols: int, lane_bits: int) -> np.ndarr
 class WordPackedCrossbarArray:
     """Batched crossbar lanes bit-sliced into big integers.
 
-    The word-packed counterpart of :class:`BatchedCrossbarArray`: each
-    physical word line is stored as one Python integer in which bit
-    ``col * lane_bits + lane`` holds lane *lane*'s value of column
-    *col*.  The lane stride is the batch rounded up to a power of two,
+    *batch* independent lanes of a :class:`CrossbarArray` evaluated in
+    lock-step — the paper's row-parallel SIMD execution across
+    replicated operand sets.  Each physical word line is stored as one
+    Python integer in which bit ``col * lane_bits + lane`` holds lane
+    *lane*'s value of column *col*.  The lane stride is the batch rounded up to a power of two,
     ``lane_bits = 1 << (batch - 1).bit_length()`` (1, 2, 4, ..., 64,
     128, ...), so a row is as wide as the work it holds and a program
     meets at most a handful of distinct strides.  A row-parallel MAGIC
     NOR over the whole batch is then a handful of bitwise integer
-    operations instead of a numpy pass over a byte-per-bit tensor.
+    operations.
 
-    Accounting matches :class:`BatchedCrossbarArray` per lane exactly,
-    but is *deferred* so the hot loop stays in integer land:
+    Accounting matches one :class:`CrossbarArray` per lane exactly —
+    ``writes`` is ``(phys_rows, cols)`` and counts pulses **per lane**
+    (pulse placement is data-independent, so :meth:`max_writes` matches
+    what a scalar array running any one lane would report), energy is a
+    ``(batch,)`` vector — but is *deferred* so the hot loop stays in
+    integer land:
 
     * data-dependent switching energy is recorded as
       ``(coefficient, packed-cell-mask)`` events and popcounted per
@@ -896,8 +611,10 @@ class WordPackedCrossbarArray:
     ) -> "WordPackedCrossbarArray":
         """Replicate a scalar array's current state into *batch* lanes.
 
-        Mirrors :meth:`BatchedCrossbarArray.from_scalar`: counters start
-        at zero, faults and the spare-row remap table carry over.
+        Write counters and energy start at zero — the batched array
+        accounts only for what executes on it; faults and the spare-row
+        remap table carry over (so replays after a remap land on the
+        repaired word lines).
         """
         out = cls(
             batch,
@@ -1087,8 +804,10 @@ class WordPackedCrossbarArray:
     def reset_to_ones(self) -> None:
         """Drive every cell (all lanes, spares included) to logic one.
 
-        See :meth:`BatchedCrossbarArray.reset_to_ones`: unaccounted
-        stage-batch seeding, not a modelled operation.
+        The MAGIC steady state a stage batch starts from; no energy or
+        write pulses are charged — the stage's sequential path reaches
+        the same state through its accounted program, so the batch seed
+        is bookkeeping, not a modelled operation.  Re-pin faults after.
         """
         full = self._full
         for phys in range(len(self._state)):
@@ -1103,7 +822,7 @@ class WordPackedCrossbarArray:
         A detached copy — mutate it and :meth:`store_row` it back.  The
         fault-injection hooks use this pair to flip cells mid-program
         without charging energy or write pulses, exactly as they mutate
-        the bit-plane state tensor in place.
+        a scalar array's state row in place.
         """
         return self._unpack_word(self._state[self._row(row)])
 

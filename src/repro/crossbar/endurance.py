@@ -50,7 +50,7 @@ def analyze(array) -> EnduranceReport:
     """Build an :class:`EnduranceReport` from an array's write counters.
 
     Accepts a :class:`CrossbarArray` or a
-    :class:`~repro.crossbar.array.BatchedCrossbarArray`; the latter's
+    :class:`~repro.crossbar.array.WordPackedCrossbarArray`; the latter's
     counters are per-lane (every lane experiences the same pulses), so
     the report reads as the wear of one lane."""
     writes = array.writes

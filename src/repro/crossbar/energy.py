@@ -81,7 +81,7 @@ class EnergyModel:
         """Charge a batched execution: one energy figure per lane.
 
         *lane_energies_fj* is any iterable of per-lane femtojoule totals
-        (e.g. ``BatchedCrossbarArray.energy_fj``); the lanes model
+        (e.g. ``WordPackedCrossbarArray.energy_fj``); the lanes model
         physically distinct operand sets flowing through the same
         array, so the category is charged their sum."""
         total = 0.0

@@ -178,22 +178,19 @@ class TransientFaultModel:
 def row_view(array, row: int):
     """Mutable bit view of logical *row* plus its write-back.
 
-    Returns ``(bits, commit)``: (cols,) for a scalar array, (batch,
-    cols) for the batched containers.  Arrays whose state is not an
-    ndarray slice (the word-packed backend) expose an
-    ``unpack_row``/``store_row`` pair; mutating the unpacked copy and
-    calling ``commit()`` stores it back (``commit`` is ``None`` when the
-    view already aliases the state).  The shapes — and therefore rng
-    draws and upset patterns under a fixed seed — are identical across
-    the SIMD backends.
+    Returns ``(bits, commit)``: a ``(cols,)`` view aliasing a scalar
+    array's state (``commit`` is ``None``), or, for the word-packed
+    batch array, an ``unpack_row`` copy of shape ``(batch, cols)``
+    whose ``commit()`` stores it back through ``store_row``.  A
+    ``(batch, cols)`` draw consumes the generator exactly as *batch*
+    successive ``(cols,)`` draws do, so the scalar oracle replayed one
+    micro-op at a time across all lanes strikes the same cells as the
+    word backend under a fixed seed.
     """
     if hasattr(array, "unpack_row"):
         bits = array.unpack_row(row)
         return bits, (lambda: array.store_row(row, bits))
-    phys = array.physical_row(row)
-    state = array.state
-    view = state[:, phys] if state.ndim == 3 else state[phys]
-    return view, None
+    return array.state[array.physical_row(row)], None
 
 
 class TransientFaultInjector:

@@ -1,15 +1,12 @@
 """Executor backend protocol and registry for batched MAGIC execution.
 
 One batched MAGIC replay — a compiled program evaluated over *B*
-operand sets in lock-step — has three interchangeable execution
-strategies, all accounting-equivalent per lane:
+operand sets in lock-step — has two interchangeable execution
+strategies, accounting-equivalent per lane:
 
 * ``scalar`` — :class:`ScalarBackend`: one :class:`~repro.magic.executor.MagicExecutor`
   pass per lane on per-lane array copies.  Slowest, but it is the
-  bit-exact oracle the other two are differentially tested against.
-* ``bitplane`` — :class:`BitPlaneBackend`: the historical
-  :class:`~repro.magic.executor.BatchedMagicExecutor` path over a
-  ``(batch, rows, cols)`` bool tensor (one byte per logical bit).
+  bit-exact oracle the SIMD path is differentially tested against.
 * ``word`` — :class:`WordPackedBackend`: the
   :class:`~repro.magic.executor.WordPackedMagicExecutor` fast path
   bit-slicing the lanes into big-integer rows at a power-of-two lane
@@ -22,13 +19,13 @@ a scalar template array into a batch-capable container and
 executor.  Everything downstream (stage batch paths, the service
 config, benchmarks) selects a backend by registry name through
 :func:`get_backend`; per-lane results, cycle counts, write counters
-and energy are bit-identical across all three, so the choice only
-moves wall-clock simulation speed.
+and energy are bit-identical across both, so the choice only moves
+wall-clock simulation speed.
 
 The paper's closed-form cycle counts are a property of the *programs*,
 not the backend — every backend replays the same compiled program and
 ticks the same clock histogram, so Sec. IV latency/energy numbers are
-reproducible under any of the three.
+reproducible under either.
 """
 
 from __future__ import annotations
@@ -37,21 +34,18 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.crossbar.array import (
-    BatchedCrossbarArray,
-    CrossbarArray,
-    WordPackedCrossbarArray,
-)
+from repro.crossbar.array import CrossbarArray, WordPackedCrossbarArray
 from repro.magic.executor import (
-    BatchedMagicExecutor,
     CompiledProgram,
     MagicExecutor,
     WordPackedMagicExecutor,
+    _tick_batch,
 )
 from repro.sim.clock import Clock
 from repro.sim.exceptions import ProgramError
 from repro.sim.stats import RunStats
 from repro.sim.trace import Trace
+from repro.telemetry import spans
 
 
 class ExecutorBackend:
@@ -65,7 +59,7 @@ class ExecutorBackend:
     ``execute(compiled, bindings)`` on executors.
     """
 
-    #: Registry name (``"scalar"`` / ``"bitplane"`` / ``"word"``).
+    #: Registry name (``"scalar"`` / ``"word"``).
     name: str = ""
 
     def make_array(self, template: CrossbarArray, batch: int):
@@ -196,10 +190,11 @@ class ScalarLaneExecutor:
     """Oracle batch executor: one scalar pass per lane, lock-step clock.
 
     Each lane runs through a fresh :class:`MagicExecutor` with a
-    throwaway clock; the shared clock then advances once by the
-    program's cycle histogram, matching the SIMD backends' lock-step
+    throwaway clock and the telemetry tracer paused; the shared clock
+    then advances once by the program's cycle histogram and records one
+    ``magic.program`` span, matching the SIMD backend's lock-step
     semantics.  Slow by construction — this is the reference the fast
-    paths are differentially tested against, not a production path.
+    path is differentially tested against, not a production path.
     """
 
     def __init__(
@@ -238,16 +233,19 @@ class ScalarLaneExecutor:
                 f"{self.array.batch} lanes"
             )
         stats_list: List[RunStats] = []
-        for lane, bindings in zip(self.array.lanes, bindings_list):
-            executor = MagicExecutor(
-                lane,
-                clock=Clock(),
-                trace=self.trace,
-                fault_hook=self.fault_hook,
-            )
-            stats_list.append(executor.execute(compiled.program, bindings))
-        for opcode, cycles in compiled.cycles_by_opcode.items():
-            self.clock.tick(cycles, category=opcode)
+        tracer = spans.install(None)
+        try:
+            for lane, bindings in zip(self.array.lanes, bindings_list):
+                executor = MagicExecutor(
+                    lane,
+                    clock=Clock(),
+                    trace=self.trace,
+                    fault_hook=self.fault_hook,
+                )
+                stats_list.append(executor.execute(compiled.program, bindings))
+        finally:
+            spans.install(tracer)
+        _tick_batch(self.clock, compiled, self.array.batch)
         return stats_list
 
 
@@ -261,22 +259,6 @@ class ScalarBackend(ExecutorBackend):
 
     def make_executor(self, array, clock=None, trace=None, fault_hook=None):
         return ScalarLaneExecutor(
-            array, clock=clock, trace=trace, fault_hook=fault_hook
-        )
-
-
-class BitPlaneBackend(ExecutorBackend):
-    """Bool-tensor SIMD replay (one byte per logical bit)."""
-
-    name = "bitplane"
-
-    def make_array(
-        self, template: CrossbarArray, batch: int
-    ) -> BatchedCrossbarArray:
-        return BatchedCrossbarArray.from_scalar(template, batch)
-
-    def make_executor(self, array, clock=None, trace=None, fault_hook=None):
-        return BatchedMagicExecutor(
             array, clock=clock, trace=trace, fault_hook=fault_hook
         )
 
@@ -299,16 +281,15 @@ class WordPackedBackend(ExecutorBackend):
 
 #: Registry of selectable backends (aliases included).
 BACKENDS: Dict[str, ExecutorBackend] = {}
-for _backend in (ScalarBackend(), BitPlaneBackend(), WordPackedBackend()):
+for _backend in (ScalarBackend(), WordPackedBackend()):
     BACKENDS[_backend.name] = _backend
-BACKENDS["bit-plane"] = BACKENDS["bitplane"]
 BACKENDS["word-packed"] = BACKENDS["word"]
 
 #: Names accepted by configuration surfaces (canonical spellings only).
-BACKEND_NAMES = ("scalar", "bitplane", "word")
+BACKEND_NAMES = ("scalar", "word")
 
 #: Backend every batch path uses unless told otherwise: the word-packed
-#: replay, 2-9x faster than bit-plane at every measured batch size.
+#: replay (the scalar oracle is hundreds of times slower).
 DEFAULT_BACKEND = "word"
 
 
@@ -325,9 +306,9 @@ def backend_name(spec) -> str:
 def get_backend(spec) -> ExecutorBackend:
     """Resolve *spec* — a registry name or backend instance — to a backend.
 
-    Accepts canonical names (``"scalar"``, ``"bitplane"``, ``"word"``),
-    the aliases ``"bit-plane"`` / ``"word-packed"``, or an
-    :class:`ExecutorBackend` instance (returned as-is).
+    Accepts canonical names (``"scalar"``, ``"word"``), the alias
+    ``"word-packed"``, or an :class:`ExecutorBackend` instance
+    (returned as-is).
     """
     if isinstance(spec, ExecutorBackend):
         return spec

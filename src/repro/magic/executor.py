@@ -1,6 +1,6 @@
 """Cycle-accurate executors for MAGIC programs on crossbar arrays.
 
-Three execution paths share one instruction set:
+Two execution paths share one instruction set:
 
 * :class:`MagicExecutor` — the scalar reference path.  It applies
   micro-ops one at a time to a :class:`CrossbarArray`, advancing a
@@ -16,13 +16,12 @@ Three execution paths share one instruction set:
   against a :class:`WordPackedCrossbarArray` whose rows each pack every
   lane into one Python integer, the batch rounded up to a power-of-two
   lane stride per column.
-* :class:`BatchedMagicExecutor` — the bit-plane SIMD path: the same
-  compiled program replayed as numpy kernels over a
-  :class:`BatchedCrossbarArray`'s ``(batch, rows, cols)`` bool tensor.
-  It survives only as a second reference until it is deleted.
 
-Per-lane results, cycle counts, write counters and energy of both SIMD
-paths are bit-identical to running the scalar executor once per lane.
+Per-lane results, cycle counts, write counters and energy of the SIMD
+path are bit-identical to running the scalar executor once per lane
+(the ``scalar`` backend of :mod:`repro.magic.backend` does exactly
+that, and is the oracle the SIMD path is differentially tested
+against).
 
 Data enters a program through *bindings* (name -> integer) consumed by
 WRITE ops and leaves through *results* (name -> integer) produced by
@@ -38,7 +37,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.crossbar.array import (
-    BatchedCrossbarArray,
     CrossbarArray,
     WordPackedCrossbarArray,
     _csa_add,
@@ -172,7 +170,8 @@ class CompiledProgram:
     materialises column masks and field slices once, and precomputes the
     static stats (cycle count, op histogram, per-category cycles).  The
     compiled form is immutable and reusable: one compile, any number of
-    :meth:`BatchedMagicExecutor.execute` replays with fresh bindings.
+    :meth:`WordPackedMagicExecutor.execute` (or scalar-oracle) replays
+    with fresh bindings.
     """
 
     def __init__(self, program: Program, rows: int, cols: int):
@@ -458,7 +457,7 @@ class MagicExecutor:
         """Compile (and cache) *program* for this array's geometry.
 
         The compiled form is immutable and geometry-keyed, so it can be
-        replayed by any :class:`BatchedMagicExecutor` whose array has
+        replayed by any batched executor whose array has
         the same ``rows x cols`` — the stage batch paths use this to
         compile their mega-programs once and replay them per batch.
         """
@@ -545,10 +544,10 @@ class MagicExecutor:
 
         *backend* selects the batched execution strategy (an
         :class:`~repro.magic.backend.ExecutorBackend` instance or its
-        registry name: ``"scalar"``, ``"bitplane"``, ``"word"``); it
-        defaults to :data:`~repro.magic.backend.DEFAULT_BACKEND`.  All
-        backends are accounting-equivalent, so the choice only affects
-        wall-clock simulation speed.
+        registry name: ``"scalar"`` or ``"word"``); it defaults to
+        :data:`~repro.magic.backend.DEFAULT_BACKEND`.  Both backends are
+        accounting-equivalent, so the choice only affects wall-clock
+        simulation speed.
 
         Returns one :class:`RunStats` per lane, bit-identical (results,
         cycles, op counts, energy) to running :meth:`execute` with that
@@ -677,171 +676,6 @@ class MagicExecutor:
             # word-line driver raises the listed rows while the write
             # circuit programs the shifted word.  No extra cycles.
             self.array.init_rows(op.also_init, mask)
-
-
-class BatchedMagicExecutor:
-    """Replays compiled programs against a :class:`BatchedCrossbarArray`.
-
-    One :meth:`execute` call evaluates every lane of the batch through a
-    single pass of vectorised numpy kernels — the software analogue of
-    the paper's row-parallel SIMD execution, extended across operand
-    sets.  The clock advances once per op (lanes run in lock-step), and
-    per-lane stats match the scalar executor bit-for-bit.
-    """
-
-    def __init__(
-        self,
-        array: BatchedCrossbarArray,
-        clock: Optional[Clock] = None,
-        trace: Optional[Trace] = None,
-        fault_hook=None,
-    ):
-        self.array = array
-        self.clock = clock if clock is not None else Clock()
-        self.trace = trace if trace is not None else Trace(enabled=False)
-        self.fault_hook = fault_hook
-        self._compile_cache = _CompileCache(array.rows, array.cols)
-
-    def compile_cache_stats(self) -> CompileCacheStats:
-        """Hit/miss counters of this executor's program-compile cache."""
-        return self._compile_cache.stats
-
-    # ------------------------------------------------------------------
-    def compile(self, program: Program) -> CompiledProgram:
-        """Compile (and cache) *program* for this array's geometry."""
-        return self._compile_cache.get(program)
-
-    def execute(
-        self,
-        program,
-        bindings_list: Sequence[Dict[str, int]],
-    ) -> List[RunStats]:
-        """Execute a :class:`Program` or :class:`CompiledProgram` with
-        one binding set per lane; returns one :class:`RunStats` per lane.
-        """
-        compiled = (
-            program
-            if isinstance(program, CompiledProgram)
-            else self.compile(program)
-        )
-        if compiled.rows != self.array.rows or compiled.cols != self.array.cols:
-            raise ProgramError(
-                f"program compiled for {compiled.rows}x{compiled.cols} "
-                f"cannot run on {self.array.rows}x{self.array.cols}"
-            )
-        batch = self.array.batch
-        if len(bindings_list) != batch:
-            raise ProgramError(
-                f"got {len(bindings_list)} binding sets for {batch} lanes"
-            )
-        packed: Dict[Tuple[str, int], np.ndarray] = {}
-        for name, width in compiled.write_specs:
-            try:
-                values = [bindings[name] for bindings in bindings_list]
-            except KeyError:
-                raise ProgramError(
-                    f"WRITE references unbound operand {name!r}"
-                ) from None
-            packed[(name, width)] = pack_ints(values, width)
-
-        array = self.array
-        energy_before = array.energy_fj.copy()
-        results: List[Dict[str, int]] = [{} for _ in range(batch)]
-        trace_enabled = self.trace.enabled
-        hook = self.fault_hook
-        for index, step in enumerate(compiled.steps):
-            code = step[0]
-            if code == _NOR:
-                array.nor_rows(step[1], step[2], step[3])
-                if hook is not None:
-                    hook.on_nor(array, step[2], step[3])
-            elif code == _PACK:
-                for in_rows, out_row, mask in step[1]:
-                    array.nor_rows(in_rows, out_row, mask)
-                    if hook is not None:
-                        hook.on_nor(array, out_row, mask)
-            elif code == _INIT:
-                array.init_rows(step[1], step[2])
-            elif code == _WRITE:
-                _, row, field, mask, spec = step
-                word = array.peek_row(row)
-                pre = word.copy() if hook is not None else None
-                word[:, field] = packed[spec]
-                array.write_row(row, word, mask)
-                if hook is not None:
-                    write_mask = mask
-                    if write_mask is None:
-                        write_mask = np.ones(array.cols, dtype=bool)
-                    hook.on_write(array, row, write_mask, pre)
-            elif code == _READ:
-                _, row, field, name = step
-                words = array.read_row(row)
-                for lane, value in enumerate(unpack_ints(words[:, field])):
-                    results[lane][name] = value
-                if hook is not None:
-                    hook.on_read(array, row)
-            elif code == _SHIFT:
-                self._do_shift(step)
-            # _NOP: nothing to evaluate.
-            if trace_enabled:
-                op = compiled.program.ops[index]
-                self.trace.record(self.clock.cycles, op.opcode, repr(op))
-        begin_cc = self.clock.cycles
-        for opcode, cycles in compiled.cycles_by_opcode.items():
-            self.clock.tick(cycles, category=opcode)
-        tracer = _telemetry.active()
-        if tracer is not None:
-            tracer.record(
-                "magic.program",
-                begin_cc,
-                self.clock.cycles,
-                label=compiled.label or "program",
-                ops=len(compiled.steps),
-                lanes=batch,
-                nor=compiled.stat_counts.get("nor_ops", 0)
-                + compiled.stat_counts.get("not_ops", 0),
-            )
-
-        energy = array.energy_fj - energy_before
-        stats_list = []
-        for lane in range(batch):
-            stats = RunStats(
-                cycles=compiled.cycle_count,
-                energy_fj=float(energy[lane]),
-                op_counts=dict(compiled.op_counts),
-                results=results[lane],
-            )
-            for field_name, count in compiled.stat_counts.items():
-                setattr(stats, field_name, count)
-            stats_list.append(stats)
-        return stats_list
-
-    # ------------------------------------------------------------------
-    def _do_shift(self, step: tuple) -> None:
-        _, src_row, dst_row, offset, fill, window, mask, also_init = step
-        array = self.array
-        src = array.read_row(src_row, mask)[:, window]
-        width = src.shape[1]
-        shifted = np.full(src.shape, fill)
-        if offset >= 0:
-            if offset < width:
-                shifted[:, offset:] = src[:, : width - offset]
-        else:
-            amount = -offset
-            if amount < width:
-                shifted[:, : width - amount] = src[:, amount:]
-        word = array.peek_row(dst_row)
-        hook = self.fault_hook
-        pre = word.copy() if hook is not None else None
-        word[:, window] = shifted
-        array.write_row(dst_row, word, mask)
-        if hook is not None:
-            write_mask = (
-                np.ones(array.cols, dtype=bool) if mask is None else mask
-            )
-            hook.on_write(array, dst_row, write_mask, pre)
-        if also_init:
-            array.init_rows(also_init, mask)
 
 
 class _WordLoweredProgram:
@@ -1063,6 +897,26 @@ class _WordLoweredProgram:
         return delta
 
 
+def _tick_batch(clock: Clock, compiled: CompiledProgram, lanes: int) -> None:
+    """Advance *clock* by one lock-step replay of *compiled* over
+    *lanes* lanes and record its ``magic.program`` telemetry span."""
+    begin_cc = clock.cycles
+    for opcode, cycles in compiled.cycles_by_opcode.items():
+        clock.tick(cycles, category=opcode)
+    tracer = _telemetry.active()
+    if tracer is not None:
+        tracer.record(
+            "magic.program",
+            begin_cc,
+            clock.cycles,
+            label=compiled.label or "program",
+            ops=len(compiled.steps),
+            lanes=lanes,
+            nor=compiled.stat_counts.get("nor_ops", 0)
+            + compiled.stat_counts.get("not_ops", 0),
+        )
+
+
 def _uninitialised(out_row: int) -> MagicProtocolError:
     return MagicProtocolError(
         f"NOR output row {out_row} not initialised to logic one in every lane"
@@ -1075,18 +929,16 @@ class WordPackedMagicExecutor:
     The word-packed fast path of the batched executor: every physical
     row is one big integer holding every batch lane of every column at
     a power-of-two lane stride, so a row-parallel NOR over the whole
-    batch is a handful of bitwise integer operations instead of a numpy
-    pass over a byte-per-bit tensor.  Every lowered micro-op costs a
-    constant number of big-int operations: a strict NOR writes back
-    with one XOR, a SHIFT shifts the masked source row once, and
-    full-width gates apply no mask.
+    batch is a handful of bitwise integer operations.  Every lowered
+    micro-op costs a constant number of big-int operations: a strict
+    NOR writes back with one XOR, a SHIFT shifts the masked source row
+    once, and full-width gates apply no mask.
     Accounting is deferred: data-dependent switching energy is added
     as packed masks into a redundant carry-save counter per coefficient
     (amortised one full-adder step per event) and popcounted per lane
     when read, and write counters are applied as one precomputed
     per-program delta — per-lane results, cycle counts, write counters
-    and energy stay bit-identical to the scalar oracle and the
-    bit-plane path.
+    and energy stay bit-identical to the scalar oracle.
     """
 
     def __init__(
@@ -1282,21 +1134,7 @@ class WordPackedMagicExecutor:
 
         array._energy_const += lowered.energy_const_fj(device)
         array._writes += lowered.writes_delta(rmap, array.phys_rows, array.cols)
-        begin_cc = self.clock.cycles
-        for opcode, cycles in compiled.cycles_by_opcode.items():
-            self.clock.tick(cycles, category=opcode)
-        tracer = _telemetry.active()
-        if tracer is not None:
-            tracer.record(
-                "magic.program",
-                begin_cc,
-                self.clock.cycles,
-                label=compiled.label or "program",
-                ops=len(compiled.steps),
-                lanes=batch,
-                nor=compiled.stat_counts.get("nor_ops", 0)
-                + compiled.stat_counts.get("not_ops", 0),
-            )
+        _tick_batch(self.clock, compiled, batch)
 
         energy = array.energy_fj - energy_before
         stats_list = []

@@ -3,7 +3,7 @@
 Turns the cycle-accurate simulator into a servable system.  Clients
 submit individual multiplications; the service validates and queues
 them (:mod:`~repro.service.scheduler`), groups same-shape requests
-into SIMD bit-plane batches, answers repeats from an operand cache
+into SIMD batches, answers repeats from an operand cache
 (:mod:`~repro.service.cache`), dispatches flushed batches onto the
 least-loaded / least-worn bank way (:mod:`~repro.service.workers`,
 :mod:`~repro.service.degrade`), recovers from in-band fault

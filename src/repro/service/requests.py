@@ -156,7 +156,7 @@ class MulResult:
     way: str
     #: Flush sequence number of the executed batch (-1 for cache hits).
     batch_id: int
-    #: Jobs that shared the batch's SIMD bit-plane pass.
+    #: Jobs that shared the batch's SIMD pass.
     batch_occupancy: int
     #: Pipelined makespan of the executed batch, in clock cycles
     #: (0 for cache hits — no array was touched).

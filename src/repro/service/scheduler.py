@@ -1,6 +1,6 @@
 """Admission control and batch-binning scheduler.
 
-The service's throughput comes from feeding the batched bit-plane
+The service's throughput comes from feeding the batched word-packed
 executor *full* SIMD batches, but clients submit one multiplication at
 a time.  The scheduler closes that gap:
 
@@ -10,7 +10,7 @@ a time.  The scheduler closes that gap:
   bound :class:`~repro.service.requests.QueueFullError` signals
   backpressure to the caller instead of queueing unboundedly.
 * **binning** — pending requests group into bins keyed by
-  ``(n_bits, depth)``.  Only same-shape jobs can share one bit-plane
+  ``(n_bits, depth)``.  Only same-shape jobs can share one SIMD
   batch (every SIMD lane replays the same compiled program), which is
   exactly what the key encodes.
 * **flush policy** — a bin flushes when it holds a full batch, or when

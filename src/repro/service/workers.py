@@ -299,7 +299,7 @@ class BankDispatcher:
         """Run *pairs* as one SIMD batch on the best available way.
 
         The whole batch executes on a single way — lanes of one
-        bit-plane pass share that way's subarrays — and the way's busy
+        SIMD pass share that way's subarrays — and the way's busy
         time grows by the batch's pipelined makespan.
         """
         way = self.select_way(n_bits, exclude)

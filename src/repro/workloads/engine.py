@@ -9,7 +9,7 @@ each request's reduction plan into batched CIM multiplications:
 * :meth:`serve_modmul` / :meth:`serve_modexp` — one request at a time;
 * :meth:`serve_cohort` — many modmul/modexp requests advanced in
   *shared* waves, so independent requests on the same width pack into
-  the same SIMD bit-plane batches (this is where crypto traffic earns
+  the same SIMD batches (this is where crypto traffic earns
   the service's batching);
 * :meth:`serve_msm` — the Pippenger orchestrator through the
   synchronous service;

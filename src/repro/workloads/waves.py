@@ -7,7 +7,7 @@ they cannot be submitted all at once; but *independent plans advance
 together*.  A :class:`WavePlan` holds many plans and exposes the
 frontier: in each **wave** it collects every plan's next job, the
 runner submits them as one batch through the service or the sharded
-front-end (same-width jobs share SIMD bit-plane batches), and the
+front-end (same-width jobs share SIMD batches), and the
 delivered products advance every plan to its next yield.
 
 Delivery performs an end-to-end ABFT check per product: the

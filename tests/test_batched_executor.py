@@ -1,5 +1,5 @@
-"""Batched bit-plane executor: differential tests against the scalar
-oracle, plus regression tests for the energy-accounting fixes.
+"""Batched executor: differential tests against the scalar oracle,
+plus regression tests for the energy-accounting fixes.
 
 The batched engine's contract is bit-exactness: running a compiled
 program over B lanes must produce, per lane, the same results, cycle
@@ -17,11 +17,10 @@ import numpy as np
 import pytest
 
 from repro.arith.koggestone import standalone_adder
-from repro.crossbar import BatchedCrossbarArray, CrossbarArray, DeviceModel
+from repro.crossbar import CrossbarArray, DeviceModel
 from repro.karatsuba.pipeline import KaratsubaPipeline
 from repro.magic import (
     BACKEND_NAMES,
-    BatchedMagicExecutor,
     MagicExecutor,
     ProgramBuilder,
     bits_to_int,
@@ -259,7 +258,7 @@ class TestBatchedDifferential:
     # 256 bits: padded lanes meet windowed and negative-offset shifts,
     # on strict and non-strict arrays (the latter with uninitialised
     # NOR outputs).
-    @pytest.mark.parametrize("backend", ["word", "bitplane"])
+    @pytest.mark.parametrize("backend", ["word"])
     @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lax"])
     @pytest.mark.parametrize(
         "batch", [1, 2, 3, 5, 8, 9, 31, 33, 63, 64, 65, 130]
@@ -349,23 +348,19 @@ class TestBatchedDifferential:
             executor.execute_batch(program, [{"x": 1}, {}])
 
     def test_lane_count_mismatch_raises(self):
-        batched = BatchedMagicExecutor(BatchedCrossbarArray(3, 2, 8))
+        backend = get_backend("word")
+        batched = backend.make_executor(backend.make_array(CrossbarArray(2, 8), 3))
         program = ProgramBuilder().nop().build()
         with pytest.raises(ProgramError, match="binding sets"):
             batched.execute(program, [{}])
 
     def test_geometry_mismatch_raises(self):
-        small = BatchedMagicExecutor(BatchedCrossbarArray(1, 2, 8))
+        backend = get_backend("word")
+        small = backend.make_executor(backend.make_array(CrossbarArray(2, 8), 1))
         compiled = small.compile(ProgramBuilder().nop().build())
-        large = BatchedMagicExecutor(BatchedCrossbarArray(1, 4, 16))
+        large = backend.make_executor(backend.make_array(CrossbarArray(4, 16), 1))
         with pytest.raises(ProgramError, match="compiled for"):
             large.execute(compiled, [{}])
-
-    def test_invalid_program_rejected_at_compile(self):
-        batched = BatchedMagicExecutor(BatchedCrossbarArray(2, 2, 8))
-        bad = ProgramBuilder().nor([0, 1], 5).build()
-        with pytest.raises(ProgramError):
-            batched.execute(bad, [{}, {}])
 
 
 # ----------------------------------------------------------------------

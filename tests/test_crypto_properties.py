@@ -3,7 +3,7 @@
 Every reduction strategy, driven end to end on the CIM datapath, must
 agree with Python's ``pow``/``%`` for randomly drawn moduli and
 operands — across odd, even and sparse moduli, several widths, and
-all three executor backends.  CI installs no property-testing
+both executor backends.  CI installs no property-testing
 framework, so the sweeps are seeded ``random`` draws (deterministic
 across runs) rather than hypothesis strategies.
 """

@@ -1,5 +1,5 @@
-"""ExecutorBackend protocol: the scalar / bit-plane / word-packed
-backends must be interchangeable — per-lane results, cycle counts,
+"""ExecutorBackend protocol: the scalar and word-packed backends must
+be interchangeable — per-lane results, cycle counts,
 write counters and femtojoule totals bit-identical to the scalar
 oracle — plus regression tests for the correctness-fix batch that
 rode along with the backend split (compile-cache staleness, pack_ints
@@ -26,6 +26,7 @@ from repro.magic import (
     BACKENDS,
     ExecutorBackend,
     MagicExecutor,
+    Program,
     ProgramBuilder,
     WordPackedBackend,
     get_backend,
@@ -35,12 +36,12 @@ from repro.magic import (
 from repro.magic import executor as executor_mod
 from repro.sim.clock import Clock
 from repro.sim.exceptions import MagicProtocolError, ProgramError
+from repro.sim.stats import RunStats
 from repro.telemetry import spans
 
 from tests.test_batched_executor import ROWS, COLS, _random_program
 
 ALL_BACKENDS = list(BACKEND_NAMES)
-SIMD_BACKENDS = ["bitplane", "word"]
 
 
 # ----------------------------------------------------------------------
@@ -54,9 +55,12 @@ class TestBackendRegistry:
             assert backend.name == name
 
     def test_aliases_resolve_to_same_instance(self):
-        assert get_backend("bit-plane") is get_backend("bitplane")
         assert get_backend("word-packed") is get_backend("word")
         assert get_backend("WORD") is get_backend("word")
+
+    def test_deleted_backend_rejected(self):
+        with pytest.raises(ValueError, match="unknown executor backend"):
+            get_backend("bitplane")
 
     def test_instance_passthrough(self):
         backend = WordPackedBackend()
@@ -182,6 +186,13 @@ class TestWordPackedErrors:
         with pytest.raises(ProgramError, match="compiled for"):
             large.execute(compiled, [{}])
 
+    def test_invalid_program_rejected_at_compile(self):
+        backend = get_backend("word")
+        executor = backend.make_executor(backend.make_array(CrossbarArray(2, 8), 2))
+        bad = ProgramBuilder().nor([0, 1], 5).build()
+        with pytest.raises(ProgramError):
+            executor.execute(bad, [{}, {}])
+
     def test_unbound_operand_raises(self):
         backend = get_backend("word")
         array = backend.make_array(CrossbarArray(2, 8), 2)
@@ -216,9 +227,31 @@ def _fault_program():
     return builder.build()
 
 
+def _run_word(program, bindings, hook):
+    backend = get_backend("word")
+    array = backend.make_array(CrossbarArray(ROWS, COLS), len(bindings))
+    executor = backend.make_executor(array, fault_hook=hook)
+    return executor.execute(program, bindings), array
+
+
+def _run_scalar_stepwise(program, bindings, hook):
+    """The scalar oracle replayed one micro-op at a time across all
+    lanes: each callback draws (cols,) per lane in lane order, which
+    consumes the generator exactly as the word backend's single
+    (batch, cols) draw per callback does."""
+    backend = get_backend("scalar")
+    array = backend.make_array(CrossbarArray(ROWS, COLS), len(bindings))
+    executor = backend.make_executor(array, fault_hook=hook)
+    stats = [RunStats() for _ in bindings]
+    for op in program:
+        step = executor.execute(Program([op], label=program.label), bindings)
+        stats = [total.merge(lane) for total, lane in zip(stats, step)]
+    return stats, array
+
+
 def _assert_hook_parity(batch, prob):
-    """Both SIMD backends draw (batch, cols) per callback in the same
-    order, so a fixed seed strikes identical cells."""
+    """Under one seed the word backend strikes the same cells as the
+    stepwise scalar oracle."""
     model = TransientFaultModel(
         nor_flip_prob=prob, write_fail_prob=prob, read_disturb_prob=prob
     )
@@ -229,12 +262,9 @@ def _assert_hook_parity(batch, prob):
         for _ in range(batch)
     ]
     outcomes = {}
-    for name in SIMD_BACKENDS:
-        backend = get_backend(name)
+    for name, run in (("word", _run_word), ("scalar", _run_scalar_stepwise)):
         hook = TransientFaultInjector(model, seed=77)
-        array = backend.make_array(CrossbarArray(ROWS, COLS), batch)
-        executor = backend.make_executor(array, fault_hook=hook)
-        stats = executor.execute(program, bindings)
+        stats, array = run(program, bindings, hook)
         outcomes[name] = {
             "results": [s.results for s in stats],
             "energy": [s.energy_fj for s in stats],
@@ -243,19 +273,21 @@ def _assert_hook_parity(batch, prob):
             "write_failures": hook.write_failures,
             "read_disturbs": hook.read_disturbs,
         }
-    word, plane = outcomes["word"], outcomes["bitplane"]
-    assert word["nor_flips"] == plane["nor_flips"] > 0
-    assert word["write_failures"] == plane["write_failures"]
-    assert word["read_disturbs"] == plane["read_disturbs"] > 0
-    assert word["results"] == plane["results"]
-    assert word["energy"] == plane["energy"]
+    word, oracle = outcomes["word"], outcomes["scalar"]
+    assert word["nor_flips"] == oracle["nor_flips"] > 0
+    assert word["write_failures"] == oracle["write_failures"]
+    assert word["read_disturbs"] == oracle["read_disturbs"] > 0
+    assert word["results"] == oracle["results"]
+    assert word["energy"] == oracle["energy"]
     for lane in range(batch):
-        assert np.array_equal(word["state"][lane], plane["state"][lane])
+        assert np.array_equal(word["state"][lane], oracle["state"][lane])
 
 
 class TestFaultHookParity:
-    def test_word_matches_bitplane_under_same_seed(self):
-        _assert_hook_parity(batch=9, prob=0.05)
+    # 65 lanes cross the 64 -> 128-bit lane stride.
+    @pytest.mark.parametrize("batch", [9, 65])
+    def test_word_matches_scalar_oracle_under_same_seed(self, batch):
+        _assert_hook_parity(batch=batch, prob=0.05)
 
     def test_hook_meets_padding_lane(self):
         """Three lanes pack at a 4-bit stride: the word backend's fourth
@@ -284,7 +316,7 @@ class TestFaultHookParity:
 
 
 # ----------------------------------------------------------------------
-# Telemetry span parity (satellite: word-packed emits identical spans)
+# Telemetry span parity: one lock-step span on the shared clock
 # ----------------------------------------------------------------------
 class TestTelemetrySpanParity:
     def _spans_for(self, name):
@@ -294,20 +326,23 @@ class TestTelemetrySpanParity:
             {w: random.Random(6).randrange(2**width) for w, width in writes}
             for _ in range(3)
         ]
+        clock = Clock()
+        clock.tick(1000)
         with spans.tracing() as tracer:
             array = backend.make_array(CrossbarArray(ROWS, COLS), 3)
-            executor = backend.make_executor(array, clock=Clock())
+            executor = backend.make_executor(array, clock=clock)
             executor.execute(program, bindings)
         return tracer.roots
 
-    def test_word_span_matches_bitplane(self):
+    def test_word_span_matches_scalar(self):
         word = self._spans_for("word")
-        plane = self._spans_for("bitplane")
-        assert len(word) == len(plane) == 1
-        w, p = word[0], plane[0]
-        assert w.name == p.name == "magic.program"
-        assert (w.begin_cc, w.end_cc) == (p.begin_cc, p.end_cc)
-        assert w.attrs == p.attrs
+        oracle = self._spans_for("scalar")
+        assert len(word) == len(oracle) == 1
+        w, s = word[0], oracle[0]
+        assert w.name == s.name == "magic.program"
+        assert (w.begin_cc, w.end_cc) == (s.begin_cc, s.end_cc)
+        assert w.begin_cc == 1000 < w.end_cc
+        assert w.attrs == s.attrs
         assert w.attrs["lanes"] == 3
         assert w.attrs["ops"] > 0
 
@@ -525,7 +560,7 @@ class TestPipelineBackends:
     def test_pipeline_backend_bit_identical(self, backend):
         rng = random.Random(31)
         pairs = [(rng.randrange(2**16), rng.randrange(2**16)) for _ in range(6)]
-        reference = KaratsubaPipeline(16)  # historical bit-plane default
+        reference = KaratsubaPipeline(16, backend="scalar")
         candidate = KaratsubaPipeline(16, backend=backend)
         ref = reference.run_stream(pairs, batch_size=3)
         got = candidate.run_stream(pairs, batch_size=3)
@@ -625,8 +660,8 @@ class TestServiceBackendConfig:
         from repro.service.workers import BankDispatcher
 
         word = BankDispatcher(backend="word")
-        plane = BankDispatcher(backend="bitplane")
-        assert word._variant(64, 0) != plane._variant(64, 0)
+        scalar = BankDispatcher(backend="scalar")
+        assert word._variant(64, 0) != scalar._variant(64, 0)
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_service_products_match_under_any_backend(self, backend):

@@ -34,9 +34,9 @@ from repro.magic import (
     reallocate_scratch,
 )
 from repro.magic.backend import BACKEND_NAMES, get_backend
-from repro.magic.executor import BatchedMagicExecutor, int_to_bits
+from repro.magic.executor import int_to_bits
 from repro.magic.ops import Init, Nor, Not
-from repro.magic.passes import drop_nops, summarize_reports
+from repro.magic.passes import summarize_reports
 from repro.magic.program import Program
 from repro.magic.synth import emit_and, emit_maj3, emit_or, emit_xnor, emit_xor
 from repro.sim.exceptions import ProgramError

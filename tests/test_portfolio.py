@@ -50,7 +50,7 @@ from repro.service.cache import ProgramCache
 from repro.service.workers import BankDispatcher
 from repro.sim.exceptions import DesignError, SimulationError
 
-ALL_BACKENDS = ("scalar", "bitplane", "word")
+ALL_BACKENDS = ("scalar", "word")
 
 TOOM3_POINTS = [0, 1, 2, 4, INFINITY]
 
@@ -64,7 +64,7 @@ class TestDesignPoint:
             DesignPoint("schoolbook", depth=0, optimize=False),
             DesignPoint("karatsuba", depth=2, optimize=True),
             DesignPoint("karatsuba", depth=3, optimize=False),
-            DesignPoint("toom3", depth=1, optimize=True, backend="bitplane"),
+            DesignPoint("toom3", depth=1, optimize=True, backend="scalar"),
         ):
             assert DesignPoint.from_key(design.key()) == design
 
@@ -240,7 +240,7 @@ class TestCrossAlgorithmParity:
         )
         assert result.products == [a * b for a, b in pairs]
 
-    @pytest.mark.parametrize("backend", ("bitplane", "word"))
+    @pytest.mark.parametrize("backend", ("word",))
     def test_under_seeded_transient_faults(self, backend):
         """Correct-or-detected: a seeded transient-fault hook either
         leaves the product bit-exact or trips an in-band self-check."""
