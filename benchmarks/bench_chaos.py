@@ -38,7 +38,11 @@ import sys
 
 from repro.eval import loadgen
 from repro.eval.report import format_table
-from repro.frontend import FrontendConfig, SupervisionConfig
+from repro.frontend import (
+    AsyncShardedFrontend,
+    FrontendConfig,
+    SupervisionConfig,
+)
 from repro.service import ServiceConfig
 
 JOBS = 48
@@ -75,39 +79,36 @@ def run_bench():
     load = loadgen.build_load(
         "fhe", "poisson", JOBS, MEAN_GAP_CC, seed=SEED
     )
-    reports = []
+    reports = {}
     for name, processes in SCENARIOS:
         chaos, sigkill_after = loadgen.chaos_scenario(
             name, SHARDS, JOBS, BATCH, seed=SEED
         )
-        frontend_config = FrontendConfig(
-            shards=SHARDS,
-            inline=not processes,
-            service=service_config,
-            supervision=SUPERVISION,
-            chaos=chaos,
-        )
-        reports.append(
-            loadgen.run_chaos(
-                load,
-                frontend_config,
-                scenario=name,
-                sigkill_after=sigkill_after,
+        frontend = AsyncShardedFrontend(
+            FrontendConfig(
+                shards=SHARDS,
+                inline=not processes,
+                service=service_config,
+                supervision=SUPERVISION,
+                chaos=chaos,
             )
+        )
+        reports[name] = loadgen.run(
+            load, frontend, sigkill_after=sigkill_after
         )
     rows = [
         (
-            f"{report.scenario}{'/proc' if processes else ''}",
+            f"{name}{'/proc' if processes else ''}",
             report.completed,
             report.failed_typed,
             report.stranded,
-            report.shard_deaths,
-            report.shard_restarts,
-            report.redispatches,
-            report.orphan_results,
+            report.counter("frontend_shard_deaths"),
+            report.counter("frontend_shard_restarts"),
+            report.counter("frontend_redispatches"),
+            report.counter("frontend_orphan_results"),
             "clean" if report.clean else "DIRTY",
         )
-        for report, (_, processes) in zip(reports, SCENARIOS)
+        for (name, processes), report in zip(SCENARIOS, reports.values())
     ]
     table = format_table(
         (
@@ -124,27 +125,32 @@ def run_bench():
 
 
 def _check_floors(reports) -> list:
-    by_name = {report.scenario: report for report in reports}
     failures = []
-    for report in reports:
+    for name, report in reports.items():
         if not report.clean:
             failures.append(
-                f"{report.scenario}: supervision contract violated "
+                f"{name}: supervision contract violated "
                 f"({report.terminal}/{report.offered} terminal, "
                 f"{report.stranded} stranded, "
-                f"{report.outstanding_after} outstanding)"
+                f"{report.snapshot['service']['outstanding_futures']} "
+                f"outstanding)"
             )
     # The control run must be genuinely fault-free.
-    control = by_name["none"]
-    if control.shard_deaths or control.redispatches:
+    control = reports["none"]
+    if control.counter("frontend_shard_deaths") or control.counter(
+        "frontend_redispatches"
+    ):
         failures.append("control scenario saw deaths/redispatches")
     # Worker-death scenarios: the shard died, was respawned, its
     # journaled work replayed, every product still delivered.
     for name in ("kill", "hang", "sigkill"):
-        report = by_name[name]
-        if report.shard_deaths < 1 or report.shard_restarts < 1:
+        report = reports[name]
+        if (
+            report.counter("frontend_shard_deaths") < 1
+            or report.counter("frontend_shard_restarts") < 1
+        ):
             failures.append(f"{name}: no shard death/restart observed")
-        if report.redispatches < 1:
+        if report.counter("frontend_redispatches") < 1:
             failures.append(f"{name}: journaled work never redispatched")
         if report.completed != report.offered:
             failures.append(
@@ -152,11 +158,11 @@ def _check_floors(reports) -> list:
                 f"request(s) never completed after failover"
             )
         # Breaker reopened: trip (→open), probe (→half-open), close.
-        if report.breaker_transitions < 3:
+        if report.counter("frontend_breaker_transitions") < 3:
             failures.append(f"{name}: breaker never cycled")
-    if by_name["drop"].redispatches < 1:
+    if reports["drop"].counter("frontend_redispatches") < 1:
         failures.append("drop: lost completions never replayed")
-    if by_name["duplicate"].orphan_results < 1:
+    if reports["duplicate"].counter("frontend_orphan_results") < 1:
         failures.append("duplicate: no duplicate delivery absorbed")
     return failures
 
@@ -180,8 +186,12 @@ if __name__ == "__main__":
     if failures:
         print("FAIL: " + "; ".join(failures))
         sys.exit(1)
-    deaths = sum(r.shard_deaths for r in reports)
-    redispatches = sum(r.redispatches for r in reports)
+    deaths = sum(
+        r.counter("frontend_shard_deaths") for r in reports.values()
+    )
+    redispatches = sum(
+        r.counter("frontend_redispatches") for r in reports.values()
+    )
     print(
         f"OK: {len(reports)} scenarios clean, {deaths} shard deaths "
         f"survived, {redispatches} redispatches, zero stranded futures"

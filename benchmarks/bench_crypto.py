@@ -182,9 +182,7 @@ async def _msm_through_chaos_frontend():
     # emitted on the event-loop thread, while inline shard threads keep
     # their own clocks out of this trace.
     tracer = Tracer(enabled=True)
-    frontend.telemetry = TelemetryRegistry(
-        metrics=frontend.telemetry.metrics, tracer=tracer
-    )
+    frontend.telemetry = TelemetryRegistry(tracer=tracer)
     await frontend.start()
     try:
         engine = CryptoWorkloadEngine()
@@ -217,13 +215,20 @@ async def _msm_through_chaos_frontend():
 def run_serving_bench():
     from repro.eval import loadgen
     from repro.service import ServiceConfig
+    from repro.workloads import CryptoWorkloadEngine
 
     load = loadgen.build_crypto_load(
         SERVE_JOBS, SERVE_GAP_CC, seed=SERVE_SEED
     )
-    report, engine = loadgen.run_crypto(
-        load, ServiceConfig(batch_size=8, ways_per_width=1)
+    report = loadgen.run(
+        load,
+        CryptoWorkloadEngine(
+            config=ServiceConfig(batch_size=8, ways_per_width=1)
+        ),
     )
+    hit_rate = report.snapshot["workloads"]["context_hit_rate"]
+    passes = sum(r.multiplier_passes for r in report.results)
+    checks = sum(r.residue_checks for r in report.results)
     msm = asyncio.run(_msm_through_chaos_frontend())
     rows = [
         (
@@ -238,12 +243,12 @@ def run_serving_bench():
         ),
         (
             "context cache hit rate",
-            f"{report.context_hit_rate:.1%}",
+            f"{hit_rate:.1%}",
             "> 0",
         ),
         (
             "multiplier passes / residue checks",
-            f"{report.multiplier_passes:,} / {report.residue_checks:,}",
+            f"{passes:,} / {checks:,}",
             "equal",
         ),
         (
@@ -270,18 +275,25 @@ def run_serving_bench():
             f"through 2 chaos shards (virtual cycle domain)"
         ),
     )
-    return report, msm, table
+    serving = {
+        "report": report,
+        "hit_rate": hit_rate,
+        "passes": passes,
+        "checks": checks,
+    }
+    return serving, msm, table
 
 
 def test_crypto_serving_floors():
-    report, msm, table = run_serving_bench()
+    serving, msm, table = run_serving_bench()
+    report = serving["report"]
     register_report("crypto-serving", table)
     assert report.completed == report.offered, "crypto requests went missing"
-    assert report.context_hit_rate > 0, "modulus-context cache never hit"
+    assert serving["hit_rate"] > 0, "modulus-context cache never hit"
     assert report.p99_cc <= SLO_P99_CC, (
         f"crypto p99 {report.p99_cc} cc exceeds SLO {SLO_P99_CC} cc"
     )
-    assert report.residue_checks == report.multiplier_passes, (
+    assert serving["checks"] == serving["passes"], (
         "not every served product was residue-checked"
     )
     assert msm["result"].point == msm["expected"] == msm["naive"], (
@@ -294,12 +306,13 @@ def test_crypto_serving_floors():
 
 
 if __name__ == "__main__":
-    report, msm, table = run_serving_bench()
+    serving, msm, table = run_serving_bench()
+    report = serving["report"]
     print(table)
     failed = []
     if report.completed != report.offered:
         failed.append("crypto requests went missing")
-    if report.context_hit_rate <= 0:
+    if serving["hit_rate"] <= 0:
         failed.append("context cache never hit")
     if report.p99_cc > SLO_P99_CC:
         failed.append(f"p99 {report.p99_cc} cc over SLO {SLO_P99_CC} cc")
@@ -312,6 +325,6 @@ if __name__ == "__main__":
         sys.exit(1)
     print(
         f"OK: p99 {report.p99_cc:,} cc, context hit rate "
-        f"{report.context_hit_rate:.1%}, MSM bit-exact through "
+        f"{serving['hit_rate']:.1%}, MSM bit-exact through "
         f"{msm['restarts']} restart(s) with {msm['wave_spans']} wave spans"
     )

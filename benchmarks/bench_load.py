@@ -30,8 +30,8 @@ import sys
 
 from repro.eval import loadgen
 from repro.eval.report import format_table
-from repro.frontend import FrontendConfig
-from repro.service import AutoscalerConfig, ServiceConfig
+from repro.frontend import AsyncShardedFrontend, FrontendConfig
+from repro.service import AutoscalerConfig, MultiplicationService, ServiceConfig
 
 #: Saturating Poisson load (single-way per-job bottleneck ~757 cc).
 JOBS = 64
@@ -53,21 +53,19 @@ def run_bench():
         "fhe", "poisson", JOBS, MEAN_GAP_CC, seed=SEED,
         deadline_slack_cc=16_000,
     )
-    sync_report, _ = loadgen.run_sync(
-        load, service_config, mix="fhe", process="poisson"
-    )
-    sharded_report, snapshot = loadgen.run_sharded(
+    sync_report = loadgen.run(load, MultiplicationService(service_config))
+    sharded_report = loadgen.run(
         load,
-        FrontendConfig(shards=SHARDS, inline=True, service=service_config),
-        mix="fhe",
-        process="poisson",
+        AsyncShardedFrontend(
+            FrontendConfig(shards=SHARDS, inline=True, service=service_config)
+        ),
     )
     speedup = (
         sync_report.horizon_cc / sharded_report.horizon_cc
         if sharded_report.horizon_cc
         else 0.0
     )
-    outstanding = snapshot["service"]["outstanding_futures"]
+    outstanding = sharded_report.snapshot["service"]["outstanding_futures"]
     resolved = sharded_report.completed + sharded_report.shed
 
     # Bursty MMPP through an autoscaled single service: the way pool
@@ -84,12 +82,9 @@ def run_bench():
     burst = loadgen.build_load(
         "fhe", "bursty", 400, 1600, seed=SEED ^ 0xB5, burst_gap_cc=60
     )
-    burst_report, burst_service = loadgen.run_sync(
-        burst, burst_config, mix="fhe", process="bursty"
-    )
-    counters = burst_service.snapshot()["counters"]
-    ups = counters.get("autoscale_up_total", 0)
-    downs = counters.get("autoscale_down_total", 0)
+    burst_report = loadgen.run(burst, MultiplicationService(burst_config))
+    ups = burst_report.counter("autoscale_up_total")
+    downs = burst_report.counter("autoscale_down_total")
 
     rows = [
         ("sync p50 / p99", f"{sync_report.p50_cc:,} / {sync_report.p99_cc:,} cc", ""),

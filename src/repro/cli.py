@@ -232,8 +232,12 @@ def _cmd_load_bench(args: argparse.Namespace) -> int:
     """
     from repro.eval import loadgen
     from repro.eval.report import format_table
-    from repro.frontend import FrontendConfig
-    from repro.service import AutoscalerConfig, ServiceConfig
+    from repro.frontend import AsyncShardedFrontend, FrontendConfig
+    from repro.service import (
+        AutoscalerConfig,
+        MultiplicationService,
+        ServiceConfig,
+    )
 
     autoscale = None
     if args.autoscale:
@@ -255,17 +259,17 @@ def _cmd_load_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         deadline_slack_cc=args.deadline_slack_cc,
     )
-    sync_report, sync_service = loadgen.run_sync(
-        load, service_config, mix=args.mix, process=args.arrivals
-    )
-    frontend_config = FrontendConfig(
-        shards=args.shards,
-        inline=not args.processes,
-        service=service_config,
-        routing=args.routing,
-    )
-    sharded_report, snapshot = loadgen.run_sharded(
-        load, frontend_config, mix=args.mix, process=args.arrivals
+    sync_report = loadgen.run(load, MultiplicationService(service_config))
+    sharded_report = loadgen.run(
+        load,
+        AsyncShardedFrontend(
+            FrontendConfig(
+                shards=args.shards,
+                inline=not args.processes,
+                service=service_config,
+                routing=args.routing,
+            )
+        ),
     )
     speedup = (
         sync_report.horizon_cc / sharded_report.horizon_cc
@@ -306,18 +310,18 @@ def _cmd_load_bench(args: argparse.Namespace) -> int:
         f"cycle-domain speedup (sync horizon / sharded horizon): "
         f"{speedup:.2f}x"
     )
-    auto = snapshot.get("autoscaler", {})
-    sync_counters = sync_service.snapshot()["counters"]
-    ups = sync_counters.get("autoscale_up_total", 0) + auto.get("scale_ups", 0)
-    downs = (
-        sync_counters.get("autoscale_down_total", 0)
-        + auto.get("scale_downs", 0)
-    )
+    auto = sharded_report.snapshot["autoscaler"]
+    ups = sync_report.counter("autoscale_up_total") + auto["scale_ups"]
+    downs = sync_report.counter("autoscale_down_total") + auto["scale_downs"]
     if autoscale is not None:
         print(f"autoscale events (sync + sharded): {ups} up, {downs} down")
-    outstanding = snapshot["service"]["outstanding_futures"]
+    outstanding = sharded_report.snapshot["service"]["outstanding_futures"]
     if outstanding:  # pragma: no cover - future-loss guard
         print(f"FAIL: {outstanding} futures never resolved", file=sys.stderr)
+        return 1
+    mismatched = sync_report.mismatched + sharded_report.mismatched
+    if mismatched:  # pragma: no cover - the service is bit-exact
+        print(f"FAIL: {mismatched} wrong product(s)", file=sys.stderr)
         return 1
     if args.slo_p99_cc is not None and sharded_report.p99_cc > args.slo_p99_cc:
         print(
@@ -338,9 +342,12 @@ def _cmd_crypto_bench(args: argparse.Namespace) -> int:
     latencies are in the virtual cycle domain, so the report is
     seed-reproducible.
     """
+    from collections import Counter
+
     from repro.eval import loadgen
     from repro.eval.report import format_table
     from repro.service import ServiceConfig
+    from repro.workloads import CryptoWorkloadEngine
 
     moduli = tuple(int(m) for m in args.moduli.split(","))
     load = loadgen.build_crypto_load(
@@ -353,13 +360,17 @@ def _cmd_crypto_bench(args: argparse.Namespace) -> int:
         msm_points=args.msm_points,
         deadline_slack_cc=args.deadline_slack_cc,
     )
-    config = ServiceConfig(batch_size=args.batch_size, ways_per_width=args.ways)
-    report, engine = loadgen.run_crypto(
-        load, config, cohort_size=args.cohort_size
+    engine = CryptoWorkloadEngine(
+        config=ServiceConfig(
+            batch_size=args.batch_size, ways_per_width=args.ways
+        )
     )
+    report = loadgen.run(load, engine, cohort_size=args.cohort_size)
     by_kind = ", ".join(
-        f"{kind}:{count}" for kind, count in sorted(report.by_kind.items())
+        f"{kind}:{count}"
+        for kind, count in sorted(Counter(e.kind for e in load).items())
     )
+    workloads = report.snapshot["workloads"]
     rows = [
         (
             report.completed,
@@ -368,7 +379,7 @@ def _cmd_crypto_bench(args: argparse.Namespace) -> int:
             report.p95_cc,
             report.p99_cc,
             f"{report.miss_rate:.1%}",
-            f"{report.context_hit_rate:.1%}",
+            f"{workloads['context_hit_rate']:.1%}",
             f"{report.horizon_cc:,}",
             f"{report.wall_seconds:.2f}s",
         )
@@ -388,15 +399,20 @@ def _cmd_crypto_bench(args: argparse.Namespace) -> int:
     )
     print()
     print(f"kinds served: {by_kind}")
+    passes = sum(r.multiplier_passes for r in report.results)
+    waves = sum(r.waves for r in report.results)
+    checks = sum(r.residue_checks for r in report.results)
     print(
-        f"multiplier passes: {report.multiplier_passes:,} across "
-        f"{report.waves:,} waves ({report.residue_checks:,} residue checks)"
+        f"multiplier passes: {passes:,} across "
+        f"{waves:,} waves ({checks:,} residue checks)"
     )
-    workloads = engine.snapshot()["workloads"]
     print(
         f"modulus contexts: {workloads['cached_moduli']} cached, "
         f"hit rate {workloads['context_hit_rate']:.1%}"
     )
+    if report.mismatched:  # pragma: no cover - the engine is bit-exact
+        print(f"FAIL: {report.mismatched} wrong answer(s)", file=sys.stderr)
+        return 1
     if args.slo_p99_cc is not None and report.p99_cc > args.slo_p99_cc:
         print(
             f"FAIL: crypto p99 {report.p99_cc} cc exceeds "
@@ -468,6 +484,43 @@ def _cmd_fault_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Table columns of ``chaos-campaign`` (keys of :func:`_chaos_row`).
+_CHAOS_COLUMNS = (
+    "scenario", "completed", "failed_typed", "rejected_at_submit",
+    "stranded", "shard_deaths", "shard_restarts", "redispatches",
+    "orphan_results",
+)
+
+
+def _chaos_row(scenario: str, report) -> dict:
+    """One chaos scenario's supervision-contract record: the load
+    report's terminal-state accounting plus the front-end counters,
+    journal and breaker states from its final snapshot."""
+    supervision = report.snapshot["supervision"]
+    return {
+        "scenario": scenario,
+        "offered": report.offered,
+        "admitted": report.offered - report.rejected_at_submit,
+        "completed": report.completed,
+        "failed_typed": report.failed_typed,
+        "rejected_at_submit": report.rejected_at_submit,
+        "stranded": report.stranded,
+        "mismatched": report.mismatched,
+        "outstanding_after": (
+            report.snapshot["service"]["outstanding_futures"]
+        ),
+        "journal_after": supervision["journal"],
+        "shard_deaths": report.counter("frontend_shard_deaths"),
+        "shard_restarts": report.counter("frontend_shard_restarts"),
+        "redispatches": report.counter("frontend_redispatches"),
+        "orphan_results": report.counter("frontend_orphan_results"),
+        "breaker_transitions": report.counter("frontend_breaker_transitions"),
+        "breakers": supervision["breakers"],
+        "terminal": report.terminal,
+        "clean": report.clean,
+    }
+
+
 def _cmd_chaos_campaign(args: argparse.Namespace) -> int:
     """Seeded chaos drill against the supervised sharded front-end.
 
@@ -480,7 +533,11 @@ def _cmd_chaos_campaign(args: argparse.Namespace) -> int:
     """
     from repro.eval import loadgen
     from repro.eval.report import format_table
-    from repro.frontend import FrontendConfig, SupervisionConfig
+    from repro.frontend import (
+        AsyncShardedFrontend,
+        FrontendConfig,
+        SupervisionConfig,
+    )
     from repro.service import ServiceConfig
 
     scenarios = (
@@ -503,26 +560,22 @@ def _cmd_chaos_campaign(args: argparse.Namespace) -> int:
     load = loadgen.build_load(
         args.mix, args.arrivals, args.jobs, args.gap_cc, seed=args.seed
     )
-    reports = []
+    records = []
     for name in scenarios:
         chaos, sigkill_after = loadgen.chaos_scenario(
             name, args.shards, args.jobs, args.batch_size, seed=args.seed
         )
-        frontend_config = FrontendConfig(
-            shards=args.shards,
-            inline=not args.processes,
-            service=service_config,
-            supervision=supervision,
-            chaos=chaos,
-        )
-        reports.append(
-            loadgen.run_chaos(
-                load,
-                frontend_config,
-                scenario=name,
-                sigkill_after=sigkill_after,
+        frontend = AsyncShardedFrontend(
+            FrontendConfig(
+                shards=args.shards,
+                inline=not args.processes,
+                service=service_config,
+                supervision=supervision,
+                chaos=chaos,
             )
         )
+        report = loadgen.run(load, frontend, sigkill_after=sigkill_after)
+        records.append(_chaos_row(name, report))
     if args.json or args.out:
         import json
 
@@ -531,7 +584,7 @@ def _cmd_chaos_campaign(args: argparse.Namespace) -> int:
             "jobs": args.jobs,
             "shards": args.shards,
             "processes": bool(args.processes),
-            "scenarios": [report.as_dict() for report in reports],
+            "scenarios": records,
         }
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -541,19 +594,9 @@ def _cmd_chaos_campaign(args: argparse.Namespace) -> int:
             print(json.dumps(payload, indent=2))
     if not args.json:
         rows = [
-            (
-                report.scenario,
-                report.completed,
-                report.failed_typed,
-                report.rejected_at_submit,
-                report.stranded,
-                report.shard_deaths,
-                report.shard_restarts,
-                report.redispatches,
-                report.orphan_results,
-                "clean" if report.clean else "DIRTY",
-            )
-            for report in reports
+            tuple(row[key] for key in _CHAOS_COLUMNS)
+            + ("clean" if row["clean"] else "DIRTY",)
+            for row in records
         ]
         print(
             format_table(
@@ -570,7 +613,7 @@ def _cmd_chaos_campaign(args: argparse.Namespace) -> int:
                 ),
             )
         )
-    dirty = [report.scenario for report in reports if not report.clean]
+    dirty = [row["scenario"] for row in records if not row["clean"]]
     if dirty:
         print(
             f"FAIL: scenario(s) violated the supervision contract: "

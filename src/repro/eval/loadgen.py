@@ -1,15 +1,24 @@
-"""Open-loop load generation for the serving front-end.
+"""Open-loop load generation for the serving stack.
 
 Closed-loop replay (``eval.workloads.replay``) answers "how fast can
 the datapath chew a backlog"; this module answers the serving
 question: under *open-loop* arrivals — requests arrive on their own
 clock whether or not the system keeps up — what latency distribution,
-goodput and deadline-miss rate does the multiplication service
-deliver, and how much does sharding the banks across worker processes
-buy?
+goodput and deadline-miss rate does a host deliver, does every answer
+come back right, and how much does sharding the banks across worker
+processes buy?
+
+One driver, :func:`run`, replays a load through any of the three
+hosts — a :class:`~repro.service.MultiplicationService`, an
+:class:`~repro.frontend.AsyncShardedFrontend` (optionally under a
+chaos schedule, see :func:`chaos_scenario`) or a
+:class:`~repro.workloads.CryptoWorkloadEngine` — and grades it in one
+:class:`LoadReport`.  Every result is checked against the oracle of
+its load item (``a * b``, ``x * y % m``, ``pow(x, e, m)`` or a naive
+MSM).
 
 Everything runs on the **virtual cycle clock**: arrivals are stamped
-``arrival_cc``, the service computes ``completion_cc`` on the same
+``arrival_cc``, the host computes ``completion_cc`` on the same
 timeline, and latency percentiles/histograms are therefore exactly
 reproducible for a given seed — independent of host speed, process
 count, or result delivery order.  Wall-clock time is reported
@@ -31,26 +40,37 @@ field elements, ``mixed`` interleaved widths).
 
 from __future__ import annotations
 
+import asyncio
 import math
 import random
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.crypto.ec import TINY_CURVE, CimEllipticCurve
+from repro.crypto.msm import naive_msm
 from repro.eval.workloads import (
     TraceItem,
     fhe_limb_trace,
     mixed_trace,
     zkp_field_trace,
 )
+from repro.frontend import AsyncShardedFrontend, ChaosConfig, ShardFailedError
 from repro.service import (
     DeadlineImpossibleError,
     MulRequest,
-    MulResult,
     MultiplicationService,
     QueueFullError,
-    ServiceConfig,
+    ServiceError,
 )
 from repro.sim.exceptions import DesignError
+from repro.telemetry.registry import Histogram
+from repro.workloads import (
+    CryptoWorkloadEngine,
+    ModExpRequest,
+    ModMulRequest,
+    MsmRequest,
+)
 
 __all__ = [
     "ARRIVAL_PROCESSES",
@@ -58,9 +78,7 @@ __all__ = [
     "DEFAULT_CRYPTO_MODULI",
     "MIXES",
     "LATENCY_BUCKETS_CC",
-    "ChaosReport",
     "CryptoLoadItem",
-    "CryptoLoadReport",
     "LoadItem",
     "LoadReport",
     "Slo",
@@ -68,11 +86,7 @@ __all__ = [
     "build_crypto_load",
     "build_load",
     "chaos_scenario",
-    "run_chaos",
-    "run_crypto",
-    "run_sharded",
-    "run_sync",
-    "render",
+    "run",
     "zipf_weights",
 ]
 
@@ -101,6 +115,10 @@ class LoadItem:
     item: TraceItem
     priority: int = 0
     deadline_cc: Optional[int] = None
+
+    def check(self, result) -> bool:
+        """Is *result* the right answer (``a * b``)?"""
+        return result.product == self.item.a * self.item.b
 
 
 @dataclass(frozen=True)
@@ -213,6 +231,8 @@ def build_load(
     return load
 
 
+
+
 # ----------------------------------------------------------------------
 # Reporting
 # ----------------------------------------------------------------------
@@ -226,14 +246,28 @@ def _percentile(sorted_values: Sequence[int], q: float) -> int:
 
 @dataclass(frozen=True)
 class LoadReport:
-    """Outcome of one open-loop run, entirely in the cycle domain."""
+    """Outcome of one open-loop run through any host, in the cycle domain.
 
-    mix: str
-    process: str
+    Every offered request lands in exactly one bucket: ``completed``
+    (a result came back; wrong answers are also counted in
+    ``mismatched``), ``shed_by_priority`` (queue full),
+    ``rejected_deadline`` (infeasible deadline), ``failed_typed`` (any
+    other typed error on its result), ``rejected_at_submit`` (no
+    healthy shard to admit it) or ``stranded`` (no outcome after the
+    drain).  Host-specific numbers — shard deaths, redispatches,
+    breaker states, autoscale events, the context hit rate — are read
+    from ``snapshot``, the host's own final snapshot; ``results``
+    keeps the completed results in request order.
+    """
+
     offered: int
     completed: int
     shed_by_priority: Dict[int, int]
     rejected_deadline: int
+    failed_typed: int
+    rejected_at_submit: int
+    stranded: int
+    mismatched: int
     p50_cc: int
     p95_cc: int
     p99_cc: int
@@ -241,26 +275,58 @@ class LoadReport:
     miss_rate: float
     horizon_cc: int
     goodput_per_mcc: float
-    histogram: Tuple[int, ...] = field(default=())
+    histogram: Tuple[int, ...]
+    results: Tuple[object, ...] = field(default=(), repr=False)
+    snapshot: Dict[str, object] = field(default_factory=dict, repr=False)
     wall_seconds: float = 0.0
 
     @property
     def shed(self) -> int:
         return sum(self.shed_by_priority.values())
 
+    @property
+    def terminal(self) -> int:
+        """Requests that reached a terminal state."""
+        return self.offered - self.stranded
+
+    @property
+    def clean(self) -> bool:
+        """Did every request terminate, bit-exactly, with nothing stuck?
+
+        For a front-end host this is the supervision contract: no
+        future left outstanding, an empty journal and no breaker
+        stuck open after the drain.
+        """
+        service = self.snapshot.get("service", {})
+        supervision = self.snapshot.get("supervision", {})
+        return (
+            self.stranded == 0
+            and self.mismatched == 0
+            and service.get("outstanding_futures", 0) == 0
+            and supervision.get("journal", 0) == 0
+            and "open" not in supervision.get("breakers", ())
+        )
+
+    def counter(self, name: str) -> int:
+        """One counter of the host's final snapshot (0 if never hit)."""
+        return self.snapshot.get("counters", {}).get(name, 0)
+
     def meets(self, slo: Slo) -> bool:
         return self.p99_cc <= slo.p99_cc and self.miss_rate <= slo.max_miss_rate
 
     def as_dict(self) -> Dict[str, object]:
+        """The cycle-domain fields (no wall time, results or snapshot)."""
         return {
-            "mix": self.mix,
-            "process": self.process,
             "offered": self.offered,
             "completed": self.completed,
             "shed_by_priority": {
                 str(k): v for k, v in sorted(self.shed_by_priority.items())
             },
             "rejected_deadline": self.rejected_deadline,
+            "failed_typed": self.failed_typed,
+            "rejected_at_submit": self.rejected_at_submit,
+            "stranded": self.stranded,
+            "mismatched": self.mismatched,
             "p50_cc": self.p50_cc,
             "p95_cc": self.p95_cc,
             "p99_cc": self.p99_cc,
@@ -269,250 +335,325 @@ class LoadReport:
             "horizon_cc": self.horizon_cc,
             "goodput_per_mcc": round(self.goodput_per_mcc, 3),
             "histogram": list(self.histogram),
+            "terminal": self.terminal,
+            "clean": self.clean,
         }
 
 
 def _make_report(
-    mix: str,
-    process: str,
-    offered: int,
-    results: List[MulResult],
-    shed_by_priority: Dict[int, int],
-    rejected_deadline: int,
-    wall_seconds: float = 0.0,
+    load: Sequence[Union[LoadItem, "CryptoLoadItem"]],
+    outcomes: List[object],
+    at_submit: Set[int],
+    snapshot: Dict[str, object],
+    wall_seconds: float,
 ) -> LoadReport:
+    """Grade per-request outcomes (result, typed error or ``None``)."""
+    shed: Dict[int, int] = {}
+    rejected_deadline = failed_typed = rejected_at_submit = 0
+    stranded = mismatched = 0
+    results = []
+    for index, (entry, outcome) in enumerate(zip(load, outcomes)):
+        if outcome is None:
+            stranded += 1
+        elif isinstance(outcome, QueueFullError):
+            shed[entry.priority] = shed.get(entry.priority, 0) + 1
+        elif isinstance(outcome, DeadlineImpossibleError):
+            rejected_deadline += 1
+        elif isinstance(outcome, ServiceError):
+            if index in at_submit:
+                rejected_at_submit += 1
+            else:
+                failed_typed += 1
+        else:
+            results.append(outcome)
+            mismatched += not entry.check(outcome)
     latencies = sorted(
         r.service_latency_cc
         for r in results
         if r.service_latency_cc is not None
     )
+    histogram = Histogram("latency_cc", LATENCY_BUCKETS_CC)
+    for latency in latencies:
+        histogram.observe(latency)
     misses = sum(1 for r in results if r.deadline_met is False)
     horizon = max((r.completion_cc or 0 for r in results), default=0)
-    good = sum(1 for r in results if r.deadline_met is not False)
-    counts = [0] * (len(LATENCY_BUCKETS_CC) + 1)
-    for latency in latencies:
-        for index, edge in enumerate(LATENCY_BUCKETS_CC):
-            if latency <= edge:
-                counts[index] += 1
-                break
-        else:
-            counts[-1] += 1
     return LoadReport(
-        mix=mix,
-        process=process,
-        offered=offered,
+        offered=len(load),
         completed=len(results),
-        shed_by_priority=dict(shed_by_priority),
+        shed_by_priority=shed,
         rejected_deadline=rejected_deadline,
+        failed_typed=failed_typed,
+        rejected_at_submit=rejected_at_submit,
+        stranded=stranded,
+        mismatched=mismatched,
         p50_cc=_percentile(latencies, 0.50),
         p95_cc=_percentile(latencies, 0.95),
         p99_cc=_percentile(latencies, 0.99),
         mean_cc=sum(latencies) / len(latencies) if latencies else 0.0,
         miss_rate=misses / len(results) if results else 0.0,
         horizon_cc=horizon,
-        goodput_per_mcc=good * 1e6 / horizon if horizon else 0.0,
-        histogram=tuple(counts),
+        goodput_per_mcc=(
+            (len(results) - misses) * 1e6 / horizon if horizon else 0.0
+        ),
+        histogram=tuple(histogram.bucket_counts),
+        results=tuple(results),
+        snapshot=snapshot,
         wall_seconds=wall_seconds,
     )
 
 
 # ----------------------------------------------------------------------
-# Drivers
+# Hosts: "submit one item" and "collect results" per host kind
 # ----------------------------------------------------------------------
 _SETTLE_CC = 1_000_000  # clock advance past the last arrival at drain
 
 
-def run_sync(
-    load: List[LoadItem],
-    config: Optional[ServiceConfig] = None,
-    mix: str = "?",
-    process: str = "sync",
-) -> Tuple[LoadReport, MultiplicationService]:
-    """Open-loop run through one synchronous single-process service.
+class _Host:
+    """Per-host adapter: the driver's only per-host code is "submit
+    one item" and "collect results" into ``outcomes`` (one slot per
+    load item, indexed by request id)."""
 
-    The baseline the sharded frontend is judged against: every request
-    funnels through a single service instance, so batches of different
-    widths serialise on its way pools.
-    """
-    import time
+    def __init__(self, outcomes: List[object]):
+        self.outcomes = outcomes
 
-    service = MultiplicationService(config if config else ServiceConfig())
-    results: List[MulResult] = []
-    shed: Dict[int, int] = {}
-    rejected_deadline = 0
-    started = time.perf_counter()
-    for index, entry in enumerate(load):
-        request = MulRequest(
-            request_id=index,
-            a=entry.item.a,
-            b=entry.item.b,
-            n_bits=entry.item.n_bits,
-            priority=entry.priority,
-            deadline_cc=entry.deadline_cc,
-            arrival_cc=entry.arrival_cc,
-            flexible_width=service.config.portfolio,
-        )
-        try:
-            service.submit_request(request)
-        except QueueFullError:
-            shed[entry.priority] = shed.get(entry.priority, 0) + 1
-        except DeadlineImpossibleError:
-            rejected_deadline += 1
-        results.extend(service.take_completed())
-    if load:
-        service.advance_to_cc(load[-1].arrival_cc + _SETTLE_CC)
-    results.extend(service.drain())
-    wall = time.perf_counter() - started
-    report = _make_report(
-        mix, process, len(load), results, shed, rejected_deadline, wall
-    )
-    return report, service
+    async def __aenter__(self) -> "_Host":
+        return self
+
+    async def __aexit__(self, *exc_info: object) -> None:
+        pass
+
+    def _collect(self, results) -> None:
+        for result in results:
+            self.outcomes[result.request_id] = result
 
 
-def run_sharded(
-    load: List[LoadItem],
-    frontend_config: "FrontendConfig",
-    mix: str = "?",
-    process: str = "sharded",
-) -> Tuple[LoadReport, Dict[str, object]]:
-    """Open-loop run through the async sharded frontend.
+class _ServiceHost(_Host):
+    """One synchronous single-process service: every request funnels
+    through one instance, so batches of different widths serialise on
+    its way pools (the baseline the sharded front-end is judged
+    against)."""
 
-    Wraps the asyncio driver in ``asyncio.run`` for synchronous
-    callers (benchmarks, CLI).  Returns the report plus the frontend's
-    merged snapshot (autoscaler counters, per-shard state).
-    """
-    import asyncio
+    def __init__(self, service: MultiplicationService, outcomes: List[object]):
+        super().__init__(outcomes)
+        self.service = service
 
-    return asyncio.run(_run_sharded(load, frontend_config, mix, process))
-
-
-async def _run_sharded(
-    load: List[LoadItem],
-    frontend_config: "FrontendConfig",
-    mix: str,
-    process: str,
-) -> Tuple[LoadReport, Dict[str, object]]:
-    import asyncio
-    import time
-
-    from repro.frontend import AsyncShardedFrontend
-
-    shed: Dict[int, int] = {}
-    rejected_deadline = 0
-    results: List[MulResult] = []
-    started = time.perf_counter()
-    async with AsyncShardedFrontend(frontend_config) as fe:
-        futures = []
-        for entry in load:
-            future = await fe.submit(
-                entry.item.a,
-                entry.item.b,
-                entry.item.n_bits,
+    async def submit(self, index: int, entry: LoadItem) -> None:
+        self.service.submit_request(
+            MulRequest(
+                request_id=index,
+                a=entry.item.a,
+                b=entry.item.b,
+                n_bits=entry.item.n_bits,
                 priority=entry.priority,
                 deadline_cc=entry.deadline_cc,
                 arrival_cc=entry.arrival_cc,
+                flexible_width=self.service.config.portfolio,
             )
-            futures.append((entry, future))
-        if load:
-            fe.advance_to_cc(load[-1].arrival_cc + _SETTLE_CC)
-        await fe.drain()
-        for entry, future in futures:
+        )
+        self._collect(self.service.take_completed())
+
+    async def collect(self, settle_cc: Optional[int]) -> None:
+        if settle_cc is not None:
+            self.service.advance_to_cc(settle_cc)
+        self._collect(self.service.drain())
+
+    async def snapshot(self) -> Dict[str, object]:
+        return self.service.snapshot()
+
+
+class _FrontendHost(_Host):
+    """The async sharded front-end: the driver starts and closes it;
+    ``sigkill_after`` hard-kills shard 0 right before that submit."""
+
+    def __init__(
+        self,
+        frontend: AsyncShardedFrontend,
+        outcomes: List[object],
+        sigkill_after: Optional[int],
+    ):
+        super().__init__(outcomes)
+        self.frontend = frontend
+        self.sigkill_after = sigkill_after
+        self.futures: List[Tuple[int, "asyncio.Future"]] = []
+
+    async def __aenter__(self) -> "_FrontendHost":
+        await self.frontend.start()
+        return self
+
+    async def __aexit__(self, *exc_info: object) -> None:
+        await self.frontend.close()
+
+    async def submit(self, index: int, entry: LoadItem) -> None:
+        if index == self.sigkill_after:
+            self.frontend.kill_shard(
+                0, reason=f"sigkill drill at submit {index}"
+            )
+        future = await self.frontend.submit(
+            entry.item.a,
+            entry.item.b,
+            entry.item.n_bits,
+            priority=entry.priority,
+            deadline_cc=entry.deadline_cc,
+            arrival_cc=entry.arrival_cc,
+        )
+        self.futures.append((index, future))
+
+    async def collect(self, settle_cc: Optional[int]) -> None:
+        if settle_cc is not None:
+            self.frontend.advance_to_cc(settle_cc)
+        await self.frontend.drain()
+        for index, future in self.futures:
+            if not future.done():  # pragma: no cover - contract violation
+                future.cancel()  # stranded: its outcome stays None
+                continue
             try:
-                results.append(await future)
-            except QueueFullError:
-                shed[entry.priority] = shed.get(entry.priority, 0) + 1
-            except DeadlineImpossibleError:
-                rejected_deadline += 1
-        snapshot = await fe.snapshot()
-        outstanding = fe.outstanding
-    wall = time.perf_counter() - started
-    if outstanding:  # pragma: no cover - future-loss guard
-        raise RuntimeError(f"{outstanding} futures left unresolved")
-    report = _make_report(
-        mix, process, len(load), results, shed, rejected_deadline, wall
-    )
-    return report, snapshot
+                self.outcomes[index] = future.result()
+            except ServiceError as error:
+                self.outcomes[index] = error
+
+    async def snapshot(self) -> Dict[str, object]:
+        return await self.frontend.snapshot()
+
+
+class _EngineHost(_Host):
+    """The crypto workload engine: consecutive ``modmul``/``modexp``
+    arrivals group into cohorts of up to ``cohort_size`` served in
+    shared waves (same-width plans pack into the same SIMD batches);
+    an ``msm`` arrival flushes the pending cohort and runs through the
+    orchestrator."""
+
+    def __init__(
+        self,
+        engine: CryptoWorkloadEngine,
+        outcomes: List[object],
+        cohort_size: int,
+    ):
+        super().__init__(outcomes)
+        self.engine = engine
+        self.cohort_size = cohort_size
+        self.pending: List[object] = []
+
+    def _flush(self) -> None:
+        if not self.pending:
+            return
+        try:
+            self._collect(self.engine.serve_cohort(self.pending))
+        except DeadlineImpossibleError:
+            # Re-serve one by one so a single infeasible deadline does
+            # not reject its whole cohort.
+            for request in self.pending:
+                try:
+                    self._collect(self.engine.serve_cohort([request]))
+                except DeadlineImpossibleError as error:
+                    self.outcomes[request.request_id] = error
+        self.pending = []
+
+    async def submit(self, index: int, entry: "CryptoLoadItem") -> None:
+        common = dict(
+            request_id=index,
+            priority=entry.priority,
+            deadline_cc=entry.deadline_cc,
+            arrival_cc=entry.arrival_cc,
+        )
+        if entry.kind == "msm":
+            self._flush()
+            self.outcomes[index] = self.engine.serve_msm(
+                MsmRequest(
+                    scalars=entry.scalars,
+                    points=entry.points,
+                    curve=TINY_CURVE,
+                    window_bits=2,
+                    **common,
+                )
+            )
+            return
+        if entry.kind == "modexp":
+            request = ModExpRequest(
+                base=entry.x,
+                exponent=entry.exponent,
+                modulus=entry.modulus,
+                **common,
+            )
+        else:
+            request = ModMulRequest(
+                x=entry.x, y=entry.y, modulus=entry.modulus, **common
+            )
+        self.pending.append(request)
+        if len(self.pending) >= self.cohort_size:
+            self._flush()
+
+    async def collect(self, settle_cc: Optional[int]) -> None:
+        self._flush()
+
+    async def snapshot(self) -> Dict[str, object]:
+        return self.engine.snapshot()
 
 
 # ----------------------------------------------------------------------
-# Chaos campaign driver
+# The driver
+# ----------------------------------------------------------------------
+def run(
+    load: Sequence[Union[LoadItem, "CryptoLoadItem"]],
+    host: Union[
+        MultiplicationService, AsyncShardedFrontend, CryptoWorkloadEngine
+    ],
+    cohort_size: int = 8,
+    sigkill_after: Optional[int] = None,
+) -> LoadReport:
+    """Replay *load* open-loop through *host* and grade the outcome.
+
+    *host* is a :class:`~repro.service.MultiplicationService` or an
+    (unstarted) :class:`~repro.frontend.AsyncShardedFrontend` for a
+    :class:`LoadItem` load, or a
+    :class:`~repro.workloads.CryptoWorkloadEngine` for a
+    :class:`CryptoLoadItem` load.  The driver submits every item in
+    arrival order, advances the clock past the last arrival, drains,
+    checks every result against its item's oracle, and embeds the
+    host's final ``snapshot()`` in the report.  ``cohort_size`` groups
+    value requests on the engine; ``sigkill_after`` hard-kills
+    front-end shard 0 right before that submit index (the ``sigkill``
+    chaos drill).  Admission failures are counted, never raised.
+    """
+    return asyncio.run(_run(load, host, cohort_size, sigkill_after))
+
+
+async def _run(load, host, cohort_size, sigkill_after) -> LoadReport:
+    outcomes: List[object] = [None] * len(load)
+    if isinstance(host, AsyncShardedFrontend):
+        driver = _FrontendHost(host, outcomes, sigkill_after)
+    elif isinstance(host, CryptoWorkloadEngine):
+        driver = _EngineHost(host, outcomes, cohort_size)
+    else:
+        driver = _ServiceHost(host, outcomes)
+    at_submit: Set[int] = set()
+    started = time.perf_counter()
+    async with driver:
+        for index, entry in enumerate(load):
+            try:
+                await driver.submit(index, entry)
+            except (
+                QueueFullError, DeadlineImpossibleError, ShardFailedError
+            ) as error:
+                outcomes[index] = error
+                at_submit.add(index)
+        await driver.collect(
+            load[-1].arrival_cc + _SETTLE_CC if load else None
+        )
+        snapshot = await driver.snapshot()
+    wall = time.perf_counter() - started
+    return _make_report(load, outcomes, at_submit, snapshot, wall)
+
+
+# ----------------------------------------------------------------------
+# Chaos scenarios
 # ----------------------------------------------------------------------
 #: Canonical chaos scenarios (see :func:`chaos_scenario`).  ``none`` is
 #: the fault-free control; ``sigkill`` is an *external* hard kill of
-#: shard 0 mid-batch (no injection schedule — the driver calls
+#: shard 0 mid-batch (no injection schedule — :func:`run` calls
 #: :meth:`~repro.frontend.AsyncShardedFrontend.kill_shard`).
 CHAOS_SCENARIOS = (
     "none", "kill", "hang", "drop", "duplicate", "storm", "sigkill",
 )
-
-
-@dataclass(frozen=True)
-class ChaosReport:
-    """Terminal-state accounting for one chaos scenario run.
-
-    The supervision contract under test: every *offered* request either
-    resolves to a bit-exact product, fails its future with a typed
-    error, or is rejected synchronously at admission — and nothing is
-    left stranded (``stranded == 0``, ``outstanding_after == 0``,
-    ``journal_after == 0``).
-    """
-
-    scenario: str
-    offered: int
-    admitted: int
-    completed: int
-    failed_typed: int
-    rejected_at_submit: int
-    stranded: int
-    mismatched: int
-    outstanding_after: int
-    journal_after: int
-    shard_deaths: int
-    shard_restarts: int
-    redispatches: int
-    orphan_results: int
-    breaker_transitions: int
-    breakers: Tuple[str, ...]
-    wall_seconds: float = 0.0
-
-    @property
-    def terminal(self) -> int:
-        """Requests that reached a terminal state."""
-        return self.completed + self.failed_typed + self.rejected_at_submit
-
-    @property
-    def clean(self) -> bool:
-        """Did every request terminate, bit-exactly, with nothing stuck?"""
-        return (
-            self.terminal == self.offered
-            and self.stranded == 0
-            and self.mismatched == 0
-            and self.outstanding_after == 0
-            and self.journal_after == 0
-            and "open" not in self.breakers
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "scenario": self.scenario,
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "completed": self.completed,
-            "failed_typed": self.failed_typed,
-            "rejected_at_submit": self.rejected_at_submit,
-            "stranded": self.stranded,
-            "mismatched": self.mismatched,
-            "outstanding_after": self.outstanding_after,
-            "journal_after": self.journal_after,
-            "shard_deaths": self.shard_deaths,
-            "shard_restarts": self.shard_restarts,
-            "redispatches": self.redispatches,
-            "orphan_results": self.orphan_results,
-            "breaker_transitions": self.breaker_transitions,
-            "breakers": list(self.breakers),
-            "terminal": self.terminal,
-            "clean": self.clean,
-        }
 
 
 def chaos_scenario(
@@ -521,13 +662,13 @@ def chaos_scenario(
     jobs: int,
     batch_size: int,
     seed: int = 0xC4A05,
-) -> Tuple[Optional["ChaosConfig"], Optional[int]]:
+) -> Tuple[Optional[ChaosConfig], Optional[int]]:
     """Build one canonical injection schedule.
 
     Returns ``(chaos_config, sigkill_after)``: the seeded
     :class:`~repro.frontend.ChaosConfig` for the frontend (``None`` for
     the control and the external-kill scenario) and, for ``sigkill``,
-    the submit index before which the driver hard-kills shard 0.
+    the submit index before which :func:`run` hard-kills shard 0.
 
     Injection points are placed where they bite, assuming round-robin
     routing: ``kill``/``hang`` land mid-way through a shard's first
@@ -535,8 +676,6 @@ def chaos_scenario(
     ``duplicate`` land exactly on the first full-batch flush (the
     command whose replies actually carry results).
     """
-    from repro.frontend import ChaosConfig
-
     if name not in CHAOS_SCENARIOS:
         raise DesignError(
             f"unknown chaos scenario {name!r} (known: {CHAOS_SCENARIOS})"
@@ -576,110 +715,8 @@ def chaos_scenario(
     return None, jobs // 2  # sigkill
 
 
-def run_chaos(
-    load: List[LoadItem],
-    frontend_config: "FrontendConfig",
-    scenario: str = "kill",
-    sigkill_after: Optional[int] = None,
-) -> ChaosReport:
-    """Drive one load through the frontend under a chaos scenario.
-
-    The caller builds ``frontend_config`` with the scenario's
-    :class:`~repro.frontend.ChaosConfig` already set (see
-    :func:`chaos_scenario`); ``sigkill_after`` additionally hard-kills
-    shard 0 right before that submit index.  Unlike
-    :func:`run_sharded`, admission failures are expected here —
-    ``ShardFailedError`` at submit is counted, not raised — and the
-    report grades terminal-state coverage rather than latency.
-    """
-    import asyncio
-
-    return asyncio.run(
-        _run_chaos(load, frontend_config, scenario, sigkill_after)
-    )
-
-
-async def _run_chaos(
-    load: List[LoadItem],
-    frontend_config: "FrontendConfig",
-    scenario: str,
-    sigkill_after: Optional[int],
-) -> ChaosReport:
-    import asyncio
-    import time
-
-    from repro.frontend import AsyncShardedFrontend, ShardFailedError
-    from repro.service import ServiceError
-
-    rejected = 0
-    completed = 0
-    failed_typed = 0
-    mismatched = 0
-    futures: List[Tuple[LoadItem, "asyncio.Future"]] = []
-    started = time.perf_counter()
-    async with AsyncShardedFrontend(frontend_config) as fe:
-        for index, entry in enumerate(load):
-            if sigkill_after is not None and index == sigkill_after:
-                fe.kill_shard(0, reason=f"{scenario} drill at submit {index}")
-            try:
-                future = await fe.submit(
-                    entry.item.a,
-                    entry.item.b,
-                    entry.item.n_bits,
-                    priority=entry.priority,
-                    deadline_cc=entry.deadline_cc,
-                    arrival_cc=entry.arrival_cc,
-                )
-            except ShardFailedError:
-                rejected += 1
-                continue
-            futures.append((entry, future))
-        if load:
-            fe.advance_to_cc(load[-1].arrival_cc + _SETTLE_CC)
-        await fe.drain()
-        stranded = sum(1 for _, f in futures if not f.done())
-        for _, future in futures:
-            if not future.done():  # pragma: no cover - contract violation
-                future.cancel()
-        for entry, future in futures:
-            try:
-                result = await future
-            except asyncio.CancelledError:  # pragma: no cover
-                continue
-            except ServiceError:
-                failed_typed += 1
-                continue
-            completed += 1
-            if result.product != entry.item.a * entry.item.b:
-                mismatched += 1  # pragma: no cover - service is bit-exact
-        snapshot = await fe.snapshot()
-        outstanding = fe.outstanding
-        journal_after = fe.journal_size
-        breakers = tuple(fe.breaker_states())
-    counters = snapshot["counters"]
-    return ChaosReport(
-        scenario=scenario,
-        offered=len(load),
-        admitted=len(futures),
-        completed=completed,
-        failed_typed=failed_typed,
-        rejected_at_submit=rejected,
-        stranded=stranded,
-        mismatched=mismatched,
-        outstanding_after=outstanding,
-        journal_after=journal_after,
-        shard_deaths=counters.get("frontend_shard_deaths", 0),
-        shard_restarts=counters.get("frontend_shard_restarts", 0),
-        redispatches=counters.get("frontend_redispatches", 0),
-        orphan_results=counters.get("frontend_orphan_results", 0),
-        breaker_transitions=counters.get("frontend_breaker_transitions", 0),
-        breakers=breakers,
-        wall_seconds=time.perf_counter() - started,
-    )
-
-
 # ----------------------------------------------------------------------
-# Crypto traffic mode
+# Crypto traffic
 # ----------------------------------------------------------------------
 #: Default modulus pool: one small sparse prime (the tiny test-curve
 #: field), one 16-bit sparse prime, one generic odd (Montgomery) and
@@ -721,6 +758,17 @@ class CryptoLoadItem:
     priority: int = 0
     deadline_cc: Optional[int] = None
 
+    def check(self, result) -> bool:
+        """Is *result* the right answer, by the oracle of its kind?"""
+        if self.kind == "msm":
+            expected = naive_msm(
+                CimEllipticCurve(TINY_CURVE), self.scalars, self.points
+            )
+            return result.point == expected
+        if self.kind == "modexp":
+            return result.value == pow(self.x, self.exponent, self.modulus)
+        return result.value == self.x * self.y % self.modulus
+
 
 def build_crypto_load(
     jobs: int,
@@ -734,20 +782,15 @@ def build_crypto_load(
     msm_points: int = 3,
     msm_scalar_bits: int = 3,
     deadline_slack_cc: Optional[int] = None,
-    curve: Optional[object] = None,
 ) -> List[CryptoLoadItem]:
     """Seeded open-loop crypto traffic with Zipf modulus popularity.
 
     ``modmul``/``modexp`` items draw their modulus from *moduli* with
     Zipf(*zipf_s*) weights (listed order = popularity rank), then draw
     residues uniformly.  ``msm`` items are tiny Pippenger instances on
-    *curve* (the exhaustively-testable 97-point curve by default) with
-    ``msm_points`` terms and ``msm_scalar_bits``-bit scalars.
+    the exhaustively-testable 97-point curve with ``msm_points`` terms
+    and ``msm_scalar_bits``-bit scalars.
     """
-    from repro.crypto.ec import TINY_CURVE, CimEllipticCurve
-
-    if curve is None:
-        curve = TINY_CURVE
     kinds = [kind for kind, _ in kind_mix]
     kind_weights = [weight for _, weight in kind_mix]
     modulus_weights = zipf_weights(len(moduli), zipf_s)
@@ -756,7 +799,7 @@ def build_crypto_load(
     )
     rng = random.Random(seed)
     # Host-speed point table: the generator's small multiples.
-    host_curve = CimEllipticCurve(curve)
+    host_curve = CimEllipticCurve(TINY_CURVE)
     point_table = [host_curve.generator()]
     for _ in range(max(msm_points, 8) - 1):
         point_table.append(
@@ -770,7 +813,7 @@ def build_crypto_load(
                 CryptoLoadItem(
                     arrival_cc=arrival,
                     kind=kind,
-                    modulus=curve.p,
+                    modulus=TINY_CURVE.p,
                     scalars=tuple(
                         rng.randrange(1, 1 << msm_scalar_bits)
                         for _ in range(msm_points)
@@ -793,202 +836,3 @@ def build_crypto_load(
             )
         )
     return load
-
-
-@dataclass(frozen=True)
-class CryptoLoadReport:
-    """Outcome of one open-loop crypto run, in the cycle domain."""
-
-    offered: int
-    completed: int
-    by_kind: Dict[str, int]
-    rejected_deadline: int
-    p50_cc: int
-    p95_cc: int
-    p99_cc: int
-    mean_cc: float
-    miss_rate: float
-    horizon_cc: int
-    context_hit_rate: float
-    multiplier_passes: int
-    waves: int
-    residue_checks: int
-    wall_seconds: float = 0.0
-
-    def meets(self, slo: Slo) -> bool:
-        return (
-            self.p99_cc <= slo.p99_cc and self.miss_rate <= slo.max_miss_rate
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "offered": self.offered,
-            "completed": self.completed,
-            "by_kind": dict(sorted(self.by_kind.items())),
-            "rejected_deadline": self.rejected_deadline,
-            "p50_cc": self.p50_cc,
-            "p95_cc": self.p95_cc,
-            "p99_cc": self.p99_cc,
-            "mean_cc": round(self.mean_cc, 2),
-            "miss_rate": round(self.miss_rate, 4),
-            "horizon_cc": self.horizon_cc,
-            "context_hit_rate": round(self.context_hit_rate, 4),
-            "multiplier_passes": self.multiplier_passes,
-            "waves": self.waves,
-            "residue_checks": self.residue_checks,
-        }
-
-
-def run_crypto(
-    load: List[CryptoLoadItem],
-    config: Optional[ServiceConfig] = None,
-    cohort_size: int = 8,
-    curve: Optional[object] = None,
-    msm_window_bits: int = 2,
-) -> Tuple[CryptoLoadReport, "CryptoWorkloadEngine"]:
-    """Open-loop crypto run through one workload engine.
-
-    Consecutive ``modmul``/``modexp`` arrivals group into cohorts of up
-    to *cohort_size* served in shared waves (same-width plans pack into
-    the same SIMD batches); ``msm`` arrivals flush the pending cohort
-    and run through the orchestrator.  Latency percentiles, deadline
-    misses and the context-cache hit rate all live on the virtual cycle
-    clock, so the report is seed-deterministic.
-    """
-    import time
-
-    from repro.crypto.ec import TINY_CURVE
-    from repro.workloads import (
-        CryptoWorkloadEngine,
-        ModExpRequest,
-        ModMulRequest,
-        MsmRequest,
-    )
-
-    if curve is None:
-        curve = TINY_CURVE
-    engine = CryptoWorkloadEngine(config=config)
-    results: List[object] = []
-    rejected_deadline = 0
-    by_kind: Dict[str, int] = {}
-    started = time.perf_counter()
-
-    pending: List[object] = []
-
-    def flush_cohort() -> None:
-        nonlocal rejected_deadline
-        if not pending:
-            return
-        try:
-            results.extend(engine.serve_cohort(list(pending)))
-        except DeadlineImpossibleError:
-            # Re-serve one by one so a single infeasible deadline does
-            # not reject its whole cohort.
-            for request in pending:
-                try:
-                    results.extend(engine.serve_cohort([request]))
-                except DeadlineImpossibleError:
-                    rejected_deadline += 1
-        pending.clear()
-
-    for index, entry in enumerate(load):
-        by_kind[entry.kind] = by_kind.get(entry.kind, 0) + 1
-        if entry.kind == "msm":
-            flush_cohort()
-            request = MsmRequest(
-                request_id=index,
-                scalars=entry.scalars,
-                points=entry.points,
-                curve=curve,
-                window_bits=msm_window_bits,
-                priority=entry.priority,
-                deadline_cc=entry.deadline_cc,
-                arrival_cc=entry.arrival_cc,
-            )
-            try:
-                results.append(engine.serve_msm(request))
-            except DeadlineImpossibleError:
-                rejected_deadline += 1
-            continue
-        if entry.kind == "modexp":
-            pending.append(
-                ModExpRequest(
-                    request_id=index,
-                    base=entry.x,
-                    exponent=entry.exponent,
-                    modulus=entry.modulus,
-                    priority=entry.priority,
-                    deadline_cc=entry.deadline_cc,
-                    arrival_cc=entry.arrival_cc,
-                )
-            )
-        else:
-            pending.append(
-                ModMulRequest(
-                    request_id=index,
-                    x=entry.x,
-                    y=entry.y,
-                    modulus=entry.modulus,
-                    priority=entry.priority,
-                    deadline_cc=entry.deadline_cc,
-                    arrival_cc=entry.arrival_cc,
-                )
-            )
-        if len(pending) >= cohort_size:
-            flush_cohort()
-    flush_cohort()
-    wall = time.perf_counter() - started
-
-    latencies = sorted(
-        r.service_latency_cc
-        for r in results
-        if r.service_latency_cc is not None
-    )
-    misses = sum(1 for r in results if r.deadline_met is False)
-    horizon = max((r.completion_cc or 0 for r in results), default=0)
-    report = CryptoLoadReport(
-        offered=len(load),
-        completed=len(results),
-        by_kind=by_kind,
-        rejected_deadline=rejected_deadline,
-        p50_cc=_percentile(latencies, 0.50),
-        p95_cc=_percentile(latencies, 0.95),
-        p99_cc=_percentile(latencies, 0.99),
-        mean_cc=sum(latencies) / len(latencies) if latencies else 0.0,
-        miss_rate=misses / len(results) if results else 0.0,
-        horizon_cc=horizon,
-        context_hit_rate=engine.contexts.stats.hit_rate,
-        multiplier_passes=sum(r.multiplier_passes for r in results),
-        waves=sum(r.waves for r in results),
-        residue_checks=sum(r.residue_checks for r in results),
-        wall_seconds=wall,
-    )
-    return report, engine
-
-
-# ----------------------------------------------------------------------
-def render(jobs: int = 96, mean_gap_cc: int = 900, seed: int = 0x10AD) -> str:
-    """Latency/goodput table across mixes and arrival processes."""
-    from repro.eval.report import format_table
-
-    rows = []
-    for mix in MIXES:
-        for process in ARRIVAL_PROCESSES:
-            load = build_load(mix, process, jobs, mean_gap_cc, seed=seed)
-            report, _ = run_sync(load, mix=mix, process=process)
-            rows.append(
-                (
-                    f"{mix}/{process}",
-                    report.offered,
-                    report.completed,
-                    report.p50_cc,
-                    report.p99_cc,
-                    f"{report.miss_rate:.1%}",
-                    round(report.goodput_per_mcc, 1),
-                )
-            )
-    return format_table(
-        ("load", "offered", "done", "p50 cc", "p99 cc", "miss", "good/Mcc"),
-        rows,
-        title="Open-loop load through the synchronous service",
-    )

@@ -78,7 +78,6 @@ class AsyncShardedFrontend:
     def __init__(self, config: Optional[FrontendConfig] = None):
         self.config = config if config is not None else FrontendConfig()
         self.telemetry = TelemetryRegistry()
-        self.metrics = self.telemetry.metrics
         self._shards: List[Any] = []
         self._threads: List[threading.Thread] = []
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -182,7 +181,7 @@ class AsyncShardedFrontend:
             try:
                 await asyncio.wait_for(event.wait(), timeout=timeout)
             except asyncio.TimeoutError:
-                self.metrics.counter("frontend_stop_timeouts").inc()
+                self.telemetry.counter("frontend_stop_timeouts").inc()
         for shard in self._shards:
             shard.join(timeout=5.0)
         for thread in self._threads:
@@ -231,7 +230,7 @@ class AsyncShardedFrontend:
             if shard is not None and self._eligible(shard):
                 return shard
             if shard is not None:
-                self.metrics.counter("frontend_affinity_repins").inc()
+                self.telemetry.counter("frontend_affinity_repins").inc()
             # First-seen (or repinned) widths round-robin over the
             # eligible shards, then stick.
             start = len(self._width_affinity) % count
@@ -301,8 +300,8 @@ class AsyncShardedFrontend:
             n_bits=n_bits,
             shard=shard_index,
         ):
-            self.metrics.counter("frontend_requests").inc()
-            self.metrics.counter(f"frontend_shard_{shard_index}_requests").inc()
+            self.telemetry.counter("frontend_requests").inc()
+            self.telemetry.counter(f"frontend_shard_{shard_index}_requests").inc()
             self._safe_send(shard_index, ("submit", request))
         return future
 
@@ -432,7 +431,7 @@ class AsyncShardedFrontend:
                 self._settle_snapshot(index, dict(_DOWN_SNAPSHOT))
         shard_snaps = await asyncio.gather(*futures)
         merged_counters: Dict[str, int] = dict(
-            self.metrics.snapshot()["counters"]
+            self.telemetry.snapshot()["counters"]
         )
         jobs = 0
         pending = 0
@@ -557,7 +556,7 @@ class AsyncShardedFrontend:
         try:
             self._dispatch(self._shards[index].send(message))
         except (OSError, ValueError):  # pragma: no cover - closed queue
-            self.metrics.counter("frontend_send_failures").inc()
+            self.telemetry.counter("frontend_send_failures").inc()
 
     def _handle_message(self, message: Tuple, gen: Optional[int] = None) -> None:
         kind = message[0]
@@ -573,9 +572,9 @@ class AsyncShardedFrontend:
             _, _, request_id, name, text = message
             self._clear_inflight(request_id)
             future = self._futures.pop(request_id, None)
-            self.metrics.counter("frontend_admission_errors").inc()
+            self.telemetry.counter("frontend_admission_errors").inc()
             if name not in KNOWN_ERROR_NAMES:
-                self.metrics.counter("frontend_unknown_errors").inc()
+                self.telemetry.counter("frontend_unknown_errors").inc()
             if name == "NoHealthyWayError":
                 # The shard itself is sick, not the request: count it
                 # against the breaker so traffic routes around it.
@@ -616,13 +615,13 @@ class AsyncShardedFrontend:
             # Duplicate or stale delivery (replayed-then-original after
             # a failover, duplicated reply): count it and drop it —
             # resolution is idempotent, never InvalidStateError.
-            self.metrics.counter("frontend_orphan_results").inc()
+            self.telemetry.counter("frontend_orphan_results").inc()
             return
         if owner is not None:
             self._breakers[owner].record_success()
-        self.metrics.counter("frontend_results_routed").inc()
+        self.telemetry.counter("frontend_results_routed").inc()
         if result.cache_hit:
-            self.metrics.counter("frontend_cache_hits").inc()
+            self.telemetry.counter("frontend_cache_hits").inc()
         latency = result.service_latency_cc
         if latency is not None:
             self.telemetry.event(
@@ -639,8 +638,8 @@ class AsyncShardedFrontend:
     # ------------------------------------------------------------------
     def _make_breaker_observer(self, index: int):
         def observe(old: str, new: str) -> None:
-            self.metrics.counter("frontend_breaker_transitions").inc()
-            self.metrics.counter(
+            self.telemetry.counter("frontend_breaker_transitions").inc()
+            self.telemetry.counter(
                 f"frontend_breaker_{new.replace('-', '_')}"
             ).inc()
             self.telemetry.event(
@@ -662,7 +661,7 @@ class AsyncShardedFrontend:
         requests the dead incarnation owned.
         """
         self._gen[index] += 1
-        self.metrics.counter("frontend_shard_deaths").inc()
+        self.telemetry.counter("frontend_shard_deaths").inc()
         self.telemetry.event(
             "frontend.shard_down",
             at_cc=self._clock_cc,
@@ -691,7 +690,7 @@ class AsyncShardedFrontend:
         sup = self.config.supervision
         if sup.enabled and self._restarts[index] < sup.max_restarts:
             self._restarts[index] += 1
-            self.metrics.counter("frontend_shard_restarts").inc()
+            self.telemetry.counter("frontend_shard_restarts").inc()
             # Crash-only restart: fresh worker, chaos-free, fast-
             # forwarded to the frontend clock so its latency
             # accounting joins the shared timeline.
@@ -723,7 +722,7 @@ class AsyncShardedFrontend:
         self._clear_inflight(request_id)
         future = self._futures.pop(request_id, None)
         if future is not None and not future.done():
-            self.metrics.counter("frontend_requests_failed").inc()
+            self.telemetry.counter("frontend_requests_failed").inc()
             future.set_exception(error)
 
     def _redispatch(self, request_id: int, reason: str) -> None:
@@ -769,7 +768,7 @@ class AsyncShardedFrontend:
                 + sup.backoff_cc * attempts,
             )
         self._journal[request_id] = replay
-        self.metrics.counter("frontend_redispatches").inc()
+        self.telemetry.counter("frontend_redispatches").inc()
         self.telemetry.event(
             "frontend.redispatch",
             at_cc=self._clock_cc,

@@ -9,7 +9,8 @@ least-loaded / least-worn bank way (:mod:`~repro.service.workers`,
 :mod:`~repro.service.degrade`), recovers from in-band fault
 detections through the remap → replay → quarantine escalation ladder
 (with the pure-Python oracle available as an opt-in audit), and
-exposes counters and histograms (:mod:`~repro.service.metrics`).
+exposes counters and histograms through its
+:class:`~repro.telemetry.registry.TelemetryRegistry`.
 
 >>> from repro.service import MultiplicationService, ServiceConfig
 >>> svc = MultiplicationService(ServiceConfig(batch_size=4, ways_per_width=2))
@@ -38,11 +39,6 @@ from repro.service.degrade import (
     EndurancePolicy,
     RecoveryReport,
 )
-from repro.service.metrics import (
-    COUNT_BUCKETS,
-    LATENCY_BUCKETS,
-    MetricsRegistry,
-)
 from repro.service.requests import (
     AdmissionError,
     DeadlineImpossibleError,
@@ -54,7 +50,11 @@ from repro.service.requests import (
 )
 from repro.service.scheduler import BinningScheduler, Flush
 from repro.service.workers import BankDispatcher, DispatchReport, Way
-from repro.telemetry.registry import TelemetryRegistry
+from repro.telemetry.registry import (
+    COUNT_BUCKETS,
+    LATENCY_BUCKETS,
+    TelemetryRegistry,
+)
 
 __all__ = [
     "AdmissionError",
@@ -66,7 +66,6 @@ __all__ = [
     "DispatchReport",
     "EndurancePolicy",
     "Flush",
-    "MetricsRegistry",
     "MulRequest",
     "MulResult",
     "MultiplicationService",
@@ -172,10 +171,8 @@ class MultiplicationService:
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config if config is not None else ServiceConfig()
         #: Unified observability sink: metrics instruments plus span
-        #: emission.  ``self.metrics`` stays the same MetricsRegistry
-        #: object it always was (snapshot schema unchanged).
+        #: emission.
         self.telemetry = TelemetryRegistry()
-        self.metrics = self.telemetry.metrics
         self.scheduler = BinningScheduler(
             batch_size=self.config.batch_size,
             max_pending=self.config.max_pending,
@@ -310,7 +307,7 @@ class MultiplicationService:
         estimate = self.min_latency_estimate_cc(request.n_bits)
         slack_cc = request.deadline_cc - estimate
         if slack_cc < 0:
-            self.metrics.counter("requests_rejected_deadline").inc()
+            self.telemetry.counter("requests_rejected_deadline").inc()
             raise DeadlineImpossibleError(
                 f"deadline {request.deadline_cc} cc is below the "
                 f"n={request.n_bits} execution estimate {estimate} cc"
@@ -335,11 +332,11 @@ class MultiplicationService:
             cached = self.operand_cache.lookup(
                 request.a, request.b, request.n_bits
             )
-            self.metrics.counter(f"requests_kind_{request.kind}").inc()
+            self.telemetry.counter(f"requests_kind_{request.kind}").inc()
             if cached is not None:
                 span.set(cache_hit=True)
-                self.metrics.counter("requests_submitted").inc()
-                self.metrics.counter("operand_cache_hits").inc()
+                self.telemetry.counter("requests_submitted").inc()
+                self.telemetry.counter("operand_cache_hits").inc()
                 self._completed.append(
                     MulResult(
                         request_id=request.request_id,
@@ -361,7 +358,7 @@ class MultiplicationService:
                 )
                 return
             span.set(cache_hit=False)
-            self.metrics.counter("operand_cache_misses").inc()
+            self.telemetry.counter("operand_cache_misses").inc()
             residence = self._deadline_residence_ticks(request)
             tick = (
                 None
@@ -373,13 +370,13 @@ class MultiplicationService:
                     request, tick=tick, max_residence_ticks=residence
                 )
             except QueueFullError:
-                self.metrics.counter("requests_rejected").inc()
-                self.metrics.counter(
+                self.telemetry.counter("requests_rejected").inc()
+                self.telemetry.counter(
                     f"requests_rejected_priority_{request.priority}"
                 ).inc()
                 raise
-            self.metrics.counter("requests_submitted").inc()
-            self.metrics.histogram("queue_depth", COUNT_BUCKETS).observe(
+            self.telemetry.counter("requests_submitted").inc()
+            self.telemetry.histogram("queue_depth", COUNT_BUCKETS).observe(
                 self.scheduler.pending_count
             )
         self._autoscale()
@@ -448,7 +445,7 @@ class MultiplicationService:
             if live:
                 depths[n_bits] = depths.get(n_bits, 0) + len(live)
         for event in self.autoscaler.observe(self.scheduler.tick, depths):
-            self.metrics.counter(f"autoscale_{event.direction}_total").inc()
+            self.telemetry.counter(f"autoscale_{event.direction}_total").inc()
             self.telemetry.event(
                 f"autoscale.{event.direction}",
                 n_bits=event.n_bits,
@@ -512,19 +509,19 @@ class MultiplicationService:
                 [completion_cc] * len(flush.pending)
             )
 
-        self.metrics.counter("batches_flushed").inc()
-        self.metrics.counter(f"flush_reason_{flush.reason}").inc()
-        self.metrics.counter("faults_detected").inc(recovery.detections)
-        self.metrics.counter("rows_remapped").inc(len(recovery.remapped_rows))
-        self.metrics.counter("inplace_replays").inc(recovery.inplace_replays)
-        self.metrics.counter("fault_retries").inc(recovery.retries)
-        self.metrics.counter("ways_retired").inc(
+        self.telemetry.counter("batches_flushed").inc()
+        self.telemetry.counter(f"flush_reason_{flush.reason}").inc()
+        self.telemetry.counter("faults_detected").inc(recovery.detections)
+        self.telemetry.counter("rows_remapped").inc(len(recovery.remapped_rows))
+        self.telemetry.counter("inplace_replays").inc(recovery.inplace_replays)
+        self.telemetry.counter("fault_retries").inc(recovery.retries)
+        self.telemetry.counter("ways_retired").inc(
             len(recovery.faulty_ways) + len(recovery.retired_ways)
         )
-        self.metrics.histogram("batch_occupancy", COUNT_BUCKETS).observe(
+        self.telemetry.histogram("batch_occupancy", COUNT_BUCKETS).observe(
             flush.occupancy
         )
-        self.metrics.histogram("batch_latency_cc", LATENCY_BUCKETS).observe(
+        self.telemetry.histogram("batch_latency_cc", LATENCY_BUCKETS).observe(
             report.makespan_cc
         )
 
@@ -537,7 +534,7 @@ class MultiplicationService:
                 # Virtual timeline: the request's latency is queueing
                 # wait plus execution, arrival to batch completion.
                 observed_cc = completion_cc - request.arrival_cc
-                self.metrics.histogram(
+                self.telemetry.histogram(
                     "service_latency_cc", LATENCY_BUCKETS
                 ).observe(observed_cc)
                 deadline_met = (
@@ -552,7 +549,7 @@ class MultiplicationService:
                     else report.makespan_cc <= request.deadline_cc
                 )
             if deadline_met is not None:
-                self.metrics.counter(
+                self.telemetry.counter(
                     "deadlines_met" if deadline_met else "deadlines_missed"
                 ).inc()
             self._completed.append(
@@ -724,7 +721,7 @@ class MultiplicationService:
         Schema (see ``docs/architecture.md`` for field semantics)::
 
             {
-              "counters": {...}, "histograms": {...},   # MetricsRegistry
+              "counters": {...}, "histograms": {...},   # TelemetryRegistry
               "caches": {"operand": .., "program": .., "compile": ..},
               "service": {"jobs_completed", "makespan_cc",
                           "throughput_per_mcc", "pending"},
@@ -743,7 +740,7 @@ class MultiplicationService:
             }
         """
         optimizer = self._optimizer_snapshot()
-        snapshot = self.metrics.snapshot()
+        snapshot = self.telemetry.snapshot()
         snapshot["caches"] = {
             "operand": self.operand_cache.stats.as_dict(),
             "program": self.program_cache.stats.as_dict(),

@@ -284,8 +284,12 @@ def collect_load_metrics(seed: int = 0x10AD) -> Dict[str, Metric]:
     are bit-stable across machines and process counts.
     """
     from repro.eval import loadgen
-    from repro.frontend import FrontendConfig
-    from repro.service import AutoscalerConfig, ServiceConfig
+    from repro.frontend import AsyncShardedFrontend, FrontendConfig
+    from repro.service import (
+        AutoscalerConfig,
+        MultiplicationService,
+        ServiceConfig,
+    )
 
     service_config = ServiceConfig(batch_size=8, ways_per_width=1)
     metrics: Dict[str, Metric] = {}
@@ -302,14 +306,12 @@ def collect_load_metrics(seed: int = 0x10AD) -> Dict[str, Metric]:
             mix, "poisson", jobs, gap_cc, seed=seed,
             deadline_slack_cc=slack_cc,
         )
-        sync_report, _ = loadgen.run_sync(
-            load, service_config, mix=mix, process="poisson"
-        )
-        sharded_report, _ = loadgen.run_sharded(
+        sync_report = loadgen.run(load, MultiplicationService(service_config))
+        sharded_report = loadgen.run(
             load,
-            FrontendConfig(shards=4, inline=True, service=service_config),
-            mix=mix,
-            process="poisson",
+            AsyncShardedFrontend(
+                FrontendConfig(shards=4, inline=True, service=service_config)
+            ),
         )
         speedup = (
             sync_report.horizon_cc / sharded_report.horizon_cc
@@ -338,16 +340,13 @@ def collect_load_metrics(seed: int = 0x10AD) -> Dict[str, Metric]:
     burst = loadgen.build_load(
         "fhe", "bursty", 400, 1600, seed=seed ^ 0xB5, burst_gap_cc=60
     )
-    burst_report, service = loadgen.run_sync(
-        burst, burst_config, mix="fhe", process="bursty"
-    )
-    counters = service.snapshot()["counters"]
+    burst_report = loadgen.run(burst, MultiplicationService(burst_config))
     metrics["bursty_p99_cc"] = Metric(burst_report.p99_cc, LOWER_IS_BETTER)
     metrics["autoscale_ups"] = Metric(
-        counters.get("autoscale_up_total", 0), HIGHER_IS_BETTER
+        burst_report.counter("autoscale_up_total"), HIGHER_IS_BETTER
     )
     metrics["autoscale_downs"] = Metric(
-        counters.get("autoscale_down_total", 0), HIGHER_IS_BETTER
+        burst_report.counter("autoscale_down_total"), HIGHER_IS_BETTER
     )
     return metrics
 
@@ -370,18 +369,24 @@ def collect_crypto_metrics(seed: int = 0xC49) -> Dict[str, Metric]:
     from repro.service import ServiceConfig
     from repro.workloads import CryptoWorkloadEngine, MsmRequest
 
-    config = ServiceConfig(batch_size=8, ways_per_width=1)
     load = loadgen.build_crypto_load(24, 20_000, seed=seed)
-    report, _ = loadgen.run_crypto(load, config, cohort_size=8)
+    report = loadgen.run(
+        load,
+        CryptoWorkloadEngine(
+            config=ServiceConfig(batch_size=8, ways_per_width=1)
+        ),
+    )
     metrics: Dict[str, Metric] = {
         "crypto_completed": Metric(report.completed, HIGHER_IS_BETTER),
         "crypto_p50_cc": Metric(report.p50_cc, LOWER_IS_BETTER),
         "crypto_p99_cc": Metric(report.p99_cc, LOWER_IS_BETTER),
         "context_hit_rate": Metric(
-            report.context_hit_rate, HIGHER_IS_BETTER
+            report.snapshot["workloads"]["context_hit_rate"],
+            HIGHER_IS_BETTER,
         ),
         "multiplier_passes": Metric(
-            report.multiplier_passes, LOWER_IS_BETTER
+            sum(r.multiplier_passes for r in report.results),
+            LOWER_IS_BETTER,
         ),
         "horizon_cc": Metric(report.horizon_cc, LOWER_IS_BETTER),
     }

@@ -120,11 +120,9 @@ class TestServiceIntegration:
         load = loadgen.build_load(
             "fhe", "bursty", 400, 1600, seed=11, burst_gap_cc=60
         )
-        report, service = loadgen.run_sync(
-            load, config, mix="fhe", process="bursty"
-        )
+        report = loadgen.run(load, MultiplicationService(config))
         assert report.completed == 400
-        snap = service.snapshot()
+        snap = report.snapshot
         counters = snap["counters"]
         assert counters["autoscale_up_total"] >= 1
         assert counters["autoscale_down_total"] >= 1
@@ -156,7 +154,8 @@ class TestServiceIntegration:
             load = loadgen.build_load(
                 "fhe", "bursty", 400, 1600, seed=11, burst_gap_cc=60
             )
-            _report, service = loadgen.run_sync(load, config)
+            service = MultiplicationService(config)
+            loadgen.run(load, service)
             traces.append(
                 [
                     (e.tick, e.n_bits, e.direction, e.active_ways)

@@ -4,7 +4,7 @@ Covers the `repro.frontend.supervision` primitives (circuit breaker,
 chaos schedules, config validation), the supervisor's failover paths
 (kill → respawn → journal redispatch, budget exhaustion → typed
 ``ShardFailedError``, drop-reply recovery at drain), shutdown
-robustness with dead workers, and the ``loadgen.run_chaos`` campaign
+robustness with dead workers, and the ``loadgen.run`` chaos campaign
 driver.  Process-mode scenarios (real SIGKILL, heartbeat-detected
 hang) run with tightened liveness tunables so the suite stays fast.
 """
@@ -356,29 +356,33 @@ class TestRunChaos:
     def test_campaign_driver_reports_clean_kill(self):
         load = loadgen.build_load("fhe", "poisson", 16, 300, seed=0x10AD)
         chaos, sigkill_after = loadgen.chaos_scenario("kill", 2, 16, 4)
-        report = loadgen.run_chaos(
+        report = loadgen.run(
             load,
-            FrontendConfig(
-                shards=2, inline=True, service=SMALL, chaos=chaos
+            AsyncShardedFrontend(
+                FrontendConfig(
+                    shards=2, inline=True, service=SMALL, chaos=chaos
+                )
             ),
-            scenario="kill",
             sigkill_after=sigkill_after,
         )
         assert report.clean
         assert report.completed == report.offered == 16
-        assert report.shard_deaths == 1 and report.shard_restarts == 1
+        assert report.counter("frontend_shard_deaths") == 1
+        assert report.counter("frontend_shard_restarts") == 1
         assert report.terminal == report.offered
         payload = report.as_dict()
-        assert payload["clean"] is True and payload["scenario"] == "kill"
+        assert payload["clean"] is True and payload["terminal"] == 16
 
     def test_control_scenario_is_fault_free(self):
         load = loadgen.build_load("fhe", "poisson", 8, 300, seed=0x10AD)
         chaos, sigkill_after = loadgen.chaos_scenario("none", 2, 8, 4)
         assert chaos is None and sigkill_after is None
-        report = loadgen.run_chaos(
+        report = loadgen.run(
             load,
-            FrontendConfig(shards=2, inline=True, service=SMALL),
-            scenario="none",
+            AsyncShardedFrontend(
+                FrontendConfig(shards=2, inline=True, service=SMALL)
+            ),
         )
-        assert report.clean and report.shard_deaths == 0
-        assert report.redispatches == 0 and report.orphan_results == 0
+        assert report.clean and report.counter("frontend_shard_deaths") == 0
+        assert report.counter("frontend_redispatches") == 0
+        assert report.counter("frontend_orphan_results") == 0

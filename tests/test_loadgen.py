@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.eval import loadgen
-from repro.frontend import FrontendConfig
-from repro.service import ServiceConfig
+from repro.frontend import AsyncShardedFrontend, FrontendConfig
+from repro.service import MultiplicationService, ServiceConfig
 from repro.sim.exceptions import DesignError
+from repro.workloads import CryptoWorkloadEngine
 
 SMALL = ServiceConfig(batch_size=4, ways_per_width=1)
 
@@ -67,26 +70,30 @@ class TestDeterminism:
         )
 
     def test_sync_run_repeats_bit_exact(self):
-        first, _ = loadgen.run_sync(self._load(), SMALL)
-        second, _ = loadgen.run_sync(self._load(), SMALL)
+        first = loadgen.run(self._load(), MultiplicationService(SMALL))
+        second = loadgen.run(self._load(), MultiplicationService(SMALL))
         assert first.as_dict() == second.as_dict()
         assert first.histogram == second.histogram
 
     @pytest.mark.parametrize("shards", (1, 2, 4))
     def test_sharded_inline_matches_process(self, shards):
-        inline_report, _ = loadgen.run_sharded(
+        inline_report = loadgen.run(
             self._load(),
-            FrontendConfig(shards=shards, inline=True, service=SMALL),
+            AsyncShardedFrontend(
+                FrontendConfig(shards=shards, inline=True, service=SMALL)
+            ),
         )
-        process_report, _ = loadgen.run_sharded(
+        process_report = loadgen.run(
             self._load(),
-            FrontendConfig(shards=shards, inline=False, service=SMALL),
+            AsyncShardedFrontend(
+                FrontendConfig(shards=shards, inline=False, service=SMALL)
+            ),
         )
         assert inline_report.as_dict() == process_report.as_dict()
         assert inline_report.histogram == process_report.histogram
 
     def test_report_fields_consistent(self):
-        report, _ = loadgen.run_sync(self._load(), SMALL)
+        report = loadgen.run(self._load(), MultiplicationService(SMALL))
         assert report.offered == 32
         assert report.completed + report.shed + report.rejected_deadline == 32
         assert sum(report.histogram) == report.completed
@@ -112,27 +119,30 @@ class TestOverloadShedding:
 
     def test_sync_overload_sheds_with_accounting(self):
         config = ServiceConfig(batch_size=8, ways_per_width=1, max_pending=8)
-        report, service = loadgen.run_sync(self._overload(), config)
+        service = MultiplicationService(config)
+        report = loadgen.run(self._overload(), service)
         assert report.shed > 0, "expected backpressure above capacity"
         assert report.completed + report.shed == report.offered
-        counters = service.snapshot()["counters"]
         for priority, count in report.shed_by_priority.items():
             assert (
-                counters[f"requests_rejected_priority_{priority}"] == count
+                report.counter(f"requests_rejected_priority_{priority}")
+                == count
             )
         # The queue bound held the whole run: pending never passed it.
         assert service.scheduler.pending_count <= config.max_pending
 
     def test_sharded_overload_resolves_every_future(self):
         config = ServiceConfig(batch_size=8, ways_per_width=1, max_pending=8)
-        report, snapshot = loadgen.run_sharded(
+        report = loadgen.run(
             self._overload(),
-            FrontendConfig(shards=2, inline=True, service=config),
+            AsyncShardedFrontend(
+                FrontendConfig(shards=2, inline=True, service=config)
+            ),
         )
         assert report.shed > 0
         assert report.completed + report.shed == report.offered
-        assert snapshot["service"]["outstanding_futures"] == 0
-        merged = snapshot["counters"]
+        assert report.snapshot["service"]["outstanding_futures"] == 0
+        merged = report.snapshot["counters"]
         shed_total = sum(
             count
             for name, count in merged.items()
@@ -143,7 +153,67 @@ class TestOverloadShedding:
 
     def test_overload_shedding_is_deterministic(self):
         config = ServiceConfig(batch_size=8, ways_per_width=1, max_pending=8)
-        first, _ = loadgen.run_sync(self._overload(), config)
-        second, _ = loadgen.run_sync(self._overload(), config)
+        first = loadgen.run(self._overload(), MultiplicationService(config))
+        second = loadgen.run(self._overload(), MultiplicationService(config))
         assert first.shed_by_priority == second.shed_by_priority
         assert first.as_dict() == second.as_dict()
+
+
+class TestOracle:
+    """Every answer through every host is checked against the oracle
+    of its load item: ``a * b`` for plain traffic, ``x * y % m``,
+    ``pow(x, e, m)`` and a naive MSM for crypto traffic."""
+
+    HOSTS = ("service", "frontend", "engine")
+
+    def _case(self, host):
+        """(load, host, (class, method, field) that yields results)."""
+        if host == "engine":
+            load = loadgen.build_crypto_load(12, 20_000)
+            assert {e.kind for e in load} == {"modmul", "modexp", "msm"}
+            return (
+                load,
+                CryptoWorkloadEngine(config=SMALL),
+                (CryptoWorkloadEngine, "serve_cohort", "value"),
+            )
+        load = loadgen.build_load("fhe", "poisson", 12, 300, seed=0x0AC)
+        served_by = (MultiplicationService, "take_completed", "product")
+        if host == "service":
+            return load, MultiplicationService(SMALL), served_by
+        frontend = AsyncShardedFrontend(
+            FrontendConfig(shards=2, inline=True, service=SMALL)
+        )
+        return load, frontend, served_by
+
+    @pytest.mark.parametrize("host", HOSTS)
+    def test_fault_free_run_has_no_mismatch(self, host):
+        load, server, _ = self._case(host)
+        report = loadgen.run(load, server)
+        assert report.completed == report.offered == len(load)
+        assert report.mismatched == 0
+        assert report.clean
+
+    @pytest.mark.parametrize("host", HOSTS)
+    def test_one_corrupted_result_is_counted(self, host, monkeypatch):
+        load, server, (cls, method, name) = self._case(host)
+        original = getattr(cls, method)
+        corrupted = []
+
+        def corrupt_first(self, *args, **kwargs):
+            results = original(self, *args, **kwargs)
+            if results and not corrupted:
+                first = results[0]
+                results = [
+                    dataclasses.replace(
+                        first, **{name: getattr(first, name) + 1}
+                    )
+                ] + list(results[1:])
+                corrupted.append(first.request_id)
+            return results
+
+        monkeypatch.setattr(cls, method, corrupt_first)
+        report = loadgen.run(load, server)
+        assert corrupted
+        assert report.completed == report.offered
+        assert report.mismatched == 1
+        assert report.clean is False

@@ -19,7 +19,8 @@ import pytest
 
 from repro.algorithms.toomcook import INFINITY, ToomCook, inverse_cache_len
 from repro.crossbar.faults import TransientFaultInjector, TransientFaultModel
-from repro.eval.loadgen import LoadItem, run_sync
+from repro.eval import loadgen
+from repro.eval.loadgen import LoadItem
 from repro.eval.workloads import TraceItem
 from repro.frontend import AsyncShardedFrontend, FrontendConfig
 from repro.karatsuba import cost as kcost
@@ -528,7 +529,7 @@ class TestPortfolioService:
         config = ServiceConfig(
             batch_size=4, portfolio=True, portfolio_table=self.TABLE_PATH
         )
-        report, _service = run_sync(load, config)
+        report = loadgen.run(load, MultiplicationService(config))
         assert report.completed == len(load)
 
 

@@ -21,7 +21,7 @@ from repro.service.degrade import (
     EndurancePolicy,
     make_wear_aware_ranker,
 )
-from repro.service.metrics import Histogram, MetricsRegistry
+from repro.telemetry.registry import Histogram, TelemetryRegistry
 from repro.service.scheduler import BinningScheduler
 from repro.service.workers import BankDispatcher
 
@@ -152,7 +152,7 @@ class TestMetrics:
         assert snap["max"] == 100
 
     def test_registry_snapshot_plain_dict(self):
-        registry = MetricsRegistry()
+        registry = TelemetryRegistry()
         registry.counter("a").inc(3)
         registry.histogram("h", (1, 2)).observe(1)
         snap = registry.snapshot()
@@ -161,12 +161,12 @@ class TestMetrics:
 
     def test_counters_only_increase(self):
         with pytest.raises(ValueError):
-            MetricsRegistry().counter("a").inc(-1)
+            TelemetryRegistry().counter("a").inc(-1)
 
     def test_snapshot_schema_stable_with_kind_counters(self):
         """Per-kind workload counters are additive: they appear inside
         ``counters`` without changing the snapshot's top-level schema."""
-        registry = MetricsRegistry()
+        registry = TelemetryRegistry()
         registry.counter("requests_admitted").inc()
         registry.counter("requests_kind_modmul").inc(2)
         registry.counter("requests_kind_msm").inc()
