@@ -36,7 +36,7 @@ so no cross-talk occurs in either mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.arith.bitops import ceil_log2
 from repro.crossbar.array import CrossbarArray
@@ -45,11 +45,24 @@ from repro.magic.executor import MagicExecutor, pack_ints, unpack_ints
 from repro.magic.program import Program, ProgramBuilder
 from repro.sim.exceptions import DesignError
 
+if TYPE_CHECKING:
+    from repro.magic.passes import OptimizationResult
+
 #: Scratch rows the adder needs, independent of width (paper Sec. IV-B).
 SCRATCH_ROWS = 12
 
 OP_ADD = "add"
 OP_SUB = "sub"
+
+#: Distinct ``(layout, op, optimize)`` adder programs the process keeps
+#: (LRU).  The four bench workloads touch 256 in one process.
+_SHARED_PROGRAM_ENTRIES = 512
+
+#: ``(layout, op, optimize)`` -> ``(program, optimizer report or None)``,
+#: least recent first.
+_shared_programs: Dict[
+    tuple, Tuple[Program, Optional["OptimizationResult"]]
+] = {}
 
 
 def latency_cc(width: int) -> int:
@@ -122,14 +135,13 @@ class KoggeStoneAdder:
 
     def __init__(self, layout: KoggeStoneLayout):
         self.layout = layout
-        self._programs: dict = {}
-        #: Optimizer reports per op, filled when ``optimize=True``
-        #: programs are first requested (pack-factor telemetry).
+        #: Optimizer reports per op, filled when this instance requests
+        #: an ``optimize=True`` program (pack-factor telemetry).
         self.optimizer_reports: dict = {}
 
     # ------------------------------------------------------------------
     def program(self, op: str = OP_ADD, optimize: bool = False) -> Program:
-        """Return (and cache) the compute program for ``add`` or ``sub``.
+        """Return the compute program for ``add`` or ``sub``.
 
         With ``optimize=True`` the paper-faithful schedule is run
         through the SIMD cycle packer (:mod:`repro.magic.passes`):
@@ -137,11 +149,17 @@ class KoggeStoneAdder:
         single-cycle packs, alignment NOPs drop, and the scratch resets
         merge.  The optimized program is protocol-verified and remains
         bit-exact; the default reproduces the paper's cycle counts.
+
+        Programs are a pure function of ``(layout, op, optimize)`` and
+        are shared process-wide: every adder on an equal layout gets the
+        same sealed program and optimizer report, generated and packed
+        once.  Treat them as read-only.
         """
         if op not in (OP_ADD, OP_SUB):
             raise DesignError(f"unknown adder op {op!r}")
-        key = (op, bool(optimize))
-        if key not in self._programs:
+        key = (self.layout, op, bool(optimize))
+        entry = _shared_programs.pop(key, None)
+        if entry is None:
             if optimize:
                 from repro.magic.passes import optimize_program
 
@@ -150,11 +168,16 @@ class KoggeStoneAdder:
                     set(self.layout.scratch_rows) | {self.layout.out_row}
                 )
                 result = optimize_program(base, initially_ones=armed)
-                self.optimizer_reports[op] = result
-                self._programs[key] = result.program
+                entry = (result.program, result)
             else:
-                self._programs[key] = self._generate(op)
-        return self._programs[key]
+                entry = (self._generate(op), None)
+        _shared_programs[key] = entry
+        if len(_shared_programs) > _SHARED_PROGRAM_ENTRIES:
+            del _shared_programs[next(iter(_shared_programs))]
+        program, report = entry
+        if report is not None:
+            self.optimizer_reports[op] = report
+        return program
 
     @property
     def levels(self) -> int:

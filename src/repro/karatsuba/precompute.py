@@ -127,7 +127,7 @@ class PrecomputeStage:
             region_b=list(range(INPUT_ROWS + RESULT_ROWS, TOTAL_ROWS)),
         )
         self._row_of = self._assign_rows()
-        self._adders: Dict[Tuple[str, bool], List[Tuple[str, KoggeStoneAdder]]] = {}
+        self._adders: Dict[Tuple[str, bool], KoggeStoneAdder] = {}
         self._initialised_states = set()
         #: Per wear state: (mega program, clock histogram, cycles/job).
         self._mega: Dict[bool, Tuple[Program, Dict[str, int], int]] = {}
@@ -152,26 +152,19 @@ class PrecomputeStage:
 
     def _adder_for(self, step) -> KoggeStoneAdder:
         """Adder program generator for one addition in the current
-        wear state (programs are cached per state)."""
+        wear state (one adder per step and state)."""
         key = (step.out, self.leveler.swapped)
-        cache = self._adders.setdefault(key, [])
-        if not cache:
+        if key not in self._adders:
             layout = KoggeStoneLayout(
                 width=self.adder_width,
                 col0=0,
-                x_row=self.leveler.physical_row(self._row_of[step.lhs])
-                if self._row_of[step.lhs] < SCRATCH_ROWS
-                else self._row_of[step.lhs],
-                y_row=self.leveler.physical_row(self._row_of[step.rhs])
-                if self._row_of[step.rhs] < SCRATCH_ROWS
-                else self._row_of[step.rhs],
-                out_row=self.leveler.physical_row(self._row_of[step.out])
-                if self._row_of[step.out] < SCRATCH_ROWS
-                else self._row_of[step.out],
+                x_row=self._physical(self._row_of[step.lhs]),
+                y_row=self._physical(self._row_of[step.rhs]),
+                out_row=self._physical(self._row_of[step.out]),
                 scratch_rows=self._scratch_rows(),
             )
-            cache.append(("adder", KoggeStoneAdder(layout)))
-        return cache[0][1]
+            self._adders[key] = KoggeStoneAdder(layout)
+        return self._adders[key]
 
     def _physical(self, logical_row: int) -> int:
         if logical_row < SCRATCH_ROWS:

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.arith.koggestone as koggestone_mod
+import repro.magic.passes as passes_mod
 from repro.arith.bitops import ceil_log2
 from repro.arith.koggestone import (
     SCRATCH_ROWS,
@@ -201,3 +205,94 @@ class TestWear:
         w1 = ex.array.total_writes()
         adder.run(ex, 2, 2, "add")
         assert ex.array.total_writes() > w1
+
+
+# ----------------------------------------------------------------------
+# Process-wide program memo: one generation and packing per layout
+# ----------------------------------------------------------------------
+#: A layout no other test places (odd width, offset window, high rows).
+SHARED_LAYOUT = KoggeStoneLayout(
+    width=37, col0=3, x_row=40, y_row=41, out_row=42,
+    scratch_rows=tuple(range(43, 43 + SCRATCH_ROWS)),
+)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Fresh memo plus counters of generation and packing calls."""
+    monkeypatch.setattr(koggestone_mod, "_shared_programs", {})
+    calls = {"generate": 0, "optimize": 0}
+    generate = KoggeStoneAdder._generate
+    optimize = passes_mod.optimize_program
+
+    def counting_generate(self, op):
+        calls["generate"] += 1
+        return generate(self, op)
+
+    def counting_optimize(*args, **kwargs):
+        calls["optimize"] += 1
+        return optimize(*args, **kwargs)
+
+    monkeypatch.setattr(KoggeStoneAdder, "_generate", counting_generate)
+    monkeypatch.setattr(passes_mod, "optimize_program", counting_optimize)
+    return calls
+
+
+class TestSharedPrograms:
+    def test_second_build_packs_nothing(self, builds):
+        first = KoggeStoneAdder(SHARED_LAYOUT)
+        packed = first.program("add", optimize=True)
+        assert builds == {"generate": 1, "optimize": 1}
+
+        second = KoggeStoneAdder(dataclasses.replace(SHARED_LAYOUT))
+        assert second.optimizer_reports == {}
+        again = second.program("add", optimize=True)
+        assert builds == {"generate": 1, "optimize": 1}
+        assert again is packed
+        assert second.program("add") is first.program("add")
+        # The report is filled for the instance that asked for it.
+        assert second.optimizer_reports["add"] is first.optimizer_reports["add"]
+        assert second.latency_cc(optimize=True) == packed.cycle_count
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"col0": 4},
+            {"x_row": 39},
+            {"out_row": 39},
+            {"scratch_rows": tuple(range(44, 44 + SCRATCH_ROWS))},
+            {"width": 38},
+        ],
+    )
+    def test_other_layout_gets_own_program(self, builds, change):
+        base = KoggeStoneAdder(SHARED_LAYOUT).program("add", optimize=True)
+        other = KoggeStoneAdder(dataclasses.replace(SHARED_LAYOUT, **change))
+        assert other.program("add", optimize=True) is not base
+        assert builds == {"generate": 2, "optimize": 2}
+
+    def test_other_op_gets_own_program(self, builds):
+        adder = KoggeStoneAdder(SHARED_LAYOUT)
+        add = adder.program("add", optimize=True)
+        sub = KoggeStoneAdder(SHARED_LAYOUT).program("sub", optimize=True)
+        assert sub is not add
+        assert builds == {"generate": 2, "optimize": 2}
+        # The unpacked program is an entry of its own.
+        assert adder.program("add") is not add
+        assert builds == {"generate": 2, "optimize": 2}
+
+    def test_lru_stays_within_bound(self, builds):
+        bound = koggestone_mod._SHARED_PROGRAM_ENTRIES
+        first = KoggeStoneAdder(SHARED_LAYOUT).program("add")
+        for col0 in range(1, bound + 5):
+            layout = dataclasses.replace(SHARED_LAYOUT, width=3, col0=col0)
+            KoggeStoneAdder(layout).program("add")
+            assert len(koggestone_mod._shared_programs) <= bound
+        assert len(koggestone_mod._shared_programs) == bound
+        # The oldest entry was evicted: an equal adder rebuilds it, equal
+        # in content to the program it replaces.
+        generated = builds["generate"]
+        again = KoggeStoneAdder(SHARED_LAYOUT).program("add")
+        assert builds["generate"] == generated + 1
+        assert again is not first
+        assert again.ops == first.ops
+        assert again.cycle_count == first.cycle_count

@@ -407,6 +407,52 @@ class TestServiceFacade:
         assert results[1].product == 20
 
 
+class TestSharedAdderPrograms:
+    """A fresh service reuses the adder programs an earlier one packed."""
+
+    @staticmethod
+    def _serve(pairs):
+        service = MultiplicationService()
+        for a, b in pairs:
+            service.submit(a, b, 256)
+        results = service.drain()
+        ways = service.dispatcher.all_ways()
+        snapshot = service.snapshot()
+        return {
+            "products": [r.product for r in results],
+            "latency_cc": [r.latency_cc for r in results],
+            "energy_fj": sum(
+                w.pipeline.controller.total_energy_fj() for w in ways
+            ),
+            "max_writes": max(w.max_writes() for w in ways),
+            "optimizer": snapshot["optimizer"],
+            "cycles_saved": snapshot["counters"]["optimizer_cycles_saved"],
+        }
+
+    def test_second_service_packs_nothing(self, rng, monkeypatch):
+        import repro.magic.passes as passes_mod
+
+        pairs = [
+            (random_operand(rng, 256), random_operand(rng, 256))
+            for _ in range(4)
+        ]
+        first = self._serve(pairs)
+        calls = []
+        optimize = passes_mod.optimize_program
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return optimize(*args, **kwargs)
+
+        monkeypatch.setattr(passes_mod, "optimize_program", counting)
+        second = self._serve(pairs)
+        assert calls == []
+        assert first["products"] == [a * b for a, b in pairs]
+        assert second == first
+        assert first["optimizer"]["enabled"] is True
+        assert first["cycles_saved"] > 0
+
+
 class TestServiceEndToEnd:
     """The ISSUE acceptance scenario: 200 mixed-width requests."""
 
