@@ -65,7 +65,7 @@ def test_simulated_precompute(benchmark, n, rng):
     stage = PrecomputeStage(n)
     a, b = rng.getrandbits(n), rng.getrandbits(n)
     chunks = (split_chunks(a, n // 4, 4), split_chunks(b, n // 4, 4))
-    result = benchmark(stage.process, *chunks)
+    result = benchmark(lambda: stage.process_batch([chunks])[0])
     assert result.cycles == cost.precompute_cost(n, 2).latency_cc
 
 
@@ -74,7 +74,7 @@ def test_simulated_multiply_stage(benchmark, n, rng):
     stage = MultiplicationStage(n)
     plan = build_plan(n, 2)
     operands = plan.intermediate_values(rng.getrandbits(n), rng.getrandbits(n))
-    result = benchmark(stage.process, operands)
+    result = benchmark(lambda: stage.process_batch([operands])[0])
     assert result.cycles == cost.multiply_cost(n, 2).latency_cc
 
 
@@ -85,7 +85,7 @@ def test_simulated_postcompute(benchmark, n, rng):
     a, b = rng.getrandbits(n), rng.getrandbits(n)
     values = plan.intermediate_values(a, b)
     products = {s.out: values[s.out] for s in plan.multiplications}
-    result = benchmark(stage.process, products)
+    result = benchmark(lambda: stage.process_batch([products])[0])
     assert result.product == a * b
     assert result.cycles == cost.postcompute_cost(n, 2).latency_cc
 

@@ -805,8 +805,8 @@ class WordPackedCrossbarArray:
         """Drive every cell (all lanes, spares included) to logic one.
 
         The MAGIC steady state a stage batch starts from; no energy or
-        write pulses are charged — the stage's sequential path reaches
-        the same state through its accounted program, so the batch seed
+        write pulses are charged — every pass ends in this state through
+        its accounted closing INIT and scratch reset, so the lane seed
         is bookkeeping, not a modelled operation.  Re-pin faults after.
         """
         full = self._full

@@ -14,7 +14,7 @@ exposes the logical-to-physical row mapping it maintains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
@@ -121,6 +121,28 @@ class WearLevelingController:
             raise ValueError("swap count must be non-negative")
         self.swaps += count
         self._rebuild_mapping()
+
+    def job_groups(
+        self, jobs: int, enabled: bool = True
+    ) -> Iterator[List[int]]:
+        """Group *jobs* (>= 1) successive multiplications by wear state.
+
+        A stage batch runs its jobs in the state each would meet in
+        sequential order: the even jobs in the current state, then —
+        after one swap — the odd jobs.  Once exhausted, the controller
+        stands where *jobs* single-job swaps would leave it.  With
+        leveling not *enabled*, all jobs form one group and nothing
+        swaps.
+        """
+        if not enabled:
+            yield list(range(jobs))
+            return
+        start = self.swaps
+        yield list(range(0, jobs, 2))
+        self.swap()
+        if jobs > 1:
+            yield list(range(1, jobs, 2))
+        self.advance(start + jobs - self.swaps)
 
     @property
     def swapped(self) -> bool:

@@ -18,7 +18,7 @@ identical pipelined multipliers fed from one job queue:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.karatsuba.pipeline import (
     DEFAULT_BATCH_SIZE,
@@ -102,7 +102,7 @@ class MultiplierBank:
     def run_stream(
         self,
         operand_pairs: Iterable[Tuple[int, int]],
-        batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> BankStreamResult:
         """Drain a job stream over the ways; all products bit-exact.
 
@@ -112,8 +112,8 @@ class MultiplierBank:
         ceil/floor split — the distribution
         :meth:`BankTiming.makespan_cc` assumes, so the reported
         makespan always agrees with the static model.  Each way then
-        drains its assignment through the batched SIMD path (pass
-        ``batch_size=None`` to force the scalar oracle path).
+        drains its assignment through the batched SIMD path in chunks
+        of *batch_size* jobs (see :meth:`KaratsubaPipeline.run_stream`).
         """
         pairs = list(operand_pairs)
         per_way = [0] * self.ways

@@ -26,6 +26,30 @@ from repro.telemetry import spans as _telemetry
 MIN_BITS = 16
 
 
+@contextmanager
+def stage_span(tracer, name: str, stage, width: int, jobs: int):
+    """One telemetry span per stage pass, timed on the stage clock.
+
+    Carries the paper-facing accounting as attributes: operand width,
+    SIMD job count, NOR cycles spent, and (for the crossbar stages) the
+    array energy consumed by the pass.  Shared by every controller with
+    the :class:`KaratsubaController` surface; a no-op without *tracer*.
+    """
+    if tracer is None:
+        yield
+        return
+    array = getattr(stage, "array", None)
+    energy_before = float(array.energy_fj) if array is not None else None
+    nor_before = stage.clock.by_category.get("nor", 0)
+    with tracer.span(
+        f"stage.{name}", clock=stage.clock, width=width, jobs=jobs
+    ) as span:
+        yield
+        span.set(nor=stage.clock.by_category.get("nor", 0) - nor_before)
+        if energy_before is not None:
+            span.set(energy_fj=float(array.energy_fj) - energy_before)
+
+
 @dataclass(frozen=True)
 class JobRecord:
     """Result and per-stage cycle counts of one multiplication job."""
@@ -101,37 +125,7 @@ class KaratsubaController:
     # ------------------------------------------------------------------
     def run_job(self, a: int, b: int) -> JobRecord:
         """Multiply two *n_bits*-wide operands through all three stages."""
-        if a < 0 or b < 0:
-            raise DesignError("operands must be non-negative")
-        if a >> self.n_bits or b >> self.n_bits:
-            raise DesignError(f"operands must fit in {self.n_bits} bits")
-        chunk_bits = self.n_bits // 4
-        tracer = _telemetry.active()
-        if tracer is None:
-            pre = self.precompute.process(
-                split_chunks(a, chunk_bits, 4), split_chunks(b, chunk_bits, 4)
-            )
-            mul = self.multiply_stage.process(pre.chunk_sums)
-            post = self.postcompute.process(mul.products)
-        else:
-            with self._stage_span(tracer, "precompute", self.precompute, 1):
-                pre = self.precompute.process(
-                    split_chunks(a, chunk_bits, 4),
-                    split_chunks(b, chunk_bits, 4),
-                )
-            with self._stage_span(tracer, "multiply", self.multiply_stage, 1):
-                mul = self.multiply_stage.process(pre.chunk_sums)
-            with self._stage_span(tracer, "postcompute", self.postcompute, 1):
-                post = self.postcompute.process(mul.products)
-        self.jobs += 1
-        return JobRecord(
-            a=a,
-            b=b,
-            product=post.product,
-            precompute_cycles=pre.cycles,
-            multiply_cycles=mul.cycles,
-            postcompute_cycles=post.cycles,
-        )
+        return self.run_jobs_batch([(a, b)])[0]
 
     def run_jobs_batch(self, pairs: Iterable[Tuple[int, int]]) -> List[JobRecord]:
         """Multiply a batch of operand pairs through all three stages.
@@ -140,7 +134,7 @@ class KaratsubaController:
         compiled pass per wear state) instead of job-by-job, which is
         where the pipeline's throughput comes from.  Products, per-job
         cycle counts, wear counters and energy are bit-identical to
-        calling :meth:`run_job` per pair; only the stage clocks differ,
+        one single-job batch per pair; only the stage clocks differ,
         advancing once per lock-step pass rather than once per job.
         """
         pairs = list(pairs)
@@ -157,22 +151,13 @@ class KaratsubaController:
             for a, b in pairs
         ]
         tracer = _telemetry.active()
-        if tracer is None:
+        jobs, width = len(pairs), self.n_bits
+        with stage_span(tracer, "precompute", self.precompute, width, jobs):
             pre = self.precompute.process_batch(chunk_jobs)
+        with stage_span(tracer, "multiply", self.multiply_stage, width, jobs):
             mul = self.multiply_stage.process_batch([r.chunk_sums for r in pre])
+        with stage_span(tracer, "postcompute", self.postcompute, width, jobs):
             post = self.postcompute.process_batch([r.products for r in mul])
-        else:
-            jobs = len(pairs)
-            with self._stage_span(tracer, "precompute", self.precompute, jobs):
-                pre = self.precompute.process_batch(chunk_jobs)
-            with self._stage_span(tracer, "multiply", self.multiply_stage, jobs):
-                mul = self.multiply_stage.process_batch(
-                    [r.chunk_sums for r in pre]
-                )
-            with self._stage_span(tracer, "postcompute", self.postcompute, jobs):
-                post = self.postcompute.process_batch(
-                    [r.products for r in mul]
-                )
         self.jobs += len(pairs)
         return [
             JobRecord(
@@ -185,26 +170,6 @@ class KaratsubaController:
             )
             for i, (a, b) in enumerate(pairs)
         ]
-
-    # ------------------------------------------------------------------
-    @contextmanager
-    def _stage_span(self, tracer, name: str, stage, jobs: int):
-        """One telemetry span per stage pass, timed on the stage clock.
-
-        Carries the paper-facing accounting as attributes: operand
-        width, SIMD job count, NOR cycles spent, and (for the crossbar
-        stages) the array energy consumed by the pass.
-        """
-        array = getattr(stage, "array", None)
-        energy_before = float(array.energy_fj) if array is not None else None
-        nor_before = stage.clock.by_category.get("nor", 0)
-        with tracer.span(
-            f"stage.{name}", clock=stage.clock, width=self.n_bits, jobs=jobs
-        ) as span:
-            yield
-            span.set(nor=stage.clock.by_category.get("nor", 0) - nor_before)
-            if energy_before is not None:
-                span.set(energy_fj=float(array.energy_fj) - energy_before)
 
     # ------------------------------------------------------------------
     def stage_latencies(self) -> Tuple[int, int, int]:

@@ -90,26 +90,19 @@ class MultiplicationStage:
         self.passes = 0
 
     # ------------------------------------------------------------------
-    def process(self, operands: Dict[str, int]) -> MultiplicationResult:
-        """Run the nine partial multiplications on named chunk values.
-
-        *operands* must contain every name referenced by the plan
-        (the precompute stage's output mapping is exactly that).
-        """
-        return self.process_batch([operands])[0]
-
     def process_batch(
         self, operands_list: List[Dict[str, int]]
     ) -> List[MultiplicationResult]:
         """Run B multiplication passes, advancing the clock once.
 
-        The nine rows already run in lock-step within a pass; batching
+        Each operand set must contain every name referenced by the plan
+        (the precompute stage's output mapping is exactly that).  The
+        nine rows already run in lock-step within a pass; batching
         extends the lock-step across operand sets, so the stage clock
         advances by a single row latency for the whole batch.  All
         ``9 B`` sub-products run as one bit-sliced
         :func:`~repro.arith.rowmul.lockstep_pass`, each residue-verified;
-        products and wear are identical to calling :meth:`process` per
-        job.
+        products and wear are identical to one pass per job.
         """
         operands_list = list(operands_list)
         if not operands_list:

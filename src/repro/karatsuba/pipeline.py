@@ -15,7 +15,7 @@ bit-exact products and the pipelined makespan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.karatsuba.controller import JobRecord, KaratsubaController
 from repro.magic.backend import DEFAULT_BACKEND
@@ -135,17 +135,17 @@ class KaratsubaPipeline:
     def run_stream(
         self,
         operand_pairs: Iterable[Tuple[int, int]],
-        batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> StreamResult:
         """Replay a stream of multiplications.
 
-        By default the stream executes batched: chunks of *batch_size*
-        jobs run through the compiled-once SIMD executor (one pass of
-        numpy kernels per stage and wear state), which is how the
-        simulator keeps up with the hardware's row-parallel execution.
-        Pass ``batch_size=None`` to force the scalar job-by-job path —
-        the differential-testing oracle.  Products, per-job cycles,
-        wear and energy are bit-identical either way.
+        The stream executes in chunks of *batch_size* jobs, each run
+        through the compiled-once SIMD replay (one pass per stage and
+        wear state), which is how the simulator keeps up with the
+        hardware's row-parallel execution.  Products, per-job cycles,
+        wear and energy do not depend on *batch_size*; with
+        ``backend="scalar"`` and ``batch_size=1`` the pipeline is the
+        job-by-job scalar oracle.
 
         The reported makespan applies the pipeline model: one fill
         latency plus one bottleneck interval per extra job — valid
@@ -160,20 +160,15 @@ class KaratsubaPipeline:
             else NOOP_SPAN
         )
         with stream_span as span:
-            if batch_size is None:
-                records: List[JobRecord] = [
-                    self.controller.run_job(a, b) for a, b in pairs
-                ]
-            else:
-                if batch_size < 1:
-                    raise DesignError("batch size must be at least 1")
-                records = []
-                for begin in range(0, len(pairs), batch_size):
-                    records.extend(
-                        self.controller.run_jobs_batch(
-                            pairs[begin : begin + batch_size]
-                        )
+            if batch_size < 1:
+                raise DesignError("batch size must be at least 1")
+            records: List[JobRecord] = []
+            for begin in range(0, len(pairs), batch_size):
+                records.extend(
+                    self.controller.run_jobs_batch(
+                        pairs[begin : begin + batch_size]
                     )
+                )
             timing = self.timing()
             makespan = timing.makespan_cc(len(records))
             span.set(makespan_cc=makespan, bottleneck_cc=timing.bottleneck_cc)

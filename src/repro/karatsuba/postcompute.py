@@ -50,11 +50,11 @@ from repro.arith.koggestone import (
     KoggeStoneLayout,
 )
 from repro.crossbar.array import CrossbarArray
-from repro.magic.backend import DEFAULT_BACKEND, get_backend
 from repro.crossbar.endurance import WearLevelingController
-from repro.magic.executor import MagicExecutor, int_to_bits
+from repro.magic.backend import DEFAULT_BACKEND
 from repro.magic.passes import summarize_reports
 from repro.magic.program import Program, ProgramBuilder
+from repro.magic.stage import CrossbarStage, all_ones
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
 from repro.sim.clock import Clock
 from repro.sim.exceptions import DesignError, StageSelfCheckError
@@ -103,7 +103,7 @@ class PostcomputeResult:
     cycles: int
 
 
-class PostcomputeStage:
+class PostcomputeStage(CrossbarStage):
     """Cycle-accurate postcomputation subarray.
 
     Every pass stages its operand words into the adder's x/y rows
@@ -129,18 +129,17 @@ class PostcomputeStage:
         #: (:mod:`repro.magic.passes`).  Off by default so the stage
         #: reproduces the paper's per-op cycle counts exactly.
         self.optimize = optimize
-        #: Batched execution strategy (see :mod:`repro.magic.backend`).
-        #: Per-lane results and accounting are bit-identical across
-        #: backends; defaults to the word-packed replay.
-        self.backend = get_backend(backend)
         self.cols = columns(n_bits)
         self.adder_width = self.cols - 1
-        self.array = CrossbarArray(
-            TOTAL_ROWS, self.cols, device=device, spare_rows=spare_rows
+        self.clock = Clock()
+        super().__init__(
+            CrossbarArray(
+                TOTAL_ROWS, self.cols, device=device, spare_rows=spare_rows
+            ),
+            backend=backend,
+            clock=self.clock,
         )
         self.checker = ResidueChecker("postcompute", residue_bits)
-        self.clock = Clock()
-        self.executor = MagicExecutor(self.array, clock=self.clock)
         self.wear_leveling = wear_leveling
         # Exchange the lower and upper half of the subarray after every
         # multiplication: all 20 rows alternate between two physical
@@ -174,43 +173,6 @@ class PostcomputeStage:
             self._adders[state] = KoggeStoneAdder(layout)
         return self._adders[state]
 
-    # ------------------------------------------------------------------
-    def process(self, products: Dict[str, int]) -> PostcomputeResult:
-        """Combine the nine partial products into ``a * b``."""
-        required = {
-            "c_ll", "c_lh", "c_lm", "c_hl", "c_hh", "c_hm",
-            "c_ml", "c_mh", "c_mm",
-        }
-        missing = required - products.keys()
-        if missing:
-            raise DesignError(f"missing partial products: {sorted(missing)}")
-        start = self.clock.cycles
-        passes, product = self._plan_passes(products)
-
-        adder = self._adder()
-        self._power_up(adder)
-
-        # Stage the incoming products in the packed data rows so wear
-        # accounting sees their writes (2 products per row, Fig. 7a).
-        self._store_inputs(products)
-
-        for index, (op, x, y) in enumerate(passes):
-            self._run(adder, op, x, y, f"pass-{index + 1}")
-
-        # Reset the data region so that, after a wear-leveling swap, the
-        # incoming scratch rows hold logic one.  The cycle is part of
-        # the paper's 18 cc reordering/reset budget charged below.
-        physical = self.leveler.physical_row
-        self.array.init_rows([physical(r) for r in range(DATA_ROWS)])
-
-        # Reordering/reset overhead (lump, per the paper's accounting).
-        self.clock.tick(REORDER_CYCLES, category="reorder")
-
-        if self.wear_leveling:
-            self.leveler.swap()
-        self.passes += 1
-        return PostcomputeResult(product=product, cycles=self.clock.cycles - start)
-
     #: Fixed op sequence of the 11-pass schedule (data-independent).
     PASS_OPS = ("add", "sub", "add", "sub", "add",
                 "add", "add", "add", "add", "sub", "add")
@@ -225,15 +187,19 @@ class PostcomputeStage:
         """Pure-integer unrolling of the 11-pass schedule.
 
         Returns the operand pair of every pass plus the final product.
-        The in-memory execution (sequential or batched) follows this
-        plan and asserts each sensed sum against it, so arithmetic
-        remains verified bit-for-bit through the real adder.
+        The in-memory replay follows this plan and checks each sensed
+        sum against it, so arithmetic remains verified bit-for-bit
+        through the real adder.
         """
         n = self.n_bits
         quarter, half = n // 4, n // 2
         passes: List[Tuple[str, int, int]] = []
 
         def run(op: str, x: int, y: int) -> int:
+            # Operands may use all 1.5n columns (including the carry
+            # column) when the result itself has no carry-out — the
+            # case of the final top-bits addition, whose sum is
+            # < 2^(1.5n) by design.
             if x >> self.cols or y >> self.cols:
                 raise DesignError("postcompute operand exceeds the adder window")
             if op == "sub" and y > x:
@@ -304,9 +270,9 @@ class PostcomputeStage:
         """One full pass as a single replayable program for the
         *current* wear state: nine packed input WRITEs, eleven
         (stage x/y, adder pass, sense) rounds, and the closing data
-        INIT.  The clock histogram covers only what the sequential path
-        ticks — the adder programs plus the 18 cc reorder lump; operand
-        staging and sensing ride inside that lump."""
+        INIT.  The clock histogram charges the adder programs plus the
+        18 cc reorder lump; operand staging, sensing and the closing
+        INIT ride inside that lump."""
         state = self.leveler.swapped
         if state not in self._mega:
             adder = self._adder()
@@ -332,6 +298,8 @@ class PostcomputeStage:
                 for opcode, cost in program.cycles_by_opcode().items():
                     hist[opcode] = hist.get(opcode, 0) + cost
                 cycles += program.cycle_count
+            # Reset the data region so that, after a wear-leveling swap,
+            # the incoming scratch rows hold logic one.
             builder.init([physical(r) for r in range(DATA_ROWS)])
             hist["reorder"] = REORDER_CYCLES
             self._mega[state] = (builder.build(), hist, cycles)
@@ -344,10 +312,10 @@ class PostcomputeStage:
 
         Same contract as the precompute stage's batch path: jobs are
         grouped by sequential wear-state parity, each group replays the
-        state's mega-program on a batched crossbar seeded at the steady
-        all-ones state, every sensed pass result is asserted against the
-        pure-integer plan, and per-lane writes/energy fold back into the
-        stage array bit-identically to :meth:`process` per job.
+        state's mega-program over lanes seeded at the steady all-ones
+        state, every sensed pass result is checked against the
+        pure-integer plan, and per-lane writes/energy fold back into
+        the stage array.
         """
         products_list = list(products_list)
         if not products_list:
@@ -360,23 +328,13 @@ class PostcomputeStage:
                 raise DesignError(f"missing partial products: {sorted(missing)}")
             plans.append(self._plan_passes(products))
 
-        start_swaps = self.leveler.swaps
-        if self.wear_leveling:
-            groups = [
-                [j for j in range(len(products_list)) if j % 2 == 0],
-                [j for j in range(len(products_list)) if j % 2 == 1],
-            ]
-        else:
-            groups = [list(range(len(products_list)))]
-
         span = self.cols // 2
         products_out: Dict[int, int] = {}
         cycles_per_job = 0
-        for group_index, group in enumerate(groups):
-            if not group:
-                continue
-            adder = self._adder()
-            self._power_up(adder)
+        for group in self.leveler.job_groups(
+            len(products_list), self.wear_leveling
+        ):
+            self._power_up(self._adder())
             program, hist, cycles_per_job = self._mega_program()
             bindings = []
             for j in group:
@@ -392,16 +350,7 @@ class PostcomputeStage:
                     values[f"x{index}"] = x
                     values[f"y{index}"] = y
                 bindings.append(values)
-
-            batched = self.backend.make_array(self.array, len(group))
-            batched.reset_to_ones()
-            batched.repin_faults()
-            executor = self.backend.make_executor(
-                batched, clock=Clock(), fault_hook=self.executor.fault_hook
-            )
-            # Compile once per wear state via the stage's persistent
-            # cache; each batch replays the compiled program.
-            stats = executor.execute(self.executor.compile(program), bindings)
+            stats, _ = self.replay(program, bindings, all_ones)
 
             for lane, j in enumerate(group):
                 passes, product = plans[j]
@@ -410,49 +359,14 @@ class PostcomputeStage:
                     self._check_pass(sensed, op, x, y, f"pass-{index + 1}")
                 products_out[j] = product
 
-            self.array.writes += batched.writes * len(group)
-            self.array.energy_fj += float(batched.energy_fj.sum())
-            self.array.state[:] = True
             for opcode, cost in hist.items():
                 self.clock.tick(cost, category=opcode)
             self.passes += len(group)
-            if self.wear_leveling and group_index + 1 < len(groups):
-                self.leveler.swap()
 
-        if self.wear_leveling:
-            self.leveler.advance(
-                start_swaps + len(products_list) - self.leveler.swaps
-            )
         return [
             PostcomputeResult(product=products_out[j], cycles=cycles_per_job)
             for j in range(len(products_list))
         ]
-
-    # ------------------------------------------------------------------
-    def _run(
-        self, adder: KoggeStoneAdder, op: str, x: int, y: int, location: str
-    ) -> int:
-        """Stage operands, execute one full-width pass, sense the result."""
-        # Operands may use all 1.5n columns (including the carry column)
-        # when the result itself has no carry-out — the case of the
-        # final top-bits addition, whose sum is < 2^(1.5n) by design.
-        if x >> self.cols or y >> self.cols:
-            raise DesignError("postcompute operand exceeds the adder window")
-        if op == "sub" and y > x:
-            raise DesignError("postcompute subtraction went negative")
-        if op == "add" and (x + y) >> self.cols:
-            raise DesignError("postcompute addition would overflow the window")
-        lay = adder.layout
-        self.array.write_row(lay.x_row, int_to_bits(x, self.cols))
-        self.array.write_row(lay.y_row, int_to_bits(y, self.cols))
-        self.executor.execute(adder.program(op, optimize=self.optimize))
-        word = self.array.read_row(lay.out_row)
-        value = 0
-        for i in range(self.cols):
-            if word[i]:
-                value |= 1 << i
-        self._check_pass(value, op, x, y, location)
-        return value
 
     def _check_pass(
         self, sensed: int, op: str, x: int, y: int, location: str
@@ -473,54 +387,7 @@ class PostcomputeStage:
                 location=location,
             )
 
-    def _store_inputs(self, products: Dict[str, int]) -> None:
-        """Pack the nine products two-per-row into the data rows."""
-        physical = self.leveler.physical_row
-        span = self.cols // 2
-        for slot, name in enumerate(self._INPUT_NAMES):
-            row = physical(slot // 2)
-            offset = (slot % 2) * span
-            width = min(span, self.cols - offset)
-            value = products[name]
-            if value >> width:
-                raise DesignError(f"product {name} does not fit its slot")
-            self.array.write_row(
-                row,
-                _placed_bits(value, offset, width, self.cols),
-                _span_mask(offset, width, self.cols),
-            )
-
     # ------------------------------------------------------------------
-    # Reliability hooks
-    # ------------------------------------------------------------------
-    @property
-    def fault_hook(self):
-        """Transient-fault injector driving this stage's executors."""
-        return self.executor.fault_hook
-
-    @fault_hook.setter
-    def fault_hook(self, hook) -> None:
-        self.executor.fault_hook = hook
-
-    def diagnose_and_repair(self) -> List[int]:
-        """Write-verify every logical row; remap failures onto spares.
-
-        Same contract as the precompute stage's method: returns the
-        remapped logical rows (empty for a transient upset) and leaves
-        the array at the all-ones steady state for the replay.
-        """
-        faulty = self.array.find_faulty_rows()
-        for row in faulty:
-            self.array.remap_row(row)
-        self.array.state[:] = True
-        self.array.repin_faults()
-        return faulty
-
-    # ------------------------------------------------------------------
-    @property
-    def area_cells(self) -> int:
-        return self.array.cells
-
     def latency_cc(self) -> int:
         if not self.optimize:
             return latency_cc(self.n_bits)
@@ -534,31 +401,14 @@ class PostcomputeStage:
         )
 
     def optimizer_stats(self) -> Dict[str, object]:
-        """Aggregated cycle-packer savings over this stage's adder
-        programs (``{"enabled": False}`` when the optimizer is off)."""
+        """Aggregated cycle-packer report over the adder programs one
+        job runs (the eleven passes, per job), as the precompute stage
+        reports; ``{"enabled": False}`` when the optimizer is off."""
         if not self.optimize:
             return {"enabled": False}
+        adder = self._adder()
         reports = []
-        for adder in self._adders.values():
-            reports.extend(adder.optimizer_reports.values())
+        for op in self.PASS_OPS:
+            adder.program(op, optimize=True)
+            reports.append(adder.optimizer_reports[op])
         return summarize_reports(reports)
-
-    def max_writes(self) -> int:
-        return self.array.max_writes()
-
-
-def _placed_bits(value: int, offset: int, width: int, cols: int):
-    import numpy as np
-
-    word = np.zeros(cols, dtype=bool)
-    for i in range(width):
-        word[offset + i] = bool((value >> i) & 1)
-    return word
-
-
-def _span_mask(offset: int, width: int, cols: int):
-    import numpy as np
-
-    span = np.zeros(cols, dtype=bool)
-    span[offset : offset + width] = True
-    return span

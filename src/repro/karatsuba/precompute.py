@@ -33,12 +33,12 @@ from repro.arith.koggestone import (
     KoggeStoneLayout,
 )
 from repro.crossbar.array import CrossbarArray
-from repro.magic.backend import DEFAULT_BACKEND, get_backend
 from repro.crossbar.endurance import WearLevelingController
 from repro.karatsuba.unroll import UnrolledPlan, build_plan
-from repro.magic.executor import MagicExecutor, int_to_bits
+from repro.magic.backend import DEFAULT_BACKEND
 from repro.magic.passes import summarize_reports
 from repro.magic.program import Program, ProgramBuilder
+from repro.magic.stage import CrossbarStage, all_ones
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
 from repro.sim.clock import Clock
 from repro.sim.exceptions import DesignError, StageSelfCheckError
@@ -80,13 +80,13 @@ class PrecomputeResult:
     cycles: int
 
 
-class PrecomputeStage:
+class PrecomputeStage(CrossbarStage):
     """Cycle-accurate precomputation subarray.
 
     The stage owns its crossbar, a wear-leveling controller, and one
-    Kogge-Stone program per (operation, wear-state) pair.  Calling
-    :meth:`process` writes the eight chunks, executes the ten additions
-    NOR-by-NOR, resets, and returns every named chunk sum.
+    Kogge-Stone program per (operation, wear-state) pair.  Each pass
+    writes the eight chunks, executes the ten additions NOR-by-NOR,
+    resets, and returns every named chunk sum.
     """
 
     def __init__(
@@ -105,18 +105,17 @@ class PrecomputeStage:
         #: (:mod:`repro.magic.passes`).  Off by default so the stage
         #: reproduces the paper's per-op cycle counts exactly.
         self.optimize = optimize
-        #: Batched execution strategy (see :mod:`repro.magic.backend`).
-        #: Per-lane results and accounting are bit-identical across
-        #: backends; defaults to the word-packed replay.
-        self.backend = get_backend(backend)
         self.cols = n_bits // 4 + 2
         self.adder_width = n_bits // 4 + 1
-        self.array = CrossbarArray(
-            TOTAL_ROWS, self.cols, device=device, spare_rows=spare_rows
+        self.clock = Clock()
+        super().__init__(
+            CrossbarArray(
+                TOTAL_ROWS, self.cols, device=device, spare_rows=spare_rows
+            ),
+            backend=backend,
+            clock=self.clock,
         )
         self.checker = ResidueChecker("precompute", residue_bits)
-        self.clock = Clock()
-        self.executor = MagicExecutor(self.array, clock=self.clock)
         self.plan: UnrolledPlan = build_plan(n_bits, 2)
         self.wear_leveling = wear_leveling
         # Swap the 12 scratch rows with the first 12 data rows; both
@@ -171,69 +170,6 @@ class PrecomputeStage:
             return self.leveler.physical_row(logical_row)
         return logical_row
 
-    # ------------------------------------------------------------------
-    def process(self, a_chunks: List[int], b_chunks: List[int]) -> PrecomputeResult:
-        """Run one precomputation pass over the eight input chunks."""
-        if len(a_chunks) != 4 or len(b_chunks) != 4:
-            raise DesignError("L=2 precompute expects 4 chunks per operand")
-        chunk_bits = self.n_bits // 4
-        for chunk in (*a_chunks, *b_chunks):
-            if chunk >> chunk_bits:
-                raise DesignError(f"chunk {chunk} exceeds {chunk_bits} bits")
-        start = self.clock.cycles
-        self._power_up()
-
-        # (i) write the eight input chunks: one cycle per row.
-        inputs = {f"a{i}": a_chunks[i] for i in range(4)}
-        inputs.update({f"b{i}": b_chunks[i] for i in range(4)})
-        for name, value in inputs.items():
-            row = self._physical(self._row_of[name])
-            self.array.write_row(row, int_to_bits(value, self.cols))
-            self.clock.tick(1, category="write")
-
-        # (ii) the ten Kogge-Stone additions.  Each sensed sum is
-        # verified twice: the in-band residue code first (what the
-        # hardware periphery would check), then the full-width
-        # differential plan as defence-in-depth.
-        results: Dict[str, int] = dict(inputs)
-        residues = {
-            name: self.checker.res(value) for name, value in inputs.items()
-        }
-        for step in self.plan.precompute_adds:
-            adder = self._adder_for(step)
-            self.executor.execute(adder.program("add", optimize=self.optimize))
-            sensed = self._read_result(adder)
-            results[step.out] = sensed
-            residues[step.out] = self.checker.check_sum(
-                sensed, (residues[step.lhs], residues[step.rhs]), step.out
-            )
-            expected = results[step.lhs] + results[step.rhs]
-            if sensed != expected:
-                raise StageSelfCheckError(
-                    f"precompute addition {step.out} produced "
-                    f"{sensed}, expected {expected}",
-                    stage="precompute",
-                    check="differential",
-                    location=step.out,
-                )
-
-        # (iii) reset the whole data region (inputs and results) for the
-        # next pass in one multi-row INIT cycle; the adder already reset
-        # its own scratch region.  Covering the input rows matters under
-        # wear-leveling: after the swap they become the scratch region
-        # and must arrive at logic one.
-        self.array.init_rows(
-            [self._physical(r) for r in range(INPUT_ROWS + RESULT_ROWS)]
-        )
-        self.clock.tick(1, category="init")
-
-        if self.wear_leveling:
-            self.leveler.swap()
-        self.passes += 1
-        return PrecomputeResult(
-            chunk_sums=results, cycles=self.clock.cycles - start
-        )
-
     def _power_up(self) -> None:
         """Once per wear state: initialise the scratch region (and the
         result rows, which double as adder outputs) out-of-band."""
@@ -255,8 +191,9 @@ class PrecomputeStage:
         *current* wear state: eight operand WRITEs, ten adder passes
         each followed by a result READ, and the closing data-region
         INIT.  Returns ``(program, clock histogram, cycles per job)``;
-        the histogram covers exactly what the sequential path ticks
-        (the READs are periphery transfers the stage never charges)."""
+        the histogram charges the input writes, the adder programs and
+        the reset (the READs are periphery transfers the stage never
+        charges)."""
         state = self.leveler.swapped
         if state not in self._mega:
             builder = ProgramBuilder(label=f"precompute-pass-{int(state)}")
@@ -274,6 +211,11 @@ class PrecomputeStage:
                 for opcode, cost in program.cycles_by_opcode().items():
                     hist[opcode] = hist.get(opcode, 0) + cost
                 cycles += program.cycle_count
+            # Reset the whole data region (inputs and results) in one
+            # multi-row INIT cycle; the adder already reset its own
+            # scratch region.  Covering the input rows matters under
+            # wear-leveling: after the swap they become the scratch
+            # region and must arrive at logic one.
             builder.init(
                 [self._physical(r) for r in range(INPUT_ROWS + RESULT_ROWS)]
             )
@@ -286,14 +228,15 @@ class PrecomputeStage:
     ) -> List[PrecomputeResult]:
         """Run B precomputation passes in one SIMD sweep per wear state.
 
-        Jobs are grouped by the wear state they would execute under in
-        sequential order (the leveler alternates per multiplication),
-        each group replays the state's mega-program over a
-        ``(K, rows, cols)`` batched crossbar seeded at the steady all-
-        ones state, and the per-lane writes/energy are folded back into
-        this stage's array — bit-identical counters and results to
-        calling :meth:`process` per job.  The stage clock advances by
-        one pass per group (lanes run in lock-step).
+        Jobs are grouped by the wear state each would meet in
+        sequential order (the leveler alternates per multiplication);
+        each group replays the state's mega-program over lanes seeded
+        at the steady all-ones state, and the per-lane writes/energy
+        fold back into this stage's array.  Every sensed sum is
+        verified twice: the in-band residue code first (what the
+        hardware periphery would check), then the full-width
+        differential plan as defence-in-depth.  The stage clock
+        advances by one pass per group (lanes run in lock-step).
         """
         jobs = list(jobs)
         if not jobs:
@@ -306,25 +249,9 @@ class PrecomputeStage:
                 if chunk >> chunk_bits:
                     raise DesignError(f"chunk {chunk} exceeds {chunk_bits} bits")
 
-        start_swaps = self.leveler.swaps
-        initial = self.leveler.swapped
-        if self.wear_leveling:
-            groups = [
-                [j for j in range(len(jobs)) if j % 2 == 0],
-                [j for j in range(len(jobs)) if j % 2 == 1],
-            ]
-        else:
-            groups = [list(range(len(jobs)))]
-
         all_sums: Dict[int, Dict[str, int]] = {}
         cycles_per_job = 0
-        for group_index, group in enumerate(groups):
-            if not group:
-                continue
-            if self.wear_leveling and self.leveler.swapped != (
-                initial if group_index == 0 else not initial
-            ):
-                raise AssertionError("wear-state grouping out of sync")
+        for group in self.leveler.job_groups(len(jobs), self.wear_leveling):
             self._power_up()
             program, hist, cycles_per_job = self._mega_program()
             bindings = []
@@ -333,19 +260,7 @@ class PrecomputeStage:
                 values = {f"a{i}": a_chunks[i] for i in range(4)}
                 values.update({f"b{i}": b_chunks[i] for i in range(4)})
                 bindings.append(values)
-
-            batched = self.backend.make_array(self.array, len(group))
-            # Steady state: every pass ends with the whole subarray at
-            # logic one (closing data INIT + the adder's scratch reset).
-            batched.reset_to_ones()
-            batched.repin_faults()
-            executor = self.backend.make_executor(
-                batched, clock=Clock(), fault_hook=self.executor.fault_hook
-            )
-            # Compile through the stage's persistent cache: one compile
-            # per wear state for the stage's lifetime, replayed by every
-            # batch (the batched executor itself is per-call).
-            stats = executor.execute(self.executor.compile(program), bindings)
+            stats, _ = self.replay(program, bindings, all_ones)
 
             for lane, j in enumerate(group):
                 results = dict(bindings[lane])
@@ -372,69 +287,16 @@ class PrecomputeStage:
                         )
                 all_sums[j] = results
 
-            # Fold the batch back into the persistent array: each lane
-            # experienced the same write pulses, energy is per-lane.
-            self.array.writes += batched.writes * len(group)
-            self.array.energy_fj += float(batched.energy_fj.sum())
-            self.array.state[:] = True
             for opcode, cost in hist.items():
                 self.clock.tick(cost, category=opcode)
             self.passes += len(group)
-            if self.wear_leveling and group_index + 1 < len(groups):
-                self.leveler.swap()
 
-        if self.wear_leveling:
-            self.leveler.advance(start_swaps + len(jobs) - self.leveler.swaps)
         return [
             PrecomputeResult(chunk_sums=all_sums[j], cycles=cycles_per_job)
             for j in range(len(jobs))
         ]
 
-    def _read_result(self, adder: KoggeStoneAdder) -> int:
-        """Sense the sum row (periphery transfer to the next stage; the
-        transfer cost is accounted by the pipeline controller)."""
-        word = self.array.read_row(adder.layout.out_row)
-        value = 0
-        for i in range(self.cols):
-            if word[i]:
-                value |= 1 << i
-        return value
-
     # ------------------------------------------------------------------
-    # Reliability hooks
-    # ------------------------------------------------------------------
-    @property
-    def fault_hook(self):
-        """Transient-fault injector driving this stage's executors."""
-        return self.executor.fault_hook
-
-    @fault_hook.setter
-    def fault_hook(self, hook) -> None:
-        self.executor.fault_hook = hook
-
-    def diagnose_and_repair(self) -> List[int]:
-        """Write-verify every logical row; remap the failures onto spares.
-
-        Run after a self-check fired: the march test localises rows
-        with permanent write failures (an empty result means the upset
-        was transient — replaying without remap suffices).  The data
-        region is left at the all-ones steady state, ready for the
-        replay.  Raises
-        :class:`~repro.sim.exceptions.SpareRowsExhaustedError` when
-        more rows fail than spares remain.
-        """
-        faulty = self.array.find_faulty_rows()
-        for row in faulty:
-            self.array.remap_row(row)
-        self.array.state[:] = True
-        self.array.repin_faults()
-        return faulty
-
-    # ------------------------------------------------------------------
-    @property
-    def area_cells(self) -> int:
-        return self.array.cells
-
     def latency_cc(self) -> int:
         """Per-job stage latency.  The paper's closed form by default;
         with the optimizer on, the measured cycle count of the packed
@@ -459,6 +321,3 @@ class PrecomputeStage:
             adder.program("add", optimize=True)
             reports.append(adder.optimizer_reports["add"])
         return summarize_reports(reports)
-
-    def max_writes(self) -> int:
-        return self.array.max_writes()

@@ -49,9 +49,8 @@ the same point set (see ``tests/test_portfolio.py``).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -66,9 +65,10 @@ from repro.arith.koggestone import (
 )
 from repro.arith.rowmul import RowMultiplier, RowMultiplierSpec
 from repro.crossbar.array import CrossbarArray
-from repro.karatsuba.controller import JobRecord
-from repro.magic.backend import DEFAULT_BACKEND, get_backend
+from repro.karatsuba.controller import JobRecord, stage_span
+from repro.magic.backend import DEFAULT_BACKEND
 from repro.magic.executor import MagicExecutor, pack_ints, unpack_ints
+from repro.magic.stage import CrossbarStage
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
 from repro.sim.clock import Clock
 from repro.sim.exceptions import DesignError
@@ -185,14 +185,14 @@ def split3(value: int, cb: int) -> List[int]:
 # ----------------------------------------------------------------------
 # Batched Kogge-Stone adder unit with stage-style accounting
 # ----------------------------------------------------------------------
-class _BatchedAdderUnit:
+class _BatchedAdderUnit(CrossbarStage):
     """One placed Kogge-Stone adder plus its crossbar, batch-executed.
 
-    Mirrors the Karatsuba stages' SIMD convention: lanes are seeded
-    from the steady all-ones template, the compiled program (persistent
-    per-executor compile cache) replays across lanes, per-lane writes
-    and energy fold back into the template array, and the caller's
-    stage clock advances by one pass — lanes run in lock-step.
+    Mirrors the Karatsuba stages' SIMD convention: each pass replays
+    the compiled adder program across one lane per operand pair
+    (:meth:`CrossbarStage.replay`), per-lane writes and energy fold
+    back into the unit's array, and the caller's stage clock advances
+    by one pass — lanes run in lock-step.
     """
 
     def __init__(
@@ -203,12 +203,17 @@ class _BatchedAdderUnit:
         optimize: bool = False,
         backend: object = DEFAULT_BACKEND,
     ):
+        super().__init__(
+            CrossbarArray(
+                3 + SCRATCH_ROWS,
+                width + 1,
+                device=device,
+                spare_rows=spare_rows,
+            ),
+            backend=backend,
+        )
         self.width = width
         self.optimize = optimize
-        self.backend = get_backend(backend)
-        self.array = CrossbarArray(
-            3 + SCRATCH_ROWS, width + 1, device=device, spare_rows=spare_rows
-        )
         layout = KoggeStoneLayout(
             width=width,
             col0=0,
@@ -218,9 +223,6 @@ class _BatchedAdderUnit:
             scratch_rows=tuple(range(3, 3 + SCRATCH_ROWS)),
         )
         self.adder = KoggeStoneAdder(layout)
-        #: Scalar anchor executor: persistent compile cache + the
-        #: stage-shared transient fault hook.
-        self.executor = MagicExecutor(self.array)
         # Power-up: establish the steady all-ones scratch/output state
         # the adder programs assume (each pass ends with a full reset).
         full = np.ones(self.array.cols, dtype=bool)
@@ -246,38 +248,28 @@ class _BatchedAdderUnit:
                 raise DesignError(
                     "subtraction requires x >= y (non-negative result)"
                 )
-        batched = self.backend.make_array(self.array, len(pairs))
-        batched.repin_faults()
         window = slice(lay.col0, lay.col0 + lay.columns)
-        full = np.ones(self.array.cols, dtype=bool)
-        for row, values in (
-            (lay.x_row, [x for x, _ in pairs]),
-            (lay.y_row, [y for _, y in pairs]),
-        ):
-            word = batched.peek_row(row)
-            word[:, window] = pack_ints(values, lay.columns)
-            batched.write_row(row, word, full)
-        executor = self.backend.make_executor(
-            batched, clock=Clock(), fault_hook=self.executor.fault_hook
-        )
-        program = self.adder.program(op, optimize=self.optimize)
-        executor.execute(self.executor.compile(program), [{} for _ in pairs])
-        outs = unpack_ints(batched.read_row(lay.out_row)[:, window])
-        # Fold per-lane wear/energy back into the stage array (each
-        # lane models one sequential reuse of the same physical adder).
-        self.array.writes += batched.writes * len(pairs)
-        self.array.energy_fj += float(batched.energy_fj.sum())
-        self.array.state[:] = True
-        return outs
 
-    # -- reliability ---------------------------------------------------
-    def diagnose_and_repair(self) -> List[int]:
-        faulty = self.array.find_faulty_rows()
-        for row in faulty:
-            self.array.remap_row(row)
-        self.array.state[:] = True
-        self.array.repin_faults()
-        return faulty
+        def stage_operands(lanes) -> None:
+            full = np.ones(self.array.cols, dtype=bool)
+            for row, values in (
+                (lay.x_row, [x for x, _ in pairs]),
+                (lay.y_row, [y for _, y in pairs]),
+            ):
+                word = lanes.peek_row(row)
+                word[:, window] = pack_ints(values, lay.columns)
+                lanes.write_row(row, word, full)
+
+        def sense(lanes) -> List[int]:
+            return unpack_ints(lanes.read_row(lay.out_row)[:, window])
+
+        _, outs = self.replay(
+            self.adder.program(op, optimize=self.optimize),
+            [{} for _ in pairs],
+            stage_operands,
+            sense,
+        )
+        return outs
 
     def optimizer_report(self, op: str):
         self.adder.program(op, optimize=True)
@@ -468,7 +460,9 @@ class EvaluationStage:
             return {"enabled": False}
         from repro.magic.passes import summarize_reports
 
-        return summarize_reports([self.unit.optimizer_report(OP_ADD)])
+        return summarize_reports(
+            [self.unit.optimizer_report(OP_ADD)] * EVAL_PASSES
+        )
 
 
 # ----------------------------------------------------------------------
@@ -687,17 +681,17 @@ class InterpolationStage:
     def latency_cc(self) -> int:
         if not self.optimize:
             return interp_latency_cc(self.n_bits)
-        narrow_add = self.narrow.pass_cc(OP_ADD)
-        narrow_sub = self.narrow.pass_cc(OP_SUB)
-        # 9 reduction subs + neg/c2/c1 subs; inc/h/g adds + J doublings.
+        return 5 + sum(unit.pass_cc(op) for unit, op in self._passes()) + 1
+
+    def _passes(self) -> List[Tuple[_BatchedAdderUnit, str]]:
+        """(unit, op) of every adder pass one job runs: 9 reduction
+        subs + neg/c2/c1 subs, inc/h/g adds + J doublings on the narrow
+        adder, then the wide recombination adds."""
         adds = div3_doublings(self.iw) + 3
-        subs = 12
         return (
-            5
-            + adds * narrow_add
-            + subs * narrow_sub
-            + RECOMBINE_PASSES * self.wide.pass_cc(OP_ADD)
-            + 1
+            [(self.narrow, OP_ADD)] * adds
+            + [(self.narrow, OP_SUB)] * 12
+            + [(self.wide, OP_ADD)] * RECOMBINE_PASSES
         )
 
     @property
@@ -736,11 +730,7 @@ class InterpolationStage:
         from repro.magic.passes import summarize_reports
 
         return summarize_reports(
-            [
-                self.narrow.optimizer_report(OP_ADD),
-                self.narrow.optimizer_report(OP_SUB),
-                self.wide.optimizer_report(OP_ADD),
-            ]
+            [unit.optimizer_report(op) for unit, op in self._passes()]
         )
 
 
@@ -825,22 +815,13 @@ class Toom3Controller:
             (split3(a, cb), split3(b, cb)) for a, b in pairs
         ]
         tracer = _telemetry.active()
-        if tracer is None:
+        jobs, width = len(pairs), self.n_bits
+        with stage_span(tracer, "evaluate", self.evaluate, width, jobs):
             ev = self.evaluate.process_batch(chunk_jobs)
+        with stage_span(tracer, "pointwise", self.pointwise, width, jobs):
             pw = self.pointwise.process_batch([r.values for r in ev])
+        with stage_span(tracer, "interpolate", self.interpolate, width, jobs):
             it = self.interpolate.process_batch([r.products for r in pw])
-        else:
-            jobs = len(pairs)
-            with self._stage_span(tracer, "evaluate", self.evaluate, jobs):
-                ev = self.evaluate.process_batch(chunk_jobs)
-            with self._stage_span(tracer, "pointwise", self.pointwise, jobs):
-                pw = self.pointwise.process_batch([r.values for r in ev])
-            with self._stage_span(
-                tracer, "interpolate", self.interpolate, jobs
-            ):
-                it = self.interpolate.process_batch(
-                    [r.products for r in pw]
-                )
         # End-to-end ABFT closure: the assembled product must agree
         # with the operands' residues.
         checker = self.interpolate.checker
@@ -860,20 +841,6 @@ class Toom3Controller:
             )
             for i, (a, b) in enumerate(pairs)
         ]
-
-    # ------------------------------------------------------------------
-    @contextmanager
-    def _stage_span(self, tracer, name: str, stage, jobs: int):
-        array = getattr(stage, "array", None)
-        energy_before = float(array.energy_fj) if array is not None else None
-        nor_before = stage.clock.by_category.get("nor", 0)
-        with tracer.span(
-            f"stage.{name}", clock=stage.clock, width=self.n_bits, jobs=jobs
-        ) as span:
-            yield
-            span.set(nor=stage.clock.by_category.get("nor", 0) - nor_before)
-            if energy_before is not None:
-                span.set(energy_fj=float(array.energy_fj) - energy_before)
 
     # ------------------------------------------------------------------
     def stage_latencies(self) -> Tuple[int, int, int]:

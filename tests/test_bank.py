@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.karatsuba.bank import MultiplierBank
+from repro.karatsuba.pipeline import KaratsubaPipeline
 from repro.sim.exceptions import DesignError
 
 
@@ -109,7 +110,11 @@ class TestBankExecution:
             (rng.getrandbits(64), rng.getrandbits(64)) for _ in range(5)
         ]
         batched = MultiplierBank(64, ways=2).run_stream(pairs)
-        scalar = MultiplierBank(64, ways=2).run_stream(pairs, batch_size=None)
+        oracle = MultiplierBank(64, ways=2)
+        oracle.pipelines = [
+            KaratsubaPipeline(64, backend="scalar") for _ in range(2)
+        ]
+        scalar = oracle.run_stream(pairs, batch_size=1)
         assert batched.products == scalar.products
         assert batched.makespan_cc == scalar.makespan_cc
         assert batched.per_way_jobs == scalar.per_way_jobs

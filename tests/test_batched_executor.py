@@ -383,43 +383,65 @@ class TestRunBatchAdder:
 
 
 # ----------------------------------------------------------------------
-# Full-pipeline differential: batched vs sequential Karatsuba
+# Full-pipeline differential: one batch vs single-job batches vs oracle
 # ----------------------------------------------------------------------
 def _run_differential(n_bits, jobs, batch_size, wear_leveling=True, seed=0):
+    """One *jobs*-wide batch (in chunks of *batch_size*) must match one
+    single-job batch per pair and the scalar oracle job by job."""
     rng = random.Random(seed)
     pairs = [
         (rng.randrange(2**n_bits), rng.randrange(2**n_bits)) for _ in range(jobs)
     ]
-    sequential = KaratsubaPipeline(n_bits, wear_leveling=wear_leveling)
+    singles = KaratsubaPipeline(n_bits, wear_leveling=wear_leveling)
     batched = KaratsubaPipeline(n_bits, wear_leveling=wear_leveling)
-    seq_records = [sequential.controller.run_job(a, b) for a, b in pairs]
-    bat_records = batched.controller.run_jobs_batch(pairs)
-
-    for pair, seq_rec, bat_rec in zip(pairs, seq_records, bat_records):
-        assert seq_rec.product == bat_rec.product == pair[0] * pair[1]
-        assert seq_rec.precompute_cycles == bat_rec.precompute_cycles
-        assert seq_rec.multiply_cycles == bat_rec.multiply_cycles
-        assert seq_rec.postcompute_cycles == bat_rec.postcompute_cycles
-
-    seq_ctl, bat_ctl = sequential.controller, batched.controller
-    assert seq_ctl.max_writes() == bat_ctl.max_writes()
-    assert seq_ctl.total_energy_fj() == bat_ctl.total_energy_fj()
-    assert np.array_equal(
-        seq_ctl.precompute.array.writes, bat_ctl.precompute.array.writes
+    oracle = KaratsubaPipeline(
+        n_bits, wear_leveling=wear_leveling, backend="scalar"
     )
-    assert np.array_equal(
-        seq_ctl.postcompute.array.writes, bat_ctl.postcompute.array.writes
-    )
-    for name, row in seq_ctl.multiply_stage.rows.items():
-        assert np.array_equal(
-            row.cell_writes, bat_ctl.multiply_stage.rows[name].cell_writes
+    single_records = [singles.controller.run_job(a, b) for a, b in pairs]
+    bat_records = []
+    for begin in range(0, jobs, batch_size):
+        bat_records.extend(
+            batched.controller.run_jobs_batch(pairs[begin : begin + batch_size])
         )
-    assert (
-        seq_ctl.precompute.leveler.swapped == bat_ctl.precompute.leveler.swapped
-    )
-    assert (
-        seq_ctl.postcompute.leveler.swapped == bat_ctl.postcompute.leveler.swapped
-    )
+    oracle_records = [oracle.controller.run_job(a, b) for a, b in pairs]
+
+    for pair, one, bat, ref in zip(
+        pairs, single_records, bat_records, oracle_records
+    ):
+        assert one.product == bat.product == ref.product == pair[0] * pair[1]
+        for rec in (one, bat):
+            assert rec.precompute_cycles == ref.precompute_cycles
+            assert rec.multiply_cycles == ref.multiply_cycles
+            assert rec.postcompute_cycles == ref.postcompute_cycles
+
+    ref_ctl = oracle.controller
+    for ctl in (singles.controller, batched.controller):
+        assert ctl.max_writes() == ref_ctl.max_writes()
+        assert ctl.total_energy_fj() == ref_ctl.total_energy_fj()
+        assert np.array_equal(
+            ctl.precompute.array.writes, ref_ctl.precompute.array.writes
+        )
+        assert np.array_equal(
+            ctl.postcompute.array.writes, ref_ctl.postcompute.array.writes
+        )
+        for name, row in ctl.multiply_stage.rows.items():
+            assert np.array_equal(
+                row.cell_writes, ref_ctl.multiply_stage.rows[name].cell_writes
+            )
+        assert (
+            ctl.precompute.leveler.swapped == ref_ctl.precompute.leveler.swapped
+        )
+        assert (
+            ctl.postcompute.leveler.swapped
+            == ref_ctl.postcompute.leveler.swapped
+        )
+    # Single-job batches advance the stage clocks once per job, exactly
+    # as the job-by-job oracle does.
+    for stage in ("precompute", "postcompute"):
+        assert (
+            getattr(singles.controller, stage).clock.by_category
+            == getattr(ref_ctl, stage).clock.by_category
+        )
 
 
 class TestKaratsubaDifferential:
@@ -438,7 +460,9 @@ class TestKaratsubaDifferential:
     def test_run_stream_batched_equals_sequential(self):
         rng = random.Random(9)
         pairs = [(rng.randrange(2**16), rng.randrange(2**16)) for _ in range(7)]
-        sequential = KaratsubaPipeline(16).run_stream(pairs, batch_size=None)
+        sequential = KaratsubaPipeline(16, backend="scalar").run_stream(
+            pairs, batch_size=1
+        )
         batched = KaratsubaPipeline(16).run_stream(pairs, batch_size=3)
         assert sequential.products == batched.products
         assert sequential.makespan_cc == batched.makespan_cc

@@ -57,9 +57,9 @@ class TestStageCrossValidation:
         stage = PrecomputeStage(n)
         a = data.draw(st.integers(0, (1 << n) - 1))
         b = data.draw(st.integers(0, (1 << n) - 1))
-        result = stage.process(
-            split_chunks(a, n // 4, 4), split_chunks(b, n // 4, 4)
-        )
+        result = stage.process_batch(
+            [(split_chunks(a, n // 4, 4), split_chunks(b, n // 4, 4))]
+        )[0]
         assert result.cycles == cost.precompute_cost(n, 2).latency_cc
         assert stage.area_cells == cost.precompute_cost(n, 2).area_cells
 
@@ -72,7 +72,7 @@ class TestStageCrossValidation:
         b = data.draw(st.integers(0, (1 << n) - 1))
         values = plan.intermediate_values(a, b)
         products = {s.out: values[s.out] for s in plan.multiplications}
-        result = stage.process(products)
+        result = stage.process_batch([products])[0]
         assert result.product == a * b
         assert result.cycles == cost.postcompute_cost(n, 2).latency_cc
         assert stage.area_cells == cost.postcompute_cost(n, 2).area_cells

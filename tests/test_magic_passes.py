@@ -623,9 +623,9 @@ class TestOptimizedPipeline:
         assert (
             opt_res.timing.latency_cc < base_res.timing.latency_cc
         )
-        # Scalar (job-by-job) path agrees too.
-        scalar = KaratsubaPipeline(n, optimize=True)
-        scalar_res = scalar.run_stream(pairs[:2], batch_size=None)
+        # The scalar oracle, job by job, agrees too.
+        scalar = KaratsubaPipeline(n, optimize=True, backend="scalar")
+        scalar_res = scalar.run_stream(pairs[:2], batch_size=1)
         assert scalar_res.products == [a * b for a, b in pairs[:2]]
 
     def test_default_pipeline_reproduces_paper_latency(self):
@@ -647,6 +647,41 @@ class TestOptimizedPipeline:
         assert stats["postcompute"]["cycles_saved"] > 0
         off = KaratsubaPipeline(16).controller.optimizer_stats()
         assert off == {"enabled": False}
+
+    @pytest.mark.parametrize(
+        "after_batch", [False, True], ids=["fresh", "after-batch"]
+    )
+    @pytest.mark.parametrize(
+        "stage_name", ["precompute", "postcompute", "evaluate", "interpolate"]
+    )
+    def test_stage_stats_report_per_job_saving(self, stage_name, after_batch):
+        """Every MAGIC stage reports the cycles one job saves: the
+        closed-form latency minus the packed latency, on a fresh stage
+        and after a batch alike."""
+        from repro.karatsuba import postcompute, precompute
+        from repro.karatsuba.controller import KaratsubaController
+        from repro.portfolio import toom3
+
+        n = 64
+        closed_form = {
+            "precompute": precompute.latency_cc,
+            "postcompute": postcompute.latency_cc,
+            "evaluate": toom3.eval_latency_cc,
+            "interpolate": toom3.interp_latency_cc,
+        }[stage_name](n)
+        if stage_name in ("precompute", "postcompute"):
+            controller = KaratsubaController(n, optimize=True)
+        else:
+            controller = toom3.Toom3Controller(n, optimize=True)
+        if after_batch:
+            rng = random.Random(5)
+            pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(3)]
+            records = controller.run_jobs_batch(pairs)
+            assert [r.product for r in records] == [a * b for a, b in pairs]
+        stage = getattr(controller, stage_name)
+        stats = stage.optimizer_stats()
+        assert stats["cycles_saved"] == closed_form - stage.latency_cc()
+        assert stats["cycles_saved"] > 0
 
 
 class TestServiceOptimizer:

@@ -168,7 +168,7 @@ class TestStageSelfChecks:
         stage = PrecomputeStage(self.N)
         inject(stage.array, [StuckAtFault(8, 0, FAULT_STUCK_AT_1)])
         with pytest.raises(StageSelfCheckError) as excinfo:
-            stage.process(_chunks(0, self.N), _chunks(0, self.N))
+            stage.process_batch([(_chunks(0, self.N), _chunks(0, self.N))])
         assert excinfo.value.check == "residue"
         assert excinfo.value.stage == "precompute"
 
@@ -176,14 +176,13 @@ class TestStageSelfChecks:
         stage = PrecomputeStage(self.N)
         inject(stage.array, [StuckAtFault(8, 0, FAULT_STUCK_AT_1)])
         with pytest.raises(StageSelfCheckError):
-            stage.process(_chunks(0, self.N), _chunks(0, self.N))
+            stage.process_batch([(_chunks(0, self.N), _chunks(0, self.N))])
         assert stage.diagnose_and_repair() == [8]
         rng = random.Random(1)
         a, b = rng.getrandbits(self.N), rng.getrandbits(self.N)
-        result = stage.process(_chunks(a, self.N), _chunks(b, self.N))
-        reference = PrecomputeStage(self.N).process(
-            _chunks(a, self.N), _chunks(b, self.N)
-        )
+        job = (_chunks(a, self.N), _chunks(b, self.N))
+        result = stage.process_batch([job])[0]
+        reference = PrecomputeStage(self.N).process_batch([job])[0]
         assert result.chunk_sums == reference.chunk_sums
 
     def test_self_check_survives_python_O(self):
@@ -198,7 +197,7 @@ class TestStageSelfChecks:
             "stage = PrecomputeStage(16)\n"
             "inject(stage.array, [StuckAtFault(8, 0, FAULT_STUCK_AT_1)])\n"
             "try:\n"
-            "    stage.process(split_chunks(0, 4, 4), split_chunks(0, 4, 4))\n"
+            "    stage.process_batch([(split_chunks(0, 4, 4), split_chunks(0, 4, 4))])\n"
             "except StageSelfCheckError as err:\n"
             "    print('DETECTED', err.check)\n"
             "else:\n"

@@ -541,5 +541,7 @@ class TestServiceEndToEnd:
         for a, b in pairs:
             service.submit(a, b, 32)
         service_products = [r.product for r in service.drain()]
-        direct = KaratsubaPipeline(32).run_stream(pairs, batch_size=None)
+        direct = KaratsubaPipeline(32, backend="scalar").run_stream(
+            pairs, batch_size=1
+        )
         assert service_products == direct.products

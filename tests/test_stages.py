@@ -37,9 +37,9 @@ class TestPrecomputeStage:
         plan = build_plan(64, 2)
         for _ in range(3):
             a, b = rng.getrandbits(64), rng.getrandbits(64)
-            result = stage.process(
-                split_chunks(a, 16, 4), split_chunks(b, 16, 4)
-            )
+            result = stage.process_batch(
+                [(split_chunks(a, 16, 4), split_chunks(b, 16, 4))]
+            )[0]
             expected = plan.intermediate_values(a, b)
             for step in plan.precompute_adds:
                 assert result.chunk_sums[step.out] == expected[step.out]
@@ -48,27 +48,29 @@ class TestPrecomputeStage:
         stage = PrecomputeStage(64)
         for _ in range(4):
             a, b = rng.getrandbits(64), rng.getrandbits(64)
-            result = stage.process(
-                split_chunks(a, 16, 4), split_chunks(b, 16, 4)
-            )
+            result = stage.process_batch(
+                [(split_chunks(a, 16, 4), split_chunks(b, 16, 4))]
+            )[0]
             assert result.cycles == precompute.latency_cc(64)
 
     def test_chunk_count_validated(self):
         stage = PrecomputeStage(64)
         with pytest.raises(DesignError):
-            stage.process([1, 2, 3], [4, 5, 6, 7])
+            stage.process_batch([([1, 2, 3], [4, 5, 6, 7])])
 
     def test_chunk_width_validated(self):
         stage = PrecomputeStage(64)
         with pytest.raises(DesignError):
-            stage.process([1 << 16, 0, 0, 0], [0, 0, 0, 0])
+            stage.process_batch([([1 << 16, 0, 0, 0], [0, 0, 0, 0])])
 
     def test_wear_leveling_halves_hot_cells(self, rng):
         def wear(leveling: bool) -> int:
             stage = PrecomputeStage(64, wear_leveling=leveling)
             for _ in range(10):
                 a, b = rng.getrandbits(64), rng.getrandbits(64)
-                stage.process(split_chunks(a, 16, 4), split_chunks(b, 16, 4))
+                stage.process_batch(
+                    [(split_chunks(a, 16, 4), split_chunks(b, 16, 4))]
+                )
             return stage.max_writes()
 
         unlevelled = wear(False)
@@ -91,7 +93,7 @@ class TestMultiplicationStage:
         plan = build_plan(64, 2)
         a, b = rng.getrandbits(64), rng.getrandbits(64)
         operands = plan.intermediate_values(a, b)
-        result = stage.process(operands)
+        result = stage.process_batch([operands])[0]
         for step in plan.multiplications:
             assert result.products[step.out] == operands[step.out]
 
@@ -100,13 +102,13 @@ class TestMultiplicationStage:
         stage = MultiplicationStage(64)
         plan = build_plan(64, 2)
         operands = plan.intermediate_values(1, 1)
-        result = stage.process(operands)
+        result = stage.process_batch([operands])[0]
         assert result.cycles == mult_stage.latency_cc(64)
 
     def test_missing_operand_rejected(self):
         stage = MultiplicationStage(64)
         with pytest.raises(DesignError):
-            stage.process({"a0": 1})
+            stage.process_batch([{"a0": 1}])
 
     def test_wear_leveling_halves_hot_cells(self):
         plan = build_plan(64, 2)
@@ -115,7 +117,7 @@ class TestMultiplicationStage:
         def wear(leveling: bool) -> int:
             stage = MultiplicationStage(64, wear_leveling=leveling)
             for _ in range(8):
-                stage.process(operands)
+                stage.process_batch([operands])
             return stage.max_writes()
 
         assert wear(True) <= 0.6 * wear(False)
@@ -145,14 +147,14 @@ class TestPostcomputeStage:
             products = {
                 step.out: values[step.out] for step in plan.multiplications
             }
-            result = stage.process(products)
+            result = stage.process_batch([products])[0]
             assert result.product == a * b
             assert result.cycles == postcompute.latency_cc(64)
 
     def test_missing_product_rejected(self):
         stage = PostcomputeStage(64)
         with pytest.raises(DesignError):
-            stage.process({"c_ll": 1})
+            stage.process_batch([{"c_ll": 1}])
 
     def test_minimum_width_enforced(self):
         with pytest.raises(DesignError):
@@ -166,8 +168,8 @@ class TestPostcomputeStage:
             for _ in range(6):
                 a, b = rng.getrandbits(64), rng.getrandbits(64)
                 values = plan.intermediate_values(a, b)
-                stage.process(
-                    {s.out: values[s.out] for s in plan.multiplications}
+                stage.process_batch(
+                    [{s.out: values[s.out] for s in plan.multiplications}]
                 )
             return stage.max_writes()
 
