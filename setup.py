@@ -9,5 +9,5 @@ setup(
         where="src", exclude=["*.egg-info", "*.egg-info.*"]
     ),
     install_requires=["numpy>=1.21"],
-    python_requires=">=3.9",
+    python_requires=">=3.10",
 )

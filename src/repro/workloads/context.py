@@ -107,7 +107,7 @@ class ModulusContext:
         if exponent < 0:
             raise AdmissionError("exponent must be non-negative")
         bits = exponent.bit_length()
-        ones = bin(exponent).count("1")
+        ones = exponent.bit_count()
         if self.strategy == STRATEGY_MONTGOMERY:
             # Two domain entries (3 passes each), one mont_mul per loop
             # square plus one per set bit, one final REDC (2 passes).
