@@ -1,7 +1,7 @@
 """Benchmark: batched SIMD executor vs job-by-job scalar execution.
 
 The batched engines exist for one reason — to make the simulator's hot
-path keep up with the row-parallel hardware it models.  Four perf-smoke
+path keep up with the row-parallel hardware it models.  Five perf-smoke
 checks live here:
 
 * ``test_batched_run_stream_speedup`` replays the acceptance workload
@@ -22,6 +22,10 @@ checks live here:
   bit-identical to the first four lanes of the 64-lane run: packed rows
   are sized to the batch (power-of-two lane stride), so replay cost
   follows the lanes a batch actually uses.
+* ``test_one_lane_replay_speedup`` does the same at one lane and
+  asserts it is at least 5x faster than 64 lanes, with results
+  bit-identical to lane 0 of the 64-lane run: a one-lane array counts
+  switching energy with ``int.bit_count`` and packs no operands.
 * ``test_rowmul_lane_parallel_speedup`` runs the n = 256 multiply
   stage (m = 66 rows, 64 jobs x 9 rows) as one bit-sliced lock-step
   pass and as one row-multiplier call per product, and asserts the
@@ -79,6 +83,10 @@ NARROW_LANES = 4
 #: Required advantage of the 4-lane replay over the 64-lane replay of
 #: the n = 256 stage mega-programs on the word backend.
 MIN_NARROW_SPEEDUP = 1.5
+
+#: Required advantage of the one-lane replay over the 64-lane replay of
+#: the same mega-programs.
+MIN_ONE_LANE_SPEEDUP = 5
 
 #: Timing repetitions of the narrow-batch comparison (sub-10 ms each).
 NARROW_REPS = 40
@@ -217,7 +225,7 @@ def run_backend_bench():
     return speedup, table
 
 
-def run_narrow_bench():
+def run_narrow_bench(lanes=NARROW_LANES, floor=MIN_NARROW_SPEEDUP):
     word = get_backend("word")
     rows = []
     wide_total = narrow_total = 0.0
@@ -226,10 +234,10 @@ def run_narrow_bench():
             word, stage, compiled, bindings, NARROW_REPS
         )
         narrow_seconds, narrow_results = _replay(
-            word, stage, compiled, bindings[:NARROW_LANES], NARROW_REPS
+            word, stage, compiled, bindings[:lanes], NARROW_REPS
         )
-        assert narrow_results == wide_results[:NARROW_LANES], (
-            f"{label}: {NARROW_LANES}-lane results diverge from "
+        assert narrow_results == wide_results[:lanes], (
+            f"{label}: {lanes}-lane results diverge from "
             f"{BACKEND_LANES} lanes"
         )
         wide_total += wide_seconds
@@ -255,14 +263,14 @@ def run_narrow_bench():
         (
             "stage replay",
             f"{BACKEND_LANES} lanes ms",
-            f"{NARROW_LANES} lanes ms",
+            f"{lanes} lanes ms",
             "speedup",
         ),
         rows,
         title=(
-            f"Word backend, {NARROW_LANES} vs {BACKEND_LANES} lanes at "
+            f"Word backend, {lanes} vs {BACKEND_LANES} lanes at "
             f"n = {N_BITS}: {speedup:.1f}x speedup "
-            f"(floor {MIN_NARROW_SPEEDUP}x)"
+            f"(floor {floor}x)"
         ),
     )
     return speedup, table
@@ -347,6 +355,15 @@ def test_narrow_batch_replay_speedup():
     )
 
 
+def test_one_lane_replay_speedup():
+    speedup, table = run_narrow_bench(1, MIN_ONE_LANE_SPEEDUP)
+    _register("one-lane", table)
+    assert speedup >= MIN_ONE_LANE_SPEEDUP, (
+        f"one-lane replay only {speedup:.2f}x faster than "
+        f"{BACKEND_LANES} lanes (needs >= {MIN_ONE_LANE_SPEEDUP}x)"
+    )
+
+
 def test_rowmul_lane_parallel_speedup():
     speedup, table = run_rowmul_bench()
     _register("rowmul-lanes", table)
@@ -362,6 +379,8 @@ if __name__ == "__main__":
         (*run_bench(), MIN_SPEEDUP, "batched"),
         (*run_backend_bench(), MIN_ORACLE_SPEEDUP, "word backend"),
         (*run_narrow_bench(), MIN_NARROW_SPEEDUP, "narrow batch"),
+        (*run_narrow_bench(1, MIN_ONE_LANE_SPEEDUP), MIN_ONE_LANE_SPEEDUP,
+         "one lane"),
         (*run_rowmul_bench(), MIN_ROWMUL_SPEEDUP, "row multiplier"),
     ):
         print(report)

@@ -148,8 +148,6 @@ def carry_save_products(
     product = low | (sum_acc << (m * stride))
     if product >> (2 * m * stride):
         raise AssertionError("row multiplier produced an overflowing product")
-    if lanes == 1:
-        return [product]
     return unpack_lanes(product, 2 * m, stride, lanes)
 
 

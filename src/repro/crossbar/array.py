@@ -460,7 +460,9 @@ def _csa_add(levels: list, mask: int) -> None:
     what travels upward, so an add costs an amortised single full-adder
     step however many cells carry, and a counter over *N* events holds
     at most ``2 * log2(N)`` masks — the word-packed array's deferred
-    energy accounting flushes masks, not events.
+    energy accounting flushes masks, not events.  A one-lane array
+    counts with :func:`_count_add` instead: there every mask bit is a
+    cell of the one lane, so one ``bit_count`` per event does.
     """
     k = 0
     while mask:
@@ -481,6 +483,15 @@ def _csa_add(levels: list, mask: int) -> None:
         levels[k + 1] = 0
         mask = (a & b) | (x & mask)
         k += 2
+
+
+def _count_add(count: list, mask: int) -> None:
+    """Add a one-lane packed mask into a plain set-cell count.
+
+    *count* is a one-element list, so a flush can zero it in place
+    while executor hot loops keep their binding to it.
+    """
+    count[0] += mask.bit_count()
 
 
 def _lane_spread(bits: np.ndarray, lane_bits: int) -> int:
@@ -548,9 +559,11 @@ class WordPackedCrossbarArray:
     ``(batch,)`` vector — but is *deferred* so the hot loop stays in
     integer land:
 
-    * data-dependent switching energy is recorded as
-      ``(coefficient, packed-cell-mask)`` events and popcounted per
-      lane in one vectorised pass when :attr:`energy_fj` is read;
+    * data-dependent switching energy is counted per coefficient:
+      wider batches add packed-cell masks into a redundant carry-save
+      counter (:func:`_csa_add`), popcounted per lane in one vectorised
+      pass when :attr:`energy_fj` is read; a one-lane array adds each
+      mask's ``bit_count`` into one integer (:func:`_count_add`);
     * write pulses are queued (or, on the executor fast path, applied
       as one precomputed per-program delta) and folded into the
       ``(phys_rows, cols)`` per-lane counters when :attr:`writes` is
@@ -600,8 +613,10 @@ class WordPackedCrossbarArray:
         #: Deferred data-dependent energy, per coefficient: a redundant
         #: carry-save counter over packed masks (see :func:`_csa_add`),
         #: so a program contributes O(log events) masks to flush
-        #: instead of one mask per event.
+        #: instead of one mask per event — or, at one lane, a plain
+        #: set-cell count in a one-element list (:func:`_count_add`).
         self._energy_acc: Dict[float, list] = {}
+        self._acc_add = _csa_add if self.lane_bits > 1 else _count_add
         self._faults: Dict[Tuple[int, int], str] = {}
         self._row_map = list(range(rows))
 
@@ -614,7 +629,9 @@ class WordPackedCrossbarArray:
         Write counters and energy start at zero — the batched array
         accounts only for what executes on it; faults and the spare-row
         remap table carry over (so replays after a remap land on the
-        repaired word lines).
+        repaired word lines).  A template at the all-ones steady state
+        (where every stage replay leaves it) fills each packed row with
+        ones in one step; any other state is spread row by row.
         """
         out = cls(
             batch,
@@ -624,8 +641,11 @@ class WordPackedCrossbarArray:
             strict_magic=array.strict_magic,
             spare_rows=array.spare_rows,
         )
-        for phys in range(array.rows + array.spare_rows):
-            out._state[phys] = out._pack_uniform(array.state[phys])
+        if array.state.all():
+            out.reset_to_ones()
+        else:
+            for phys in range(array.rows + array.spare_rows):
+                out._state[phys] = out._pack_uniform(array.state[phys])
         out._faults = dict(array._faults)
         out._row_map = list(array._row_map)
         out._apply_faults()
@@ -673,16 +693,27 @@ class WordPackedCrossbarArray:
     # ------------------------------------------------------------------
     # Deferred accounting
     # ------------------------------------------------------------------
+    def _energy_counter(self, coeff: float) -> list:
+        """The deferred-energy counter of *coeff* (created empty)."""
+        counter = self._energy_acc.get(coeff)
+        if counter is None:
+            counter = self._energy_acc[coeff] = [] if self.lane_bits > 1 else [0]
+        return counter
+
     def _add_energy_event(self, coeff: float, mask: int) -> None:
         """Charge *coeff* femtojoules to every set cell of *mask*."""
-        levels = self._energy_acc.get(coeff)
-        if levels is None:
-            levels = self._energy_acc[coeff] = []
-        _csa_add(levels, mask)
+        self._acc_add(self._energy_counter(coeff), mask)
 
     def _flush_energy(self) -> None:
         acc = self._energy_acc
-        if acc:
+        if acc and self.lane_bits == 1:
+            # Counts are zeroed in place, like the level lists below.
+            total = 0.0
+            for coeff, count in acc.items():
+                total += coeff * count[0]
+                count[0] = 0
+            self._energy += total
+        elif acc:
             # Resolve each counter to one mask per level — a final
             # carry-propagate pass, one full-adder step per level, which
             # halves the masks to popcount — and weight the level-k mask
@@ -809,9 +840,7 @@ class WordPackedCrossbarArray:
         its accounted closing INIT and scratch reset, so the lane seed
         is bookkeeping, not a modelled operation.  Re-pin faults after.
         """
-        full = self._full
-        for phys in range(len(self._state)):
-            self._state[phys] = full
+        self._state[:] = [self._full] * len(self._state)
 
     # ------------------------------------------------------------------
     # Raw per-row views (fault hooks mutate state without accounting)

@@ -39,6 +39,7 @@ import numpy as np
 from repro.crossbar.array import (
     CrossbarArray,
     WordPackedCrossbarArray,
+    _count_add,
     _csa_add,
     _lane_spread,
 )
@@ -82,6 +83,18 @@ def bits_to_int(bits: np.ndarray) -> int:
     )
 
 
+def _check_storable(values: Sequence[int], width: int) -> None:
+    """Reject a negative *width*, and any negative value or one wider
+    than *width* bits."""
+    if width < 0:
+        raise ValueError(f"width must be non-negative, got {width}")
+    for value in values:
+        if value < 0:
+            raise ValueError("only non-negative integers are storable")
+        if value >> width:
+            raise ValueError(f"value {value} does not fit in {width} bits")
+
+
 def pack_ints(values: Sequence[int], width: int) -> np.ndarray:
     """Stack LSB-first bit vectors of *values* into a ``(len, width)``
     bool matrix (the batched counterpart of :func:`int_to_bits`).
@@ -92,14 +105,8 @@ def pack_ints(values: Sequence[int], width: int) -> np.ndarray:
     bit unpacking; iterables are materialised once, so generators are
     accepted.
     """
-    if width < 0:
-        raise ValueError(f"width must be non-negative, got {width}")
     values = list(values)
-    for value in values:
-        if value < 0:
-            raise ValueError("only non-negative integers are storable")
-        if value >> width:
-            raise ValueError(f"value {value} does not fit in {width} bits")
+    _check_storable(values, width)
     if not values or width == 0:
         return np.zeros((len(values), width), dtype=bool)
     nbytes = (width + 7) // 8
@@ -126,8 +133,13 @@ def pack_lanes(values: Sequence[int], width: int, lane_bits: int) -> int:
     Bit ``i * lane_bits + lane`` of the result is bit *i* of
     ``values[lane]``.  Lanes past ``len(values)`` repeat the last value,
     so full-word invariants (strict NOR checks) stay equivalent to
-    per-lane ones.
+    per-lane ones.  At one lane the field is the (validated) value
+    itself, and nothing is packed.
     """
+    if lane_bits == 1:
+        (value,) = values
+        _check_storable((value,), width)
+        return value
     bits = pack_ints(values, width)
     if width == 0:
         return 0
@@ -140,6 +152,8 @@ def pack_lanes(values: Sequence[int], width: int, lane_bits: int) -> int:
 
 def unpack_lanes(value: int, width: int, lane_bits: int, lanes: int) -> List[int]:
     """The first *lanes* per-lane integers of a :func:`pack_lanes` field."""
+    if lane_bits == 1:
+        return [value][:lanes]
     if width == 0:
         return [0] * lanes
     total = width * lane_bits
@@ -936,7 +950,9 @@ class WordPackedMagicExecutor:
     Accounting is deferred: data-dependent switching energy is added
     as packed masks into a redundant carry-save counter per coefficient
     (amortised one full-adder step per event) and popcounted per lane
-    when read, and write counters are applied as one precomputed
+    when read — or, on a one-lane array, counted with one
+    ``int.bit_count`` per event; a one-lane replay packs and unpacks
+    no operands either.  Write counters are applied as one precomputed
     per-program delta — per-lane results, cycle counts, write counters
     and energy stay bit-identical to the scalar oracle.
     """
@@ -1016,13 +1032,14 @@ class WordPackedMagicExecutor:
         rmap = array._row_map
         lane_bits = array.lane_bits
         full = array._full
-        # Redundant carry-save energy counters; a flush empties these
-        # lists in place, so the bindings stay valid for the whole
-        # replay.  One counter per coefficient (setdefault aliases them
-        # if a device makes the two coefficients collide).
-        acc_add = _csa_add
-        reset_levels = array._energy_acc.setdefault(e_reset, [])
-        write_levels = array._energy_acc.setdefault(w_coeff, [])
+        # Energy counters: redundant carry-save levels, or one set-cell
+        # count at one lane.  A flush empties these lists in place, so
+        # the bindings stay valid for the whole replay.  One counter
+        # per coefficient (aliased if a device makes the two
+        # coefficients collide).
+        acc_add = _csa_add if lane_bits > 1 else _count_add
+        reset_levels = array._energy_counter(e_reset)
+        write_levels = array._energy_counter(w_coeff)
         strict = array.strict_magic
         have_faults = bool(array._faults)
         for index, step in enumerate(lowered.steps(lane_bits)):

@@ -14,7 +14,7 @@ from repro.crossbar import (
     DeviceModel,
     WordPackedCrossbarArray,
 )
-from repro.crossbar.array import _csa_add, _lane_popcounts
+from repro.crossbar.array import _count_add, _csa_add, _lane_popcounts
 from repro.magic import MagicExecutor, ProgramBuilder, get_backend
 from repro.sim.exceptions import (
     AddressError,
@@ -290,13 +290,13 @@ def _lane_counts(mask: int, batch: int, lane_bits: int) -> np.ndarray:
 
 
 @st.composite
-def _mask_runs(draw):
+def _mask_runs(draw, batches=(1, 2, 3, 5, 8, 33, 64, 65)):
     """A batch size plus a mask sequence rich in zero and all-ones masks.
 
     Masks span the array's own row width, so every power-of-two lane
     stride from 1 to 128 bits is exercised, padding lanes included.
     """
-    batch = draw(st.sampled_from([1, 2, 3, 5, 8, 33, 64, 65]))
+    batch = draw(st.sampled_from(batches))
     lane_bits = WordPackedCrossbarArray(batch, 1, COUNTER_COLS).lane_bits
     row_bits = COUNTER_COLS * lane_bits
     full = (1 << row_bits) - 1
@@ -350,20 +350,37 @@ class TestRedundantEnergyCounter:
     @settings(max_examples=40, deadline=None)
     @given(_mask_runs(), st.integers(min_value=0, max_value=80))
     def test_flush_with_bound_levels(self, run, split):
-        """Executors keep a binding to the level list across a flush."""
+        """Executors keep a binding to the counter across a flush: the
+        carry-save level list, or the one-lane count."""
         batch, masks = run
         array = WordPackedCrossbarArray(batch, 1, COUNTER_COLS)
-        levels = array._energy_acc.setdefault(2.0, [])
+        add, empty = (_csa_add, []) if array.lane_bits > 1 else (_count_add, [0])
+        counter = array._energy_counter(2.0)
         expected = np.zeros(batch, dtype=np.int64)
         for index, mask in enumerate(masks):
             if index == split:
                 assert np.array_equal(array.energy_fj, 2.0 * expected)
-                assert levels == []
-            _csa_add(levels, mask)
+                assert counter == empty
+            add(counter, mask)
             expected += _lane_counts(mask, batch, array.lane_bits)
         assert np.array_equal(array.energy_fj, 2.0 * expected)
 
-    @pytest.mark.parametrize("batch", [3, 65])
+    @settings(max_examples=60, deadline=None)
+    @given(_mask_runs(batches=(1,)), st.sampled_from([1.0, 61.0, 115.0]))
+    def test_one_lane_count_equals_csa_flush(self, run, coeff):
+        """At one lane the bit_count counter flushes to exactly what the
+        carry-save counter over the same masks holds."""
+        _, masks = run
+        array = WordPackedCrossbarArray(1, 1, COUNTER_COLS)
+        levels: list = []
+        for mask in masks:
+            array._add_energy_event(coeff, mask)
+            _csa_add(levels, mask)
+        counts = _lane_popcounts(levels, COUNTER_COLS, 1)[:, 0] if levels else []
+        csa = sum(coeff * (1 << (k >> 1)) * int(c) for k, c in enumerate(counts))
+        assert array.energy_fj.tolist() == [csa]
+
+    @pytest.mark.parametrize("batch", [1, 3, 65])
     def test_aliased_coefficients(self, batch):
         """e_set - e_reset == e_reset: write and reset events share one
         counter and must still match the scalar oracle lane by lane."""

@@ -209,6 +209,30 @@ class TestWordPackedErrors:
         for lane in range(5):
             assert not array.snapshot(lane)[1, 2]
 
+    def test_one_lane_from_pinned_sa0_template_matches_scalar(self):
+        """A stuck-at-0 cell keeps the template off the all-ones steady
+        state, so a one-lane clone takes from_scalar's row-by-row path;
+        the replay must still match the scalar oracle exactly."""
+        template = CrossbarArray(ROWS, COLS)
+        template.state[:] = True
+        template.inject_fault(0, 5, "sa0")
+        assert not template.state.all()
+        program = _fault_program()
+        bindings = [{"x": 0xB66D, "y": 0x0F0F}]  # x drives the sa0 cell
+        outcomes = {}
+        for name in ("word", "scalar"):
+            backend = get_backend(name)
+            array = backend.make_array(template, 1)
+            stats = backend.make_executor(array).execute(program, bindings)
+            outcomes[name] = (stats[0], array.snapshot(0))
+        (word, word_state), (oracle, oracle_state) = (
+            outcomes["word"], outcomes["scalar"]
+        )
+        assert word.results == oracle.results
+        assert word.energy_fj == oracle.energy_fj
+        assert np.array_equal(word_state, oracle_state)
+        assert not word_state[0, 5]
+
 
 # ----------------------------------------------------------------------
 # Fault-hook injection parity (satellite: backend-parametrized suite)
@@ -288,6 +312,13 @@ class TestFaultHookParity:
     @pytest.mark.parametrize("batch", [9, 65])
     def test_word_matches_scalar_oracle_under_same_seed(self, batch):
         _assert_hook_parity(batch=batch, prob=0.05)
+
+    # One lane takes the bit_count energy counter and identity packing;
+    # two lanes are the narrowest carry-save batch.  At prob=0.05 a lane
+    # this narrow draws no read disturb, so these run at 0.15.
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_narrow_batches_match_scalar_oracle(self, batch):
+        _assert_hook_parity(batch=batch, prob=0.15)
 
     def test_hook_meets_padding_lane(self):
         """Three lanes pack at a 4-bit stride: the word backend's fourth
@@ -545,6 +576,21 @@ class TestPackingEdgeCases:
                 assert packed.shape == (batch, width)
                 assert packed.dtype == np.bool_
                 assert unpack_ints(packed) == values
+
+    def test_one_lane_field_is_the_value(self):
+        """At one lane pack_lanes / unpack_lanes are the identity, but
+        still validate like pack_ints and demand exactly one value."""
+        pack, unpack = executor_mod.pack_lanes, executor_mod.unpack_lanes
+        assert pack([0xB66D], 16, 1) == 0xB66D
+        assert pack(iter([7]), 3, 1) == 7
+        assert unpack(0xB66D, 16, 1, 1) == [0xB66D]
+        with pytest.raises(ValueError, match="only non-negative"):
+            pack([-1], 16, 1)
+        with pytest.raises(ValueError, match="does not fit in 16 bits"):
+            pack([1 << 16], 16, 1)
+        for values in ([], [1, 2]):
+            with pytest.raises(ValueError):
+                pack(values, 16, 1)
 
     def test_boundary_values_roundtrip(self):
         for width in (1, 8, 64, 256):
