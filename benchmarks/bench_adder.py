@@ -12,11 +12,7 @@ import pytest
 
 from benchmarks.conftest import register_report
 from repro.arith.bitops import ceil_log2
-from repro.arith.koggestone import (
-    SCRATCH_ROWS,
-    latency_cc,
-    standalone_adder,
-)
+from repro.arith.koggestone import SCRATCH_ROWS, AdderUnit, latency_cc
 from repro.eval.report import format_table
 
 
@@ -31,7 +27,7 @@ def test_latency_formula_vs_simulation(benchmark):
     def check_all():
         rows = []
         for width in WIDTHS:
-            adder, _ = standalone_adder(width)
+            adder = AdderUnit(width).adder
             add_cc = adder.program("add").cycle_count
             sub_cc = adder.program("sub").cycle_count
             assert add_cc == sub_cc == latency_cc(width)
@@ -51,30 +47,26 @@ def test_latency_formula_vs_simulation(benchmark):
 
 @pytest.mark.parametrize("width", [16, 64, 96])
 def test_simulated_addition(benchmark, width, rng):
-    adder, ex = standalone_adder(width)
-    adder.run(ex, 1, 1, "add", first_use=True)
+    unit = AdderUnit(width)
     x, y = rng.getrandbits(width), rng.getrandbits(width)
-    result = benchmark(adder.run, ex, x, y, "add")
-    assert result == x + y
+    result = benchmark(unit.run_pass, [(x, y)], "add")
+    assert result == [x + y]
 
 
 @pytest.mark.parametrize("width", [16, 96])
 def test_simulated_subtraction(benchmark, width, rng):
-    adder, ex = standalone_adder(width)
-    adder.run(ex, 1, 1, "add", first_use=True)
+    unit = AdderUnit(width)
     x, y = rng.getrandbits(width), rng.getrandbits(width)
     hi, lo = max(x, y), min(x, y)
-    result = benchmark(adder.run, ex, hi, lo, "sub")
-    assert result == hi - lo
+    result = benchmark(unit.run_pass, [(hi, lo)], "sub")
+    assert result == [hi - lo]
 
 
 def test_constant_scratch_rows(benchmark):
     """The scratch region is 12 rows regardless of width (Sec. IV-B)."""
 
     def rows_needed():
-        return [
-            standalone_adder(w)[1].array.rows - 3 for w in (8, 64, 575)
-        ]
+        return [AdderUnit(w).array.rows - 3 for w in (8, 64, 575)]
 
     assert benchmark(rows_needed) == [SCRATCH_ROWS] * 3
 
@@ -83,14 +75,14 @@ def test_wear_bound(benchmark, rng):
     """Measured per-addition hot-cell wear stays within a small factor
     of the paper's 2*ceil(log2 n) bound."""
     width = 64
-    adder, ex = standalone_adder(width)
-    adder.run(ex, 1, 1, "add", first_use=True)
-    base = ex.array.max_writes()
+    unit = AdderUnit(width)
+    unit.run_pass([(1, 1)])
+    base = unit.array.max_writes()
 
     def run_ten():
         for _ in range(10):
-            adder.run(ex, rng.getrandbits(width), rng.getrandbits(width), "add")
-        return ex.array.max_writes()
+            unit.run_pass([(rng.getrandbits(width), rng.getrandbits(width))])
+        return unit.array.max_writes()
 
     final = benchmark.pedantic(run_ten, rounds=1, iterations=1)
     per_add = (final - base) / 10
@@ -124,11 +116,11 @@ def test_ripple_vs_koggestone(benchmark):
 
 
 def test_simulated_ripple_addition(benchmark, rng):
-    from repro.arith.ripple import standalone_ripple
+    from repro.arith.ripple import RippleUnit
 
-    adder, ex = standalone_ripple(16)
+    unit = RippleUnit(16)
     x, y = rng.getrandbits(16), rng.getrandbits(16)
-    result = benchmark(adder.run, ex, x, y)
+    result = benchmark(unit.run, x, y)
     assert result == x + y
 
 

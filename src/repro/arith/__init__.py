@@ -10,22 +10,19 @@ from repro.arith.bitops import (
     to_bits,
 )
 from repro.arith.condsub import ConditionalSubtractor, CondSubResult
-from repro.arith.koggestone import (
-    KoggeStoneAdder,
-    KoggeStoneLayout,
-    standalone_adder,
-)
-from repro.arith.ripple import RippleAdder, RippleLayout, standalone_ripple
+from repro.arith.koggestone import AdderUnit, KoggeStoneAdder, KoggeStoneLayout
+from repro.arith.ripple import RippleAdder, RippleLayout, RippleUnit
 from repro.arith.rowmul import RowMultiplier, RowMultiplierSpec
 
 __all__ = [
+    "AdderUnit",
     "CondSubResult",
     "ConditionalSubtractor",
     "KoggeStoneAdder",
     "KoggeStoneLayout",
     "RippleAdder",
     "RippleLayout",
-    "standalone_ripple",
+    "RippleUnit",
     "RowMultiplier",
     "RowMultiplierSpec",
     "ceil_div",
@@ -34,6 +31,5 @@ __all__ = [
     "join_chunks",
     "mask",
     "split_chunks",
-    "standalone_adder",
     "to_bits",
 ]

@@ -36,13 +36,14 @@ so no cross-talk occurs in either mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.arith.bitops import ceil_log2
 from repro.crossbar.array import CrossbarArray
-from repro.magic.backend import DEFAULT_BACKEND, get_backend
-from repro.magic.executor import MagicExecutor, pack_ints, unpack_ints
+from repro.magic.backend import DEFAULT_BACKEND
+from repro.magic.executor import pack_ints, unpack_ints
 from repro.magic.program import Program, ProgramBuilder
+from repro.magic.stage import CrossbarStage
 from repro.sim.exceptions import DesignError
 
 if TYPE_CHECKING:
@@ -130,7 +131,8 @@ class KoggeStoneAdder:
     The generated program contains only compute micro-ops; writing the
     operands into ``x_row``/``y_row`` and reading the result are the
     caller's responsibility (stage schedules account for those cycles
-    separately, as the paper does).
+    separately, as the paper does).  :class:`AdderUnit` places one
+    adder standalone and runs its passes.
     """
 
     def __init__(self, layout: KoggeStoneLayout):
@@ -276,145 +278,99 @@ class KoggeStoneAdder:
         builder.init(pool[6:], win)
         return builder.build()
 
-    # ------------------------------------------------------------------
-    # Convenience execution helpers (used by tests and examples)
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        executor: MagicExecutor,
-        x: int,
-        y: int,
-        op: str = OP_ADD,
-        first_use: bool = False,
-        optimize: bool = False,
-    ) -> int:
-        """Write operands, run one pass, and return the integer result.
 
-        Operand writes and the result read go through the array directly
-        (cycle accounting for I/O belongs to the surrounding stage).  On
-        *first_use* the scratch region is initialised out-of-band, a
-        condition the stage schedules establish once at power-up.
-        """
-        lay = self.layout
-        array = executor.array
-        if max(x, y) >> lay.width:
-            raise DesignError(
-                f"operands must fit in {lay.width} bits, got {x} and {y}"
-            )
-        if op == OP_SUB and y > x:
-            raise DesignError("subtraction requires x >= y (non-negative result)")
-        self._place_word(array, lay.x_row, x)
-        self._place_word(array, lay.y_row, y)
-        if first_use:
-            mask = self._window_mask(array)
-            array.init_rows(lay.scratch_rows, mask)
-            array.init_rows([lay.out_row], mask)
-        executor.execute(self.program(op, optimize=optimize))
-        return self._read_word(array, lay.out_row)
+class AdderUnit(CrossbarStage):
+    """One standalone Kogge-Stone adder on its own crossbar, replayed.
 
-    def run_batch(
+    The paper's footprint: a ``(3 + 12) x (width + 1)`` array holding
+    the operand rows x and y, the sum row and the 12 scratch rows
+    (Sec. IV-B).  Each pass replays the adder program across one lane
+    per operand pair (:meth:`CrossbarStage.replay`): the seed writes x
+    and y, the sense step reads the sum, and the lanes' writes and
+    energy fold back into :attr:`array`.  Lanes run in lock-step, so a
+    caller advances its own clock by :meth:`pass_cc` per pass.
+    """
+
+    def __init__(
         self,
-        executor: MagicExecutor,
-        pairs,
-        op: str = OP_ADD,
-        first_use: bool = False,
+        width: int,
+        device=None,
+        spare_rows: int = 2,
         optimize: bool = False,
         backend: object = DEFAULT_BACKEND,
-        fault_hook=None,
     ):
-        """Batched counterpart of :meth:`run`: one SIMD pass over many
-        operand pairs.
+        super().__init__(
+            CrossbarArray(
+                3 + SCRATCH_ROWS,
+                width + 1,
+                device=device,
+                spare_rows=spare_rows,
+            ),
+            backend=backend,
+        )
+        self.optimize = optimize
+        self.adder = KoggeStoneAdder(
+            KoggeStoneLayout(
+                width=width,
+                col0=0,
+                x_row=0,
+                y_row=1,
+                out_row=2,
+                scratch_rows=tuple(range(3, 3 + SCRATCH_ROWS)),
+            )
+        )
+        # Power-up: establish the steady all-ones scratch/output state
+        # the adder programs assume (each pass ends with a full reset).
+        self.array.init_rows(self.adder.layout.scratch_rows)
+        self.array.init_rows([self.adder.layout.out_row])
 
-        Lanes are seeded from the executor's current array state (which
-        is left untouched), operands are written lane-parallel, the
-        compute program runs once through the batched executor — the
-        shared clock advances by one pass, all lanes in lock-step — and
-        the sum row is sensed per lane.  Returns the list of results,
-        bit-identical to calling :meth:`run` per pair on per-lane
-        array copies.  *backend* selects the SIMD execution strategy
-        (any :mod:`repro.magic.backend` name); accounting does not
-        depend on the choice.  *fault_hook* is forwarded to the batched
-        executor (transient-fault injection), mirroring the stage
-        mega-program path.
+    def pass_cc(self, op: str = OP_ADD) -> int:
+        """Cycles of one pass: the replayed program's cycle count (the
+        paper's closed form unless the optimizer is on)."""
+        return self.adder.program(op, optimize=self.optimize).cycle_count
+
+    def run_pass(
+        self, pairs: List[Tuple[int, int]], op: str = OP_ADD
+    ) -> List[int]:
+        """One SIMD pass over *pairs*; returns the sensed results.
+
+        An operand may fill the whole ``width + 1``-column window, the
+        carry column included, when the result has no carry-out: each
+        operand and an addition's sum must fit the window, and a
+        subtraction needs ``y <= x``.  Anything else raises
+        :class:`DesignError` before any lane runs.
         """
-        resolved = get_backend(backend)
-        lay = self.layout
-        pairs = list(pairs)
-        if not pairs:
-            return []
+        program = self.adder.program(op, optimize=self.optimize)
+        lay = self.adder.layout
+        cols = lay.columns
         for x, y in pairs:
-            if max(x, y) >> lay.width:
+            if min(x, y) < 0 or max(x, y) >> cols:
                 raise DesignError(
-                    f"operands must fit in {lay.width} bits, got {x} and {y}"
+                    f"operands must fit the {cols}-column adder window, "
+                    f"got {x} and {y}"
+                )
+            if op == OP_ADD and (x + y) >> cols:
+                raise DesignError(
+                    f"sum of {x} and {y} overflows the {cols}-column "
+                    "adder window"
                 )
             if op == OP_SUB and y > x:
                 raise DesignError(
                     "subtraction requires x >= y (non-negative result)"
                 )
-        array = resolved.make_array(executor.array, len(pairs))
-        mask = self._window_mask(executor.array)
-        window = slice(lay.col0, lay.col0 + lay.columns)
-        for row, values in ((lay.x_row, [x for x, _ in pairs]),
-                            (lay.y_row, [y for _, y in pairs])):
-            word = array.peek_row(row)
-            word[:, window] = pack_ints(values, lay.columns)
-            array.write_row(row, word, mask)
-        if first_use:
-            array.init_rows(lay.scratch_rows, mask)
-            array.init_rows([lay.out_row], mask)
-        batched = resolved.make_executor(
-            array,
-            clock=executor.clock,
-            trace=executor.trace,
-            fault_hook=fault_hook,
+
+        def stage_operands(lanes) -> None:
+            lanes.write_row(lay.x_row, pack_ints([x for x, _ in pairs], cols))
+            lanes.write_row(lay.y_row, pack_ints([y for _, y in pairs], cols))
+
+        def sense(lanes) -> List[int]:
+            return unpack_ints(lanes.read_row(lay.out_row))
+
+        _, outs = self.replay(
+            program, [{} for _ in pairs], stage_operands, sense
         )
-        batched.execute(self.program(op, optimize=optimize), [{} for _ in pairs])
-        return unpack_ints(array.read_row(lay.out_row)[:, window])
+        return outs
 
-    def _window_mask(self, array: CrossbarArray):
-        import numpy as np
-
-        mask = np.zeros(array.cols, dtype=bool)
-        mask[self.layout.col0 : self.layout.col0 + self.layout.columns] = True
-        return mask
-
-    def _place_word(self, array: CrossbarArray, row: int, value: int) -> None:
-        import numpy as np
-
-        lay = self.layout
-        word = array.peek_row(row)
-        for i in range(lay.columns):
-            word[lay.col0 + i] = bool((value >> i) & 1)
-        mask = self._window_mask(array)
-        array.write_row(row, word, mask)
-
-    def _read_word(self, array: CrossbarArray, row: int) -> int:
-        lay = self.layout
-        word = array.read_row(row)
-        value = 0
-        for i in range(lay.columns):
-            if word[lay.col0 + i]:
-                value |= 1 << i
-        return value
-
-
-def standalone_adder(
-    width: int, device=None, strict_magic: bool = True
-) -> Tuple[KoggeStoneAdder, MagicExecutor]:
-    """Build a self-contained adder instance on a fresh crossbar.
-
-    Returns the adder and an executor over a ``(3 + 12) x (width + 1)``
-    array — the paper's "n+1 columns by 12 scratch rows plus operands"
-    footprint.
-    """
-    array = CrossbarArray(3 + SCRATCH_ROWS, width + 1, device=device,
-                          strict_magic=strict_magic)
-    layout = KoggeStoneLayout(
-        width=width,
-        col0=0,
-        x_row=0,
-        y_row=1,
-        out_row=2,
-        scratch_rows=tuple(range(3, 3 + SCRATCH_ROWS)),
-    )
-    return KoggeStoneAdder(layout), MagicExecutor(array)
+    def optimizer_report(self, op: str) -> "OptimizationResult":
+        self.adder.program(op, optimize=True)
+        return self.adder.optimizer_reports[op]

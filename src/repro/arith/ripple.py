@@ -25,9 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+from repro.arith.bitops import mask
 from repro.crossbar.array import CrossbarArray
-from repro.magic.executor import MagicExecutor, int_to_bits
+from repro.magic.executor import pack_ints, unpack_ints
 from repro.magic.program import Program, ProgramBuilder
+from repro.magic.stage import CrossbarStage
 from repro.sim.exceptions import DesignError
 
 #: Cycles per bit position (init + 9 NOR + 2-cc shift + 1 alignment).
@@ -138,38 +140,43 @@ class RippleAdder:
             builder.nop(1)                            # controller alignment
         return builder.build()
 
-    # ------------------------------------------------------------------
-    def run(
-        self, executor: MagicExecutor, x: int, y: int, carry_in: int = 0
-    ) -> int:
+
+class RippleUnit(CrossbarStage):
+    """One standalone serial adder on its own ``(4 + 8) x (width + 2)``
+    crossbar; each addition replays through :meth:`CrossbarStage.replay`.
+    """
+
+    def __init__(self, width: int):
+        super().__init__(CrossbarArray(4 + SCRATCH_ROWS, width + 2))
+        self.adder = RippleAdder(
+            RippleLayout(
+                width=width,
+                x_row=0,
+                y_row=1,
+                out_row=2,
+                carry_row=3,
+                scratch_rows=tuple(range(4, 4 + SCRATCH_ROWS)),
+            )
+        )
+
+    def run(self, x: int, y: int, carry_in: int = 0) -> int:
         """Write operands, run one serial pass, return ``x + y + cin``."""
-        lay = self.layout
-        array = executor.array
-        if max(x, y) >> lay.width:
+        lay = self.adder.layout
+        if min(x, y) < 0 or max(x, y) >> lay.width:
             raise DesignError(f"operands must fit in {lay.width} bits")
         if carry_in not in (0, 1):
             raise DesignError("carry-in must be 0 or 1")
-        array.write_row(lay.x_row, int_to_bits(x, lay.columns))
-        array.write_row(lay.y_row, int_to_bits(y, lay.columns))
-        array.write_row(lay.carry_row, int_to_bits(carry_in, lay.columns))
-        executor.execute(self.program())
-        word = array.read_row(lay.out_row)
-        value = 0
-        for i in range(lay.width + 1):
-            if word[i]:
-                value |= 1 << i
-        return value
 
+        def seed(lanes) -> None:
+            for row, value in (
+                (lay.x_row, x), (lay.y_row, y), (lay.carry_row, carry_in),
+            ):
+                lanes.write_row(row, pack_ints([value], lay.columns))
 
-def standalone_ripple(width: int) -> Tuple[RippleAdder, MagicExecutor]:
-    """Build a self-contained serial adder on a fresh crossbar."""
-    array = CrossbarArray(4 + SCRATCH_ROWS, width + 2)
-    layout = RippleLayout(
-        width=width,
-        x_row=0,
-        y_row=1,
-        out_row=2,
-        carry_row=3,
-        scratch_rows=tuple(range(4, 4 + SCRATCH_ROWS)),
-    )
-    return RippleAdder(layout), MagicExecutor(array)
+        def sense(lanes) -> int:
+            # The slack column above the carry-out is not part of the sum.
+            (word,) = unpack_ints(lanes.read_row(lay.out_row))
+            return word & mask(lay.width + 1)
+
+        _, total = self.replay(self.adder.program(), [{}], seed, sense)
+        return total

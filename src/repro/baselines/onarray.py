@@ -147,14 +147,13 @@ def wallace_multiply_on_array(
     # Final carry-propagate addition of the last two rows, delegated to
     # the MAGIC ripple adder (the design's final fast adder).
     if len(live) == 2:
-        from repro.arith.ripple import standalone_ripple
+        from repro.arith.ripple import RippleUnit
 
         x = _read(array, live[0], cols)
         y = _read(array, live[1], cols)
-        width = max(x.bit_length(), y.bit_length(), 1)
-        adder, executor = standalone_ripple(width)
-        total = adder.run(executor, x, y)
-        clock.tick(executor.clock.cycles, category="final_add")
+        unit = RippleUnit(max(x.bit_length(), y.bit_length(), 1))
+        total = unit.run(x, y)
+        clock.tick(unit.adder.program().cycle_count, category="final_add")
     stats.cycles = clock.cycles
     if total != a * b:
         raise AssertionError("on-array Wallace product mismatch")

@@ -104,10 +104,10 @@ def _cmd_floorplan(args: argparse.Namespace) -> int:
 
 
 def _cmd_waveform(args: argparse.Namespace) -> int:
-    from repro.arith.koggestone import standalone_adder
+    from repro.arith.koggestone import AdderUnit
     from repro.sim import waveform
 
-    adder, _ = standalone_adder(args.bits)
+    adder = AdderUnit(args.bits).adder
     print(waveform.render(adder.program(args.op), max_cycles=args.cycles))
     return 0
 

@@ -21,56 +21,39 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.crossbar.array import (
-    FAULT_STUCK_AT_0,
-    FAULT_STUCK_AT_1,
-    CrossbarArray,
-)
+from repro.crossbar.array import FAULT_STUCK_AT_0, FAULT_STUCK_AT_1
 from repro.sim.exceptions import DesignError, SimulationError
 
+if TYPE_CHECKING:
+    from repro.arith.koggestone import AdderUnit
 
-def _build_adder(width: int) -> Tuple["KoggeStoneAdder", CrossbarArray]:
+
+def _build_unit(width: int) -> "AdderUnit":
     # Imported lazily: this analysis module sits above the arithmetic
     # layer, which itself builds on the crossbar package.
-    from repro.arith.koggestone import (
-        SCRATCH_ROWS,
-        KoggeStoneAdder,
-        KoggeStoneLayout,
-    )
+    from repro.arith.koggestone import AdderUnit
 
-    array = CrossbarArray(3 + SCRATCH_ROWS, width + 1, strict_magic=False)
-    layout = KoggeStoneLayout(
-        width=width,
-        col0=0,
-        x_row=0,
-        y_row=1,
-        out_row=2,
-        scratch_rows=tuple(range(3, 3 + SCRATCH_ROWS)),
-    )
-    return KoggeStoneAdder(layout), array
+    unit = AdderUnit(width, spare_rows=0)
+    # Lanes inherit the flag: a defective cell just holds its value.
+    unit.array.strict_magic = False
+    return unit
 
 
 def _run_additions(
-    adder: "KoggeStoneAdder",
-    array: CrossbarArray,
-    operand_pairs: List[Tuple[int, int]],
+    unit: "AdderUnit", operand_pairs: List[Tuple[int, int]]
 ) -> bool:
-    """True when every addition returns the correct sum."""
-    from repro.magic.executor import MagicExecutor
+    """True when every addition returns the correct sum.
 
-    executor = MagicExecutor(array)
-    first = True
-    for x, y in operand_pairs:
-        try:
-            result = adder.run(executor, x, y, "add", first_use=first)
-        except SimulationError:
-            return False
-        first = False
-        if result != x + y:
-            return False
-    return True
+    The additions are the lanes of one pass, each on its own copy of
+    the faulted array; the faults are pinned in every lane.
+    """
+    try:
+        sums = unit.run_pass(operand_pairs, "add")
+    except SimulationError:
+        return False
+    return sums == [x + y for x, y in operand_pairs]
 
 
 @dataclass(frozen=True)
@@ -90,7 +73,8 @@ def adder_fault_trial(
     """Inject *fault_count* random stuck-at cells and test the adder."""
     if fault_count < 0:
         raise DesignError("fault count must be non-negative")
-    adder, array = _build_adder(width)
+    unit = _build_unit(width)
+    array = unit.array
     cells = [(r, c) for r in range(array.rows) for c in range(array.cols)]
     rng.shuffle(cells)
     for row, col in cells[:fault_count]:
@@ -101,7 +85,7 @@ def adder_fault_trial(
         for _ in range(additions)
     ]
     return FaultTrial(
-        faults=fault_count, correct=_run_additions(adder, array, pairs)
+        faults=fault_count, correct=_run_additions(unit, pairs)
     )
 
 
@@ -113,8 +97,7 @@ def yield_curve(
 ) -> List[Tuple[float, float]]:
     """(fault density, survival probability) sampled by Monte Carlo."""
     rng = random.Random(seed)
-    adder, array = _build_adder(width)
-    total_cells = array.cells
+    total_cells = _build_unit(width).array.cells
     curve: List[Tuple[float, float]] = []
     for density in densities:
         fault_count = round(density * total_cells)
@@ -157,12 +140,12 @@ def cell_criticality(
         operand_pairs = [(top, 1), (0x55 & top, 0x2A & top), (top, top)]
     critical = 0
     tolerated = 0
-    probe_adder, probe_array = _build_adder(width)
+    probe_array = _build_unit(width).array
     for row in range(probe_array.rows):
         for col in range(probe_array.cols):
-            adder, array = _build_adder(width)
-            array.inject_fault(row, col, kind)
-            if _run_additions(adder, array, list(operand_pairs)):
+            unit = _build_unit(width)
+            unit.array.inject_fault(row, col, kind)
+            if _run_additions(unit, list(operand_pairs)):
                 tolerated += 1
             else:
                 critical += 1

@@ -25,63 +25,15 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.arith.bitops import mask, split_chunks
-from repro.arith.koggestone import (
-    SCRATCH_ROWS,
-    KoggeStoneAdder,
-    KoggeStoneLayout,
-)
+from repro.arith.koggestone import AdderUnit
 from repro.arith.rowmul import (
     RowMultiplier,
     RowMultiplierSpec,
     carry_save_products,
 )
-from repro.crossbar.array import CrossbarArray
 from repro.karatsuba.unroll import UnrolledPlan, build_plan
-from repro.magic.executor import MagicExecutor, int_to_bits
 from repro.sim.clock import Clock
 from repro.sim.exceptions import DesignError
-
-
-class _AdderUnit:
-    """A standalone Kogge-Stone instance with value-level staging."""
-
-    def __init__(self, width: int, clock: Clock):
-        self.width = width
-        self.cols = width + 1
-        self.array = CrossbarArray(3 + SCRATCH_ROWS, self.cols)
-        self.executor = MagicExecutor(self.array, clock=clock)
-        self.adder = KoggeStoneAdder(
-            KoggeStoneLayout(
-                width=width,
-                col0=0,
-                x_row=0,
-                y_row=1,
-                out_row=2,
-                scratch_rows=tuple(range(3, 3 + SCRATCH_ROWS)),
-            )
-        )
-        self.array.init_rows(self.adder.layout.scratch_rows)
-        self.array.init_rows([2])
-        self.passes = 0
-
-    def run(self, op: str, x: int, y: int) -> int:
-        if x >> self.cols or y >> self.cols:
-            raise DesignError("operand exceeds the adder window")
-        if op == "sub" and y > x:
-            raise DesignError("subtraction went negative")
-        self.array.write_row(0, int_to_bits(x, self.cols))
-        self.array.write_row(1, int_to_bits(y, self.cols))
-        self.executor.execute(self.adder.program(op))
-        word = self.array.read_row(2)
-        value = 0
-        for i in range(self.cols):
-            if word[i]:
-                value |= 1 << i
-        expected = x + y if op == "add" else x - y
-        if value != expected:
-            raise AssertionError(f"{op} produced {value}, expected {expected}")
-        self.passes += 1
-        return value
 
 
 @dataclass(frozen=True)
@@ -117,9 +69,11 @@ class GenericKaratsubaMultiplier:
         self.depth = depth
         self.clock = Clock()
         pre_width = self.plan.max_precompute_input_width + 1
-        self.pre_adder = _AdderUnit(pre_width, self.clock)
+        self.pre_adder = AdderUnit(pre_width, spare_rows=0)
         post_width = (3 * n_bits) // 2 - 1
-        self.post_adder = _AdderUnit(post_width, self.clock)
+        self.post_adder = AdderUnit(post_width, spare_rows=0)
+        #: Adder passes run so far, both units together.
+        self.passes = 0
         spec = RowMultiplierSpec(self.plan.max_mult_width)
         self.rows: Dict[str, RowMultiplier] = {
             step.out: RowMultiplier(spec) for step in self.plan.multiplications
@@ -138,7 +92,7 @@ class GenericKaratsubaMultiplier:
 
         # ---- precompute -------------------------------------------------
         start = self.clock.cycles
-        pre_passes_before = self.pre_adder.passes
+        passes_before = self.passes
         values: Dict[str, int] = {}
         for prefix, operand in (("a", a), ("b", b)):
             for i, chunk in enumerate(
@@ -147,12 +101,12 @@ class GenericKaratsubaMultiplier:
                 values[f"{prefix}{i}"] = chunk
         self.clock.tick(2 * plan.num_chunks, category="write")
         for step in plan.precompute_adds:
-            values[step.out] = self.pre_adder.run(
-                "add", values[step.lhs], values[step.rhs]
+            values[step.out] = self._pass(
+                self.pre_adder, "add", values[step.lhs], values[step.rhs]
             )
         self.clock.tick(1, category="init")
         pre_cycles = self.clock.cycles - start
-        pre_passes = self.pre_adder.passes - pre_passes_before
+        pre_passes = self.passes - passes_before
 
         # ---- multiply (lock-step rows) ---------------------------------
         start = self.clock.cycles
@@ -172,11 +126,11 @@ class GenericKaratsubaMultiplier:
 
         # ---- postcompute -------------------------------------------------
         start = self.clock.cycles
-        post_passes_before = self.post_adder.passes
+        passes_before = self.passes
         result = self._combine(values)
         self.clock.tick(2 * len(plan.multiplications), category="reorder")
         post_cycles = self.clock.cycles - start
-        post_passes = self.post_adder.passes - post_passes_before
+        post_passes = self.passes - passes_before
 
         self.last_stats = GenericRunStats(
             precompute_cycles=pre_cycles,
@@ -190,6 +144,17 @@ class GenericKaratsubaMultiplier:
         return result
 
     # ------------------------------------------------------------------
+    def _pass(self, unit: AdderUnit, op: str, x: int, y: int) -> int:
+        """One adder pass, its sum verified; the clock advances by the
+        replayed program's cycles."""
+        (value,) = unit.run_pass([(x, y)], op)
+        expected = x + y if op == "add" else x - y
+        if value != expected:
+            raise AssertionError(f"{op} produced {value}, expected {expected}")
+        self.clock.tick(unit.pass_cc(op), category="nor")
+        self.passes += 1
+        return value
+
     def _combine(self, values: Dict[str, int]) -> int:
         """Walk the combine tree bottom-up on the postcompute adder."""
         plan = self.plan
@@ -200,20 +165,24 @@ class GenericKaratsubaMultiplier:
             shift = node.shift_bits
             if node.path == "top":
                 # Top level: LSB pass-through trick, as in Sec. IV-E.
-                t = self.post_adder.run("add", low, high)
-                tilde = self.post_adder.run("sub", mid, t)
+                t = self._pass(self.post_adder, "add", low, high)
+                tilde = self._pass(self.post_adder, "sub", mid, t)
                 low_keep = low & mask(shift)
                 top_operand = (low >> shift) | (high << shift)
-                total = self.post_adder.run("add", top_operand, tilde)
+                total = self._pass(self.post_adder, "add", top_operand, tilde)
                 values[node.out] = (total << shift) | low_keep
                 continue
-            t = self.post_adder.run("add", low, high)
-            tilde = self.post_adder.run("sub", mid, t)
+            t = self._pass(self.post_adder, "add", low, high)
+            tilde = self._pass(self.post_adder, "sub", mid, t)
             if node.appendable:
                 u = low | (high << (2 * shift))
             else:
-                u = self.post_adder.run("add", low, high << (2 * shift))
-            values[node.out] = self.post_adder.run("add", u, tilde << shift)
+                u = self._pass(
+                    self.post_adder, "add", low, high << (2 * shift)
+                )
+            values[node.out] = self._pass(
+                self.post_adder, "add", u, tilde << shift
+            )
         return values[plan.combine_nodes[-1].out]
 
     # ------------------------------------------------------------------

@@ -44,7 +44,6 @@ from repro.magic.executor import (
 from repro.sim.clock import Clock
 from repro.sim.exceptions import ProgramError
 from repro.sim.stats import RunStats
-from repro.sim.trace import Trace
 from repro.telemetry import spans
 
 
@@ -66,7 +65,7 @@ class ExecutorBackend:
         """Clone *template*'s state/faults/remap into a batch container."""
         raise NotImplementedError
 
-    def make_executor(self, array, clock=None, trace=None, fault_hook=None):
+    def make_executor(self, array, clock=None, fault_hook=None):
         """Wrap a :meth:`make_array` product in the matching executor."""
         raise NotImplementedError
 
@@ -201,12 +200,10 @@ class ScalarLaneExecutor:
         self,
         array: ScalarLaneArray,
         clock: Optional[Clock] = None,
-        trace: Optional[Trace] = None,
         fault_hook=None,
     ):
         self.array = array
         self.clock = clock if clock is not None else Clock()
-        self.trace = trace if trace is not None else Trace(enabled=False)
         self.fault_hook = fault_hook
 
     def compile(self, program) -> CompiledProgram:
@@ -237,10 +234,7 @@ class ScalarLaneExecutor:
         try:
             for lane, bindings in zip(self.array.lanes, bindings_list):
                 executor = MagicExecutor(
-                    lane,
-                    clock=Clock(),
-                    trace=self.trace,
-                    fault_hook=self.fault_hook,
+                    lane, clock=Clock(), fault_hook=self.fault_hook
                 )
                 stats_list.append(executor.execute(compiled.program, bindings))
         finally:
@@ -257,10 +251,8 @@ class ScalarBackend(ExecutorBackend):
     def make_array(self, template: CrossbarArray, batch: int) -> ScalarLaneArray:
         return ScalarLaneArray.from_scalar(template, batch)
 
-    def make_executor(self, array, clock=None, trace=None, fault_hook=None):
-        return ScalarLaneExecutor(
-            array, clock=clock, trace=trace, fault_hook=fault_hook
-        )
+    def make_executor(self, array, clock=None, fault_hook=None):
+        return ScalarLaneExecutor(array, clock=clock, fault_hook=fault_hook)
 
 
 class WordPackedBackend(ExecutorBackend):
@@ -273,9 +265,9 @@ class WordPackedBackend(ExecutorBackend):
     ) -> WordPackedCrossbarArray:
         return WordPackedCrossbarArray.from_scalar(template, batch)
 
-    def make_executor(self, array, clock=None, trace=None, fault_hook=None):
+    def make_executor(self, array, clock=None, fault_hook=None):
         return WordPackedMagicExecutor(
-            array, clock=clock, trace=trace, fault_hook=fault_hook
+            array, clock=clock, fault_hook=fault_hook
         )
 
 

@@ -59,7 +59,6 @@ from repro.magic.program import Program
 from repro.sim.clock import Clock
 from repro.sim.exceptions import MagicProtocolError, ProgramError
 from repro.sim.stats import RunStats
-from repro.sim.trace import Trace
 from repro.telemetry import spans as _telemetry
 
 
@@ -439,8 +438,6 @@ class MagicExecutor:
         Target crossbar.
     clock:
         Shared cycle counter; a fresh one is created when omitted.
-    trace:
-        Optional micro-op trace sink.
     fault_hook:
         Optional transient-fault injector (duck-typed; see
         :class:`repro.crossbar.faults.TransientFaultInjector`).  Its
@@ -453,12 +450,10 @@ class MagicExecutor:
         self,
         array: CrossbarArray,
         clock: Optional[Clock] = None,
-        trace: Optional[Trace] = None,
         fault_hook=None,
     ):
         self.array = array
         self.clock = clock if clock is not None else Clock()
-        self.trace = trace if trace is not None else Trace(enabled=False)
         self.fault_hook = fault_hook
         self.results: Dict[str, int] = {}
         self._compile_cache = _CompileCache(array.rows, array.cols)
@@ -517,15 +512,12 @@ class MagicExecutor:
         self.results = run_results
         stats = RunStats(results=run_results)
         energy_before = self.array.energy_fj
-        trace_enabled = self.trace.enabled
         tracer = _telemetry.active()
         for op in program:
             self._dispatch(op, bindings, stats, run_results)
             stats.cycles += op.cycles
             self.clock.tick(op.cycles, category=op.opcode)
             stats.op_counts[op.opcode] = stats.op_counts.get(op.opcode, 0) + 1
-            if trace_enabled:
-                self.trace.record(self.clock.cycles, op.opcode, repr(op))
         stats.energy_fj = self.array.energy_fj - energy_before
         if tracer is not None:
             tracer.record(
@@ -538,49 +530,6 @@ class MagicExecutor:
                 energy_fj=stats.energy_fj,
             )
         return stats
-
-    def execute_batch(
-        self,
-        program: Program,
-        bindings_list: Sequence[Dict[str, int]],
-        backend: object = None,
-    ) -> List[RunStats]:
-        """Replay *program* over a batch of binding sets in one SIMD pass.
-
-        The program is compiled (validated, column-masked) once and
-        cached on this executor, so repeated calls replay it with fresh
-        bindings at near-zero Python overhead.  Each lane starts from a
-        copy of the scalar array's current state; the scalar array
-        itself is left untouched (lanes diverge, so there is no single
-        end state to write back).  The shared clock advances once by the
-        program's cycle count — the SIMD semantics of row-parallel MAGIC:
-        all lanes execute in lock-step.
-
-        *backend* selects the batched execution strategy (an
-        :class:`~repro.magic.backend.ExecutorBackend` instance or its
-        registry name: ``"scalar"`` or ``"word"``); it defaults to
-        :data:`~repro.magic.backend.DEFAULT_BACKEND`.  Both backends are
-        accounting-equivalent, so the choice only affects wall-clock
-        simulation speed.
-
-        Returns one :class:`RunStats` per lane, bit-identical (results,
-        cycles, op counts, energy) to running :meth:`execute` with that
-        lane's bindings on a scalar copy of the array.
-        """
-        from repro.magic.backend import DEFAULT_BACKEND, get_backend
-
-        if not bindings_list:
-            return []
-        compiled = self._compile_cache.get(program)
-        resolved = get_backend(backend if backend is not None else DEFAULT_BACKEND)
-        batched = resolved.make_array(self.array, len(bindings_list))
-        executor = resolved.make_executor(
-            batched,
-            clock=self.clock,
-            trace=self.trace,
-            fault_hook=self.fault_hook,
-        )
-        return executor.execute(compiled, bindings_list)
 
     # ------------------------------------------------------------------
     def _dispatch(
@@ -961,12 +910,10 @@ class WordPackedMagicExecutor:
         self,
         array: WordPackedCrossbarArray,
         clock: Optional[Clock] = None,
-        trace: Optional[Trace] = None,
         fault_hook=None,
     ):
         self.array = array
         self.clock = clock if clock is not None else Clock()
-        self.trace = trace if trace is not None else Trace(enabled=False)
         self.fault_hook = fault_hook
         self._compile_cache = _CompileCache(array.rows, array.cols)
 
@@ -1023,7 +970,6 @@ class WordPackedMagicExecutor:
 
         energy_before = array.energy_fj.copy()
         results: List[Dict[str, int]] = [{} for _ in range(batch)]
-        trace_enabled = self.trace.enabled
         hook = self.fault_hook
         device = array.device
         e_reset = device.e_reset_fj
@@ -1042,7 +988,7 @@ class WordPackedMagicExecutor:
         write_levels = array._energy_counter(w_coeff)
         strict = array.strict_magic
         have_faults = bool(array._faults)
-        for index, step in enumerate(lowered.steps(lane_bits)):
+        for step in lowered.steps(lane_bits):
             code = step[0]
             if code == _PACK:
                 for first, rest, out_row, m, notm, np_mask in step[1]:
@@ -1145,9 +1091,6 @@ class WordPackedMagicExecutor:
                     hook.on_read(array, row)
                     have_faults = bool(array._faults)
             # _NOP: nothing to evaluate.
-            if trace_enabled:
-                op = compiled.program.ops[index]
-                self.trace.record(self.clock.cycles, op.opcode, repr(op))
 
         array._energy_const += lowered.energy_const_fj(device)
         array._writes += lowered.writes_delta(rmap, array.phys_rows, array.cols)

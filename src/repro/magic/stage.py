@@ -1,11 +1,13 @@
 """Crossbar stage: one subarray whose passes replay as SIMD lanes.
 
-Every MAGIC stage of the datapaths — the Karatsuba precompute and
-postcompute subarrays, the Toom-3 adder units — runs a pass the same
-way.  The stage array is the template: it is cloned into one lane per
-job, the caller seeds the lanes, the compiled program replays across
-all of them in lock-step, and the lanes' writes, energy and the
-all-ones steady state fold back into the stage array.  Each lane models
+Every MAGIC stage — the Karatsuba precompute and postcompute
+subarrays, every standalone adder
+(:class:`~repro.arith.koggestone.AdderUnit`,
+:class:`~repro.arith.ripple.RippleUnit`) — runs a pass the same way.
+The stage array is the template: it is cloned into one lane per job,
+the caller seeds the lanes, the compiled program replays across all
+of them in lock-step, and the lanes' writes, energy and the all-ones
+steady state fold back into the stage array.  Each lane models
 one sequential reuse of the same physical subarray, so the folded
 counters equal what running the jobs one after another would leave.
 
@@ -64,7 +66,7 @@ class CrossbarStage:
 
         *seed* prepares the fresh lanes before the faults are re-pinned
         (the Karatsuba stages reset them to the all-ones steady state,
-        the Toom-3 units write their operand rows); *sense* reads the
+        the adder units write their operand rows); *sense* reads the
         lanes after the program, while the reads still charge the lane
         energy.  Returns the per-lane run stats and what *sense*
         returned (``None`` without it).

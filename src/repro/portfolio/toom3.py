@@ -52,23 +52,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-import numpy as np
-
 from repro.arith import rowmul
 from repro.arith.bitops import ceil_div, ceil_log2, mask
-from repro.arith.koggestone import (
-    OP_ADD,
-    OP_SUB,
-    SCRATCH_ROWS,
-    KoggeStoneAdder,
-    KoggeStoneLayout,
-)
+from repro.arith.koggestone import OP_ADD, OP_SUB, AdderUnit
 from repro.arith.rowmul import RowMultiplier, RowMultiplierSpec
 from repro.crossbar.array import CrossbarArray
 from repro.karatsuba.controller import JobRecord, stage_span
 from repro.magic.backend import DEFAULT_BACKEND
-from repro.magic.executor import MagicExecutor, pack_ints, unpack_ints
-from repro.magic.stage import CrossbarStage
+from repro.magic.executor import MagicExecutor
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
 from repro.sim.clock import Clock
 from repro.sim.exceptions import DesignError
@@ -183,100 +174,6 @@ def split3(value: int, cb: int) -> List[int]:
 
 
 # ----------------------------------------------------------------------
-# Batched Kogge-Stone adder unit with stage-style accounting
-# ----------------------------------------------------------------------
-class _BatchedAdderUnit(CrossbarStage):
-    """One placed Kogge-Stone adder plus its crossbar, batch-executed.
-
-    Mirrors the Karatsuba stages' SIMD convention: each pass replays
-    the compiled adder program across one lane per operand pair
-    (:meth:`CrossbarStage.replay`), per-lane writes and energy fold
-    back into the unit's array, and the caller's stage clock advances
-    by one pass — lanes run in lock-step.
-    """
-
-    def __init__(
-        self,
-        width: int,
-        device=None,
-        spare_rows: int = 2,
-        optimize: bool = False,
-        backend: object = DEFAULT_BACKEND,
-    ):
-        super().__init__(
-            CrossbarArray(
-                3 + SCRATCH_ROWS,
-                width + 1,
-                device=device,
-                spare_rows=spare_rows,
-            ),
-            backend=backend,
-        )
-        self.width = width
-        self.optimize = optimize
-        layout = KoggeStoneLayout(
-            width=width,
-            col0=0,
-            x_row=0,
-            y_row=1,
-            out_row=2,
-            scratch_rows=tuple(range(3, 3 + SCRATCH_ROWS)),
-        )
-        self.adder = KoggeStoneAdder(layout)
-        # Power-up: establish the steady all-ones scratch/output state
-        # the adder programs assume (each pass ends with a full reset).
-        full = np.ones(self.array.cols, dtype=bool)
-        self.array.init_rows(layout.scratch_rows, full)
-        self.array.init_rows([layout.out_row], full)
-
-    def pass_cc(self, op: str = OP_ADD) -> int:
-        """Static latency of one pass (packed cycle count when the
-        optimizer is on, the paper's closed form otherwise)."""
-        if self.optimize:
-            return self.adder.program(op, optimize=True).cycle_count
-        return self.adder.latency_cc()
-
-    def run_pass(self, pairs: List[Tuple[int, int]], op: str) -> List[int]:
-        """One SIMD pass over *pairs*; returns the sensed sums."""
-        lay = self.adder.layout
-        for x, y in pairs:
-            if max(x, y) >> lay.width:
-                raise DesignError(
-                    f"operands must fit in {lay.width} bits, got {x} and {y}"
-                )
-            if op == OP_SUB and y > x:
-                raise DesignError(
-                    "subtraction requires x >= y (non-negative result)"
-                )
-        window = slice(lay.col0, lay.col0 + lay.columns)
-
-        def stage_operands(lanes) -> None:
-            full = np.ones(self.array.cols, dtype=bool)
-            for row, values in (
-                (lay.x_row, [x for x, _ in pairs]),
-                (lay.y_row, [y for _, y in pairs]),
-            ):
-                word = lanes.peek_row(row)
-                word[:, window] = pack_ints(values, lay.columns)
-                lanes.write_row(row, word, full)
-
-        def sense(lanes) -> List[int]:
-            return unpack_ints(lanes.read_row(lay.out_row)[:, window])
-
-        _, outs = self.replay(
-            self.adder.program(op, optimize=self.optimize),
-            [{} for _ in pairs],
-            stage_operands,
-            sense,
-        )
-        return outs
-
-    def optimizer_report(self, op: str):
-        self.adder.program(op, optimize=True)
-        return self.adder.optimizer_reports[op]
-
-
-# ----------------------------------------------------------------------
 # Stage 1: evaluation
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -311,7 +208,7 @@ class EvaluationStage:
         self.n_bits = n_bits
         self.cb = chunk_bits(n_bits)
         self.optimize = optimize
-        self.unit = _BatchedAdderUnit(
+        self.unit = AdderUnit(
             eval_width(n_bits),
             device=device,
             spare_rows=spare_rows,
@@ -569,11 +466,11 @@ class InterpolationStage:
         self.optimize = optimize
         self.iw = interp_width(n_bits)
         self.rw = recombine_width(n_bits)
-        self.narrow = _BatchedAdderUnit(
+        self.narrow = AdderUnit(
             self.iw, device=device, spare_rows=spare_rows,
             optimize=optimize, backend=backend,
         )
-        self.wide = _BatchedAdderUnit(
+        self.wide = AdderUnit(
             self.rw, device=device, spare_rows=spare_rows,
             optimize=optimize, backend=backend,
         )
@@ -683,7 +580,7 @@ class InterpolationStage:
             return interp_latency_cc(self.n_bits)
         return 5 + sum(unit.pass_cc(op) for unit, op in self._passes()) + 1
 
-    def _passes(self) -> List[Tuple[_BatchedAdderUnit, str]]:
+    def _passes(self) -> List[Tuple[AdderUnit, str]]:
         """(unit, op) of every adder pass one job runs: 9 reduction
         subs + neg/c2/c1 subs, inc/h/g adds + J doublings on the narrow
         adder, then the wide recombination adds."""

@@ -1,4 +1,4 @@
-"""Simulation core: cycle accounting, statistics, tracing, exceptions."""
+"""Simulation core: cycle accounting, statistics, exceptions."""
 
 from repro.sim.clock import Clock
 from repro.sim.exceptions import (
@@ -12,7 +12,6 @@ from repro.sim.exceptions import (
     SimulationError,
 )
 from repro.sim.stats import DesignMetrics, RunStats
-from repro.sim.trace import Trace, TraceEntry
 
 # NOTE: repro.sim.waveform is intentionally not imported here — it sits
 # above the magic layer; import it directly as `repro.sim.waveform`.
@@ -29,6 +28,4 @@ __all__ = [
     "ProgramError",
     "RunStats",
     "SimulationError",
-    "Trace",
-    "TraceEntry",
 ]

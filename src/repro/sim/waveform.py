@@ -1,7 +1,7 @@
-"""Row-activity visualisation from execution traces.
+"""Row-activity visualisation of MAGIC schedules.
 
-Turns a :class:`~repro.sim.trace.Trace` of an executed MAGIC program
-into a text "waveform": one line per row of the crossbar, one column
+Turns a MAGIC :class:`~repro.magic.program.Program` into a text
+"waveform": one line per row of the crossbar, one column
 per cycle, with a mark wherever the row was read (``r``), written
 (``W``), initialised (``i``), or both read and written (``*``).  Useful
 for inspecting stage schedules and for documentation.

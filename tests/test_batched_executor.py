@@ -16,7 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.arith.koggestone import standalone_adder
+from repro.arith.koggestone import AdderUnit
 from repro.crossbar import CrossbarArray, DeviceModel
 from repro.karatsuba.pipeline import KaratsubaPipeline
 from repro.magic import (
@@ -29,6 +29,7 @@ from repro.magic import (
     pack_ints,
     unpack_ints,
 )
+from repro.magic.stage import CrossbarStage
 from repro.sim.clock import Clock
 from repro.sim.exceptions import ProgramError
 from repro.sim.stats import RunStats
@@ -304,7 +305,7 @@ class TestBatchedDifferential:
         assert deepest[0] >= 10
 
     def test_simd_clock_advances_once_per_batch(self):
-        adder, executor = standalone_adder(8)
+        adder = AdderUnit(8).adder
         lay = adder.layout
         program = (
             ProgramBuilder()
@@ -316,36 +317,42 @@ class TestBatchedDifferential:
             .build()
         )
         bindings = [{"x": 11 * i, "y": 7 * i} for i in range(4)]
-        stats = executor.execute_batch(program, bindings)
+        word = get_backend("word")
+        clock = Clock()
+        executor = word.make_executor(
+            word.make_array(CrossbarArray(15, 9), len(bindings)), clock=clock
+        )
+        stats = executor.execute(program, bindings)
         # All lanes run in lock-step: shared clock advances one pass.
-        assert executor.clock.cycles == stats[0].cycles
+        assert clock.cycles == stats[0].cycles
         for lane, stat in enumerate(stats):
             assert stat.results["out"] == 18 * lane
 
     def test_execute_batch_leaves_scalar_array_untouched(self):
         array = CrossbarArray(2, 8)
-        executor = MagicExecutor(array)
+        word = get_backend("word")
         program = ProgramBuilder().write(0, "x", width=8).build()
         snapshot = array.state.copy()
-        executor.execute_batch(program, [{"x": 255}, {"x": 1}])
+        lanes = word.make_executor(word.make_array(array, 2))
+        lanes.execute(program, [{"x": 255}, {"x": 1}])
         assert np.array_equal(array.state, snapshot)
         assert array.max_writes() == 0
 
     def test_compile_cache_replays_program_identity(self):
-        array = CrossbarArray(2, 8)
-        executor = MagicExecutor(array)
+        stage = CrossbarStage(CrossbarArray(2, 8))
         program = ProgramBuilder().write(0, "x", width=8).build()
-        executor.execute_batch(program, [{"x": 1}])
-        compiled_first = executor._compile_cache.get(program)
-        executor.execute_batch(program, [{"x": 2}, {"x": 3}])
-        assert executor._compile_cache.get(program) is compiled_first
+        stage.replay(program, [{"x": 1}], lambda lanes: None)
+        compiled_first = stage.executor._compile_cache.get(program)
+        stage.replay(program, [{"x": 2}, {"x": 3}], lambda lanes: None)
+        assert stage.executor._compile_cache.get(program) is compiled_first
+        assert stage.executor.compile_cache_stats().misses == 1
 
     def test_unbound_operand_raises(self):
-        array = CrossbarArray(2, 8)
-        executor = MagicExecutor(array)
+        word = get_backend("word")
+        lanes = word.make_executor(word.make_array(CrossbarArray(2, 8), 2))
         program = ProgramBuilder().write(0, "x", width=8).build()
         with pytest.raises(ProgramError, match="unbound operand"):
-            executor.execute_batch(program, [{"x": 1}, {}])
+            lanes.execute(program, [{"x": 1}, {}])
 
     def test_lane_count_mismatch_raises(self):
         backend = get_backend("word")
@@ -364,21 +371,22 @@ class TestBatchedDifferential:
 
 
 # ----------------------------------------------------------------------
-# Batched Kogge-Stone helper
+# Batched Kogge-Stone unit
 # ----------------------------------------------------------------------
 class TestRunBatchAdder:
     def test_run_batch_matches_scalar_runs(self):
         rng = random.Random(11)
         pairs = [(rng.randrange(256), rng.randrange(256)) for _ in range(6)]
-        adder, executor = standalone_adder(8)
-        results = adder.run_batch(executor, pairs, first_use=True)
+        unit = AdderUnit(8)
+        results = unit.run_pass(pairs)
+        oracle = AdderUnit(8, backend="scalar")
+        assert results == [oracle.run_pass([pair])[0] for pair in pairs]
         assert results == [x + y for x, y in pairs]
-        assert executor.clock.cycles == adder.latency_cc()
+        assert unit.pass_cc() == unit.adder.latency_cc()
 
     def test_run_batch_subtraction(self):
         pairs = [(200, 13), (55, 55), (9, 0)]
-        adder, executor = standalone_adder(8)
-        results = adder.run_batch(executor, pairs, op="sub", first_use=True)
+        results = AdderUnit(8).run_pass(pairs, "sub")
         assert results == [x - y for x, y in pairs]
 
 

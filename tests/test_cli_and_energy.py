@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.arith.koggestone import (
+    SCRATCH_ROWS,
+    KoggeStoneAdder,
+    KoggeStoneLayout,
+)
 from repro.cli import build_parser, main
 from repro.crossbar.device import DeviceModel
 from repro.eval import energy
+from repro.sim import waveform
 from repro.sim.exceptions import DesignError
 
 
@@ -106,6 +112,19 @@ class TestCli:
         assert main(["fig4"]) == 0
         out = capsys.readouterr().out
         assert "L=2" in out and "chosen" in out
+
+    def test_waveform_command(self, capsys):
+        """The 8-bit add schedule on the paper's standalone placement:
+        operands in rows 0/1, the sum in row 2, scratch rows 3..14."""
+        layout = KoggeStoneLayout(
+            width=8, col0=0, x_row=0, y_row=1, out_row=2,
+            scratch_rows=tuple(range(3, 3 + SCRATCH_ROWS)),
+        )
+        program = KoggeStoneAdder(layout).program("add")
+        assert main(["waveform", "--bits", "8"]) == 0
+        out = capsys.readouterr().out
+        assert out == waveform.render(program, max_cycles=100) + "\n"
+        assert "legend" in out
 
     def test_explore_command(self, capsys):
         assert main(["explore", "--bits", "128"]) == 0

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.arith import rowmul
 from repro.arith.bitops import split_chunks
 from repro.arith.koggestone import latency_cc as ks_latency
-from repro.arith.koggestone import standalone_adder
+from repro.arith.koggestone import AdderUnit
 from repro.arith.rowmul import RowMultiplier, RowMultiplierSpec
 from repro.karatsuba import cost
 from repro.karatsuba.multiply import MultiplicationStage
@@ -31,11 +31,12 @@ class TestAdderCrossValidation:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 120), st.data())
     def test_program_cycles_and_results(self, width, data):
-        adder, ex = standalone_adder(width)
-        assert adder.program("add").cycle_count == ks_latency(width)
+        unit = AdderUnit(width)
+        assert unit.adder.program("add").cycle_count == ks_latency(width)
+        assert unit.pass_cc("add") == ks_latency(width)
         x = data.draw(st.integers(0, (1 << width) - 1))
         y = data.draw(st.integers(0, (1 << width) - 1))
-        assert adder.run(ex, x, y, "add", first_use=True) == x + y
+        assert unit.run_pass([(x, y)]) == [x + y]
 
 
 class TestRowmulCrossValidation:

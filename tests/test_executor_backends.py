@@ -16,7 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.arith.koggestone import standalone_adder
+from repro.arith.koggestone import AdderUnit
 from repro.crossbar import CrossbarArray, WordPackedCrossbarArray
 from repro.crossbar.faults import TransientFaultInjector, TransientFaultModel
 from repro.karatsuba.pipeline import KaratsubaPipeline
@@ -139,8 +139,10 @@ class TestBackendDifferential:
             .read(0, "out", width=8)
             .build()
         )
-        stats = executor.execute_batch(
-            program, [{"x": v} for v in (5, 250)], backend=backend
+        resolved = get_backend(backend)
+        lanes = resolved.make_executor(resolved.make_array(array, 2))
+        stats = lanes.execute(
+            executor.compile(program), [{"x": v} for v in (5, 250)]
         )
         assert [s.results["out"] for s in stats] == [5, 250]
         # The scalar template array stays untouched either way.
@@ -385,13 +387,19 @@ class TestCompileCacheGeneration:
     def test_same_length_mutation_invalidates_cache(self):
         array = CrossbarArray(2, 8)
         executor = MagicExecutor(array)
+        word = get_backend("word")
+
+        def replay():
+            lanes = word.make_executor(word.make_array(array, 1))
+            return lanes.execute(executor.compile(program), [{"x": 9}])
+
         program = (
             ProgramBuilder()
             .write(0, "x", width=8)
             .read(0, "out", width=8)
             .build()
         )
-        stats = executor.execute_batch(program, [{"x": 9}])
+        stats = replay()
         assert stats[0].results["out"] == 9
         stale = executor._compile_cache.get(program)
 
@@ -405,7 +413,7 @@ class TestCompileCacheGeneration:
         assert program.generation == generation + 1
         fresh = executor._compile_cache.get(program)
         assert fresh is not stale
-        stats = executor.execute_batch(program, [{"x": 9}])
+        stats = replay()
         assert stats[0].results["out"] == 0  # row 1 was never written
 
     def test_every_list_mutator_bumps_generation(self):
@@ -624,14 +632,29 @@ class TestPipelineBackends:
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_run_batch_adder_backend(self, backend):
+        """A batched adder pass charges its array what one-lane passes
+        over the same pairs charge: writes and energy, not zero."""
         rng = random.Random(17)
         pairs = [(rng.randrange(256), rng.randrange(256)) for _ in range(5)]
-        adder, executor = standalone_adder(8)
-        results = adder.run_batch(
-            executor, pairs, first_use=True, backend=backend
+        unit = AdderUnit(8, backend=backend)
+        writes, energy = unit.array.writes.copy(), unit.array.energy_fj
+        assert unit.run_pass(pairs) == [x + y for x, y in pairs]
+        assert unit.pass_cc("add") == unit.adder.latency_cc()
+
+        single = AdderUnit(8, backend=backend)
+        lane_writes = single.array.writes.copy()
+        lane_energy = []
+        for pair in pairs:
+            before = single.array.energy_fj
+            single.run_pass([pair])
+            lane_energy.append(single.array.energy_fj - before)
+            if len(lane_energy) == 1:
+                lane_writes = single.array.writes - lane_writes
+        assert lane_writes.sum() > 0 and min(lane_energy) > 0
+        assert np.array_equal(
+            unit.array.writes - writes, len(pairs) * lane_writes
         )
-        assert results == [x + y for x, y in pairs]
-        assert executor.clock.cycles == adder.latency_cc()
+        assert unit.array.energy_fj - energy == sum(lane_energy)
 
     def test_unknown_stage_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown executor backend"):

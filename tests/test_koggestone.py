@@ -13,12 +13,13 @@ import repro.magic.passes as passes_mod
 from repro.arith.bitops import ceil_log2
 from repro.arith.koggestone import (
     SCRATCH_ROWS,
+    AdderUnit,
     KoggeStoneAdder,
     KoggeStoneLayout,
     latency_cc,
-    standalone_adder,
     writes_per_cell,
 )
+from repro.magic.backend import BACKEND_NAMES
 from repro.sim.exceptions import DesignError
 
 
@@ -39,12 +40,12 @@ class TestLatencyFormula:
 
     def test_program_matches_formula(self):
         for width in (2, 3, 4, 8, 17, 33, 65, 97):
-            adder, _ = standalone_adder(width)
+            adder = AdderUnit(width).adder
             assert adder.program("add").cycle_count == latency_cc(width)
             assert adder.program("sub").cycle_count == latency_cc(width)
 
     def test_levels(self):
-        adder, _ = standalone_adder(17)
+        adder = AdderUnit(17).adder
         assert adder.levels == ceil_log2(17) == 5
 
     def test_invalid_width_rejected(self):
@@ -81,81 +82,113 @@ class TestLayoutValidation:
 
     def test_footprint_matches_paper(self):
         """n+1 columns, 12 scratch rows, independent of n (Sec. IV-B)."""
-        adder, executor = standalone_adder(64)
-        assert executor.array.cols == 65
-        assert executor.array.rows == 3 + SCRATCH_ROWS
+        unit = AdderUnit(64)
+        assert unit.array.cols == 65
+        assert unit.array.rows == 3 + SCRATCH_ROWS
 
 
 class TestAddition:
     def test_simple_cases(self):
-        adder, ex = standalone_adder(8)
-        assert adder.run(ex, 0, 0, "add", first_use=True) == 0
-        assert adder.run(ex, 1, 1) == 2
-        assert adder.run(ex, 255, 255) == 510  # carry out captured
-        assert adder.run(ex, 170, 85) == 255
+        unit = AdderUnit(8)
+        assert unit.run_pass([(0, 0)]) == [0]
+        assert unit.run_pass([(1, 1)]) == [2]
+        assert unit.run_pass([(255, 255)]) == [510]  # carry out captured
+        assert unit.run_pass([(170, 85)]) == [255]
 
     def test_carry_chain_full_length(self):
-        adder, ex = standalone_adder(16)
-        assert adder.run(ex, 0xFFFF, 1, "add", first_use=True) == 0x10000
+        unit = AdderUnit(16)
+        assert unit.run_pass([(0xFFFF, 1)]) == [0x10000]
 
     def test_repeated_use_stays_correct(self, rng):
-        adder, ex = standalone_adder(12)
-        first = True
+        unit = AdderUnit(12)
         for _ in range(30):
             x, y = rng.getrandbits(12), rng.getrandbits(12)
-            assert adder.run(ex, x, y, "add", first_use=first) == x + y
-            first = False
+            assert unit.run_pass([(x, y)]) == [x + y]
 
     def test_operand_width_enforced(self):
-        adder, ex = standalone_adder(8)
-        with pytest.raises(DesignError):
-            adder.run(ex, 256, 0, first_use=True)
+        """Operands may fill the 9-column window, carry column included,
+        but not exceed it."""
+        unit = AdderUnit(8)
+        with pytest.raises(DesignError, match="window"):
+            unit.run_pass([(1, 0), (0, 1 << 9)])
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1))
     def test_addition_property(self, x, y):
-        adder, ex = standalone_adder(16)
-        assert adder.run(ex, x, y, "add", first_use=True) == x + y
+        assert AdderUnit(16).run_pass([(x, y)]) == [x + y]
 
 
 class TestSubtraction:
     def test_simple_cases(self):
-        adder, ex = standalone_adder(8)
-        assert adder.run(ex, 5, 3, "sub", first_use=True) == 2
-        assert adder.run(ex, 255, 0, "sub") == 255
-        assert adder.run(ex, 128, 128, "sub") == 0
+        unit = AdderUnit(8)
+        assert unit.run_pass([(5, 3)], "sub") == [2]
+        assert unit.run_pass([(255, 0)], "sub") == [255]
+        assert unit.run_pass([(128, 128)], "sub") == [0]
 
     def test_borrow_chain(self):
-        adder, ex = standalone_adder(16)
-        assert adder.run(ex, 0x8000, 1, "sub", first_use=True) == 0x7FFF
+        unit = AdderUnit(16)
+        assert unit.run_pass([(0x8000, 1)], "sub") == [0x7FFF]
 
     def test_negative_result_rejected(self):
-        adder, ex = standalone_adder(8)
+        unit = AdderUnit(8)
         with pytest.raises(DesignError):
-            adder.run(ex, 3, 5, "sub", first_use=True)
+            unit.run_pass([(3, 5)], "sub")
 
     def test_unknown_op_rejected(self):
-        adder, _ = standalone_adder(8)
+        unit = AdderUnit(8)
         with pytest.raises(DesignError):
-            adder.program("mul")
+            unit.adder.program("mul")
+        with pytest.raises(DesignError):
+            unit.run_pass([(1, 1)], "mul")
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1))
     def test_subtraction_property(self, x, y):
         x, y = max(x, y), min(x, y)
-        adder, ex = standalone_adder(16)
-        assert adder.run(ex, x, y, "sub", first_use=True) == x - y
+        assert AdderUnit(16).run_pass([(x, y)], "sub") == [x - y]
 
     def test_add_sub_interleaved(self, rng):
         """Add and sub programs share the array without interference."""
-        adder, ex = standalone_adder(10)
-        first = True
+        unit = AdderUnit(10)
         for _ in range(20):
             x, y = rng.getrandbits(10), rng.getrandbits(10)
-            assert adder.run(ex, x, y, "add", first_use=first) == x + y
-            first = False
+            assert unit.run_pass([(x, y)], "add") == [x + y]
             hi, lo = max(x, y), min(x, y)
-            assert adder.run(ex, hi, lo, "sub") == hi - lo
+            assert unit.run_pass([(hi, lo)], "sub") == [hi - lo]
+
+
+class TestOperandRule:
+    """The window rule the Karatsuba postcompute plans its passes by:
+    operands may use the carry column when the result has no carry-out."""
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("width", [8, 95])
+    def test_window_wide_operands_exact(self, backend, width):
+        unit = AdderUnit(width, backend=backend)
+        top = 1 << width
+        assert unit.run_pass(
+            [(top, top - 1), (top, 0), (0, top)], "add"
+        ) == [2 * top - 1, top, top]
+        assert unit.run_pass(
+            [(2 * top - 1, top), (top, 1), (top, top)], "sub"
+        ) == [top - 1, top - 1, 0]
+
+    @pytest.mark.parametrize(
+        "pairs, op, match",
+        [
+            ([(1 << 9, 0)], "sub", "window"),       # over-window operand
+            ([(-1, 0)], "add", "window"),           # negative operand
+            ([(256, 256)], "add", "overflows"),     # sum needs a 10th column
+            ([(1, 1), (511, 1)], "add", "overflows"),
+            ([(3, 5)], "sub", "x >= y"),            # negative difference
+        ],
+    )
+    def test_other_inputs_rejected(self, pairs, op, match):
+        unit = AdderUnit(8)
+        with pytest.raises(DesignError, match=match):
+            unit.run_pass(pairs, op)
+        # Validation runs before any lane: nothing was charged.
+        assert unit.array.energy_fj == AdderUnit(8).array.energy_fj
 
 
 class TestBatchedOperation:
@@ -163,25 +196,25 @@ class TestBatchedOperation:
     blocks — the paper's postcompute batching (Sec. IV-E)."""
 
     def test_batched_addition(self):
-        adder, ex = standalone_adder(16)
+        unit = AdderUnit(16)
         # Blocks: [0, 7) and [8, 15); sums have 8 bits each, gap at 7.
         xa, ya = 0x55, 0x2A
         xb, yb = 0x7F, 0x01
         x = xa | (xb << 8)
         y = ya | (yb << 8)
-        got = adder.run(ex, x, y, "add", first_use=True)
+        (got,) = unit.run_pass([(x, y)], "add")
         assert got & 0xFF == xa + ya
         assert (got >> 8) & 0xFF == xb + yb
 
     def test_batched_subtraction_no_borrow_leak(self):
-        adder, ex = standalone_adder(16)
+        unit = AdderUnit(16)
         # Low block produces a zero result; the gap column's propagate=1
         # must forward only a zero borrow into the high block.
         xa, ya = 0x40, 0x40
         xb, yb = 0x50, 0x01
         x = xa | (xb << 8)
         y = ya | (yb << 8)
-        got = adder.run(ex, x, y, "sub", first_use=True)
+        (got,) = unit.run_pass([(x, y)], "sub")
         assert got & 0xFF == 0
         assert (got >> 8) & 0xFF == xb - yb
 
@@ -190,21 +223,21 @@ class TestWear:
     def test_scratch_wear_bounded(self):
         """Per-addition scratch wear stays within a small factor of the
         paper's 2*ceil(log2 n) bound."""
-        adder, ex = standalone_adder(32)
-        adder.run(ex, 1, 2, "add", first_use=True)
-        baseline = ex.array.max_writes()
+        unit = AdderUnit(32)
+        unit.run_pass([(1, 2)])
+        baseline = unit.array.max_writes()
         runs = 20
         for i in range(runs):
-            adder.run(ex, i + 3, 2 * i + 1, "add")
-        per_run = (ex.array.max_writes() - baseline) / runs
+            unit.run_pass([(i + 3, 2 * i + 1)])
+        per_run = (unit.array.max_writes() - baseline) / runs
         assert per_run <= 3 * writes_per_cell(32)
 
     def test_write_counters_monotone(self):
-        adder, ex = standalone_adder(8)
-        adder.run(ex, 1, 1, "add", first_use=True)
-        w1 = ex.array.total_writes()
-        adder.run(ex, 2, 2, "add")
-        assert ex.array.total_writes() > w1
+        unit = AdderUnit(8)
+        unit.run_pass([(1, 1)])
+        w1 = unit.array.total_writes()
+        unit.run_pass([(2, 2)])
+        assert unit.array.total_writes() > w1
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.arith.koggestone import standalone_adder
-from repro.arith.ripple import standalone_ripple
+from repro.arith.koggestone import AdderUnit
+from repro.arith.ripple import RippleUnit
 from repro.crossbar.array import CrossbarArray
 from repro.magic import (
     MagicExecutor,
@@ -526,10 +526,11 @@ class TestPropertyEquivalence:
             for variant in (prog, result.program):
                 array = CrossbarArray(ROWS, COLS)
                 array.state[:] = True
-                stats = MagicExecutor(array).execute_batch(
-                    variant, bindings_list, backend=backend
+                resolved = get_backend(backend)
+                batched = resolved.make_executor(
+                    resolved.make_array(array, len(bindings_list))
                 )
-                per_variant.append(stats)
+                per_variant.append(batched.execute(variant, bindings_list))
             base, packed = per_variant
             for lane in range(len(bindings_list)):
                 assert base[lane].results == packed[lane].results
@@ -564,40 +565,38 @@ class TestAdderOptOut:
     def test_koggestone_default_matches_closed_form(self):
         from repro.arith import koggestone
 
-        adder, _ = standalone_adder(16)
+        adder = AdderUnit(16).adder
         assert adder.program("add").cycle_count == koggestone.latency_cc(16)
         assert adder.latency_cc() == koggestone.latency_cc(16)
 
     def test_koggestone_optimized_is_faster_and_exact(self, rng):
-        adder, executor = standalone_adder(16)
+        unit = AdderUnit(16, optimize=True)
+        adder = unit.adder
         base = adder.program("add")
         packed = adder.program("add", optimize=True)
         assert packed.cycle_count < base.cycle_count
         assert adder.optimizer_reports["add"].cycles_saved > 0
         assert adder.latency_cc(optimize=True) == packed.cycle_count
-        for trial in range(4):
+        assert unit.pass_cc("add") == packed.cycle_count
+        for _ in range(4):
             x, y = rng.getrandbits(16), rng.getrandbits(16)
-            assert adder.run(
-                executor, x, y, first_use=(trial == 0), optimize=True
-            ) == x + y
+            assert unit.run_pass([(x, y)]) == [x + y]
 
     def test_koggestone_optimized_sub(self, rng):
-        adder, executor = standalone_adder(16)
+        unit = AdderUnit(16, optimize=True)
         x = rng.getrandbits(16)
         y = rng.randrange(x + 1)
-        assert adder.run(
-            executor, x, y, op="sub", first_use=True, optimize=True
-        ) == x - y
+        assert unit.run_pass([(x, y)], "sub") == [x - y]
 
     def test_ripple_default_matches_closed_form(self):
         from repro.arith import ripple
 
-        adder, _ = standalone_ripple(8)
+        adder = RippleUnit(8).adder
         assert adder.program().cycle_count == ripple.latency_cc(8)
         assert adder.program(optimize=True).cycle_count < ripple.latency_cc(8)
 
     def test_nor_cycles_shrink(self):
-        adder, _ = standalone_adder(16)
+        adder = AdderUnit(16).adder
         base = adder.program("add").cycles_by_opcode()["nor"]
         packed = adder.program("add", optimize=True).cycles_by_opcode()["nor"]
         assert packed < base

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.arith.koggestone import standalone_adder
+from repro.arith.koggestone import AdderUnit
+from repro.crossbar import CrossbarArray
 from repro.magic import (
     MagicExecutor,
     ProgramBuilder,
+    bits_to_int,
     check_protocol,
     coalesce_inits,
     dump_asm,
     eliminate_dead_ops,
+    int_to_bits,
     liveness,
     load_asm,
 )
@@ -108,7 +111,7 @@ class TestProtocolChecker:
         """The generated adder programs obey the MAGIC discipline given
         the stage's power-up guarantee (scratch + out rows at one)."""
         for width in (4, 16, 64):
-            adder, _ = standalone_adder(width)
+            adder = AdderUnit(width).adder
             armed = set(adder.layout.scratch_rows) | {adder.layout.out_row}
             for op in ("add", "sub"):
                 report = check_protocol(adder.program(op), initially_ones=armed)
@@ -140,7 +143,7 @@ class TestDeadOpElimination:
         propagate bits and the final generates).  The paper's uniform
         7-op-per-level schedule computes it anyway for SIMD regularity,
         so the generator keeps it."""
-        adder, _ = standalone_adder(16)
+        adder = AdderUnit(16).adder
         prog = adder.program("add")
         optimised = eliminate_dead_ops(
             prog, keep_rows={adder.layout.out_row}
@@ -149,21 +152,22 @@ class TestDeadOpElimination:
 
     def test_optimised_program_still_correct(self, rng):
         """Optimisation passes preserve semantics on the executor."""
-        adder, ex = standalone_adder(8)
+        adder = AdderUnit(8).adder
         prog = coalesce_inits(
             eliminate_dead_ops(
                 adder.program("add"), keep_rows={adder.layout.out_row}
             )
         )
         # Run the optimised program manually.
+        array = CrossbarArray(15, 9)
         lay = adder.layout
-        ex.array.init_rows(lay.scratch_rows)
-        ex.array.init_rows([lay.out_row])
+        array.init_rows(lay.scratch_rows)
+        array.init_rows([lay.out_row])
         x, y = rng.getrandbits(8), rng.getrandbits(8)
-        adder._place_word(ex.array, lay.x_row, x)
-        adder._place_word(ex.array, lay.y_row, y)
-        ex.execute(prog)
-        assert adder._read_word(ex.array, lay.out_row) == x + y
+        array.write_row(lay.x_row, int_to_bits(x, 9))
+        array.write_row(lay.y_row, int_to_bits(y, 9))
+        MagicExecutor(array).execute(prog)
+        assert bits_to_int(array.read_row(lay.out_row)) == x + y
 
 
 class TestCoalesceInits:
@@ -199,7 +203,7 @@ class TestCoalesceInits:
 class TestAssembler:
     def test_roundtrip_generated_programs(self):
         for width in (4, 16, 33):
-            adder, _ = standalone_adder(width)
+            adder = AdderUnit(width).adder
             for op in ("add", "sub"):
                 prog = adder.program(op)
                 assert load_asm(dump_asm(prog)).ops == prog.ops
@@ -231,9 +235,7 @@ class TestAssembler:
 
     def test_executable_after_roundtrip(self, rng):
         """A reloaded program produces identical results."""
-        from repro.crossbar import CrossbarArray
-
-        adder, _ = standalone_adder(8)
+        adder = AdderUnit(8).adder
         prog = load_asm(dump_asm(adder.program("add")))
         array = CrossbarArray(15, 9)
         ex = MagicExecutor(array)
@@ -241,7 +243,7 @@ class TestAssembler:
         array.init_rows(lay.scratch_rows)
         array.init_rows([lay.out_row])
         x, y = rng.getrandbits(8), rng.getrandbits(8)
-        adder._place_word(array, lay.x_row, x)
-        adder._place_word(array, lay.y_row, y)
+        array.write_row(lay.x_row, int_to_bits(x, 9))
+        array.write_row(lay.y_row, int_to_bits(y, 9))
         ex.execute(prog)
-        assert adder._read_word(array, lay.out_row) == x + y
+        assert bits_to_int(array.read_row(lay.out_row)) == x + y

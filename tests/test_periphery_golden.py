@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.arith.koggestone import standalone_adder
+from repro.arith.koggestone import AdderUnit
 from repro.crossbar.periphery import (
     PeripheryEstimate,
     PeripheryModel,
@@ -114,21 +114,13 @@ class TestGoldenVectors:
 class TestExhaustiveSmallWidths:
     def test_adder_4bit_exhaustive(self):
         """All 256 operand pairs through the NOR-level 4-bit adder."""
-        adder, ex = standalone_adder(4)
-        first = True
-        for x in range(16):
-            for y in range(16):
-                assert adder.run(ex, x, y, "add", first_use=first) == x + y
-                first = False
+        pairs = [(x, y) for x in range(16) for y in range(16)]
+        assert AdderUnit(4).run_pass(pairs, "add") == [x + y for x, y in pairs]
 
     def test_subtractor_4bit_exhaustive(self):
         """All ordered pairs with x >= y through the borrow-form path."""
-        adder, ex = standalone_adder(4)
-        first = True
-        for x in range(16):
-            for y in range(x + 1):
-                assert adder.run(ex, x, y, "sub", first_use=first) == x - y
-                first = False
+        pairs = [(x, y) for x in range(16) for y in range(x + 1)]
+        assert AdderUnit(4).run_pass(pairs, "sub") == [x - y for x, y in pairs]
 
     def test_rowmul_4bit_exhaustive(self):
         from repro.arith.rowmul import RowMultiplier, RowMultiplierSpec

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.arith import ripple
 from repro.arith.koggestone import latency_cc as ks_latency
-from repro.arith.ripple import RippleLayout, standalone_ripple
+from repro.arith.ripple import RippleLayout, RippleUnit
 from repro.baselines.onarray import (
     imply_add_on_array,
     imply_multiply_on_array,
@@ -19,21 +19,22 @@ from repro.sim.exceptions import DesignError
 
 class TestRippleAdder:
     def test_simple_sums(self):
-        adder, ex = standalone_ripple(8)
-        assert adder.run(ex, 0, 0) == 0
-        assert adder.run(ex, 255, 1) == 256      # full carry chain
-        assert adder.run(ex, 170, 85) == 255
+        unit = RippleUnit(8)
+        assert unit.run(0, 0) == 0
+        assert unit.run(255, 1) == 256      # full carry chain
+        assert unit.run(170, 85) == 255
 
     def test_carry_in(self):
-        adder, ex = standalone_ripple(8)
-        assert adder.run(ex, 10, 20, carry_in=1) == 31
+        unit = RippleUnit(8)
+        assert unit.run(10, 20, carry_in=1) == 31
+        assert unit.run(255, 255, carry_in=1) == 511
         with pytest.raises(DesignError):
-            adder.run(ex, 1, 1, carry_in=2)
+            unit.run(1, 1, carry_in=2)
 
     def test_latency_linear(self):
         assert ripple.latency_cc(8) == 13 * 9
         assert ripple.latency_cc(16) == 13 * 17
-        adder, _ = standalone_ripple(16)
+        adder = RippleUnit(16).adder
         assert adder.program().cycle_count == ripple.latency_cc(16)
 
     def test_slower_than_koggestone_at_width(self):
@@ -45,16 +46,15 @@ class TestRippleAdder:
         assert ripple.SCRATCH_ROWS < 12
 
     def test_repeated_use(self, rng):
-        adder, ex = standalone_ripple(10)
+        unit = RippleUnit(10)
         for _ in range(15):
             x, y = rng.getrandbits(10), rng.getrandbits(10)
-            assert adder.run(ex, x, y) == x + y
+            assert unit.run(x, y) == x + y
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1))
     def test_addition_property(self, x, y):
-        adder, ex = standalone_ripple(12)
-        assert adder.run(ex, x, y) == x + y
+        assert RippleUnit(12).run(x, y) == x + y
 
     def test_layout_validation(self):
         with pytest.raises(DesignError):
@@ -69,9 +69,9 @@ class TestRippleAdder:
             )
 
     def test_operand_width_enforced(self):
-        adder, ex = standalone_ripple(4)
+        unit = RippleUnit(4)
         with pytest.raises(DesignError):
-            adder.run(ex, 16, 0)
+            unit.run(16, 0)
 
 
 class TestWallaceOnArray:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.arith.koggestone import standalone_adder
+from repro.arith.koggestone import AdderUnit
 from repro.eval import scaling
 from repro.karatsuba import floorplan
 from repro.magic.program import ProgramBuilder
@@ -136,13 +136,13 @@ class TestWaveform:
         assert grid[0] == [waveform.MARK_BOTH] * 2
 
     def test_render_truncation(self):
-        adder, _ = standalone_adder(16)
+        adder = AdderUnit(16).adder
         text = waveform.render(adder.program("add"), max_cycles=30)
         assert "more cycles" in text
         assert "legend" in text
 
     def test_utilization_bounds(self):
-        adder, _ = standalone_adder(8)
+        adder = AdderUnit(8).adder
         util = waveform.utilization(adder.program("add"))
         assert all(0.0 <= u <= 1.0 for u in util.values())
         # Scratch rows are busier than operand rows.

@@ -13,7 +13,6 @@ from repro.karatsuba.design import KaratsubaCimMultiplier
 from repro.magic import MagicExecutor, ProgramBuilder
 from repro.sim.clock import Clock
 from repro.sim.exceptions import DesignError
-from repro.sim.trace import Trace
 
 
 class TestSignedMultiplication:
@@ -73,15 +72,6 @@ class TestSquaringCostModel:
 
 
 class TestExecutorEdgeCases:
-    def test_trace_records_each_op(self):
-        array = CrossbarArray(4, 4)
-        trace = Trace(enabled=True)
-        ex = MagicExecutor(array, trace=trace)
-        prog = ProgramBuilder().init([2]).nor([0, 1], 2).nop(2).build()
-        ex.execute(prog)
-        assert [entry.opcode for entry in trace] == ["init", "nor", "nop"]
-        assert trace.entries[-1].cycle == 4     # nop covers cycles 3-4
-
     def test_shared_clock_across_programs(self):
         array = CrossbarArray(4, 4)
         clock = Clock()

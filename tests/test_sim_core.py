@@ -1,4 +1,4 @@
-"""Tests for the simulation core: clock, stats, trace, exceptions."""
+"""Tests for the simulation core: clock, stats, exceptions."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.sim import (
     DesignMetrics,
     RunStats,
     SimulationError,
-    Trace,
 )
 from repro.sim.exceptions import (
     AddressError,
@@ -112,77 +111,6 @@ class TestDesignMetrics:
         assert fast.speedup_over(slow) == pytest.approx(10.0)
         # Same area, 10x throughput -> 10x better ATP.
         assert fast.atp_improvement_over(slow) == pytest.approx(10.0)
-
-
-class TestTrace:
-    def test_disabled_trace_records_nothing(self):
-        trace = Trace(enabled=False)
-        trace.record(1, "nor", "detail")
-        assert len(trace) == 0
-
-    def test_enabled_trace_records(self):
-        trace = Trace(enabled=True)
-        trace.record(1, "nor", "a")
-        trace.record(2, "shift", "b")
-        assert len(trace) == 2
-        assert trace.entries[0].opcode == "nor"
-
-    def test_limit_drops_oldest(self):
-        trace = Trace(enabled=True, limit=2)
-        for i in range(5):
-            trace.record(i, "op", str(i))
-        assert len(trace) == 2
-        assert trace.dropped == 3
-        assert trace.entries[0].detail == "3"
-
-    def test_opcode_histogram_sorted(self):
-        trace = Trace(enabled=True)
-        for op in ("a", "b", "b", "c", "b"):
-            trace.record(0, op)
-        hist = trace.opcode_histogram()
-        assert hist[0] == ("b", 3)
-
-    def test_format_truncates(self):
-        trace = Trace(enabled=True)
-        for i in range(30):
-            trace.record(i, "nor")
-        text = trace.format(first=5)
-        assert "25 more entries" in text
-
-    def test_ring_buffer_is_bounded_deque(self):
-        from collections import deque
-
-        trace = Trace(enabled=True, limit=3)
-        assert isinstance(trace.entries, deque)
-        assert trace.entries.maxlen == 3
-        for i in range(10):
-            trace.record(i, "op", str(i))
-        assert [e.detail for e in trace] == ["7", "8", "9"]
-        assert trace.dropped == 7
-
-    def test_zero_limit_drops_everything(self):
-        trace = Trace(enabled=True, limit=0)
-        trace.record(0, "nor")
-        trace.record(1, "nor")
-        assert len(trace) == 0
-        assert trace.dropped == 2
-
-    def test_negative_limit_rejected(self):
-        with pytest.raises(ValueError):
-            Trace(enabled=True, limit=-1)
-
-    def test_unlimited_keeps_everything(self):
-        trace = Trace(enabled=True)
-        for i in range(100):
-            trace.record(i, "op")
-        assert len(trace) == 100
-        assert trace.dropped == 0
-
-    def test_histogram_only_counts_retained(self):
-        trace = Trace(enabled=True, limit=2)
-        for op in ("a", "a", "b", "c"):
-            trace.record(0, op)
-        assert trace.opcode_histogram() == [("b", 1), ("c", 1)]
 
 
 class TestExceptions:

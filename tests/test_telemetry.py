@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro import cli, telemetry
-from repro.arith.koggestone import standalone_adder
+from repro.arith.koggestone import AdderUnit
 from repro.karatsuba.bank import BankTiming, MultiplierBank
 from repro.karatsuba.pipeline import PipelineTiming
 from repro.sim import waveform
@@ -242,7 +242,7 @@ class TestProfiler:
     def test_row_occupancy_matches_waveform_utilization(self):
         """Acceptance: profiler agrees with waveform.utilization on a
         single Kogge-Stone program, cycle-for-cycle."""
-        adder, _ = standalone_adder(8)
+        adder = AdderUnit(8).adder
         program = adder.program("add")
         tree = profiling.program_spans(program)
         assert tree.duration_cc == program.cycle_count
