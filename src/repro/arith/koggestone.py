@@ -36,6 +36,7 @@ so no cross-talk occurs in either mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.arith.bitops import ceil_log2
@@ -180,6 +181,11 @@ class KoggeStoneAdder:
         if report is not None:
             self.optimizer_reports[op] = report
         return program
+
+    def optimizer_report(self, op: str) -> "OptimizationResult":
+        """Cycle-packer report of this adder's *op* program."""
+        self.program(op, optimize=True)
+        return self.optimizer_reports[op]
 
     @property
     def levels(self) -> int:
@@ -369,8 +375,59 @@ class AdderUnit(CrossbarStage):
         _, outs = self.replay(
             program, [{} for _ in pairs], stage_operands, sense
         )
-        return outs
+        return outs or []  # no pairs: no lanes were sensed
 
-    def optimizer_report(self, op: str) -> "OptimizationResult":
-        self.adder.program(op, optimize=True)
-        return self.adder.optimizer_reports[op]
+
+class AdderPassStage:
+    """Mixin for a MAGIC stage whose per-job work is a fixed list of
+    Kogge-Stone adder passes.
+
+    A stage declares its work once: :attr:`units`, the crossbar units
+    it owns; :meth:`adder_passes`, the ``(adder, op)`` passes one job
+    runs; and :attr:`overhead_cc`, the periphery cycles around them
+    (operand writes, resets, reordering).  Latency, optimizer stats,
+    area and wear all derive from those declarations, so they cannot
+    drift from what the stage replays.
+    """
+
+    #: Periphery cycles one job spends outside the adder passes.
+    overhead_cc: int
+    #: Run adder programs through the SIMD cycle packer
+    #: (:mod:`repro.magic.passes`).
+    optimize: bool
+    units: Tuple[CrossbarStage, ...]
+
+    def adder_passes(self) -> List[Tuple[KoggeStoneAdder, str]]:
+        raise NotImplementedError
+
+    def latency_cc(self) -> int:
+        """Per-job stage latency: the overhead plus the replayed adder
+        programs' cycle counts (the paper's closed form unless the
+        optimizer is on)."""
+        return self._latency_cc
+
+    @cached_property
+    def _latency_cc(self) -> int:
+        # Fixed for the stage's lifetime (wear states move rows, not
+        # cycles); summed once, since timing is read on every batch.
+        return self.overhead_cc + sum(
+            adder.program(op, optimize=self.optimize).cycle_count
+            for adder, op in self.adder_passes()
+        )
+
+    def optimizer_stats(self) -> Dict[str, object]:
+        """Aggregated cycle-packer report over the adder passes one job
+        runs: before/after cycles, savings per pass, and the pack factor
+        (micro-ops retired per issued cycle)."""
+        from repro.magic.passes import summarize_reports
+
+        return summarize_reports(
+            [adder.optimizer_report(op) for adder, op in self.adder_passes()]
+        )
+
+    @property
+    def area_cells(self) -> int:
+        return sum(unit.array.cells for unit in self.units)
+
+    def max_writes(self) -> int:
+        return max(unit.array.max_writes() for unit in self.units)

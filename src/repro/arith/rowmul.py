@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.arith.bitops import ceil_log2
 from repro.magic.executor import pack_lanes, unpack_lanes
+from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
 from repro.sim.clock import Clock
 from repro.sim.exceptions import DesignError
 from repro.sim.stats import RunStats
@@ -290,3 +291,77 @@ def lockstep_pass(
             job[out] = product
         results.append(job)
     return results
+
+
+@dataclass(frozen=True)
+class RowStageResult:
+    """The sub-products of one job through a lock-step row stage."""
+
+    products: Dict[str, int]
+    cycles: int
+
+
+class LockstepRowStage:
+    """Single-row multipliers in lock-step, one row per ``(out, lhs, rhs)``
+    step, all *width* bits wide.
+
+    The pipeline slot between a design's evaluation and interpolation
+    stages (Karatsuba's nine sub-products, Toom-3's five point-wise
+    products, the schoolbook design's one full-width row).  A batch of B jobs runs as one :func:`lockstep_pass`
+    and advances the stage clock by a single row latency.  The rows
+    are a numeric model: the stage owns no MAGIC crossbar
+    (:attr:`units` is empty).
+    """
+
+    units: Tuple[object, ...] = ()
+
+    def __init__(
+        self,
+        width: int,
+        steps: Sequence[Tuple[str, str, str]],
+        name: str,
+        wear_leveling: bool = True,
+        residue_bits: int = DEFAULT_RESIDUE_BITS,
+    ):
+        self.width = width
+        self.steps = tuple(steps)
+        self.wear_leveling = wear_leveling
+        self.checker = ResidueChecker(name, residue_bits)
+        spec = RowMultiplierSpec(width)
+        self.rows: Dict[str, RowMultiplier] = {
+            out: RowMultiplier(spec) for out, _, _ in self.steps
+        }
+        self.clock = Clock()
+        self.passes = 0
+
+    def process_batch(
+        self, operands_list: Sequence[Mapping[str, int]]
+    ) -> List[RowStageResult]:
+        """Run B jobs in lock-step, advancing the clock once.
+
+        Every operand map must name each step's inputs.  All
+        ``len(steps) * B`` sub-products are residue-verified; products
+        and wear equal one pass per job.
+        """
+        operands_list = list(operands_list)
+        if not operands_list:
+            return []
+        products = lockstep_pass(
+            self.rows, self.steps, operands_list, self.checker,
+            self.wear_leveling,
+        )
+        cycles = self.latency_cc()
+        self.passes += len(operands_list)
+        self.clock.tick(cycles, category="rowmul")
+        return [RowStageResult(products=p, cycles=cycles) for p in products]
+
+    def latency_cc(self) -> int:
+        """One row latency: the rows finish together."""
+        return latency_cc(self.width)
+
+    @property
+    def area_cells(self) -> int:
+        return len(self.rows) * area_cells(self.width)
+
+    def max_writes(self) -> int:
+        return max(row.max_writes() for row in self.rows.values())

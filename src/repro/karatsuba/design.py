@@ -125,10 +125,9 @@ class KaratsubaCimMultiplier:
 
     def endurance_reports(self) -> List[EnduranceReport]:
         """Wear summaries of the two crossbar-based stages."""
-        controller = self.pipeline.controller
         return [
-            analyze(controller.precompute.array),
-            analyze(controller.postcompute.array),
+            analyze(unit.array)
+            for _, unit in self.pipeline.controller.crossbar_units()
         ]
 
     def lifetime_multiplications(self, endurance_cycles: int = 10**10) -> int:

@@ -17,14 +17,10 @@ the hottest cell's write accumulation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
-
 from repro.arith import rowmul
-from repro.arith.rowmul import RowMultiplier, RowMultiplierSpec
+from repro.arith.rowmul import LockstepRowStage
 from repro.karatsuba.unroll import UnrolledPlan, build_plan
-from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
-from repro.sim.clock import Clock
+from repro.reliability.residue import DEFAULT_RESIDUE_BITS
 from repro.sim.exceptions import DesignError
 
 #: Parallel multiplier rows in the L = 2 design.
@@ -54,16 +50,14 @@ def _check_width(n_bits: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class MultiplicationResult:
-    """Outputs of one multiplication pass."""
+class MultiplicationStage(LockstepRowStage):
+    """Cycle-accurate multiplication subarray (nine parallel rows).
 
-    products: Dict[str, int]
-    cycles: int
-
-
-class MultiplicationStage:
-    """Cycle-accurate multiplication subarray (nine parallel rows)."""
+    Each operand set must contain every name referenced by the plan
+    (the precompute stage's output mapping is exactly that); all
+    ``9 B`` sub-products of a batch run as one bit-sliced
+    :func:`~repro.arith.rowmul.lockstep_pass`, each residue-verified.
+    """
 
     def __init__(
         self,
@@ -73,58 +67,13 @@ class MultiplicationStage:
     ):
         _check_width(n_bits)
         self.n_bits = n_bits
-        self.width = operand_width(n_bits)
         self.plan: UnrolledPlan = build_plan(n_bits, 2)
-        self.wear_leveling = wear_leveling
-        self.checker = ResidueChecker("multiply", residue_bits)
-        self.steps = tuple(
-            (step.out, step.lhs, step.rhs) for step in self.plan.multiplications
+        super().__init__(
+            operand_width(n_bits),
+            [(s.out, s.lhs, s.rhs) for s in self.plan.multiplications],
+            "multiply",
+            wear_leveling=wear_leveling,
+            residue_bits=residue_bits,
         )
-        spec = RowMultiplierSpec(self.width)
-        self.rows: Dict[str, RowMultiplier] = {
-            out: RowMultiplier(spec) for out, _, _ in self.steps
-        }
         if len(self.rows) != NUM_ROWS:
             raise AssertionError("unexpected L=2 multiplication count")
-        self.clock = Clock()
-        self.passes = 0
-
-    # ------------------------------------------------------------------
-    def process_batch(
-        self, operands_list: List[Dict[str, int]]
-    ) -> List[MultiplicationResult]:
-        """Run B multiplication passes, advancing the clock once.
-
-        Each operand set must contain every name referenced by the plan
-        (the precompute stage's output mapping is exactly that).  The
-        nine rows already run in lock-step within a pass; batching
-        extends the lock-step across operand sets, so the stage clock
-        advances by a single row latency for the whole batch.  All
-        ``9 B`` sub-products run as one bit-sliced
-        :func:`~repro.arith.rowmul.lockstep_pass`, each residue-verified;
-        products and wear are identical to one pass per job.
-        """
-        operands_list = list(operands_list)
-        if not operands_list:
-            return []
-        products = rowmul.lockstep_pass(
-            self.rows, self.steps, operands_list, self.checker, self.wear_leveling
-        )
-        cycles = latency_cc(self.n_bits)
-        self.passes += len(operands_list)
-        self.clock.tick(cycles, category="rowmul")
-        return [MultiplicationResult(products=p, cycles=cycles) for p in products]
-
-    # ------------------------------------------------------------------
-    @property
-    def area_cells(self) -> int:
-        return area_cells(self.n_bits)
-
-    def latency_cc(self) -> int:
-        return latency_cc(self.n_bits)
-
-    def max_writes(self) -> int:
-        return max(row.max_writes() for row in self.rows.values())
-
-    def row_names(self) -> List[str]:
-        return list(self.rows)

@@ -87,12 +87,15 @@ class KaratsubaPipeline:
     The timing algebra, stream replay and telemetry are datapath-
     agnostic: subclasses (the :mod:`repro.portfolio` Toom-3 and
     schoolbook designs) swap :attr:`controller_factory` for another
-    controller with the same surface and inherit everything else.
+    :class:`~repro.karatsuba.controller.PipelineController` and inherit
+    everything else.
     """
 
-    #: Controller class driving the three pipeline slots.  Any class
-    #: with the :class:`KaratsubaController` surface (job records,
-    #: ``stage_latencies``, wear/energy/reliability accessors) slots in.
+    #: Controller class driving the three pipeline slots: a
+    #: :class:`~repro.karatsuba.controller.PipelineController` subclass,
+    #: which supplies job records, ``stage_names``/``stage_latencies``,
+    #: the wear/energy/reliability accessors and ``crossbar_units()``
+    #: over its stages' declared units.
     controller_factory = KaratsubaController
 
     def __init__(
@@ -121,11 +124,7 @@ class KaratsubaPipeline:
         return PipelineTiming(
             n_bits=self.n_bits,
             stage_latencies=self.controller.stage_latencies(),
-            stage_names=getattr(
-                self.controller,
-                "stage_names",
-                ("precompute", "multiply", "postcompute"),
-            ),
+            stage_names=self.controller.stage_names,
         )
 
     def multiply(self, a: int, b: int) -> int:

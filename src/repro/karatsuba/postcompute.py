@@ -46,13 +46,13 @@ from typing import Dict, List, Tuple
 from repro.arith.bitops import ceil_log2, mask
 from repro.arith.koggestone import (
     SCRATCH_ROWS,
+    AdderPassStage,
     KoggeStoneAdder,
     KoggeStoneLayout,
 )
 from repro.crossbar.array import CrossbarArray
 from repro.crossbar.endurance import WearLevelingController
 from repro.magic.backend import DEFAULT_BACKEND
-from repro.magic.passes import summarize_reports
 from repro.magic.program import Program, ProgramBuilder
 from repro.magic.stage import CrossbarStage, all_ones
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
@@ -103,7 +103,7 @@ class PostcomputeResult:
     cycles: int
 
 
-class PostcomputeStage(CrossbarStage):
+class PostcomputeStage(AdderPassStage, CrossbarStage):
     """Cycle-accurate postcomputation subarray.
 
     Every pass stages its operand words into the adder's x/y rows
@@ -112,6 +112,9 @@ class PostcomputeStage(CrossbarStage):
     the result row.  Arithmetic is therefore bit-exact through the real
     in-memory adder, while latency follows the paper's accounting.
     """
+
+    #: The paper's lump for operand reordering and resets.
+    overhead_cc = REORDER_CYCLES
 
     def __init__(
         self,
@@ -151,8 +154,8 @@ class PostcomputeStage(CrossbarStage):
         )
         self._adders: Dict[bool, KoggeStoneAdder] = {}
         self._initialised_states = set()
-        #: Per wear state: (mega program, clock histogram, cycles/job).
-        self._mega: Dict[bool, Tuple[Program, Dict[str, int], int]] = {}
+        #: Per wear state: (mega program, clock histogram).
+        self._mega: Dict[bool, Tuple[Program, Dict[str, int]]] = {}
         self.passes = 0
 
     # ------------------------------------------------------------------
@@ -172,6 +175,11 @@ class PostcomputeStage(CrossbarStage):
             )
             self._adders[state] = KoggeStoneAdder(layout)
         return self._adders[state]
+
+    def adder_passes(self) -> List[Tuple[KoggeStoneAdder, str]]:
+        """The eleven passes of one job, in the current wear state."""
+        adder = self._adder()
+        return [(adder, op) for op in self.PASS_OPS]
 
     #: Fixed op sequence of the 11-pass schedule (data-independent).
     PASS_OPS = ("add", "sub", "add", "sub", "add",
@@ -266,7 +274,7 @@ class PostcomputeStage(CrossbarStage):
             self.array.init_rows([adder.layout.out_row])
             self._initialised_states.add(state)
 
-    def _mega_program(self) -> Tuple[Program, Dict[str, int], int]:
+    def _mega_program(self) -> Tuple[Program, Dict[str, int]]:
         """One full pass as a single replayable program for the
         *current* wear state: nine packed input WRITEs, eleven
         (stage x/y, adder pass, sense) rounds, and the closing data
@@ -275,8 +283,7 @@ class PostcomputeStage(CrossbarStage):
         INIT ride inside that lump."""
         state = self.leveler.swapped
         if state not in self._mega:
-            adder = self._adder()
-            lay = adder.layout
+            lay = self._adder().layout
             physical = self.leveler.physical_row
             builder = ProgramBuilder(label=f"postcompute-pass-{int(state)}")
             span = self.cols // 2
@@ -288,8 +295,7 @@ class PostcomputeStage(CrossbarStage):
                     width=min(span, self.cols - (slot % 2) * span),
                 )
             hist: Dict[str, int] = {}
-            cycles = REORDER_CYCLES
-            for index, op in enumerate(self.PASS_OPS):
+            for index, (adder, op) in enumerate(self.adder_passes()):
                 builder.write(lay.x_row, f"x{index}", width=self.cols)
                 builder.write(lay.y_row, f"y{index}", width=self.cols)
                 program = adder.program(op, optimize=self.optimize)
@@ -297,12 +303,11 @@ class PostcomputeStage(CrossbarStage):
                 builder.read(lay.out_row, f"out{index}", width=self.cols)
                 for opcode, cost in program.cycles_by_opcode().items():
                     hist[opcode] = hist.get(opcode, 0) + cost
-                cycles += program.cycle_count
             # Reset the data region so that, after a wear-leveling swap,
             # the incoming scratch rows hold logic one.
             builder.init([physical(r) for r in range(DATA_ROWS)])
             hist["reorder"] = REORDER_CYCLES
-            self._mega[state] = (builder.build(), hist, cycles)
+            self._mega[state] = (builder.build(), hist)
         return self._mega[state]
 
     def process_batch(
@@ -330,12 +335,11 @@ class PostcomputeStage(CrossbarStage):
 
         span = self.cols // 2
         products_out: Dict[int, int] = {}
-        cycles_per_job = 0
         for group in self.leveler.job_groups(
             len(products_list), self.wear_leveling
         ):
             self._power_up(self._adder())
-            program, hist, cycles_per_job = self._mega_program()
+            program, hist = self._mega_program()
             bindings = []
             for j in group:
                 passes, _ = plans[j]
@@ -363,8 +367,9 @@ class PostcomputeStage(CrossbarStage):
                 self.clock.tick(cost, category=opcode)
             self.passes += len(group)
 
+        cycles = self.latency_cc()
         return [
-            PostcomputeResult(product=products_out[j], cycles=cycles_per_job)
+            PostcomputeResult(product=products_out[j], cycles=cycles)
             for j in range(len(products_list))
         ]
 
@@ -386,29 +391,3 @@ class PostcomputeStage(CrossbarStage):
                 check="differential",
                 location=location,
             )
-
-    # ------------------------------------------------------------------
-    def latency_cc(self) -> int:
-        if not self.optimize:
-            return latency_cc(self.n_bits)
-        adder = self._adder()
-        return (
-            sum(
-                adder.program(op, optimize=True).cycle_count
-                for op in self.PASS_OPS
-            )
-            + REORDER_CYCLES
-        )
-
-    def optimizer_stats(self) -> Dict[str, object]:
-        """Aggregated cycle-packer report over the adder programs one
-        job runs (the eleven passes, per job), as the precompute stage
-        reports; ``{"enabled": False}`` when the optimizer is off."""
-        if not self.optimize:
-            return {"enabled": False}
-        adder = self._adder()
-        reports = []
-        for op in self.PASS_OPS:
-            adder.program(op, optimize=True)
-            reports.append(adder.optimizer_reports[op])
-        return summarize_reports(reports)

@@ -29,6 +29,7 @@ from typing import Dict, List, Tuple
 from repro.arith.bitops import ceil_log2
 from repro.arith.koggestone import (
     SCRATCH_ROWS,
+    AdderPassStage,
     KoggeStoneAdder,
     KoggeStoneLayout,
 )
@@ -36,7 +37,6 @@ from repro.crossbar.array import CrossbarArray
 from repro.crossbar.endurance import WearLevelingController
 from repro.karatsuba.unroll import UnrolledPlan, build_plan
 from repro.magic.backend import DEFAULT_BACKEND
-from repro.magic.passes import summarize_reports
 from repro.magic.program import Program, ProgramBuilder
 from repro.magic.stage import CrossbarStage, all_ones
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
@@ -80,7 +80,7 @@ class PrecomputeResult:
     cycles: int
 
 
-class PrecomputeStage(CrossbarStage):
+class PrecomputeStage(AdderPassStage, CrossbarStage):
     """Cycle-accurate precomputation subarray.
 
     The stage owns its crossbar, a wear-leveling controller, and one
@@ -88,6 +88,9 @@ class PrecomputeStage(CrossbarStage):
     writes the eight chunks, executes the ten additions NOR-by-NOR,
     resets, and returns every named chunk sum.
     """
+
+    #: Eight input-row writes and the closing reset.
+    overhead_cc = INPUT_ROWS + 1
 
     def __init__(
         self,
@@ -128,8 +131,8 @@ class PrecomputeStage(CrossbarStage):
         self._row_of = self._assign_rows()
         self._adders: Dict[Tuple[str, bool], KoggeStoneAdder] = {}
         self._initialised_states = set()
-        #: Per wear state: (mega program, clock histogram, cycles/job).
-        self._mega: Dict[bool, Tuple[Program, Dict[str, int], int]] = {}
+        #: Per wear state: (mega program, clock histogram).
+        self._mega: Dict[bool, Tuple[Program, Dict[str, int]]] = {}
         self.passes = 0
 
     # ------------------------------------------------------------------
@@ -148,6 +151,12 @@ class PrecomputeStage(CrossbarStage):
     def _scratch_rows(self) -> Tuple[int, ...]:
         rows = range(INPUT_ROWS + RESULT_ROWS, TOTAL_ROWS)
         return tuple(self.leveler.physical_row(r) for r in rows)
+
+    def adder_passes(self) -> List[Tuple[KoggeStoneAdder, str]]:
+        """The ten additions of one job, in the current wear state."""
+        return [
+            (self._adder_for(step), "add") for step in self.plan.precompute_adds
+        ]
 
     def _adder_for(self, step) -> KoggeStoneAdder:
         """Adder program generator for one addition in the current
@@ -186,31 +195,29 @@ class PrecomputeStage(CrossbarStage):
         f"b{i}" for i in range(4)
     )
 
-    def _mega_program(self) -> Tuple[Program, Dict[str, int], int]:
+    def _mega_program(self) -> Tuple[Program, Dict[str, int]]:
         """One full pass as a single replayable program, for the
         *current* wear state: eight operand WRITEs, ten adder passes
         each followed by a result READ, and the closing data-region
-        INIT.  Returns ``(program, clock histogram, cycles per job)``;
-        the histogram charges the input writes, the adder programs and
-        the reset (the READs are periphery transfers the stage never
-        charges)."""
+        INIT.  Returns ``(program, clock histogram)``; the histogram
+        charges the input writes, the adder programs and the reset
+        (the READs are periphery transfers the stage never charges)."""
         state = self.leveler.swapped
         if state not in self._mega:
             builder = ProgramBuilder(label=f"precompute-pass-{int(state)}")
             hist: Dict[str, int] = {"write": INPUT_ROWS}
-            cycles = INPUT_ROWS + 1
             for name in self._INPUT_NAMES:
                 builder.write(
                     self._physical(self._row_of[name]), name, width=self.cols
                 )
-            for step in self.plan.precompute_adds:
-                adder = self._adder_for(step)
-                program = adder.program("add", optimize=self.optimize)
+            for step, (adder, op) in zip(
+                self.plan.precompute_adds, self.adder_passes()
+            ):
+                program = adder.program(op, optimize=self.optimize)
                 builder.concat(program)
                 builder.read(adder.layout.out_row, step.out, width=self.cols)
                 for opcode, cost in program.cycles_by_opcode().items():
                     hist[opcode] = hist.get(opcode, 0) + cost
-                cycles += program.cycle_count
             # Reset the whole data region (inputs and results) in one
             # multi-row INIT cycle; the adder already reset its own
             # scratch region.  Covering the input rows matters under
@@ -220,7 +227,7 @@ class PrecomputeStage(CrossbarStage):
                 [self._physical(r) for r in range(INPUT_ROWS + RESULT_ROWS)]
             )
             hist["init"] = hist.get("init", 0) + 1
-            self._mega[state] = (builder.build(), hist, cycles)
+            self._mega[state] = (builder.build(), hist)
         return self._mega[state]
 
     def process_batch(
@@ -250,10 +257,9 @@ class PrecomputeStage(CrossbarStage):
                     raise DesignError(f"chunk {chunk} exceeds {chunk_bits} bits")
 
         all_sums: Dict[int, Dict[str, int]] = {}
-        cycles_per_job = 0
         for group in self.leveler.job_groups(len(jobs), self.wear_leveling):
             self._power_up()
-            program, hist, cycles_per_job = self._mega_program()
+            program, hist = self._mega_program()
             bindings = []
             for j in group:
                 a_chunks, b_chunks = jobs[j]
@@ -291,33 +297,8 @@ class PrecomputeStage(CrossbarStage):
                 self.clock.tick(cost, category=opcode)
             self.passes += len(group)
 
+        cycles = self.latency_cc()
         return [
-            PrecomputeResult(chunk_sums=all_sums[j], cycles=cycles_per_job)
+            PrecomputeResult(chunk_sums=all_sums[j], cycles=cycles)
             for j in range(len(jobs))
         ]
-
-    # ------------------------------------------------------------------
-    def latency_cc(self) -> int:
-        """Per-job stage latency.  The paper's closed form by default;
-        with the optimizer on, the measured cycle count of the packed
-        adder programs (8 input writes + 10 adds + 1 reset)."""
-        if not self.optimize:
-            return latency_cc(self.n_bits)
-        total = INPUT_ROWS + 1
-        for step in self.plan.precompute_adds:
-            adder = self._adder_for(step)
-            total += adder.program("add", optimize=True).cycle_count
-        return total
-
-    def optimizer_stats(self) -> Dict[str, object]:
-        """Aggregated cycle-packer report over this stage's adder
-        programs (per job): before/after cycles, savings per pass, and
-        the achieved pack factor (micro-ops retired per issued cycle)."""
-        if not self.optimize:
-            return {"enabled": False}
-        reports = []
-        for step in self.plan.precompute_adds:
-            adder = self._adder_for(step)
-            adder.program("add", optimize=True)
-            reports.append(adder.optimizer_reports["add"])
-        return summarize_reports(reports)

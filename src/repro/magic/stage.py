@@ -69,8 +69,11 @@ class CrossbarStage:
         the adder units write their operand rows); *sense* reads the
         lanes after the program, while the reads still charge the lane
         energy.  Returns the per-lane run stats and what *sense*
-        returned (``None`` without it).
+        returned (``None`` without it).  An empty *bindings* clones
+        nothing and returns no stats; *sense* is not called.
         """
+        if not bindings:
+            return [], None
         lanes = self.backend.make_array(self.array, len(bindings))
         seed(lanes)
         lanes.repin_faults()
@@ -114,10 +117,7 @@ class CrossbarStage:
         self.array.repin_faults()
         return faulty
 
-    # ------------------------------------------------------------------
     @property
-    def area_cells(self) -> int:
-        return self.array.cells
-
-    def max_writes(self) -> int:
-        return self.array.max_writes()
+    def units(self) -> Tuple["CrossbarStage", ...]:
+        """Crossbar units this stage owns: its own subarray."""
+        return (self,)

@@ -50,20 +50,23 @@ the same point set (see ``tests/test_portfolio.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.arith import rowmul
 from repro.arith.bitops import ceil_div, ceil_log2, mask
-from repro.arith.koggestone import OP_ADD, OP_SUB, AdderUnit
-from repro.arith.rowmul import RowMultiplier, RowMultiplierSpec
-from repro.crossbar.array import CrossbarArray
-from repro.karatsuba.controller import JobRecord, stage_span
+from repro.arith.koggestone import (
+    OP_ADD,
+    OP_SUB,
+    AdderPassStage,
+    AdderUnit,
+    KoggeStoneAdder,
+)
+from repro.arith.rowmul import LockstepRowStage
+from repro.karatsuba.controller import PipelineController
 from repro.magic.backend import DEFAULT_BACKEND
-from repro.magic.executor import MagicExecutor
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
 from repro.sim.clock import Clock
 from repro.sim.exceptions import DesignError
-from repro.telemetry import spans as _telemetry
 
 #: Smallest operand the Toom-3 datapath supports.  Unlike the L = 2
 #: Karatsuba design there is **no divisibility constraint**: chunking
@@ -174,6 +177,41 @@ def split3(value: int, cb: int) -> List[int]:
 
 
 # ----------------------------------------------------------------------
+# Adder stages: residue-checked passes
+# ----------------------------------------------------------------------
+class _CheckedAdderStage(AdderPassStage):
+    """A Toom-3 MAGIC stage: lock-step adder passes on its units, each
+    residue-verified lane by lane."""
+
+    def __init__(self, name: str, residue_bits: int):
+        self.checker = ResidueChecker(name, residue_bits)
+        self.clock = Clock()
+        self.passes = 0
+
+    def _pass(
+        self,
+        unit: AdderUnit,
+        xs: Sequence[int],
+        ys: Sequence[int],
+        op: str,
+        name: str,
+    ) -> List[int]:
+        """One pass of *unit* over lanes ``(xs[i], ys[i])``; residues
+        predicted from the staged operands, verified against every
+        sensed lane."""
+        sensed = unit.run_pass(list(zip(xs, ys)), op)
+        self.clock.tick(unit.pass_cc(op), category="nor")
+        self.passes += 1
+        res = self.checker.res
+        sign = 1 if op == OP_ADD else -1
+        for lane, (value, x, y) in enumerate(zip(sensed, xs, ys)):
+            self.checker.check_linear(
+                value, [(res(x), 1), (res(y), sign)], f"{name}[{lane}]"
+            )
+        return sensed
+
+
+# ----------------------------------------------------------------------
 # Stage 1: evaluation
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -184,7 +222,7 @@ class EvalResult:
     cycles: int
 
 
-class EvaluationStage:
+class EvaluationStage(_CheckedAdderStage):
     """Evaluate both operands at {1, 2, 4} in six batched adder passes.
 
     Points 0 and inf are wire taps (``a0`` and ``a2``).  Shifted
@@ -194,6 +232,9 @@ class EvaluationStage:
     The a- and b-operand evaluations ride in disjoint lanes of the
     same pass (paper Sec. IV-E batching), halving the pass count.
     """
+
+    #: Six chunk writes and the closing write.
+    overhead_cc = EVAL_PASSES + 1
 
     def __init__(
         self,
@@ -205,6 +246,7 @@ class EvaluationStage:
         backend: object = DEFAULT_BACKEND,
     ):
         _check_width(n_bits)
+        super().__init__("evaluate", residue_bits)
         self.n_bits = n_bits
         self.cb = chunk_bits(n_bits)
         self.optimize = optimize
@@ -215,9 +257,10 @@ class EvaluationStage:
             optimize=optimize,
             backend=backend,
         )
-        self.checker = ResidueChecker("evaluate", residue_bits)
-        self.clock = Clock()
-        self.passes = 0
+        self.units = (self.unit,)
+
+    def adder_passes(self) -> List[Tuple[KoggeStoneAdder, str]]:
+        return [(self.unit.adder, OP_ADD)] * EVAL_PASSES
 
     # ------------------------------------------------------------------
     def process_batch(
@@ -237,68 +280,22 @@ class EvaluationStage:
         self.clock.tick(EVAL_PASSES, category="write")
 
         # Lanes 0..B-1 evaluate the a-operands, lanes B..2B-1 the
-        # b-operands; chunk triples flattened per lane.
+        # b-operands.  A(2^k) = a0 + (a1 << k) + (a2 << 2k), two passes
+        # per point.
         chunks = [a for a, _ in jobs] + [b for _, b in jobs]
-        res = self.checker.res
-        digested = [[res(c) for c in triple] for triple in chunks]
-
-        def checked_pass(pairs, residue_pairs, op, name):
-            sensed = self.unit.run_pass(pairs, op)
-            self.clock.tick(self.unit.pass_cc(op), category="nor")
-            self.passes += 1
-            out = []
-            for lane, value in enumerate(sensed):
-                rx, ry = residue_pairs[lane]
-                sign = 1 if op == OP_ADD else -1
-                out.append(
-                    (
-                        value,
-                        self.checker.check_linear(
-                            value, [(rx, 1), (ry, sign)], f"{name}[{lane}]"
-                        ),
-                    )
-                )
-            return out
-
-        # A(1) = a0 + a1 + a2 (two passes).
-        s = checked_pass(
-            [(t[1], t[2]) for t in chunks],
-            [(d[1], d[2]) for d in digested],
-            OP_ADD,
-            "e1.sum",
-        )
-        e1 = checked_pass(
-            [(v, t[0]) for (v, _), t in zip(s, chunks)],
-            [(r, d[0]) for (_, r), d in zip(s, digested)],
-            OP_ADD,
-            "e1",
-        )
-        # A(2) = a0 + (a1 << 1) + (a2 << 2).
-        s = checked_pass(
-            [(t[1] << 1, t[2] << 2) for t in chunks],
-            [(res(t[1] << 1), res(t[2] << 2)) for t in chunks],
-            OP_ADD,
-            "e2.sum",
-        )
-        e2 = checked_pass(
-            [(v, t[0]) for (v, _), t in zip(s, chunks)],
-            [(r, d[0]) for (_, r), d in zip(s, digested)],
-            OP_ADD,
-            "e2",
-        )
-        # A(4) = a0 + (a1 << 2) + (a2 << 4).
-        s = checked_pass(
-            [(t[1] << 2, t[2] << 4) for t in chunks],
-            [(res(t[1] << 2), res(t[2] << 4)) for t in chunks],
-            OP_ADD,
-            "e4.sum",
-        )
-        e4 = checked_pass(
-            [(v, t[0]) for (v, _), t in zip(s, chunks)],
-            [(r, d[0]) for (_, r), d in zip(s, digested)],
-            OP_ADD,
-            "e4",
-        )
+        evals: Dict[int, List[int]] = {}
+        for k in range(3):
+            point = 1 << k
+            s = self._pass(
+                self.unit,
+                [t[1] << k for t in chunks],
+                [t[2] << (2 * k) for t in chunks],
+                OP_ADD,
+                f"e{point}.sum",
+            )
+            evals[point] = self._pass(
+                self.unit, s, [t[0] for t in chunks], OP_ADD, f"e{point}"
+            )
         self.clock.tick(1, category="write")
         cycles = self.clock.cycles - start
 
@@ -307,72 +304,23 @@ class EvaluationStage:
         for j, (a_chunks, b_chunks) in enumerate(jobs):
             values = {
                 "A0": a_chunks[0],
-                "A1": e1[j][0],
-                "A2": e2[j][0],
-                "A4": e4[j][0],
+                "A1": evals[1][j],
+                "A2": evals[2][j],
+                "A4": evals[4][j],
                 "Ainf": a_chunks[2],
                 "B0": b_chunks[0],
-                "B1": e1[B + j][0],
-                "B2": e2[B + j][0],
-                "B4": e4[B + j][0],
+                "B1": evals[1][B + j],
+                "B2": evals[2][B + j],
+                "B4": evals[4][B + j],
                 "Binf": b_chunks[2],
             }
             results.append(EvalResult(values=values, cycles=cycles))
         return results
 
-    # ------------------------------------------------------------------
-    def latency_cc(self) -> int:
-        if not self.optimize:
-            return eval_latency_cc(self.n_bits)
-        return EVAL_PASSES + EVAL_PASSES * self.unit.pass_cc(OP_ADD) + 1
-
-    @property
-    def area_cells(self) -> int:
-        return self.unit.array.cells
-
-    @property
-    def array(self) -> CrossbarArray:
-        return self.unit.array
-
-    @property
-    def executor(self) -> MagicExecutor:
-        return self.unit.executor
-
-    @property
-    def fault_hook(self):
-        return self.unit.executor.fault_hook
-
-    @fault_hook.setter
-    def fault_hook(self, hook) -> None:
-        self.unit.executor.fault_hook = hook
-
-    def diagnose_and_repair(self) -> List[int]:
-        return self.unit.diagnose_and_repair()
-
-    def max_writes(self) -> int:
-        return self.unit.array.max_writes()
-
-    def optimizer_stats(self) -> Dict[str, object]:
-        if not self.optimize:
-            return {"enabled": False}
-        from repro.magic.passes import summarize_reports
-
-        return summarize_reports(
-            [self.unit.optimizer_report(OP_ADD)] * EVAL_PASSES
-        )
-
 
 # ----------------------------------------------------------------------
 # Stage 2: point-wise products
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PointwiseResult:
-    """The five point-wise products of one job."""
-
-    products: Dict[str, int]
-    cycles: int
-
-
 #: Point-wise products: output name -> (a-side input, b-side input).
 POINTWISE_STEPS: Tuple[Tuple[str, str, str], ...] = (
     ("v0", "A0", "B0"),
@@ -383,7 +331,7 @@ POINTWISE_STEPS: Tuple[Tuple[str, str, str], ...] = (
 )
 
 
-class PointwiseStage:
+class PointwiseStage(LockstepRowStage):
     """Five single-row multipliers in lock-step (``cb + 5``-bit rows)."""
 
     def __init__(
@@ -394,40 +342,13 @@ class PointwiseStage:
     ):
         _check_width(n_bits)
         self.n_bits = n_bits
-        self.width = pointwise_width(n_bits)
-        self.wear_leveling = wear_leveling
-        self.checker = ResidueChecker("pointwise", residue_bits)
-        spec = RowMultiplierSpec(self.width)
-        self.rows: Dict[str, RowMultiplier] = {
-            out: RowMultiplier(spec) for out, _, _ in POINTWISE_STEPS
-        }
-        self.clock = Clock()
-        self.passes = 0
-
-    def process_batch(
-        self, operands_list: List[Dict[str, int]]
-    ) -> List[PointwiseResult]:
-        operands_list = list(operands_list)
-        if not operands_list:
-            return []
-        products = rowmul.lockstep_pass(
-            self.rows, POINTWISE_STEPS, operands_list, self.checker,
-            self.wear_leveling,
+        super().__init__(
+            pointwise_width(n_bits),
+            POINTWISE_STEPS,
+            "pointwise",
+            wear_leveling=wear_leveling,
+            residue_bits=residue_bits,
         )
-        cycles = self.latency_cc()
-        self.passes += len(operands_list)
-        self.clock.tick(cycles, category="rowmul")
-        return [PointwiseResult(products=p, cycles=cycles) for p in products]
-
-    def latency_cc(self) -> int:
-        return pointwise_latency_cc(self.n_bits)
-
-    @property
-    def area_cells(self) -> int:
-        return len(self.rows) * rowmul.area_cells(self.width)
-
-    def max_writes(self) -> int:
-        return max(row.max_writes() for row in self.rows.values())
 
 
 # ----------------------------------------------------------------------
@@ -439,7 +360,7 @@ class InterpolationResult:
     cycles: int
 
 
-class InterpolationStage:
+class InterpolationStage(_CheckedAdderStage):
     """Recover c0..c4 from the five products and assemble the result.
 
     All intermediates are non-negative (a consequence of the positive
@@ -451,6 +372,9 @@ class InterpolationStage:
     second, wider adder covering the top ``2n - cb`` product bits.
     """
 
+    #: Five product writes and the closing write.
+    overhead_cc = 5 + 1
+
     def __init__(
         self,
         n_bits: int,
@@ -461,6 +385,7 @@ class InterpolationStage:
         backend: object = DEFAULT_BACKEND,
     ):
         _check_width(n_bits)
+        super().__init__("interpolate", residue_bits)
         self.n_bits = n_bits
         self.cb = chunk_bits(n_bits)
         self.optimize = optimize
@@ -474,9 +399,18 @@ class InterpolationStage:
             self.rw, device=device, spare_rows=spare_rows,
             optimize=optimize, backend=backend,
         )
-        self.checker = ResidueChecker("interpolate", residue_bits)
-        self.clock = Clock()
-        self.passes = 0
+        self.units = (self.narrow, self.wide)
+
+    def adder_passes(self) -> List[Tuple[KoggeStoneAdder, str]]:
+        """Every adder pass one job runs: 9 reduction subs +
+        neg/c2/c1 subs, inc/h/g adds + J doublings on the narrow adder,
+        then the wide recombination adds."""
+        adds = div3_doublings(self.iw) + 3
+        return (
+            [(self.narrow.adder, OP_ADD)] * adds
+            + [(self.narrow.adder, OP_SUB)] * 12
+            + [(self.wide.adder, OP_ADD)] * RECOMBINE_PASSES
+        )
 
     # ------------------------------------------------------------------
     def process_batch(
@@ -487,30 +421,12 @@ class InterpolationStage:
             return []
         start = self.clock.cycles
         self.clock.tick(5, category="write")
-        res = self.checker.res
         cb = self.cb
         wmask = mask(self.iw)
-
-        def checked(unit, pairs, op, name):
-            """One lock-step pass; residues predicted from the staged
-            operands, verified against every sensed lane."""
-            sensed = unit.run_pass([(x, y) for x, y, _, _ in pairs], op)
-            self.clock.tick(unit.pass_cc(op), category="nor")
-            self.passes += 1
-            sign = 1 if op == OP_ADD else -1
-            for lane, (value, (_, _, rx, ry)) in enumerate(zip(sensed, pairs)):
-                self.checker.check_linear(
-                    value, [(rx, 1), (ry, sign)], f"{name}[{lane}]"
-                )
-            return sensed
-
-        def pass_(unit, xs, ys, op, name):
-            pairs = [(x, y, res(x), res(y)) for x, y in zip(xs, ys)]
-            return checked(unit, pairs, op, name)
+        pass_ = self._pass
 
         v = {key: [p[key] for p in products_list] for key in
              ("v0", "v1", "v2", "v4", "vinf")}
-
         # Reduction to w1 = c1+c2+c3, w2 = c1+2c2+4c3, w4 = c1+4c2+16c3.
         m1 = pass_(self.narrow, v["v1"], v["v0"], OP_SUB, "m1")
         w1 = pass_(self.narrow, m1, v["vinf"], OP_SUB, "w1")
@@ -574,86 +490,23 @@ class InterpolationStage:
             InterpolationResult(product=p, cycles=cycles) for p in products
         ]
 
-    # ------------------------------------------------------------------
-    def latency_cc(self) -> int:
-        if not self.optimize:
-            return interp_latency_cc(self.n_bits)
-        return 5 + sum(unit.pass_cc(op) for unit, op in self._passes()) + 1
-
-    def _passes(self) -> List[Tuple[AdderUnit, str]]:
-        """(unit, op) of every adder pass one job runs: 9 reduction
-        subs + neg/c2/c1 subs, inc/h/g adds + J doublings on the narrow
-        adder, then the wide recombination adds."""
-        adds = div3_doublings(self.iw) + 3
-        return (
-            [(self.narrow, OP_ADD)] * adds
-            + [(self.narrow, OP_SUB)] * 12
-            + [(self.wide, OP_ADD)] * RECOMBINE_PASSES
-        )
-
-    @property
-    def area_cells(self) -> int:
-        return self.narrow.array.cells + self.wide.array.cells
-
-    @property
-    def array(self) -> CrossbarArray:
-        """Primary (narrow) crossbar — fault-injection entry point."""
-        return self.narrow.array
-
-    @property
-    def executor(self) -> MagicExecutor:
-        return self.narrow.executor
-
-    @property
-    def fault_hook(self):
-        return self.narrow.executor.fault_hook
-
-    @fault_hook.setter
-    def fault_hook(self, hook) -> None:
-        self.narrow.executor.fault_hook = hook
-        self.wide.executor.fault_hook = hook
-
-    def diagnose_and_repair(self) -> List[int]:
-        return self.narrow.diagnose_and_repair() + self.wide.diagnose_and_repair()
-
-    def max_writes(self) -> int:
-        return max(
-            self.narrow.array.max_writes(), self.wide.array.max_writes()
-        )
-
-    def optimizer_stats(self) -> Dict[str, object]:
-        if not self.optimize:
-            return {"enabled": False}
-        from repro.magic.passes import summarize_reports
-
-        return summarize_reports(
-            [unit.optimizer_report(op) for unit, op in self._passes()]
-        )
-
 
 # ----------------------------------------------------------------------
 # Controller
 # ----------------------------------------------------------------------
-class Toom3Controller:
+class Toom3Controller(PipelineController):
     """Drives multiplications through the three Toom-3 stages.
 
-    Exposes the same surface as
-    :class:`repro.karatsuba.controller.KaratsubaController` — job
-    records, stage latencies, wear/energy/reliability accounting — so
-    :class:`repro.karatsuba.pipeline.KaratsubaPipeline`'s timing
-    algebra, the bank dispatcher and the degrade ladder drive it
+    Shares the :class:`~repro.karatsuba.controller.PipelineController`
+    surface — job records, stage latencies, wear/energy/reliability
+    accounting — so :class:`repro.karatsuba.pipeline.KaratsubaPipeline`'s
+    timing algebra, the bank dispatcher and the degrade ladder drive it
     unchanged.
     """
 
-    #: Pipeline-slot labels (see :class:`PipelineTiming.stage_names`).
-    stage_names: Tuple[str, str, str] = ("evaluate", "pointwise", "interpolate")
-    #: Controller attributes owning the stage objects, slot for slot
-    #: (service compile-cache accounting walks these).
-    stage_attr_names: Tuple[str, str, str] = (
-        "evaluate",
-        "pointwise",
-        "interpolate",
-    )
+    stage_names = ("evaluate", "pointwise", "interpolate")
+    stage_attr_names = ("evaluate", "pointwise", "interpolate")
+    handoff = ("values", "products")
 
     def __init__(
         self,
@@ -666,9 +519,7 @@ class Toom3Controller:
         backend: object = DEFAULT_BACKEND,
     ):
         _check_width(n_bits)
-        self.n_bits = n_bits
-        self.optimize = optimize
-        self.backend = backend
+        super().__init__(n_bits, optimize, backend)
         self.evaluate = EvaluationStage(
             n_bits,
             device=device,
@@ -688,127 +539,16 @@ class Toom3Controller:
             optimize=optimize,
             backend=backend,
         )
-        self.jobs = 0
 
-    # ------------------------------------------------------------------
-    def run_job(self, a: int, b: int) -> JobRecord:
-        return self.run_jobs_batch([(a, b)])[0]
-
-    def run_jobs_batch(
-        self, pairs: Iterable[Tuple[int, int]]
-    ) -> List[JobRecord]:
-        pairs = list(pairs)
-        if not pairs:
-            return []
-        for a, b in pairs:
-            if a < 0 or b < 0:
-                raise DesignError("operands must be non-negative")
-            if a >> self.n_bits or b >> self.n_bits:
-                raise DesignError(
-                    f"operands must fit in {self.n_bits} bits"
-                )
+    def _split(self, pairs):
         cb = chunk_bits(self.n_bits)
-        chunk_jobs = [
-            (split3(a, cb), split3(b, cb)) for a, b in pairs
-        ]
-        tracer = _telemetry.active()
-        jobs, width = len(pairs), self.n_bits
-        with stage_span(tracer, "evaluate", self.evaluate, width, jobs):
-            ev = self.evaluate.process_batch(chunk_jobs)
-        with stage_span(tracer, "pointwise", self.pointwise, width, jobs):
-            pw = self.pointwise.process_batch([r.values for r in ev])
-        with stage_span(tracer, "interpolate", self.interpolate, width, jobs):
-            it = self.interpolate.process_batch([r.products for r in pw])
+        return [(split3(a, cb), split3(b, cb)) for a, b in pairs]
+
+    def _check_products(self, pairs, products):
         # End-to-end ABFT closure: the assembled product must agree
         # with the operands' residues.
         checker = self.interpolate.checker
-        for (a, b), rec in zip(pairs, it):
+        for (a, b), product in zip(pairs, products):
             checker.check_product(
-                rec.product, checker.res(a), checker.res(b), "product"
+                product, checker.res(a), checker.res(b), "product"
             )
-        self.jobs += len(pairs)
-        return [
-            JobRecord(
-                a=a,
-                b=b,
-                product=it[i].product,
-                precompute_cycles=ev[i].cycles,
-                multiply_cycles=pw[i].cycles,
-                postcompute_cycles=it[i].cycles,
-            )
-            for i, (a, b) in enumerate(pairs)
-        ]
-
-    # ------------------------------------------------------------------
-    def stage_latencies(self) -> Tuple[int, int, int]:
-        return (
-            self.evaluate.latency_cc(),
-            self.pointwise.latency_cc(),
-            self.interpolate.latency_cc(),
-        )
-
-    @property
-    def area_cells(self) -> int:
-        return (
-            self.evaluate.area_cells
-            + self.pointwise.area_cells
-            + self.interpolate.area_cells
-        )
-
-    def max_writes(self) -> int:
-        return max(
-            self.evaluate.max_writes(),
-            self.pointwise.max_writes(),
-            self.interpolate.max_writes(),
-        )
-
-    def total_energy_fj(self) -> float:
-        return float(
-            self.evaluate.array.energy_fj
-            + self.interpolate.narrow.array.energy_fj
-            + self.interpolate.wide.array.energy_fj
-        )
-
-    # -- reliability ---------------------------------------------------
-    @property
-    def fault_hook(self):
-        return self.evaluate.fault_hook
-
-    @fault_hook.setter
-    def fault_hook(self, hook) -> None:
-        self.evaluate.fault_hook = hook
-        self.interpolate.fault_hook = hook
-
-    def diagnose_and_repair(self) -> dict:
-        report = {}
-        for name, stage in (
-            ("evaluate", self.evaluate),
-            ("interpolate", self.interpolate),
-        ):
-            remapped = stage.diagnose_and_repair()
-            if remapped:
-                report[name] = remapped
-        return report
-
-    def spare_rows_free(self) -> int:
-        return (
-            self.evaluate.array.spare_rows_free
-            + self.interpolate.narrow.array.spare_rows_free
-            + self.interpolate.wide.array.spare_rows_free
-        )
-
-    def optimizer_stats(self) -> dict:
-        if not self.optimize:
-            return {"enabled": False}
-        return {
-            "enabled": True,
-            "evaluate": self.evaluate.optimizer_stats(),
-            "interpolate": self.interpolate.optimizer_stats(),
-        }
-
-    def residue_stats(self) -> List[dict]:
-        return [
-            self.evaluate.checker.stats(),
-            self.pointwise.checker.stats(),
-            self.interpolate.checker.stats(),
-        ]

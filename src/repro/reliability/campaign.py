@@ -379,15 +379,13 @@ def run_trial(config: CampaignConfig, width: int, kind: str, trial: int) -> Tria
     way = dispatcher.pool(width)[0]
     injector: Optional[SingleUpsetInjector] = None
     if kind in (KIND_SA0, KIND_SA1):
-        stage = getattr(
-            way.pipeline.controller, rng.choice(("precompute", "postcompute"))
-        )
+        _, unit = rng.choice(way.pipeline.controller.crossbar_units())
         fault = StuckAtFault(
-            row=rng.randrange(stage.array.rows),
-            col=rng.randrange(stage.array.cols),
+            row=rng.randrange(unit.array.rows),
+            col=rng.randrange(unit.array.cols),
             kind=kind,
         )
-        inject(stage.array, [fault])
+        inject(unit.array, [fault])
     else:
         injector = SingleUpsetInjector(kind, rng)
         way.pipeline.controller.fault_hook = injector

@@ -588,19 +588,22 @@ class MultiplicationService:
         col: int = 0,
         kind: str = FAULT_STUCK_AT_1,
     ) -> str:
-        """Pin a stuck-at cell in one way's stage subarray.
+        """Pin a stuck-at cell in one way's crossbar unit.
 
-        Returns the way id so callers can assert on its recovery.  The
-        default target (precompute result row 8, column 0) corrupts
-        chunk sums: ``sa1`` trips the stage's residue self-check,
-        ``sa0`` violates the MAGIC init precondition mid-program — both
-        surface as exceptions the degrade controller climbs the
-        escalation ladder on (remap the row to a spare and replay in
-        place; quarantine only when spares run out).
+        *stage* is a unit label from the controller's
+        ``crossbar_units()`` (``"precompute"``, ``"evaluate"``,
+        ``"interpolate.1"`` for Toom-3's wide adder).  Returns the way
+        id so callers can assert on its recovery.  The default target
+        (precompute result row 8, column 0) corrupts chunk sums:
+        ``sa1`` trips the stage's residue self-check, ``sa0`` violates
+        the MAGIC init precondition mid-program — both surface as
+        exceptions the degrade controller climbs the escalation ladder
+        on (remap the row to a spare and replay in place; quarantine
+        only when spares run out).
         """
         way = self.dispatcher.pool(n_bits)[way_index]
-        array = getattr(way.pipeline.controller, stage).array
-        inject(array, [StuckAtFault(row=row, col=col, kind=kind)])
+        unit = dict(way.pipeline.controller.crossbar_units())[stage]
+        inject(unit.array, [StuckAtFault(row=row, col=col, kind=kind)])
         return way.way_id
 
     def arm_fault_hook(self, n_bits: int, hook, way_index: int = 0) -> str:
@@ -620,19 +623,9 @@ class MultiplicationService:
     def _compile_cache_totals(self) -> Dict[str, int]:
         totals = {"hits": 0, "misses": 0, "evictions": 0}
         for way in self.dispatcher.all_ways():
-            controller = way.pipeline.controller
-            stage_names = getattr(
-                controller,
-                "stage_attr_names",
-                ("precompute", "multiply_stage", "postcompute"),
-            )
-            for stage_name in stage_names:
-                executor = getattr(
-                    getattr(controller, stage_name, None), "executor", None
-                )
-                if executor is None:
-                    continue
-                for key, value in executor.compile_cache_stats().as_dict().items():
+            for _, unit in way.pipeline.controller.crossbar_units():
+                stats = unit.executor.compile_cache_stats().as_dict()
+                for key, value in stats.items():
                     totals[key] += value
         return totals
 

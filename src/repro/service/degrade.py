@@ -355,31 +355,13 @@ class DegradeController:
         return tuple(retired)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _crossbar_stages(controller) -> List[Tuple[str, object]]:
-        """(name, stage) pairs of the controller's crossbar-backed
-        stages.  Controllers advertise their stage attributes through
-        ``stage_attr_names`` (the Karatsuba names are the fallback);
-        stages without a crossbar array — the Toom-3 point-wise row
-        multipliers, the schoolbook numeric model — are skipped."""
-        names = getattr(
-            controller, "stage_attr_names", ("precompute", "postcompute")
-        )
-        stages = []
-        for name in names:
-            stage = getattr(controller, name, None)
-            if stage is not None and getattr(stage, "array", None) is not None:
-                stages.append((name, stage))
-        return stages
-
     def endurance_snapshot(self) -> Dict[str, Dict[str, object]]:
         """Per-way wear view built on :func:`repro.crossbar.endurance.analyze`."""
         snapshot: Dict[str, Dict[str, object]] = {}
         for way in self.dispatcher.all_ways():
             controller = way.pipeline.controller
             reports = [
-                analyze(stage.array)
-                for _, stage in self._crossbar_stages(controller)
+                analyze(unit.array) for _, unit in controller.crossbar_units()
             ]
             snapshot[way.way_id] = {
                 "healthy": way.healthy,
@@ -399,10 +381,10 @@ class DegradeController:
         for way in self.dispatcher.all_ways():
             controller = way.pipeline.controller
             remap: Dict[str, Dict[int, int]] = {}
-            for name, stage in self._crossbar_stages(controller):
-                table = stage.array.remap_table()
+            for label, unit in controller.crossbar_units():
+                table = unit.array.remap_table()
                 if table:
-                    remap[name] = table
+                    remap[label] = table
             snapshot[way.way_id] = {
                 "healthy": way.healthy,
                 "spare_rows_free": controller.spare_rows_free(),

@@ -190,6 +190,22 @@ class TestOperandRule:
         # Validation runs before any lane: nothing was charged.
         assert unit.array.energy_fj == AdderUnit(8).array.energy_fj
 
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_empty_pass_returns_nothing(self, backend):
+        """No pairs means no lanes: an empty result, nothing charged,
+        and the same on every backend."""
+        unit = AdderUnit(8, backend=backend)
+        writes, energy = unit.array.writes.copy(), unit.array.energy_fj
+        for op in ("add", "sub"):
+            assert unit.run_pass([], op) == []
+        assert unit.replay(unit.adder.program(), [], lambda lanes: None) == (
+            [],
+            None,
+        )
+        assert (unit.array.writes == writes).all()
+        assert unit.array.energy_fj == energy
+        assert unit.run_pass([(3, 4)]) == [7]
+
 
 class TestBatchedOperation:
     """Two independent operations share one pass via disjoint column

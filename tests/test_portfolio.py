@@ -23,8 +23,14 @@ from repro.eval import loadgen
 from repro.eval.loadgen import LoadItem
 from repro.eval.workloads import TraceItem
 from repro.frontend import AsyncShardedFrontend, FrontendConfig
+from repro import telemetry
 from repro.karatsuba import cost as kcost
+from repro.karatsuba import multiply as kmultiply
+from repro.karatsuba import postcompute as kpostcompute
+from repro.karatsuba import precompute as kprecompute
+from repro.karatsuba.controller import KaratsubaController
 from repro.karatsuba.pipeline import KaratsubaPipeline
+from repro.magic.stage import CrossbarStage
 from repro.portfolio import (
     BASELINE,
     DesignPoint,
@@ -269,13 +275,56 @@ class TestCrossAlgorithmParity:
 # ----------------------------------------------------------------------
 class TestToom3Pipeline:
     def test_stage_latencies_match_closed_forms(self):
-        for n in (16, 90, 270):
-            controller = t3.Toom3Controller(n)
-            assert controller.stage_latencies() == (
-                t3.eval_latency_cc(n),
-                t3.pointwise_latency_cc(n),
-                t3.interp_latency_cc(n),
-            )
+        """Each MAGIC stage sums its latency from its declared adder pass
+        list: at ``optimize=False`` that is the paper's closed form, and
+        one job ticks exactly the list's cycles, so the latency cannot
+        drift from what the stage replays.  With the optimizer on, the
+        packer stats cover the same list."""
+        toom3_forms = (
+            t3.eval_latency_cc, t3.pointwise_latency_cc, t3.interp_latency_cc
+        )
+        karatsuba_forms = (
+            kprecompute.latency_cc, kmultiply.latency_cc, kpostcompute.latency_cc
+        )
+        designs = [
+            (t3.Toom3Controller, n, toom3_forms, optimize)
+            for n in (16, 17, 32, 64, 90, 128, 270)
+            for optimize in (False, True)
+        ] + [
+            (KaratsubaController, n, karatsuba_forms, optimize)
+            for n in (16, 32, 64, 128, 256)
+            for optimize in (False, True)
+        ]
+        for cls, n, forms, optimize in designs:
+            controller = cls(n, optimize=optimize)
+            closed = tuple(form(n) for form in forms)
+            latencies = controller.stage_latencies()
+            if not optimize:
+                assert latencies == closed, (cls.__name__, n)
+            rng = random.Random(n)
+            controller.run_job(rng.getrandbits(n), rng.getrandbits(n))
+            for stage, latency, form in zip(controller.stages, latencies, closed):
+                assert stage.clock.cycles == latency
+                if not stage.units:
+                    continue
+                programs = [
+                    adder.program(op, optimize=optimize)
+                    for adder, op in stage.adder_passes()
+                ]
+                if isinstance(stage, CrossbarStage):
+                    # A Karatsuba pass ticks the clock opcode by opcode.
+                    nor = sum(p.cycles_by_opcode().get("nor", 0) for p in programs)
+                else:
+                    # A Toom-3 adder pass ticks as one NOR pass.
+                    nor = sum(p.cycle_count for p in programs)
+                assert stage.clock.by_category["nor"] == nor
+                assert latency == stage.overhead_cc + sum(
+                    p.cycle_count for p in programs
+                )
+                if optimize:
+                    stats = stage.optimizer_stats()
+                    assert stats["cycles_before"] == form - stage.overhead_cc
+                    assert stats["cycles_after"] == latency - stage.overhead_cc
 
     def test_timing_uses_toom3_stage_names(self):
         timing = Toom3Pipeline(64).timing()
@@ -302,6 +351,36 @@ class TestToom3Pipeline:
         pipe.run_stream([(2**63 - 1, 2**62 + 5)] * 4, batch_size=4)
         assert pipe.controller.total_energy_fj() > 0
         assert pipe.controller.max_writes() > 0
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_span_energy_covers_both_interpolation_adders(self, backend):
+        """The traced stage spans account for every crossbar unit: their
+        energies add up to the batch's controller energy, the wide
+        recombination adder included."""
+        pipe = Toom3Pipeline(64, backend=backend)
+        controller = pipe.controller
+        assert [label for label, _ in controller.crossbar_units()] == [
+            "evaluate", "interpolate", "interpolate.1"
+        ]
+        assert controller.interpolate.units == (
+            controller.interpolate.narrow, controller.interpolate.wide
+        )
+        before = controller.total_energy_fj()
+        wide_before = controller.interpolate.wide.array.energy_fj
+        rng = random.Random(0x64)
+        pairs = [(rng.getrandbits(64), rng.getrandbits(64)) for _ in range(2)]
+        with telemetry.tracing() as tracer:
+            pipe.run_stream(pairs, batch_size=2)
+        spent = {
+            span.name: span.attrs["energy_fj"]
+            for span in tracer.walk()
+            if span.name.startswith("stage.") and "energy_fj" in span.attrs
+        }
+        assert set(spent) == {"stage.evaluate", "stage.interpolate"}
+        assert sum(spent.values()) == controller.total_energy_fj() - before
+        wide = controller.interpolate.wide.array.energy_fj - wide_before
+        assert wide > 0
+        assert spent["stage.interpolate"] > wide
 
 
 # ----------------------------------------------------------------------
@@ -478,8 +557,10 @@ class TestPortfolioService:
         assert algorithms == {"schoolbook", "karatsuba", "toom3"}
 
     def test_fault_recovery_on_toom3_way(self):
-        """The degrade ladder's diagnosis path works on Toom-3 arrays."""
-        service = self._service(ways_per_width=2, spare_rows=2)
+        """The degrade ladder's diagnosis path works on Toom-3 arrays.
+
+        One way per width, so the faulted way serves the next batch."""
+        service = self._service(ways_per_width=1, spare_rows=2)
         rng = random.Random(0xFA)
         a, b = rng.getrandbits(90), rng.getrandbits(90)
         service.submit(a, b, 90)
@@ -491,7 +572,45 @@ class TestPortfolioService:
         service.submit(a2, b2, 90)
         results = service.drain()
         assert results[-1].product == a2 * b2
-        assert way_id  # fault was injected into a live toom3 way
+        snapshot = service.snapshot()
+        assert snapshot["counters"]["faults_detected"] == 1
+        assert set(snapshot["reliability"][way_id]["remap"]) == {"evaluate"}
+
+    def test_snapshot_covers_toom3_wide_adder(self):
+        """The compile totals sum every crossbar unit's executor, and a
+        stuck-at cell in Toom-3's wide recombination adder is repaired
+        and reported under its own unit label."""
+        service = self._service(spare_rows=2)
+        rng = random.Random(0x1D)
+        expected = {}
+        for _ in range(4):
+            a, b = rng.getrandbits(90), rng.getrandbits(90)
+            expected[service.submit(a, b, 90)] = a * b
+        service.drain()
+        service.inject_fault(90, stage="interpolate.1", row=3, col=0, kind="sa0")
+        for _ in range(4):
+            a, b = rng.getrandbits(90), rng.getrandbits(90)
+            expected[service.submit(a, b, 90)] = a * b
+        results = service.drain()
+        assert all(r.product == expected[r.request_id] for r in results)
+        snapshot = service.snapshot()
+        executors = []
+        for way in service.dispatcher.all_ways():
+            controller = way.pipeline.controller
+            assert isinstance(controller, t3.Toom3Controller)
+            executors += [
+                controller.evaluate.unit.executor,
+                controller.interpolate.narrow.executor,
+                controller.interpolate.wide.executor,
+            ]
+        totals = {"hits": 0, "misses": 0, "evictions": 0}
+        for executor in executors:
+            for key, value in executor.compile_cache_stats().as_dict().items():
+                totals[key] += value
+        assert snapshot["caches"]["compile"] == totals
+        assert executors[-1].compile_cache_stats().misses >= 1
+        (way_view,) = snapshot["reliability"].values()
+        assert set(way_view["remap"]) == {"interpolate.1"}
 
     def test_offgrid_width_through_sharded_frontend(self):
         """Portfolio shards admit off-grid widths at the front-end too."""
