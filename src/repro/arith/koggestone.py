@@ -71,7 +71,7 @@ def latency_cc(width: int) -> int:
     """Closed-form adder latency: ``8 + 11*ceil(log2 n) + 9`` cc."""
     if width < 1:
         raise DesignError("adder width must be at least 1 bit")
-    return 8 + 11 * ceil_log2(width) + 9 if width > 1 else 8 + 9
+    return 8 + 11 * ceil_log2(width) + 9
 
 
 def writes_per_cell(width: int) -> int:
@@ -197,7 +197,7 @@ class KoggeStoneAdder:
         packed program's measured cycle count with ``optimize=True``."""
         if optimize:
             return self.program(OP_ADD, optimize=True).cycle_count
-        return 8 + 11 * self.levels + 9
+        return latency_cc(self.layout.width)
 
     # ------------------------------------------------------------------
     def _generate(self, op: str) -> Program:

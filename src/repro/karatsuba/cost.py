@@ -29,6 +29,8 @@ from typing import Dict, List, Tuple
 from repro.arith import rowmul
 from repro.arith.bitops import ceil_div, ceil_log2
 from repro.arith.koggestone import SCRATCH_ROWS
+# Kogge-Stone pass latency: one closed form, the adder program's own.
+from repro.arith.koggestone import latency_cc as adder_latency_cc
 from repro.karatsuba.unroll import UnrolledPlan, build_plan
 from repro.sim.exceptions import DesignError
 from repro.sim.stats import DesignMetrics
@@ -89,11 +91,6 @@ def _validate(n_bits: int, depth: int) -> None:
         raise DesignError(
             f"n_bits must be a positive multiple of 2**{depth}, got {n_bits}"
         )
-
-
-def adder_latency_cc(width: int) -> int:
-    """Kogge-Stone pass latency: ``11*ceil(log2 w) + 17`` cc."""
-    return 11 * ceil_log2(max(width, 2)) + 17
 
 
 def precompute_cost(n_bits: int, depth: int = 2) -> StageCost:

@@ -146,12 +146,14 @@ class GenericKaratsubaMultiplier:
     # ------------------------------------------------------------------
     def _pass(self, unit: AdderUnit, op: str, x: int, y: int) -> int:
         """One adder pass, its sum verified; the clock advances by the
-        replayed program's cycles."""
+        replayed program's cycles, opcode by opcode."""
         (value,) = unit.run_pass([(x, y)], op)
         expected = x + y if op == "add" else x - y
         if value != expected:
             raise AssertionError(f"{op} produced {value}, expected {expected}")
-        self.clock.tick(unit.pass_cc(op), category="nor")
+        program = unit.adder.program(op, optimize=unit.optimize)
+        for opcode, cycles in program.cycles_by_opcode().items():
+            self.clock.tick(cycles, category=opcode)
         self.passes += 1
         return value
 

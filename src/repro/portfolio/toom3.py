@@ -200,7 +200,9 @@ class _CheckedAdderStage(AdderPassStage):
         predicted from the staged operands, verified against every
         sensed lane."""
         sensed = unit.run_pass(list(zip(xs, ys)), op)
-        self.clock.tick(unit.pass_cc(op), category="nor")
+        program = unit.adder.program(op, optimize=unit.optimize)
+        for opcode, cycles in program.cycles_by_opcode().items():
+            self.clock.tick(cycles, category=opcode)
         self.passes += 1
         res = self.checker.res
         sign = 1 if op == OP_ADD else -1

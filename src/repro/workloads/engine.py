@@ -17,6 +17,10 @@ each request's reduction plan into batched CIM multiplications:
   :class:`~repro.frontend.AsyncShardedFrontend` (futures, shard
   supervision, chaos tolerance).
 
+Both MSM entry points drive one ``workload.msm`` request body, a
+generator on the wave loop of :mod:`repro.workloads.waves`; only the
+runner differs.
+
 Deadline admission scales the closed-form pipeline cost model by the
 request's field-multiplication count: an infeasible deadline raises
 :class:`~repro.service.DeadlineImpossibleError` before any work is
@@ -58,6 +62,20 @@ from repro.workloads.waves import (
 #: Requests the value-returning paths accept.
 ValueRequest = Union[ModMulRequest, ModExpRequest]
 WorkloadRequest = Union[ModMulRequest, ModExpRequest, MsmRequest]
+
+
+def _deadline_met(
+    request: WorkloadRequest, start_cc: int, completion_cc: Optional[int]
+) -> Optional[bool]:
+    """The one deadline rule of every result: the deadline runs from
+    the request's arrival, or from the instant serving began when it
+    has none; a request that needed no CIM pass meets any deadline."""
+    if request.deadline_cc is None:
+        return None
+    if completion_cc is None:
+        return True
+    base_cc = request.arrival_cc if request.arrival_cc is not None else start_cc
+    return completion_cc - base_cc <= request.deadline_cc
 
 
 class CryptoWorkloadEngine:
@@ -133,13 +151,10 @@ class CryptoWorkloadEngine:
 
     def serve_modmul(self, request: ModMulRequest) -> ModMulResult:
         """Serve one modular multiplication through the service."""
-        return self._serve_value(request)
+        return self.serve_cohort([request])[0]
 
     def serve_modexp(self, request: ModExpRequest) -> ModMulResult:
         """Serve one modular exponentiation through the service."""
-        return self._serve_value(request)
-
-    def _serve_value(self, request: ValueRequest) -> ModMulResult:
         return self.serve_cohort([request])[0]
 
     def serve_cohort(
@@ -165,13 +180,9 @@ class CryptoWorkloadEngine:
             )
             ctxs.append(ctx)
             hits.append(hit)
-            meta = TaskMeta(
-                kind=request.kind,
-                n_bits=ctx.width,
-                modulus_bits=ctx.modulus_bits,
-                priority=request.priority,
+            tasks.append(
+                (self._plan_for(request, ctx), TaskMeta.of(request, ctx))
             )
-            tasks.append((self._plan_for(request, ctx), meta))
         arrivals = [r.arrival_cc for r in requests if r.arrival_cc is not None]
         if arrivals:
             self.runner.now_cc = max(self.runner.now_cc, max(arrivals))
@@ -186,14 +197,6 @@ class CryptoWorkloadEngine:
         for index, request in enumerate(requests):
             ctx = ctxs[index]
             completion_cc = plan.task_completion_cc[index]
-            arrival_cc = request.arrival_cc
-            deadline_met = None
-            if request.deadline_cc is not None:
-                base_cc = arrival_cc if arrival_cc is not None else start_cc
-                deadline_met = (
-                    completion_cc is None
-                    or completion_cc - base_cc <= request.deadline_cc
-                )
             results.append(
                 ModMulResult(
                     request_id=request.request_id,
@@ -205,9 +208,11 @@ class CryptoWorkloadEngine:
                     waves=stats.waves,
                     context_hit=hits[index],
                     residue_checks=plan.jobs_per_task[index],
-                    arrival_cc=arrival_cc,
+                    arrival_cc=request.arrival_cc,
                     completion_cc=completion_cc,
-                    deadline_met=deadline_met,
+                    deadline_met=_deadline_met(
+                        request, start_cc, completion_cc
+                    ),
                     value=plan.results[index],
                 )
             )
@@ -218,19 +223,7 @@ class CryptoWorkloadEngine:
     # ------------------------------------------------------------------
     def serve_msm(self, request: MsmRequest) -> MsmResult:
         """Serve one MSM through the synchronous service."""
-        self._admit(request)
-        ctx, hit = self.context_for(request.curve.p, strategy=request.strategy)
-        if request.arrival_cc is not None:
-            self.runner.now_cc = max(self.runner.now_cc, request.arrival_cc)
-        with self.telemetry.span(
-            "workload.msm",
-            begin_cc=self.runner.now_cc,
-            request_id=request.request_id,
-            points=len(request.points),
-        ) as span:
-            point, stats = self.orchestrator.run(request, self.runner)
-            span.set(waves=stats.waves, jobs=stats.jobs)
-        return self._msm_result(request, ctx, hit, point, stats)
+        return self.runner.drive(self._msm(request, self.runner))
 
     async def serve_msm_async(self, request: MsmRequest, frontend) -> MsmResult:
         """Serve one MSM through the async sharded front-end.
@@ -242,29 +235,28 @@ class CryptoWorkloadEngine:
         futures resolve (or raise typed shard errors), and the residue
         self-checks re-verify each product end to end.
         """
+        runner = FrontendWaveRunner(frontend)
+        return await runner.drive(self._msm(request, runner))
+
+    def _msm(self, request: MsmRequest, runner):
+        """The ``workload.msm`` request body: a wave loop over *runner*
+        that returns the :class:`MsmResult`."""
         self._admit(request)
         ctx, hit = self.context_for(request.curve.p, strategy=request.strategy)
-        runner = FrontendWaveRunner(frontend)
         if request.arrival_cc is not None:
             runner.now_cc = max(runner.now_cc, request.arrival_cc)
-        with frontend.telemetry.span(
+        start_cc = runner.now_cc
+        with runner.telemetry.span(
             "workload.msm",
-            begin_cc=runner.now_cc,
+            begin_cc=start_cc,
             request_id=request.request_id,
             points=len(request.points),
         ) as span:
-            point, stats = await self.orchestrator.run_async(request, runner)
+            point, stats = yield from self.orchestrator.waves(request, runner)
             span.set(waves=stats.waves, jobs=stats.jobs)
-        return self._msm_result(request, ctx, hit, point, stats)
-
-    def _msm_result(self, request, ctx, hit, point, stats) -> MsmResult:
         completion_cc = (
             stats.wave_completions_cc[-1] if stats.wave_completions_cc else None
         )
-        deadline_met = None
-        if request.deadline_cc is not None and completion_cc is not None:
-            start = request.arrival_cc or 0
-            deadline_met = completion_cc - start <= request.deadline_cc
         return MsmResult(
             request_id=request.request_id,
             kind=KIND_MSM,
@@ -277,7 +269,7 @@ class CryptoWorkloadEngine:
             residue_checks=stats.residue_checks,
             arrival_cc=request.arrival_cc,
             completion_cc=completion_cc,
-            deadline_met=deadline_met,
+            deadline_met=_deadline_met(request, start_cc, completion_cc),
             point=point,
             num_points=len(request.points),
             window_bits=self.orchestrator.window_bits_for(request),

@@ -20,7 +20,13 @@ Per window ``w`` (high → low) the decomposition has two phases:
   ``result += window_sum`` addition, fused into one chain.
 
 Field inversions (affine slopes) go through Fermat exponentiation, so
-they are themselves modexp plans over the same modulus context.  The
+they are themselves modexp plans over the same modulus context.
+
+:meth:`MsmOrchestrator.waves` is the phase loop, written once for both
+hosts: a generator that runs each phase as one
+:class:`~repro.workloads.waves.WavePlan` by ``yield from`` the runner's
+wave loop, so the sync service and the async front-end drive it with
+their own ``drive`` step (see :mod:`repro.workloads.waves`).  The
 MSM result point is mathematically unique, hence bit-identical to
 ``pippenger_msm`` / naive double-and-add whenever the decomposition is
 correct — the acceptance check the benchmarks pin.
@@ -28,17 +34,21 @@ correct — the acceptance check the benchmarks pin.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.crypto.ec import CurveParams, Point
 from repro.crypto import msm as msm_model
 from repro.workloads.context import ModulusContext, ModulusContextCache, Plan
-from repro.workloads.requests import KIND_MSM, MsmRequest
+from repro.workloads.requests import MsmRequest
 from repro.workloads.waves import TaskMeta, WavePlan, WaveStats
 
 #: A phase plan: yields lists of (plan, meta) tasks, receives the list
 #: of task results, returns the MSM point.
 PhasePlan = Generator[List[Tuple[Plan, TaskMeta]], List[object], Point]
+#: The MSM phase loop: a :data:`~repro.workloads.waves.WaveLoop` that
+#: returns the MSM point and the merged stats of every phase.
+MsmLoop = Generator[object, object, Tuple[Point, WaveStats]]
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +138,7 @@ def _aggregate_plan(
 # Orchestrator
 # ----------------------------------------------------------------------
 class MsmOrchestrator:
-    """Decompose an MSM request into wave plans and drive a runner.
+    """Decompose an MSM request into wave plans over a runner.
 
     Parameters
     ----------
@@ -174,12 +184,7 @@ class MsmOrchestrator:
         """Yield per-phase task lists, receive results, return the point."""
         ctx = self.contexts.get(request.curve.p, strategy=request.strategy)
         params = request.curve
-        meta = TaskMeta(
-            kind=KIND_MSM,
-            n_bits=ctx.width,
-            modulus_bits=ctx.modulus_bits,
-            priority=request.priority,
-        )
+        meta = TaskMeta.of(request, ctx)
         window_bits = self.window_bits_for(request)
         max_bits = max(s.bit_length() for s in request.scalars) or 1
         windows = -(-max_bits // window_bits)
@@ -214,61 +219,28 @@ class MsmOrchestrator:
         return result
 
     # ------------------------------------------------------------------
-    def run(self, request: MsmRequest, runner) -> Tuple[Point, WaveStats]:
-        """Serve *request* through a :class:`ServiceWaveRunner`."""
+    def waves(self, request: MsmRequest, runner) -> MsmLoop:
+        """The phase loop: each phase's tasks as one :class:`WavePlan`
+        under a ``workload.msm.phase`` span, served by ``yield from``
+        the runner's wave loop.  Returns the point and merged stats."""
         phases = self.phases(request)
         total = WaveStats()
         outcome: Optional[List[object]] = None
-        phase_index = 0
-        while True:
+        for phase_index in itertools.count():
             try:
-                tasks = (
-                    next(phases) if outcome is None else phases.send(outcome)
-                )
+                tasks = phases.send(outcome)
             except StopIteration as stop:
                 return stop.value, total
             plan = WavePlan(tasks)
-            telemetry = runner.service.telemetry
-            with telemetry.span(
+            with runner.telemetry.span(
                 "workload.msm.phase",
                 begin_cc=runner.now_cc,
                 phase=phase_index,
                 tasks=len(tasks),
             ) as span:
-                stats = runner.run(plan)
+                stats = yield from runner.waves(plan)
                 span.set(waves=stats.waves, jobs=stats.jobs)
                 span.finish(runner.now_cc)
-            phase_index += 1
-            self._merge(total, stats)
-            outcome = [plan.results[i] for i in range(len(plan))]
-
-    async def run_async(
-        self, request: MsmRequest, runner
-    ) -> Tuple[Point, WaveStats]:
-        """Serve *request* through a :class:`FrontendWaveRunner`."""
-        phases = self.phases(request)
-        total = WaveStats()
-        outcome: Optional[List[object]] = None
-        phase_index = 0
-        while True:
-            try:
-                tasks = (
-                    next(phases) if outcome is None else phases.send(outcome)
-                )
-            except StopIteration as stop:
-                return stop.value, total
-            plan = WavePlan(tasks)
-            telemetry = runner.frontend.telemetry
-            with telemetry.span(
-                "workload.msm.phase",
-                begin_cc=runner.now_cc,
-                phase=phase_index,
-                tasks=len(tasks),
-            ) as span:
-                stats = await runner.run(plan)
-                span.set(waves=stats.waves, jobs=stats.jobs)
-                span.finish(runner.now_cc)
-            phase_index += 1
             self._merge(total, stats)
             outcome = [plan.results[i] for i in range(len(plan))]
 

@@ -17,19 +17,24 @@ the whole serving path — scheduler, shard transport, journal replay
 under chaos — not just the crossbar stages, and raises
 :class:`~repro.workloads.requests.WaveSelfCheckError` on mismatch.
 
-Two runners execute wave plans: :class:`ServiceWaveRunner`
-synchronously against one :class:`~repro.service.MultiplicationService`,
-and :class:`FrontendWaveRunner` asynchronously through an
+The wave loop is written once, as a generator that does no I/O: it
+yields each wave's frontier, receives the served results, opens one
+``workload.wave`` span per wave, residue-checks the products and
+advances a monotonic virtual clock from batch completion times.  Two
+runners serve it: :class:`ServiceWaveRunner` synchronously against one
+:class:`~repro.service.MultiplicationService`, and
+:class:`FrontendWaveRunner` asynchronously through an
 :class:`~repro.frontend.AsyncShardedFrontend` (futures API; survives
-shard failover and chaos injection).  Both open one
-``workload.wave`` telemetry span per wave and advance a monotonic
-virtual clock from batch completion times.
+shard failover and chaos injection).  Each adds only a serve step and
+a drive loop; MSM phases and requests compose onto the same loop with
+``yield from``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from contextlib import closing
+from dataclasses import dataclass, field
+from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.reliability.residue import fold_mul, residue
 from repro.workloads.requests import KIND_MODMUL, WaveSelfCheckError
@@ -45,6 +50,11 @@ class TaskMeta:
     modulus_bits: Optional[int] = None
     priority: int = 0
 
+    @classmethod
+    def of(cls, request, ctx) -> "TaskMeta":
+        """Provenance of *request*'s multiplications at *ctx*'s width."""
+        return cls(request.kind, ctx.width, ctx.modulus_bits, request.priority)
+
 
 @dataclass
 class WaveStats:
@@ -55,11 +65,7 @@ class WaveStats:
     residue_checks: int = 0
     cache_hits: int = 0
     #: Virtual completion instant of each wave, in clock cycles.
-    wave_completions_cc: Optional[List[int]] = None
-
-    def __post_init__(self) -> None:
-        if self.wave_completions_cc is None:
-            self.wave_completions_cc = []
+    wave_completions_cc: List[int] = field(default_factory=list)
 
 
 class WavePlan:
@@ -158,51 +164,57 @@ class WavePlan:
             self._advance(index, product)
 
 
-class ServiceWaveRunner:
-    """Drive wave plans synchronously through one service instance.
+#: Yields each wave's ``(index, a, b, meta)`` jobs, receives the served
+#: ``(index, result)`` pairs, returns the run's :class:`WaveStats`.
+WaveLoop = Generator[List[Tuple[int, int, int, TaskMeta]], list, WaveStats]
 
-    The runner owns its submissions: it assumes no other client drains
-    the service between waves (the engine guarantees this by owning
-    the service).  Each wave submits the frontier with the current
-    virtual time as ``arrival_cc``, drains, and advances the clock to
-    the latest batch completion — so successive waves see monotonic
-    virtual time and deadline accounting composes with the service's.
+
+class _WaveRunner:
+    """The wave loop, written once over a virtual clock.
+
+    :meth:`waves` does no I/O: it yields each wave's frontier and
+    receives the results a subclass's ``serve`` step produced for it.
+    Subclasses add that step and a ``drive`` loop that runs any
+    generator built from :meth:`waves` (``yield from`` composes them
+    into MSM phases and requests) to its return value.
     """
 
-    def __init__(self, service, now_cc: int = 0):
-        self.service = service
+    def __init__(self, host, now_cc: int = 0):
+        self._host = host
         self.now_cc = now_cc
 
-    def run(self, plan: WavePlan) -> WaveStats:
+    @property
+    def telemetry(self):
+        return self._host.telemetry
+
+    def _submit(self, a: int, b: int, meta: TaskMeta):
+        return self._host.submit(
+            a,
+            b,
+            meta.n_bits,
+            priority=meta.priority,
+            arrival_cc=self.now_cc,
+            kind=meta.kind,
+            modulus_bits=meta.modulus_bits,
+        )
+
+    def waves(self, plan: WavePlan) -> WaveLoop:
+        """Advance *plan* wave by wave; one ``workload.wave`` span each."""
         stats = WaveStats()
-        telemetry = self.service.telemetry
         while not plan.done:
             jobs = plan.pending_jobs()
-            with telemetry.span(
+            with self.telemetry.span(
                 "workload.wave",
                 begin_cc=self.now_cc,
                 wave=plan.wave,
                 jobs=len(jobs),
             ) as span:
-                id_map: Dict[int, int] = {}
-                for index, a, b in jobs:
-                    meta = plan.meta(index)
-                    request_id = self.service.submit(
-                        a,
-                        b,
-                        meta.n_bits,
-                        priority=meta.priority,
-                        arrival_cc=self.now_cc,
-                        kind=meta.kind,
-                        modulus_bits=meta.modulus_bits,
-                    )
-                    id_map[request_id] = index
+                served = yield [
+                    (index, a, b, plan.meta(index)) for index, a, b in jobs
+                ]
                 products: Dict[int, int] = {}
                 completed_cc = self.now_cc
-                for result in self.service.drain():
-                    index = id_map.get(result.request_id)
-                    if index is None:
-                        continue
+                for index, result in served:
                     products[index] = result.product
                     if result.cache_hit:
                         stats.cache_hits += 1
@@ -220,60 +232,77 @@ class ServiceWaveRunner:
         stats.residue_checks = plan.residue_checks
         return stats
 
+    def run(self, plan: WavePlan):
+        """Serve *plan* to completion; returns its :class:`WaveStats`
+        (awaitable on the front-end runner)."""
+        return self.drive(self.waves(plan))
 
-class FrontendWaveRunner:
+
+class ServiceWaveRunner(_WaveRunner):
+    """Drive wave plans synchronously through one service instance.
+
+    The runner owns its submissions: it assumes no other client drains
+    the service between waves (the engine guarantees this by owning
+    the service).  Each wave submits the frontier with the current
+    virtual time as ``arrival_cc``, drains, and advances the clock to
+    the latest batch completion — so successive waves see monotonic
+    virtual time and deadline accounting composes with the service's.
+    """
+
+    def __init__(self, service, now_cc: int = 0):
+        super().__init__(service, now_cc)
+        self.service = service
+
+    def serve(self, frontier) -> List[Tuple[int, object]]:
+        """Submit one wave, drain, keep the results of its requests."""
+        ids = {self._submit(a, b, m): i for i, a, b, m in frontier}
+        return [
+            (ids[result.request_id], result)
+            for result in self.service.drain()
+            if result.request_id in ids
+        ]
+
+    def drive(self, loop: Generator):
+        """Run *loop* to its return value, serving each yielded wave.
+        A failed serve step closes the loop, and so its open spans."""
+        with closing(loop):
+            try:
+                frontier = next(loop)
+                while True:
+                    frontier = loop.send(self.serve(frontier))
+            except StopIteration as stop:
+                return stop.value
+
+
+class FrontendWaveRunner(_WaveRunner):
     """Drive wave plans through the async sharded front-end.
 
-    Each wave submits the frontier via the futures API, advances the
-    frontend clock, drains (multi-round, supervision-aware — journaled
-    work survives chaos kills and redispatch), and awaits every
-    future.  Typed shard errors propagate to the caller.
+    Each wave submits the frontier via the futures API, drains
+    (multi-round, supervision-aware — journaled work survives chaos
+    kills and redispatch), and awaits every future.  Typed shard
+    errors propagate to the caller.
     """
 
     def __init__(self, frontend, now_cc: int = 0):
+        super().__init__(frontend, now_cc)
         self.frontend = frontend
-        self.now_cc = now_cc
 
-    async def run(self, plan: WavePlan) -> WaveStats:
-        stats = WaveStats()
-        telemetry = self.frontend.telemetry
-        while not plan.done:
-            jobs = plan.pending_jobs()
-            with telemetry.span(
-                "workload.wave",
-                begin_cc=self.now_cc,
-                wave=plan.wave,
-                jobs=len(jobs),
-            ) as span:
-                futures = []
-                for index, a, b in jobs:
-                    meta = plan.meta(index)
-                    future = await self.frontend.submit(
-                        a,
-                        b,
-                        meta.n_bits,
-                        priority=meta.priority,
-                        arrival_cc=self.now_cc,
-                        kind=meta.kind,
-                        modulus_bits=meta.modulus_bits,
-                    )
-                    futures.append((index, future))
-                await self.frontend.drain()
-                products: Dict[int, int] = {}
-                completed_cc = self.now_cc
-                for index, future in futures:
-                    result = await future
-                    products[index] = result.product
-                    if result.cache_hit:
-                        stats.cache_hits += 1
-                    if result.completion_cc is not None:
-                        completed_cc = max(completed_cc, result.completion_cc)
-                span.set(completed_cc=completed_cc)
-                span.finish(completed_cc)
-            stats.waves += 1
-            stats.jobs += len(jobs)
-            stats.wave_completions_cc.append(completed_cc)
-            self.now_cc = max(completed_cc, self.now_cc + 1)
-            plan.deliver(products, completed_cc=completed_cc)
-        stats.residue_checks = plan.residue_checks
-        return stats
+    async def serve(self, frontier) -> List[Tuple[int, object]]:
+        """Submit one wave as futures, drain, await every future."""
+        futures = [
+            (index, await self._submit(a, b, meta))
+            for index, a, b, meta in frontier
+        ]
+        await self.frontend.drain()
+        return [(index, await future) for index, future in futures]
+
+    async def drive(self, loop: Generator):
+        """Run *loop* to its return value, serving each yielded wave.
+        A failed serve step closes the loop, and so its open spans."""
+        with closing(loop):
+            try:
+                frontier = next(loop)
+                while True:
+                    frontier = loop.send(await self.serve(frontier))
+            except StopIteration as stop:
+                return stop.value

@@ -564,10 +564,14 @@ class TestPropertyEquivalence:
 class TestAdderOptOut:
     def test_koggestone_default_matches_closed_form(self):
         from repro.arith import koggestone
+        from repro.karatsuba import cost
 
-        adder = AdderUnit(16).adder
-        assert adder.program("add").cycle_count == koggestone.latency_cc(16)
-        assert adder.latency_cc() == koggestone.latency_cc(16)
+        for width in range(1, 65):
+            adder = AdderUnit(width).adder
+            cycles = adder.program("add").cycle_count
+            assert koggestone.latency_cc(width) == cycles, width
+            assert adder.latency_cc() == cycles, width
+            assert cost.adder_latency_cc(width) == cycles, width
 
     def test_koggestone_optimized_is_faster_and_exact(self, rng):
         unit = AdderUnit(16, optimize=True)

@@ -30,7 +30,6 @@ from repro.karatsuba import postcompute as kpostcompute
 from repro.karatsuba import precompute as kprecompute
 from repro.karatsuba.controller import KaratsubaController
 from repro.karatsuba.pipeline import KaratsubaPipeline
-from repro.magic.stage import CrossbarStage
 from repro.portfolio import (
     BASELINE,
     DesignPoint,
@@ -311,12 +310,8 @@ class TestToom3Pipeline:
                     adder.program(op, optimize=optimize)
                     for adder, op in stage.adder_passes()
                 ]
-                if isinstance(stage, CrossbarStage):
-                    # A Karatsuba pass ticks the clock opcode by opcode.
-                    nor = sum(p.cycles_by_opcode().get("nor", 0) for p in programs)
-                else:
-                    # A Toom-3 adder pass ticks as one NOR pass.
-                    nor = sum(p.cycle_count for p in programs)
+                # Every adder pass ticks the clock opcode by opcode.
+                nor = sum(p.cycles_by_opcode().get("nor", 0) for p in programs)
                 assert stage.clock.by_category["nor"] == nor
                 assert latency == stage.overhead_cc + sum(
                     p.cycle_count for p in programs

@@ -16,6 +16,8 @@ from repro.service import (
     DeadlineImpossibleError,
     ServiceConfig,
 )
+from repro.telemetry import Tracer, tracing
+from repro.telemetry.registry import TelemetryRegistry
 from repro.workloads import (
     CryptoWorkloadEngine,
     ModExpRequest,
@@ -258,6 +260,26 @@ class TestEngine:
         assert result.deadline_met is True
         assert result.completion_cc is not None
 
+    def test_failed_serve_step_closes_open_spans(self):
+        # The wave loop is a generator suspended inside its spans while
+        # the runner serves a wave; a serve step that raises must still
+        # close the wave and cohort spans.
+        engine = CryptoWorkloadEngine()
+
+        def fail(frontier):
+            raise RuntimeError("serve failed")
+
+        engine.runner.serve = fail
+        with tracing() as tracer:
+            with pytest.raises(RuntimeError):
+                engine.serve_modmul(
+                    ModMulRequest(request_id=1, x=2, y=3, modulus=SPARSE_M)
+                )
+            assert tracer.current() is None
+        assert [s.name for s in tracer.walk()] == [
+            "workload.cohort", "workload.wave"
+        ]
+
     def test_snapshot_workloads_section(self):
         engine = CryptoWorkloadEngine(config=ServiceConfig(batch_size=4))
         engine.serve_modmul(
@@ -317,9 +339,63 @@ class TestMsm:
         assert result.point == naive_msm(host_curve, scalars, points)
         assert result.waves < result.multiplier_passes
 
+    def test_msm_deadline_runs_from_serving_start(self):
+        # One deadline rule for cohorts and MSMs: with no arrival the
+        # deadline runs from the instant serving began, not from cycle
+        # 0, and a request that needed no CIM pass meets it.
+        engine = CryptoWorkloadEngine()
+        engine.serve_cohort([
+            ModMulRequest(
+                request_id=0, x=2, y=3, modulus=SPARSE_M,
+                arrival_cc=1_000_000,
+            )
+        ])
+        start_cc = engine.runner.now_cc
+
+        def msm(request_id, scalars, deadline_cc=None):
+            return MsmRequest(
+                request_id=request_id,
+                scalars=scalars,
+                points=tuple(_tiny_points(len(scalars))),
+                curve=TINY_CURVE,
+                window_bits=2,
+                deadline_cc=deadline_cc,
+            )
+
+        deadline = engine.estimate_cost_cc(msm(1, (5, 6, 7)))
+        result = engine.serve_msm(msm(1, (5, 6, 7), deadline))
+        assert result.completion_cc > deadline
+        assert result.completion_cc - start_cc <= deadline
+        assert result.deadline_met is True
+        (cohort,) = engine.serve_cohort([
+            ModMulRequest(
+                request_id=2, x=2, y=3, modulus=SPARSE_M,
+                deadline_cc=deadline,
+            )
+        ])
+        assert cohort.deadline_met is True
+        idle = engine.serve_msm(msm(3, (0, 0), deadline))
+        assert idle.completion_cc is None
+        assert idle.deadline_met is True
+
     def test_msm_async_through_chaos_frontend(self):
         scalars = (5, 6, 7, 7)
         points = _tiny_points(4)
+        request = MsmRequest(
+            request_id=1,
+            scalars=scalars,
+            points=tuple(points),
+            curve=TINY_CURVE,
+            window_bits=2,
+        )
+
+        def workload_spans(tracer):
+            return [
+                span.name
+                for root in tracer.roots
+                for span in root.walk()
+                if span.name.startswith("workload.")
+            ]
 
         async def run():
             config = FrontendConfig(
@@ -331,27 +407,32 @@ class TestMsm:
                 ),
             )
             frontend = AsyncShardedFrontend(config)
+            frontend.telemetry = TelemetryRegistry(tracer=async_tracer)
             await frontend.start()
             try:
                 engine = CryptoWorkloadEngine()
-                result = await engine.serve_msm_async(
-                    MsmRequest(
-                        request_id=1,
-                        scalars=scalars,
-                        points=tuple(points),
-                        curve=TINY_CURVE,
-                        window_bits=2,
-                    ),
-                    frontend,
-                )
+                result = await engine.serve_msm_async(request, frontend)
                 snapshot = await frontend.snapshot()
             finally:
                 await frontend.close()
             return result, snapshot
 
+        async_tracer = Tracer(enabled=True)
         result, snapshot = asyncio.run(run())
         host_curve = CimEllipticCurve(TINY_CURVE)
         assert result.point == naive_msm(host_curve, scalars, points)
         # The chaos kill really happened and supervision recovered.
         assert sum(snapshot["supervision"]["restarts"]) >= 1
         assert result.residue_checks == result.multiplier_passes
+        # The sync service walks the same wave loop: same answer, same
+        # waves and passes, same workload span sequence.
+        with tracing() as sync_tracer:
+            sync = CryptoWorkloadEngine(
+                config=ServiceConfig(batch_size=4)
+            ).serve_msm(request)
+        assert sync.point == result.point
+        assert sync.waves == result.waves
+        assert sync.multiplier_passes == result.multiplier_passes
+        assert sync.residue_checks == result.residue_checks
+        assert workload_spans(sync_tracer) == workload_spans(async_tracer)
+        assert "workload.wave" in workload_spans(sync_tracer)
