@@ -1,7 +1,7 @@
 """Benchmark: batched SIMD executor vs job-by-job scalar execution.
 
 The batched engines exist for one reason — to make the simulator's hot
-path keep up with the row-parallel hardware it models.  Five perf-smoke
+path keep up with the row-parallel hardware it models.  Six perf-smoke
 checks live here:
 
 * ``test_batched_run_stream_speedup`` replays the acceptance workload
@@ -26,6 +26,12 @@ checks live here:
   asserts it is at least 5x faster than 64 lanes, with results
   bit-identical to lane 0 of the 64-lane run: a one-lane array counts
   switching energy with ``int.bit_count`` and packs no operands.
+* ``test_one_lane_oracle_speedup`` replays the same mega-programs at
+  one lane on the word backend and on the scalar oracle and asserts
+  the word replay is at least 59x faster with bit-identical results.
+  The 64-lane comparisons above speed up with the word backend's
+  per-gate loop too, so only this one catches a slower one-lane gate
+  step.
 * ``test_rowmul_lane_parallel_speedup`` runs the n = 256 multiply
   stage (m = 66 rows, 64 jobs x 9 rows) as one bit-sliced lock-step
   pass and as one row-multiplier call per product, and asserts the
@@ -87,6 +93,10 @@ MIN_NARROW_SPEEDUP = 1.5
 #: Required advantage of the one-lane replay over the 64-lane replay of
 #: the same mega-programs.
 MIN_ONE_LANE_SPEEDUP = 5
+
+#: Required advantage of the one-lane word replay over the one-lane
+#: scalar oracle replay of the same mega-programs.
+MIN_ONE_LANE_ORACLE_SPEEDUP = 59
 
 #: Timing repetitions of the narrow-batch comparison (sub-10 ms each).
 NARROW_REPS = 40
@@ -276,6 +286,48 @@ def run_narrow_bench(lanes=NARROW_LANES, floor=MIN_NARROW_SPEEDUP):
     return speedup, table
 
 
+def run_one_lane_oracle_bench():
+    scalar = get_backend("scalar")
+    word = get_backend("word")
+    rows = []
+    sc_total = wd_total = 0.0
+    for label, stage, compiled, bindings in _stage_workloads():
+        sc_seconds, sc_results = _replay(scalar, stage, compiled, bindings[:1])
+        wd_seconds, wd_results = _replay(
+            word, stage, compiled, bindings[:1], NARROW_REPS
+        )
+        assert sc_results == wd_results, f"{label}: one-lane results diverge"
+        sc_total += sc_seconds
+        wd_total += wd_seconds
+        rows.append(
+            (
+                label,
+                f"{sc_seconds * 1e3:.2f}",
+                f"{wd_seconds * 1e3:.2f}",
+                f"{sc_seconds / wd_seconds:.0f}x",
+            )
+        )
+    speedup = sc_total / wd_total
+    rows.append(
+        (
+            "combined",
+            f"{sc_total * 1e3:.2f}",
+            f"{wd_total * 1e3:.2f}",
+            f"{speedup:.0f}x",
+        )
+    )
+    table = format_table(
+        ("stage replay", "scalar oracle ms", "word ms", "speedup"),
+        rows,
+        title=(
+            f"Word backend, one lane at n = {N_BITS}: {speedup:.0f}x "
+            f"speedup over the scalar oracle "
+            f"(floor {MIN_ONE_LANE_ORACLE_SPEEDUP}x)"
+        ),
+    )
+    return speedup, table
+
+
 def run_rowmul_bench():
     stage = MultiplicationStage(N_BITS)
     rng = random.Random(0x66)
@@ -364,6 +416,15 @@ def test_one_lane_replay_speedup():
     )
 
 
+def test_one_lane_oracle_speedup():
+    speedup, table = run_one_lane_oracle_bench()
+    _register("one-lane-oracle", table)
+    assert speedup >= MIN_ONE_LANE_ORACLE_SPEEDUP, (
+        f"one-lane word replay only {speedup:.2f}x faster than the "
+        f"one-lane scalar oracle (needs >= {MIN_ONE_LANE_ORACLE_SPEEDUP}x)"
+    )
+
+
 def test_rowmul_lane_parallel_speedup():
     speedup, table = run_rowmul_bench()
     _register("rowmul-lanes", table)
@@ -381,6 +442,8 @@ if __name__ == "__main__":
         (*run_narrow_bench(), MIN_NARROW_SPEEDUP, "narrow batch"),
         (*run_narrow_bench(1, MIN_ONE_LANE_SPEEDUP), MIN_ONE_LANE_SPEEDUP,
          "one lane"),
+        (*run_one_lane_oracle_bench(), MIN_ONE_LANE_ORACLE_SPEEDUP,
+         "one lane vs oracle"),
         (*run_rowmul_bench(), MIN_ROWMUL_SPEEDUP, "row multiplier"),
     ):
         print(report)

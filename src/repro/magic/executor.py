@@ -12,10 +12,11 @@ Two execution paths share one instruction set:
 * :class:`WordPackedMagicExecutor` — the default SIMD path (paper
   Sec. II-B).  A :class:`Program` is *compiled once* (parsed,
   validated, column masks and field slices precomputed) into a
-  :class:`CompiledProgram`, lowered to big-integer masks, then replayed
-  against a :class:`WordPackedCrossbarArray` whose rows each pack every
-  lane into one Python integer, the batch rounded up to a power-of-two
-  lane stride per column.
+  :class:`CompiledProgram`, lowered to a physical-row replay plan (one
+  step per gate, big-integer masks, rows already through the remap
+  table), then replayed against a :class:`WordPackedCrossbarArray`
+  whose rows each pack every lane into one Python integer, the batch
+  rounded up to a power-of-two lane stride per column.
 
 Per-lane results, cycle counts, write counters and energy of the SIMD
 path are bit-identical to running the scalar executor once per lane
@@ -39,7 +40,6 @@ import numpy as np
 from repro.crossbar.array import (
     CrossbarArray,
     WordPackedCrossbarArray,
-    _count_add,
     _csa_add,
     _lane_spread,
 )
@@ -161,9 +161,13 @@ def unpack_lanes(value: int, width: int, lane_bits: int, lanes: int) -> List[int
     return unpack_ints(np.ascontiguousarray(bits[:, :lanes].T))
 
 
-#: Compiled-step opcodes (tuple dispatch in the batched inner loop).
-#: _PACK carries a gang of independent NOR gates retired in one cycle.
+#: Compiled-step opcodes.  _PACK carries a gang of independent NOR
+#: gates retired in one cycle.
 _INIT, _NOR, _WRITE, _READ, _SHIFT, _NOP, _PACK = range(7)
+
+#: Word replay-plan gate kinds (plans reuse _INIT/_WRITE/_READ/_SHIFT):
+#: a strict full-width gate of one or two inputs, and every other gate.
+_NOR1, _NOR2, _GATE = range(7, 10)
 
 #: RunStats counter attribute per micro-op opcode.
 _STAT_FIELD = {
@@ -642,21 +646,26 @@ class MagicExecutor:
 
 
 class _WordLoweredProgram:
-    """A :class:`CompiledProgram` re-lowered to packed-integer steps.
-
-    The lowering converts every column mask and field slice into the
-    big-integer bit masks of a :class:`WordPackedCrossbarArray` lane
-    stride, and precomputes the program's data-independent accounting:
-    the per-lane pulse-cell counts (set/reset/read) behind the constant
-    part of the energy model, and the write-pulse *recipe* from which a
-    per-row-map ``(phys_rows, cols)`` write-counter delta is
-    materialised once and replayed per batch.
+    """A :class:`CompiledProgram` lowered to physical-row replay plans.
 
     One lowering exists per compiled program (cached on it, so it is
-    shared wherever the compiled program is).  Everything that does not
-    depend on the stride — the accounting, the write deltas, full-width
-    gates, READ and NOP steps — is built once; :meth:`steps` adds only
-    the big-int masks per stride, each distinct mask built once.
+    shared wherever the compiled program is).  It precomputes the
+    program's data-independent accounting once: the per-lane pulse-cell
+    counts (set/reset/read) behind the constant part of the energy
+    model, and the write-pulse *recipe* from which a per-row-map
+    ``(phys_rows, cols)`` write-counter delta is materialised once and
+    replayed per batch.
+
+    :meth:`plan` turns the compiled steps into the flat step list
+    :meth:`WordPackedMagicExecutor.execute` replays, once per
+    ``(lane_bits, row map, strict)``: rows are already physical, a
+    packed gang is one step per gate, and every column mask, field and
+    shift window is a big-int at the plan's lane stride (equal ones
+    built once).  A strict full-width gate with one or two inputs gets
+    its own step kind; masked, wider and non-strict gates share the
+    general one.  Gates keep their logical output row for hooks and
+    error messages.  Plans of one row map and strictness share their
+    stride-free gate steps, and NOPs (pure idle cycles) are dropped.
     """
 
     __slots__ = (
@@ -666,8 +675,8 @@ class _WordLoweredProgram:
         "read_cells",
         "writes_recipe",
         "_writes_deltas",
-        "_template",
-        "_strides",
+        "_steps",
+        "_plans",
     )
 
     def __init__(self, compiled: CompiledProgram):
@@ -679,58 +688,41 @@ class _WordLoweredProgram:
         self.writes_recipe: List[Tuple[int, Optional[np.ndarray]]] = []
         #: (row_map, phys_rows) -> materialised (phys_rows, cols) delta.
         self._writes_deltas: Dict[tuple, np.ndarray] = {}
-        #: Stride-free steps: replay-ready where no mask is involved,
-        #: else the column masks :meth:`steps` turns into big-ints.
-        self._template: List[tuple] = []
-        #: lane_bits -> replay steps.
-        self._strides: Dict[int, List[tuple]] = {}
+        #: The compiled steps plans are built from (not the compiled
+        #: program itself, which holds this lowering).
+        self._steps = compiled.steps
+        #: (lane_bits, row_map, strict) -> replay plan.
+        self._plans: Dict[tuple, List[tuple]] = {}
 
-        def gate(in_rows, out_row, mask) -> tuple:
-            if out_row in in_rows:
-                # Row maps are injective, so logical aliasing is exactly
-                # physical aliasing; reject it once here instead of on
-                # every replay.
-                raise MagicProtocolError(
-                    f"output row {out_row} cannot also be a NOR input"
-                )
-            self.writes_recipe.append((out_row, mask))
-            if mask is None:
-                # Full-width gate: replay applies no mask at all.
-                return (in_rows[0], tuple(in_rows[1:]), out_row, None, 0, None)
-            # Masked gate: :meth:`_lower` adds its big-int masks.
-            return (in_rows[0], tuple(in_rows[1:]), out_row, mask)
-
-        template = self._template
         for step in compiled.steps:
             code = step[0]
-            if code == _NOR:
-                # A lone NOR replays as a gang of one.
-                template.append((_PACK, (gate(*step[1:]),)))
-            elif code == _PACK:
-                template.append(
-                    (_PACK, tuple(gate(*member) for member in step[1]))
-                )
+            if code == _NOR or code == _PACK:
+                for in_rows, out_row, mask in (
+                    (step[1:],) if code == _NOR else step[1]
+                ):
+                    if out_row in in_rows:
+                        # Row maps are injective, so logical aliasing is
+                        # exactly physical aliasing; reject it once here
+                        # instead of on every replay.
+                        raise MagicProtocolError(
+                            f"output row {out_row} cannot also be a NOR input"
+                        )
+                    self.writes_recipe.append((out_row, mask))
             elif code == _INIT:
                 _, rows, mask = step
                 cells = cols if mask is None else int(mask.sum())
                 self.set_cells += cells * len(rows)
                 for row in rows:
                     self.writes_recipe.append((row, mask))
-                template.append(step)
             elif code == _WRITE:
                 _, row, field, mask, spec = step
                 # A full-row field lowers its mask to None; either way
                 # the driven cells are exactly the field's.
                 self.reset_cells += field.stop - field.start
                 self.writes_recipe.append((row, mask))
-                template.append(step)
             elif code == _READ:
-                _, row, field, name = step
                 # The batched read senses the full row (unmasked).
                 self.read_cells += cols
-                template.append(
-                    (_READ, row, field.start, field.stop - field.start, name)
-                )
             elif code == _SHIFT:
                 _, src, dst, offset, fill, window, mask, also_init = step
                 span = window.stop - window.start
@@ -742,19 +734,31 @@ class _WordLoweredProgram:
                 self.writes_recipe.append((dst, mask))
                 for row in also_init:
                     self.writes_recipe.append((row, mask))
-                template.append(step)
-            else:  # _NOP
-                template.append((_NOP,))
 
-    def steps(self, lane_bits: int) -> List[tuple]:
-        """Replay steps at *lane_bits* lanes per column (built once)."""
-        steps = self._strides.get(lane_bits)
-        if steps is None:
-            steps = self._strides[lane_bits] = self._lower(lane_bits)
-        return steps
+    def plan(self, lane_bits: int, row_map: tuple, strict: bool) -> List[tuple]:
+        """Replay steps at *lane_bits* lanes per column, rows resolved
+        through *row_map*, for a strict or non-strict array (built once
+        per key)."""
+        key = (lane_bits, row_map, strict)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._build_plan(lane_bits, row_map, strict)
+        return plan
 
-    def _lower(self, lane_bits: int) -> List[tuple]:
+    def _build_plan(
+        self, lane_bits: int, row_map: tuple, strict: bool
+    ) -> List[tuple]:
         full = (1 << (self.cols * lane_bits)) - 1
+        # A plan of the same row map and strictness at another stride
+        # lines up step for step; its stride-free gates are reused.
+        sibling = next(
+            (
+                plan
+                for (_, rows, is_strict), plan in self._plans.items()
+                if rows == row_map and is_strict == strict
+            ),
+            None,
+        )
         # Equal masks, fields and shift windows share one big-int each.
         by_mask: Dict[bytes, tuple] = {}
         by_field: Dict[tuple, tuple] = {}
@@ -765,8 +769,10 @@ class _WordLoweredProgram:
             width = (stop - start) * lane_bits
             return ((1 << width) - 1) << (start * lane_bits)
 
-        def masked(mask: np.ndarray) -> tuple:
+        def masked(mask: Optional[np.ndarray]) -> tuple:
             # (m, full ^ m) of a column mask; equal masks share one pair.
+            if mask is None:
+                return full, 0
             key = mask.tobytes()
             pair = by_mask.get(key)
             if pair is None:
@@ -774,23 +780,44 @@ class _WordLoweredProgram:
                 pair = by_mask[key] = (m, full ^ m)
             return pair
 
+        # A write hook sees the written columns: all of them, unmasked.
+        every_col = np.ones(self.cols, dtype=bool)
+        every_col.flags.writeable = False
         out: List[tuple] = []
-        for step in self._template:
+        for step in self._steps:
             code = step[0]
-            if code == _PACK:
-                gates = step[1]
-                if all(len(g) == 6 for g in gates):
-                    out.append(step)  # full-width gang: stride-free
-                else:
-                    lowered = tuple(
-                        g if len(g) == 6 else (*g[:3], *masked(g[3]), g[3])
-                        for g in gates
+            if code == _NOR or code == _PACK:
+                for in_rows, out_row, mask in (
+                    (step[1:],) if code == _NOR else step[1]
+                ):
+                    dst = row_map[out_row]
+                    if strict and mask is None and len(in_rows) <= 2:
+                        if sibling is not None:
+                            out.append(sibling[len(out)])
+                        elif len(in_rows) == 1:
+                            out.append((_NOR1, row_map[in_rows[0]], dst, out_row))
+                        else:
+                            a, b = in_rows
+                            out.append(
+                                (_NOR2, row_map[a], row_map[b], dst, out_row)
+                            )
+                        continue
+                    phys = [row_map[row] for row in in_rows]
+                    out.append(
+                        (
+                            _GATE,
+                            phys[0],
+                            tuple(phys[1:]),
+                            dst,
+                            out_row,
+                            *masked(mask),
+                            mask,
+                        )
                     )
-                    out.append((_PACK, lowered))
             elif code == _INIT:
                 _, rows, mask = step
-                m = full if mask is None else masked(mask)[0]
-                out.append((_INIT, rows, m, mask))
+                phys = tuple(row_map[row] for row in rows)
+                out.append((_INIT, phys, masked(mask)[0]))
             elif code == _WRITE:
                 _, row, field, mask, spec = step
                 key = (field.start, field.stop)
@@ -800,7 +827,22 @@ class _WordLoweredProgram:
                         field.start * lane_bits,
                         full ^ span(field.start, field.stop),
                     )
-                out.append((_WRITE, row, spec, *pair, mask))
+                write_mask = every_col if mask is None else mask
+                out.append((_WRITE, row_map[row], row, spec, *pair, write_mask))
+            elif code == _READ:
+                _, row, field, name = step
+                width = field.stop - field.start
+                out.append(
+                    (
+                        _READ,
+                        row_map[row],
+                        row,
+                        field.start * lane_bits,
+                        (1 << (width * lane_bits)) - 1,
+                        width,
+                        name,
+                    )
+                )
             elif code == _SHIFT:
                 _, src, dst, offset, fill, window, mask, also_init = step
                 key = (window.start, window.stop, offset, fill)
@@ -823,10 +865,18 @@ class _WordLoweredProgram:
                 # Both masks sit at the window's column position, so the
                 # replay shifts the source row once, in place.
                 out.append(
-                    (_SHIFT, src, dst, offset * lane_bits, *masks, mask, also_init)
+                    (
+                        _SHIFT,
+                        row_map[src],
+                        row_map[dst],
+                        dst,
+                        offset * lane_bits,
+                        *masks,
+                        every_col if mask is None else mask,
+                        tuple(row_map[row] for row in also_init),
+                    )
                 )
-            else:  # _READ, _NOP: stride-free
-                out.append(step)
+            # _NOP: an idle cycle, nothing to replay.
         return out
 
     def energy_const_fj(self, device) -> float:
@@ -892,18 +942,22 @@ class WordPackedMagicExecutor:
     The word-packed fast path of the batched executor: every physical
     row is one big integer holding every batch lane of every column at
     a power-of-two lane stride, so a row-parallel NOR over the whole
-    batch is a handful of bitwise integer operations.  Every lowered
-    micro-op costs a constant number of big-int operations: a strict
-    NOR writes back with one XOR, a SHIFT shifts the masked source row
-    once, and full-width gates apply no mask.
+    batch is a handful of bitwise integer operations.  A replay walks
+    the program's physical-row plan (see :class:`_WordLoweredProgram`)
+    for the array's lane stride, row map and strictness, one Python
+    step per gate: a strict NOR writes back with one XOR, a SHIFT
+    shifts the masked source row once, and full-width gates apply no
+    mask.  Fault hooks and pinned faults are served in the same loop
+    behind one flag.
     Accounting is deferred: data-dependent switching energy is added
     as packed masks into a redundant carry-save counter per coefficient
     (amortised one full-adder step per event) and popcounted per lane
     when read — or, on a one-lane array, counted with one
-    ``int.bit_count`` per event; a one-lane replay packs and unpacks
-    no operands either.  Write counters are applied as one precomputed
-    per-program delta — per-lane results, cycle counts, write counters
-    and energy stay bit-identical to the scalar oracle.
+    ``int.bit_count`` per event into two local totals, added to the
+    array's counters once per replay; a one-lane replay packs and
+    unpacks no operands either.  Write counters are applied as one
+    precomputed per-program delta — per-lane results, cycle counts,
+    write counters and energy stay bit-identical to the scalar oracle.
     """
 
     def __init__(
@@ -958,6 +1012,7 @@ class WordPackedMagicExecutor:
                 f"got {len(bindings_list)} binding sets for {batch} lanes"
             )
         lowered = self._lowered(compiled)
+        lane_bits = array.lane_bits
         packed: Dict[Tuple[str, int], int] = {}
         for name, width in compiled.write_specs:
             try:
@@ -966,134 +1021,170 @@ class WordPackedMagicExecutor:
                 raise ProgramError(
                     f"WRITE references unbound operand {name!r}"
                 ) from None
-            packed[(name, width)] = pack_lanes(values, width, array.lane_bits)
+            packed[(name, width)] = pack_lanes(values, width, lane_bits)
 
         energy_before = array.energy_fj.copy()
         results: List[Dict[str, int]] = [{} for _ in range(batch)]
+        row_map = tuple(array._row_map)
+        strict = array.strict_magic
+        plan = lowered.plan(lane_bits, row_map, strict)
         hook = self.fault_hook
+        # Hooks and pinned faults are the slow path; nothing else can
+        # pin a fault mid-replay, so the flag holds for the whole loop.
+        slow = hook is not None or bool(array._faults)
         device = array.device
         e_reset = device.e_reset_fj
         w_coeff = device.e_set_fj - e_reset
         state = array._state
-        rmap = array._row_map
-        lane_bits = array.lane_bits
         full = array._full
-        # Energy counters: redundant carry-save levels, or one set-cell
-        # count at one lane.  A flush empties these lists in place, so
-        # the bindings stay valid for the whole replay.  One counter
-        # per coefficient (aliased if a device makes the two
-        # coefficients collide).
-        acc_add = _csa_add if lane_bits > 1 else _count_add
+        # Switching energy per coefficient: at one lane, set-cell counts
+        # in two locals; wider, redundant carry-save levels (a flush
+        # empties these lists in place, so the bindings stay valid).
+        one = lane_bits == 1
+        reset_cells = write_cells = 0
+        acc_add = _csa_add
         reset_levels = array._energy_counter(e_reset)
         write_levels = array._energy_counter(w_coeff)
-        strict = array.strict_magic
-        have_faults = bool(array._faults)
-        for step in lowered.steps(lane_bits):
-            code = step[0]
-            if code == _PACK:
-                for first, rest, out_row, m, notm, np_mask in step[1]:
-                    out_phys = rmap[out_row]
-                    out = state[out_phys]
-                    any_one = state[rmap[first]]
-                    for row in rest:
-                        any_one = any_one | state[rmap[row]]
-                    if m is None:
-                        am = any_one
-                        if strict and out != full:
-                            raise _uninitialised(out_row)
+        try:
+            for step in plan:
+                code = step[0]
+                if code == _NOR1:
+                    _, src, dst, out_row = step
+                    out = state[dst]
+                    if out != full:
+                        raise _uninitialised(out_row)
+                    # out is all ones and the input lies inside it, so
+                    # flipping the input writes the NOR, and the input's
+                    # set cells are the RESET events.
+                    am = state[src]
+                    if one:
+                        reset_cells += am.bit_count()
                     else:
-                        am = any_one & m
-                        if strict and (out & m) != m:
-                            raise _uninitialised(out_row)
-                    if strict:
-                        # out holds ones on every gate cell and am lies
-                        # inside them, so flipping am writes the NOR and
-                        # the RESET event am & out collapses to am.
                         acc_add(reset_levels, am)
-                        state[out_phys] = out ^ am
+                    state[dst] = out ^ am
+                    if slow:
+                        if array._faults:
+                            array._apply_faults()
+                        if hook is not None:
+                            hook.on_nor(array, out_row, None)
+                elif code == _NOR2:
+                    _, a, b, dst, out_row = step
+                    out = state[dst]
+                    if out != full:
+                        raise _uninitialised(out_row)
+                    am = state[a] | state[b]
+                    if one:
+                        reset_cells += am.bit_count()
                     else:
-                        acc_add(reset_levels, am & out)
-                        state[out_phys] = (out & notm) | (
-                            (full if m is None else m) ^ am
-                        )
-                    if have_faults:
+                        acc_add(reset_levels, am)
+                    state[dst] = out ^ am
+                    if slow:
+                        if array._faults:
+                            array._apply_faults()
+                        if hook is not None:
+                            hook.on_nor(array, out_row, None)
+                elif code == _SHIFT:
+                    (
+                        _,
+                        src,
+                        dst,
+                        dst_row,
+                        offset_bits,
+                        window_mask,
+                        not_window,
+                        fill_mask,
+                        write_mask,
+                        also_init,
+                    ) = step
+                    w = state[src] & window_mask
+                    if offset_bits >= 0:
+                        w <<= offset_bits
+                    else:
+                        w >>= -offset_bits
+                    sh = (w & window_mask) | fill_mask
+                    if one:
+                        write_cells += sh.bit_count()
+                    else:
+                        acc_add(write_levels, sh)
+                    pre = None
+                    if slow and hook is not None:
+                        pre = array.unpack_row(dst_row)
+                    state[dst] = (state[dst] & not_window) | sh
+                    if slow:
+                        if array._faults:
+                            array._apply_faults()
+                        if hook is not None:
+                            hook.on_write(array, dst_row, write_mask, pre)
+                    for phys in also_init:
+                        state[phys] |= window_mask
+                    if slow and also_init and array._faults:
                         array._apply_faults()
-                    if hook is not None:
-                        hook.on_nor(array, out_row, np_mask)
-                        have_faults = bool(array._faults)
-            elif code == _SHIFT:
-                (
-                    _,
-                    src,
-                    dst,
-                    offset_bits,
-                    window_mask,
-                    not_window,
-                    fill_mask,
-                    np_mask,
-                    also_init,
-                ) = step
-                dst_phys = rmap[dst]
-                w = state[rmap[src]] & window_mask
-                if offset_bits >= 0:
-                    w <<= offset_bits
-                else:
-                    w >>= -offset_bits
-                sh = (w & window_mask) | fill_mask
-                pre = array.unpack_row(dst) if hook is not None else None
-                acc_add(write_levels, sh)
-                state[dst_phys] = (state[dst_phys] & not_window) | sh
-                if have_faults:
-                    array._apply_faults()
-                if hook is not None:
-                    write_mask = np_mask
-                    if write_mask is None:
-                        write_mask = np.ones(array.cols, dtype=bool)
-                    hook.on_write(array, dst, write_mask, pre)
-                    have_faults = bool(array._faults)
-                for row in also_init:
-                    phys = rmap[row]
-                    state[phys] = state[phys] | window_mask
-                if also_init and have_faults:
-                    array._apply_faults()
-            elif code == _INIT:
-                _, rows, m, np_mask = step
-                for row in rows:
-                    phys = rmap[row]
-                    state[phys] = state[phys] | m
-                if have_faults:
-                    array._apply_faults()
-            elif code == _WRITE:
-                _, row, spec, shift, not_field, np_mask = step
-                phys = rmap[row]
-                pre = array.unpack_row(row) if hook is not None else None
-                value = packed[spec] << shift
-                acc_add(write_levels, value)
-                state[phys] = (state[phys] & not_field) | value
-                if have_faults:
-                    array._apply_faults()
-                if hook is not None:
-                    write_mask = np_mask
-                    if write_mask is None:
-                        write_mask = np.ones(array.cols, dtype=bool)
-                    hook.on_write(array, row, write_mask, pre)
-                    have_faults = bool(array._faults)
-            elif code == _READ:
-                _, row, start, width, name = step
-                word = (state[rmap[row]] >> (start * lane_bits)) & (
-                    (1 << (width * lane_bits)) - 1
-                )
-                for lane, value in enumerate(
-                    unpack_lanes(word, width, lane_bits, batch)
-                ):
-                    results[lane][name] = value
-                if hook is not None:
-                    hook.on_read(array, row)
-                    have_faults = bool(array._faults)
-            # _NOP: nothing to evaluate.
+                elif code == _WRITE:
+                    _, phys, row, spec, shift, not_field, write_mask = step
+                    value = packed[spec] << shift
+                    if one:
+                        write_cells += value.bit_count()
+                    else:
+                        acc_add(write_levels, value)
+                    pre = None
+                    if slow and hook is not None:
+                        pre = array.unpack_row(row)
+                    state[phys] = (state[phys] & not_field) | value
+                    if slow:
+                        if array._faults:
+                            array._apply_faults()
+                        if hook is not None:
+                            hook.on_write(array, row, write_mask, pre)
+                elif code == _INIT:
+                    _, rows, m = step
+                    for phys in rows:
+                        state[phys] |= m
+                    if slow and array._faults:
+                        array._apply_faults()
+                elif code == _GATE:
+                    _, first, rest, dst, out_row, m, not_m, np_mask = step
+                    any_one = state[first]
+                    for row in rest:
+                        any_one |= state[row]
+                    am = any_one & m
+                    out = state[dst]
+                    if strict:
+                        if out & m != m:
+                            raise _uninitialised(out_row)
+                        state[dst] = out ^ am
+                    else:
+                        state[dst] = (out & not_m) | (m ^ am)
+                        am &= out
+                    if one:
+                        reset_cells += am.bit_count()
+                    else:
+                        acc_add(reset_levels, am)
+                    if slow:
+                        if array._faults:
+                            array._apply_faults()
+                        if hook is not None:
+                            hook.on_nor(array, out_row, np_mask)
+                else:  # _READ
+                    _, phys, row, shift, field_mask, width, name = step
+                    word = (state[phys] >> shift) & field_mask
+                    if one:
+                        results[0][name] = word
+                    else:
+                        for lane, value in enumerate(
+                            unpack_lanes(word, width, lane_bits, batch)
+                        ):
+                            results[lane][name] = value
+                    if slow and hook is not None:
+                        hook.on_read(array, row)
+        finally:
+            if one:
+                # Also when a strict check raised mid-replay: the gates
+                # before it stay counted, as at any other lane count.
+                reset_levels[0] += reset_cells
+                write_levels[0] += write_cells
 
         array._energy_const += lowered.energy_const_fj(device)
-        array._writes += lowered.writes_delta(rmap, array.phys_rows, array.cols)
+        array._writes += lowered.writes_delta(row_map, array.phys_rows, array.cols)
         _tick_batch(self.clock, compiled, batch)
 
         energy = array.energy_fj - energy_before

@@ -11,7 +11,11 @@ and the comparisons below use ``==`` deliberately.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,12 +38,20 @@ from repro.magic import (
     unpack_ints,
 )
 from repro.magic import executor as executor_mod
+from repro.magic.ops import ParallelNor, ParallelNot
+from repro.magic.passes import pack_cycles
 from repro.sim.clock import Clock
 from repro.sim.exceptions import MagicProtocolError, ProgramError
 from repro.sim.stats import RunStats
 from repro.telemetry import spans
 
-from tests.test_batched_executor import ROWS, COLS, _random_program
+from tests.test_batched_executor import (
+    COLS,
+    ROWS,
+    _assert_oracle_parity,
+    _random_bindings,
+    _random_program,
+)
 
 ALL_BACKENDS = list(BACKEND_NAMES)
 
@@ -513,9 +525,10 @@ class TestSharedCompileCache:
         assert again is not first
 
     def test_strides_share_stride_free_lowering(self):
-        """Per-stride lowerings of one program share everything but the
-        big-int masks: one write-delta dict, full-width steps by
-        identity, and equal masks as one integer."""
+        """Replay plans of one program hang off its one lowering: a plan
+        is cached by identity per (lane_bits, row map, strict), plans at
+        other strides share its full-width gate steps by identity, and
+        equal masks are one integer."""
         program = (
             ProgramBuilder(label="strides")
             .write(0, "x", width=COLS)
@@ -537,13 +550,151 @@ class TestSharedCompileCache:
         one, four, wide = lowered[1], lowered[4], lowered[64]
         assert one is four is wide
         assert one._writes_deltas is four._writes_deltas
-        steps1, steps4 = one.steps(1), one.steps(4)
-        assert steps1 is one.steps(1)
-        full_nor, masked_nor, twin, read = steps1[2:6]
-        assert steps4[2] is full_nor and steps4[5] is read
-        assert steps4[3] is not masked_nor
-        assert masked_nor[1][0][3] == sum(1 << col for col in range(1, 9))
-        assert twin[1][0][3] is masked_nor[1][0][3]
+        identity = tuple(range(ROWS))
+        assert set(one._plans) == {(lanes, identity, True) for lanes in lowered}
+        plan1, plan4 = one.plan(1, identity, True), one.plan(4, identity, True)
+        assert plan1 is one.plan(1, identity, True)
+        write, init, full_nor, masked_nor, twin, read = plan1
+        assert full_nor[0] == executor_mod._NOR1
+        assert masked_nor[0] == twin[0] == executor_mod._GATE
+        assert plan4[2] is full_nor
+        assert plan4[3] is not masked_nor and plan4[5] is not read
+        mask = masked_nor[5]
+        assert mask == sum(1 << col for col in range(1, 9))
+        assert twin[5] is mask
+        # Another row map or strictness is another plan, rows resolved.
+        swapped = (1, 0) + identity[2:]
+        assert one.plan(1, swapped, True)[2][1:3] == (1, 2)
+        lax = one.plan(1, identity, False)
+        assert lax[2][0] == executor_mod._GATE and lax[2][4] == 2
+
+
+# ----------------------------------------------------------------------
+# Physical-row replay plans: remaps, packed gangs, strict raises
+# ----------------------------------------------------------------------
+def _strict_violation_midway():
+    """One lane whose NOR output row (logical 5, remapped onto spare
+    word line 8) holds WRITE data halfway through the program: returns
+    the strict check's message and the lane energy it leaves behind."""
+    template = CrossbarArray(ROWS, COLS, spare_rows=1)
+    template.state[:] = True
+    if template.remap_row(5) != ROWS:
+        raise RuntimeError("expected logical row 5 on spare line 8")
+    program = (
+        ProgramBuilder(label="midway")
+        .write(0, "x", width=COLS)
+        .write(1, "y", width=COLS)
+        .init([2])
+        .nor([0, 1], 2)
+        .init([3])
+        .nor([2], 3)
+        .shift(2, 4, 3, fill=0)
+        .write(5, "z", width=COLS)
+        .nor([0], 5)
+        .read(3, "never", width=COLS)
+        .build()
+    )
+    backend = get_backend("word")
+    array = backend.make_array(template, 1)
+    executor = backend.make_executor(array)
+    try:
+        executor.execute(program, [{"x": 0xB66D, "y": 0x0F0F, "z": 0x7FFF}])
+    except MagicProtocolError as err:
+        return str(err), array.lane_energy_fj(0)
+    raise RuntimeError("strict NOR check did not fire")
+
+
+#: Switching energy counted before the strict raise in
+#: :func:`_strict_violation_midway` (the two WRITEs, the SHIFT and the
+#: RESETs of the two NORs; the data-independent part is never charged).
+MIDWAY_ENERGY_FJ = 2866.0
+
+
+class TestReplayPlans:
+    @pytest.mark.parametrize("batch", [1, 3, 64])
+    def test_plan_rebound_after_remap(self, batch):
+        """A remap changes the row map, so the next replay takes a new
+        plan: a stale one would keep driving the old physical row."""
+        rng = random.Random(40 + batch)
+        program, writes = _random_program(rng, ops=60)
+        bindings = _random_bindings(rng, writes, batch)
+        # Every word line, spares included, starts all ones, so a remap
+        # changes where the program runs but not what it computes.
+        template = CrossbarArray(ROWS, COLS, spare_rows=2)
+        template.state[:] = True
+        compiled = MagicExecutor(template).compile(program)
+        word = get_backend("word")
+        row = None
+        for remapped in (False, True):
+            if remapped:
+                assert template.remap_row(row) >= ROWS
+            array = word.make_array(template, batch)
+            stats = word.make_executor(array).execute(compiled, bindings)
+            for lane, lane_bindings in enumerate(bindings):
+                oracle = CrossbarArray(ROWS, COLS, spare_rows=2)
+                oracle.state[:] = True
+                if remapped:
+                    oracle.remap_row(row)
+                expected = MagicExecutor(oracle).execute(program, lane_bindings)
+                assert stats[lane].results == expected.results
+                assert stats[lane].energy_fj == expected.energy_fj
+                assert np.array_equal(array.snapshot(lane), oracle.snapshot())
+                assert np.array_equal(array.writes, oracle.writes)
+            if row is None:
+                # Remap a gate output the replay leaves off all ones: a
+                # stale plan never drives the spare, which stays all ones.
+                final = oracle.snapshot()
+                row = next(
+                    op.out_row
+                    for op in program
+                    if op.opcode == "nor" and not final[op.out_row].all()
+                )
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lax"])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 64, 65])
+    def test_packed_gangs_match_oracle(self, batch, strict):
+        """pack_cycles fuses independent gates into gangs, which a plan
+        flattens into one step per gate."""
+        rng = random.Random(70 + batch + strict)
+        # About half the random programs hold independent gates; take
+        # the first of this seed's stream that packs at least one gang.
+        for _ in range(20):
+            program, writes = _random_program(rng, ops=80, init_outputs=strict)
+            packed = pack_cycles(program)
+            gangs = [op for op in packed if isinstance(op, (ParallelNor, ParallelNot))]
+            if gangs:
+                break
+        assert gangs
+        _assert_oracle_parity(
+            packed, _random_bindings(rng, writes, batch), "word", strict
+        )
+
+    def test_strict_violation_midway_one_lane(self):
+        message, energy = _strict_violation_midway()
+        # The logical row, not the spare word line behind it.
+        assert message.startswith("NOR output row 5 not initialised")
+        assert energy == MIDWAY_ENERGY_FJ
+
+    def test_strict_violation_survives_python_O(self):
+        code = (
+            "from tests.test_executor_backends import _strict_violation_midway\n"
+            "print(*_strict_violation_midway(), sep='|')\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        env = dict(
+            os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=root,
+        )
+        assert proc.returncode == 0, proc.stderr
+        message, energy = proc.stdout.strip().split("|")
+        assert message.startswith("NOR output row 5 not initialised")
+        assert float(energy) == MIDWAY_ENERGY_FJ
 
 
 # ----------------------------------------------------------------------
