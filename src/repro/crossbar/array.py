@@ -23,7 +23,8 @@ one big integer per word line, so one micro-op sequence evaluates every
 lane in a handful of integer operations.  Write-pulse counts are
 data-independent (every lane sees the same pulses for the same op
 sequence), so the write counters stay ``(rows, cols)`` with per-lane
-semantics; energy is data-dependent and is tracked per lane.
+semantics; energy is counted once for the whole array (one total over
+every lane, not one figure per lane).
 """
 
 from __future__ import annotations
@@ -449,93 +450,11 @@ class CrossbarArray:
         )
 
 
-def _csa_add(levels: list, mask: int) -> None:
-    """Add a packed bit-mask into a redundant carry-save counter.
-
-    Level *k* owns the two slots ``levels[2k]`` and ``levels[2k + 1]``:
-    at most two masks of weight ``2**k`` (a zero slot is empty — and
-    counts nothing).  A third arrival at a full level is compressed 3:2
-    by one full-adder step: the sum stays at level *k* and the carry
-    moves up, stopping as soon as it is zero.  Every compression halves
-    what travels upward, so an add costs an amortised single full-adder
-    step however many cells carry, and a counter over *N* events holds
-    at most ``2 * log2(N)`` masks — the word-packed array's deferred
-    energy accounting flushes masks, not events.  A one-lane array
-    counts with :func:`_count_add` instead: there every mask bit is a
-    cell of the one lane, so one ``bit_count`` per event does.
-    """
-    k = 0
-    while mask:
-        if k == len(levels):
-            levels.append(mask)
-            levels.append(0)
-            return
-        a = levels[k]
-        if not a:
-            levels[k] = mask
-            return
-        b = levels[k + 1]
-        if not b:
-            levels[k + 1] = mask
-            return
-        x = a ^ b
-        levels[k] = x ^ mask
-        levels[k + 1] = 0
-        mask = (a & b) | (x & mask)
-        k += 2
-
-
-def _count_add(count: list, mask: int) -> None:
-    """Add a one-lane packed mask into a plain set-cell count.
-
-    *count* is a one-element list, so a flush can zero it in place
-    while executor hot loops keep their binding to it.
-    """
-    count[0] += mask.bit_count()
-
-
 def _lane_spread(bits: np.ndarray, lane_bits: int) -> int:
     """Packed row holding ``bits[col]`` in every lane of each column."""
     expanded = np.repeat(np.asarray(bits, dtype=bool), lane_bits)
     raw = np.packbits(expanded, bitorder="little")
     return int.from_bytes(raw.tobytes(), "little")
-
-
-def _lane_popcounts(masks: Sequence[int], cols: int, lane_bits: int) -> np.ndarray:
-    """Per-lane set-cell counts of packed masks, ``(len(masks), lane_bits)``.
-
-    Bit ``col * lane_bits + lane`` of a mask is lane *lane*'s cell in
-    column *col*; *lane_bits* is a power of two.  The count stays
-    packed: shift ``b`` of every 64-bit word, masked to one bit per
-    byte, holds bit positions ``8j + b`` in byte *j*, and summing at
-    most 255 words of it cannot carry out of a byte — eight shifts and
-    one add per word chunk, not one byte per cell.  A group of
-    ``max(lane_bits, 64)`` bits holds whole columns, so bit position
-    *p* of a group is lane ``p % lane_bits``: below 64 lanes the
-    ``64 // lane_bits`` columns a word holds fold onto their lanes.
-    """
-    words = max(lane_bits // 64, 1)
-    group_bits = words * 64
-    groups = -(-cols * lane_bits // group_bits)
-    nbytes = groups * group_bits // 8
-    w = np.frombuffer(
-        b"".join(mask.to_bytes(nbytes, "little") for mask in masks), dtype="<u8"
-    ).reshape(len(masks), groups, words)
-    chunk = 255
-    pad = -groups % chunk
-    if pad:
-        w = np.concatenate(
-            [w, np.zeros((len(masks), pad, words), dtype=w.dtype)], axis=1
-        )
-    w = w.reshape(len(masks), -1, chunk, words)
-    shifts = np.arange(8, dtype=np.uint64).reshape(8, 1, 1, 1, 1)
-    spread = (w[None] >> shifts) & np.uint64(0x0101010101010101)
-    sums = spread.sum(axis=3, dtype=np.uint64).astype("<u8", copy=False)
-    # (shift, mask, chunk, byte) -> per-byte totals, then position 8j + b.
-    per_byte = sums.view(np.uint8).reshape(8, len(masks), -1, words * 8)
-    counts = per_byte.sum(axis=2, dtype=np.int64)
-    counts = counts.transpose(1, 2, 0).reshape(len(masks), -1, lane_bits)
-    return counts.sum(axis=1)
 
 
 class WordPackedCrossbarArray:
@@ -555,15 +474,16 @@ class WordPackedCrossbarArray:
     Accounting matches one :class:`CrossbarArray` per lane exactly —
     ``writes`` is ``(phys_rows, cols)`` and counts pulses **per lane**
     (pulse placement is data-independent, so :meth:`max_writes` matches
-    what a scalar array running any one lane would report), energy is a
-    ``(batch,)`` vector — but is *deferred* so the hot loop stays in
-    integer land:
+    what a scalar array running any one lane would report), and
+    :meth:`total_energy_fj` equals the sum of the per-lane scalar
+    energies — but is *deferred* so the hot loop stays in integer land:
 
-    * data-dependent switching energy is counted per coefficient:
-      wider batches add packed-cell masks into a redundant carry-save
-      counter (:func:`_csa_add`), popcounted per lane in one vectorised
-      pass when :attr:`energy_fj` is read; a one-lane array adds each
-      mask's ``bit_count`` into one integer (:func:`_count_add`);
+    * data-dependent switching energy is one integer per coefficient:
+      each event adds the ``bit_count`` of its packed-cell mask, so the
+      array reports one energy total, ``sum(coeff * count)`` plus the
+      data-independent per-lane constant times ``batch``.  Per-lane
+      energy is not kept (the scalar oracle,
+      :class:`repro.magic.backend.ScalarLaneArray`, keeps it);
     * write pulses are queued (or, on the executor fast path, applied
       as one precomputed per-program delta) and folded into the
       ``(phys_rows, cols)`` per-lane counters when :attr:`writes` is
@@ -573,7 +493,8 @@ class WordPackedCrossbarArray:
     replicate the last real lane everywhere — initial state, operand
     marshalling, fault pinning — so full-word invariants such as the
     strict-MAGIC init check are exactly equivalent to checking the real
-    lanes, and the padding never contributes to trimmed accounting.
+    lanes.  Energy events are ANDed with the real-lane mask before they
+    are counted, so the padding never reaches the energy total.
     """
 
     def __init__(
@@ -602,21 +523,18 @@ class WordPackedCrossbarArray:
         self.row_bits = cols * self.lane_bits
         self._full = (1 << self.row_bits) - 1
         self._lane_block = (1 << self.lane_bits) - 1
+        #: Packed-cell mask of the real lanes of every column (``_full``
+        #: at a power-of-two batch); energy events are counted under it.
+        self._real_lanes = ((1 << batch) - 1) * (self._full // self._lane_block)
         #: One packed integer per physical word line.
         self._state: list = [0] * (rows + spare_rows)
         self._writes = np.zeros((rows + spare_rows, cols), dtype=np.int64)
         #: Queued write pulses: (phys row, column mask or None, count).
         self._pending_writes: list = []
-        self._energy = np.zeros(batch, dtype=np.float64)
-        #: Deferred per-lane-identical energy (data-independent pulses).
+        #: Per-lane-identical energy (data-independent pulses).
         self._energy_const = 0.0
-        #: Deferred data-dependent energy, per coefficient: a redundant
-        #: carry-save counter over packed masks (see :func:`_csa_add`),
-        #: so a program contributes O(log events) masks to flush
-        #: instead of one mask per event — or, at one lane, a plain
-        #: set-cell count in a one-element list (:func:`_count_add`).
-        self._energy_acc: Dict[float, list] = {}
-        self._acc_add = _csa_add if self.lane_bits > 1 else _count_add
+        #: Data-dependent energy: switched real-lane cells per coefficient.
+        self._energy_counts: Dict[float, int] = {}
         self._faults: Dict[Tuple[int, int], str] = {}
         self._row_map = list(range(rows))
 
@@ -693,55 +611,14 @@ class WordPackedCrossbarArray:
     # ------------------------------------------------------------------
     # Deferred accounting
     # ------------------------------------------------------------------
-    def _energy_counter(self, coeff: float) -> list:
-        """The deferred-energy counter of *coeff* (created empty)."""
-        counter = self._energy_acc.get(coeff)
-        if counter is None:
-            counter = self._energy_acc[coeff] = [] if self.lane_bits > 1 else [0]
-        return counter
+    def _add_energy_cells(self, coeff: float, cells: int) -> None:
+        """Charge *coeff* femtojoules to each of *cells* switched cells."""
+        counts = self._energy_counts
+        counts[coeff] = counts.get(coeff, 0) + cells
 
     def _add_energy_event(self, coeff: float, mask: int) -> None:
-        """Charge *coeff* femtojoules to every set cell of *mask*."""
-        self._acc_add(self._energy_counter(coeff), mask)
-
-    def _flush_energy(self) -> None:
-        acc = self._energy_acc
-        if acc and self.lane_bits == 1:
-            # Counts are zeroed in place, like the level lists below.
-            total = 0.0
-            for coeff, count in acc.items():
-                total += coeff * count[0]
-                count[0] = 0
-            self._energy += total
-        elif acc:
-            # Resolve each counter to one mask per level — a final
-            # carry-propagate pass, one full-adder step per level, which
-            # halves the masks to popcount — and weight the level-k mask
-            # of the coeff-c counter by c * 2**k.  Level lists are
-            # emptied in place so executor hot loops may keep a binding
-            # to them across a flush.
-            items = []
-            for coeff, levels in acc.items():
-                carry = 0
-                for k in range(0, len(levels), 2):
-                    a, b = levels[k], levels[k + 1]
-                    x = a ^ b
-                    items.append((coeff * (1 << (k >> 1)), x ^ carry))
-                    carry = (a & b) | (x & carry)
-                items.append((coeff * (1 << (len(levels) >> 1)), carry))
-                levels.clear()
-            items = [(weight, mask) for weight, mask in items if mask]
-            if items:
-                counts = _lane_popcounts(
-                    [mask for _, mask in items], self.cols, self.lane_bits
-                )
-                coeffs = np.array(
-                    [coeff for coeff, _ in items], dtype=np.float64
-                )
-                self._energy += coeffs @ counts[:, : self.batch]
-        if self._energy_const:
-            self._energy += self._energy_const
-            self._energy_const = 0.0
+        """Charge *coeff* femtojoules to every set real-lane cell of *mask*."""
+        self._add_energy_cells(coeff, (mask & self._real_lanes).bit_count())
 
     def _flush_writes(self) -> None:
         if not self._pending_writes:
@@ -759,12 +636,6 @@ class WordPackedCrossbarArray:
         """Per-lane write-pulse counters, ``(phys_rows, cols)`` int64."""
         self._flush_writes()
         return self._writes
-
-    @property
-    def energy_fj(self) -> np.ndarray:
-        """Per-lane accumulated energy, ``(batch,)`` float64."""
-        self._flush_energy()
-        return self._energy
 
     # ------------------------------------------------------------------
     @property
@@ -974,13 +845,11 @@ class WordPackedCrossbarArray:
         """Per-lane total write pulses."""
         return int(self.writes.sum())
 
-    def lane_energy_fj(self, lane: int) -> float:
-        """Energy accumulated by one lane, in femtojoules."""
-        return float(self.energy_fj[lane])
-
     def total_energy_fj(self) -> float:
-        """Energy summed over all lanes."""
-        return float(self.energy_fj.sum())
+        """Energy of every real lane together, in femtojoules."""
+        counts = self._energy_counts
+        switched = sum(coeff * cells for coeff, cells in counts.items())
+        return float(switched + self._energy_const * self.batch)
 
     def snapshot(self, lane: int) -> np.ndarray:
         """Copy of one lane's logical bit state (rows x cols)."""

@@ -77,19 +77,5 @@ class EnergyModel:
         """Charge sensing *cells* bits."""
         self.charge(category, cells * self.device.e_read_fj)
 
-    def charge_lanes(self, category: str, lane_energies_fj) -> None:
-        """Charge a batched execution: one energy figure per lane.
-
-        *lane_energies_fj* is any iterable of per-lane femtojoule totals
-        (e.g. ``WordPackedCrossbarArray.energy_fj``); the lanes model
-        physically distinct operand sets flowing through the same
-        array, so the category is charged their sum."""
-        total = 0.0
-        for energy in lane_energies_fj:
-            if energy < 0:
-                raise ValueError("energy must be non-negative")
-            total += float(energy)
-        self.charge(category, total)
-
     def breakdown(self) -> EnergyBreakdown:
         return EnergyBreakdown(by_category=dict(self._by_category))

@@ -19,8 +19,9 @@ a scalar template array into a batch-capable container and
 executor.  Everything downstream (stage batch paths, the service
 config, benchmarks) selects a backend by registry name through
 :func:`get_backend`; per-lane results, cycle counts, write counters
-and energy are bit-identical across both, so the choice only moves
-wall-clock simulation speed.
+and the batch's energy total are bit-identical across both, so the
+choice only moves wall-clock simulation speed (only the scalar oracle
+also reports energy per lane).
 
 The paper's closed-form cycle counts are a property of the *programs*,
 not the backend — every backend replays the same compiled program and
@@ -53,7 +54,7 @@ class ExecutorBackend:
     Concrete backends provide two factories; everything else (compile
     caches, stage fold-back of writes/energy, telemetry) is shared
     machinery that only touches the uniform array/executor surface:
-    ``reset_to_ones`` / ``repin_faults`` / ``writes`` / ``energy_fj`` /
+    ``reset_to_ones`` / ``repin_faults`` / ``writes`` /
     ``total_energy_fj`` / ``snapshot(lane)`` on arrays, and
     ``execute(compiled, bindings)`` on executors.
     """
@@ -79,7 +80,9 @@ class ScalarLaneArray:
     Exposes the same accounting surface as the SIMD containers so the
     stage batch paths can fold counters back uniformly: ``writes`` has
     per-lane semantics (every lane pulses identically, lane 0 is
-    reported), ``energy_fj`` is the per-lane vector.
+    reported).  Unlike the word array, which counts one energy total,
+    the oracle keeps per-lane energy: ``energy_fj`` is the per-lane
+    vector and ``total_energy_fj()`` its sum.
     """
 
     def __init__(self, lanes: List[CrossbarArray]):
@@ -129,9 +132,6 @@ class ScalarLaneArray:
     def energy_fj(self) -> np.ndarray:
         """Per-lane accumulated energy, ``(batch,)`` float64."""
         return np.array([lane.energy_fj for lane in self.lanes])
-
-    def lane_energy_fj(self, lane: int) -> float:
-        return float(self.lanes[lane].energy_fj)
 
     def total_energy_fj(self) -> float:
         return float(self.energy_fj.sum())

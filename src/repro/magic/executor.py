@@ -18,11 +18,11 @@ Two execution paths share one instruction set:
   whose rows each pack every lane into one Python integer, the batch
   rounded up to a power-of-two lane stride per column.
 
-Per-lane results, cycle counts, write counters and energy of the SIMD
-path are bit-identical to running the scalar executor once per lane
-(the ``scalar`` backend of :mod:`repro.magic.backend` does exactly
-that, and is the oracle the SIMD path is differentially tested
-against).
+Per-lane results, cycle counts and write counters of the SIMD path are
+bit-identical to running the scalar executor once per lane, and its
+array's one energy total equals the sum of the per-lane energies (the
+``scalar`` backend of :mod:`repro.magic.backend` does exactly that, and
+is the oracle the SIMD path is differentially tested against).
 
 Data enters a program through *bindings* (name -> integer) consumed by
 WRITE ops and leaves through *results* (name -> integer) produced by
@@ -33,6 +33,7 @@ mapping and also attaches its own mapping to the returned stats.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +41,6 @@ import numpy as np
 from repro.crossbar.array import (
     CrossbarArray,
     WordPackedCrossbarArray,
-    _csa_add,
     _lane_spread,
 )
 from repro.magic.ops import (
@@ -949,15 +949,16 @@ class WordPackedMagicExecutor:
     shifts the masked source row once, and full-width gates apply no
     mask.  Fault hooks and pinned faults are served in the same loop
     behind one flag.
-    Accounting is deferred: data-dependent switching energy is added
-    as packed masks into a redundant carry-save counter per coefficient
-    (amortised one full-adder step per event) and popcounted per lane
-    when read — or, on a one-lane array, counted with one
-    ``int.bit_count`` per event into two local totals, added to the
-    array's counters once per replay; a one-lane replay packs and
-    unpacks no operands either.  Write counters are applied as one
-    precomputed per-program delta — per-lane results, cycle counts,
-    write counters and energy stay bit-identical to the scalar oracle.
+    Accounting is deferred: data-dependent switching energy costs one
+    ``int.bit_count`` per event, of the event's mask ANDed with the
+    array's real-lane mask, into two local totals added to the array's
+    counters once per replay, at every lane count.  The array reports
+    one energy total (:meth:`WordPackedCrossbarArray.total_energy_fj`),
+    equal to the sum of the scalar oracle's lanes; per-lane energy is
+    not kept, so each lane's :attr:`RunStats.energy_fj` is ``nan``.
+    Write counters are applied as one precomputed per-program delta, and
+    a one-lane replay packs and unpacks no operands — per-lane results,
+    cycle counts and write counters stay bit-identical to the oracle.
     """
 
     def __init__(
@@ -1023,7 +1024,6 @@ class WordPackedMagicExecutor:
                 ) from None
             packed[(name, width)] = pack_lanes(values, width, lane_bits)
 
-        energy_before = array.energy_fj.copy()
         results: List[Dict[str, int]] = [{} for _ in range(batch)]
         row_map = tuple(array._row_map)
         strict = array.strict_magic
@@ -1037,14 +1037,11 @@ class WordPackedMagicExecutor:
         w_coeff = device.e_set_fj - e_reset
         state = array._state
         full = array._full
-        # Switching energy per coefficient: at one lane, set-cell counts
-        # in two locals; wider, redundant carry-save levels (a flush
-        # empties these lists in place, so the bindings stay valid).
         one = lane_bits == 1
+        # Switching energy per coefficient: real-lane set-cell counts in
+        # two locals, added to the array's counters once per replay.
+        real = array._real_lanes
         reset_cells = write_cells = 0
-        acc_add = _csa_add
-        reset_levels = array._energy_counter(e_reset)
-        write_levels = array._energy_counter(w_coeff)
         try:
             for step in plan:
                 code = step[0]
@@ -1057,10 +1054,7 @@ class WordPackedMagicExecutor:
                     # flipping the input writes the NOR, and the input's
                     # set cells are the RESET events.
                     am = state[src]
-                    if one:
-                        reset_cells += am.bit_count()
-                    else:
-                        acc_add(reset_levels, am)
+                    reset_cells += (am & real).bit_count()
                     state[dst] = out ^ am
                     if slow:
                         if array._faults:
@@ -1073,10 +1067,7 @@ class WordPackedMagicExecutor:
                     if out != full:
                         raise _uninitialised(out_row)
                     am = state[a] | state[b]
-                    if one:
-                        reset_cells += am.bit_count()
-                    else:
-                        acc_add(reset_levels, am)
+                    reset_cells += (am & real).bit_count()
                     state[dst] = out ^ am
                     if slow:
                         if array._faults:
@@ -1102,10 +1093,7 @@ class WordPackedMagicExecutor:
                     else:
                         w >>= -offset_bits
                     sh = (w & window_mask) | fill_mask
-                    if one:
-                        write_cells += sh.bit_count()
-                    else:
-                        acc_add(write_levels, sh)
+                    write_cells += (sh & real).bit_count()
                     pre = None
                     if slow and hook is not None:
                         pre = array.unpack_row(dst_row)
@@ -1122,10 +1110,7 @@ class WordPackedMagicExecutor:
                 elif code == _WRITE:
                     _, phys, row, spec, shift, not_field, write_mask = step
                     value = packed[spec] << shift
-                    if one:
-                        write_cells += value.bit_count()
-                    else:
-                        acc_add(write_levels, value)
+                    write_cells += (value & real).bit_count()
                     pre = None
                     if slow and hook is not None:
                         pre = array.unpack_row(row)
@@ -1155,10 +1140,7 @@ class WordPackedMagicExecutor:
                     else:
                         state[dst] = (out & not_m) | (m ^ am)
                         am &= out
-                    if one:
-                        reset_cells += am.bit_count()
-                    else:
-                        acc_add(reset_levels, am)
+                    reset_cells += (am & real).bit_count()
                     if slow:
                         if array._faults:
                             array._apply_faults()
@@ -1177,22 +1159,21 @@ class WordPackedMagicExecutor:
                     if slow and hook is not None:
                         hook.on_read(array, row)
         finally:
-            if one:
-                # Also when a strict check raised mid-replay: the gates
-                # before it stay counted, as at any other lane count.
-                reset_levels[0] += reset_cells
-                write_levels[0] += write_cells
+            # Also when a strict check raised mid-replay: the gates
+            # before it stay counted.
+            array._add_energy_cells(e_reset, reset_cells)
+            array._add_energy_cells(w_coeff, write_cells)
 
         array._energy_const += lowered.energy_const_fj(device)
         array._writes += lowered.writes_delta(row_map, array.phys_rows, array.cols)
         _tick_batch(self.clock, compiled, batch)
 
-        energy = array.energy_fj - energy_before
         stats_list = []
         for lane in range(batch):
             stats = RunStats(
                 cycles=compiled.cycle_count,
-                energy_fj=float(energy[lane]),
+                # The array counts one energy total, not one per lane.
+                energy_fj=math.nan,
                 op_counts=dict(compiled.op_counts),
                 results=results[lane],
             )

@@ -82,9 +82,9 @@ class CrossbarStage:
         )
         stats = executor.execute(self.executor.compile(program), bindings)
         sensed = sense(lanes) if sense is not None else None
-        # Every lane pulsed the same cells; energy is per lane.
+        # Every lane pulsed the same cells; energy is one batch total.
         self.array.writes += lanes.writes * len(bindings)
-        self.array.energy_fj += float(lanes.energy_fj.sum())
+        self.array.energy_fj += lanes.total_energy_fj()
         self.array.state[:] = True
         return stats, sensed
 

@@ -14,7 +14,6 @@ from repro.crossbar import (
     DeviceModel,
     WordPackedCrossbarArray,
 )
-from repro.crossbar.array import _count_add, _csa_add, _lane_popcounts
 from repro.magic import MagicExecutor, ProgramBuilder, get_backend
 from repro.sim.exceptions import (
     AddressError,
@@ -270,23 +269,17 @@ class TestEnergyAccounting:
 
 
 # ----------------------------------------------------------------------
-# Word-packed deferred energy: the redundant carry-save counter
+# Word-packed energy: one bit_count per event, real lanes only
 # ----------------------------------------------------------------------
 COUNTER_COLS = 3
 
 
-def _lane_counts(mask: int, batch: int, lane_bits: int) -> np.ndarray:
-    """Naive per-lane popcount of one packed mask (real lanes only)."""
-    return np.array(
-        [
-            sum(
-                (mask >> (col * lane_bits + lane)) & 1
-                for col in range(COUNTER_COLS)
-            )
-            for lane in range(batch)
-        ],
-        dtype=np.int64,
-    )
+def _lane_counts(mask: int, cols: int, lane_bits: int) -> np.ndarray:
+    """Naive per-lane popcount of one packed mask, ``(lane_bits,)``."""
+    row_bits = cols * lane_bits
+    raw = np.frombuffer(mask.to_bytes((row_bits + 7) // 8, "little"), np.uint8)
+    bits = np.unpackbits(raw, bitorder="little")[:row_bits]
+    return bits.reshape(cols, lane_bits).sum(axis=0, dtype=np.int64)
 
 
 @st.composite
@@ -313,77 +306,30 @@ def _mask_runs(draw, batches=(1, 2, 3, 5, 8, 33, 64, 65)):
     return batch, masks
 
 
-def _counter_value(levels: list, cell: int) -> int:
-    return sum(((mask >> cell) & 1) << (i >> 1) for i, mask in enumerate(levels))
-
-
 class TestRedundantEnergyCounter:
+    """The word array counts switched cells into one integer per
+    coefficient, and only in the real lanes: padding lanes never reach
+    the energy total."""
+
     @settings(max_examples=60, deadline=None)
     @given(_mask_runs(), st.sampled_from([1.0, 61.0, 115.0]))
     def test_flush_equals_naive_popcount(self, run, coeff):
+        """The total read back is *coeff* times the real lanes' naive
+        popcounts, read midway or at the end."""
         batch, masks = run
         array = WordPackedCrossbarArray(batch, 1, COUNTER_COLS)
-        expected = np.zeros(batch, dtype=np.int64)
+        cells = 0
         for mask in masks:
             array._add_energy_event(coeff, mask)
-            expected += _lane_counts(mask, batch, array.lane_bits)
-        assert np.array_equal(array.energy_fj, coeff * expected)
-
-    @settings(max_examples=60, deadline=None)
-    @given(_mask_runs())
-    def test_at_most_two_masks_per_level(self, run):
-        batch, masks = run
-        lane_bits = WordPackedCrossbarArray(batch, 1, COUNTER_COLS).lane_bits
-        cells = COUNTER_COLS * lane_bits
-        levels: list = []
-        counts = [0] * cells
-        for events, mask in enumerate(masks, start=1):
-            _csa_add(levels, mask)
-            # Two slots per level, and no deeper than the event count
-            # needs: each level holds at most two masks.
-            assert len(levels) % 2 == 0
-            assert len(levels) // 2 <= max(events.bit_length(), 1)
-            for cell in range(0, cells, 7):
-                counts[cell] += (mask >> cell) & 1
-                assert _counter_value(levels, cell) == counts[cell]
-
-    @settings(max_examples=40, deadline=None)
-    @given(_mask_runs(), st.integers(min_value=0, max_value=80))
-    def test_flush_with_bound_levels(self, run, split):
-        """Executors keep a binding to the counter across a flush: the
-        carry-save level list, or the one-lane count."""
-        batch, masks = run
-        array = WordPackedCrossbarArray(batch, 1, COUNTER_COLS)
-        add, empty = (_csa_add, []) if array.lane_bits > 1 else (_count_add, [0])
-        counter = array._energy_counter(2.0)
-        expected = np.zeros(batch, dtype=np.int64)
-        for index, mask in enumerate(masks):
-            if index == split:
-                assert np.array_equal(array.energy_fj, 2.0 * expected)
-                assert counter == empty
-            add(counter, mask)
-            expected += _lane_counts(mask, batch, array.lane_bits)
-        assert np.array_equal(array.energy_fj, 2.0 * expected)
-
-    @settings(max_examples=60, deadline=None)
-    @given(_mask_runs(batches=(1,)), st.sampled_from([1.0, 61.0, 115.0]))
-    def test_one_lane_count_equals_csa_flush(self, run, coeff):
-        """At one lane the bit_count counter flushes to exactly what the
-        carry-save counter over the same masks holds."""
-        _, masks = run
-        array = WordPackedCrossbarArray(1, 1, COUNTER_COLS)
-        levels: list = []
-        for mask in masks:
-            array._add_energy_event(coeff, mask)
-            _csa_add(levels, mask)
-        counts = _lane_popcounts(levels, COUNTER_COLS, 1)[:, 0] if levels else []
-        csa = sum(coeff * (1 << (k >> 1)) * int(c) for k, c in enumerate(counts))
-        assert array.energy_fj.tolist() == [csa]
+            lanes = _lane_counts(mask, COUNTER_COLS, array.lane_bits)
+            cells += int(lanes[:batch].sum())
+            assert array.total_energy_fj() == coeff * cells
+        assert list(array._energy_counts.values()) == ([cells] if masks else [])
 
     @pytest.mark.parametrize("batch", [1, 3, 65])
     def test_aliased_coefficients(self, batch):
         """e_set - e_reset == e_reset: write and reset events share one
-        counter and must still match the scalar oracle lane by lane."""
+        counter, and the total must still match the scalar oracle's lanes."""
         device = DeviceModel(e_set_fj=122.0, e_reset_fj=61.0)
         assert device.e_set_fj - device.e_reset_fj == device.e_reset_fj
         program = (
@@ -406,26 +352,33 @@ class TestRedundantEnergyCounter:
         backend = get_backend("word")
         words = backend.make_array(CrossbarArray(6, 16, device=device), batch)
         stats = backend.make_executor(words).execute(program, bindings)
-        assert list(words._energy_acc) == [61.0]
+        assert list(words._energy_counts) == [61.0]
+        oracle_energy = 0.0
         for lane, lane_bindings in enumerate(bindings):
             oracle = MagicExecutor(CrossbarArray(6, 16, device=device))
             expected = oracle.execute(program, lane_bindings)
             assert stats[lane].results == expected.results
-            assert stats[lane].energy_fj == expected.energy_fj
+            oracle_energy += expected.energy_fj
+        assert words.total_energy_fj() == oracle_energy
 
     @pytest.mark.parametrize("cols", [255, 256, 600])
     @pytest.mark.parametrize("lane_bits", [1, 2, 4, 8, 16, 32, 64, 128])
     def test_lane_popcounts_past_one_byte(self, cols, lane_bits):
-        """Rows wider than 255 columns: per-lane counts pass one byte."""
+        """Rows wider than 255 columns, at every lane stride, full and
+        padded: the total is the real lanes' per-lane popcounts summed,
+        each well past one byte."""
         rng = np.random.default_rng(cols + lane_bits)
         row_bits = cols * lane_bits
         nbytes = (row_bits + 7) // 8
         full = (1 << row_bits) - 1
         masks = [full, 0, int(rng.integers(1 << 62)) << (row_bits - 62)]
         masks.append(int.from_bytes(rng.bytes(nbytes), "little") & full)
-        counts = _lane_popcounts(masks, cols, lane_bits)
-        assert counts.shape == (len(masks), lane_bits)
-        for mask, got in zip(masks, counts):
-            raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-            bits = np.unpackbits(raw, bitorder="little")[:row_bits]
-            assert np.array_equal(got, bits.reshape(cols, lane_bits).sum(axis=0))
+        for batch in sorted({lane_bits, lane_bits // 2 + 1}):
+            array = WordPackedCrossbarArray(batch, 1, cols)
+            assert array.lane_bits == lane_bits
+            counts = np.zeros(lane_bits, dtype=np.int64)
+            for mask in masks:
+                array._add_energy_event(2.0, mask)
+                counts += _lane_counts(mask, cols, lane_bits)
+            assert counts[0] > 255
+            assert array.total_energy_fj() == 2.0 * int(counts[:batch].sum())

@@ -1,9 +1,10 @@
 """ExecutorBackend protocol: the scalar and word-packed backends must
-be interchangeable — per-lane results, cycle counts,
-write counters and femtojoule totals bit-identical to the scalar
-oracle — plus regression tests for the correctness-fix batch that
-rode along with the backend split (compile-cache staleness, pack_ints
-edge cases, fleet pack-factor aggregation).
+be interchangeable — per-lane results, cycle counts and write counters
+bit-identical to the scalar oracle, and the batch's femtojoule total
+equal to the oracle's lane sum — plus regression tests for the
+correctness-fix batch that rode along with the backend split
+(compile-cache staleness, pack_ints edge cases, fleet pack-factor
+aggregation).
 
 Default device energies are integer-valued, so float equality is exact
 and the comparisons below use ``==`` deliberately.
@@ -11,6 +12,7 @@ and the comparisons below use ``==`` deliberately.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -49,6 +51,7 @@ from tests.test_batched_executor import (
     COLS,
     ROWS,
     _assert_oracle_parity,
+    _one_lane_energies,
     _random_bindings,
     _random_program,
 )
@@ -131,15 +134,18 @@ class TestBackendDifferential:
             assert got.op_counts == stats.op_counts
             assert got.nor_ops == stats.nor_ops
             assert got.shift_ops == stats.shift_ops
-            assert got.energy_fj == stats.energy_fj
-            assert got.energy_fj == array.lane_energy_fj(lane)
+            if backend == "word":
+                # Per-lane energy is not kept: a reader fails loudly.
+                assert math.isnan(got.energy_fj)
+            else:
+                assert got.energy_fj == stats.energy_fj
             assert np.array_equal(array.snapshot(lane), lane_array.snapshot())
         first = oracle[0][1]
         assert np.array_equal(array.writes, first.writes)
         assert array.max_writes() == first.max_writes()
-        assert array.total_energy_fj() == sum(
-            run.energy_fj for run, _ in oracle
-        )
+        oracle_energy = [run.energy_fj for run, _ in oracle]
+        assert array.total_energy_fj() == sum(oracle_energy)
+        assert _one_lane_energies(program, bindings, backend) == oracle_energy
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_execute_batch_selects_backend(self, backend):
@@ -238,12 +244,12 @@ class TestWordPackedErrors:
             backend = get_backend(name)
             array = backend.make_array(template, 1)
             stats = backend.make_executor(array).execute(program, bindings)
-            outcomes[name] = (stats[0], array.snapshot(0))
-        (word, word_state), (oracle, oracle_state) = (
+            outcomes[name] = (stats[0], array.snapshot(0), array.total_energy_fj())
+        (word, word_state, word_energy), (oracle, oracle_state, oracle_energy) = (
             outcomes["word"], outcomes["scalar"]
         )
         assert word.results == oracle.results
-        assert word.energy_fj == oracle.energy_fj
+        assert word_energy == oracle_energy
         assert np.array_equal(word_state, oracle_state)
         assert not word_state[0, 5]
 
@@ -305,7 +311,7 @@ def _assert_hook_parity(batch, prob):
         stats, array = run(program, bindings, hook)
         outcomes[name] = {
             "results": [s.results for s in stats],
-            "energy": [s.energy_fj for s in stats],
+            "energy": array.total_energy_fj(),
             "state": [array.snapshot(lane) for lane in range(batch)],
             "nor_flips": hook.nor_flips,
             "write_failures": hook.write_failures,
@@ -327,8 +333,8 @@ class TestFaultHookParity:
     def test_word_matches_scalar_oracle_under_same_seed(self, batch):
         _assert_hook_parity(batch=batch, prob=0.05)
 
-    # One lane takes the bit_count energy counter and identity packing;
-    # two lanes are the narrowest carry-save batch.  At prob=0.05 a lane
+    # One lane takes identity packing; two lanes are the narrowest
+    # packed batch.  At prob=0.05 a lane
     # this narrow draws no read disturb, so these run at 0.15.
     @pytest.mark.parametrize("batch", [1, 2])
     def test_narrow_batches_match_scalar_oracle(self, batch):
@@ -572,10 +578,14 @@ class TestSharedCompileCache:
 # ----------------------------------------------------------------------
 # Physical-row replay plans: remaps, packed gangs, strict raises
 # ----------------------------------------------------------------------
-def _strict_violation_midway():
-    """One lane whose NOR output row (logical 5, remapped onto spare
-    word line 8) holds WRITE data halfway through the program: returns
-    the strict check's message and the lane energy it leaves behind."""
+#: The one lane :data:`MIDWAY_ENERGY_FJ` was measured with.
+MIDWAY_BINDINGS = ({"x": 0xB66D, "y": 0x0F0F, "z": 0x7FFF},)
+
+
+def _strict_violation_midway(bindings=MIDWAY_BINDINGS):
+    """Lanes whose NOR output row (logical 5, remapped onto spare word
+    line 8) holds WRITE data halfway through the program: returns the
+    strict check's message and the energy total it leaves behind."""
     template = CrossbarArray(ROWS, COLS, spare_rows=1)
     template.state[:] = True
     if template.remap_row(5) != ROWS:
@@ -595,12 +605,12 @@ def _strict_violation_midway():
         .build()
     )
     backend = get_backend("word")
-    array = backend.make_array(template, 1)
+    array = backend.make_array(template, len(bindings))
     executor = backend.make_executor(array)
     try:
-        executor.execute(program, [{"x": 0xB66D, "y": 0x0F0F, "z": 0x7FFF}])
+        executor.execute(program, list(bindings))
     except MagicProtocolError as err:
-        return str(err), array.lane_energy_fj(0)
+        return str(err), array.total_energy_fj()
     raise RuntimeError("strict NOR check did not fire")
 
 
@@ -630,6 +640,7 @@ class TestReplayPlans:
                 assert template.remap_row(row) >= ROWS
             array = word.make_array(template, batch)
             stats = word.make_executor(array).execute(compiled, bindings)
+            oracle_energy = 0.0
             for lane, lane_bindings in enumerate(bindings):
                 oracle = CrossbarArray(ROWS, COLS, spare_rows=2)
                 oracle.state[:] = True
@@ -637,9 +648,14 @@ class TestReplayPlans:
                     oracle.remap_row(row)
                 expected = MagicExecutor(oracle).execute(program, lane_bindings)
                 assert stats[lane].results == expected.results
-                assert stats[lane].energy_fj == expected.energy_fj
                 assert np.array_equal(array.snapshot(lane), oracle.snapshot())
                 assert np.array_equal(array.writes, oracle.writes)
+                oracle_energy += expected.energy_fj
+                # The lane alone, at one lane, through the same plan cache.
+                one = word.make_array(template, 1)
+                word.make_executor(one).execute(compiled, [lane_bindings])
+                assert one.total_energy_fj() == expected.energy_fj
+            assert array.total_energy_fj() == oracle_energy
             if row is None:
                 # Remap a gate output the replay leaves off all ones: a
                 # stale plan never drives the spare, which stays all ones.
@@ -675,6 +691,22 @@ class TestReplayPlans:
         assert message.startswith("NOR output row 5 not initialised")
         assert energy == MIDWAY_ENERGY_FJ
 
+    def test_strict_violation_midway_three_lanes(self):
+        """Three lanes (one padding lane) raise at the same gate: the
+        gates before it stay counted, in the real lanes only, so the
+        total is the sum of each lane replayed alone at one lane."""
+        bindings = (
+            *MIDWAY_BINDINGS,
+            {"x": 0x1234, "y": 0xFFF0, "z": 0x00FF},
+            {"x": 0xFFFF, "y": 0x8001, "z": 0xFFFE},
+        )
+        message, total = _strict_violation_midway(bindings)
+        assert message.startswith("NOR output row 5 not initialised")
+        alone = [_strict_violation_midway((lane,)) for lane in bindings]
+        assert [m for m, _ in alone] == [message] * 3
+        assert alone[0][1] == MIDWAY_ENERGY_FJ
+        assert total == sum(energy for _, energy in alone)
+
     def test_strict_violation_survives_python_O(self):
         code = (
             "from tests.test_executor_backends import _strict_violation_midway\n"
@@ -695,6 +727,100 @@ class TestReplayPlans:
         message, energy = proc.stdout.strip().split("|")
         assert message.startswith("NOR output row 5 not initialised")
         assert float(energy) == MIDWAY_ENERGY_FJ
+
+
+# ----------------------------------------------------------------------
+# Padding lanes: the word array's one energy total counts real lanes only
+# ----------------------------------------------------------------------
+#: On and around every power-of-two lane stride from 1 to 256 bits.
+PADDING_LANE_COUNTS = [1, 2, 3, 5, 8, 9, 63, 64, 65, 130]
+
+#: Distinct operand sets the lanes of a mega-program batch cycle through
+#: (a prime, so the last real lane is a different one at each count).
+MEGA_POOL = 7
+
+
+@pytest.fixture(scope="module")
+def mega_programs():
+    """The n = 256 precompute and postcompute mega-programs, a pool of
+    random operand sets, and each set's scalar-oracle results and energy."""
+    from repro.karatsuba.precompute import PrecomputeStage
+
+    rng = random.Random(0x9AD)
+    scalar = get_backend("scalar")
+    out = []
+    for stage in (PrecomputeStage(256), PostcomputeStage(256)):
+        compiled = stage.executor.compile(stage._mega_program()[0])
+        pool = [
+            {name: rng.getrandbits(width) for name, width in compiled.write_specs}
+            for _ in range(MEGA_POOL)
+        ]
+        lanes = scalar.make_array(stage.array, MEGA_POOL)
+        lanes.reset_to_ones()
+        stats = scalar.make_executor(lanes).execute(compiled, pool)
+        oracle = [(s.results, e) for s, e in zip(stats, lanes.energy_fj)]
+        out.append((stage, compiled, pool, oracle))
+    return out
+
+
+class TestPaddingLaneEnergy:
+    @pytest.mark.parametrize("batch", PADDING_LANE_COUNTS)
+    def test_mega_programs_total_equals_oracle_lane_sum(self, mega_programs, batch):
+        word = get_backend("word")
+        for stage, compiled, pool, oracle in mega_programs:
+            picks = [lane % MEGA_POOL for lane in range(batch)]
+            array = word.make_array(stage.array, batch)
+            array.reset_to_ones()
+            assert array.strict_magic
+            stats = word.make_executor(array).execute(
+                compiled, [pool[pick] for pick in picks]
+            )
+            assert [s.results for s in stats] == [oracle[p][0] for p in picks]
+            assert array.total_energy_fj() == sum(oracle[p][1] for p in picks)
+
+    @pytest.mark.parametrize("batch", PADDING_LANE_COUNTS)
+    def test_direct_row_ops_total_equals_oracle_lane_sum(self, batch):
+        """write_row / nor_rows / not_row charge through the array's own
+        event counter; non-strict, so NOR outputs need no INIT."""
+        rows, cols = 6, 13
+        rng = np.random.default_rng(batch)
+        array = WordPackedCrossbarArray(batch, rows, cols, strict_magic=False)
+        oracle = [
+            CrossbarArray(rows, cols, strict_magic=False) for _ in range(batch)
+        ]
+
+        def mask():
+            return None if rng.random() < 0.3 else rng.random(cols) < 0.6
+
+        for _ in range(40):
+            kind = rng.integers(4)
+            m = mask()
+            if kind == 0:
+                row = int(rng.integers(rows))
+                words = rng.random((batch, cols)) < 0.5
+                array.write_row(row, words, m)
+                for lane, word in zip(oracle, words):
+                    lane.write_row(row, word, m)
+            elif kind in (1, 2):
+                picked = [int(r) for r in rng.permutation(rows)[: 1 + kind]]
+                ins, out = picked[:-1], picked[-1]
+                if kind == 1:
+                    array.not_row(ins[0], out, m)
+                else:
+                    array.nor_rows(ins, out, m)
+                for lane in oracle:
+                    lane.nor_rows(ins, out, m)
+            else:
+                init = [int(r) for r in rng.choice(rows, 2)]
+                array.init_rows(init, m)
+                for lane in oracle:
+                    lane.init_rows(init, m)
+                array.read_row(init[0], m)
+                for lane in oracle:
+                    lane.read_row(init[0], m)
+        for index, lane in enumerate(oracle):
+            assert np.array_equal(array.snapshot(index), lane.snapshot())
+        assert array.total_energy_fj() == sum(lane.energy_fj for lane in oracle)
 
 
 # ----------------------------------------------------------------------

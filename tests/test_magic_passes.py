@@ -522,21 +522,19 @@ class TestPropertyEquivalence:
             prog = _random_program(rng)
             result = optimize_program(prog)
             bindings_list = [self._bindings(rng) for _ in range(5)]
-            per_variant = []
+            per_variant, energies = [], []
             for variant in (prog, result.program):
                 array = CrossbarArray(ROWS, COLS)
                 array.state[:] = True
                 resolved = get_backend(backend)
-                batched = resolved.make_executor(
-                    resolved.make_array(array, len(bindings_list))
-                )
+                lanes = resolved.make_array(array, len(bindings_list))
+                batched = resolved.make_executor(lanes)
                 per_variant.append(batched.execute(variant, bindings_list))
+                energies.append(lanes.total_energy_fj())
             base, packed = per_variant
             for lane in range(len(bindings_list)):
                 assert base[lane].results == packed[lane].results
-                assert abs(
-                    base[lane].energy_fj - packed[lane].energy_fj
-                ) < 1e-6
+            assert abs(energies[0] - energies[1]) < 1e-6
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_scalar_and_batched_agree_on_packed_program(self, rng, backend):
