@@ -37,18 +37,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.arith.bitops import ceil_log2
 from repro.crossbar.array import CrossbarArray
 from repro.magic.backend import DEFAULT_BACKEND
 from repro.magic.executor import pack_ints, unpack_ints
 from repro.magic.program import Program, ProgramBuilder
-from repro.magic.stage import CrossbarStage
-from repro.sim.exceptions import DesignError
+from repro.magic.stage import CrossbarStage, all_ones
+from repro.sim.exceptions import DesignError, StageSelfCheckError
 
 if TYPE_CHECKING:
     from repro.magic.passes import OptimizationResult
+    from repro.reliability.residue import ResidueChecker
+    from repro.sim.clock import Clock
 
 #: Scratch rows the adder needs, independent of width (paper Sec. IV-B).
 SCRATCH_ROWS = 12
@@ -72,6 +74,36 @@ def latency_cc(width: int) -> int:
     if width < 1:
         raise DesignError("adder width must be at least 1 bit")
     return 8 + 11 * ceil_log2(width) + 9
+
+
+def adder_result(op: str, x: int, y: int, cols: int) -> int:
+    """Result of one ``add`` or ``sub`` pass over a *cols*-column window.
+
+    The window rule: an operand may fill the whole window, the carry
+    column included, when the result has no carry-out.  Each operand
+    and an addition's sum must fit the window, and a subtraction needs
+    ``y <= x``.  Anything else raises :class:`DesignError`.
+    """
+    if x < 0 or y < 0 or (x | y) >> cols:
+        raise DesignError(
+            f"operands must fit the {cols}-column adder window, "
+            f"got {x} and {y}"
+        )
+    if op == OP_ADD:
+        total = x + y
+        if total >> cols:
+            raise DesignError(
+                f"sum of {x} and {y} overflows the {cols}-column "
+                "adder window"
+            )
+        return total
+    if op == OP_SUB:
+        if y > x:
+            raise DesignError(
+                "subtraction requires x >= y (non-negative result)"
+            )
+        return x - y
+    raise DesignError(f"unknown adder op {op!r}")
 
 
 def writes_per_cell(width: int) -> int:
@@ -340,30 +372,15 @@ class AdderUnit(CrossbarStage):
     ) -> List[int]:
         """One SIMD pass over *pairs*; returns the sensed results.
 
-        An operand may fill the whole ``width + 1``-column window, the
-        carry column included, when the result has no carry-out: each
-        operand and an addition's sum must fit the window, and a
-        subtraction needs ``y <= x``.  Anything else raises
+        Every pair must pass :func:`adder_result`'s window rule over
+        the ``width + 1``-column window; anything else raises
         :class:`DesignError` before any lane runs.
         """
         program = self.adder.program(op, optimize=self.optimize)
         lay = self.adder.layout
         cols = lay.columns
         for x, y in pairs:
-            if min(x, y) < 0 or max(x, y) >> cols:
-                raise DesignError(
-                    f"operands must fit the {cols}-column adder window, "
-                    f"got {x} and {y}"
-                )
-            if op == OP_ADD and (x + y) >> cols:
-                raise DesignError(
-                    f"sum of {x} and {y} overflows the {cols}-column "
-                    "adder window"
-                )
-            if op == OP_SUB and y > x:
-                raise DesignError(
-                    "subtraction requires x >= y (non-negative result)"
-                )
+            adder_result(op, x, y, cols)
 
         def stage_operands(lanes) -> None:
             lanes.write_row(lay.x_row, pack_ints([x for x, _ in pairs], cols))
@@ -378,42 +395,116 @@ class AdderUnit(CrossbarStage):
         return outs or []  # no pairs: no lanes were sensed
 
 
-class AdderPassStage:
-    """Mixin for a MAGIC stage whose per-job work is a fixed list of
-    Kogge-Stone adder passes.
 
-    A stage declares its work once: :attr:`units`, the crossbar units
-    it owns; :meth:`adder_passes`, the ``(adder, op)`` passes one job
-    runs; and :attr:`overhead_cc`, the periphery cycles around them
-    (operand writes, resets, reordering).  Latency, optimizer stats,
-    area and wear all derive from those declarations, so they cannot
-    drift from what the stage replays.
+
+class LanePlan:
+    """One SIMD lane of an adder stage, unrolled on the host.
+
+    :attr:`values` binds the operands the stage program writes itself;
+    :meth:`run` records the next pass as ``(name, op, x, y)`` and
+    returns its result, so every pass is planned from planned values.
     """
 
-    #: Periphery cycles one job spends outside the adder passes.
-    overhead_cc: int
+    __slots__ = ("values", "passes", "_schedule")
+
+    def __init__(
+        self,
+        schedule: Sequence[Tuple[str, int]],
+        values: Optional[Dict[str, int]] = None,
+    ):
+        #: ``(op, window columns)`` of every pass the lane must run.
+        self._schedule = schedule
+        self.values = values if values is not None else {}
+        self.passes: List[Tuple[str, str, int, int]] = []
+
+    def run(self, name: str, op: str, x: int, y: int) -> int:
+        """Record pass *name* (``op`` of ``x`` and ``y``); return its result."""
+        passes = self.passes
+        expected, cols = self._schedule[len(passes)]
+        if op != expected:
+            raise AssertionError(f"pass {name} ({op}) drifted from the schedule")
+        passes.append((name, op, x, y))
+        return adder_result(op, x, y, cols)
+
+
+class AdderPassStage:
+    """Base and one body of every MAGIC stage whose per-job work is a
+    fixed list of Kogge-Stone adder passes (Karatsuba precompute and
+    postcompute, Toom-3 evaluation and interpolation).
+
+    A stage declares :meth:`unit_passes` (the ``(adder, op)`` passes
+    one job runs on each unit it owns, in replay order),
+    :attr:`overhead` (periphery cycles per clock category), and
+    :meth:`_plan` (one job's :class:`LanePlan` lanes and result).
+    :meth:`process_batch` plans every job on the host, replays one
+    cached mega-program per unit and wear-state group, ticks the clock
+    by the per-job histogram per group, and checks every sensed pass
+    against the plan.  Latency, optimizer stats, area and wear derive
+    from the same declarations, so none can drift from the replay.
+    """
+
+    #: Periphery cycles one job spends outside the adder passes, per
+    #: clock category.
+    overhead: Dict[str, int]
     #: Run adder programs through the SIMD cycle packer
     #: (:mod:`repro.magic.passes`).
     optimize: bool
     units: Tuple[CrossbarStage, ...]
+    checker: "ResidueChecker"
+    clock: "Clock"
+    #: Wear-leveling controller of the stage's rows; ``None`` runs
+    #: every job in one group.
+    leveler = None
+    wear_leveling = False
+    #: Whether every pass WRITEs its operands ``x{i}``/``y{i}`` into the
+    #: adder's operand rows; otherwise the adders read rows the program
+    #: computed (precompute).
+    stages_operands = True
+
+    def unit_passes(
+        self,
+    ) -> List[Tuple[CrossbarStage, List[Tuple[KoggeStoneAdder, str]]]]:
+        """``(unit, passes)`` per crossbar unit, in replay order (the
+        current wear state's adders)."""
+        raise NotImplementedError
+
+    def _plan(self, job) -> Tuple[List[LanePlan], object]:
+        """One job's lanes and its result, planned on the host."""
+        raise NotImplementedError
 
     def adder_passes(self) -> List[Tuple[KoggeStoneAdder, str]]:
-        raise NotImplementedError
+        """Every ``(adder, op)`` pass one job runs, in replay order."""
+        return [p for _, passes in self.unit_passes() for p in passes]
+
+    @property
+    def overhead_cc(self) -> int:
+        """Periphery cycles one job spends outside the adder passes."""
+        return sum(self.overhead.values())
 
     def latency_cc(self) -> int:
         """Per-job stage latency: the overhead plus the replayed adder
         programs' cycle counts (the paper's closed form unless the
         optimizer is on)."""
-        return self._latency_cc
+        return sum(self._clock_histogram.values())
+
+    # Fixed for the stage's lifetime (wear states move rows, not
+    # cycles); derived once, since timing is read on every batch.
+    @cached_property
+    def _clock_histogram(self) -> Dict[str, int]:
+        """Cycles one job ticks per clock category."""
+        hist = dict(self.overhead)
+        for adder, op in self.adder_passes():
+            program = adder.program(op, optimize=self.optimize)
+            for opcode, cost in program.cycles_by_opcode().items():
+                hist[opcode] = hist.get(opcode, 0) + cost
+        return hist
 
     @cached_property
-    def _latency_cc(self) -> int:
-        # Fixed for the stage's lifetime (wear states move rows, not
-        # cycles); summed once, since timing is read on every batch.
-        return self.overhead_cc + sum(
-            adder.program(op, optimize=self.optimize).cycle_count
-            for adder, op in self.adder_passes()
-        )
+    def _schedule(self) -> List[Tuple[str, int]]:
+        """``(op, window columns)`` of every pass a lane plans."""
+        return [
+            (op, adder.layout.columns) for adder, op in self.adder_passes()
+        ]
 
     def optimizer_stats(self) -> Dict[str, object]:
         """Aggregated cycle-packer report over the adder passes one job
@@ -431,3 +522,138 @@ class AdderPassStage:
 
     def max_writes(self) -> int:
         return max(unit.array.max_writes() for unit in self.units)
+
+    # ------------------------------------------------------------------
+    # Program hooks: what the stage's own program writes and resets
+    # ------------------------------------------------------------------
+    def _input_writes(self) -> List[Tuple[int, str, int, int]]:
+        """``(row, name, col_offset, width)`` of every operand the
+        program WRITEs before its first pass (none by default)."""
+        return []
+
+    def _closing_rows(self) -> List[int]:
+        """Rows the program INITs after its last pass (none by default)."""
+        return []
+
+    def _sense_name(self, index: int) -> str:
+        """Name the program READs pass *index*'s result under."""
+        return f"out{index}"
+
+    def _wear_state(self) -> bool:
+        return self.leveler is not None and self.leveler.swapped
+
+    @cached_property
+    def _programs(self) -> Dict[Tuple[int, bool], Program]:
+        return {}
+
+    @cached_property
+    def _powered(self) -> set:
+        return set()
+
+    def _power_up(self, k: int, passes) -> None:
+        """Once per unit and wear state: bring the adders' scratch and
+        sum rows to logic one out-of-band (every pass then leaves them
+        there)."""
+        key = (k, self._wear_state())
+        if key not in self._powered:
+            array = self.units[k].array
+            array.init_rows(passes[0][0].layout.scratch_rows)
+            array.init_rows(
+                list(dict.fromkeys(adder.layout.out_row for adder, _ in passes))
+            )
+            self._powered.add(key)
+
+    def _mega_program(self, k: int) -> Program:
+        """Unit *k*'s passes as one replayable program for the current
+        wear state (built once per unit and state)."""
+        state = self._wear_state()
+        program = self._programs.get((k, state))
+        if program is None:
+            unit_passes = self.unit_passes()
+            first = sum(len(passes) for _, passes in unit_passes[:k])
+            passes = unit_passes[k][1]
+            cols = self.units[k].array.cols
+            unit = self.checker.stage if k == 0 else f"{self.checker.stage}.{k}"
+            builder = ProgramBuilder(label=f"{unit}-pass-{int(state)}")
+            for row, name, col_offset, width in self._input_writes():
+                builder.write(row, name, col_offset=col_offset, width=width)
+            for index, (adder, op) in enumerate(passes, first):
+                lay = adder.layout
+                if self.stages_operands:
+                    builder.write(lay.x_row, f"x{index}", width=cols)
+                    builder.write(lay.y_row, f"y{index}", width=cols)
+                builder.concat(adder.program(op, optimize=self.optimize))
+                builder.read(lay.out_row, self._sense_name(index), width=cols)
+            closing = self._closing_rows()
+            if closing:
+                builder.init(closing)
+            program = self._programs[(k, state)] = builder.build()
+        return program
+
+    # ------------------------------------------------------------------
+    def process_batch(self, jobs) -> list:
+        """Run B jobs through the stage; returns one result per job."""
+        jobs = list(jobs)
+        if not jobs:
+            return []
+        plans = [self._plan(job) for job in jobs]
+        if self.leveler is None:
+            groups = [range(len(jobs))]
+        else:
+            groups = self.leveler.job_groups(len(jobs), self.wear_leveling)
+        for group in groups:
+            lanes = [lane for j in group for lane in plans[j][0]]
+            first = 0
+            for k, (unit, passes) in enumerate(self.unit_passes()):
+                stop = first + len(passes)
+                self._power_up(k, passes)
+                stats, _ = unit.replay(
+                    self._mega_program(k),
+                    [self._bindings(lane, first, stop) for lane in lanes],
+                    all_ones,
+                )
+                reads = [(i, self._sense_name(i)) for i in range(first, stop)]
+                for index, (lane, lane_stats) in enumerate(zip(lanes, stats)):
+                    sensed = lane_stats.results
+                    for i, read in reads:
+                        name, op, x, y = lane.passes[i]
+                        self._check_pass(
+                            sensed[read], op, x, y, f"{name}[{index}]"
+                        )
+                first = stop
+            for category, cycles in self._clock_histogram.items():
+                self.clock.tick(cycles, category=category)
+        return [result for _, result in plans]
+
+    def _bindings(self, lane: LanePlan, first: int, stop: int) -> Dict[str, int]:
+        """One lane's WRITE operands for the passes ``first..stop-1``."""
+        if not self.stages_operands:
+            return lane.values
+        values = dict(lane.values)
+        for i in range(first, stop):
+            _, _, x, y = lane.passes[i]
+            values[f"x{i}"] = x
+            values[f"y{i}"] = y
+        return values
+
+    def _check_pass(
+        self, sensed: int, op: str, x: int, y: int, location: str
+    ) -> None:
+        """Verify one sensed pass: the in-band residue code first (from
+        the operands' residues, what the periphery would check), the
+        full-width differential against the plan second."""
+        checker = self.checker
+        rx, ry = checker.res(x), checker.res(y)
+        if op == OP_ADD:
+            checker.check_sum(sensed, (rx, ry), location)
+            expected = x + y
+        else:
+            checker.check_linear(sensed, ((rx, 1), (ry, -1)), location)
+            expected = x - y
+        if sensed != expected:
+            raise StageSelfCheckError(
+                f"{checker.stage} {op} produced {sensed}, expected {expected}",
+                stage=checker.stage,
+                check="differential",
+                location=location,
+            )

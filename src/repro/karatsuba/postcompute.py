@@ -41,6 +41,7 @@ Result: ``c = (T << h) | (c_l mod 2^h)``.  Latency:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from repro.arith.bitops import ceil_log2, mask
@@ -49,15 +50,15 @@ from repro.arith.koggestone import (
     AdderPassStage,
     KoggeStoneAdder,
     KoggeStoneLayout,
+    LanePlan,
 )
 from repro.crossbar.array import CrossbarArray
 from repro.crossbar.endurance import WearLevelingController
 from repro.magic.backend import DEFAULT_BACKEND
-from repro.magic.program import Program, ProgramBuilder
-from repro.magic.stage import CrossbarStage, all_ones
+from repro.magic.stage import CrossbarStage
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
 from repro.sim.clock import Clock
-from repro.sim.exceptions import DesignError, StageSelfCheckError
+from repro.sim.exceptions import DesignError
 
 #: Data rows of the stage (paper Fig. 7: 8 available memory rows).
 DATA_ROWS = 8
@@ -113,8 +114,9 @@ class PostcomputeStage(AdderPassStage, CrossbarStage):
     in-memory adder, while latency follows the paper's accounting.
     """
 
-    #: The paper's lump for operand reordering and resets.
-    overhead_cc = REORDER_CYCLES
+    #: The paper's lump for operand reordering and resets; operand
+    #: staging, sensing and the closing INIT ride inside it.
+    overhead = {"reorder": REORDER_CYCLES}
 
     def __init__(
         self,
@@ -153,10 +155,6 @@ class PostcomputeStage(AdderPassStage, CrossbarStage):
             region_b=list(range(half_rows, TOTAL_ROWS)),
         )
         self._adders: Dict[bool, KoggeStoneAdder] = {}
-        self._initialised_states = set()
-        #: Per wear state: (mega program, clock histogram).
-        self._mega: Dict[bool, Tuple[Program, Dict[str, int]]] = {}
-        self.passes = 0
 
     # ------------------------------------------------------------------
     def _adder(self) -> KoggeStoneAdder:
@@ -176,10 +174,10 @@ class PostcomputeStage(AdderPassStage, CrossbarStage):
             self._adders[state] = KoggeStoneAdder(layout)
         return self._adders[state]
 
-    def adder_passes(self) -> List[Tuple[KoggeStoneAdder, str]]:
+    def unit_passes(self):
         """The eleven passes of one job, in the current wear state."""
         adder = self._adder()
-        return [(adder, op) for op in self.PASS_OPS]
+        return [(self, [(adder, op) for op in self.PASS_OPS])]
 
     #: Fixed op sequence of the 11-pass schedule (data-independent).
     PASS_OPS = ("add", "sub", "add", "sub", "add",
@@ -189,205 +187,96 @@ class PostcomputeStage(AdderPassStage, CrossbarStage):
     _INPUT_NAMES = ("c_ll", "c_lh", "c_lm", "c_hl", "c_hh", "c_hm",
                     "c_ml", "c_mh", "c_mm")
 
-    def _plan_passes(
+    @cached_property
+    def _slots(self) -> List[Tuple[int, str, int, int]]:
+        """``(logical row, name, col_offset, width)`` of every packed
+        input slot."""
+        span = self.cols // 2
+        return [
+            (slot // 2, name, (slot % 2) * span,
+             min(span, self.cols - (slot % 2) * span))
+            for slot, name in enumerate(self._INPUT_NAMES)
+        ]
+
+    def _input_writes(self) -> List[Tuple[int, str, int, int]]:
+        physical = self.leveler.physical_row
+        return [
+            (physical(row), name, offset, width)
+            for row, name, offset, width in self._slots
+        ]
+
+    def _closing_rows(self) -> List[int]:
+        # Reset the data region so that, after a wear-leveling swap,
+        # the incoming scratch rows hold logic one.
+        return [self.leveler.physical_row(r) for r in range(DATA_ROWS)]
+
+    def _plan(
         self, products: Dict[str, int]
-    ) -> Tuple[List[Tuple[str, int, int]], int]:
+    ) -> Tuple[List[LanePlan], PostcomputeResult]:
         """Pure-integer unrolling of the 11-pass schedule.
 
-        Returns the operand pair of every pass plus the final product.
-        The in-memory replay follows this plan and checks each sensed
-        sum against it, so arithmetic remains verified bit-for-bit
-        through the real adder.
+        Records the operand pair of every pass and returns the final
+        product.  The in-memory replay follows this plan and checks
+        each sensed result against it, so arithmetic remains verified
+        bit-for-bit through the real adder.
         """
+        missing = set(self._INPUT_NAMES) - products.keys()
+        if missing:
+            raise DesignError(f"missing partial products: {sorted(missing)}")
+        for _, name, _, width in self._slots:
+            if products[name] >> width:
+                raise DesignError(f"product {name} does not fit its slot")
+        p = {name: products[name] for name in self._INPUT_NAMES}
+        lane = LanePlan(self._schedule, p)
+        run = lane.run
         n = self.n_bits
         quarter, half = n // 4, n // 2
-        passes: List[Tuple[str, int, int]] = []
-
-        def run(op: str, x: int, y: int) -> int:
-            # Operands may use all 1.5n columns (including the carry
-            # column) when the result itself has no carry-out — the
-            # case of the final top-bits addition, whose sum is
-            # < 2^(1.5n) by design.
-            if x >> self.cols or y >> self.cols:
-                raise DesignError("postcompute operand exceeds the adder window")
-            if op == "sub" and y > x:
-                raise DesignError("postcompute subtraction went negative")
-            if op == "add" and (x + y) >> self.cols:
-                raise DesignError("postcompute addition would overflow the window")
-            passes.append((op, x, y))
-            return x + y if op == "add" else x - y
-
-        p = products
         values: Dict[str, int] = {}
 
         # Pass 1/2: level-2 tilde values for the l and h nodes, batched.
         off = half + 2
-        t_lh = run("add",
+        t_lh = run("pass-1", "add",
                    p["c_ll"] | (p["c_hl"] << off),
                    p["c_lh"] | (p["c_hh"] << off))
         values["t_l"] = t_lh & mask(off)
         values["t_h"] = t_lh >> off
         off = half + 4
-        tilde = run("sub",
+        tilde = run("pass-2", "sub",
                     p["c_lm"] | (p["c_hm"] << off),
                     values["t_l"] | (values["t_h"] << off))
         values["~c_lm"] = tilde & mask(off)
         values["~c_hm"] = tilde >> off
 
         # Pass 3/4: the mm node (wider operands, runs alone).
-        values["t_m"] = run("add", p["c_ml"], p["c_mh"])
-        values["~c_mm"] = run("sub", p["c_mm"], values["t_m"])
+        values["t_m"] = run("pass-3", "add", p["c_ml"], p["c_mh"])
+        values["~c_mm"] = run("pass-4", "sub", p["c_mm"], values["t_m"])
 
         # Pass 5/6: c_l and c_h — appending is free, one addition each.
-        values["c_l"] = run("add",
+        values["c_l"] = run("pass-5", "add",
                             p["c_ll"] | (p["c_lh"] << half),
                             values["~c_lm"] << quarter)
-        values["c_h"] = run("add",
+        values["c_h"] = run("pass-6", "add",
                             p["c_hl"] | (p["c_hh"] << half),
                             values["~c_hm"] << quarter)
 
         # Pass 7/8: c_m needs two additions (c_ml is half+2 bits wide,
         # so (c_mh || c_ml) cannot be formed by appending).
-        values["u_m"] = run("add", p["c_ml"], p["c_mh"] << half)
-        values["c_m"] = run("add", values["u_m"], values["~c_mm"] << quarter)
+        values["u_m"] = run("pass-7", "add", p["c_ml"], p["c_mh"] << half)
+        values["c_m"] = run("pass-8", "add",
+                            values["u_m"], values["~c_mm"] << quarter)
 
         # Pass 9/10: the level-1 tilde value.
-        values["t"] = run("add", values["c_l"], values["c_h"])
-        values["~c_m"] = run("sub", values["c_m"], values["t"])
+        values["t"] = run("pass-9", "add", values["c_l"], values["c_h"])
+        values["~c_m"] = run("pass-10", "sub", values["c_m"], values["t"])
 
         # Pass 11: final addition on the top 1.5n bits only; the low
-        # n/2 bits of c_l pass straight through to the result.
-        top = run("add",
+        # n/2 bits of c_l pass straight through to the result.  Its
+        # operands may use all 1.5n columns (including the carry
+        # column): the sum is < 2^(1.5n) by design.
+        top = run("pass-11", "add",
                   (values["c_l"] >> half) | (values["c_h"] << half),
                   values["~c_m"])
         product = (top << half) | (values["c_l"] & mask(half))
-        ops = tuple(op for op, _, _ in passes)
-        if ops != self.PASS_OPS:  # pragma: no cover - schedule invariant
-            raise AssertionError(f"pass schedule drifted: {ops}")
-        return passes, product
-
-    def _power_up(self, adder: KoggeStoneAdder) -> None:
-        """Once per wear state: initialise scratch and sum rows."""
-        state = self.leveler.swapped
-        if state not in self._initialised_states:
-            self.array.init_rows(adder.layout.scratch_rows)
-            self.array.init_rows([adder.layout.out_row])
-            self._initialised_states.add(state)
-
-    def _mega_program(self) -> Tuple[Program, Dict[str, int]]:
-        """One full pass as a single replayable program for the
-        *current* wear state: nine packed input WRITEs, eleven
-        (stage x/y, adder pass, sense) rounds, and the closing data
-        INIT.  The clock histogram charges the adder programs plus the
-        18 cc reorder lump; operand staging, sensing and the closing
-        INIT ride inside that lump."""
-        state = self.leveler.swapped
-        if state not in self._mega:
-            lay = self._adder().layout
-            physical = self.leveler.physical_row
-            builder = ProgramBuilder(label=f"postcompute-pass-{int(state)}")
-            span = self.cols // 2
-            for slot, name in enumerate(self._INPUT_NAMES):
-                builder.write(
-                    physical(slot // 2),
-                    name,
-                    col_offset=(slot % 2) * span,
-                    width=min(span, self.cols - (slot % 2) * span),
-                )
-            hist: Dict[str, int] = {}
-            for index, (adder, op) in enumerate(self.adder_passes()):
-                builder.write(lay.x_row, f"x{index}", width=self.cols)
-                builder.write(lay.y_row, f"y{index}", width=self.cols)
-                program = adder.program(op, optimize=self.optimize)
-                builder.concat(program)
-                builder.read(lay.out_row, f"out{index}", width=self.cols)
-                for opcode, cost in program.cycles_by_opcode().items():
-                    hist[opcode] = hist.get(opcode, 0) + cost
-            # Reset the data region so that, after a wear-leveling swap,
-            # the incoming scratch rows hold logic one.
-            builder.init([physical(r) for r in range(DATA_ROWS)])
-            hist["reorder"] = REORDER_CYCLES
-            self._mega[state] = (builder.build(), hist)
-        return self._mega[state]
-
-    def process_batch(
-        self, products_list: List[Dict[str, int]]
-    ) -> List[PostcomputeResult]:
-        """Run B postcomputation passes in one SIMD sweep per wear state.
-
-        Same contract as the precompute stage's batch path: jobs are
-        grouped by sequential wear-state parity, each group replays the
-        state's mega-program over lanes seeded at the steady all-ones
-        state, every sensed pass result is checked against the
-        pure-integer plan, and per-lane writes/energy fold back into
-        the stage array.
-        """
-        products_list = list(products_list)
-        if not products_list:
-            return []
-        required = set(self._INPUT_NAMES)
-        plans = []
-        for products in products_list:
-            missing = required - products.keys()
-            if missing:
-                raise DesignError(f"missing partial products: {sorted(missing)}")
-            plans.append(self._plan_passes(products))
-
-        span = self.cols // 2
-        products_out: Dict[int, int] = {}
-        for group in self.leveler.job_groups(
-            len(products_list), self.wear_leveling
-        ):
-            self._power_up(self._adder())
-            program, hist = self._mega_program()
-            bindings = []
-            for j in group:
-                passes, _ = plans[j]
-                values: Dict[str, int] = {}
-                for slot, name in enumerate(self._INPUT_NAMES):
-                    width = min(span, self.cols - (slot % 2) * span)
-                    value = products_list[j][name]
-                    if value >> width:
-                        raise DesignError(f"product {name} does not fit its slot")
-                    values[name] = value
-                for index, (_, x, y) in enumerate(passes):
-                    values[f"x{index}"] = x
-                    values[f"y{index}"] = y
-                bindings.append(values)
-            stats, _ = self.replay(program, bindings, all_ones)
-
-            for lane, j in enumerate(group):
-                passes, product = plans[j]
-                for index, (op, x, y) in enumerate(passes):
-                    sensed = stats[lane].results[f"out{index}"]
-                    self._check_pass(sensed, op, x, y, f"pass-{index + 1}")
-                products_out[j] = product
-
-            for opcode, cost in hist.items():
-                self.clock.tick(cost, category=opcode)
-            self.passes += len(group)
-
-        cycles = self.latency_cc()
-        return [
-            PostcomputeResult(product=products_out[j], cycles=cycles)
-            for j in range(len(products_list))
-        ]
-
-    def _check_pass(
-        self, sensed: int, op: str, x: int, y: int, location: str
-    ) -> None:
-        """Verify one sensed combine-step result: residue code first
-        (in-band, from operand residues), full differential second."""
-        rx, ry = self.checker.res(x), self.checker.res(y)
-        if op == "add":
-            self.checker.check_sum(sensed, (rx, ry), location)
-        else:
-            self.checker.check_linear(sensed, ((rx, 1), (ry, -1)), location)
-        expected = x + y if op == "add" else x - y
-        if sensed != expected:
-            raise StageSelfCheckError(
-                f"postcompute {op} produced {sensed}, expected {expected}",
-                stage="postcompute",
-                check="differential",
-                location=location,
-            )
+        return [lane], PostcomputeResult(
+            product=product, cycles=self.latency_cc()
+        )

@@ -32,16 +32,16 @@ from repro.arith.koggestone import (
     AdderPassStage,
     KoggeStoneAdder,
     KoggeStoneLayout,
+    LanePlan,
 )
 from repro.crossbar.array import CrossbarArray
 from repro.crossbar.endurance import WearLevelingController
 from repro.karatsuba.unroll import UnrolledPlan, build_plan
 from repro.magic.backend import DEFAULT_BACKEND
-from repro.magic.program import Program, ProgramBuilder
-from repro.magic.stage import CrossbarStage, all_ones
+from repro.magic.stage import CrossbarStage
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
 from repro.sim.clock import Clock
-from repro.sim.exceptions import DesignError, StageSelfCheckError
+from repro.sim.exceptions import DesignError
 
 #: Row budget of the stage (paper: 8 inputs + 10 results + 12 scratch).
 INPUT_ROWS = 8
@@ -84,13 +84,17 @@ class PrecomputeStage(AdderPassStage, CrossbarStage):
     """Cycle-accurate precomputation subarray.
 
     The stage owns its crossbar, a wear-leveling controller, and one
-    Kogge-Stone program per (operation, wear-state) pair.  Each pass
-    writes the eight chunks, executes the ten additions NOR-by-NOR,
-    resets, and returns every named chunk sum.
+    Kogge-Stone program per (addition, wear-state) pair.  Each job
+    writes the eight chunks, executes the ten additions NOR-by-NOR on
+    rows the program itself computed (no operand staging), senses
+    every sum, resets, and returns every named chunk sum; the batch
+    runs through :meth:`AdderPassStage.process_batch`.
     """
 
-    #: Eight input-row writes and the closing reset.
-    overhead_cc = INPUT_ROWS + 1
+    #: Eight input-row writes and the closing data-region reset.
+    overhead = {"write": INPUT_ROWS, "init": 1}
+    #: The adders read the chunk and sum rows in place.
+    stages_operands = False
 
     def __init__(
         self,
@@ -130,10 +134,6 @@ class PrecomputeStage(AdderPassStage, CrossbarStage):
         )
         self._row_of = self._assign_rows()
         self._adders: Dict[Tuple[str, bool], KoggeStoneAdder] = {}
-        self._initialised_states = set()
-        #: Per wear state: (mega program, clock histogram).
-        self._mega: Dict[bool, Tuple[Program, Dict[str, int]]] = {}
-        self.passes = 0
 
     # ------------------------------------------------------------------
     def _assign_rows(self) -> Dict[str, int]:
@@ -152,11 +152,10 @@ class PrecomputeStage(AdderPassStage, CrossbarStage):
         rows = range(INPUT_ROWS + RESULT_ROWS, TOTAL_ROWS)
         return tuple(self.leveler.physical_row(r) for r in rows)
 
-    def adder_passes(self) -> List[Tuple[KoggeStoneAdder, str]]:
+    def unit_passes(self):
         """The ten additions of one job, in the current wear state."""
-        return [
-            (self._adder_for(step), "add") for step in self.plan.precompute_adds
-        ]
+        adds = self.plan.precompute_adds
+        return [(self, [(self._adder_for(step), "add") for step in adds])]
 
     def _adder_for(self, step) -> KoggeStoneAdder:
         """Adder program generator for one addition in the current
@@ -179,126 +178,47 @@ class PrecomputeStage(AdderPassStage, CrossbarStage):
             return self.leveler.physical_row(logical_row)
         return logical_row
 
-    def _power_up(self) -> None:
-        """Once per wear state: initialise the scratch region (and the
-        result rows, which double as adder outputs) out-of-band."""
-        state = self.leveler.swapped
-        if state not in self._initialised_states:
-            self.array.init_rows(self._scratch_rows())
-            self.array.init_rows(
-                [self._physical(r) for r in range(INPUT_ROWS, INPUT_ROWS + RESULT_ROWS)]
-            )
-            self._initialised_states.add(state)
-
     # ------------------------------------------------------------------
     _INPUT_NAMES = tuple(f"a{i}" for i in range(4)) + tuple(
         f"b{i}" for i in range(4)
     )
 
-    def _mega_program(self) -> Tuple[Program, Dict[str, int]]:
-        """One full pass as a single replayable program, for the
-        *current* wear state: eight operand WRITEs, ten adder passes
-        each followed by a result READ, and the closing data-region
-        INIT.  Returns ``(program, clock histogram)``; the histogram
-        charges the input writes, the adder programs and the reset
-        (the READs are periphery transfers the stage never charges)."""
-        state = self.leveler.swapped
-        if state not in self._mega:
-            builder = ProgramBuilder(label=f"precompute-pass-{int(state)}")
-            hist: Dict[str, int] = {"write": INPUT_ROWS}
-            for name in self._INPUT_NAMES:
-                builder.write(
-                    self._physical(self._row_of[name]), name, width=self.cols
-                )
-            for step, (adder, op) in zip(
-                self.plan.precompute_adds, self.adder_passes()
-            ):
-                program = adder.program(op, optimize=self.optimize)
-                builder.concat(program)
-                builder.read(adder.layout.out_row, step.out, width=self.cols)
-                for opcode, cost in program.cycles_by_opcode().items():
-                    hist[opcode] = hist.get(opcode, 0) + cost
-            # Reset the whole data region (inputs and results) in one
-            # multi-row INIT cycle; the adder already reset its own
-            # scratch region.  Covering the input rows matters under
-            # wear-leveling: after the swap they become the scratch
-            # region and must arrive at logic one.
-            builder.init(
-                [self._physical(r) for r in range(INPUT_ROWS + RESULT_ROWS)]
-            )
-            hist["init"] = hist.get("init", 0) + 1
-            self._mega[state] = (builder.build(), hist)
-        return self._mega[state]
-
-    def process_batch(
-        self, jobs: List[Tuple[List[int], List[int]]]
-    ) -> List[PrecomputeResult]:
-        """Run B precomputation passes in one SIMD sweep per wear state.
-
-        Jobs are grouped by the wear state each would meet in
-        sequential order (the leveler alternates per multiplication);
-        each group replays the state's mega-program over lanes seeded
-        at the steady all-ones state, and the per-lane writes/energy
-        fold back into this stage's array.  Every sensed sum is
-        verified twice: the in-band residue code first (what the
-        hardware periphery would check), then the full-width
-        differential plan as defence-in-depth.  The stage clock
-        advances by one pass per group (lanes run in lock-step).
-        """
-        jobs = list(jobs)
-        if not jobs:
-            return []
-        chunk_bits = self.n_bits // 4
-        for a_chunks, b_chunks in jobs:
-            if len(a_chunks) != 4 or len(b_chunks) != 4:
-                raise DesignError("L=2 precompute expects 4 chunks per operand")
-            for chunk in (*a_chunks, *b_chunks):
-                if chunk >> chunk_bits:
-                    raise DesignError(f"chunk {chunk} exceeds {chunk_bits} bits")
-
-        all_sums: Dict[int, Dict[str, int]] = {}
-        for group in self.leveler.job_groups(len(jobs), self.wear_leveling):
-            self._power_up()
-            program, hist = self._mega_program()
-            bindings = []
-            for j in group:
-                a_chunks, b_chunks = jobs[j]
-                values = {f"a{i}": a_chunks[i] for i in range(4)}
-                values.update({f"b{i}": b_chunks[i] for i in range(4)})
-                bindings.append(values)
-            stats, _ = self.replay(program, bindings, all_ones)
-
-            for lane, j in enumerate(group):
-                results = dict(bindings[lane])
-                results.update(stats[lane].results)
-                residues = {
-                    name: self.checker.res(value)
-                    for name, value in bindings[lane].items()
-                }
-                for step in self.plan.precompute_adds:
-                    sensed = results[step.out]
-                    residues[step.out] = self.checker.check_sum(
-                        sensed,
-                        (residues[step.lhs], residues[step.rhs]),
-                        step.out,
-                    )
-                    expected = results[step.lhs] + results[step.rhs]
-                    if sensed != expected:
-                        raise StageSelfCheckError(
-                            f"precompute addition {step.out} produced "
-                            f"{sensed}, expected {expected}",
-                            stage="precompute",
-                            check="differential",
-                            location=step.out,
-                        )
-                all_sums[j] = results
-
-            for opcode, cost in hist.items():
-                self.clock.tick(cost, category=opcode)
-            self.passes += len(group)
-
-        cycles = self.latency_cc()
+    def _input_writes(self) -> List[Tuple[int, str, int, int]]:
         return [
-            PrecomputeResult(chunk_sums=all_sums[j], cycles=cycles)
-            for j in range(len(jobs))
+            (self._physical(self._row_of[name]), name, 0, self.cols)
+            for name in self._INPUT_NAMES
         ]
+
+    def _closing_rows(self) -> List[int]:
+        # Reset the whole data region (inputs and results) in one
+        # multi-row INIT cycle; the adder already reset its own
+        # scratch region.  Covering the input rows matters under
+        # wear-leveling: after the swap they become the scratch
+        # region and must arrive at logic one.
+        return [self._physical(r) for r in range(INPUT_ROWS + RESULT_ROWS)]
+
+    def _sense_name(self, index: int) -> str:
+        return self.plan.precompute_adds[index].out
+
+    def _plan(
+        self, job: Tuple[List[int], List[int]]
+    ) -> Tuple[List[LanePlan], PrecomputeResult]:
+        """The ten chunk additions of one job, unrolled on the host."""
+        a_chunks, b_chunks = job
+        if len(a_chunks) != 4 or len(b_chunks) != 4:
+            raise DesignError("L=2 precompute expects 4 chunks per operand")
+        chunk_bits = self.n_bits // 4
+        for chunk in (*a_chunks, *b_chunks):
+            if chunk >> chunk_bits:
+                raise DesignError(f"chunk {chunk} exceeds {chunk_bits} bits")
+        values = {f"a{i}": a_chunks[i] for i in range(4)}
+        values.update({f"b{i}": b_chunks[i] for i in range(4)})
+        lane = LanePlan(self._schedule, values)
+        sums = dict(values)
+        for step in self.plan.precompute_adds:
+            sums[step.out] = lane.run(
+                step.out, "add", sums[step.lhs], sums[step.rhs]
+            )
+        return [lane], PrecomputeResult(
+            chunk_sums=sums, cycles=self.latency_cc()
+        )

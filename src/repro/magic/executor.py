@@ -238,8 +238,14 @@ class CompiledProgram:
 
     def _compile(self, program: Program) -> None:
         specs_seen: Dict[Tuple[str, int], None] = {}
+        # A repeated op object (``ProgramBuilder.concat`` reuses the ops
+        # of an adder program across passes) lowers to one shared step.
+        steps_of: Dict[int, tuple] = {}
         for op in program:
-            op.validate(self.rows, self.cols)
+            step = steps_of.get(id(op))
+            if step is None:
+                op.validate(self.rows, self.cols)
+                step = steps_of[id(op)] = self._lower(op)
             self.cycle_count += op.cycles
             self.op_counts[op.opcode] = self.op_counts.get(op.opcode, 0) + 1
             self.cycles_by_opcode[op.opcode] = (
@@ -258,61 +264,53 @@ class CompiledProgram:
                 self.stat_counts[stat_field] = (
                     self.stat_counts.get(stat_field, 0) + weight
                 )
-            if isinstance(op, (ParallelNor, ParallelNot)):
-                gang = []
-                for g in op.gates:
-                    in_rows = (
-                        list(g.in_rows) if isinstance(g, Nor) else [g.in_row]
-                    )
-                    gang.append((in_rows, g.out_row, self._col_mask(g.cols)))
-                self.steps.append((_PACK, tuple(gang)))
-            elif isinstance(op, Init):
-                self.steps.append(
-                    (_INIT, tuple(dict.fromkeys(op.rows)), self._col_mask(op.cols))
-                )
-            elif isinstance(op, Nor):
-                self.steps.append(
-                    (_NOR, list(op.in_rows), op.out_row, self._col_mask(op.cols))
-                )
-            elif isinstance(op, Not):
-                self.steps.append(
-                    (_NOR, [op.in_row], op.out_row, self._col_mask(op.cols))
-                )
-            elif isinstance(op, Write):
-                field = self._field(op.col_offset, op.width)
-                if field.start == 0 and field.stop == self.cols:
-                    mask = None
-                else:
-                    mask = np.zeros(self.cols, dtype=bool)
-                    mask[field] = True
-                spec = (op.name, field.stop - field.start)
-                specs_seen.setdefault(spec)
-                self.steps.append((_WRITE, op.row, field, mask, spec))
-            elif isinstance(op, Read):
-                field = self._field(op.col_offset, op.width)
-                self.steps.append((_READ, op.row, field, op.name))
-            elif isinstance(op, Shift):
-                mask = self._col_mask(op.cols)
-                window = (
-                    slice(0, self.cols) if op.cols is None else slice(*op.cols)
-                )
-                self.steps.append(
-                    (
-                        _SHIFT,
-                        op.src_row,
-                        op.dst_row,
-                        op.offset,
-                        bool(op.fill),
-                        window,
-                        mask,
-                        tuple(dict.fromkeys(op.also_init)),
-                    )
-                )
-            elif isinstance(op, Nop):
-                self.steps.append((_NOP,))
-            else:  # pragma: no cover - defensive
-                raise ProgramError(f"unknown micro-op {op!r}")
+            if step[0] == _WRITE:
+                specs_seen.setdefault(step[4])
+            self.steps.append(step)
         self.write_specs = list(specs_seen)
+
+    def _lower(self, op) -> tuple:
+        """The replay step of one validated op."""
+        if isinstance(op, (ParallelNor, ParallelNot)):
+            gang = []
+            for g in op.gates:
+                in_rows = list(g.in_rows) if isinstance(g, Nor) else [g.in_row]
+                gang.append((in_rows, g.out_row, self._col_mask(g.cols)))
+            return (_PACK, tuple(gang))
+        if isinstance(op, Init):
+            return (_INIT, tuple(dict.fromkeys(op.rows)), self._col_mask(op.cols))
+        if isinstance(op, Nor):
+            return (_NOR, list(op.in_rows), op.out_row, self._col_mask(op.cols))
+        if isinstance(op, Not):
+            return (_NOR, [op.in_row], op.out_row, self._col_mask(op.cols))
+        if isinstance(op, Write):
+            field = self._field(op.col_offset, op.width)
+            if field.start == 0 and field.stop == self.cols:
+                mask = None
+            else:
+                mask = np.zeros(self.cols, dtype=bool)
+                mask[field] = True
+            spec = (op.name, field.stop - field.start)
+            return (_WRITE, op.row, field, mask, spec)
+        if isinstance(op, Read):
+            field = self._field(op.col_offset, op.width)
+            return (_READ, op.row, field, op.name)
+        if isinstance(op, Shift):
+            mask = self._col_mask(op.cols)
+            window = slice(0, self.cols) if op.cols is None else slice(*op.cols)
+            return (
+                _SHIFT,
+                op.src_row,
+                op.dst_row,
+                op.offset,
+                bool(op.fill),
+                window,
+                mask,
+                tuple(dict.fromkeys(op.also_init)),
+            )
+        if isinstance(op, Nop):
+            return (_NOP,)
+        raise ProgramError(f"unknown micro-op {op!r}")  # pragma: no cover
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -665,7 +663,9 @@ class _WordLoweredProgram:
     its own step kind; masked, wider and non-strict gates share the
     general one.  Gates keep their logical output row for hooks and
     error messages.  Plans of one row map and strictness share their
-    stride-free gate steps, and NOPs (pure idle cycles) are dropped.
+    stride-free gate steps, a repeated compiled step (one op a
+    mega-program concatenates many times) reuses the entries of its
+    first occurrence, and NOPs (pure idle cycles) are dropped.
     """
 
     __slots__ = (
@@ -784,7 +784,15 @@ class _WordLoweredProgram:
         every_col = np.ones(self.cols, dtype=bool)
         every_col.flags.writeable = False
         out: List[tuple] = []
+        # Plan entries per compiled step: a repeated step (a shared op
+        # lowered once) reuses the entries of its first occurrence.
+        entries_of: Dict[int, List[tuple]] = {}
         for step in self._steps:
+            entries = entries_of.get(id(step))
+            if entries is not None:
+                out.extend(entries)
+                continue
+            start = len(out)
             code = step[0]
             if code == _NOR or code == _PACK:
                 for in_rows, out_row, mask in (
@@ -877,6 +885,7 @@ class _WordLoweredProgram:
                     )
                 )
             # _NOP: an idle cycle, nothing to replay.
+            entries_of[id(step)] = out[start:]
         return out
 
     def energy_const_fj(self, device) -> float:

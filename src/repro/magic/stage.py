@@ -11,6 +11,13 @@ steady state fold back into the stage array.  Each lane models
 one sequential reuse of the same physical subarray, so the folded
 counters equal what running the jobs one after another would leave.
 
+The four adder stages (Karatsuba precompute and postcompute, Toom-3
+evaluation and interpolation; :class:`~repro.arith.koggestone
+.AdderPassStage`) replay one mega-program per unit and wear-state
+group per batch, every pass of a job in one program, not one replay
+per pass; a standalone :meth:`AdderUnit.run_pass
+<repro.arith.koggestone.AdderUnit.run_pass>` replays one pass.
+
 The lane container and executor come from the stage's
 :mod:`repro.magic.backend` (``word`` by default, ``scalar`` as the
 bit-exact oracle); results and accounting are identical under both.
@@ -31,8 +38,8 @@ from repro.sim.stats import RunStats
 def all_ones(lanes) -> None:
     """Seed lanes at the MAGIC steady state: every cell at logic one.
 
-    Where a Karatsuba stage pass starts and ends (the closing data INIT
-    plus the adder's own scratch reset)."""
+    Where every adder-stage replay starts: its adder programs assume
+    their scratch and sum rows at logic one."""
     lanes.reset_to_ones()
 
 

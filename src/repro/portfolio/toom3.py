@@ -24,23 +24,28 @@ scheduler, program caches, telemetry spans and residue self-checks
 apply unchanged:
 
 ========== ===================================== =====================
-slot       Toom-3 stage                          substrate
+slot       Toom-3 stage                          substrate, replays
 ========== ===================================== =====================
-evaluate   A(1), A(2), A(4) / B(...) — 6 batched Kogge-Stone adder,
-           adder passes (a- and b-lanes share    ``cb + 5`` bits
-           each pass, paper Sec. IV-E batching)
+evaluate   A(1), A(2), A(4) / B(...) — 6 adder   Kogge-Stone adder,
+           passes; the a- and b-operand are two  ``cb + 5`` bits;
+           lanes (paper Sec. IV-E batching)      1 replay per batch
 pointwise  v0, v1, v2, v4, vinf — 5 row          5 RowMultipliers,
            multipliers in lock-step              ``cb + 5`` bits
 interpolate 15 + ceil(log2(ceil(w/2))) narrow    Kogge-Stone adders,
            passes + 4 wide recombination passes  ``2cb + 9`` and
-                                                 ``2n - cb`` bits
+                                                 ``2n - cb`` bits;
+                                                 1 replay per adder
 ========== ===================================== =====================
 
-with ``cb = ceil(n/3)``.  Every adder pass and every point-wise
-product is residue-verified (ABFT, mod ``2^r - 1``); the final product
-is additionally checked against ``res(a) * res(b)``.  Transient-fault
-hooks and ``diagnose_and_repair`` (write-verify march + spare-row
-remap) work exactly as in the Karatsuba stages.
+with ``cb = ceil(n/3)``.  The adder stages run the one
+:class:`~repro.arith.koggestone.AdderPassStage` body: the host plans
+every pass's operands, each adder replays all of a batch's passes as
+one mega-program, and every sensed pass is residue-verified (ABFT,
+mod ``2^r - 1``) and then compared with the plan.  Every point-wise
+product is residue-verified too, and the final product is checked
+against ``res(a) * res(b)``.  Transient-fault hooks and
+``diagnose_and_repair`` (write-verify march + spare-row remap) work
+exactly as in the Karatsuba stages.
 
 Functionally the pipeline is differentially tested against the
 exact-rational :class:`repro.algorithms.toomcook.ToomCook` oracle on
@@ -50,7 +55,7 @@ the same point set (see ``tests/test_portfolio.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.arith import rowmul
 from repro.arith.bitops import ceil_div, ceil_log2, mask
@@ -59,7 +64,7 @@ from repro.arith.koggestone import (
     OP_SUB,
     AdderPassStage,
     AdderUnit,
-    KoggeStoneAdder,
+    LanePlan,
 )
 from repro.arith.rowmul import LockstepRowStage
 from repro.karatsuba.controller import PipelineController
@@ -177,40 +182,23 @@ def split3(value: int, cb: int) -> List[int]:
 
 
 # ----------------------------------------------------------------------
-# Adder stages: residue-checked passes
+# Adder stages: one mega-program per unit
 # ----------------------------------------------------------------------
-class _CheckedAdderStage(AdderPassStage):
-    """A Toom-3 MAGIC stage: lock-step adder passes on its units, each
-    residue-verified lane by lane."""
+class _Toom3AdderStage(AdderPassStage):
+    """A Toom-3 adder stage on standalone adder units: no wear leveler
+    (a batch is one group), and each :class:`AdderUnit` powers its rows
+    up at construction."""
 
-    def __init__(self, name: str, residue_bits: int):
+    def __init__(self, name: str, n_bits: int, residue_bits: int, optimize: bool):
+        _check_width(n_bits)
+        self.n_bits = n_bits
+        self.cb = chunk_bits(n_bits)
+        self.optimize = optimize
         self.checker = ResidueChecker(name, residue_bits)
         self.clock = Clock()
-        self.passes = 0
 
-    def _pass(
-        self,
-        unit: AdderUnit,
-        xs: Sequence[int],
-        ys: Sequence[int],
-        op: str,
-        name: str,
-    ) -> List[int]:
-        """One pass of *unit* over lanes ``(xs[i], ys[i])``; residues
-        predicted from the staged operands, verified against every
-        sensed lane."""
-        sensed = unit.run_pass(list(zip(xs, ys)), op)
-        program = unit.adder.program(op, optimize=unit.optimize)
-        for opcode, cycles in program.cycles_by_opcode().items():
-            self.clock.tick(cycles, category=opcode)
-        self.passes += 1
-        res = self.checker.res
-        sign = 1 if op == OP_ADD else -1
-        for lane, (value, x, y) in enumerate(zip(sensed, xs, ys)):
-            self.checker.check_linear(
-                value, [(res(x), 1), (res(y), sign)], f"{name}[{lane}]"
-            )
-        return sensed
+    def _power_up(self, k: int, passes) -> None:
+        """Nothing to do: :class:`AdderUnit` powered up at construction."""
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +212,7 @@ class EvalResult:
     cycles: int
 
 
-class EvaluationStage(_CheckedAdderStage):
+class EvaluationStage(_Toom3AdderStage):
     """Evaluate both operands at {1, 2, 4} in six batched adder passes.
 
     Points 0 and inf are wire taps (``a0`` and ``a2``).  Shifted
@@ -236,7 +224,7 @@ class EvaluationStage(_CheckedAdderStage):
     """
 
     #: Six chunk writes and the closing write.
-    overhead_cc = EVAL_PASSES + 1
+    overhead = {"write": EVAL_PASSES + 1}
 
     def __init__(
         self,
@@ -247,11 +235,7 @@ class EvaluationStage(_CheckedAdderStage):
         optimize: bool = False,
         backend: object = DEFAULT_BACKEND,
     ):
-        _check_width(n_bits)
-        super().__init__("evaluate", residue_bits)
-        self.n_bits = n_bits
-        self.cb = chunk_bits(n_bits)
-        self.optimize = optimize
+        super().__init__("evaluate", n_bits, residue_bits, optimize)
         self.unit = AdderUnit(
             eval_width(n_bits),
             device=device,
@@ -261,63 +245,36 @@ class EvaluationStage(_CheckedAdderStage):
         )
         self.units = (self.unit,)
 
-    def adder_passes(self) -> List[Tuple[KoggeStoneAdder, str]]:
-        return [(self.unit.adder, OP_ADD)] * EVAL_PASSES
+    def unit_passes(self):
+        return [(self.unit, [(self.unit.adder, OP_ADD)] * EVAL_PASSES)]
 
-    # ------------------------------------------------------------------
-    def process_batch(
-        self, jobs: List[Tuple[List[int], List[int]]]
-    ) -> List[EvalResult]:
-        """Evaluate B chunked operand pairs in lock-step."""
-        jobs = list(jobs)
-        if not jobs:
-            return []
-        for a_chunks, b_chunks in jobs:
-            if len(a_chunks) != 3 or len(b_chunks) != 3:
-                raise DesignError("Toom-3 expects 3 chunks per operand")
-            for chunk in (*a_chunks, *b_chunks):
-                if chunk >> self.cb:
-                    raise DesignError(f"chunk {chunk} exceeds {self.cb} bits")
-        start = self.clock.cycles
-        self.clock.tick(EVAL_PASSES, category="write")
-
-        # Lanes 0..B-1 evaluate the a-operands, lanes B..2B-1 the
-        # b-operands.  A(2^k) = a0 + (a1 << k) + (a2 << 2k), two passes
-        # per point.
-        chunks = [a for a, _ in jobs] + [b for _, b in jobs]
-        evals: Dict[int, List[int]] = {}
-        for k in range(3):
-            point = 1 << k
-            s = self._pass(
-                self.unit,
-                [t[1] << k for t in chunks],
-                [t[2] << (2 * k) for t in chunks],
-                OP_ADD,
-                f"e{point}.sum",
-            )
-            evals[point] = self._pass(
-                self.unit, s, [t[0] for t in chunks], OP_ADD, f"e{point}"
-            )
-        self.clock.tick(1, category="write")
-        cycles = self.clock.cycles - start
-
-        results: List[EvalResult] = []
-        B = len(jobs)
-        for j, (a_chunks, b_chunks) in enumerate(jobs):
-            values = {
-                "A0": a_chunks[0],
-                "A1": evals[1][j],
-                "A2": evals[2][j],
-                "A4": evals[4][j],
-                "Ainf": a_chunks[2],
-                "B0": b_chunks[0],
-                "B1": evals[1][B + j],
-                "B2": evals[2][B + j],
-                "B4": evals[4][B + j],
-                "Binf": b_chunks[2],
-            }
-            results.append(EvalResult(values=values, cycles=cycles))
-        return results
+    def _plan(
+        self, job: Tuple[List[int], List[int]]
+    ) -> Tuple[List[LanePlan], EvalResult]:
+        """Two lanes per job, the a- and the b-operand:
+        ``A(2^k) = a0 + (a1 << k) + (a2 << 2k)``, two passes per point."""
+        a_chunks, b_chunks = job
+        if len(a_chunks) != 3 or len(b_chunks) != 3:
+            raise DesignError("Toom-3 expects 3 chunks per operand")
+        for chunk in (*a_chunks, *b_chunks):
+            if chunk >> self.cb:
+                raise DesignError(f"chunk {chunk} exceeds {self.cb} bits")
+        lanes = []
+        values: Dict[str, int] = {}
+        for side, chunks in (("A", a_chunks), ("B", b_chunks)):
+            lane = LanePlan(self._schedule)
+            values[f"{side}0"] = chunks[0]
+            for k in range(3):
+                point = 1 << k
+                s = lane.run(
+                    f"e{point}.sum", OP_ADD, chunks[1] << k, chunks[2] << (2 * k)
+                )
+                values[f"{side}{point}"] = lane.run(
+                    f"e{point}", OP_ADD, s, chunks[0]
+                )
+            values[f"{side}inf"] = chunks[2]
+            lanes.append(lane)
+        return lanes, EvalResult(values=values, cycles=self.latency_cc())
 
 
 # ----------------------------------------------------------------------
@@ -362,20 +319,19 @@ class InterpolationResult:
     cycles: int
 
 
-class InterpolationStage(_CheckedAdderStage):
+class InterpolationStage(_Toom3AdderStage):
     """Recover c0..c4 from the five products and assemble the result.
 
     All intermediates are non-negative (a consequence of the positive
     evaluation points), so every pass is a plain Kogge-Stone add or
     borrow-subtract.  The single exact division by 3 runs as the
     repeated-doubling multiplication by ``3^-1 mod 2^w`` described in
-    the module docstring.  Each pass is residue-verified against the
-    residues of its staged operands; the recombination runs on a
-    second, wider adder covering the top ``2n - cb`` product bits.
+    the module docstring.  The recombination runs on a second, wider
+    adder covering the top ``2n - cb`` product bits.
     """
 
     #: Five product writes and the closing write.
-    overhead_cc = 5 + 1
+    overhead = {"write": 5 + 1}
 
     def __init__(
         self,
@@ -386,11 +342,7 @@ class InterpolationStage(_CheckedAdderStage):
         optimize: bool = False,
         backend: object = DEFAULT_BACKEND,
     ):
-        _check_width(n_bits)
-        super().__init__("interpolate", residue_bits)
-        self.n_bits = n_bits
-        self.cb = chunk_bits(n_bits)
-        self.optimize = optimize
+        super().__init__("interpolate", n_bits, residue_bits, optimize)
         self.iw = interp_width(n_bits)
         self.rw = recombine_width(n_bits)
         self.narrow = AdderUnit(
@@ -403,94 +355,68 @@ class InterpolationStage(_CheckedAdderStage):
         )
         self.units = (self.narrow, self.wide)
 
-    def adder_passes(self) -> List[Tuple[KoggeStoneAdder, str]]:
-        """Every adder pass one job runs: 9 reduction subs +
-        neg/c2/c1 subs, inc/h/g adds + J doublings on the narrow adder,
-        then the wide recombination adds."""
-        adds = div3_doublings(self.iw) + 3
-        return (
-            [(self.narrow.adder, OP_ADD)] * adds
-            + [(self.narrow.adder, OP_SUB)] * 12
-            + [(self.wide.adder, OP_ADD)] * RECOMBINE_PASSES
+    def unit_passes(self):
+        """The narrow adder's 9 reduction subs, J doublings, neg/inc,
+        h/c2/g/c1, then the wide adder's 4 recombination adds."""
+        narrow = (
+            [OP_SUB] * 9
+            + [OP_ADD] * div3_doublings(self.iw)
+            + [OP_SUB, OP_ADD, OP_ADD, OP_SUB, OP_ADD, OP_SUB]
         )
+        return [
+            (self.narrow, [(self.narrow.adder, op) for op in narrow]),
+            (self.wide, [(self.wide.adder, OP_ADD)] * RECOMBINE_PASSES),
+        ]
 
-    # ------------------------------------------------------------------
-    def process_batch(
-        self, products_list: List[Dict[str, int]]
-    ) -> List[InterpolationResult]:
-        products_list = list(products_list)
-        if not products_list:
-            return []
-        start = self.clock.cycles
-        self.clock.tick(5, category="write")
+    def _plan(
+        self, products: Dict[str, int]
+    ) -> Tuple[List[LanePlan], InterpolationResult]:
         cb = self.cb
         wmask = mask(self.iw)
-        pass_ = self._pass
-
-        v = {key: [p[key] for p in products_list] for key in
-             ("v0", "v1", "v2", "v4", "vinf")}
+        v0, v1, v2, v4, vinf = (
+            products[key] for key in ("v0", "v1", "v2", "v4", "vinf")
+        )
+        lane = LanePlan(self._schedule)
+        run = lane.run
         # Reduction to w1 = c1+c2+c3, w2 = c1+2c2+4c3, w4 = c1+4c2+16c3.
-        m1 = pass_(self.narrow, v["v1"], v["v0"], OP_SUB, "m1")
-        w1 = pass_(self.narrow, m1, v["vinf"], OP_SUB, "w1")
-        m2 = pass_(self.narrow, v["v2"], v["v0"], OP_SUB, "m2")
-        m2b = pass_(
-            self.narrow, m2, [x << 4 for x in v["vinf"]], OP_SUB, "m2b"
-        )
-        w2 = [x >> 1 for x in m2b]          # exact: m2b = 2c1+4c2+8c3
-        m4 = pass_(self.narrow, v["v4"], v["v0"], OP_SUB, "m4")
-        m4b = pass_(
-            self.narrow, m4, [x << 8 for x in v["vinf"]], OP_SUB, "m4b"
-        )
-        w4 = [x >> 2 for x in m4b]          # exact: m4b = 4c1+16c2+64c3
+        m1 = run("m1", OP_SUB, v1, v0)
+        w1 = run("w1", OP_SUB, m1, vinf)
+        m2 = run("m2", OP_SUB, v2, v0)
+        w2 = run("m2b", OP_SUB, m2, vinf << 4) >> 1  # exact: 2c1+4c2+8c3
+        m4 = run("m4", OP_SUB, v4, v0)
+        w4 = run("m4b", OP_SUB, m4, vinf << 8) >> 2  # exact: 4c1+16c2+64c3
 
         # t1 = c2 + 3c3, t2 = c2 + 6c3, t3 = 3c3.
-        t1 = pass_(self.narrow, w2, w1, OP_SUB, "t1")
-        t2r = pass_(self.narrow, w4, w2, OP_SUB, "t2")
-        t2 = [x >> 1 for x in t2r]          # exact: t2r = 2c2 + 12c3
-        t3 = pass_(self.narrow, t2, t1, OP_SUB, "t3")
+        t1 = run("t1", OP_SUB, w2, w1)
+        t2 = run("t2", OP_SUB, w4, w2) >> 1           # exact: 2c2 + 12c3
+        t3 = run("t3", OP_SUB, t2, t1)
 
         # c3 = t3 / 3 via the two-adic inverse: multiply by
         # sum(4^i, i < K) with repeated doubling, then negate mod 2^w.
         acc = t3
         for j in range(div3_doublings(self.iw)):
-            shift = 2 << j
-            acc = pass_(
-                self.narrow,
-                [x & wmask for x in acc],
-                [(x << shift) & wmask for x in acc],
-                OP_ADD,
-                f"div3.{j}",
+            acc = run(
+                f"div3.{j}", OP_ADD, acc & wmask, (acc << (2 << j)) & wmask
             )
-        neg = pass_(
-            self.narrow, [wmask] * len(acc), [x & wmask for x in acc],
-            OP_SUB, "div3.neg",
-        )
-        c3p = pass_(self.narrow, neg, [1] * len(neg), OP_ADD, "div3.inc")
-        c3 = [x & wmask for x in c3p]
+        neg = run("div3.neg", OP_SUB, wmask, acc & wmask)
+        c3 = run("div3.inc", OP_ADD, neg, 1) & wmask
 
         # c2 = t1 - 3c3; c1 = w1 - (c2 + c3).
-        h = pass_(self.narrow, c3, [x << 1 for x in c3], OP_ADD, "h")
-        c2 = pass_(self.narrow, t1, h, OP_SUB, "c2")
-        g = pass_(self.narrow, c2, c3, OP_ADD, "g")
-        c1 = pass_(self.narrow, w1, g, OP_SUB, "c1")
+        h = run("h", OP_ADD, c3, c3 << 1)
+        c2 = run("c2", OP_SUB, t1, h)
+        g = run("g", OP_ADD, c2, c3)
+        c1 = run("c1", OP_SUB, w1, g)
 
         # Recombination on the wide adder; the low cb bits of v0 pass
         # through untouched (LSB pass-through, Karatsuba-style).
-        r = pass_(self.wide, [x >> cb for x in v["v0"]], c1, OP_ADD, "r1")
-        r = pass_(self.wide, r, [x << cb for x in c2], OP_ADD, "r2")
-        r = pass_(self.wide, r, [x << (2 * cb) for x in c3], OP_ADD, "r3")
-        r = pass_(
-            self.wide, r, [x << (3 * cb) for x in v["vinf"]], OP_ADD, "r4"
+        r = run("r1", OP_ADD, v0 >> cb, c1)
+        r = run("r2", OP_ADD, r, c2 << cb)
+        r = run("r3", OP_ADD, r, c3 << (2 * cb))
+        r = run("r4", OP_ADD, r, vinf << (3 * cb))
+        product = (r << cb) | (v0 & mask(cb))
+        return [lane], InterpolationResult(
+            product=product, cycles=self.latency_cc()
         )
-        low = mask(cb)
-        products = [
-            (top << cb) | (v0 & low) for top, v0 in zip(r, v["v0"])
-        ]
-        self.clock.tick(1, category="write")
-        cycles = self.clock.cycles - start
-        return [
-            InterpolationResult(product=p, cycles=cycles) for p in products
-        ]
 
 
 # ----------------------------------------------------------------------

@@ -476,8 +476,8 @@ class TestSharedCompileCache:
         """Equal mega-programs built by independent stages compile once;
         each stage's own cache still counts its first lookup a miss."""
         first, second = PostcomputeStage(256), PostcomputeStage(256)
-        program_a = first._mega_program()[0]
-        program_b = second._mega_program()[0]
+        program_a = first._mega_program(0)
+        program_b = second._mega_program(0)
         assert program_a is not program_b
         compiled = first.executor.compile(program_a)
         assert second.executor.compile(program_b) is compiled
@@ -621,6 +621,48 @@ MIDWAY_ENERGY_FJ = 2866.0
 
 
 class TestReplayPlans:
+    @pytest.mark.parametrize("optimize", [False, True], ids=["paper", "packed"])
+    def test_repeated_pass_shares_plan_entries(self, optimize):
+        """A mega-program that concatenates one adder program twice
+        lowers each repeated op once: both passes' compiled steps and
+        plan entries are the same objects, and the replay still equals
+        the scalar oracle."""
+        unit = AdderUnit(16)
+        lay = unit.adder.layout
+        adder = unit.adder.program("add", optimize=optimize)
+        builder = ProgramBuilder(label="repeated-pass")
+        for i in range(2):
+            builder.write(lay.x_row, f"x{i}").write(lay.y_row, f"y{i}")
+            builder.concat(adder).read(lay.out_row, f"out{i}")
+        compiled = unit.executor.compile(builder.build())
+        m = len(adder.ops)
+        steps = compiled.steps
+        assert all(a is b for a, b in zip(steps[2:2 + m], steps[m + 5:]))
+
+        rng = random.Random(0x5EED + optimize)
+        bindings = [
+            {name: rng.getrandbits(16) for name in ("x0", "y0", "x1", "y1")}
+            for _ in range(3)
+        ]
+        results, energy = [], []
+        for name in ("scalar", "word"):
+            backend = get_backend(name)
+            lanes = backend.make_array(unit.array, len(bindings))
+            lanes.reset_to_ones()
+            stats = backend.make_executor(lanes).execute(compiled, bindings)
+            results.append([s.results for s in stats])
+            energy.append(lanes.total_energy_fj())
+        assert results[0] == results[1] == [
+            {"out0": b["x0"] + b["y0"], "out1": b["x1"] + b["y1"]}
+            for b in bindings
+        ]
+        assert energy[0] == energy[1]
+
+        (plan,) = compiled._word_lowered._plans.values()
+        n = (len(plan) - 6) // 2  # two WRITEs and a READ per pass
+        assert len(plan) == 2 * n + 6
+        assert all(a is b for a, b in zip(plan[2:2 + n], plan[n + 5:]))
+
     @pytest.mark.parametrize("batch", [1, 3, 64])
     def test_plan_rebound_after_remap(self, batch):
         """A remap changes the row map, so the next replay takes a new
@@ -750,7 +792,7 @@ def mega_programs():
     scalar = get_backend("scalar")
     out = []
     for stage in (PrecomputeStage(256), PostcomputeStage(256)):
-        compiled = stage.executor.compile(stage._mega_program()[0])
+        compiled = stage.executor.compile(stage._mega_program(0))
         pool = [
             {name: rng.getrandbits(width) for name, width in compiled.write_specs}
             for _ in range(MEGA_POOL)

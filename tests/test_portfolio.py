@@ -18,7 +18,11 @@ import numpy as np
 import pytest
 
 from repro.algorithms.toomcook import INFINITY, ToomCook, inverse_cache_len
-from repro.crossbar.faults import TransientFaultInjector, TransientFaultModel
+from repro.crossbar.faults import (
+    TransientFaultInjector,
+    TransientFaultModel,
+    row_view,
+)
 from repro.eval import loadgen
 from repro.eval.loadgen import LoadItem
 from repro.eval.workloads import TraceItem
@@ -54,7 +58,8 @@ from repro.service import (
 )
 from repro.service.cache import ProgramCache
 from repro.service.workers import BankDispatcher
-from repro.sim.exceptions import DesignError, SimulationError
+from repro.magic.stage import CrossbarStage
+from repro.sim.exceptions import DesignError, SimulationError, StageSelfCheckError
 
 ALL_BACKENDS = ("scalar", "word")
 
@@ -376,6 +381,108 @@ class TestToom3Pipeline:
         wide = controller.interpolate.wide.array.energy_fj - wide_before
         assert wide > 0
         assert spent["stage.interpolate"] > wide
+
+
+# ----------------------------------------------------------------------
+# The adder-stage routine on Toom-3: one mega-program per unit
+# ----------------------------------------------------------------------
+class _CorruptOutRow:
+    """Fault hook: after the *nth* gate into *out_row*, add a multiple
+    of the residue modulus to lane 0 (set bit k + r, clear bit k), a
+    corruption the residue code cannot see."""
+
+    def __init__(self, out_row: int, nth: int, residue_bits: int):
+        self.out_row = out_row
+        self.nth = nth
+        self.r = residue_bits
+        self.gates = 0
+
+    def on_nor(self, array, out_row, mask) -> None:
+        if out_row != self.out_row:
+            return
+        if self.gates == self.nth:
+            bits, commit = row_view(array, out_row)
+            lane = bits[0]
+            k = next(
+                k for k in range(len(lane) - self.r)
+                if lane[k] and not lane[k + self.r]
+            )
+            lane[k], lane[k + self.r] = False, True
+            commit()
+        self.gates += 1
+
+    def on_write(self, array, row, mask, pre) -> None:
+        pass
+
+    def on_read(self, array, row) -> None:
+        pass
+
+
+class TestToom3AdderRoutine:
+    def test_one_replay_per_unit_per_batch(self, monkeypatch):
+        """A Toom-3 batch replays the evaluation adder once and each
+        interpolation adder once, whatever its size."""
+        replays = []
+        original = CrossbarStage.replay
+
+        def counting(unit, *args, **kwargs):
+            replays.append(unit)
+            return original(unit, *args, **kwargs)
+
+        monkeypatch.setattr(CrossbarStage, "replay", counting)
+        controller = t3.Toom3Controller(270)
+        rng = random.Random(0x270)
+        pairs = [(rng.getrandbits(270), rng.getrandbits(270)) for _ in range(5)]
+        records = controller.run_jobs_batch(pairs)
+        assert [r.product for r in records] == [a * b for a, b in pairs]
+        interpolate = controller.interpolate
+        assert replays == [
+            controller.evaluate.unit, interpolate.narrow, interpolate.wide
+        ]
+
+    def test_residue_invisible_corruption_caught_at_its_pass(self):
+        """A corruption that is a multiple of 2^r - 1 passes the residue
+        check; the differential check against the host plan names the
+        pass where it happened."""
+        controller = t3.Toom3Controller(64)
+        narrow = controller.interpolate.narrow
+        narrow.fault_hook = _CorruptOutRow(
+            narrow.adder.layout.out_row,
+            3,  # m1, w1, m2, then m2b
+            controller.interpolate.checker.residue_bits,
+        )
+        rng = random.Random(0xBAD)
+        with pytest.raises(StageSelfCheckError) as excinfo:
+            controller.run_jobs_batch(
+                [(rng.getrandbits(64), rng.getrandbits(64))]
+            )
+        err = excinfo.value
+        assert (err.stage, err.check, err.location) == (
+            "interpolate", "differential", "m2b[0]"
+        )
+        assert controller.interpolate.checker.mismatches == 0
+
+    @pytest.mark.parametrize("jobs", (1, 2, 3, 5, 8, 9))
+    def test_word_lanes_match_scalar_oracle(self, jobs):
+        """Toom-3 stages on the word backend equal the scalar oracle:
+        products, energy, write counters and clocks by category."""
+        rng = random.Random(jobs)
+        pairs = [(rng.getrandbits(32), rng.getrandbits(32)) for _ in range(jobs)]
+        controllers = [
+            t3.Toom3Controller(32, backend=backend) for backend in ALL_BACKENDS
+        ]
+        products = [
+            [r.product for r in c.run_jobs_batch(pairs)] for c in controllers
+        ]
+        assert products[0] == products[1] == [a * b for a, b in pairs]
+        scalar, word = controllers
+        assert scalar.total_energy_fj() == word.total_energy_fj()
+        for (label, unit), (_, other) in zip(
+            scalar.crossbar_units(), word.crossbar_units()
+        ):
+            assert np.array_equal(unit.array.writes, other.array.writes), label
+        for stage, other in zip(scalar.stages, word.stages):
+            assert stage.clock.by_category == other.clock.by_category
 
 
 # ----------------------------------------------------------------------
