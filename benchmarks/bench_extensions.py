@@ -166,8 +166,10 @@ def test_fault_yield_curve(benchmark):
 
 def test_generic_depth_study(benchmark):
     """Functional counterpart of Fig. 4: run a multiplication at each
-    depth on the generic datapath and measure the trade-off."""
-    from repro.karatsuba.generic import depth_study
+    depth through the Karatsuba controller and measure the trade-off."""
+    from repro.karatsuba import cost
+    from repro.karatsuba.controller import depth_study
+    from repro.karatsuba.unroll import build_plan
 
     study = benchmark.pedantic(
         depth_study, args=(64,), kwargs={"depths": (1, 2, 3)},
@@ -181,12 +183,13 @@ def test_generic_depth_study(benchmark):
             ("L", "pre cc", "mult cc", "post cc", "post passes"),
             [
                 (L, s.precompute_cycles, s.multiply_cycles,
-                 s.postcompute_cycles, s.postcompute_passes)
+                 s.postcompute_cycles,
+                 cost.postcompute_passes(build_plan(64, L), 96))
                 for L, s in sorted(study.items())
             ],
             title=(
-                "Fig. 4 mechanism, measured: generic datapath at n=64 "
-                "(unbatched postcompute)"
+                "Fig. 4 mechanism, measured: Karatsuba controller at n=64 "
+                "(batched postcompute)"
             ),
         ),
     )

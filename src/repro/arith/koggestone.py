@@ -84,26 +84,26 @@ def adder_result(op: str, x: int, y: int, cols: int) -> int:
     and an addition's sum must fit the window, and a subtraction needs
     ``y <= x``.  Anything else raises :class:`DesignError`.
     """
+    if op == OP_ADD:
+        result = x + y
+        if x >= 0 and y >= 0 and not result >> cols:
+            return result
+    elif op == OP_SUB:
+        result = x - y
+        if result >= 0 and y >= 0 and not x >> cols:
+            return result
+    else:
+        raise DesignError(f"unknown adder op {op!r}")
     if x < 0 or y < 0 or (x | y) >> cols:
         raise DesignError(
             f"operands must fit the {cols}-column adder window, "
             f"got {x} and {y}"
         )
     if op == OP_ADD:
-        total = x + y
-        if total >> cols:
-            raise DesignError(
-                f"sum of {x} and {y} overflows the {cols}-column "
-                "adder window"
-            )
-        return total
-    if op == OP_SUB:
-        if y > x:
-            raise DesignError(
-                "subtraction requires x >= y (non-negative result)"
-            )
-        return x - y
-    raise DesignError(f"unknown adder op {op!r}")
+        raise DesignError(
+            f"sum of {x} and {y} overflows the {cols}-column adder window"
+        )
+    raise DesignError("subtraction requires x >= y (non-negative result)")
 
 
 def writes_per_cell(width: int) -> int:
@@ -401,8 +401,9 @@ class LanePlan:
     """One SIMD lane of an adder stage, unrolled on the host.
 
     :attr:`values` binds the operands the stage program writes itself;
-    :meth:`run` records the next pass as ``(name, op, x, y)`` and
-    returns its result, so every pass is planned from planned values.
+    :meth:`run` records the next pass as ``(name, op, x, y, result)``
+    and returns the result, so every pass is planned from planned
+    values.
     """
 
     __slots__ = ("values", "passes", "_schedule")
@@ -415,7 +416,7 @@ class LanePlan:
         #: ``(op, window columns)`` of every pass the lane must run.
         self._schedule = schedule
         self.values = values if values is not None else {}
-        self.passes: List[Tuple[str, str, int, int]] = []
+        self.passes: List[Tuple[str, str, int, int, int]] = []
 
     def run(self, name: str, op: str, x: int, y: int) -> int:
         """Record pass *name* (``op`` of ``x`` and ``y``); return its result."""
@@ -423,8 +424,9 @@ class LanePlan:
         expected, cols = self._schedule[len(passes)]
         if op != expected:
             raise AssertionError(f"pass {name} ({op}) drifted from the schedule")
-        passes.append((name, op, x, y))
-        return adder_result(op, x, y, cols)
+        result = adder_result(op, x, y, cols)
+        passes.append((name, op, x, y, result))
+        return result
 
 
 class AdderPassStage:
@@ -485,6 +487,10 @@ class AdderPassStage:
         """Per-job stage latency: the overhead plus the replayed adder
         programs' cycle counts (the paper's closed form unless the
         optimizer is on)."""
+        return self._latency
+
+    @cached_property
+    def _latency(self) -> int:
         return sum(self._clock_histogram.values())
 
     # Fixed for the stage's lifetime (wear states move rows, not
@@ -538,6 +544,14 @@ class AdderPassStage:
     def _sense_name(self, index: int) -> str:
         """Name the program READs pass *index*'s result under."""
         return f"out{index}"
+
+    def _physical(self, row: int) -> int:
+        """Physical row of logical *row* in the current wear state (a
+        row outside the leveler's regions never moves)."""
+        leveler = self.leveler
+        if leveler is not None and leveler.manages(row):
+            return leveler.physical_row(row)
+        return row
 
     def _wear_state(self) -> bool:
         return self.leveler is not None and self.leveler.swapped
@@ -614,12 +628,9 @@ class AdderPassStage:
                 )
                 reads = [(i, self._sense_name(i)) for i in range(first, stop)]
                 for index, (lane, lane_stats) in enumerate(zip(lanes, stats)):
-                    sensed = lane_stats.results
+                    sensed, passes = lane_stats.results, lane.passes
                     for i, read in reads:
-                        name, op, x, y = lane.passes[i]
-                        self._check_pass(
-                            sensed[read], op, x, y, f"{name}[{index}]"
-                        )
+                        self._check_pass(sensed[read], passes[i], index)
                 first = stop
             for category, cycles in self._clock_histogram.items():
                 self.clock.tick(cycles, category=category)
@@ -631,29 +642,24 @@ class AdderPassStage:
             return lane.values
         values = dict(lane.values)
         for i in range(first, stop):
-            _, _, x, y = lane.passes[i]
+            _, _, x, y, _ = lane.passes[i]
             values[f"x{i}"] = x
             values[f"y{i}"] = y
         return values
 
-    def _check_pass(
-        self, sensed: int, op: str, x: int, y: int, location: str
-    ) -> None:
-        """Verify one sensed pass: the in-band residue code first (from
-        the operands' residues, what the periphery would check), the
-        full-width differential against the plan second."""
+    def _check_pass(self, sensed: int, planned: tuple, lane: int) -> None:
+        """Verify one sensed pass of *lane* against its planned
+        ``(name, op, x, y, result)``: the in-band residue code first
+        (from the operands' residues, what the periphery would check),
+        the full-width differential against the plan second.  A
+        failure is located at ``name[lane]``."""
+        name, op, x, y, expected = planned
         checker = self.checker
-        rx, ry = checker.res(x), checker.res(y)
-        if op == OP_ADD:
-            checker.check_sum(sensed, (rx, ry), location)
-            expected = x + y
-        else:
-            checker.check_linear(sensed, ((rx, 1), (ry, -1)), location)
-            expected = x - y
+        checker.check_adder(sensed, op, x, y, name, lane)
         if sensed != expected:
             raise StageSelfCheckError(
                 f"{checker.stage} {op} produced {sensed}, expected {expected}",
                 stage=checker.stage,
                 check="differential",
-                location=location,
+                location=f"{name}[{lane}]",
             )

@@ -907,23 +907,24 @@ def _cmd_optimize_report(args: argparse.Namespace) -> int:
                 )
         return e_base, e_opt
 
-    # Gather (stage, op, weight, adder, base program, packed program).
-    entries = []
+    # Gather (stage, op, weight, adder, cols): one entry per precompute
+    # addition, one per postcompute op weighted by its pass count.
     pre = PrecomputeStage(bits, optimize=True)
-    for step in pre.plan.precompute_adds:
-        adder = pre._adder_for(step)
-        entries.append(
-            ("precompute", f"add[{step.out}]", 1, adder, pre.cols)
-        )
+    entries = [
+        ("precompute", op, 1, adder, pre.cols)
+        for adder, op in pre.adder_passes()
+    ]
     post = PostcomputeStage(bits, optimize=True)
-    post_adder = post._adder()
-    for op in ("add", "sub"):
-        weight = post.PASS_OPS.count(op)
-        entries.append(("postcompute", op, weight, post_adder, post.cols))
+    ((_, post_passes),) = post.unit_passes()
+    post_adder = post_passes[0][0]
+    post_ops = [op for _, op in post_passes]
+    entries += [
+        ("postcompute", op, post_ops.count(op), post_adder, post.cols)
+        for op in ("add", "sub")
+    ]
 
     stages: Dict[str, Dict[str, float]] = {}
-    for stage_name, op_name, weight, adder, cols in entries:
-        op = "sub" if op_name.startswith("sub") else "add"
+    for stage_name, op, weight, adder, cols in entries:
         base = adder.program(op, optimize=False)
         packed = adder.program(op, optimize=True)
         e_base, e_opt = audit(stage_name, op, adder, base, packed, cols)

@@ -149,6 +149,10 @@ class WearLevelingController:
         """True when the regions are currently exchanged."""
         return self.swaps % 2 == 1
 
+    def manages(self, logical_row: int) -> bool:
+        """Whether *logical_row* lies in one of the two regions."""
+        return logical_row in self._mapping
+
     def physical_row(self, logical_row: int) -> int:
         """Translate a logical row to its current physical row."""
         try:

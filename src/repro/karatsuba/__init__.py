@@ -9,7 +9,7 @@ from repro.karatsuba.alternatives import (
 )
 from repro.karatsuba.alternatives import comparison as alternatives_comparison
 from repro.karatsuba.bank import BankStreamResult, BankTiming, MultiplierBank
-from repro.karatsuba.controller import JobRecord, KaratsubaController
+from repro.karatsuba.controller import JobRecord, KaratsubaController, depth_study
 from repro.karatsuba.cost import (
     DesignCost,
     StageCost,
@@ -21,7 +21,7 @@ from repro.karatsuba.cost import (
     postcompute_passes,
 )
 from repro.karatsuba.design import KaratsubaCimMultiplier, supported_widths
-from repro.karatsuba import floorplan, generic
+from repro.karatsuba import floorplan
 from repro.karatsuba.eventsim import (
     EventSimResult,
     JobTimeline,
@@ -53,7 +53,6 @@ __all__ = [
     "KaratsubaPipeline",
     "EventSimResult",
     "floorplan",
-    "generic",
     "JobTimeline",
     "ReferenceMultiplier",
     "simulate_pipeline_events",
@@ -69,6 +68,7 @@ __all__ = [
     "atp_sweep",
     "build_plan",
     "design_cost",
+    "depth_study",
     "design_metrics",
     "max_writes_per_cell",
     "optimal_depth",

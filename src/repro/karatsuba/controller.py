@@ -15,9 +15,10 @@ reliability hooks are shared.
 
 from __future__ import annotations
 
+import random
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.arith.bitops import split_chunks
 from repro.karatsuba.multiply import MultiplicationStage
@@ -28,7 +29,7 @@ from repro.magic.stage import CrossbarStage
 from repro.sim.exceptions import DesignError
 from repro.telemetry import spans as _telemetry
 
-#: Smallest multiplication the L = 2 design supports (the postcompute
+#: Smallest multiplication the design supports (the L = 2 postcompute
 #: batching layout needs n/4 >= 4).
 MIN_BITS = 16
 
@@ -285,7 +286,11 @@ class PipelineController:
 
 
 class KaratsubaController(PipelineController):
-    """Drives one multiplication through the three-stage datapath."""
+    """Drives one multiplication through the three-stage datapath.
+
+    *depth* is the unroll depth L (the paper ships L = 2): every stage
+    lays out its rows and passes from the depth-L unrolled plan.
+    """
 
     stage_names = ("precompute", "multiply", "postcompute")
     stage_attr_names = ("precompute", "multiply_stage", "postcompute")
@@ -294,6 +299,7 @@ class KaratsubaController(PipelineController):
     def __init__(
         self,
         n_bits: int,
+        depth: int = 2,
         wear_leveling: bool = True,
         device=None,
         spare_rows: int = 2,
@@ -307,8 +313,10 @@ class KaratsubaController(PipelineController):
                 f"got {n_bits}"
             )
         super().__init__(n_bits, optimize, backend)
+        self.depth = depth
         self.precompute = PrecomputeStage(
             n_bits,
+            depth,
             wear_leveling=wear_leveling,
             device=device,
             spare_rows=spare_rows,
@@ -317,10 +325,14 @@ class KaratsubaController(PipelineController):
             backend=backend,
         )
         self.multiply_stage = MultiplicationStage(
-            n_bits, wear_leveling=wear_leveling, residue_bits=residue_bits
+            n_bits,
+            depth,
+            wear_leveling=wear_leveling,
+            residue_bits=residue_bits,
         )
         self.postcompute = PostcomputeStage(
             n_bits,
+            depth,
             wear_leveling=wear_leveling,
             device=device,
             spare_rows=spare_rows,
@@ -330,8 +342,27 @@ class KaratsubaController(PipelineController):
         )
 
     def _split(self, pairs):
-        chunk_bits = self.n_bits // 4
+        chunk_bits, chunks = self.n_bits >> self.depth, 1 << self.depth
         return [
-            (split_chunks(a, chunk_bits, 4), split_chunks(b, chunk_bits, 4))
+            (split_chunks(a, chunk_bits, chunks),
+             split_chunks(b, chunk_bits, chunks))
             for a, b in pairs
         ]
+
+
+def depth_study(
+    n_bits: int = 64, depths: Tuple[int, ...] = (1, 2, 3)
+) -> Dict[int, JobRecord]:
+    """One seeded multiplication per feasible depth through
+    :class:`KaratsubaController` (a measured counterpart to Fig. 4's
+    analytic sweep): ``{depth: job record}``."""
+    rng = random.Random(0xF164)
+    study: Dict[int, JobRecord] = {}
+    for depth in depths:
+        if n_bits % (1 << depth):
+            continue
+        controller = KaratsubaController(n_bits, depth)
+        study[depth] = controller.run_job(
+            rng.getrandbits(n_bits), rng.getrandbits(n_bits)
+        )
+    return study

@@ -12,9 +12,9 @@ the same construction):
   one reset cycle.
 * **multiply** — ``3^L`` parallel rows of width ``n/2^L + L``.
 * **postcompute** — a 1.5n-wide adder (the top-level LSB pass-through
-  works for every L); the number of passes comes from a greedy batching
-  scheduler over the plan's combine tree, which reproduces the paper's
-  11 passes exactly at L = 2.
+  works for every L); the passes are the plan's batched combine-tree
+  schedule (:meth:`~repro.karatsuba.unroll.UnrolledPlan.postcompute_schedule`),
+  the same list the postcompute stage replays: the paper's 11 at L = 2.
 
 The max-writes-per-cell model reflects wear-leveling (which halves the
 per-region accumulation) plus the small reorder/reset constants; it
@@ -24,7 +24,7 @@ reproduces the paper's 81 / 92 / 134 / 198 column cell-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.arith import rowmul
 from repro.arith.bitops import ceil_div, ceil_log2
@@ -96,11 +96,10 @@ def _validate(n_bits: int, depth: int) -> None:
 def precompute_cost(n_bits: int, depth: int = 2) -> StageCost:
     """Generalised precompute stage cost (paper Sec. IV-C at L = 2)."""
     _validate(n_bits, depth)
+    plan = build_plan(n_bits, depth)
     inputs = 2 << depth                      # 2^(L+1) chunks
-    additions = 2 * (3**depth - 2**depth)
-    adder_width = n_bits // (1 << depth) + depth - 1 if depth > 1 else (
-        n_bits // 2
-    )
+    additions = len(plan.precompute_adds)    # 2 (3^L - 2^L)
+    adder_width = plan.max_precompute_input_width
     cols = adder_width + 1
     rows = inputs + additions + SCRATCH_ROWS
     latency = inputs + additions * adder_latency_cc(adder_width) + 1
@@ -110,69 +109,20 @@ def precompute_cost(n_bits: int, depth: int = 2) -> StageCost:
 def multiply_cost(n_bits: int, depth: int = 2) -> StageCost:
     """Generalised multiplication stage cost (paper Sec. IV-D at L = 2)."""
     _validate(n_bits, depth)
-    width = n_bits // (1 << depth) + depth
-    rows = 3**depth
+    plan = build_plan(n_bits, depth)
+    width = plan.max_mult_width
     return StageCost(
         name="multiply",
-        area_cells=rows * rowmul.area_cells(width),
+        area_cells=len(plan.multiplications) * rowmul.area_cells(width),
         latency_cc=rowmul.latency_cc(width),
     )
 
 
 def postcompute_passes(plan: UnrolledPlan, window_bits: int) -> int:
-    """Adder passes of the batched postcompute schedule.
-
-    Batching: operations of the same kind at the same tree level share
-    a full-width pass when their operand blocks (each spanning its
-    result width plus one gap column) pack side by side into the
-    window; the pass count per group is a first-fit-decreasing bin
-    packing, mirroring how the stage lays blocks out.  The top node
-    always contributes three passes (t-add, subtract, and the final
-    top-1.5n addition; its low product appends for free).  Reproduces
-    the paper's 11 passes for L = 2 at every operand width.
-    """
-    by_level: Dict[int, List] = {}
-    for node in plan.combine_nodes[:-1]:
-        by_level.setdefault(node.level, []).append(node)
-
-    def packed(spans: List[int]) -> int:
-        """First-fit-decreasing bin count with bins of *window_bits*."""
-        if not spans:
-            return 0
-        bins: List[int] = []
-        for span in sorted(spans, reverse=True):
-            span = min(span, window_bits)   # a lone op always fits
-            for index, free in enumerate(bins):
-                if span <= free:
-                    bins[index] = free - span
-                    break
-            else:
-                bins.append(window_bits - span)
-        return len(bins)
-
-    passes = 0
-    for _, nodes in sorted(by_level.items()):
-        # t = low + high: block spans the high product plus carry + gap.
-        passes += packed(
-            [plan.product_widths[node.high] + 2 for node in nodes]
-        )
-        # ~c = mid - t: block spans the mid product plus gap.
-        passes += packed(
-            [plan.product_widths[node.mid] + 2 for node in nodes]
-        )
-        # u = low + (high << 2s) for nodes whose low cannot append.
-        passes += packed(
-            [
-                node.result_width + 2
-                for node in nodes
-                if not node.appendable
-            ]
-        )
-        # c = (high || low) + ~c << s, one per node.
-        passes += packed([node.result_width + 2 for node in nodes])
-    # Top node: t-add, subtract, final top-window addition.
-    passes += 3
-    return passes
+    """Adder passes of the batched postcompute schedule: the length of
+    :meth:`UnrolledPlan.postcompute_schedule`, the pass list the
+    postcompute stage replays (the paper's 11 at L = 2)."""
+    return len(plan.postcompute_schedule(window_bits))
 
 
 def postcompute_cost(n_bits: int, depth: int = 2) -> StageCost:
@@ -320,11 +270,11 @@ def residue_overhead(
     _validate(n_bits, depth)
     if residue_bits < 2:
         raise DesignError("residue width must be at least 2 bits")
-    pre_checks = 2 * (3**depth - 2**depth)
-    pre_width = n_bits // (1 << depth) + depth - 1 if depth > 1 else n_bits // 2
-    mul_checks = 3**depth
-    mul_width = 2 * (n_bits // (1 << depth) + depth)
     plan = build_plan(n_bits, depth)
+    pre_checks = len(plan.precompute_adds)
+    pre_width = plan.max_precompute_input_width
+    mul_checks = len(plan.multiplications)
+    mul_width = 2 * plan.max_mult_width
     window = (3 * n_bits) // 2
     post_checks = postcompute_passes(plan, window)
     return ResidueOverhead(

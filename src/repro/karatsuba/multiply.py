@@ -1,11 +1,12 @@
 """Multiplication stage of the CIM Karatsuba multiplier (Sec. IV-D).
 
-Nine single-row multipliers (Sec. IV-D adopts the MultPIM approach [9]
-with shared input/output memory) run in parallel, one memory row each.
-The widest multiplication computes ``c_mm`` from ``n/4 + 2``-bit
-operands, so every row is provisioned for that width:
+One single-row multiplier per partial product of the unrolled plan
+(Sec. IV-D adopts the MultPIM approach [9] with shared input/output
+memory) runs in parallel, one memory row each: ``3^L`` rows, nine
+for the paper's L = 2 design.  Every row is provisioned for the
+plan's widest operands (``c_mm``'s ``n/4 + 2`` bits at L = 2):
 
-* area: ``9 * 12 * (n/4 + 2)`` cells;
+* area: ``9 * 12 * (n/4 + 2)`` cells at L = 2;
 * latency: ``(n/4+2) * (ceil(log2(n/4+2)) + 14) + 3`` cc (all rows
   finish together because the controller schedules them in lock-step).
 
@@ -17,63 +18,44 @@ the hottest cell's write accumulation
 
 from __future__ import annotations
 
-from repro.arith import rowmul
 from repro.arith.rowmul import LockstepRowStage
+from repro.karatsuba import cost
 from repro.karatsuba.unroll import UnrolledPlan, build_plan
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS
-from repro.sim.exceptions import DesignError
-
-#: Parallel multiplier rows in the L = 2 design.
-NUM_ROWS = 9
 
 
-def operand_width(n_bits: int) -> int:
-    """Widest partial-multiplication operand: ``n/4 + 2`` bits."""
-    _check_width(n_bits)
-    return n_bits // 4 + 2
+def area_cells(n_bits: int, depth: int = 2) -> int:
+    """Stage footprint: ``9 * 12 * (n/4 + 2)`` cells at L = 2."""
+    return cost.multiply_cost(n_bits, depth).area_cells
 
 
-def area_cells(n_bits: int) -> int:
-    """Stage footprint: ``9 * 12 * (n/4 + 2)`` cells."""
-    return NUM_ROWS * rowmul.area_cells(operand_width(n_bits))
-
-
-def latency_cc(n_bits: int) -> int:
+def latency_cc(n_bits: int, depth: int = 2) -> int:
     """Stage latency, set by the widest row: ``m(ceil(log2 m)+14)+3``."""
-    return rowmul.latency_cc(operand_width(n_bits))
-
-
-def _check_width(n_bits: int) -> None:
-    if n_bits < 8 or n_bits % 4:
-        raise DesignError(
-            f"the L=2 design needs n divisible by 4 and >= 8, got {n_bits}"
-        )
+    return cost.multiply_cost(n_bits, depth).latency_cc
 
 
 class MultiplicationStage(LockstepRowStage):
-    """Cycle-accurate multiplication subarray (nine parallel rows).
+    """Cycle-accurate multiplication subarray (one row per product).
 
     Each operand set must contain every name referenced by the plan
     (the precompute stage's output mapping is exactly that); all
-    ``9 B`` sub-products of a batch run as one bit-sliced
+    ``3^L B`` sub-products of a batch run as one bit-sliced
     :func:`~repro.arith.rowmul.lockstep_pass`, each residue-verified.
     """
 
     def __init__(
         self,
         n_bits: int,
+        depth: int = 2,
         wear_leveling: bool = True,
         residue_bits: int = DEFAULT_RESIDUE_BITS,
     ):
-        _check_width(n_bits)
         self.n_bits = n_bits
-        self.plan: UnrolledPlan = build_plan(n_bits, 2)
+        self.plan: UnrolledPlan = build_plan(n_bits, depth)
         super().__init__(
-            operand_width(n_bits),
+            self.plan.max_mult_width,
             [(s.out, s.lhs, s.rhs) for s in self.plan.multiplications],
             "multiply",
             wear_leveling=wear_leveling,
             residue_bits=residue_bits,
         )
-        if len(self.rows) != NUM_ROWS:
-            raise AssertionError("unexpected L=2 multiplication count")

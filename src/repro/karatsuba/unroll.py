@@ -19,6 +19,9 @@ The generated :class:`UnrolledPlan` is fully symbolic *and* executable:
   operand widths (the paper's 9 / 27 / 81);
 * ``combine_nodes`` — the postcomputation tree, bottom-up, with shift
   amounts and appendability of each low product;
+* :meth:`UnrolledPlan.postcompute_schedule` — the batched adder
+  passes that walk the combine tree (the postcompute stage replays
+  them and the cost model counts them);
 * :meth:`UnrolledPlan.evaluate` — executes the plan on concrete
   integers, giving a bit-exact reference for any depth.
 """
@@ -95,6 +98,26 @@ class CombineNode:
     level: int
 
 
+#: ``(op, phase)`` of every inner tree level, in pass order.
+LEVEL_PHASES = (("add", "t"), ("sub", "tilde"), ("add", "u"), ("add", "combine"))
+#: ``(op, phase)`` of the top node, in pass order.
+TOP_PHASES = (("add", "t"), ("sub", "tilde"), ("add", "top"))
+
+
+@dataclass(frozen=True)
+class CombinePass:
+    """One postcompute adder pass: *op* over side-by-side operand blocks.
+
+    ``blocks`` holds ``(node, first column, span)`` per combine node
+    the pass serves; zeroed gap columns keep the blocks independent
+    (a killed carry for additions, a zero borrow for subtractions).
+    """
+
+    op: str
+    phase: str
+    blocks: Tuple[Tuple[CombineNode, int, int], ...]
+
+
 @dataclass
 class UnrolledPlan:
     """Complete symbolic schedule of one depth-L unrolled multiplication."""
@@ -134,6 +157,11 @@ class UnrolledPlan:
     # -- execution -----------------------------------------------------
     def evaluate(self, a: int, b: int) -> int:
         """Execute the plan on concrete operands (bit-exact reference)."""
+        return self.intermediate_values(a, b)[self.combine_nodes[-1].out]
+
+    def intermediate_values(self, a: int, b: int) -> Dict[str, int]:
+        """Every named value of the plan on concrete operands (the
+        stage tests cross-check their layouts against it)."""
         if a >> self.n_bits or b >> self.n_bits or a < 0 or b < 0:
             raise DesignError(f"operands must fit in {self.n_bits} bits")
         values: Dict[str, int] = {}
@@ -152,28 +180,80 @@ class UnrolledPlan:
                 low + (high << (2 * node.shift_bits))
                 + ((mid - low - high) << node.shift_bits)
             )
-        return values[self.combine_nodes[-1].out]
-
-    def intermediate_values(self, a: int, b: int) -> Dict[str, int]:
-        """Like :meth:`evaluate` but returning every named value (used
-        by the stage implementations to cross-check their layouts)."""
-        values: Dict[str, int] = {}
-        for prefix, operand in (("a", a), ("b", b)):
-            for i, chunk in enumerate(
-                split_chunks(operand, self.chunk_bits, self.num_chunks)
-            ):
-                values[f"{prefix}{i}"] = chunk
-        for step in self.precompute_adds:
-            values[step.out] = values[step.lhs] + values[step.rhs]
-        for step in self.multiplications:
-            values[step.out] = values[step.lhs] * values[step.rhs]
-        for node in self.combine_nodes:
-            low, high, mid = values[node.low], values[node.high], values[node.mid]
-            values[node.out] = (
-                low + (high << (2 * node.shift_bits))
-                + ((mid - low - high) << node.shift_bits)
-            )
         return values
+
+    # -- postcompute schedule -----------------------------------------
+    def postcompute_schedule(self, window_bits: int) -> List[CombinePass]:
+        """The batched postcompute adder passes (Sec. IV-E), in order.
+
+        Per tree level, deepest first, four phases run in turn: the
+        ``t = low + high`` additions, the ``~c = mid - t``
+        subtractions, the ``u = low + (high << 2s)`` additions of the
+        nodes whose low product cannot append, and the combine
+        additions ``c = u + (~c << s)``.  Each phase packs its nodes'
+        operand blocks side by side, first-fit, into passes of
+        *window_bits* columns: in node order, or widest block first
+        when that needs fewer passes.  A block spans its operand
+        width plus a carry and a gap column, and a lone block always
+        fits.  The top node then runs its t-addition, its subtraction
+        and the final addition on the top ``window_bits`` bits (the
+        low half of ``c_l`` passes straight through).  At L = 2 this
+        is the paper's 11 passes at every operand width.
+        """
+        widths = self.product_widths
+        span_of = {
+            "t": lambda node: widths[node.high] + 2,
+            "tilde": lambda node: widths[node.mid] + 2,
+            "u": lambda node: node.result_width + 2,
+            "combine": lambda node: node.result_width + 2,
+        }
+        *inner, top = self.combine_nodes
+        passes: List[CombinePass] = []
+        for level in sorted({node.level for node in inner}, reverse=True):
+            nodes = [node for node in inner if node.level == level]
+            for op, phase in LEVEL_PHASES:
+                spans = [
+                    (node, min(span_of[phase](node), window_bits))
+                    for node in nodes
+                    if phase != "u" or not node.appendable
+                ]
+                # Node order keeps the paper's L = 2 layout ({l, h},
+                # then {m}); widest-first (first-fit decreasing) packs
+                # some deep levels of narrow operands tighter (L = 3,
+                # n = 16).
+                bins = _first_fit(spans, window_bits)
+                widest_first = _first_fit(
+                    sorted(spans, key=lambda entry: -entry[1]), window_bits
+                )
+                if len(widest_first) < len(bins):
+                    bins = widest_first
+                passes += [CombinePass(op, phase, blocks) for blocks in bins]
+        passes += [
+            CombinePass(op, phase, ((top, 0, window_bits),))
+            for op, phase in TOP_PHASES
+        ]
+        return passes
+
+
+def _first_fit(
+    spans: List[Tuple[CombineNode, int]], window_bits: int
+) -> List[Tuple[Tuple[CombineNode, int, int], ...]]:
+    """Pack ``(node, span)`` blocks first-fit, in the given order, into
+    passes of *window_bits* columns: ``(node, first column, span)``
+    per block, per pass."""
+    free: List[int] = []
+    bins: List[list] = []
+    for node, span in spans:
+        for index, left in enumerate(free):
+            if span <= left:
+                break
+        else:
+            index = len(free)
+            free.append(window_bits)
+            bins.append([])
+        bins[index].append((node, window_bits - free[index], span))
+        free[index] -= span
+    return [tuple(blocks) for blocks in bins]
 
 
 def _merge_name(prefix: str, indices: Tuple[int, ...], compact: bool) -> str:

@@ -32,7 +32,7 @@ crossbar itself.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict
 
 from repro.sim.exceptions import StageSelfCheckError
 
@@ -109,10 +109,14 @@ class ResidueChecker:
         """Residue of a full-width value (input digestion)."""
         return value % self.modulus
 
-    def _verify(self, sensed: int, predicted: int, location: str) -> None:
+    def _verify(
+        self, sensed: int, predicted: int, location: str, lane=None
+    ) -> None:
         self.checks += 1
         if sensed % self.modulus != predicted:
             self.mismatches += 1
+            if lane is not None:
+                location = f"{location}[{lane}]"
             raise StageSelfCheckError(
                 f"{self.stage}: residue mismatch at {location}: "
                 f"res(sensed)={sensed % self.modulus} != predicted "
@@ -122,16 +126,20 @@ class ResidueChecker:
                 location=location,
             )
 
-    def check_sum(
-        self, sensed: int, operand_residues: Sequence[int], location: str
+    def check_adder(
+        self, sensed: int, op: str, x: int, y: int, location: str, lane=None
     ) -> int:
-        """Verify a sensed sum against its operands' residues.
-
-        Returns the (verified) residue of the sensed value so callers
-        can propagate it to downstream checks without re-folding.
-        """
-        predicted = sum(operand_residues) % self.modulus
-        self._verify(sensed, predicted, location)
+        """Verify a sensed adder result, ``x + y`` for ``op == "add"``
+        and ``x - y`` otherwise, against the operands' residues, and
+        return its (verified) residue.  A mismatch on SIMD *lane* is
+        located at ``location[lane]`` (the string is only built on a
+        mismatch)."""
+        modulus = self.modulus
+        if op == "add":
+            predicted = (x % modulus + y % modulus) % modulus
+        else:
+            predicted = (x % modulus - y % modulus) % modulus
+        self._verify(sensed, predicted, location, lane)
         return predicted
 
     def check_product(
@@ -139,26 +147,6 @@ class ResidueChecker:
     ) -> int:
         """Verify a sensed sub-product: ``res(z) == res(x)·res(y)``."""
         predicted = (ra * rb) % self.modulus
-        self._verify(sensed, predicted, location)
-        return predicted
-
-    def check_linear(
-        self,
-        sensed: int,
-        terms: Sequence[Tuple[int, int]],
-        location: str,
-    ) -> int:
-        """Verify a sensed linear combination ``sum(coeff_i · x_i)``.
-
-        *terms* pairs each operand's residue with its (signed, possibly
-        power-of-two) coefficient — the shape of every Karatsuba
-        combine step (``z1 = t − z0 − z2``, ``p = z2·2^n + z1·2^(n/2) +
-        z0``).
-        """
-        predicted = 0
-        for operand_residue, coeff in terms:
-            predicted += operand_residue * coeff
-        predicted %= self.modulus
         self._verify(sensed, predicted, location)
         return predicted
 

@@ -1,4 +1,4 @@
-"""Tests for the generic-depth design and the artifact writer."""
+"""Tests for the any-depth Karatsuba design and the artifact writer."""
 
 from __future__ import annotations
 
@@ -8,57 +8,50 @@ import pytest
 
 from repro.eval.artifacts import write_all
 from repro.karatsuba import cost
-from repro.karatsuba.generic import GenericKaratsubaMultiplier, depth_study
+from repro.karatsuba.controller import KaratsubaController, depth_study
 from repro.karatsuba.unroll import build_plan
 from repro.sim.exceptions import DesignError
 from tests.conftest import random_operand
 
 
 class TestGenericDesign:
+    """The one Karatsuba controller at unroll depths beyond the paper's
+    L = 2 (the full conformance matrix is ``test_depth_conformance``)."""
+
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_correctness_at_depth(self, depth, rng):
-        mul = GenericKaratsubaMultiplier(64, depth)
+        controller = KaratsubaController(64, depth=depth)
         for _ in range(3):
             a = random_operand(rng, 64)
             b = random_operand(rng, 64)
-            assert mul.multiply(a, b) == a * b
+            assert controller.run_job(a, b).product == a * b
 
     def test_depth_four_small_width(self, rng):
-        mul = GenericKaratsubaMultiplier(32, 4)
+        controller = KaratsubaController(32, depth=4)
         a, b = rng.getrandbits(32), rng.getrandbits(32)
-        assert mul.multiply(a, b) == a * b
+        assert controller.run_job(a, b).product == a * b
 
     def test_operand_validation(self):
-        mul = GenericKaratsubaMultiplier(64, 2)
+        controller = KaratsubaController(64, depth=3)
         with pytest.raises(DesignError):
-            mul.multiply(1 << 64, 1)
+            controller.run_job(1 << 64, 1)
         with pytest.raises(DesignError):
-            mul.multiply(-1, 1)
+            controller.run_job(-1, 1)
 
-    def test_precompute_passes_match_plan(self, rng):
+    def test_precompute_passes_match_plan(self):
         for depth in (1, 2, 3):
-            mul = GenericKaratsubaMultiplier(64, depth)
-            mul.multiply(rng.getrandbits(64), rng.getrandbits(64))
+            controller = KaratsubaController(64, depth=depth)
             plan = build_plan(64, depth)
-            assert mul.last_stats.precompute_passes == len(
+            assert len(controller.precompute.adder_passes()) == len(
                 plan.precompute_adds
             )
 
-    def test_l2_matches_hand_batched_stage_semantics(self, rng):
-        """The generic (unbatched) L=2 postcompute uses 13 passes —
-        exactly the ablation's unbatched count; the production stage's
-        hand-batched schedule does it in 11."""
-        mul = GenericKaratsubaMultiplier(64, 2)
-        mul.multiply(rng.getrandbits(64), rng.getrandbits(64))
-        assert mul.last_stats.postcompute_passes == 13
-
     def test_precompute_latency_matches_cost_model_at_l2(self, rng):
-        """At L=2 the generic precompute walks the same schedule as the
-        production stage, so its cycle count matches the closed form."""
-        mul = GenericKaratsubaMultiplier(64, 2)
-        mul.multiply(rng.getrandbits(64), rng.getrandbits(64))
+        record = KaratsubaController(64).run_job(
+            rng.getrandbits(64), rng.getrandbits(64)
+        )
         assert (
-            mul.last_stats.precompute_cycles
+            record.precompute_cycles
             == cost.precompute_cost(64, 2).latency_cc
         )
 
@@ -77,11 +70,10 @@ class TestGenericDesign:
         assert 2 in study
 
     def test_area_measured(self):
-        mul = GenericKaratsubaMultiplier(64, 2)
-        assert mul.area_cells > 0
-        deeper = GenericKaratsubaMultiplier(64, 3)
+        shipped = KaratsubaController(64)
+        deeper = KaratsubaController(64, depth=3)
         # 27 multiplier rows beat 9, despite being narrower each.
-        assert deeper.area_cells > mul.area_cells
+        assert deeper.area_cells > shipped.area_cells > 0
 
 
 class TestArtifactWriter:

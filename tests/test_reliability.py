@@ -82,8 +82,7 @@ class TestResidueAlgebra:
 class TestResidueChecker:
     def test_check_sum_passes_and_propagates(self):
         checker = ResidueChecker("precompute")
-        ra, rb = checker.res(1234), checker.res(5678)
-        out = checker.check_sum(1234 + 5678, (ra, rb), "s1")
+        out = checker.check_adder(1234 + 5678, "add", 1234, 5678, "s1")
         assert out == checker.res(1234 + 5678)
         assert checker.checks == 1
         assert checker.mismatches == 0
@@ -101,9 +100,13 @@ class TestResidueChecker:
 
     def test_check_linear_subtraction(self):
         checker = ResidueChecker("postcompute")
-        rx, ry = checker.res(9000), checker.res(400)
-        checker.check_linear(9000 - 400, ((rx, 1), (ry, -1)), "pass-2")
+        checker.check_adder(9000 - 400, "sub", 9000, 400, "pass-2")
         assert checker.stats()["checks"] == 1
+        # A mismatch on a SIMD lane is located at ``location[lane]``.
+        with pytest.raises(StageSelfCheckError) as excinfo:
+            checker.check_adder(9000 - 401, "sub", 9000, 400, "pass-2", 3)
+        assert excinfo.value.location == "pass-2[3]"
+        assert checker.mismatches == 1
 
 
 # ----------------------------------------------------------------------

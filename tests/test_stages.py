@@ -135,7 +135,9 @@ class TestPostcomputeStage:
         assert postcompute.latency_cc(384) == 121 * 10 + 187 + 18
 
     def test_eleven_passes(self):
-        assert postcompute.NUM_PASSES == 11
+        """The stage replays the paper's 11 passes at every width."""
+        for n in (16, 64, 256, 384):
+            assert len(PostcomputeStage(n).adder_passes()) == 11
 
     def test_recombination_correct(self, rng):
         plan = build_plan(64, 2)
