@@ -29,6 +29,7 @@ every lane, not one figure per lane).
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -450,11 +451,20 @@ class CrossbarArray:
         )
 
 
-def _lane_spread(bits: np.ndarray, lane_bits: int) -> int:
-    """Packed row holding ``bits[col]`` in every lane of each column."""
-    expanded = np.repeat(np.asarray(bits, dtype=bool), lane_bits)
-    raw = np.packbits(expanded, bitorder="little")
-    return int.from_bytes(raw.tobytes(), "little")
+@functools.lru_cache(maxsize=128)
+def _repunit(batch: int, cols: int) -> int:
+    """Lane-major row with column 0 set in each of *batch* lanes: a
+    column word times it sets that word in every lane.  Cached, so an
+    array or plan of a known shape pays no big-int arithmetic for it."""
+    return sum(1 << lane * cols for lane in range(batch))
+
+
+def _lane_spread(bits: np.ndarray, batch: int) -> int:
+    """Packed row holding the ``(cols,)`` word *bits* in each of *batch*
+    lanes."""
+    bits = np.asarray(bits, dtype=bool)
+    raw = np.packbits(bits, bitorder="little")
+    return int.from_bytes(raw.tobytes(), "little") * _repunit(batch, len(bits))
 
 
 class WordPackedCrossbarArray:
@@ -463,13 +473,12 @@ class WordPackedCrossbarArray:
     *batch* independent lanes of a :class:`CrossbarArray` evaluated in
     lock-step — the paper's row-parallel SIMD execution across
     replicated operand sets.  Each physical word line is stored as one
-    Python integer in which bit ``col * lane_bits + lane`` holds lane
-    *lane*'s value of column *col*.  The lane stride is the batch rounded up to a power of two,
-    ``lane_bits = 1 << (batch - 1).bit_length()`` (1, 2, 4, ..., 64,
-    128, ...), so a row is as wide as the work it holds and a program
-    meets at most a handful of distinct strides.  A row-parallel MAGIC
-    NOR over the whole batch is then a handful of bitwise integer
-    operations.
+    Python integer, lane-major: bit ``lane * cols + col`` holds lane
+    *lane*'s value of column *col*, so a row is exactly ``batch * cols``
+    bits and each lane's word is one contiguous field (at one lane the
+    row is the plain word).  A column mask, field or fault pin is a
+    column word times :func:`_repunit`.  A row-parallel MAGIC NOR over
+    the whole batch is then a handful of bitwise integer operations.
 
     Accounting matches one :class:`CrossbarArray` per lane exactly —
     ``writes`` is ``(phys_rows, cols)`` and counts pulses **per lane**
@@ -489,12 +498,9 @@ class WordPackedCrossbarArray:
       ``(phys_rows, cols)`` per-lane counters when :attr:`writes` is
       read.
 
-    Lanes beyond the real batch (when ``batch`` is not a power of two)
-    replicate the last real lane everywhere — initial state, operand
-    marshalling, fault pinning — so full-word invariants such as the
-    strict-MAGIC init check are exactly equivalent to checking the real
-    lanes.  Energy events are ANDed with the real-lane mask before they
-    are counted, so the padding never reaches the energy total.
+    Every bit of a row belongs to a lane, so full-word invariants
+    such as the strict-MAGIC init check are exactly per-lane checks, and
+    an event's ``bit_count`` is its switched cells over the batch.
     """
 
     def __init__(
@@ -518,14 +524,10 @@ class WordPackedCrossbarArray:
         self.spare_rows = spare_rows
         self.device = device if device is not None else DeviceModel()
         self.strict_magic = strict_magic
-        #: Bits reserved per column: one per lane, padded to a power of two.
-        self.lane_bits = 1 << (batch - 1).bit_length()
-        self.row_bits = cols * self.lane_bits
+        self.row_bits = batch * cols
         self._full = (1 << self.row_bits) - 1
-        self._lane_block = (1 << self.lane_bits) - 1
-        #: Packed-cell mask of the real lanes of every column (``_full``
-        #: at a power-of-two batch); energy events are counted under it.
-        self._real_lanes = ((1 << batch) - 1) * (self._full // self._lane_block)
+        #: Column 0 of every lane; ``_repunit << col`` pins column *col*.
+        self._repunit = _repunit(batch, cols)
         #: One packed integer per physical word line.
         self._state: list = [0] * (rows + spare_rows)
         self._writes = np.zeros((rows + spare_rows, cols), dtype=np.int64)
@@ -533,7 +535,7 @@ class WordPackedCrossbarArray:
         self._pending_writes: list = []
         #: Per-lane-identical energy (data-independent pulses).
         self._energy_const = 0.0
-        #: Data-dependent energy: switched real-lane cells per coefficient.
+        #: Data-dependent energy: switched cells per coefficient.
         self._energy_counts: Dict[float, int] = {}
         self._faults: Dict[Tuple[int, int], str] = {}
         self._row_map = list(range(rows))
@@ -563,7 +565,7 @@ class WordPackedCrossbarArray:
             out.reset_to_ones()
         else:
             for phys in range(array.rows + array.spare_rows):
-                out._state[phys] = out._pack_uniform(array.state[phys])
+                out._state[phys] = _lane_spread(array.state[phys], batch)
         out._faults = dict(array._faults)
         out._row_map = list(array._row_map)
         out._apply_faults()
@@ -572,24 +574,10 @@ class WordPackedCrossbarArray:
     # ------------------------------------------------------------------
     # Packing helpers
     # ------------------------------------------------------------------
-    def _pack_uniform(self, bits: np.ndarray) -> int:
-        """Packed row holding one ``(cols,)`` word in every lane."""
-        return _lane_spread(bits, self.lane_bits)
-
     def _pack_word(self, bits: np.ndarray) -> int:
-        """Packed row from a ``(batch, cols)`` per-lane word matrix.
-
-        Padding lanes replicate the last real lane (see class notes).
-        """
-        bits = np.asarray(bits, dtype=bool)
-        if self.lane_bits != self.batch:
-            pad = np.broadcast_to(
-                bits[-1:], (self.lane_bits - self.batch, self.cols)
-            )
-            bits = np.concatenate([bits, pad], axis=0)
-        raw = np.packbits(
-            np.ascontiguousarray(bits.T).reshape(-1), bitorder="little"
-        )
+        """Packed row from a ``(batch, cols)`` per-lane word matrix."""
+        flat = np.ascontiguousarray(bits, dtype=bool).reshape(-1)
+        raw = np.packbits(flat, bitorder="little")
         return int.from_bytes(raw.tobytes(), "little")
 
     def _unpack_word(self, value: int) -> np.ndarray:
@@ -597,16 +585,14 @@ class WordPackedCrossbarArray:
         raw = np.frombuffer(
             value.to_bytes((self.row_bits + 7) // 8, "little"), dtype=np.uint8
         )
-        bits = np.unpackbits(raw, bitorder="little")[: self.row_bits].reshape(
-            self.cols, self.lane_bits
-        )
-        return np.ascontiguousarray(bits[:, : self.batch].T).astype(bool)
+        bits = np.unpackbits(raw, bitorder="little")[: self.row_bits]
+        return bits.reshape(self.batch, self.cols).astype(bool)
 
     def _mask_int(self, mask: Optional[np.ndarray]) -> int:
         """Packed-cell mask selecting every lane of the masked columns."""
         if mask is None:
             return self._full
-        return _lane_spread(self._mask(mask), self.lane_bits)
+        return _lane_spread(self._mask(mask), self.batch)
 
     # ------------------------------------------------------------------
     # Deferred accounting
@@ -617,8 +603,8 @@ class WordPackedCrossbarArray:
         counts[coeff] = counts.get(coeff, 0) + cells
 
     def _add_energy_event(self, coeff: float, mask: int) -> None:
-        """Charge *coeff* femtojoules to every set real-lane cell of *mask*."""
-        self._add_energy_cells(coeff, (mask & self._real_lanes).bit_count())
+        """Charge *coeff* femtojoules to every set cell of *mask*."""
+        self._add_energy_cells(coeff, mask.bit_count())
 
     def _flush_writes(self) -> None:
         if not self._pending_writes:
@@ -680,11 +666,11 @@ class WordPackedCrossbarArray:
         if kind not in _FAULT_KINDS:
             raise FaultInjectionError(f"unknown fault kind {kind!r}")
         self._faults[(phys, col)] = kind
-        block = self._lane_block << (col * self.lane_bits)
+        pin = self._repunit << col
         if kind == FAULT_STUCK_AT_1:
-            self._state[phys] |= block
+            self._state[phys] |= pin
         else:
-            self._state[phys] &= ~block
+            self._state[phys] &= ~pin
 
     @property
     def faults(self) -> Dict[Tuple[int, int], str]:
@@ -693,11 +679,11 @@ class WordPackedCrossbarArray:
 
     def _apply_faults(self) -> None:
         for (row, col), kind in self._faults.items():
-            block = self._lane_block << (col * self.lane_bits)
+            pin = self._repunit << col
             if kind == FAULT_STUCK_AT_1:
-                self._state[row] |= block
+                self._state[row] |= pin
             else:
-                self._state[row] &= ~block
+                self._state[row] &= ~pin
 
     def repin_faults(self) -> None:
         """Re-assert every pinned fault onto the state (public hook)."""
@@ -846,7 +832,7 @@ class WordPackedCrossbarArray:
         return int(self.writes.sum())
 
     def total_energy_fj(self) -> float:
-        """Energy of every real lane together, in femtojoules."""
+        """Energy of every lane together, in femtojoules."""
         counts = self._energy_counts
         switched = sum(coeff * cells for coeff, cells in counts.items())
         return float(switched + self._energy_const * self.batch)
@@ -859,7 +845,4 @@ class WordPackedCrossbarArray:
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"WordPackedCrossbarArray({self.batch}x{self.rows}x{self.cols}, "
-            f"lane_bits={self.lane_bits})"
-        )
+        return f"WordPackedCrossbarArray({self.batch}x{self.rows}x{self.cols})"

@@ -9,9 +9,9 @@ strategies, accounting-equivalent per lane:
   bit-exact oracle the SIMD path is differentially tested against.
 * ``word`` — :class:`WordPackedBackend`: the
   :class:`~repro.magic.executor.WordPackedMagicExecutor` fast path
-  bit-slicing the lanes into big-integer rows at a power-of-two lane
-  stride (the batch rounded up: 1, 2, 4, ..., 64, 128 bits per
-  column); the :data:`DEFAULT_BACKEND` of every batch path.
+  packing the lanes into big-integer rows lane by lane (exactly
+  ``batch * cols`` bits); the :data:`DEFAULT_BACKEND` of every batch
+  path.
 
 A backend is a factory pair: :meth:`ExecutorBackend.make_array` clones
 a scalar template array into a batch-capable container and
@@ -256,7 +256,7 @@ class ScalarBackend(ExecutorBackend):
 
 
 class WordPackedBackend(ExecutorBackend):
-    """Big-integer SIMD replay at a power-of-two lane stride per column."""
+    """Big-integer SIMD replay over lane-major rows."""
 
     name = "word"
 

@@ -15,8 +15,8 @@ Two execution paths share one instruction set:
   :class:`CompiledProgram`, lowered to a physical-row replay plan (one
   step per gate, big-integer masks, rows already through the remap
   table), then replayed against a :class:`WordPackedCrossbarArray`
-  whose rows each pack every lane into one Python integer, the batch
-  rounded up to a power-of-two lane stride per column.
+  whose rows each pack every lane into one Python integer, lane by
+  lane, each lane's columns side by side.
 
 Per-lane results, cycle counts and write counters of the SIMD path are
 bit-identical to running the scalar executor once per lane, and its
@@ -42,6 +42,7 @@ from repro.crossbar.array import (
     CrossbarArray,
     WordPackedCrossbarArray,
     _lane_spread,
+    _repunit,
 )
 from repro.magic.ops import (
     Init,
@@ -127,13 +128,13 @@ def unpack_ints(words: np.ndarray) -> List[int]:
 
 
 def pack_lanes(values: Sequence[int], width: int, lane_bits: int) -> int:
-    """Bit-slice per-lane values position-major into one integer.
+    """Bit-slice per-lane values position-major into one integer (the
+    row multiplier's layout, :mod:`repro.arith.rowmul`).
 
     Bit ``i * lane_bits + lane`` of the result is bit *i* of
-    ``values[lane]``.  Lanes past ``len(values)`` repeat the last value,
-    so full-word invariants (strict NOR checks) stay equivalent to
-    per-lane ones.  At one lane the field is the (validated) value
-    itself, and nothing is packed.
+    ``values[lane]``.  Lanes past ``len(values)`` repeat the last value.
+    At one lane the field is the (validated) value itself, and nothing
+    is packed.
     """
     if lane_bits == 1:
         (value,) = values
@@ -656,14 +657,14 @@ class _WordLoweredProgram:
 
     :meth:`plan` turns the compiled steps into the flat step list
     :meth:`WordPackedMagicExecutor.execute` replays, once per
-    ``(lane_bits, row map, strict)``: rows are already physical, a
-    packed gang is one step per gate, and every column mask, field and
-    shift window is a big-int at the plan's lane stride (equal ones
-    built once).  A strict full-width gate with one or two inputs gets
-    its own step kind; masked, wider and non-strict gates share the
-    general one.  Gates keep their logical output row for hooks and
+    ``(batch, row map, strict)``: rows are already physical, a packed
+    gang is one step per gate, every column mask, field and shift
+    window is a big-int over the plan's lanes (equal ones built once),
+    and a whole-row INIT stores the all-ones row.  A strict full-width
+    gate with one or two inputs gets its own step kind; masked, wider
+    and non-strict gates share the general one.  Gates keep their logical output row for hooks and
     error messages.  Plans of one row map and strictness share their
-    stride-free gate steps, a repeated compiled step (one op a
+    lane-free gate steps, a repeated compiled step (one op a
     mega-program concatenates many times) reuses the entries of its
     first occurrence, and NOPs (pure idle cycles) are dropped.
     """
@@ -691,7 +692,7 @@ class _WordLoweredProgram:
         #: The compiled steps plans are built from (not the compiled
         #: program itself, which holds this lowering).
         self._steps = compiled.steps
-        #: (lane_bits, row_map, strict) -> replay plan.
+        #: (batch, row_map, strict) -> replay plan.
         self._plans: Dict[tuple, List[tuple]] = {}
 
         for step in compiled.steps:
@@ -735,22 +736,22 @@ class _WordLoweredProgram:
                 for row in also_init:
                     self.writes_recipe.append((row, mask))
 
-    def plan(self, lane_bits: int, row_map: tuple, strict: bool) -> List[tuple]:
-        """Replay steps at *lane_bits* lanes per column, rows resolved
-        through *row_map*, for a strict or non-strict array (built once
-        per key)."""
-        key = (lane_bits, row_map, strict)
+    def plan(self, batch: int, row_map: tuple, strict: bool) -> List[tuple]:
+        """Replay steps over *batch* lanes, rows resolved through
+        *row_map*, for a strict or non-strict array (built once per
+        key)."""
+        key = (batch, row_map, strict)
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = self._build_plan(lane_bits, row_map, strict)
+            plan = self._plans[key] = self._build_plan(batch, row_map, strict)
         return plan
 
-    def _build_plan(
-        self, lane_bits: int, row_map: tuple, strict: bool
-    ) -> List[tuple]:
-        full = (1 << (self.cols * lane_bits)) - 1
-        # A plan of the same row map and strictness at another stride
-        # lines up step for step; its stride-free gates are reused.
+    def _build_plan(self, batch: int, row_map: tuple, strict: bool) -> List[tuple]:
+        cols = self.cols
+        full = (1 << (cols * batch)) - 1
+        repunit = _repunit(batch, cols)
+        # A plan of the same row map and strictness at another batch
+        # lines up step for step; its lane-free entries are reused.
         sibling = next(
             (
                 plan
@@ -765,9 +766,10 @@ class _WordLoweredProgram:
         by_window: Dict[tuple, tuple] = {}
 
         def span(start: int, stop: int) -> int:
-            # Every lane of columns [start, stop).
-            width = (stop - start) * lane_bits
-            return ((1 << width) - 1) << (start * lane_bits)
+            # Every lane of columns [start, stop) (none if empty).
+            if start >= stop:
+                return 0
+            return (((1 << (stop - start)) - 1) << start) * repunit
 
         def masked(mask: Optional[np.ndarray]) -> tuple:
             # (m, full ^ m) of a column mask; equal masks share one pair.
@@ -776,12 +778,21 @@ class _WordLoweredProgram:
             key = mask.tobytes()
             pair = by_mask.get(key)
             if pair is None:
-                m = _lane_spread(mask, lane_bits)
+                m = _lane_spread(mask, batch)
                 pair = by_mask[key] = (m, full ^ m)
             return pair
 
+        def lane_free(entry: tuple) -> tuple:
+            # An entry that holds no lane mask: the sibling's, if any.
+            return entry if sibling is None else sibling[len(out)]
+
+        def init(phys: tuple, mask: Optional[int]) -> None:
+            # A whole-row INIT (mask None) stores the all-ones row.
+            entry = (_INIT, phys, mask)
+            out.append(entry if mask is not None else lane_free(entry))
+
         # A write hook sees the written columns: all of them, unmasked.
-        every_col = np.ones(self.cols, dtype=bool)
+        every_col = np.ones(cols, dtype=bool)
         every_col.flags.writeable = False
         out: List[tuple] = []
         # Plan entries per compiled step: a repeated step (a shared op
@@ -800,15 +811,12 @@ class _WordLoweredProgram:
                 ):
                     dst = row_map[out_row]
                     if strict and mask is None and len(in_rows) <= 2:
-                        if sibling is not None:
-                            out.append(sibling[len(out)])
-                        elif len(in_rows) == 1:
-                            out.append((_NOR1, row_map[in_rows[0]], dst, out_row))
+                        if len(in_rows) == 1:
+                            entry = (_NOR1, row_map[in_rows[0]], dst, out_row)
                         else:
                             a, b = in_rows
-                            out.append(
-                                (_NOR2, row_map[a], row_map[b], dst, out_row)
-                            )
+                            entry = (_NOR2, row_map[a], row_map[b], dst, out_row)
+                        out.append(lane_free(entry))
                         continue
                     phys = [row_map[row] for row in in_rows]
                     out.append(
@@ -825,14 +833,14 @@ class _WordLoweredProgram:
             elif code == _INIT:
                 _, rows, mask = step
                 phys = tuple(row_map[row] for row in rows)
-                out.append((_INIT, phys, masked(mask)[0]))
+                init(phys, None if mask is None else masked(mask)[0])
             elif code == _WRITE:
                 _, row, field, mask, spec = step
                 key = (field.start, field.stop)
                 pair = by_field.get(key)
                 if pair is None:
                     pair = by_field[key] = (
-                        field.start * lane_bits,
+                        field.start,
                         full ^ span(field.start, field.stop),
                     )
                 write_mask = every_col if mask is None else mask
@@ -841,14 +849,8 @@ class _WordLoweredProgram:
                 _, row, field, name = step
                 width = field.stop - field.start
                 out.append(
-                    (
-                        _READ,
-                        row_map[row],
-                        row,
-                        field.start * lane_bits,
-                        (1 << (width * lane_bits)) - 1,
-                        width,
-                        name,
+                    lane_free(
+                        (_READ, row_map[row], row, field.start, (1 << width) - 1, name)
                     )
                 )
             elif code == _SHIFT:
@@ -856,34 +858,41 @@ class _WordLoweredProgram:
                 key = (window.start, window.stop, offset, fill)
                 masks = by_window.get(key)
                 if masks is None:
-                    width = window.stop - window.start
-                    window_mask = span(window.start, window.stop)
+                    lo, hi = window.start, window.stop
+                    window_mask = span(lo, hi)
                     if not fill:
-                        fill_cols = (0, 0)
+                        fill_mask = 0
                     elif offset >= 0:
-                        fill_cols = (0, min(offset, width))
+                        fill_mask = span(lo, min(lo + offset, hi))
                     else:
-                        fill_cols = (max(width + offset, 0), width)
-                    fill_mask = span(*fill_cols) << (window.start * lane_bits)
+                        fill_mask = span(max(hi + offset, lo), hi)
+                    # The source columns that land inside the window: a
+                    # shifted lane cannot spill into its neighbour.
+                    keep = span(max(lo, lo - offset), min(hi, hi - offset))
                     masks = by_window[key] = (
-                        window_mask,
+                        keep,
                         full ^ window_mask,
                         fill_mask,
+                        None if mask is None else window_mask,
                     )
-                # Both masks sit at the window's column position, so the
-                # replay shifts the source row once, in place.
+                keep, not_window, fill_mask, init_mask = masks
                 out.append(
                     (
                         _SHIFT,
                         row_map[src],
                         row_map[dst],
                         dst,
-                        offset * lane_bits,
-                        *masks,
+                        offset,
+                        keep,
+                        not_window,
+                        fill_mask,
                         every_col if mask is None else mask,
-                        tuple(row_map[row] for row in also_init),
                     )
                 )
+                if also_init:
+                    # The piggy-backed INIT of the write cycle, replayed
+                    # right after the write as the window's own INIT.
+                    init(tuple(row_map[row] for row in also_init), init_mask)
             # _NOP: an idle cycle, nothing to replay.
             entries_of[id(step)] = out[start:]
         return out
@@ -949,24 +958,25 @@ class WordPackedMagicExecutor:
     """Replays compiled programs against a :class:`WordPackedCrossbarArray`.
 
     The word-packed fast path of the batched executor: every physical
-    row is one big integer holding every batch lane of every column at
-    a power-of-two lane stride, so a row-parallel NOR over the whole
-    batch is a handful of bitwise integer operations.  A replay walks
-    the program's physical-row plan (see :class:`_WordLoweredProgram`)
-    for the array's lane stride, row map and strictness, one Python
-    step per gate: a strict NOR writes back with one XOR, a SHIFT
-    shifts the masked source row once, and full-width gates apply no
-    mask.  Fault hooks and pinned faults are served in the same loop
-    behind one flag.
+    row is one big integer holding every lane's columns side by side
+    (lane-major, exactly ``batch * cols`` bits), so a row-parallel NOR
+    over the whole batch is a handful of bitwise integer operations.  A
+    replay walks the program's physical-row plan (see
+    :class:`_WordLoweredProgram`) for the array's batch, row map and
+    strictness, one Python step per gate: a strict NOR writes back with
+    one XOR, a SHIFT shifts the source row's in-window columns once, and
+    full-width gates apply no mask.  A WRITE operand is each lane's
+    value shifted to its lane's field and ORed together; a READ result
+    is each lane's field shifted out and masked.  Fault hooks and pinned
+    faults are served in the same loop behind one flag.
     Accounting is deferred: data-dependent switching energy costs one
-    ``int.bit_count`` per event, of the event's mask ANDed with the
-    array's real-lane mask, into two local totals added to the array's
-    counters once per replay, at every lane count.  The array reports
-    one energy total (:meth:`WordPackedCrossbarArray.total_energy_fj`),
-    equal to the sum of the scalar oracle's lanes; per-lane energy is
-    not kept, so each lane's :attr:`RunStats.energy_fj` is ``nan``.
-    Write counters are applied as one precomputed per-program delta, and
-    a one-lane replay packs and unpacks no operands — per-lane results,
+    ``int.bit_count`` per event, into two local totals added to the
+    array's counters once per replay, at every lane count.  The array
+    reports one energy total
+    (:meth:`WordPackedCrossbarArray.total_energy_fj`), equal to the sum
+    of the scalar oracle's lanes; per-lane energy is not kept, so each
+    lane's :attr:`RunStats.energy_fj` is ``nan``.  Write counters are
+    applied as one precomputed per-program delta — per-lane results,
     cycle counts and write counters stay bit-identical to the oracle.
     """
 
@@ -1022,7 +1032,8 @@ class WordPackedMagicExecutor:
                 f"got {len(bindings_list)} binding sets for {batch} lanes"
             )
         lowered = self._lowered(compiled)
-        lane_bits = array.lane_bits
+        # Lane *lane*'s field starts at bit lane * cols of a row.
+        lane_shifts = range(0, batch * array.cols, array.cols)
         packed: Dict[Tuple[str, int], int] = {}
         for name, width in compiled.write_specs:
             try:
@@ -1031,12 +1042,16 @@ class WordPackedMagicExecutor:
                 raise ProgramError(
                     f"WRITE references unbound operand {name!r}"
                 ) from None
-            packed[(name, width)] = pack_lanes(values, width, lane_bits)
+            _check_storable(values, width)
+            word = 0
+            for value, lane_shift in zip(values, lane_shifts):
+                word |= value << lane_shift
+            packed[(name, width)] = word
 
         results: List[Dict[str, int]] = [{} for _ in range(batch)]
         row_map = tuple(array._row_map)
         strict = array.strict_magic
-        plan = lowered.plan(lane_bits, row_map, strict)
+        plan = lowered.plan(batch, row_map, strict)
         hook = self.fault_hook
         # Hooks and pinned faults are the slow path; nothing else can
         # pin a fault mid-replay, so the flag holds for the whole loop.
@@ -1046,10 +1061,8 @@ class WordPackedMagicExecutor:
         w_coeff = device.e_set_fj - e_reset
         state = array._state
         full = array._full
-        one = lane_bits == 1
-        # Switching energy per coefficient: real-lane set-cell counts in
-        # two locals, added to the array's counters once per replay.
-        real = array._real_lanes
+        # Switching energy per coefficient: set-cell counts in two
+        # locals, added to the array's counters once per replay.
         reset_cells = write_cells = 0
         try:
             for step in plan:
@@ -1063,7 +1076,7 @@ class WordPackedMagicExecutor:
                     # flipping the input writes the NOR, and the input's
                     # set cells are the RESET events.
                     am = state[src]
-                    reset_cells += (am & real).bit_count()
+                    reset_cells += am.bit_count()
                     state[dst] = out ^ am
                     if slow:
                         if array._faults:
@@ -1076,7 +1089,7 @@ class WordPackedMagicExecutor:
                     if out != full:
                         raise _uninitialised(out_row)
                     am = state[a] | state[b]
-                    reset_cells += (am & real).bit_count()
+                    reset_cells += am.bit_count()
                     state[dst] = out ^ am
                     if slow:
                         if array._faults:
@@ -1089,20 +1102,19 @@ class WordPackedMagicExecutor:
                         src,
                         dst,
                         dst_row,
-                        offset_bits,
-                        window_mask,
+                        offset,
+                        keep,
                         not_window,
                         fill_mask,
                         write_mask,
-                        also_init,
                     ) = step
-                    w = state[src] & window_mask
-                    if offset_bits >= 0:
-                        w <<= offset_bits
+                    sh = state[src] & keep
+                    if offset >= 0:
+                        sh <<= offset
                     else:
-                        w >>= -offset_bits
-                    sh = (w & window_mask) | fill_mask
-                    write_cells += (sh & real).bit_count()
+                        sh >>= -offset
+                    sh |= fill_mask
+                    write_cells += sh.bit_count()
                     pre = None
                     if slow and hook is not None:
                         pre = array.unpack_row(dst_row)
@@ -1112,14 +1124,10 @@ class WordPackedMagicExecutor:
                             array._apply_faults()
                         if hook is not None:
                             hook.on_write(array, dst_row, write_mask, pre)
-                    for phys in also_init:
-                        state[phys] |= window_mask
-                    if slow and also_init and array._faults:
-                        array._apply_faults()
                 elif code == _WRITE:
                     _, phys, row, spec, shift, not_field, write_mask = step
                     value = packed[spec] << shift
-                    write_cells += (value & real).bit_count()
+                    write_cells += value.bit_count()
                     pre = None
                     if slow and hook is not None:
                         pre = array.unpack_row(row)
@@ -1131,8 +1139,12 @@ class WordPackedMagicExecutor:
                             hook.on_write(array, row, write_mask, pre)
                 elif code == _INIT:
                     _, rows, m = step
-                    for phys in rows:
-                        state[phys] |= m
+                    if m is None:
+                        for phys in rows:
+                            state[phys] = full
+                    else:
+                        for phys in rows:
+                            state[phys] |= m
                     if slow and array._faults:
                         array._apply_faults()
                 elif code == _GATE:
@@ -1149,22 +1161,17 @@ class WordPackedMagicExecutor:
                     else:
                         state[dst] = (out & not_m) | (m ^ am)
                         am &= out
-                    reset_cells += (am & real).bit_count()
+                    reset_cells += am.bit_count()
                     if slow:
                         if array._faults:
                             array._apply_faults()
                         if hook is not None:
                             hook.on_nor(array, out_row, np_mask)
                 else:  # _READ
-                    _, phys, row, shift, field_mask, width, name = step
-                    word = (state[phys] >> shift) & field_mask
-                    if one:
-                        results[0][name] = word
-                    else:
-                        for lane, value in enumerate(
-                            unpack_lanes(word, width, lane_bits, batch)
-                        ):
-                            results[lane][name] = value
+                    _, phys, row, start, field_mask, name = step
+                    word = state[phys] >> start
+                    for lane_results, lane_shift in zip(results, lane_shifts):
+                        lane_results[name] = (word >> lane_shift) & field_mask
                     if slow and hook is not None:
                         hook.on_read(array, row)
         finally:

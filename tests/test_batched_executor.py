@@ -273,10 +273,10 @@ class TestBatchedDifferential:
         batch = rng.randrange(1, 6)
         _assert_oracle_parity(program, _random_bindings(rng, writes, batch), backend)
 
-    # Batches on and around every power-of-two lane stride from 1 to
-    # 256 bits: padded lanes meet windowed and negative-offset shifts,
-    # on strict and non-strict arrays (the latter with uninitialised
-    # NOR outputs).
+    # Batches on and around every power of two from 1 to 128 lanes:
+    # lane boundaries meet windowed and negative-offset shifts, on
+    # strict and non-strict arrays (the latter with uninitialised NOR
+    # outputs).
     @pytest.mark.parametrize("backend", ["word"])
     @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lax"])
     @pytest.mark.parametrize(

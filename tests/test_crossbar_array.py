@@ -269,29 +269,29 @@ class TestEnergyAccounting:
 
 
 # ----------------------------------------------------------------------
-# Word-packed energy: one bit_count per event, real lanes only
+# Word-packed energy: one bit_count per event
 # ----------------------------------------------------------------------
 COUNTER_COLS = 3
 
 
-def _lane_counts(mask: int, cols: int, lane_bits: int) -> np.ndarray:
-    """Naive per-lane popcount of one packed mask, ``(lane_bits,)``."""
-    row_bits = cols * lane_bits
+def _lane_counts(mask: int, cols: int, batch: int) -> np.ndarray:
+    """Naive per-lane popcount of one lane-major packed mask, ``(batch,)``."""
+    row_bits = cols * batch
     raw = np.frombuffer(mask.to_bytes((row_bits + 7) // 8, "little"), np.uint8)
     bits = np.unpackbits(raw, bitorder="little")[:row_bits]
-    return bits.reshape(cols, lane_bits).sum(axis=0, dtype=np.int64)
+    return bits.reshape(batch, cols).sum(axis=1, dtype=np.int64)
 
 
 @st.composite
 def _mask_runs(draw, batches=(1, 2, 3, 5, 8, 33, 64, 65)):
     """A batch size plus a mask sequence rich in zero and all-ones masks.
 
-    Masks span the array's own row width, so every power-of-two lane
-    stride from 1 to 128 bits is exercised, padding lanes included.
+    Masks span the array's own row width, ``COUNTER_COLS * batch`` bits,
+    at batch sizes that are and are not powers of two.
     """
     batch = draw(st.sampled_from(batches))
-    lane_bits = WordPackedCrossbarArray(batch, 1, COUNTER_COLS).lane_bits
-    row_bits = COUNTER_COLS * lane_bits
+    row_bits = WordPackedCrossbarArray(batch, 1, COUNTER_COLS).row_bits
+    assert row_bits == COUNTER_COLS * batch
     full = (1 << row_bits) - 1
     masks = draw(
         st.lists(
@@ -308,21 +308,19 @@ def _mask_runs(draw, batches=(1, 2, 3, 5, 8, 33, 64, 65)):
 
 class TestRedundantEnergyCounter:
     """The word array counts switched cells into one integer per
-    coefficient, and only in the real lanes: padding lanes never reach
-    the energy total."""
+    coefficient: every bit of a row is a cell of some lane."""
 
     @settings(max_examples=60, deadline=None)
     @given(_mask_runs(), st.sampled_from([1.0, 61.0, 115.0]))
     def test_flush_equals_naive_popcount(self, run, coeff):
-        """The total read back is *coeff* times the real lanes' naive
+        """The total read back is *coeff* times the lanes' naive
         popcounts, read midway or at the end."""
         batch, masks = run
         array = WordPackedCrossbarArray(batch, 1, COUNTER_COLS)
         cells = 0
         for mask in masks:
             array._add_energy_event(coeff, mask)
-            lanes = _lane_counts(mask, COUNTER_COLS, array.lane_bits)
-            cells += int(lanes[:batch].sum())
+            cells += int(_lane_counts(mask, COUNTER_COLS, batch).sum())
             assert array.total_energy_fj() == coeff * cells
         assert list(array._energy_counts.values()) == ([cells] if masks else [])
 
@@ -362,23 +360,24 @@ class TestRedundantEnergyCounter:
         assert words.total_energy_fj() == oracle_energy
 
     @pytest.mark.parametrize("cols", [255, 256, 600])
-    @pytest.mark.parametrize("lane_bits", [1, 2, 4, 8, 16, 32, 64, 128])
-    def test_lane_popcounts_past_one_byte(self, cols, lane_bits):
-        """Rows wider than 255 columns, at every lane stride, full and
-        padded: the total is the real lanes' per-lane popcounts summed,
-        each well past one byte."""
-        rng = np.random.default_rng(cols + lane_bits)
-        row_bits = cols * lane_bits
-        nbytes = (row_bits + 7) // 8
-        full = (1 << row_bits) - 1
-        masks = [full, 0, int(rng.integers(1 << 62)) << (row_bits - 62)]
-        masks.append(int.from_bytes(rng.bytes(nbytes), "little") & full)
-        for batch in sorted({lane_bits, lane_bits // 2 + 1}):
+    @pytest.mark.parametrize("lanes", [1, 2, 4, 8, 16, 32, 64, 128])
+    def test_lane_popcounts_past_one_byte(self, cols, lanes):
+        """Rows wider than 255 columns, at a power-of-two batch and at
+        the batch just past the next one down (3, 5, 9, ..., 65 lanes):
+        a row is exactly ``batch * cols`` bits, and the total is the
+        per-lane popcounts summed, each well past one byte."""
+        rng = np.random.default_rng(cols + lanes)
+        for batch in sorted({lanes, lanes // 2 + 1}):
             array = WordPackedCrossbarArray(batch, 1, cols)
-            assert array.lane_bits == lane_bits
-            counts = np.zeros(lane_bits, dtype=np.int64)
+            row_bits = cols * batch
+            assert array.row_bits == row_bits
+            full = (1 << row_bits) - 1
+            assert array._full == full
+            masks = [full, 0, int(rng.integers(1 << 62)) << (row_bits - 62)]
+            masks.append(int.from_bytes(rng.bytes(row_bits // 8 + 1), "little") & full)
+            counts = np.zeros(batch, dtype=np.int64)
             for mask in masks:
                 array._add_energy_event(2.0, mask)
-                counts += _lane_counts(mask, cols, lane_bits)
+                counts += _lane_counts(mask, cols, batch)
             assert counts[0] > 255
-            assert array.total_energy_fj() == 2.0 * int(counts[:batch].sum())
+            assert array.total_energy_fj() == 2.0 * int(counts.sum())

@@ -107,9 +107,9 @@ def _scalar_oracle(program, bindings):
 
 
 class TestBackendDifferential:
-    # Batch sizes span 1-, 4- (one padding lane), 64- and 128-bit lane
-    # strides, so the word backend's narrow and wide rows and its
-    # padding lanes are exercised.
+    # Batch sizes span one lane (the row is the plain word), a
+    # non-power-of-two batch, 64 lanes and one lane past them, so the
+    # word backend's narrow and wide lane-major rows are exercised.
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("seed,batch", [(0, 3), (1, 64), (2, 65), (3, 1)])
     def test_random_programs_bit_exact(self, backend, seed, batch):
@@ -328,7 +328,7 @@ def _assert_hook_parity(batch, prob):
 
 
 class TestFaultHookParity:
-    # 65 lanes cross the 64 -> 128-bit lane stride.
+    # 9 and 65 lanes sit one past a power of two.
     @pytest.mark.parametrize("batch", [9, 65])
     def test_word_matches_scalar_oracle_under_same_seed(self, batch):
         _assert_hook_parity(batch=batch, prob=0.05)
@@ -341,11 +341,13 @@ class TestFaultHookParity:
         _assert_hook_parity(batch=batch, prob=0.15)
 
     def test_hook_meets_padding_lane(self):
-        """Three lanes pack at a 4-bit stride: the word backend's fourth
-        (padding) lane sits inside every row the hooks unpack and
-        re-store, and must not leak into real lanes."""
+        """Three lanes pack into rows of exactly ``3 * COLS`` bits, with
+        no padding lane: every row the hooks unpack and re-store holds
+        the three lanes' words side by side, and a strike in one lane
+        must not leak into its neighbours."""
         array = WordPackedCrossbarArray(3, ROWS, COLS)
-        assert array.lane_bits == 4
+        assert array.row_bits == 3 * COLS
+        assert array._full == (1 << (3 * COLS)) - 1
         _assert_hook_parity(batch=3, prob=0.15)
 
     def test_hooks_compose_with_pinned_faults_on_word(self):
@@ -532,9 +534,10 @@ class TestSharedCompileCache:
 
     def test_strides_share_stride_free_lowering(self):
         """Replay plans of one program hang off its one lowering: a plan
-        is cached by identity per (lane_bits, row map, strict), plans at
-        other strides share its full-width gate steps by identity, and
-        equal masks are one integer."""
+        is cached by identity per (batch, row map, strict), plans at
+        other batch sizes share its lane-free entries (full-width gates,
+        whole-row INITs, READs) by identity, and equal masks are one
+        integer."""
         program = (
             ProgramBuilder(label="strides")
             .write(0, "x", width=COLS)
@@ -552,7 +555,7 @@ class TestSharedCompileCache:
             array = word.make_array(CrossbarArray(ROWS, COLS), batch)
             executor = word.make_executor(array)
             executor.execute(compiled, [{"x": 5}] * batch)
-            lowered[array.lane_bits] = executor._lowered(compiled)
+            lowered[array.batch] = executor._lowered(compiled)
         one, four, wide = lowered[1], lowered[4], lowered[64]
         assert one is four is wide
         assert one._writes_deltas is four._writes_deltas
@@ -563,8 +566,8 @@ class TestSharedCompileCache:
         write, init, full_nor, masked_nor, twin, read = plan1
         assert full_nor[0] == executor_mod._NOR1
         assert masked_nor[0] == twin[0] == executor_mod._GATE
-        assert plan4[2] is full_nor
-        assert plan4[3] is not masked_nor and plan4[5] is not read
+        assert plan4[1] is init and plan4[2] is full_nor and plan4[5] is read
+        assert plan4[3] is not masked_nor
         mask = masked_nor[5]
         assert mask == sum(1 << col for col in range(1, 9))
         assert twin[5] is mask
@@ -734,9 +737,9 @@ class TestReplayPlans:
         assert energy == MIDWAY_ENERGY_FJ
 
     def test_strict_violation_midway_three_lanes(self):
-        """Three lanes (one padding lane) raise at the same gate: the
-        gates before it stay counted, in the real lanes only, so the
-        total is the sum of each lane replayed alone at one lane."""
+        """Three lanes raise at the same gate: the gates before it stay
+        counted, so the total is the sum of each lane replayed alone at
+        one lane."""
         bindings = (
             *MIDWAY_BINDINGS,
             {"x": 0x1234, "y": 0xFFF0, "z": 0x00FF},
@@ -772,9 +775,10 @@ class TestReplayPlans:
 
 
 # ----------------------------------------------------------------------
-# Padding lanes: the word array's one energy total counts real lanes only
+# Lane counts of every shape: the word array's one energy total is the
+# oracle's lane sum
 # ----------------------------------------------------------------------
-#: On and around every power-of-two lane stride from 1 to 256 bits.
+#: Powers of two from 1 to 64 lanes, and batches on either side of them.
 PADDING_LANE_COUNTS = [1, 2, 3, 5, 8, 9, 63, 64, 65, 130]
 
 #: Distinct operand sets the lanes of a mega-program batch cycle through
