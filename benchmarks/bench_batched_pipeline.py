@@ -1,7 +1,7 @@
 """Benchmark: batched SIMD executor vs job-by-job scalar execution.
 
 The batched engines exist for one reason — to make the simulator's hot
-path keep up with the row-parallel hardware it models.  Six perf-smoke
+path keep up with the row-parallel hardware it models.  Seven perf-smoke
 checks live here:
 
 * ``test_batched_run_stream_speedup`` replays the acceptance workload
@@ -36,6 +36,13 @@ checks live here:
   The 64-lane comparisons above speed up with the word backend's
   per-gate loop too, so only this one catches a slower one-lane gate
   step.
+* ``test_wear_leveled_batch_speedup`` runs a 4-job n = 256
+  ``KaratsubaController.run_jobs_batch`` (``optimize=True``) and a
+  1-job batch and asserts the 4-job batch costs at most 1/2.5 of the
+  1-job batch per job, with bit-exact products: the two wear-leveling
+  groups of a batch (the even and the odd jobs) share one replay per
+  MAGIC unit, so a narrow batch pays for one replay per stage, not
+  two.
 * ``test_rowmul_lane_parallel_speedup`` runs the n = 256 multiply
   stage (m = 66 rows, 64 jobs x 9 rows) as one bit-sliced lock-step
   pass and as one row-multiplier call per product, and asserts the
@@ -55,6 +62,7 @@ import time
 
 from repro.eval.report import format_table
 from repro.arith.rowmul import RowMultiplier, RowMultiplierSpec
+from repro.karatsuba.controller import KaratsubaController
 from repro.karatsuba.multiply import MultiplicationStage
 from repro.karatsuba.pipeline import KaratsubaPipeline
 from repro.karatsuba.postcompute import PostcomputeStage
@@ -105,6 +113,17 @@ MIN_ONE_LANE_ORACLE_SPEEDUP = 59
 
 #: Timing repetitions of the narrow-batch comparison (sub-10 ms each).
 NARROW_REPS = 40
+
+#: Jobs in the narrow wear-leveled controller batch: two per wear state.
+WEAR_JOBS = 4
+
+#: Required per-job advantage of a :data:`WEAR_JOBS`-job controller
+#: batch over a 1-job batch.
+MIN_WEAR_BATCH_SPEEDUP = 2.5
+
+#: Timing repetitions of the wear-leveled batch comparison (~1-2 ms
+#: each), the two batch sizes interleaved.
+WEAR_REPS = 60
 
 #: Jobs in the lock-step multiply-stage batch (9 rows each).
 ROWMUL_JOBS = 64
@@ -338,6 +357,44 @@ def run_one_lane_oracle_bench():
     return speedup, table
 
 
+def run_wear_batch_bench():
+    """Per-job time of a :data:`WEAR_JOBS`-job batch against a 1-job
+    batch through one controller; returns the speedup and the table."""
+    rng = random.Random(0x3EA2)
+    pairs = [
+        (rng.getrandbits(N_BITS), rng.getrandbits(N_BITS))
+        for _ in range(WEAR_JOBS)
+    ]
+    controller = KaratsubaController(N_BITS, optimize=True)
+    best = {1: float("inf"), WEAR_JOBS: float("inf")}
+    for _ in range(WEAR_REPS):
+        for jobs in best:
+            batch = pairs[:jobs]
+            begin = time.perf_counter()
+            records = controller.run_jobs_batch(batch)
+            best[jobs] = min(best[jobs], time.perf_counter() - begin)
+            assert [r.product for r in records] == [a * b for a, b in batch]
+    per_job = best[WEAR_JOBS] / WEAR_JOBS
+    speedup = best[1] / per_job
+    table = format_table(
+        ("controller batch", "wall ms", "ms/job"),
+        [
+            ("1 job", f"{best[1] * 1e3:.2f}", f"{best[1] * 1e3:.2f}"),
+            (
+                f"{WEAR_JOBS} jobs (both wear states)",
+                f"{best[WEAR_JOBS] * 1e3:.2f}",
+                f"{per_job * 1e3:.2f}",
+            ),
+        ],
+        title=(
+            f"Wear-leveled batch, {WEAR_JOBS} vs 1 job at n = {N_BITS}: "
+            f"{speedup:.2f}x per-job speedup "
+            f"(floor {MIN_WEAR_BATCH_SPEEDUP}x)"
+        ),
+    )
+    return speedup, table
+
+
 def run_rowmul_bench():
     stage = MultiplicationStage(N_BITS)
     rng = random.Random(0x66)
@@ -435,6 +492,15 @@ def test_one_lane_oracle_speedup():
     )
 
 
+def test_wear_leveled_batch_speedup():
+    speedup, table = run_wear_batch_bench()
+    _register("wear-batch", table)
+    assert speedup >= MIN_WEAR_BATCH_SPEEDUP, (
+        f"a {WEAR_JOBS}-job batch only {speedup:.2f}x faster per job than "
+        f"a 1-job batch (needs >= {MIN_WEAR_BATCH_SPEEDUP}x)"
+    )
+
+
 def test_rowmul_lane_parallel_speedup():
     speedup, table = run_rowmul_bench()
     _register("rowmul-lanes", table)
@@ -454,6 +520,8 @@ if __name__ == "__main__":
          "one lane"),
         (*run_one_lane_oracle_bench(), MIN_ONE_LANE_ORACLE_SPEEDUP,
          "one lane vs oracle"),
+        (*run_wear_batch_bench(), MIN_WEAR_BATCH_SPEEDUP,
+         "wear-leveled batch"),
         (*run_rowmul_bench(), MIN_ROWMUL_SPEEDUP, "row multiplier"),
     ):
         print(report)

@@ -37,14 +37,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.arith.bitops import ceil_log2
 from repro.crossbar.array import CrossbarArray
 from repro.magic.backend import DEFAULT_BACKEND
 from repro.magic.executor import pack_ints, unpack_ints
 from repro.magic.program import Program, ProgramBuilder
-from repro.magic.stage import CrossbarStage, all_ones
+from repro.magic.stage import CrossbarStage, Placement, all_ones
 from repro.sim.exceptions import DesignError, StageSelfCheckError
 
 if TYPE_CHECKING:
@@ -438,11 +438,13 @@ class AdderPassStage:
     one job runs on each unit it owns, in replay order),
     :attr:`overhead` (periphery cycles per clock category), and
     :meth:`_plan` (one job's :class:`LanePlan` lanes and result).
-    :meth:`process_batch` plans every job on the host, replays one
-    cached mega-program per unit and wear-state group, ticks the clock
-    by the per-job histogram per group, and checks every sensed pass
-    against the plan.  Latency, optimizer stats, area and wear derive
-    from the same declarations, so none can drift from the replay.
+    :meth:`process_batch` plans every job on the host, replays each
+    unit's one cached mega-program (in logical rows) once over every
+    lane of the batch, both wear groups placed at their own rows by
+    the replay, ticks the clock by the per-job histogram per group,
+    and checks every sensed pass against the plan.  Latency, optimizer
+    stats, area and wear derive from the same declarations, so none
+    can drift from the replay.
     """
 
     #: Periphery cycles one job spends outside the adder passes, per
@@ -467,7 +469,7 @@ class AdderPassStage:
         self,
     ) -> List[Tuple[CrossbarStage, List[Tuple[KoggeStoneAdder, str]]]]:
         """``(unit, passes)`` per crossbar unit, in replay order (the
-        current wear state's adders)."""
+        adders laid out in logical rows)."""
         raise NotImplementedError
 
     def _plan(self, job) -> Tuple[List[LanePlan], object]:
@@ -553,11 +555,8 @@ class AdderPassStage:
             return leveler.physical_row(row)
         return row
 
-    def _wear_state(self) -> bool:
-        return self.leveler is not None and self.leveler.swapped
-
     @cached_property
-    def _programs(self) -> Dict[Tuple[int, bool], Program]:
+    def _programs(self) -> Dict[int, Program]:
         return {}
 
     @cached_property
@@ -565,30 +564,34 @@ class AdderPassStage:
         return set()
 
     def _power_up(self, k: int, passes) -> None:
-        """Once per unit and wear state: bring the adders' scratch and
-        sum rows to logic one out-of-band (every pass then leaves them
-        there)."""
-        key = (k, self._wear_state())
+        """Once per unit and wear state: bring the current state's
+        adder scratch and sum rows to logic one out-of-band (every pass
+        then leaves them there)."""
+        key = (k, self.leveler is not None and self.leveler.swapped)
         if key not in self._powered:
             array = self.units[k].array
-            array.init_rows(passes[0][0].layout.scratch_rows)
+            physical = self._physical
             array.init_rows(
-                list(dict.fromkeys(adder.layout.out_row for adder, _ in passes))
+                [physical(r) for r in passes[0][0].layout.scratch_rows]
+            )
+            array.init_rows(
+                list(dict.fromkeys(
+                    physical(adder.layout.out_row) for adder, _ in passes
+                ))
             )
             self._powered.add(key)
 
     def _mega_program(self, k: int) -> Program:
-        """Unit *k*'s passes as one replayable program for the current
-        wear state (built once per unit and state)."""
-        state = self._wear_state()
-        program = self._programs.get((k, state))
+        """Unit *k*'s passes as one replayable program in logical rows
+        (built once per unit; the replay places it per wear group)."""
+        program = self._programs.get(k)
         if program is None:
             unit_passes = self.unit_passes()
             first = sum(len(passes) for _, passes in unit_passes[:k])
             passes = unit_passes[k][1]
             cols = self.units[k].array.cols
             unit = self.checker.stage if k == 0 else f"{self.checker.stage}.{k}"
-            builder = ProgramBuilder(label=f"{unit}-pass-{int(state)}")
+            builder = ProgramBuilder(label=f"{unit}-passes")
             for row, name, col_offset, width in self._input_writes():
                 builder.write(row, name, col_offset=col_offset, width=width)
             for index, (adder, op) in enumerate(passes, first):
@@ -601,40 +604,82 @@ class AdderPassStage:
             closing = self._closing_rows()
             if closing:
                 builder.init(closing)
-            program = self._programs[(k, state)] = builder.build()
+            program = self._programs[k] = builder.build()
         return program
+
+    def _placements(self, plans) -> Iterator[Placement]:
+        """``(lane indices, wear permutation)`` of each wear group of
+        the batch, lanes in job order (see :meth:`CrossbarStage.replay`).
+
+        Walks the leveler through the batch as *B* single-job batches
+        would, one group per step, powering each group's rows up the
+        first time its wear state is met."""
+        starts = [0]
+        for job_lanes, _ in plans:
+            starts.append(starts[-1] + len(job_lanes))
+        leveler = self.leveler
+        if leveler is None:
+            groups = [range(len(plans))]
+        else:
+            groups = leveler.job_groups(len(plans), self.wear_leveling)
+        # A leveler moves the rows of its stage's one unit.
+        rows = self.units[0].array.rows
+        for group in groups:
+            for k, (_, passes) in enumerate(self.unit_passes()):
+                self._power_up(k, passes)
+            yield (
+                [i for j in group for i in range(starts[j], starts[j + 1])],
+                None if leveler is None else leveler.row_permutation(rows),
+            )
 
     # ------------------------------------------------------------------
     def process_batch(self, jobs) -> list:
-        """Run B jobs through the stage; returns one result per job."""
+        """Run B jobs through the stage; returns one result per job.
+
+        Every unit replays the whole batch once.  Where placement
+        changes the data (a pinned fault or a fault hook), each wear
+        group runs and is checked before the next group is placed."""
         jobs = list(jobs)
         if not jobs:
             return []
         plans = [self._plan(job) for job in jobs]
-        if self.leveler is None:
-            groups = [range(len(jobs))]
+        lanes = [lane for job_lanes, _ in plans for lane in job_lanes]
+        placements = self._placements(plans)
+        if any(unit.placement_matters for unit in self.units):
+            for group, wear in placements:
+                self._replay(lanes, group, [(range(len(group)), wear)])
         else:
-            groups = self.leveler.job_groups(len(jobs), self.wear_leveling)
-        for group in groups:
-            lanes = [lane for j in group for lane in plans[j][0]]
-            first = 0
-            for k, (unit, passes) in enumerate(self.unit_passes()):
-                stop = first + len(passes)
-                self._power_up(k, passes)
-                stats, _ = unit.replay(
-                    self._mega_program(k),
-                    [self._bindings(lane, first, stop) for lane in lanes],
-                    all_ones,
-                )
-                reads = [(i, self._sense_name(i)) for i in range(first, stop)]
-                for index, (lane, lane_stats) in enumerate(zip(lanes, stats)):
-                    sensed, passes = lane_stats.results, lane.passes
-                    for i, read in reads:
-                        self._check_pass(sensed[read], passes[i], index)
-                first = stop
+            self._replay(lanes, range(len(lanes)), list(placements))
+        return [result for _, result in plans]
+
+    def _replay(
+        self,
+        lanes: List[LanePlan],
+        positions: Sequence[int],
+        placements: List[Placement],
+    ) -> None:
+        """Replay every unit over the lanes at batch *positions*, placed
+        by *placements* (indices into *positions*); check each sensed
+        pass, located at its lane's batch position, and tick the clock
+        by the per-job histogram once per placement."""
+        first = 0
+        for k, (unit, passes) in enumerate(self.unit_passes()):
+            stop = first + len(passes)
+            stats, _ = unit.replay(
+                self._mega_program(k),
+                [self._bindings(lanes[i], first, stop) for i in positions],
+                all_ones,
+                placements=placements,
+            )
+            reads = [(i, self._sense_name(i)) for i in range(first, stop)]
+            for index, lane_stats in zip(positions, stats):
+                sensed, planned = lane_stats.results, lanes[index].passes
+                for i, read in reads:
+                    self._check_pass(sensed[read], planned[i], index)
+            first = stop
+        for _ in placements:
             for category, cycles in self._clock_histogram.items():
                 self.clock.tick(cycles, category=category)
-        return [result for _, result in plans]
 
     def _bindings(self, lane: LanePlan, first: int, stop: int) -> Dict[str, int]:
         """One lane's WRITE operands for the passes ``first..stop-1``."""

@@ -31,7 +31,7 @@ paper reports for [9] at n = 64..384.
 Lock-step stages run many rows and many jobs at once, so the simulator
 evaluates them the same way: :func:`carry_save_products` bit-slices all
 lanes into one pass of the algorithm, and
-:meth:`RowMultiplier.charge_passes` charges a batch's wear in closed
+:func:`charge_wear` charges a batch's wear to every row in closed
 form.  Products, cycle counts and write images equal those of one
 multiplication at a time.
 """
@@ -179,6 +179,40 @@ class RowMultiplierSpec:
         return 2 * self.width
 
 
+def charge_wear(
+    cell_writes: np.ndarray, width: int, passes: int, rotate: bool
+) -> None:
+    """Charge *passes* multiplications' wear to ``width``-bit row images.
+
+    *cell_writes* holds one ``12 m``-cell row image or a stack of them
+    (``(rows, 12 m)``), each charged the same.  Per partition and
+    iteration: the sum and carry cells are rewritten once each, and
+    the two hot scratch cells absorb four write pulses each (initialise
+    + conditional switch, twice).  The increments are data-independent,
+    so all ``m`` iterations of all *passes* multiplications are charged
+    in one step.
+
+    With *rotate*, every multiplication is followed by the
+    wear-leveling swap of the hot scratch pair (columns 4, 5) with the
+    cold pair (8, 9).  After an even count both pairs have absorbed
+    ``passes/2`` multiplications' hot writes and sit in their original
+    places; an odd count adds one more to the active pair and leaves
+    the two swapped.
+    """
+    m = width
+    hot = 4 * m
+    cells = cell_writes.reshape(*cell_writes.shape[:-1], m, CELLS_PER_PARTITION)
+    cells[..., 2:4] += passes * m        # sum, carry accumulators
+    cells[..., 6:8] += passes * 2 * m    # cool scratch
+    if not rotate:
+        cells[..., 4:6] += passes * hot  # hot scratch A, B
+    else:
+        cells[..., _HOT_PAIRS] += (passes // 2) * hot
+        if passes % 2:
+            cells[..., 4:6] += hot
+            cells[..., _HOT_PAIRS] = cells[..., _SWAPPED_PAIRS]
+
+
 class RowMultiplier:
     """Executable model of one single-row multiplier.
 
@@ -191,9 +225,15 @@ class RowMultiplier:
     hot spots.
     """
 
-    def __init__(self, spec: RowMultiplierSpec):
+    def __init__(self, spec: RowMultiplierSpec, cell_writes=None):
         self.spec = spec
-        self.cell_writes = np.zeros(spec.cells, dtype=np.int64)
+        #: Per-cell write counts of the row image; *cell_writes* makes
+        #: it a view of a stage's shared ``(rows, cells)`` wear array.
+        self.cell_writes = (
+            np.zeros(spec.cells, dtype=np.int64)
+            if cell_writes is None
+            else cell_writes
+        )
         self.multiplications = 0
 
     # ------------------------------------------------------------------
@@ -211,33 +251,9 @@ class RowMultiplier:
         return product
 
     def charge_passes(self, passes: int, rotate: bool) -> None:
-        """Charge the wear of *passes* multiplications in closed form.
-
-        Per partition and iteration: the sum and carry cells are
-        rewritten once each, and the two hot scratch cells absorb four
-        write pulses each (initialise + conditional switch, twice).
-        The increments are data-independent, so all ``m`` iterations of
-        all *passes* multiplications are charged in one step.
-
-        With *rotate*, every multiplication is followed by the
-        wear-leveling swap of the hot scratch pair (columns 4, 5) with
-        the cold pair (8, 9).  After an even count both pairs have
-        absorbed ``passes/2`` multiplications' hot writes and sit in
-        their original places; an odd count adds one more to the active
-        pair and leaves the two swapped.
-        """
-        m = self.spec.width
-        hot = 4 * m
-        cells = self.cell_writes.reshape(m, CELLS_PER_PARTITION)
-        cells[:, 2:4] += passes * m        # sum, carry accumulators
-        cells[:, 6:8] += passes * 2 * m    # cool scratch
-        if not rotate:
-            cells[:, 4:6] += passes * hot  # hot scratch A, B
-        else:
-            cells[:, _HOT_PAIRS] += (passes // 2) * hot
-            if passes % 2:
-                cells[:, 4:6] += hot
-                cells[:, _HOT_PAIRS] = cells[:, _SWAPPED_PAIRS]
+        """Charge the wear of *passes* multiplications in closed form
+        (see :func:`charge_wear`)."""
+        charge_wear(self.cell_writes, self.spec.width, passes, rotate)
         self.multiplications += passes
 
     # ------------------------------------------------------------------
@@ -251,46 +267,6 @@ class RowMultiplier:
     def max_writes(self) -> int:
         """Hottest-cell write count accumulated so far."""
         return int(self.cell_writes.max()) if self.cell_writes.size else 0
-
-
-def lockstep_pass(
-    rows: Mapping[str, RowMultiplier],
-    steps: Sequence[Tuple[str, str, str]],
-    operands_list: Sequence[Mapping[str, int]],
-    checker,
-    rotate: bool,
-) -> List[Dict[str, int]]:
-    """Run lock-step rows over a batch of jobs; one product map per job.
-
-    *steps* lists ``(out, lhs, rhs)`` operand names, one per row of
-    *rows* (all of one width).  All ``len(steps) * B`` sub-products go
-    through one :func:`carry_save_products` call, every row is charged
-    ``B`` multiplications (plus the hot-cell swap when *rotate*), and
-    every sub-product is residue-verified on its own under its *out*
-    label: ``res(z) == res(x)·res(y) mod (2^r − 1)``.
-    """
-    try:
-        pairs = [
-            (operands[lhs], operands[rhs])
-            for operands in operands_list
-            for _, lhs, rhs in steps
-        ]
-    except KeyError as missing:
-        raise DesignError(f"missing operand {missing}") from None
-    width = next(iter(rows.values())).spec.width
-    products = iter(zip(pairs, carry_save_products(width, pairs)))
-    for row in rows.values():
-        row.charge_passes(len(operands_list), rotate)
-    res = checker.res
-    results: List[Dict[str, int]] = []
-    for _ in operands_list:
-        job: Dict[str, int] = {}
-        for out, _, _ in steps:
-            (lhs, rhs), product = next(products)
-            checker.check_product(product, res(lhs), res(rhs), out)
-            job[out] = product
-        results.append(job)
-    return results
 
 
 @dataclass(frozen=True)
@@ -307,8 +283,8 @@ class LockstepRowStage:
 
     The pipeline slot between a design's evaluation and interpolation
     stages (Karatsuba's nine sub-products, Toom-3's five point-wise
-    products, the schoolbook design's one full-width row).  A batch of B jobs runs as one :func:`lockstep_pass`
-    and advances the stage clock by a single row latency.  The rows
+    products, the schoolbook design's one full-width row).  A batch of B
+    jobs runs as one :meth:`lockstep_pass` and advances the stage clock by a single row latency.  The rows
     are a numeric model: the stage owns no MAGIC crossbar
     (:attr:`units` is empty).
     """
@@ -328,8 +304,12 @@ class LockstepRowStage:
         self.wear_leveling = wear_leveling
         self.checker = ResidueChecker(name, residue_bits)
         spec = RowMultiplierSpec(width)
+        #: Wear of every row, one ``(rows, cells)`` array; each row's
+        #: :attr:`RowMultiplier.cell_writes` is a view of its line.
+        self.cell_writes = np.zeros((len(self.steps), spec.cells), dtype=np.int64)
         self.rows: Dict[str, RowMultiplier] = {
-            out: RowMultiplier(spec) for out, _, _ in self.steps
+            out: RowMultiplier(spec, wear)
+            for (out, _, _), wear in zip(self.steps, self.cell_writes)
         }
         self.clock = Clock()
         self.passes = 0
@@ -346,14 +326,49 @@ class LockstepRowStage:
         operands_list = list(operands_list)
         if not operands_list:
             return []
-        products = lockstep_pass(
-            self.rows, self.steps, operands_list, self.checker,
-            self.wear_leveling,
-        )
+        products = self.lockstep_pass(operands_list)
         cycles = self.latency_cc()
         self.passes += len(operands_list)
         self.clock.tick(cycles, category="rowmul")
         return [RowStageResult(products=p, cycles=cycles) for p in products]
+
+    def lockstep_pass(
+        self, operands_list: Sequence[Mapping[str, int]]
+    ) -> List[Dict[str, int]]:
+        """Run the rows over a batch of jobs; one product map per job.
+
+        All ``len(steps) * B`` sub-products go through one
+        :func:`carry_save_products` call, every row is charged ``B``
+        multiplications in one :func:`charge_wear` step (plus the
+        hot-cell swap with wear leveling), and every sub-product is
+        residue-verified on its own under its *out* label:
+        ``res(z) == res(x)·res(y) mod (2^r − 1)``.  The stage clock is
+        the caller's.
+        """
+        try:
+            pairs = [
+                (operands[lhs], operands[rhs])
+                for operands in operands_list
+                for _, lhs, rhs in self.steps
+            ]
+        except KeyError as missing:
+            raise DesignError(f"missing operand {missing}") from None
+        products = iter(zip(pairs, carry_save_products(self.width, pairs)))
+        passes = len(operands_list)
+        charge_wear(self.cell_writes, self.width, passes, self.wear_leveling)
+        for row in self.rows.values():
+            row.multiplications += passes
+        checker = self.checker
+        res = checker.res
+        results: List[Dict[str, int]] = []
+        for _ in operands_list:
+            job: Dict[str, int] = {}
+            for out, _, _ in self.steps:
+                (lhs, rhs), product = next(products)
+                checker.check_product(product, res(lhs), res(rhs), out)
+                job[out] = product
+            results.append(job)
+        return results
 
     def latency_cc(self) -> int:
         """One row latency: the rows finish together."""

@@ -964,7 +964,7 @@ def _cmd_optimize_report(args: argparse.Namespace) -> int:
             f"{pct:>7.1%}"
         )
     pre_reports = [
-        r for a in pre._adders.values() for r in a.optimizer_reports.values()
+        r for a, _ in pre.adder_passes() for r in a.optimizer_reports.values()
     ]
     post_reports = list(post_adder.optimizer_reports.values())
     by_pass: Dict[str, int] = {}

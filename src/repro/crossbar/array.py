@@ -542,16 +542,18 @@ class WordPackedCrossbarArray:
 
     @classmethod
     def from_scalar(
-        cls, array: CrossbarArray, batch: int
+        cls, array: CrossbarArray, batch: int, row_map=None
     ) -> "WordPackedCrossbarArray":
         """Replicate a scalar array's current state into *batch* lanes.
 
         Write counters and energy start at zero — the batched array
         accounts only for what executes on it; faults and the spare-row
         remap table carry over (so replays after a remap land on the
-        repaired word lines).  A template at the all-ones steady state
-        (where every stage replay leaves it) fills each packed row with
-        ones in one step; any other state is spread row by row.
+        repaired word lines), unless *row_map* gives the logical ->
+        physical word lines the lanes address instead.  A template at
+        the all-ones steady state (where every stage replay leaves it)
+        fills each packed row with ones in one step; any other state is
+        spread row by row.
         """
         out = cls(
             batch,
@@ -567,7 +569,7 @@ class WordPackedCrossbarArray:
             for phys in range(array.rows + array.spare_rows):
                 out._state[phys] = _lane_spread(array.state[phys], batch)
         out._faults = dict(array._faults)
-        out._row_map = list(array._row_map)
+        out._row_map = list(array._row_map if row_map is None else row_map)
         out._apply_faults()
         return out
 

@@ -14,7 +14,7 @@ exposes the logical-to-physical row mapping it maintains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -127,12 +127,14 @@ class WearLevelingController:
     ) -> Iterator[List[int]]:
         """Group *jobs* (>= 1) successive multiplications by wear state.
 
-        A stage batch runs its jobs in the state each would meet in
-        sequential order: the even jobs in the current state, then —
-        after one swap — the odd jobs.  Once exhausted, the controller
-        stands where *jobs* single-job swaps would leave it.  With
-        leveling not *enabled*, all jobs form one group and nothing
-        swaps.
+        Each job meets the state it would in sequential order: the even
+        jobs the current state, then — after one swap — the odd jobs.
+        A group is yielded while the controller stands in its state
+        (:meth:`row_permutation` places it); the groups' lanes may
+        still replay together, since the state only moves rows.  Once
+        exhausted, the controller stands where *jobs* single-job swaps
+        would leave it.  With leveling not *enabled*, all jobs form one
+        group and nothing swaps.
         """
         if not enabled:
             yield list(range(jobs))
@@ -148,6 +150,15 @@ class WearLevelingController:
     def swapped(self) -> bool:
         """True when the regions are currently exchanged."""
         return self.swaps % 2 == 1
+
+    def row_permutation(self, rows: int) -> Optional[List[int]]:
+        """Physical row of each logical row ``0..rows-1`` in the
+        current state (rows outside both regions stay), or ``None``
+        while unswapped, where every row maps to itself."""
+        if not self.swapped:
+            return None
+        mapping = self._mapping
+        return [mapping.get(row, row) for row in range(rows)]
 
     def manages(self, logical_row: int) -> bool:
         """Whether *logical_row* lies in one of the two regions."""

@@ -13,7 +13,7 @@ plan's widest operands (``c_mm``'s ``n/4 + 2`` bits at L = 2):
 Wear-leveling alternates each row's hot scratch cells between two
 partition-internal locations on successive multiplications, halving
 the hottest cell's write accumulation
-(:meth:`~repro.arith.rowmul.RowMultiplier.charge_passes`).
+(:func:`~repro.arith.rowmul.charge_wear`).
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ class MultiplicationStage(LockstepRowStage):
     Each operand set must contain every name referenced by the plan
     (the precompute stage's output mapping is exactly that); all
     ``3^L B`` sub-products of a batch run as one bit-sliced
-    :func:`~repro.arith.rowmul.lockstep_pass`, each residue-verified.
+    :meth:`~repro.arith.rowmul.LockstepRowStage.lockstep_pass`, each
+    residue-verified.
     """
 
     def __init__(

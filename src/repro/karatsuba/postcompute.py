@@ -172,44 +172,36 @@ class PostcomputeStage(AdderPassStage, CrossbarStage):
         )
         self._data_rows = range(data_rows)
         self._scratch = range(data_rows, total_rows)
-        self._adders: Dict[bool, KoggeStoneAdder] = {}
+        x_row, y_row, out_row = self._operand_rows
+        #: The one adder every pass runs, in logical rows.
+        self.adder = KoggeStoneAdder(
+            KoggeStoneLayout(
+                width=self.adder_width,
+                col0=0,
+                x_row=x_row,
+                y_row=y_row,
+                out_row=out_row,
+                scratch_rows=tuple(self._scratch),
+            )
+        )
+        self._passes = [(self.adder, p.op) for p in self.schedule]
         self._walk = self._compile_walk()
         top = self.plan.combine_nodes[-1]
         self._top = (f"pass-{len(self.schedule)}", top.low, top.high,
                      _key("tilde", top), top.shift_bits)
 
     # ------------------------------------------------------------------
-    def _adder(self) -> KoggeStoneAdder:
-        state = self.leveler.swapped
-        if state not in self._adders:
-            physical = self._physical
-            x_row, y_row, out_row = self._operand_rows
-            layout = KoggeStoneLayout(
-                width=self.adder_width,
-                col0=0,
-                x_row=physical(x_row),
-                y_row=physical(y_row),
-                out_row=physical(out_row),
-                scratch_rows=tuple(physical(r) for r in self._scratch),
-            )
-            self._adders[state] = KoggeStoneAdder(layout)
-        return self._adders[state]
-
     def unit_passes(self):
-        """The scheduled passes of one job, in the current wear state."""
-        adder = self._adder()
-        return [(self, [(adder, p.op) for p in self.schedule])]
+        """The scheduled passes of one job."""
+        return [(self, self._passes)]
 
     def _input_writes(self) -> List[Tuple[int, str, int, int]]:
-        return [
-            (self._physical(row), name, offset, width)
-            for row, name, offset, width in self._slots
-        ]
+        return self._slots
 
     def _closing_rows(self) -> List[int]:
         # Reset the data region so that, after a wear-leveling swap,
         # the incoming scratch rows hold logic one.
-        return [self._physical(r) for r in self._data_rows]
+        return list(self._data_rows)
 
     def _compile_walk(self) -> list:
         """The schedule, top node's final pass excepted, as host steps

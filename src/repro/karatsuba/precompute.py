@@ -74,8 +74,8 @@ class PrecomputeStage(AdderPassStage, CrossbarStage):
     """Cycle-accurate precomputation subarray.
 
     The stage owns its crossbar, a wear-leveling controller, and one
-    Kogge-Stone program per (addition, wear-state) pair.  Each job
-    writes its ``2^(L+1)`` chunks, executes the plan's additions
+    Kogge-Stone program per addition, laid out in logical rows.  Each
+    job writes its ``2^(L+1)`` chunks, executes the plan's additions
     NOR-by-NOR on rows the program itself computed (no operand
     staging), senses every sum, resets, and returns every named chunk
     sum; the batch runs through :meth:`AdderPassStage.process_batch`.
@@ -146,37 +146,32 @@ class PrecomputeStage(AdderPassStage, CrossbarStage):
                 self._inputs + tuple(out for out, _, _ in self._adds)
             )
         }
-        self._adders: Dict[Tuple[str, bool], KoggeStoneAdder] = {}
+        scratch = tuple(self._scratch)
+        #: One ``(adder, "add")`` pass per addition, in logical rows.
+        self._passes = [
+            (
+                KoggeStoneAdder(
+                    KoggeStoneLayout(
+                        width=self.adder_width,
+                        col0=0,
+                        x_row=self._row_of[lhs],
+                        y_row=self._row_of[rhs],
+                        out_row=self._row_of[out],
+                        scratch_rows=scratch,
+                    )
+                ),
+                "add",
+            )
+            for out, lhs, rhs in self._adds
+        ]
 
     # ------------------------------------------------------------------
     def unit_passes(self):
-        """Every addition of one job, in the current wear state."""
-        adds = self.plan.precompute_adds
-        return [(self, [(self._adder_for(step), "add") for step in adds])]
+        """Every addition of one job."""
+        return [(self, self._passes)]
 
-    def _adder_for(self, step) -> KoggeStoneAdder:
-        """Adder program generator for one addition in the current
-        wear state (one adder per step and state)."""
-        key = (step.out, self.leveler.swapped)
-        if key not in self._adders:
-            physical = self._physical
-            layout = KoggeStoneLayout(
-                width=self.adder_width,
-                col0=0,
-                x_row=physical(self._row_of[step.lhs]),
-                y_row=physical(self._row_of[step.rhs]),
-                out_row=physical(self._row_of[step.out]),
-                scratch_rows=tuple(physical(r) for r in self._scratch),
-            )
-            self._adders[key] = KoggeStoneAdder(layout)
-        return self._adders[key]
-
-    # ------------------------------------------------------------------
     def _input_writes(self) -> List[Tuple[int, str, int, int]]:
-        return [
-            (self._physical(self._row_of[name]), name, 0, self.cols)
-            for name in self._inputs
-        ]
+        return [(self._row_of[name], name, 0, self.cols) for name in self._inputs]
 
     def _closing_rows(self) -> List[int]:
         # Reset the whole data region (inputs and results) in one
@@ -184,7 +179,7 @@ class PrecomputeStage(AdderPassStage, CrossbarStage):
         # scratch region.  Covering the input rows matters under
         # wear-leveling: after the swap they become the scratch
         # region and must arrive at logic one.
-        return [self._physical(r) for r in self._data_rows]
+        return list(self._data_rows)
 
     def _sense_name(self, index: int) -> str:
         return self._adds[index][0]

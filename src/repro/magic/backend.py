@@ -62,8 +62,13 @@ class ExecutorBackend:
     #: Registry name (``"scalar"`` / ``"word"``).
     name: str = ""
 
-    def make_array(self, template: CrossbarArray, batch: int):
-        """Clone *template*'s state/faults/remap into a batch container."""
+    def make_array(
+        self, template: CrossbarArray, batch: int, row_map=None
+    ):
+        """Clone *template*'s state/faults/remap into a batch container.
+
+        *row_map* overrides the logical -> physical word lines the
+        lanes address (default: the template's spare-row remap)."""
         raise NotImplementedError
 
     def make_executor(self, array, clock=None, fault_hook=None):
@@ -98,7 +103,10 @@ class ScalarLaneArray:
         self.strict_magic = first.strict_magic
 
     @classmethod
-    def from_scalar(cls, array: CrossbarArray, batch: int) -> "ScalarLaneArray":
+    def from_scalar(
+        cls, array: CrossbarArray, batch: int, row_map=None
+    ) -> "ScalarLaneArray":
+        row_map = array._row_map if row_map is None else row_map
         lanes = []
         for _ in range(batch):
             lane = CrossbarArray(
@@ -110,7 +118,7 @@ class ScalarLaneArray:
             )
             lane.state[:] = array.state
             lane._faults = dict(array._faults)
-            lane._row_map = list(array._row_map)
+            lane._row_map = list(row_map)
             lane._spares_free = list(array._spares_free)
             lane._apply_faults()
             lanes.append(lane)
@@ -248,8 +256,10 @@ class ScalarBackend(ExecutorBackend):
 
     name = "scalar"
 
-    def make_array(self, template: CrossbarArray, batch: int) -> ScalarLaneArray:
-        return ScalarLaneArray.from_scalar(template, batch)
+    def make_array(
+        self, template: CrossbarArray, batch: int, row_map=None
+    ) -> ScalarLaneArray:
+        return ScalarLaneArray.from_scalar(template, batch, row_map)
 
     def make_executor(self, array, clock=None, fault_hook=None):
         return ScalarLaneExecutor(array, clock=clock, fault_hook=fault_hook)
@@ -261,9 +271,9 @@ class WordPackedBackend(ExecutorBackend):
     name = "word"
 
     def make_array(
-        self, template: CrossbarArray, batch: int
+        self, template: CrossbarArray, batch: int, row_map=None
     ) -> WordPackedCrossbarArray:
-        return WordPackedCrossbarArray.from_scalar(template, batch)
+        return WordPackedCrossbarArray.from_scalar(template, batch, row_map)
 
     def make_executor(self, array, clock=None, fault_hook=None):
         return WordPackedMagicExecutor(

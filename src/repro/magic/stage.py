@@ -13,10 +13,14 @@ counters equal what running the jobs one after another would leave.
 
 The four adder stages (Karatsuba precompute and postcompute, Toom-3
 evaluation and interpolation; :class:`~repro.arith.koggestone
-.AdderPassStage`) replay one mega-program per unit and wear-state
-group per batch, every pass of a job in one program, not one replay
-per pass; a standalone :meth:`AdderUnit.run_pass
+.AdderPassStage`) replay one mega-program per unit per batch, every
+pass of every job in one program, not one replay per pass; a
+standalone :meth:`AdderUnit.run_pass
 <repro.arith.koggestone.AdderUnit.run_pass>` replays one pass.
+Wear leveling (paper Sec. IV-B) is a periphery remap: it decides which
+physical rows a job's pulses land on, not what the lanes compute, so
+the programs are built in logical rows and :meth:`CrossbarStage.replay`
+places each wear group's pulses when it folds them back.
 
 The lane container and executor come from the stage's
 :mod:`repro.magic.backend` (``word`` by default, ``scalar`` as the
@@ -33,6 +37,10 @@ from repro.magic.executor import MagicExecutor
 from repro.magic.program import Program
 from repro.sim.clock import Clock
 from repro.sim.stats import RunStats
+
+#: One wear group of a replay: the indices of its lanes and the wear
+#: permutation of logical rows its jobs meet (``None``: unmoved).
+Placement = Tuple[Sequence[int], Optional[Sequence[int]]]
 
 
 def all_ones(lanes) -> None:
@@ -68,6 +76,7 @@ class CrossbarStage:
         bindings: Sequence[Dict[str, int]],
         seed: Callable[[object], None],
         sense: Optional[Callable[[object], object]] = None,
+        placements: Optional[Sequence[Placement]] = None,
     ) -> Tuple[List[RunStats], object]:
         """Clone the stage array into one lane per binding set, replay.
 
@@ -75,13 +84,58 @@ class CrossbarStage:
         (the Karatsuba stages reset them to the all-ones steady state,
         the adder units write their operand rows); *sense* reads the
         lanes after the program, while the reads still charge the lane
-        energy.  Returns the per-lane run stats and what *sense*
-        returned (``None`` without it).  An empty *bindings* clones
-        nothing and returns no stats; *sense* is not called.
+        energy.  Returns the per-lane run stats, in *bindings* order,
+        and what *sense* returned (``None`` without it).  An empty
+        *bindings* clones nothing and returns no stats; *sense* is not
+        called.
+
+        *placements* splits the lanes into wear groups, ``(lane
+        indices, wear permutation)`` each; the permutation maps every
+        logical row of the program to the row the group's jobs touch
+        (``None``: unmoved) and is composed with the array's spare-row
+        remap.  Placement moves write pulses, never data, so all lanes
+        replay at once and each group's pulses fold back at its own
+        rows.  A pinned stuck-at fault or a fault hook makes the data
+        depend on placement: then each group replays under its own row
+        map, in group order (*sense* then reads the last group's).
         """
         if not bindings:
             return [], None
-        lanes = self.backend.make_array(self.array, len(bindings))
+        array = self.array
+        remap = array._row_map
+        if placements is None:
+            placements = ((range(len(bindings)), None),)
+        row_maps = [
+            None if wear is None else [remap[row] for row in wear]
+            for _, wear in placements
+        ]
+        if not self.placement_matters:
+            stats, sensed, lanes = self._run(program, bindings, seed, sense)
+            # Every lane pulsed the same logical cells; each group lands
+            # them on its own rows.
+            logical = lanes.writes[remap]
+            for (group, _), rows in zip(placements, row_maps):
+                array.writes[remap if rows is None else rows] += (
+                    logical * len(group)
+                )
+            array.energy_fj += lanes.total_energy_fj()
+        else:
+            stats = [None] * len(bindings)
+            for (group, _), rows in zip(placements, row_maps):
+                group_stats, sensed, lanes = self._run(
+                    program, [bindings[i] for i in group], seed, sense, rows
+                )
+                for i, lane_stats in zip(group, group_stats):
+                    stats[i] = lane_stats
+                array.writes += lanes.writes * len(group)
+                array.energy_fj += lanes.total_energy_fj()
+        array.state[:] = True
+        return stats, sensed
+
+    def _run(self, program, bindings, seed, sense, row_map=None):
+        """One lock-step replay over fresh lanes addressing *row_map*
+        (default: the array's own); returns ``(stats, sensed, lanes)``."""
+        lanes = self.backend.make_array(self.array, len(bindings), row_map)
         seed(lanes)
         lanes.repin_faults()
         executor = self.backend.make_executor(
@@ -89,11 +143,13 @@ class CrossbarStage:
         )
         stats = executor.execute(self.executor.compile(program), bindings)
         sensed = sense(lanes) if sense is not None else None
-        # Every lane pulsed the same cells; energy is one batch total.
-        self.array.writes += lanes.writes * len(bindings)
-        self.array.energy_fj += lanes.total_energy_fj()
-        self.array.state[:] = True
-        return stats, sensed
+        return stats, sensed, lanes
+
+    @property
+    def placement_matters(self) -> bool:
+        """Whether the rows a lane lands on can change its data: a
+        pinned stuck-at fault or an installed fault hook."""
+        return self.executor.fault_hook is not None or bool(self.array.fault_count)
 
     # ------------------------------------------------------------------
     # Reliability hooks

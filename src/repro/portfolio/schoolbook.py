@@ -135,12 +135,8 @@ class SchoolbookController(PipelineController):
         )
         latencies = self.stage_latencies()
         with stage_span:
-            products = rowmul.lockstep_pass(
-                self.multiply.rows,
-                _STEPS,
-                [{"a": a, "b": b} for a, b in pairs],
-                self.multiply.checker,
-                self.multiply.wear_leveling,
+            products = self.multiply.lockstep_pass(
+                [{"a": a, "b": b} for a, b in pairs]
             )
             # Jobs run back to back in the single row; the batch
             # advances the clock once per job (no lane parallelism to
