@@ -169,7 +169,6 @@ def test_generic_depth_study(benchmark):
     depth through the Karatsuba controller and measure the trade-off."""
     from repro.karatsuba import cost
     from repro.karatsuba.controller import depth_study
-    from repro.karatsuba.unroll import build_plan
 
     study = benchmark.pedantic(
         depth_study, args=(64,), kwargs={"depths": (1, 2, 3)},
@@ -184,7 +183,7 @@ def test_generic_depth_study(benchmark):
             [
                 (L, s.precompute_cycles, s.multiply_cycles,
                  s.postcompute_cycles,
-                 cost.postcompute_passes(build_plan(64, L), 96))
+                 len(cost.stage_layouts(64, L)[2].passes))
                 for L, s in sorted(study.items())
             ],
             title=(

@@ -66,7 +66,7 @@ def test_simulated_precompute(benchmark, n, rng):
     a, b = rng.getrandbits(n), rng.getrandbits(n)
     chunks = (split_chunks(a, n // 4, 4), split_chunks(b, n // 4, 4))
     result = benchmark(lambda: stage.process_batch([chunks])[0])
-    assert result.cycles == cost.precompute_cost(n, 2).latency_cc
+    assert result.cycles == cost.design_cost(n, 2).stages[0].latency_cc
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -75,7 +75,7 @@ def test_simulated_multiply_stage(benchmark, n, rng):
     plan = build_plan(n, 2)
     operands = plan.intermediate_values(rng.getrandbits(n), rng.getrandbits(n))
     result = benchmark(lambda: stage.process_batch([operands])[0])
-    assert result.cycles == cost.multiply_cost(n, 2).latency_cc
+    assert result.cycles == cost.design_cost(n, 2).stages[1].latency_cc
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -87,7 +87,7 @@ def test_simulated_postcompute(benchmark, n, rng):
     products = {s.out: values[s.out] for s in plan.multiplications}
     result = benchmark(lambda: stage.process_batch([products])[0])
     assert result.product == a * b
-    assert result.cycles == cost.postcompute_cost(n, 2).latency_cc
+    assert result.cycles == cost.design_cost(n, 2).stages[2].latency_cc
 
 
 def test_pipeline_throughput_model(benchmark, rng):

@@ -286,20 +286,23 @@ class LockstepRowStage:
     products, the schoolbook design's one full-width row).  A batch of B
     jobs runs as one :meth:`lockstep_pass` and advances the stage clock by a single row latency.  The rows
     are a numeric model: the stage owns no MAGIC crossbar
-    (:attr:`units` is empty).
+    (:attr:`units` is empty).  *layout* is the slot's
+    :class:`~repro.karatsuba.cost.StageLayout`; its
+    ``multiplier_width`` is the rows' width.
     """
 
     units: Tuple[object, ...] = ()
 
     def __init__(
         self,
-        width: int,
+        layout,
         steps: Sequence[Tuple[str, str, str]],
         name: str,
         wear_leveling: bool = True,
         residue_bits: int = DEFAULT_RESIDUE_BITS,
     ):
-        self.width = width
+        self.layout = layout
+        self.width = width = layout.multiplier_width
         self.steps = tuple(steps)
         self.wear_leveling = wear_leveling
         self.checker = ResidueChecker(name, residue_bits)

@@ -179,9 +179,9 @@ def build_ledger() -> List[Claim]:
         "exact",
         lambda: (
             "exact"
-            if cost.precompute_cost(256, 2).area_cells == 1980
+            if cost.design_cost(256, 2).stages[0].area_cells == 1980
             else "discrepancy",
-            str(cost.precompute_cost(256, 2).area_cells),
+            str(cost.design_cost(256, 2).stages[0].area_cells),
         ),
     )
     add(
@@ -204,9 +204,9 @@ def build_ledger() -> List[Claim]:
         "exact",
         lambda: (
             "exact"
-            if cost.postcompute_passes(build_plan(256, 2), 384) == 11
+            if len(cost.stage_layouts(256, 2)[2].passes) == 11
             else "discrepancy",
-            str(cost.postcompute_passes(build_plan(256, 2), 384)),
+            str(len(cost.stage_layouts(256, 2)[2].passes)),
         ),
     )
     add(

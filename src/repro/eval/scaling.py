@@ -82,7 +82,7 @@ _DESIGNS: Dict[str, Tuple[Callable[[int], int], Callable[[int], int]]] = {
         # (m(ceil(log2 m)+14)+3 with m = n/4+2).  Total latency is
         # constant-dominated at the window's low end (the postcompute
         # stage's 121*log term), which would mask the growth law.
-        lambda n: cost.multiply_cost(n, 2).latency_cc,
+        lambda n: cost.design_cost(n, 2).stages[1].latency_cc,
     ),
 }
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.arith.bitops import ceil_log2
+from repro.karatsuba import cost as cost_model
 from repro.sim.exceptions import DesignError
 
 
@@ -51,13 +52,22 @@ def _rowmul(width: int, p: CostPerturbation) -> float:
     )
 
 
-def ours_latency(n_bits: int, p: CostPerturbation) -> Tuple[float, float, float]:
-    """(precompute, multiply, postcompute) under perturbation *p*."""
-    quarter = n_bits // 4
-    pre = p.gamma * 9 + 10 * _adder_pass(quarter + 1, p)
-    mult = _rowmul(quarter + 2, p)
-    post = 11 * _adder_pass((3 * n_bits) // 2, p) + p.gamma * 18
-    return pre, mult, post
+def _perturbed_cc(layout, p: CostPerturbation) -> float:
+    """A stage layout's latency under *p*: its passes, its row
+    multipliers and its periphery overhead."""
+    cycles = p.gamma * sum(layout.overhead.values()) + sum(
+        _adder_pass(width, p) for _, width in layout.passes
+    )
+    if layout.multipliers:
+        cycles += _rowmul(layout.multiplier_width, p)
+    return cycles
+
+
+def ours_latency(n_bits: int, p: CostPerturbation) -> Tuple[float, ...]:
+    """(precompute, multiply, postcompute) of the L = 2 design under *p*."""
+    return tuple(
+        _perturbed_cc(layout, p) for layout in cost_model.stage_layouts(n_bits, 2)
+    )
 
 
 def design_latencies(n_bits: int, p: CostPerturbation) -> Dict[str, float]:
@@ -76,7 +86,7 @@ def design_latencies(n_bits: int, p: CostPerturbation) -> Dict[str, float]:
 
 
 _AREAS = {
-    "ours": lambda n: 30 * (n // 4 + 2) + 108 * (n // 4 + 2) + 30 * n,
+    "ours": lambda n: cost_model.design_cost(n, 2).area_cells,
     "radakovits2020": lambda n: 2 * n * n + n + 2,
     "hajali2018": lambda n: 20 * n - 5,
     "lakshmi2022": lambda n: 8 * n * n + 48 * (ceil_log2(n) - 2),
@@ -119,8 +129,6 @@ def sweep(
     ([9] < ours < [8] < [6] < [7]) holds; *L2 still best* re-runs the
     Fig. 4 aggregate with the perturbed adder/multiplier costs.
     """
-    from repro.karatsuba import cost as cost_model
-
     baseline_order = atp_ranking(n_bits, CostPerturbation())
     checked = 0
     order_ok = 0
@@ -134,21 +142,19 @@ def sweep(
                 if atp_ranking(n_bits, p) == baseline_order:
                     order_ok += 1
                 # Fig. 4 choice: compare L in {1,2,3} with perturbed
-                # stage ingredients (structure from the cost model).
+                # stage ingredients (structure from the stage layouts).
                 aggregates = {}
                 for depth in (1, 2, 3):
                     total = 1.0
                     for size in (64, 128, 256, 384):
                         if size % (1 << depth):
                             continue
-                        chunk = size >> depth
-                        adds = 2 * (3**depth - 2**depth)
-                        pre = adds * _adder_pass(chunk + depth, p)
-                        mult = _rowmul(chunk + depth, p)
-                        passes = {1: 3, 2: 11, 3: 23}[depth]
-                        post = passes * _adder_pass((3 * size) // 2, p)
-                        area = cost_model.design_cost(size, depth).area_cells
-                        total *= area * max(pre, mult, post)
+                        layouts = cost_model.stage_layouts(size, depth)
+                        bottleneck = max(
+                            _perturbed_cc(layout, p) for layout in layouts
+                        )
+                        area = sum(layout.area_cells for layout in layouts)
+                        total *= area * bottleneck
                     aggregates[depth] = total
                 if min(aggregates, key=aggregates.get) == 2:
                     l2_ok += 1

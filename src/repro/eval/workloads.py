@@ -107,15 +107,6 @@ def width_mix_trace(
     return trace
 
 
-def _stage_latencies(n_bits: int) -> Tuple[int, int, int]:
-    dc = cost.design_cost(n_bits, 2)
-    return (
-        dc.precompute.latency_cc,
-        dc.multiply.latency_cc,
-        dc.postcompute.latency_cc,
-    )
-
-
 def replay(trace: List[TraceItem]) -> ReplayResult:
     """Replay a trace through the event-driven pipeline model.
 
@@ -129,7 +120,9 @@ def replay(trace: List[TraceItem]) -> ReplayResult:
             jobs=0, makespan_cc=0, throughput_per_mcc=0.0,
             stage_utilisation=(0.0, 0.0, 0.0),
         )
-    latencies = [_stage_latencies(item.n_bits) for item in trace]
+    latencies = [
+        cost.design_cost(item.n_bits, 2).stage_latencies for item in trace
+    ]
     result = simulate(latencies)
     makespan = result.makespan_cc
     busy = [0, 0, 0]

@@ -18,7 +18,7 @@ from repro.karatsuba.cost import (
     design_metrics,
     max_writes_per_cell,
     optimal_depth,
-    postcompute_passes,
+    stage_layouts,
 )
 from repro.karatsuba.design import KaratsubaCimMultiplier, supported_widths
 from repro.karatsuba import floorplan
@@ -31,7 +31,7 @@ from repro.karatsuba.eventsim import (
 )
 from repro.karatsuba.reference import ReferenceMultiplier
 from repro.karatsuba.multiply import MultiplicationStage
-from repro.karatsuba.pipeline import KaratsubaPipeline, PipelineTiming, StreamResult
+from repro.karatsuba.pipeline import KaratsubaPipeline, StreamResult
 from repro.karatsuba.postcompute import PostcomputeStage
 from repro.karatsuba.precompute import PrecomputeStage
 from repro.karatsuba.unroll import UnrolledPlan, build_plan
@@ -59,7 +59,6 @@ __all__ = [
     "simulate_uniform_pipeline",
     "validates_closed_form",
     "MultiplicationStage",
-    "PipelineTiming",
     "PostcomputeStage",
     "PrecomputeStage",
     "StageCost",
@@ -72,6 +71,6 @@ __all__ = [
     "design_metrics",
     "max_writes_per_cell",
     "optimal_depth",
-    "postcompute_passes",
+    "stage_layouts",
     "supported_widths",
 ]

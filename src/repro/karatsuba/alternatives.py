@@ -78,10 +78,9 @@ def recursive_multi_adder(n_bits: int) -> AlternativeCost:
         + 8 * cost.adder_latency_cc(n_bits // 4 + 1)
         + 1
     )
-    area = pre_area + chosen.multiply.area_cells + chosen.postcompute.area_cells
-    bottleneck = max(
-        pre_latency, chosen.multiply.latency_cc, chosen.postcompute.latency_cc
-    )
+    _, multiply, postcompute = chosen.stages
+    area = pre_area + multiply.area_cells + postcompute.area_cells
+    bottleneck = max(pre_latency, multiply.latency_cc, postcompute.latency_cc)
     return AlternativeCost(
         name="recursive-multi-adder",
         n_bits=n_bits,
@@ -104,10 +103,9 @@ def recursive_shared_adder(n_bits: int) -> AlternativeCost:
     pre_area = _adder_array_cells(n_bits // 2) + storage
     wide_add = cost.adder_latency_cc(n_bits // 2)
     pre_latency = 8 + 10 * wide_add + 1
-    area = pre_area + chosen.multiply.area_cells + chosen.postcompute.area_cells
-    bottleneck = max(
-        pre_latency, chosen.multiply.latency_cc, chosen.postcompute.latency_cc
-    )
+    _, multiply, postcompute = chosen.stages
+    area = pre_area + multiply.area_cells + postcompute.area_cells
+    bottleneck = max(pre_latency, multiply.latency_cc, postcompute.latency_cc)
     return AlternativeCost(
         name="recursive-shared-adder",
         n_bits=n_bits,

@@ -20,11 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
-from repro.karatsuba.pipeline import (
-    DEFAULT_BATCH_SIZE,
-    KaratsubaPipeline,
-    PipelineTiming,
-)
+from repro.karatsuba.cost import DesignCost
+from repro.karatsuba.pipeline import DEFAULT_BATCH_SIZE, KaratsubaPipeline
 from repro.sim.exceptions import DesignError
 from repro.telemetry import spans as _telemetry
 from repro.telemetry.spans import NOOP_SPAN
@@ -36,7 +33,7 @@ class BankTiming:
 
     n_bits: int
     ways: int
-    pipeline: PipelineTiming
+    pipeline: DesignCost
 
     @property
     def throughput_per_mcc(self) -> float:
@@ -44,9 +41,7 @@ class BankTiming:
 
     @property
     def area_cells(self) -> int:
-        from repro.karatsuba import cost
-
-        return self.ways * cost.design_cost(self.n_bits, 2).area_cells
+        return self.ways * self.pipeline.area_cells
 
     @property
     def atp(self) -> float:
@@ -172,10 +167,8 @@ class MultiplierBank:
     # ------------------------------------------------------------------
     def scaling_table(self, max_ways: int = 8) -> List[Tuple[int, float, int]]:
         """(ways, throughput, area) rows for a scaling study."""
-        from repro.karatsuba import cost
-
-        base = self.pipelines[0].timing().throughput_per_mcc
-        area = cost.design_cost(self.n_bits, 2).area_cells
+        timing = self.pipelines[0].timing()
         return [
-            (k, k * base, k * area) for k in range(1, max_ways + 1)
+            (k, k * timing.throughput_per_mcc, k * timing.area_cells)
+            for k in range(1, max_ways + 1)
         ]

@@ -86,20 +86,18 @@ class JobRecord:
 class PipelineController:
     """The one controller surface of the three-slot multiplier designs.
 
-    A design subclass declares its slots — :attr:`stage_names` (the
-    pipeline-timing labels) and :attr:`stage_attr_names` (the
-    attributes holding the stage objects, slot for slot) — and keeps
+    A design subclass declares its slots — :attr:`stage_attr_names`,
+    the attributes holding the stage objects, slot for slot — and keeps
     only its constructor, its operand split (:meth:`_split`) and the
     result field each stage hands to the next (:attr:`handoff`).
-    Every stage exposes ``process_batch``, ``latency_cc()``,
-    ``area_cells``, ``max_writes()``, ``checker`` (``None`` when it
-    checks nothing) and ``units``, the crossbar units it owns (none
-    for the row-multiplier and periphery slots).  Energy, spares,
+    Every stage exposes its ``layout``, ``process_batch``,
+    ``latency_cc()``, ``area_cells``, ``max_writes()``, ``checker``
+    (``None`` when it checks nothing) and ``units``, the crossbar units
+    it owns (none for the row-multiplier and periphery slots).  Energy, spares,
     fault hooks, repair, compile caches and optimizer stats all read
     those unit lists.
     """
 
-    stage_names: Tuple[str, str, str]
     stage_attr_names: Tuple[str, str, str]
     #: Result field each stage passes on, slot for slot; the last
     #: stage's results carry ``product``.
@@ -123,6 +121,12 @@ class PipelineController:
     def stages(self) -> Tuple[object, ...]:
         """The stage objects, slot for slot."""
         return tuple(vars(self)[name] for name in self.stage_attr_names)
+
+    @property
+    def stage_names(self) -> Tuple[str, ...]:
+        """The pipeline-timing label of each slot, from its stage's
+        :class:`~repro.karatsuba.cost.StageLayout`."""
+        return tuple(stage.layout.name for stage in self.stages)
 
     def crossbar_units(self) -> List[Tuple[str, CrossbarStage]]:
         """``(label, unit)`` for every crossbar unit, stage by stage.
@@ -292,7 +296,6 @@ class KaratsubaController(PipelineController):
     lays out its rows and passes from the depth-L unrolled plan.
     """
 
-    stage_names = ("precompute", "multiply", "postcompute")
     stage_attr_names = ("precompute", "multiply_stage", "postcompute")
     handoff = ("chunk_sums", "products")
 

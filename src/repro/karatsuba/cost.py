@@ -1,20 +1,19 @@
-"""Analytic area/latency/throughput model of the CIM Karatsuba design.
+"""Area/latency/throughput model of the CIM multiplier designs.
 
-Implements the closed forms of Sec. IV for the shipped L = 2 design and
-generalises every stage over the unroll depth L, which is what the
-paper's Fig. 4 sweeps to justify choosing L = 2.
+One cost source: every stage lays out its rows, columns and adder
+passes with a pure layout function of its inputs
+(:class:`StageLayout`; Karatsuba stages read the depth-L unrolled plan
+of ``(n, L)``, the Toom-3 and schoolbook stages ``n`` alone).  The
+stage constructors build their arrays and programs from those layouts,
+and :func:`design_cost` prices a design point by summing them, with no
+array allocated and no program generated.  A stage's latency is its
+periphery overhead plus the closed-form Kogge-Stone latency of every
+pass (:func:`repro.arith.koggestone.latency_cc`) or one row-multiplier
+latency (:func:`repro.arith.rowmul.latency_cc`); its area is its
+crossbar cells plus ``12 m`` cells per ``m``-bit multiplier row.
 
-Generalisation over L (the paper fixes L = 2; these reductions follow
-the same construction):
-
-* **precompute** — ``2^(L+1)`` input writes, ``2*(3^L - 2^L)`` additions
-  on a Kogge-Stone of the widest chunk-sum width ``n/2^L + L - 1``,
-  one reset cycle.
-* **multiply** — ``3^L`` parallel rows of width ``n/2^L + L``.
-* **postcompute** — a 1.5n-wide adder (the top-level LSB pass-through
-  works for every L); the passes are the plan's batched combine-tree
-  schedule (:meth:`~repro.karatsuba.unroll.UnrolledPlan.postcompute_schedule`),
-  the same list the postcompute stage replays: the paper's 11 at L = 2.
+At the shipped L = 2 Karatsuba design this reproduces the closed forms
+of Sec. IV; Fig. 4 sweeps the same layouts over L.
 
 The max-writes-per-cell model reflects wear-leveling (which halves the
 per-region accumulation) plus the small reorder/reset constants; it
@@ -23,17 +22,63 @@ reproduces the paper's 81 / 92 / 134 / 198 column cell-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+import functools
+from dataclasses import dataclass, field
+from typing import Dict, NamedTuple, Tuple
 
 from repro.arith import rowmul
 from repro.arith.bitops import ceil_div, ceil_log2
 from repro.arith.koggestone import SCRATCH_ROWS
 # Kogge-Stone pass latency: one closed form, the adder program's own.
 from repro.arith.koggestone import latency_cc as adder_latency_cc
-from repro.karatsuba.unroll import UnrolledPlan, build_plan
+from repro.karatsuba.unroll import build_plan
 from repro.sim.exceptions import DesignError
 from repro.sim.stats import DesignMetrics
+
+
+class UnitLayout(NamedTuple):
+    """One crossbar unit: its logical rows and columns, and the
+    ``(op, adder width)`` passes one job replays on it, in order."""
+
+    rows: int
+    cols: int
+    passes: Tuple[Tuple[str, int], ...]
+
+
+@dataclass(frozen=True)
+class StageLayout:
+    """What one pipeline stage builds, worked out before anything is
+    built: its crossbar :attr:`units`, the periphery cycles one job
+    spends outside the adder passes (:attr:`overhead`, per clock
+    category), and :attr:`multipliers` lock-step rows of
+    :attr:`multiplier_width` bits."""
+
+    name: str
+    units: Tuple[UnitLayout, ...] = ()
+    overhead: Dict[str, int] = field(default_factory=dict)
+    multipliers: int = 0
+    multiplier_width: int = 0
+
+    @property
+    def passes(self) -> Tuple[Tuple[str, int], ...]:
+        """Every ``(op, adder width)`` pass of one job, unit by unit."""
+        return tuple(p for unit in self.units for p in unit.passes)
+
+    @property
+    def area_cells(self) -> int:
+        cells = sum(unit.rows * unit.cols for unit in self.units)
+        if self.multipliers:
+            cells += self.multipliers * rowmul.area_cells(self.multiplier_width)
+        return cells
+
+    @property
+    def latency_cc(self) -> int:
+        cycles = sum(self.overhead.values()) + sum(
+            adder_latency_cc(width) for _, width in self.passes
+        )
+        if self.multipliers:
+            cycles += rowmul.latency_cc(self.multiplier_width)
+        return cycles
 
 
 @dataclass(frozen=True)
@@ -47,32 +92,46 @@ class StageCost:
 
 @dataclass(frozen=True)
 class DesignCost:
-    """Full cost breakdown of one (n, L) design point."""
+    """Cost and timing of one pipelined design point, stage by stage.
+
+    Latency of one multiplication is the *sum* of the stage latencies;
+    the steady-state throughput is set by the *maximum* (paper
+    Sec. IV-A).  The figures are computed once per record: the serving
+    layer reads them on every flush.
+    """
 
     n_bits: int
-    depth: int
-    precompute: StageCost
-    multiply: StageCost
-    postcompute: StageCost
+    stages: Tuple[StageCost, ...]
 
-    @property
-    def stages(self) -> Tuple[StageCost, StageCost, StageCost]:
-        return (self.precompute, self.multiply, self.postcompute)
+    @functools.cached_property
+    def stage_names(self) -> Tuple[str, ...]:
+        return tuple(stage.name for stage in self.stages)
 
-    @property
+    @functools.cached_property
+    def stage_latencies(self) -> Tuple[int, ...]:
+        return tuple(stage.latency_cc for stage in self.stages)
+
+    @functools.cached_property
     def area_cells(self) -> int:
         return sum(stage.area_cells for stage in self.stages)
 
-    @property
+    @functools.cached_property
     def latency_cc(self) -> int:
-        return sum(stage.latency_cc for stage in self.stages)
+        """Fill latency of one multiplication (sum of stages)."""
+        return sum(self.stage_latencies)
 
-    @property
+    @functools.cached_property
     def bottleneck_cc(self) -> int:
-        return max(stage.latency_cc for stage in self.stages)
+        """Initiation interval: the slowest stage."""
+        return max(self.stage_latencies)
 
     @property
+    def bottleneck_stage(self) -> str:
+        return self.stage_names[self.stage_latencies.index(self.bottleneck_cc)]
+
+    @functools.cached_property
     def throughput_per_mcc(self) -> float:
+        """Steady-state multiplications per 10^6 clock cycles."""
         return 1e6 / self.bottleneck_cc
 
     @property
@@ -80,82 +139,57 @@ class DesignCost:
         """Area-time product: cells / throughput (the paper's metric)."""
         return self.area_cells / self.throughput_per_mcc
 
-
-# ----------------------------------------------------------------------
-# Stage models, generalised over L
-# ----------------------------------------------------------------------
-def _validate(n_bits: int, depth: int) -> None:
-    if depth < 1:
-        raise DesignError("unroll depth must be at least 1")
-    if n_bits <= 0 or n_bits % (1 << depth):
-        raise DesignError(
-            f"n_bits must be a positive multiple of 2**{depth}, got {n_bits}"
-        )
-
-
-def precompute_cost(n_bits: int, depth: int = 2) -> StageCost:
-    """Generalised precompute stage cost (paper Sec. IV-C at L = 2)."""
-    _validate(n_bits, depth)
-    plan = build_plan(n_bits, depth)
-    inputs = 2 << depth                      # 2^(L+1) chunks
-    additions = len(plan.precompute_adds)    # 2 (3^L - 2^L)
-    adder_width = plan.max_precompute_input_width
-    cols = adder_width + 1
-    rows = inputs + additions + SCRATCH_ROWS
-    latency = inputs + additions * adder_latency_cc(adder_width) + 1
-    return StageCost(name="precompute", area_cells=rows * cols, latency_cc=latency)
-
-
-def multiply_cost(n_bits: int, depth: int = 2) -> StageCost:
-    """Generalised multiplication stage cost (paper Sec. IV-D at L = 2)."""
-    _validate(n_bits, depth)
-    plan = build_plan(n_bits, depth)
-    width = plan.max_mult_width
-    return StageCost(
-        name="multiply",
-        area_cells=len(plan.multiplications) * rowmul.area_cells(width),
-        latency_cc=rowmul.latency_cc(width),
-    )
-
-
-def postcompute_passes(plan: UnrolledPlan, window_bits: int) -> int:
-    """Adder passes of the batched postcompute schedule: the length of
-    :meth:`UnrolledPlan.postcompute_schedule`, the pass list the
-    postcompute stage replays (the paper's 11 at L = 2)."""
-    return len(plan.postcompute_schedule(window_bits))
-
-
-def postcompute_cost(n_bits: int, depth: int = 2) -> StageCost:
-    """Generalised postcompute stage cost (paper Sec. IV-E at L = 2)."""
-    _validate(n_bits, depth)
-    plan = build_plan(n_bits, depth)
-    window = (3 * n_bits) // 2
-    passes = postcompute_passes(plan, window)
-    reorder = 2 * 3**depth
-    latency = passes * adder_latency_cc(window) + reorder
-    # Data rows: the partial products packed into 1.5n-wide rows, doubled
-    # for reordering headroom, plus the 12 adder scratch rows.
-    product_bits = sum(
-        step.product_width + 1 for step in plan.multiplications
-    )
-    data_rows = 2 * ceil_div(product_bits, window)
-    rows = data_rows + SCRATCH_ROWS
-    return StageCost(
-        name="postcompute", area_cells=rows * window, latency_cc=latency
-    )
+    def makespan_cc(self, jobs: int) -> int:
+        """Total cycles to finish *jobs* multiplications back-to-back."""
+        if jobs < 0:
+            raise DesignError("job count must be non-negative")
+        if jobs == 0:
+            return 0
+        return self.latency_cc + (jobs - 1) * self.bottleneck_cc
 
 
 # ----------------------------------------------------------------------
 # Design-point aggregation
 # ----------------------------------------------------------------------
-def design_cost(n_bits: int, depth: int = 2) -> DesignCost:
-    """Full analytic cost of one (n, L) design point."""
+def stage_layouts(
+    n_bits: int, depth: int = 2, algorithm: str = "karatsuba"
+) -> Tuple[StageLayout, ...]:
+    """The layouts of one design point's stages, slot for slot:
+    Karatsuba at unroll depth *depth*, or the ``"toom3"`` and
+    ``"schoolbook"`` designs (whose depth is fixed)."""
+    # The stage modules import this one for StageLayout.
+    if algorithm == "karatsuba":
+        from repro.karatsuba import multiply, postcompute, precompute
+
+        plan = build_plan(n_bits, depth)
+        return (
+            precompute.layout(plan),
+            multiply.layout(plan),
+            postcompute.layout(plan),
+        )
+    if algorithm == "toom3":
+        from repro.portfolio import toom3
+
+        return toom3.layouts(n_bits)
+    if algorithm == "schoolbook":
+        from repro.portfolio import schoolbook
+
+        return schoolbook.layouts(n_bits)
+    raise DesignError(f"unknown algorithm {algorithm!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def design_cost(
+    n_bits: int, depth: int = 2, algorithm: str = "karatsuba"
+) -> DesignCost:
+    """Cost of one design point: its stage layouts, summed (the paper's
+    closed forms at the unoptimized schedule)."""
     return DesignCost(
         n_bits=n_bits,
-        depth=depth,
-        precompute=precompute_cost(n_bits, depth),
-        multiply=multiply_cost(n_bits, depth),
-        postcompute=postcompute_cost(n_bits, depth),
+        stages=tuple(
+            StageCost(layout.name, layout.area_cells, layout.latency_cc)
+            for layout in stage_layouts(n_bits, depth, algorithm)
+        ),
     )
 
 
@@ -169,7 +203,6 @@ def squaring_cost(n_bits: int) -> DesignCost:
     Crypto workloads are squaring-heavy (about 2/3 of a modexp), so the
     precompute saving lifts the stage balance.
     """
-    _validate(n_bits, 2)
     base = design_cost(n_bits, 2)
     adds = 5
     inputs = 4
@@ -181,13 +214,7 @@ def squaring_cost(n_bits: int) -> DesignCost:
         area_cells=pre_rows * (adder_width + 1),
         latency_cc=pre_latency,
     )
-    return DesignCost(
-        n_bits=n_bits,
-        depth=2,
-        precompute=precompute,
-        multiply=base.multiply,
-        postcompute=base.postcompute,
-    )
+    return DesignCost(n_bits=n_bits, stages=(precompute, *base.stages[1:]))
 
 
 def max_writes_per_cell(n_bits: int) -> int:
@@ -202,7 +229,7 @@ def max_writes_per_cell(n_bits: int) -> int:
 
     Reproduces the paper's 81 / 92 / 134 / 198 for n = 64..384.
     """
-    _validate(n_bits, 2)
+    build_plan(n_bits, 2)  # rejects widths the L = 2 design cannot split
     post = 11 * ceil_log2((3 * n_bits) // 2) + 4
     mult = 2 * (n_bits // 4 + 2) + 2
     return max(post, mult)
@@ -267,25 +294,18 @@ def residue_overhead(
     At n = 256, L = 2, r = 8 this is 10x5 + 9x6 + 11x7 = 181 cc,
     about 5% of the 3632 cc pipeline fill latency.
     """
-    _validate(n_bits, depth)
     if residue_bits < 2:
         raise DesignError("residue width must be at least 2 bits")
-    plan = build_plan(n_bits, depth)
-    pre_checks = len(plan.precompute_adds)
-    pre_width = plan.max_precompute_input_width
-    mul_checks = len(plan.multiplications)
-    mul_width = 2 * plan.max_mult_width
-    window = (3 * n_bits) // 2
-    post_checks = postcompute_passes(plan, window)
+    pre, mul, post = stage_layouts(n_bits, depth)
     return ResidueOverhead(
         n_bits=n_bits,
         depth=depth,
         residue_bits=residue_bits,
-        checks_per_stage=(pre_checks, mul_checks, post_checks),
+        checks_per_stage=(len(pre.passes), mul.multipliers, len(post.passes)),
         cycles_per_check=(
-            _fold_cycles(pre_width, residue_bits),
-            _fold_cycles(mul_width, residue_bits),
-            _fold_cycles(window, residue_bits),
+            _fold_cycles(pre.passes[0][1], residue_bits),
+            _fold_cycles(2 * mul.multiplier_width, residue_bits),
+            _fold_cycles(post.units[0].cols, residue_bits),
         ),
     )
 

@@ -20,7 +20,7 @@ from typing import Iterable, List, Tuple
 from repro.crossbar.device import DeviceModel
 from repro.crossbar.endurance import EnduranceReport, analyze
 from repro.karatsuba import cost
-from repro.karatsuba.pipeline import KaratsubaPipeline, PipelineTiming, StreamResult
+from repro.karatsuba.pipeline import KaratsubaPipeline, StreamResult
 from repro.magic.backend import DEFAULT_BACKEND
 from repro.sim.exceptions import DesignError
 from repro.sim.stats import DesignMetrics
@@ -100,7 +100,7 @@ class KaratsubaCimMultiplier:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def timing(self) -> PipelineTiming:
+    def timing(self) -> cost.DesignCost:
         """Static stage/pipeline timing."""
         return self.pipeline.timing()
 
@@ -113,12 +113,11 @@ class KaratsubaCimMultiplier:
         counters) rather than the closed forms; these agree with
         :meth:`metrics` and the tests assert it."""
         timing = self.timing()
-        controller = self.pipeline.controller
         return DesignMetrics(
             name="ours-L2-measured",
             n_bits=self.n_bits,
             latency_cc=timing.latency_cc,
-            area_cells=controller.area_cells,
+            area_cells=timing.area_cells,
             throughput_per_mcc=timing.throughput_per_mcc,
             max_writes_per_cell=None,
         )

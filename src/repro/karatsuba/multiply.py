@@ -19,19 +19,20 @@ the hottest cell's write accumulation
 from __future__ import annotations
 
 from repro.arith.rowmul import LockstepRowStage
-from repro.karatsuba import cost
+from repro.karatsuba.cost import StageLayout
 from repro.karatsuba.unroll import UnrolledPlan, build_plan
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS
 
 
-def area_cells(n_bits: int, depth: int = 2) -> int:
-    """Stage footprint: ``9 * 12 * (n/4 + 2)`` cells at L = 2."""
-    return cost.multiply_cost(n_bits, depth).area_cells
-
-
-def latency_cc(n_bits: int, depth: int = 2) -> int:
-    """Stage latency, set by the widest row: ``m(ceil(log2 m)+14)+3``."""
-    return cost.multiply_cost(n_bits, depth).latency_cc
+def layout(plan: UnrolledPlan) -> StageLayout:
+    """One row multiplier per partial product of *plan*, all of the
+    widest operand width: ``9 * 12 * (n/4 + 2)`` cells at L = 2, and
+    the widest row's latency ``m(ceil(log2 m)+14)+3``."""
+    return StageLayout(
+        "multiply",
+        multipliers=len(plan.multiplications),
+        multiplier_width=plan.max_mult_width,
+    )
 
 
 class MultiplicationStage(LockstepRowStage):
@@ -54,7 +55,7 @@ class MultiplicationStage(LockstepRowStage):
         self.n_bits = n_bits
         self.plan: UnrolledPlan = build_plan(n_bits, depth)
         super().__init__(
-            self.plan.max_mult_width,
+            layout(self.plan),
             [(s.out, s.lhs, s.rhs) for s in self.plan.multiplications],
             "multiply",
             wear_leveling=wear_leveling,

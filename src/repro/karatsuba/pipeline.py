@@ -8,16 +8,18 @@ state throughput is set by the *maximum* stage latency:
     throughput = 10^6 / max(stage latency)   multiplications per Mcc.
 
 :class:`KaratsubaPipeline` combines the functional controller with this
-timing model and can replay an operand stream, reporting both the
+timing model (:class:`~repro.karatsuba.cost.DesignCost`) and can replay an operand stream, reporting both the
 bit-exact products and the pipelined makespan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, List, Tuple
 
 from repro.karatsuba.controller import JobRecord, KaratsubaController
+from repro.karatsuba.cost import DesignCost, StageCost
 from repro.magic.backend import DEFAULT_BACKEND
 from repro.sim.exceptions import DesignError
 from repro.telemetry import spans as _telemetry
@@ -28,51 +30,12 @@ DEFAULT_BATCH_SIZE = 32
 
 
 @dataclass(frozen=True)
-class PipelineTiming:
-    """Static timing summary of the pipelined design."""
-
-    n_bits: int
-    stage_latencies: Tuple[int, int, int]
-    #: Stage labels, slot for slot.  The Karatsuba datapath keeps the
-    #: paper's names; portfolio designs (Toom-3, schoolbook) relabel
-    #: their three slots without changing the timing algebra.
-    stage_names: Tuple[str, str, str] = ("precompute", "multiply", "postcompute")
-
-    @property
-    def latency_cc(self) -> int:
-        """Fill latency of one multiplication (sum of stages)."""
-        return sum(self.stage_latencies)
-
-    @property
-    def bottleneck_cc(self) -> int:
-        """Initiation interval: the slowest stage."""
-        return max(self.stage_latencies)
-
-    @property
-    def bottleneck_stage(self) -> str:
-        return self.stage_names[self.stage_latencies.index(self.bottleneck_cc)]
-
-    @property
-    def throughput_per_mcc(self) -> float:
-        """Steady-state multiplications per 10^6 clock cycles."""
-        return 1e6 / self.bottleneck_cc
-
-    def makespan_cc(self, jobs: int) -> int:
-        """Total cycles to finish *jobs* multiplications back-to-back."""
-        if jobs < 0:
-            raise DesignError("job count must be non-negative")
-        if jobs == 0:
-            return 0
-        return self.latency_cc + (jobs - 1) * self.bottleneck_cc
-
-
-@dataclass(frozen=True)
 class StreamResult:
     """Outcome of replaying an operand stream through the pipeline."""
 
     products: List[int]
     makespan_cc: int
-    timing: PipelineTiming
+    timing: DesignCost
 
     @property
     def achieved_throughput_per_mcc(self) -> float:
@@ -120,11 +83,23 @@ class KaratsubaPipeline:
         self.n_bits = n_bits
         self.backend = backend
 
-    def timing(self) -> PipelineTiming:
-        return PipelineTiming(
+    def timing(self) -> DesignCost:
+        """Cost and timing of the built datapath: each stage's built
+        area and latency (packed cycle counts under ``optimize=True``),
+        which :func:`~repro.karatsuba.cost.design_cost` equals at
+        ``optimize=False``."""
+        return self._timing
+
+    # Stage areas and latencies are fixed once built; read every batch.
+    @cached_property
+    def _timing(self) -> DesignCost:
+        slots = zip(self.controller.stage_names, self.controller.stages)
+        return DesignCost(
             n_bits=self.n_bits,
-            stage_latencies=self.controller.stage_latencies(),
-            stage_names=self.controller.stage_names,
+            stages=tuple(
+                StageCost(name, stage.area_cells, stage.latency_cc())
+                for name, stage in slots
+            ),
         )
 
     def multiply(self, a: int, b: int) -> int:

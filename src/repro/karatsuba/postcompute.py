@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.arith.bitops import ceil_div, mask
+from repro.arith.bitops import mask
 from repro.arith.koggestone import (
     SCRATCH_ROWS,
     AdderPassStage,
@@ -58,7 +58,7 @@ from repro.arith.koggestone import (
 )
 from repro.crossbar.array import CrossbarArray
 from repro.crossbar.endurance import WearLevelingController
-from repro.karatsuba import cost
+from repro.karatsuba.cost import StageLayout, UnitLayout
 from repro.karatsuba.unroll import UnrolledPlan, build_plan
 from repro.magic.backend import DEFAULT_BACKEND
 from repro.magic.stage import CrossbarStage
@@ -78,14 +78,38 @@ def _key(phase: str, node) -> str:
     return _PRODUCED[phase] + node.out
 
 
-def area_cells(n_bits: int) -> int:
-    """Stage footprint at L = 2: ``(8 + 12) * 1.5n`` cells."""
-    return cost.postcompute_cost(n_bits, 2).area_cells
+def _slots(plan: UnrolledPlan, cols: int) -> List[Tuple[int, str, int, int]]:
+    """``(logical row, name, col_offset, width)`` of every partial
+    product's input slot: as many products per row as the widest fits."""
+    per_row = cols // plan.max_product_width
+    span = cols // per_row
+    return [
+        (slot // per_row, step.out, (slot % per_row) * span,
+         min(span, cols - (slot % per_row) * span))
+        for slot, step in enumerate(plan.multiplications)
+    ]
 
 
-def latency_cc(n_bits: int) -> int:
-    """Stage latency at L = 2: ``121*ceil(log2(1.5n)) + 187 + 18`` cc."""
-    return cost.postcompute_cost(n_bits, 2).latency_cc
+def layout(plan: UnrolledPlan) -> StageLayout:
+    """Rows, columns and passes of the subarray for *plan*: the packed
+    input rows, the adder's x, y and sum rows and its 12 scratch rows,
+    ``1.5n`` columns, and one ``(1.5n - 1)``-bit pass per step of the
+    batched schedule; operand reordering and resets are a lump of 2 cc
+    per partial product.  At L = 2 that is ``(8 + 12) * 1.5n`` cells
+    and ``121*ceil(log2(1.5n)) + 187 + 18`` cc."""
+    cols = (3 * plan.n_bits) // 2
+    input_rows = _slots(plan, cols)[-1][0] + 1
+    return StageLayout(
+        "postcompute",
+        units=(
+            UnitLayout(
+                input_rows + 3 + SCRATCH_ROWS,
+                cols,
+                tuple((p.op, cols - 1) for p in plan.postcompute_schedule(cols)),
+            ),
+        ),
+        overhead={"reorder": 2 * len(plan.multiplications)},
+    )
 
 
 @dataclass(frozen=True)
@@ -128,30 +152,20 @@ class PostcomputeStage(AdderPassStage, CrossbarStage):
         #: (:mod:`repro.magic.passes`).  Off by default so the stage
         #: reproduces the paper's per-op cycle counts exactly.
         self.optimize = optimize
-        self.cols = (3 * n_bits) // 2
-        self.adder_width = self.cols - 1
+        self.layout = layout(self.plan)
+        (unit,) = self.layout.units
+        self.cols = unit.cols
         #: The batched passes one job replays, in order.
         self.schedule = self.plan.postcompute_schedule(self.cols)
-        products = [step.out for step in self.plan.multiplications]
-        # Input slots: as many products per row as the widest fits.
-        per_row = self.cols // self.plan.max_product_width
-        span = self.cols // per_row
         #: ``(logical row, name, col_offset, width)`` of every packed
         #: input slot.
-        self._slots = [
-            (slot // per_row, name, (slot % per_row) * span,
-             min(span, self.cols - (slot % per_row) * span))
-            for slot, name in enumerate(products)
-        ]
+        self._slots = _slots(self.plan, self.cols)
         self._slot_widths = [(name, width) for _, name, _, width in self._slots]
         # The adder's x, y and sum rows follow the input rows.
-        input_rows = ceil_div(len(products), per_row)
-        self._operand_rows = (input_rows, input_rows + 1, input_rows + 2)
-        data_rows = input_rows + 3
-        total_rows = data_rows + SCRATCH_ROWS
-        #: The paper's lump for operand reordering and resets; operand
-        #: staging, sensing and the closing INIT ride inside it.
-        self.overhead = {"reorder": 2 * len(products)}
+        total_rows = unit.rows
+        data_rows = total_rows - SCRATCH_ROWS
+        self._operand_rows = (data_rows - 3, data_rows - 2, data_rows - 1)
+        self.overhead = self.layout.overhead
         self.clock = Clock()
         super().__init__(
             CrossbarArray(
@@ -176,7 +190,7 @@ class PostcomputeStage(AdderPassStage, CrossbarStage):
         #: The one adder every pass runs, in logical rows.
         self.adder = KoggeStoneAdder(
             KoggeStoneLayout(
-                width=self.adder_width,
+                width=unit.passes[0][1],
                 col0=0,
                 x_row=x_row,
                 y_row=y_row,
@@ -184,7 +198,7 @@ class PostcomputeStage(AdderPassStage, CrossbarStage):
                 scratch_rows=tuple(self._scratch),
             )
         )
-        self._passes = [(self.adder, p.op) for p in self.schedule]
+        self._passes = [(self.adder, op) for op, _ in unit.passes]
         self._walk = self._compile_walk()
         top = self.plan.combine_nodes[-1]
         self._top = (f"pass-{len(self.schedule)}", top.low, top.high,

@@ -2,7 +2,7 @@
 
 At unroll depth L the stage performs every chunk addition of the
 unrolled plan (:func:`~repro.karatsuba.unroll.build_plan`) on one
-subarray laid out from that plan:
+subarray that :func:`layout` lays out from that plan:
 
 * one row per input chunk, ``2^(L+1)`` rows (a0.., then b..);
 * one result row per addition, ``2 (3^L - 2^L)`` rows;
@@ -38,7 +38,7 @@ from repro.arith.koggestone import (
 )
 from repro.crossbar.array import CrossbarArray
 from repro.crossbar.endurance import WearLevelingController
-from repro.karatsuba import cost
+from repro.karatsuba.cost import StageLayout, UnitLayout
 from repro.karatsuba.unroll import UnrolledPlan, build_plan
 from repro.magic.backend import DEFAULT_BACKEND
 from repro.magic.stage import CrossbarStage
@@ -50,16 +50,25 @@ from repro.sim.exceptions import DesignError
 DEFAULT_SPARE_ROWS = 2
 
 
-def area_cells(n_bits: int, depth: int = 2) -> int:
-    """Stage footprint: ``30 * (n/4 + 2)`` cells at L = 2 (1,980 at
-    n = 256)."""
-    return cost.precompute_cost(n_bits, depth).area_cells
-
-
-def latency_cc(n_bits: int, depth: int = 2) -> int:
-    """Stage latency: ``8 + 10*(17 + 11*ceil(log2(n/4+1))) + 1`` cc at
-    L = 2."""
-    return cost.precompute_cost(n_bits, depth).latency_cc
+def layout(plan: UnrolledPlan) -> StageLayout:
+    """Rows, columns and passes of the subarray for *plan*: its input
+    and result rows plus the 12 scratch rows, ``w + 1`` columns for the
+    widest chunk-sum input width ``w``, and one ``w``-bit addition per
+    plan entry; the input writes and the closing reset are its
+    periphery cycles.  At L = 2 that is ``30 * (n/4 + 2)`` cells (1,980
+    at n = 256) and ``8 + 10*(17 + 11*ceil(log2(n/4+1))) + 1`` cc."""
+    inputs = 2 * plan.num_chunks
+    adds = len(plan.precompute_adds)
+    width = plan.max_precompute_input_width
+    return StageLayout(
+        "precompute",
+        units=(
+            UnitLayout(
+                inputs + adds + SCRATCH_ROWS, width + 1, (("add", width),) * adds
+            ),
+        ),
+        overhead={"write": inputs, "init": 1},
+    )
 
 
 @dataclass(frozen=True)
@@ -103,8 +112,9 @@ class PrecomputeStage(AdderPassStage, CrossbarStage):
         #: (:mod:`repro.magic.passes`).  Off by default so the stage
         #: reproduces the paper's per-op cycle counts exactly.
         self.optimize = optimize
-        self.adder_width = self.plan.max_precompute_input_width
-        self.cols = self.adder_width + 1
+        self.layout = layout(self.plan)
+        (unit,) = self.layout.units
+        self.cols = unit.cols
         chunks = self.plan.num_chunks
         self._inputs = tuple(
             f"{prefix}{i}" for prefix in "ab" for i in range(chunks)
@@ -113,13 +123,12 @@ class PrecomputeStage(AdderPassStage, CrossbarStage):
         self._adds = tuple(
             (step.out, step.lhs, step.rhs) for step in self.plan.precompute_adds
         )
-        data_rows = len(self._inputs) + len(self._adds)
-        #: Input writes and the closing data-region reset.
-        self.overhead = {"write": len(self._inputs), "init": 1}
+        data_rows = unit.rows - SCRATCH_ROWS
+        self.overhead = self.layout.overhead
         self.clock = Clock()
         super().__init__(
             CrossbarArray(
-                data_rows + SCRATCH_ROWS,
+                unit.rows,
                 self.cols,
                 device=device,
                 spare_rows=spare_rows,
@@ -147,12 +156,12 @@ class PrecomputeStage(AdderPassStage, CrossbarStage):
             )
         }
         scratch = tuple(self._scratch)
-        #: One ``(adder, "add")`` pass per addition, in logical rows.
+        #: One pass per addition, in logical rows.
         self._passes = [
             (
                 KoggeStoneAdder(
                     KoggeStoneLayout(
-                        width=self.adder_width,
+                        width=width,
                         col0=0,
                         x_row=self._row_of[lhs],
                         y_row=self._row_of[rhs],
@@ -160,9 +169,9 @@ class PrecomputeStage(AdderPassStage, CrossbarStage):
                         scratch_rows=scratch,
                     )
                 ),
-                "add",
+                op,
             )
-            for out, lhs, rhs in self._adds
+            for (op, width), (out, lhs, rhs) in zip(unit.passes, self._adds)
         ]
 
     # ------------------------------------------------------------------

@@ -16,7 +16,6 @@ substituting this class changes nothing but host speed.
 from __future__ import annotations
 
 from repro.karatsuba import cost
-from repro.karatsuba.pipeline import PipelineTiming
 from repro.sim.exceptions import DesignError
 from repro.sim.stats import DesignMetrics
 
@@ -46,16 +45,8 @@ class ReferenceMultiplier:
         return self.multiply(a, a)
 
     # ------------------------------------------------------------------
-    def timing(self) -> PipelineTiming:
-        dc = cost.design_cost(self.n_bits, 2)
-        return PipelineTiming(
-            n_bits=self.n_bits,
-            stage_latencies=(
-                dc.precompute.latency_cc,
-                dc.multiply.latency_cc,
-                dc.postcompute.latency_cc,
-            ),
-        )
+    def timing(self) -> cost.DesignCost:
+        return cost.design_cost(self.n_bits, 2)
 
     def metrics(self) -> DesignMetrics:
         return cost.design_metrics(self.n_bits, depth=2)

@@ -6,8 +6,7 @@ instead.  Three pieces:
 
 * :mod:`repro.portfolio.design` — :class:`DesignPoint` space
   (schoolbook / karatsuba / toom3 x unroll depth x optimizer x
-  backend), feasibility rules, closed-form cost priors, and the
-  pipeline factory.
+  backend), feasibility rules and the pipeline factory.
 * :mod:`repro.portfolio.toom3` / :mod:`repro.portfolio.schoolbook` —
   the two non-Karatsuba datapaths behind the shared
   :class:`~repro.karatsuba.pipeline.KaratsubaPipeline` interface.
@@ -20,11 +19,9 @@ from repro.portfolio.design import (
     ALGORITHMS,
     BASELINE,
     DesignPoint,
-    PriorCost,
     SchoolbookPipeline,
     Toom3Pipeline,
     build_pipeline,
-    prior_cost,
 )
 from repro.portfolio.schoolbook import SchoolbookController
 from repro.portfolio.toom3 import Toom3Controller
@@ -46,7 +43,6 @@ __all__ = [
     "BucketEntry",
     "DesignPoint",
     "Measurement",
-    "PriorCost",
     "SCHEMA_VERSION",
     "SchoolbookController",
     "SchoolbookPipeline",
@@ -56,7 +52,6 @@ __all__ = [
     "build_pipeline",
     "candidate_designs",
     "measure",
-    "prior_cost",
     "select",
     "sweep",
     "validate_table_payload",

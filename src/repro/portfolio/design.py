@@ -18,9 +18,9 @@ Feasibility is per-algorithm (the paper's constraints, made explicit):
   widths are instead served by the feasibility-unconstrained designs.
 * ``toom3``      — any width >= 16 (``ceil(n/3)`` chunking).
 
-:func:`prior_cost` supplies the closed-form cost-model prior the tuner
-uses for widths it has not measured, and :func:`build_pipeline` is the
-factory the bank dispatcher calls to materialise a way.
+:func:`build_pipeline` is the factory the bank dispatcher calls to
+materialise a way; :func:`repro.karatsuba.cost.design_cost` prices any
+point from its stages' layouts.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.arith import rowmul
-from repro.karatsuba import cost as kcost
 from repro.karatsuba.pipeline import KaratsubaPipeline
 from repro.magic.backend import backend_name
 from repro.portfolio import schoolbook as sb
@@ -111,76 +109,6 @@ class DesignPoint:
 #: The fixed baseline every measurement compares against: the paper's
 #: L = 2 Karatsuba at the service defaults.
 BASELINE = DesignPoint("karatsuba", depth=2, optimize=True, backend="word")
-
-
-@dataclass(frozen=True)
-class PriorCost:
-    """Closed-form cost prior of one (design, width) point."""
-
-    design: DesignPoint
-    n_bits: int
-    latency_cc: int
-    bottleneck_cc: int
-    area_cells: int
-
-    def makespan_cc(self, jobs: int) -> int:
-        """Pipeline-model makespan for a *jobs*-deep stream."""
-        if jobs <= 0:
-            return 0
-        return self.latency_cc + (jobs - 1) * self.bottleneck_cc
-
-
-def prior_cost(design: DesignPoint, n_bits: int) -> PriorCost:
-    """Closed-form (unoptimized-schedule) cost model for any design.
-
-    The prior deliberately uses the paper's closed forms rather than
-    packed cycle counts: it ranks designs for *unmeasured* widths, and
-    the cycle packer shifts all MAGIC-stage designs by similar factors.
-    """
-    if not design.feasible(n_bits):
-        raise DesignError(
-            f"design {design.key()} is infeasible at {n_bits} bits"
-        )
-    if design.algorithm == "karatsuba":
-        dc = kcost.design_cost(n_bits, design.depth)
-        return PriorCost(
-            design=design,
-            n_bits=n_bits,
-            latency_cc=dc.latency_cc,
-            bottleneck_cc=dc.bottleneck_cc,
-            area_cells=dc.area_cells,
-        )
-    if design.algorithm == "schoolbook":
-        stages = (
-            sb.OPERAND_CYCLES,
-            sb.latency_cc(n_bits),
-            sb.STORE_CYCLES,
-        )
-        return PriorCost(
-            design=design,
-            n_bits=n_bits,
-            latency_cc=sum(stages),
-            bottleneck_cc=max(stages),
-            area_cells=sb.area_cells(n_bits),
-        )
-    stages = (
-        t3.eval_latency_cc(n_bits),
-        t3.pointwise_latency_cc(n_bits),
-        t3.interp_latency_cc(n_bits),
-    )
-    area = (
-        (3 + 12) * (t3.eval_width(n_bits) + 1)
-        + 5 * rowmul.area_cells(t3.pointwise_width(n_bits))
-        + (3 + 12) * (t3.interp_width(n_bits) + 1)
-        + (3 + 12) * (t3.recombine_width(n_bits) + 1)
-    )
-    return PriorCost(
-        design=design,
-        n_bits=n_bits,
-        latency_cc=sum(stages),
-        bottleneck_cc=max(stages),
-        area_cells=area,
-    )
 
 
 # ----------------------------------------------------------------------

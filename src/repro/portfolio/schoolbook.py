@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from typing import Iterable, List, Tuple
 
-from repro.arith import rowmul
 from repro.arith.rowmul import LockstepRowStage
 from repro.karatsuba.controller import JobRecord, PipelineController
+from repro.karatsuba.cost import StageLayout
 from repro.magic.backend import DEFAULT_BACKEND
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS
 from repro.sim.clock import Clock
@@ -48,16 +48,16 @@ STORE_CYCLES = 1
 _STEPS = (("product", "a", "b"),)
 
 
-def latency_cc(n_bits: int) -> int:
-    """Row latency at full width: ``n(ceil(log2 n) + 14) + 3``."""
+def layouts(n_bits: int) -> Tuple[StageLayout, StageLayout, StageLayout]:
+    """The three slots at *n_bits*: operand staging, the one full-width
+    row (``12n`` cells, ``n(ceil(log2 n) + 14) + 3`` cc) and product
+    release."""
     _check_width(n_bits)
-    return rowmul.latency_cc(n_bits)
-
-
-def area_cells(n_bits: int) -> int:
-    """Single row: ``12n`` cells."""
-    _check_width(n_bits)
-    return rowmul.area_cells(n_bits)
+    return (
+        StageLayout("operands", overhead={"write": OPERAND_CYCLES}),
+        StageLayout("multiply", multipliers=1, multiplier_width=n_bits),
+        StageLayout("store", overhead={"write": STORE_CYCLES}),
+    )
 
 
 def _check_width(n_bits: int) -> None:
@@ -69,14 +69,15 @@ def _check_width(n_bits: int) -> None:
 
 class PeripheryStage:
     """A pipeline slot of fixed periphery cycles that owns no cells:
-    operand staging or product release."""
+    operand staging or product release, as its *layout* gives them."""
 
     units: Tuple[object, ...] = ()
     checker = None
     area_cells = 0
 
-    def __init__(self, cycles: int):
-        self.cycles = cycles
+    def __init__(self, layout: StageLayout):
+        self.layout = layout
+        self.cycles = layout.latency_cc
 
     def latency_cc(self) -> int:
         return self.cycles
@@ -88,7 +89,6 @@ class PeripheryStage:
 class SchoolbookController(PipelineController):
     """Drives multiplications through the single full-width row."""
 
-    stage_names = ("operands", "multiply", "store")
     stage_attr_names = ("operands", "multiply", "store")
 
     def __init__(
@@ -101,17 +101,17 @@ class SchoolbookController(PipelineController):
         optimize: bool = False,
         backend: object = DEFAULT_BACKEND,
     ):
-        _check_width(n_bits)
+        operands, multiply, store = layouts(n_bits)
         super().__init__(n_bits, optimize, backend)
-        self.operands = PeripheryStage(OPERAND_CYCLES)
+        self.operands = PeripheryStage(operands)
         self.multiply = LockstepRowStage(
-            n_bits,
+            multiply,
             _STEPS,
             "schoolbook",
             wear_leveling=wear_leveling,
             residue_bits=residue_bits,
         )
-        self.store = PeripheryStage(STORE_CYCLES)
+        self.store = PeripheryStage(store)
         self.row = self.multiply.rows["product"]
         self.clock = Clock()
 

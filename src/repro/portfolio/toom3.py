@@ -57,17 +57,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.arith import rowmul
 from repro.arith.bitops import ceil_div, ceil_log2, mask
 from repro.arith.koggestone import (
     OP_ADD,
     OP_SUB,
+    SCRATCH_ROWS,
     AdderPassStage,
     AdderUnit,
     LanePlan,
 )
 from repro.arith.rowmul import LockstepRowStage
 from repro.karatsuba.controller import PipelineController
+from repro.karatsuba.cost import StageLayout, UnitLayout
 from repro.magic.backend import DEFAULT_BACKEND
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
 from repro.sim.clock import Clock
@@ -88,17 +89,12 @@ EVAL_POINTS: Tuple[object, ...] = (0, 1, 2, 4, "inf")
 #: each pass in disjoint lanes, so 6 passes evaluate both operands).
 EVAL_PASSES = 6
 
-#: Interpolation passes on the narrow adder, excluding the div-by-3
-#: doubling chain: 9 reduction passes + 2 negation passes + 4
-#: coefficient-recovery passes.
-INTERP_FIXED_PASSES = 15
-
 #: Recombination passes on the wide adder.
 RECOMBINE_PASSES = 4
 
 
 # ----------------------------------------------------------------------
-# Closed-form geometry and latency
+# Closed-form geometry and stage layouts
 # ----------------------------------------------------------------------
 def chunk_bits(n_bits: int) -> int:
     """Chunk width ``cb = ceil(n/3)``."""
@@ -138,36 +134,6 @@ def div3_doublings(width: int) -> int:
     return ceil_log2(ceil_div(width, 2))
 
 
-def interp_passes(n_bits: int) -> int:
-    """Narrow-adder passes of the interpolation stage."""
-    return INTERP_FIXED_PASSES + div3_doublings(interp_width(n_bits))
-
-
-def eval_latency_cc(n_bits: int) -> int:
-    """Evaluation stage latency: 6 chunk writes + 6 adder passes + 1."""
-    from repro.arith import koggestone
-
-    return EVAL_PASSES + EVAL_PASSES * koggestone.latency_cc(eval_width(n_bits)) + 1
-
-
-def pointwise_latency_cc(n_bits: int) -> int:
-    """Point-wise stage latency (5 lock-step rows, one row latency)."""
-    return rowmul.latency_cc(pointwise_width(n_bits))
-
-
-def interp_latency_cc(n_bits: int) -> int:
-    """Interpolation stage latency: 5 product writes + narrow passes +
-    4 wide recombination passes + 1."""
-    from repro.arith import koggestone
-
-    return (
-        5
-        + interp_passes(n_bits) * koggestone.latency_cc(interp_width(n_bits))
-        + RECOMBINE_PASSES * koggestone.latency_cc(recombine_width(n_bits))
-        + 1
-    )
-
-
 def _check_width(n_bits: int) -> None:
     if n_bits < MIN_BITS:
         raise DesignError(
@@ -181,21 +147,110 @@ def split3(value: int, cb: int) -> List[int]:
     return [(value >> (i * cb)) & m for i in range(3)]
 
 
+#: Point-wise products: output name -> (a-side input, b-side input).
+POINTWISE_STEPS: Tuple[Tuple[str, str, str], ...] = (
+    ("v0", "A0", "B0"),
+    ("v1", "A1", "B1"),
+    ("v2", "A2", "B2"),
+    ("v4", "A4", "B4"),
+    ("vinf", "Ainf", "Binf"),
+)
+
+
+def _adder_unit(width: int, ops: List[str]) -> UnitLayout:
+    """A standalone :class:`AdderUnit` of *width* bits running *ops*:
+    ``(3 + 12) x (width + 1)`` cells."""
+    return UnitLayout(
+        3 + SCRATCH_ROWS, width + 1, tuple((op, width) for op in ops)
+    )
+
+
+def layouts(n_bits: int) -> Tuple[StageLayout, StageLayout, StageLayout]:
+    """Rows, columns and passes of the evaluation, point-wise and
+    interpolation stages at *n_bits*.
+
+    Evaluation: six chunk writes, six adds and the closing write on one
+    ``cb + 5``-bit adder.  Point-wise: five lock-step rows.
+    Interpolation: five product writes and the closing write; the
+    narrow adder runs 9 reduction subs, the div-by-3 doublings,
+    negate/increment and h/c2/g/c1, the wide adder the 4
+    recombination adds.
+    """
+    _check_width(n_bits)
+    iw = interp_width(n_bits)
+    narrow = (
+        [OP_SUB] * 9
+        + [OP_ADD] * div3_doublings(iw)
+        + [OP_SUB, OP_ADD, OP_ADD, OP_SUB, OP_ADD, OP_SUB]
+    )
+    return (
+        StageLayout(
+            "evaluate",
+            units=(_adder_unit(eval_width(n_bits), [OP_ADD] * EVAL_PASSES),),
+            overhead={"write": EVAL_PASSES + 1},
+        ),
+        StageLayout(
+            "pointwise",
+            multipliers=len(POINTWISE_STEPS),
+            multiplier_width=pointwise_width(n_bits),
+        ),
+        StageLayout(
+            "interpolate",
+            units=(
+                _adder_unit(iw, narrow),
+                _adder_unit(
+                    recombine_width(n_bits), [OP_ADD] * RECOMBINE_PASSES
+                ),
+            ),
+            overhead={"write": 5 + 1},
+        ),
+    )
+
+
 # ----------------------------------------------------------------------
 # Adder stages: one mega-program per unit
 # ----------------------------------------------------------------------
 class _Toom3AdderStage(AdderPassStage):
-    """A Toom-3 adder stage on standalone adder units: no wear leveler
-    (a batch is one group), and each :class:`AdderUnit` powers its rows
-    up at construction."""
+    """A Toom-3 adder stage on standalone adder units, one per unit of
+    its layout (:attr:`slot` of :func:`layouts`): no wear leveler (a
+    batch is one group), and each :class:`AdderUnit` powers its rows up
+    at construction."""
 
-    def __init__(self, name: str, n_bits: int, residue_bits: int, optimize: bool):
-        _check_width(n_bits)
+    #: Index of the stage's layout in :func:`layouts`.
+    slot: int
+
+    def __init__(
+        self,
+        n_bits: int,
+        device=None,
+        spare_rows: int = 2,
+        residue_bits: int = DEFAULT_RESIDUE_BITS,
+        optimize: bool = False,
+        backend: object = DEFAULT_BACKEND,
+    ):
+        self.layout = layouts(n_bits)[self.slot]
         self.n_bits = n_bits
         self.cb = chunk_bits(n_bits)
         self.optimize = optimize
-        self.checker = ResidueChecker(name, residue_bits)
+        self.overhead = self.layout.overhead
+        self.units = tuple(
+            AdderUnit(
+                unit.passes[0][1],
+                device=device,
+                spare_rows=spare_rows,
+                optimize=optimize,
+                backend=backend,
+            )
+            for unit in self.layout.units
+        )
+        self.checker = ResidueChecker(self.layout.name, residue_bits)
         self.clock = Clock()
+
+    def unit_passes(self):
+        return [
+            (unit, [(unit.adder, op) for op, _ in planned.passes])
+            for unit, planned in zip(self.units, self.layout.units)
+        ]
 
     def _power_up(self, k: int, passes) -> None:
         """Nothing to do: :class:`AdderUnit` powered up at construction."""
@@ -223,30 +278,11 @@ class EvaluationStage(_Toom3AdderStage):
     same pass (paper Sec. IV-E batching), halving the pass count.
     """
 
-    #: Six chunk writes and the closing write.
-    overhead = {"write": EVAL_PASSES + 1}
+    slot = 0
 
-    def __init__(
-        self,
-        n_bits: int,
-        device=None,
-        spare_rows: int = 2,
-        residue_bits: int = DEFAULT_RESIDUE_BITS,
-        optimize: bool = False,
-        backend: object = DEFAULT_BACKEND,
-    ):
-        super().__init__("evaluate", n_bits, residue_bits, optimize)
-        self.unit = AdderUnit(
-            eval_width(n_bits),
-            device=device,
-            spare_rows=spare_rows,
-            optimize=optimize,
-            backend=backend,
-        )
-        self.units = (self.unit,)
-
-    def unit_passes(self):
-        return [(self.unit, [(self.unit.adder, OP_ADD)] * EVAL_PASSES)]
+    @property
+    def unit(self) -> AdderUnit:
+        return self.units[0]
 
     def _plan(
         self, job: Tuple[List[int], List[int]]
@@ -280,16 +316,6 @@ class EvaluationStage(_Toom3AdderStage):
 # ----------------------------------------------------------------------
 # Stage 2: point-wise products
 # ----------------------------------------------------------------------
-#: Point-wise products: output name -> (a-side input, b-side input).
-POINTWISE_STEPS: Tuple[Tuple[str, str, str], ...] = (
-    ("v0", "A0", "B0"),
-    ("v1", "A1", "B1"),
-    ("v2", "A2", "B2"),
-    ("v4", "A4", "B4"),
-    ("vinf", "Ainf", "Binf"),
-)
-
-
 class PointwiseStage(LockstepRowStage):
     """Five single-row multipliers in lock-step (``cb + 5``-bit rows)."""
 
@@ -299,10 +325,9 @@ class PointwiseStage(LockstepRowStage):
         wear_leveling: bool = True,
         residue_bits: int = DEFAULT_RESIDUE_BITS,
     ):
-        _check_width(n_bits)
         self.n_bits = n_bits
         super().__init__(
-            pointwise_width(n_bits),
+            layouts(n_bits)[1],
             POINTWISE_STEPS,
             "pointwise",
             wear_leveling=wear_leveling,
@@ -330,49 +355,22 @@ class InterpolationStage(_Toom3AdderStage):
     adder covering the top ``2n - cb`` product bits.
     """
 
-    #: Five product writes and the closing write.
-    overhead = {"write": 5 + 1}
+    slot = 2
 
-    def __init__(
-        self,
-        n_bits: int,
-        device=None,
-        spare_rows: int = 2,
-        residue_bits: int = DEFAULT_RESIDUE_BITS,
-        optimize: bool = False,
-        backend: object = DEFAULT_BACKEND,
-    ):
-        super().__init__("interpolate", n_bits, residue_bits, optimize)
-        self.iw = interp_width(n_bits)
-        self.rw = recombine_width(n_bits)
-        self.narrow = AdderUnit(
-            self.iw, device=device, spare_rows=spare_rows,
-            optimize=optimize, backend=backend,
-        )
-        self.wide = AdderUnit(
-            self.rw, device=device, spare_rows=spare_rows,
-            optimize=optimize, backend=backend,
-        )
-        self.units = (self.narrow, self.wide)
+    @property
+    def narrow(self) -> AdderUnit:
+        return self.units[0]
 
-    def unit_passes(self):
-        """The narrow adder's 9 reduction subs, J doublings, neg/inc,
-        h/c2/g/c1, then the wide adder's 4 recombination adds."""
-        narrow = (
-            [OP_SUB] * 9
-            + [OP_ADD] * div3_doublings(self.iw)
-            + [OP_SUB, OP_ADD, OP_ADD, OP_SUB, OP_ADD, OP_SUB]
-        )
-        return [
-            (self.narrow, [(self.narrow.adder, op) for op in narrow]),
-            (self.wide, [(self.wide.adder, OP_ADD)] * RECOMBINE_PASSES),
-        ]
+    @property
+    def wide(self) -> AdderUnit:
+        return self.units[1]
 
     def _plan(
         self, products: Dict[str, int]
     ) -> Tuple[List[LanePlan], InterpolationResult]:
         cb = self.cb
-        wmask = mask(self.iw)
+        width = self.narrow.adder.layout.width
+        wmask = mask(width)
         v0, v1, v2, v4, vinf = (
             products[key] for key in ("v0", "v1", "v2", "v4", "vinf")
         )
@@ -394,7 +392,7 @@ class InterpolationStage(_Toom3AdderStage):
         # c3 = t3 / 3 via the two-adic inverse: multiply by
         # sum(4^i, i < K) with repeated doubling, then negate mod 2^w.
         acc = t3
-        for j in range(div3_doublings(self.iw)):
+        for j in range(div3_doublings(width)):
             acc = run(
                 f"div3.{j}", OP_ADD, acc & wmask, (acc << (2 << j)) & wmask
             )
@@ -432,7 +430,6 @@ class Toom3Controller(PipelineController):
     unchanged.
     """
 
-    stage_names = ("evaluate", "pointwise", "interpolate")
     stage_attr_names = ("evaluate", "pointwise", "interpolate")
     handoff = ("values", "products")
 

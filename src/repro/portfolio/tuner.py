@@ -13,7 +13,7 @@ blends fill latency and steady-state throughput the way the serving
 layer actually experiences them.  Ties break toward smaller area.
 
 Widths that were never measured resolve through the closed-form
-cost-model prior (:func:`repro.portfolio.design.prior_cost`), so the
+cost-model prior (:func:`repro.karatsuba.cost.design_cost`), so the
 resolver is total over all feasible widths.  Non-servable Karatsuba
 depths (L = 1, 3) participate in the sweep as analytic study points:
 they are recorded in each bucket's candidate list for the report, but
@@ -28,13 +28,8 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.portfolio.design import (
-    BASELINE,
-    DesignPoint,
-    PriorCost,
-    build_pipeline,
-    prior_cost,
-)
+from repro.karatsuba.cost import design_cost
+from repro.portfolio.design import BASELINE, DesignPoint, build_pipeline
 from repro.sim.exceptions import DesignError
 
 #: Tuning-table schema identifier; bump on breaking layout changes.
@@ -127,11 +122,13 @@ def measure(
     pipeline, asserts bit-exactness against Python integers, and
     records the static stage timing (packed cycle counts under
     ``optimize=True``) plus the measured per-job array energy.  For
-    non-servable study points the closed-form prior is recorded with
-    ``measured=False``.
+    non-servable study points the cost of the stage layouts
+    (``optimize=False``) is recorded with ``measured=False``.
     """
+    if not design.feasible(n_bits):
+        raise DesignError(f"design {design.key()} is infeasible at {n_bits} bits")
     if not design.servable:
-        prior = prior_cost(design, n_bits)
+        prior = design_cost(n_bits, design.depth, design.algorithm)
         return Measurement(
             design=design,
             n_bits=n_bits,
@@ -212,7 +209,7 @@ class TuningTable:
     ``buckets`` maps measured widths to their :class:`BucketEntry`.
     :meth:`resolve` is total over feasible widths: exact bucket hits
     return the measured winner; anything else ranks the candidate
-    space with :func:`prior_cost` on the fly (``optimize``/``backend``
+    space with :func:`design_cost` on the fly (``optimize``/``backend``
     taken from the table's sweep configuration).
     """
 
@@ -248,7 +245,7 @@ class TuningTable:
         ):
             if not design.servable:
                 continue
-            prior = prior_cost(design, n_bits)
+            prior = design_cost(n_bits, design.depth, design.algorithm)
             rank = (
                 prior.latency_cc
                 + (SELECTION_BATCH - 1) * prior.bottleneck_cc,
@@ -271,7 +268,8 @@ class TuningTable:
             ]
             if selected:
                 return selected[0].latency_cc
-        return prior_cost(self.prior_select(n_bits), n_bits).latency_cc
+        design = self.prior_select(n_bits)
+        return design_cost(n_bits, design.depth, design.algorithm).latency_cc
 
     def stats(self) -> dict:
         return {

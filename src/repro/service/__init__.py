@@ -22,7 +22,6 @@ True
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -81,13 +80,6 @@ __all__ = [
     "Way",
     "WayAutoscaler",
 ]
-
-
-@functools.lru_cache(maxsize=None)
-def _fixed_design_latency_cc(n_bits: int) -> int:
-    """Closed-form latency of the fixed L=2 design at *n_bits* (a pure
-    function of the width, so built once per width)."""
-    return cost.design_cost(n_bits, 2).latency_cc
 
 
 @dataclass(frozen=True)
@@ -292,7 +284,7 @@ class MultiplicationService:
         """
         if self.tuning_table is not None:
             return self.tuning_table.latency_floor_cc(n_bits)
-        return _fixed_design_latency_cc(n_bits)
+        return cost.design_cost(n_bits, 2).latency_cc
 
     def _deadline_residence_ticks(self, request: MulRequest) -> Optional[int]:
         """Bin-residence bound (ticks) that keeps *request*'s deadline

@@ -10,7 +10,7 @@ batch to the least-loaded healthy way (with an optional wear-aware
 ranking supplied by :mod:`repro.service.degrade`).
 
 Timing is aggregated from the existing
-:class:`~repro.karatsuba.pipeline.PipelineTiming` model: each dispatch
+:class:`~repro.karatsuba.cost.DesignCost` model: each dispatch
 adds the batch's pipelined makespan to the chosen way's busy time, and
 the service-level makespan is the busiest way's total — the classic
 list-scheduling bound.
@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.karatsuba.pipeline import KaratsubaPipeline, PipelineTiming
+from repro.karatsuba.cost import DesignCost
+from repro.karatsuba.pipeline import KaratsubaPipeline
 from repro.magic.backend import DEFAULT_BACKEND
 from repro.portfolio.design import DesignPoint, build_pipeline
 from repro.service.cache import ProgramCache
@@ -73,7 +74,7 @@ class DispatchReport:
     n_bits: int
     products: List[int]
     makespan_cc: int
-    timing: PipelineTiming
+    timing: DesignCost
     #: Ids of the client requests the batch carried (empty when the
     #: caller dispatched raw pairs without request context).
     request_ids: Tuple[int, ...] = ()

@@ -3,7 +3,7 @@
 The batched executors run each stage's whole batch in one SIMD sweep,
 so their *live* clocks do not show the overlapped steady-state schedule
 of paper Sec. IV-A.  This module rebuilds that schedule as a span tree
-from :class:`~repro.karatsuba.pipeline.PipelineTiming`: job *j* enters
+from :class:`~repro.karatsuba.cost.DesignCost`: job *j* enters
 stage *s* at ``j * II + sum(latencies[:s])`` where ``II`` is the
 initiation interval (the bottleneck stage latency) — the classic
 modulo schedule, valid because ``II >= latency[s]`` for every stage.
@@ -18,17 +18,14 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.karatsuba.pipeline import PipelineTiming
+from repro.karatsuba.cost import DesignCost
 from repro.telemetry.spans import Span
 
-__all__ = ["STAGE_NAMES", "pipeline_spans", "bank_spans"]
-
-#: Stage names in datapath order (matches ``PipelineTiming``).
-STAGE_NAMES = ("precompute", "multiply", "postcompute")
+__all__ = ["pipeline_spans", "bank_spans"]
 
 
 def pipeline_spans(
-    timing: PipelineTiming,
+    timing: DesignCost,
     jobs: int,
     track: str = "way0",
     t0: int = 0,
@@ -36,8 +33,9 @@ def pipeline_spans(
 ) -> List[Span]:
     """Per-job spans (with stage children) for one pipelined way.
 
-    Job *j* spans ``[t0 + j*II, t0 + j*II + latency_cc]``; its three
-    stage children tile that interval back-to-back.  The last job ends
+    Job *j* spans ``[t0 + j*II, t0 + j*II + latency_cc]``; its stage
+    children, named after the record's stages, tile that interval
+    back-to-back.  The last job ends
     at ``t0 + makespan_cc(jobs)`` exactly.
     """
     interval = timing.bottleneck_cc
@@ -52,7 +50,7 @@ def pipeline_spans(
             attrs={"width": timing.n_bits, "depth": depth, "job": job},
         )
         offset = begin
-        for name, latency in zip(STAGE_NAMES, timing.stage_latencies):
+        for name, latency in zip(timing.stage_names, timing.stage_latencies):
             job_span.children.append(
                 Span(
                     name,
@@ -68,7 +66,7 @@ def pipeline_spans(
 
 
 def bank_spans(
-    timing: PipelineTiming,
+    timing: DesignCost,
     per_way_jobs: Sequence[int],
     depth: int = 2,
 ) -> Span:

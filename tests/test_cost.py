@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.karatsuba import cost
-from repro.karatsuba.unroll import build_plan
 from repro.sim.exceptions import DesignError
 
 
@@ -36,7 +35,7 @@ class TestTable1OursColumn:
 
     def test_precompute_area_note(self):
         """Sec. IV-C quotes 1,980 cells at n = 256."""
-        assert cost.precompute_cost(256, 2).area_cells == 1980
+        assert cost.design_cost(256, 2).stages[0].area_cells == 1980
 
 
 class TestStageFormulas:
@@ -45,16 +44,16 @@ class TestStageFormulas:
         assert cost.adder_latency_cc(96) == 11 * 7 + 17
 
     def test_precompute_latency(self):
-        assert cost.precompute_cost(64, 2).latency_cc == 729
-        assert cost.precompute_cost(384, 2).latency_cc == 949
+        assert cost.design_cost(64, 2).stages[0].latency_cc == 729
+        assert cost.design_cost(384, 2).stages[0].latency_cc == 949
 
     def test_multiply_latency(self):
-        assert cost.multiply_cost(64, 2).latency_cc == 345
-        assert cost.multiply_cost(384, 2).latency_cc == 2061
+        assert cost.design_cost(64, 2).stages[1].latency_cc == 345
+        assert cost.design_cost(384, 2).stages[1].latency_cc == 2061
 
     def test_postcompute_latency(self):
-        assert cost.postcompute_cost(64, 2).latency_cc == 1052
-        assert cost.postcompute_cost(384, 2).latency_cc == 1415
+        assert cost.design_cost(64, 2).stages[2].latency_cc == 1052
+        assert cost.design_cost(384, 2).stages[2].latency_cc == 1415
 
     def test_validation(self):
         with pytest.raises(DesignError):
@@ -63,23 +62,21 @@ class TestStageFormulas:
             cost.design_cost(64, 0)
 
 
+def _postcompute_passes(n: int, depth: int) -> int:
+    return len(cost.stage_layouts(n, depth)[2].passes)
+
+
 class TestPostcomputePasses:
     def test_eleven_passes_at_l2(self):
         """The batched schedule's pass count (paper: 11 adds/subs)."""
         for n in (64, 128, 256, 384):
-            plan = build_plan(n, 2)
-            assert cost.postcompute_passes(plan, (3 * n) // 2) == 11
+            assert _postcompute_passes(n, 2) == 11
 
     def test_three_passes_at_l1(self):
-        plan = build_plan(256, 1)
-        assert cost.postcompute_passes(plan, 384) == 3
+        assert _postcompute_passes(256, 1) == 3
 
     def test_passes_grow_with_depth(self):
-        n = 512
-        passes = [
-            cost.postcompute_passes(build_plan(n, L), (3 * n) // 2)
-            for L in (1, 2, 3, 4)
-        ]
+        passes = [_postcompute_passes(512, L) for L in (1, 2, 3, 4)]
         assert passes == sorted(passes)
 
 
@@ -119,3 +116,8 @@ class TestFig4:
     def test_no_feasible_depth_raises(self):
         with pytest.raises(DesignError):
             cost.optimal_depth(18, depths=(3, 4))
+
+
+def test_design_cost_is_cached():
+    """One record per design point: repeat calls cost a dict lookup."""
+    assert cost.design_cost(256, 2) is cost.design_cost(256, 2)

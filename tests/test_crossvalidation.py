@@ -61,8 +61,8 @@ class TestStageCrossValidation:
         result = stage.process_batch(
             [(split_chunks(a, n // 4, 4), split_chunks(b, n // 4, 4))]
         )[0]
-        assert result.cycles == cost.precompute_cost(n, 2).latency_cc
-        assert stage.area_cells == cost.precompute_cost(n, 2).area_cells
+        assert result.cycles == cost.design_cost(n, 2).stages[0].latency_cc
+        assert stage.area_cells == cost.design_cost(n, 2).stages[0].area_cells
 
     @settings(max_examples=6, deadline=None)
     @given(WIDTH_STRATEGY, st.data())
@@ -75,15 +75,15 @@ class TestStageCrossValidation:
         products = {s.out: values[s.out] for s in plan.multiplications}
         result = stage.process_batch([products])[0]
         assert result.product == a * b
-        assert result.cycles == cost.postcompute_cost(n, 2).latency_cc
-        assert stage.area_cells == cost.postcompute_cost(n, 2).area_cells
+        assert result.cycles == cost.design_cost(n, 2).stages[2].latency_cc
+        assert stage.area_cells == cost.design_cost(n, 2).stages[2].area_cells
 
     @settings(max_examples=10, deadline=None)
     @given(WIDTH_STRATEGY)
     def test_multiply_stage_matches_model(self, n):
         stage = MultiplicationStage(n)
-        assert stage.latency_cc() == cost.multiply_cost(n, 2).latency_cc
-        assert stage.area_cells == cost.multiply_cost(n, 2).area_cells
+        assert stage.latency_cc() == cost.design_cost(n, 2).stages[1].latency_cc
+        assert stage.area_cells == cost.design_cost(n, 2).stages[1].area_cells
 
 
 class TestPipelineCrossValidation:
@@ -92,9 +92,7 @@ class TestPipelineCrossValidation:
     def test_timing_matches_cost_model(self, n):
         timing = KaratsubaPipeline(n).timing()
         dc = cost.design_cost(n, 2)
-        assert timing.stage_latencies == tuple(
-            stage.latency_cc for stage in dc.stages
-        )
+        assert timing.stage_latencies == dc.stage_latencies
         assert timing.throughput_per_mcc == pytest.approx(
             dc.throughput_per_mcc
         )
@@ -112,8 +110,7 @@ class TestPlanCrossValidation:
     @settings(max_examples=10, deadline=None)
     @given(WIDTH_STRATEGY)
     def test_postcompute_passes_always_eleven_at_l2(self, n):
-        plan = build_plan(n, 2)
-        assert cost.postcompute_passes(plan, (3 * n) // 2) == 11
+        assert len(cost.stage_layouts(n, 2)[2].passes) == 11
 
     @settings(max_examples=10, deadline=None)
     @given(WIDTH_STRATEGY)

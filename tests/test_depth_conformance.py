@@ -4,7 +4,9 @@
 depth-L unrolled plan.  Every depth must multiply bit-exactly on both
 backends, with and without the cycle packer; its stage latencies must
 equal the analytic cost model's, and the postcompute passes it
-replays must be the passes the cost model counts.
+replays must be the passes the cost model counts.  For every design
+(Karatsuba at each depth, Toom-3, schoolbook) the cost model's stage
+areas and latencies are the built controller's.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from repro.karatsuba import cost
 from repro.karatsuba.controller import KaratsubaController
 from repro.karatsuba.postcompute import PostcomputeStage
 from repro.karatsuba.unroll import build_plan
+from repro.portfolio.schoolbook import SchoolbookController
+from repro.portfolio.toom3 import Toom3Controller
 from repro.sim.exceptions import DesignError
 from tests.conftest import random_operand
 
@@ -73,7 +77,48 @@ def test_replayed_passes_are_the_counted_passes(depth):
         assert [op for _, op in stage.adder_passes()] == [
             p.op for p in schedule
         ]
-        assert len(schedule) == cost.postcompute_passes(plan, (3 * n) // 2)
+        assert len(schedule) == len(cost.stage_layouts(n, depth)[2].passes)
+
+
+#: ``(controller class, design_cost arguments after n, widths)`` of the
+#: model = built grid.
+KARATSUBA_WIDTHS = (16, 32, 64, 128, 256, 384, 512, 768, 1024)
+PORTFOLIO_WIDTHS = (16, 32, 64, 90, 128, 270, 384)
+DESIGNS = [
+    *((KaratsubaController, (d,), KARATSUBA_WIDTHS) for d in (1, 2, 3, 4)),
+    (Toom3Controller, (1, "toom3"), PORTFOLIO_WIDTHS),
+    (SchoolbookController, (0, "schoolbook"), PORTFOLIO_WIDTHS),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, point, widths",
+    DESIGNS,
+    ids=["karatsuba-L1", "karatsuba-L2", "karatsuba-L3", "karatsuba-L4",
+         "toom3", "schoolbook"],
+)
+def test_design_cost_is_the_built_layout(cls, point, widths):
+    """``design_cost`` prices exactly what the controller builds: each
+    stage's name, area and (paper-schedule) latency, at every feasible
+    width."""
+    depth = point[0]
+    for n in widths:
+        if cls is KaratsubaController:
+            if n % (1 << depth):
+                continue
+            controller = cls(n, depth=depth, optimize=False)
+        else:
+            controller = cls(n, optimize=False)
+        model = cost.design_cost(n, *point)
+        assert [s.name for s in model.stages] == list(controller.stage_names)
+        assert [s.area_cells for s in model.stages] == [
+            stage.area_cells for stage in controller.stages
+        ], n
+        assert model.area_cells == controller.area_cells, n
+        assert (
+            tuple(s.latency_cc for s in model.stages)
+            == controller.stage_latencies()
+        ), n
 
 
 def test_l2_schedule_is_the_paper_eleven_passes():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from repro.karatsuba import cost
 from repro.karatsuba.controller import KaratsubaController
 from repro.karatsuba.design import KaratsubaCimMultiplier, supported_widths
-from repro.karatsuba.pipeline import KaratsubaPipeline, PipelineTiming
+from repro.karatsuba.cost import DesignCost, StageCost
+from repro.karatsuba.pipeline import KaratsubaPipeline
 from repro.sim.exceptions import DesignError
 from tests.conftest import random_operand
 
@@ -37,12 +38,8 @@ class TestController:
 
     def test_stage_latencies_match_closed_forms(self):
         controller = KaratsubaController(128)
-        pre, mul, post = controller.stage_latencies()
-        dc = cost.design_cost(128, 2)
-        assert (pre, mul, post) == (
-            dc.precompute.latency_cc,
-            dc.multiply.latency_cc,
-            dc.postcompute.latency_cc,
+        assert controller.stage_latencies() == (
+            cost.design_cost(128, 2).stage_latencies
         )
 
     def test_area_matches_closed_form(self):
@@ -57,25 +54,33 @@ class TestController:
         assert controller.max_writes() > w1
 
 
+def _timing(latencies) -> DesignCost:
+    names = ("precompute", "multiply", "postcompute")
+    return DesignCost(
+        n_bits=64,
+        stages=tuple(StageCost(n, 0, c) for n, c in zip(names, latencies)),
+    )
+
+
 class TestPipelineTiming:
     def test_throughput_is_bottleneck_reciprocal(self):
-        timing = PipelineTiming(n_bits=64, stage_latencies=(729, 345, 1052))
+        timing = _timing((729, 345, 1052))
         assert timing.bottleneck_cc == 1052
         assert timing.bottleneck_stage == "postcompute"
         assert timing.throughput_per_mcc == pytest.approx(1e6 / 1052)
 
     def test_latency_is_sum(self):
-        timing = PipelineTiming(n_bits=64, stage_latencies=(10, 20, 30))
+        timing = _timing((10, 20, 30))
         assert timing.latency_cc == 60
 
     def test_makespan(self):
-        timing = PipelineTiming(n_bits=64, stage_latencies=(10, 20, 30))
+        timing = _timing((10, 20, 30))
         assert timing.makespan_cc(0) == 0
         assert timing.makespan_cc(1) == 60
         assert timing.makespan_cc(4) == 60 + 3 * 30
 
     def test_makespan_rejects_negative(self):
-        timing = PipelineTiming(n_bits=64, stage_latencies=(1, 2, 3))
+        timing = _timing((1, 2, 3))
         with pytest.raises(DesignError):
             timing.makespan_cc(-1)
 

@@ -52,7 +52,7 @@ class TestGenericDesign:
         )
         assert (
             record.precompute_cycles
-            == cost.precompute_cost(64, 2).latency_cc
+            == cost.design_cost(64, 2).stages[0].latency_cc
         )
 
     def test_depth_tradeoff_shape(self):

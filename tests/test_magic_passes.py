@@ -630,12 +630,11 @@ class TestOptimizedPipeline:
         assert scalar_res.products == [a * b for a, b in pairs[:2]]
 
     def test_default_pipeline_reproduces_paper_latency(self):
-        from repro.karatsuba import postcompute, precompute
+        from repro.karatsuba import cost
         from repro.karatsuba.pipeline import KaratsubaPipeline
 
         timing = KaratsubaPipeline(16).timing()
-        assert timing.stage_latencies[0] == precompute.latency_cc(16)
-        assert timing.stage_latencies[2] == postcompute.latency_cc(16)
+        assert timing.stage_latencies == cost.design_cost(16, 2).stage_latencies
 
     def test_controller_optimizer_stats(self, rng):
         from repro.karatsuba.pipeline import KaratsubaPipeline
@@ -659,21 +658,20 @@ class TestOptimizedPipeline:
         """Every MAGIC stage reports the cycles one job saves: the
         closed-form latency minus the packed latency, on a fresh stage
         and after a batch alike."""
-        from repro.karatsuba import postcompute, precompute
+        from repro.karatsuba import cost
         from repro.karatsuba.controller import KaratsubaController
         from repro.portfolio import toom3
 
         n = 64
-        closed_form = {
-            "precompute": precompute.latency_cc,
-            "postcompute": postcompute.latency_cc,
-            "evaluate": toom3.eval_latency_cc,
-            "interpolate": toom3.interp_latency_cc,
-        }[stage_name](n)
         if stage_name in ("precompute", "postcompute"):
             controller = KaratsubaController(n, optimize=True)
+            design = cost.design_cost(n, 2)
         else:
             controller = toom3.Toom3Controller(n, optimize=True)
+            design = cost.design_cost(n, 1, "toom3")
+        (closed_form,) = [
+            s.latency_cc for s in design.stages if s.name == stage_name
+        ]
         if after_batch:
             rng = random.Random(5)
             pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(3)]

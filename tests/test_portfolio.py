@@ -29,9 +29,6 @@ from repro.eval.workloads import TraceItem
 from repro.frontend import AsyncShardedFrontend, FrontendConfig
 from repro import telemetry
 from repro.karatsuba import cost as kcost
-from repro.karatsuba import multiply as kmultiply
-from repro.karatsuba import postcompute as kpostcompute
-from repro.karatsuba import precompute as kprecompute
 from repro.karatsuba.controller import KaratsubaController
 from repro.karatsuba.pipeline import KaratsubaPipeline
 from repro.portfolio import (
@@ -44,7 +41,6 @@ from repro.portfolio import (
     build_pipeline,
     candidate_designs,
     measure,
-    prior_cost,
     select,
     sweep,
     validate_table_payload,
@@ -284,24 +280,18 @@ class TestToom3Pipeline:
         one job ticks exactly the list's cycles, so the latency cannot
         drift from what the stage replays.  With the optimizer on, the
         packer stats cover the same list."""
-        toom3_forms = (
-            t3.eval_latency_cc, t3.pointwise_latency_cc, t3.interp_latency_cc
-        )
-        karatsuba_forms = (
-            kprecompute.latency_cc, kmultiply.latency_cc, kpostcompute.latency_cc
-        )
         designs = [
-            (t3.Toom3Controller, n, toom3_forms, optimize)
+            (t3.Toom3Controller, n, (1, "toom3"), optimize)
             for n in (16, 17, 32, 64, 90, 128, 270)
             for optimize in (False, True)
         ] + [
-            (KaratsubaController, n, karatsuba_forms, optimize)
+            (KaratsubaController, n, (2, "karatsuba"), optimize)
             for n in (16, 32, 64, 128, 256)
             for optimize in (False, True)
         ]
-        for cls, n, forms, optimize in designs:
+        for cls, n, point, optimize in designs:
             controller = cls(n, optimize=optimize)
-            closed = tuple(form(n) for form in forms)
+            closed = kcost.design_cost(n, *point).stage_latencies
             latencies = controller.stage_latencies()
             if not optimize:
                 assert latencies == closed, (cls.__name__, n)
@@ -508,8 +498,14 @@ class TestTuner:
         assert measured.latency_cc > 0
         study = measure(DesignPoint("karatsuba", depth=3), 32, jobs=2)
         assert not study.measured
-        prior = prior_cost(DesignPoint("karatsuba", depth=3), 32)
+        prior = kcost.design_cost(32, 3)
         assert study.latency_cc == prior.latency_cc
+        assert study.area_cells == prior.area_cells
+
+    def test_measure_rejects_an_infeasible_width(self):
+        # 8 bits divide by 2, but Karatsuba needs n >= 16.
+        with pytest.raises(DesignError):
+            measure(DesignPoint("karatsuba", depth=1), 8)
 
     def test_select_never_picks_a_study_point(self):
         fast_study = Measurement(

@@ -29,6 +29,18 @@ class TestSensitivity:
         assert latencies["hajali2018"] == pytest.approx(13 * 384 * 384)
         assert latencies["leitersdorf2022"] == pytest.approx(8835, abs=2)
 
+    def test_identity_perturbation_prices_the_stage_layouts(self):
+        """The Fig. 4 part of the sweep re-prices the stage layouts, so
+        at the paper's constants it is the cost model stage by stage."""
+        from repro.eval.sensitivity import _perturbed_cc
+        from repro.karatsuba import cost
+
+        for n, depth in ((64, 1), (64, 3), (256, 2), (384, 3)):
+            layouts = cost.stage_layouts(n, depth)
+            assert tuple(
+                _perturbed_cc(layout, CostPerturbation()) for layout in layouts
+            ) == cost.design_cost(n, depth).stage_latencies
+
     def test_baseline_ranking_matches_table1(self):
         ranking = atp_ranking(384, CostPerturbation())
         assert ranking == [

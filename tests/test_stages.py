@@ -15,20 +15,25 @@ from repro.sim.exceptions import DesignError
 from tests.conftest import random_operand
 
 
+def _layout(stage, n):
+    """The L = 2 layout of a stage module at width *n*."""
+    return stage.layout(build_plan(n, 2))
+
+
 class TestPrecomputeStage:
     def test_area_matches_paper(self):
         """Sec. IV-C: (8+10+12) x (n/4+2); 1,980 cells at n = 256."""
-        assert precompute.area_cells(256) == 1980
-        assert precompute.area_cells(64) == 30 * 18
+        assert _layout(precompute, 256).area_cells == 1980
+        assert _layout(precompute, 64).area_cells == 30 * 18
 
     def test_latency_closed_form(self):
         """8 + 10*(17 + 11*ceil(log2(n/4+1))) + 1."""
-        assert precompute.latency_cc(64) == 8 + 10 * (17 + 11 * 5) + 1
-        assert precompute.latency_cc(256) == 8 + 10 * (17 + 11 * 7) + 1
+        assert _layout(precompute, 64).latency_cc == 8 + 10 * (17 + 11 * 5) + 1
+        assert _layout(precompute, 256).latency_cc == 8 + 10 * (17 + 11 * 7) + 1
 
     def test_invalid_width(self):
         with pytest.raises(DesignError):
-            precompute.latency_cc(63)
+            _layout(precompute, 63).latency_cc
         with pytest.raises(DesignError):
             PrecomputeStage(10)
 
@@ -51,7 +56,7 @@ class TestPrecomputeStage:
             result = stage.process_batch(
                 [(split_chunks(a, 16, 4), split_chunks(b, 16, 4))]
             )[0]
-            assert result.cycles == precompute.latency_cc(64)
+            assert result.cycles == _layout(precompute, 64).latency_cc
 
     def test_chunk_count_validated(self):
         stage = PrecomputeStage(64)
@@ -81,12 +86,12 @@ class TestPrecomputeStage:
 class TestMultiplicationStage:
     def test_area_matches_paper(self):
         """Sec. IV-D: 9 x 12 x (n/4+2) cells."""
-        assert mult_stage.area_cells(64) == 9 * 12 * 18
-        assert mult_stage.area_cells(384) == 9 * 12 * 98
+        assert _layout(mult_stage, 64).area_cells == 9 * 12 * 18
+        assert _layout(mult_stage, 384).area_cells == 9 * 12 * 98
 
     def test_latency_closed_form(self):
-        assert mult_stage.latency_cc(64) == 345
-        assert mult_stage.latency_cc(384) == 2061
+        assert _layout(mult_stage, 64).latency_cc == 345
+        assert _layout(mult_stage, 384).latency_cc == 2061
 
     def test_products_correct(self, rng):
         stage = MultiplicationStage(64)
@@ -103,7 +108,7 @@ class TestMultiplicationStage:
         plan = build_plan(64, 2)
         operands = plan.intermediate_values(1, 1)
         result = stage.process_batch([operands])[0]
-        assert result.cycles == mult_stage.latency_cc(64)
+        assert result.cycles == _layout(mult_stage, 64).latency_cc
 
     def test_missing_operand_rejected(self):
         stage = MultiplicationStage(64)
@@ -126,13 +131,13 @@ class TestMultiplicationStage:
 class TestPostcomputeStage:
     def test_area_matches_paper(self):
         """Sec. IV-E: (8+12) x 1.5n cells."""
-        assert postcompute.area_cells(64) == 20 * 96
-        assert postcompute.area_cells(384) == 20 * 576
+        assert _layout(postcompute, 64).area_cells == 20 * 96
+        assert _layout(postcompute, 384).area_cells == 20 * 576
 
     def test_latency_closed_form(self):
         """121*ceil(log2 1.5n) + 187 + 18."""
-        assert postcompute.latency_cc(64) == 121 * 7 + 187 + 18
-        assert postcompute.latency_cc(384) == 121 * 10 + 187 + 18
+        assert _layout(postcompute, 64).latency_cc == 121 * 7 + 187 + 18
+        assert _layout(postcompute, 384).latency_cc == 121 * 10 + 187 + 18
 
     def test_eleven_passes(self):
         """The stage replays the paper's 11 passes at every width."""
@@ -151,7 +156,7 @@ class TestPostcomputeStage:
             }
             result = stage.process_batch([products])[0]
             assert result.product == a * b
-            assert result.cycles == postcompute.latency_cc(64)
+            assert result.cycles == _layout(postcompute, 64).latency_cc
 
     def test_missing_product_rejected(self):
         stage = PostcomputeStage(64)

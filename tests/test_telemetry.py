@@ -17,7 +17,7 @@ import pytest
 from repro import cli, telemetry
 from repro.arith.koggestone import AdderUnit
 from repro.karatsuba.bank import BankTiming, MultiplierBank
-from repro.karatsuba.pipeline import PipelineTiming
+from repro.karatsuba.cost import DesignCost, StageCost
 from repro.sim import waveform
 from repro.sim.clock import Clock
 from repro.telemetry import baseline, export, model
@@ -157,6 +157,16 @@ class TestTelemetryRegistry:
 # ----------------------------------------------------------------------
 # Model span trees vs the analytic timing model
 # ----------------------------------------------------------------------
+KARATSUBA_SLOTS = ("precompute", "multiply", "postcompute")
+
+
+def _timing(latencies=(2, 5, 3), names=KARATSUBA_SLOTS) -> DesignCost:
+    return DesignCost(
+        n_bits=16,
+        stages=tuple(StageCost(n, 0, c) for n, c in zip(names, latencies)),
+    )
+
+
 class TestModelSpans:
     @pytest.mark.parametrize("jobs", [1, 3, 8])
     @pytest.mark.parametrize("ways", [1, 2, 3])
@@ -169,13 +179,13 @@ class TestModelSpans:
         assert root.duration_cc == result.makespan_cc
 
     def test_pipeline_jobs_follow_modulo_schedule(self):
-        timing = PipelineTiming(n_bits=16, stage_latencies=(2, 5, 3))
+        timing = _timing()
         jobs = model.pipeline_spans(timing, 3)
         assert [j.begin_cc for j in jobs] == [0, 5, 10]
         assert jobs[-1].end_cc == timing.makespan_cc(3) == 20
         for job in jobs:
             names = [c.name for c in job.children]
-            assert names == list(model.STAGE_NAMES)
+            assert names == list(KARATSUBA_SLOTS)
             # stages tile the job interval back-to-back
             cursor = job.begin_cc
             for child, latency in zip(job.children, timing.stage_latencies):
@@ -186,8 +196,21 @@ class TestModelSpans:
                 cursor += latency
             assert cursor == job.end_cc
 
+    def test_stage_spans_carry_the_design_slot_names(self):
+        """A Toom-3 timing's stage spans read its own slot names."""
+        from repro.portfolio.design import Toom3Pipeline
+
+        timing = Toom3Pipeline(64).timing()
+        (job,) = model.pipeline_spans(timing, 1)
+        assert [c.name for c in job.children] == [
+            "evaluate", "pointwise", "interpolate"
+        ]
+        assert [c.duration_cc for c in job.children] == list(
+            timing.stage_latencies
+        )
+
     def test_empty_bank_is_zero_length(self):
-        timing = PipelineTiming(n_bits=16, stage_latencies=(2, 5, 3))
+        timing = _timing()
         root = model.bank_spans(timing, [0, 0])
         assert root.duration_cc == 0
 
@@ -197,7 +220,7 @@ class TestModelSpans:
 # ----------------------------------------------------------------------
 class TestProfiler:
     def _tree(self):
-        timing = PipelineTiming(n_bits=16, stage_latencies=(2, 5, 3))
+        timing = _timing()
         return timing, model.bank_spans(timing, [3])
 
     def test_stage_occupancy_hand_computed(self):
@@ -219,7 +242,7 @@ class TestProfiler:
         assert frac["way0"] == pytest.approx(1.0)
 
     def test_bubbles_on_unbalanced_bank(self):
-        timing = PipelineTiming(n_bits=16, stage_latencies=(2, 5, 3))
+        timing = _timing()
         root = model.bank_spans(timing, [3, 1])
         gaps = profiling.bubbles(root, by="track")
         assert gaps["way0"] == []
@@ -258,7 +281,7 @@ class TestProfiler:
 # ----------------------------------------------------------------------
 class TestExport:
     def _doc(self):
-        timing = PipelineTiming(n_bits=16, stage_latencies=(2, 5, 3))
+        timing = _timing()
         root = model.bank_spans(timing, [2, 1])
         return export.to_trace_events(root, metadata={"n_bits": 16})
 
@@ -323,7 +346,7 @@ class TestExport:
             export.validate_trace({"traceEvents": []})
 
     def test_write_trace_roundtrip(self, tmp_path):
-        timing = PipelineTiming(n_bits=16, stage_latencies=(2, 5, 3))
+        timing = _timing()
         root = model.bank_spans(timing, [2])
         path = tmp_path / "trace.json"
         export.write_trace(str(path), root)
