@@ -185,7 +185,7 @@ def _stage_workloads():
         ("precompute", PrecomputeStage(N_BITS)),
         ("postcompute", PostcomputeStage(N_BITS)),
     ):
-        program = stage._mega_program(0)
+        program = stage._mega_programs[0]
         compiled = stage.executor.compile(program)
         rng = random.Random(0xB0BA)
         widths = dict(compiled.write_specs)

@@ -36,7 +36,7 @@ so no cross-talk occurs in either mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.arith.bitops import ceil_log2
@@ -57,16 +57,6 @@ SCRATCH_ROWS = 12
 
 OP_ADD = "add"
 OP_SUB = "sub"
-
-#: Distinct ``(layout, op, optimize)`` adder programs the process keeps
-#: (LRU).  The four bench workloads touch 256 in one process.
-_SHARED_PROGRAM_ENTRIES = 512
-
-#: ``(layout, op, optimize)`` -> ``(program, optimizer report or None)``,
-#: least recent first.
-_shared_programs: Dict[
-    tuple, Tuple[Program, Optional["OptimizationResult"]]
-] = {}
 
 
 def latency_cc(width: int) -> int:
@@ -185,31 +175,10 @@ class KoggeStoneAdder:
         merge.  The optimized program is protocol-verified and remains
         bit-exact; the default reproduces the paper's cycle counts.
 
-        Programs are a pure function of ``(layout, op, optimize)`` and
-        are shared process-wide: every adder on an equal layout gets the
-        same sealed program and optimizer report, generated and packed
-        once.  Treat them as read-only.
+        Every adder on an equal layout gets the same program and
+        optimizer report (:func:`adder_program`).
         """
-        if op not in (OP_ADD, OP_SUB):
-            raise DesignError(f"unknown adder op {op!r}")
-        key = (self.layout, op, bool(optimize))
-        entry = _shared_programs.pop(key, None)
-        if entry is None:
-            if optimize:
-                from repro.magic.passes import optimize_program
-
-                base = self.program(op, optimize=False)
-                armed = frozenset(
-                    set(self.layout.scratch_rows) | {self.layout.out_row}
-                )
-                result = optimize_program(base, initially_ones=armed)
-                entry = (result.program, result)
-            else:
-                entry = (self._generate(op), None)
-        _shared_programs[key] = entry
-        if len(_shared_programs) > _SHARED_PROGRAM_ENTRIES:
-            del _shared_programs[next(iter(_shared_programs))]
-        program, report = entry
+        program, report = adder_program(self.layout, op, bool(optimize))
         if report is not None:
             self.optimizer_reports[op] = report
         return program
@@ -231,90 +200,116 @@ class KoggeStoneAdder:
             return self.program(OP_ADD, optimize=True).cycle_count
         return latency_cc(self.layout.width)
 
-    # ------------------------------------------------------------------
-    def _generate(self, op: str) -> Program:
-        lay = self.layout
-        win = lay.window
-        pool = list(lay.scratch_rows)
-        builder = ProgramBuilder(label=f"koggestone-{op}-{lay.width}b")
 
-        # ---------------- p/g stage: 8 cc --------------------------------
-        # Scratch rows are already at logic one: the previous pass ends
-        # with a full scratch reset (and the stage controller initialises
-        # them once at power-up), so no leading INIT is needed here.
-        t1, n2, n3, aux, aux2, xnr, p_row, g_row = pool[:8]
-        if op == OP_ADD:
-            # p = XOR(x, y) (XNOR + NOT); g = AND(x, y).  8 ops.
-            builder.not_(lay.x_row, aux, win)           # ~x
-            builder.not_(lay.y_row, aux2, win)          # ~y
-            builder.nor([aux, aux2], g_row, win)        # x AND y
-            builder.nor([lay.x_row, lay.y_row], t1, win)
-            builder.nor([lay.x_row, t1], n2, win)       # ~x AND y
-            builder.nor([lay.y_row, t1], n3, win)       # x AND ~y
-            builder.nor([n2, n3], xnr, win)             # XNOR(x, y)
-            builder.not_(xnr, p_row, win)               # XOR(x, y)
-        else:
-            # Borrow form: p = XNOR(x, y); g = ~x AND y, which falls out
-            # of the XNOR computation for free (4 ops; the remaining
-            # cycles are controller alignment so that subtraction fits
-            # the same 8 cc budget the paper charges for additions).
-            builder.nor([lay.x_row, lay.y_row], t1, win)
-            builder.nor([lay.x_row, t1], g_row, win)    # ~x AND y
-            builder.nor([lay.y_row, t1], n3, win)       # x AND ~y
-            builder.nor([g_row, n3], p_row, win)        # XNOR(x, y)
-            builder.nop(4)
+def _generate(lay: KoggeStoneLayout, op: str) -> Program:
+    """The paper's schedule of *op* on layout *lay* (see the module
+    docstring for its cycle budget)."""
+    win = lay.window
+    pool = list(lay.scratch_rows)
+    builder = ProgramBuilder(label=f"koggestone-{op}-{lay.width}b")
 
-        # ---------------- prefix levels: 11 cc each --------------------
-        # The original bit-wise propagate row stays live until the sum
-        # stage (s = p XOR carry); together with the running (P, G) pair
-        # and the nine per-level temporaries this accounts for exactly
-        # the 12 scratch rows the paper reserves.
-        orig_p = p_row
-        p_cur, g_cur = p_row, g_row
-        for level in range(self.levels):
-            distance = 1 << level
-            free = [r for r in pool if r not in (orig_p, p_cur, g_cur)]
-            ps, gs, ra, rb, rc, rd, re, rf, rg = free[:9]
-            # Shift P and G towards the MSB; identity element (1, 0)
-            # fills the vacated positions so low bits pass through.
-            builder.shift(p_cur, ps, distance, fill=1, cols=win,
-                          also_init=(ra, rb, rc, rd))
-            builder.shift(g_cur, gs, distance, fill=0, cols=win,
-                          also_init=(re, rf, rg))
-            builder.not_(p_cur, ra, win)                # ~P1
-            builder.not_(ps, rb, win)                   # ~P2
-            builder.nor([ra, rb], rc, win)              # P = P1 AND P2
-            builder.not_(gs, rd, win)                   # ~G2
-            builder.nor([ra, rd], re, win)              # P1 AND G2
-            builder.nor([g_cur, re], rf, win)
-            builder.not_(rf, rg, win)                   # G = G1 OR (P1 AND G2)
-            p_cur, g_cur = rc, rg
+    # ---------------- p/g stage: 8 cc --------------------------------
+    # Scratch rows are already at logic one: the previous pass ends
+    # with a full scratch reset (and the stage controller initialises
+    # them once at power-up), so no leading INIT is needed here.
+    t1, n2, n3, aux, aux2, xnr, p_row, g_row = pool[:8]
+    if op == OP_ADD:
+        # p = XOR(x, y) (XNOR + NOT); g = AND(x, y).  8 ops.
+        builder.not_(lay.x_row, aux, win)           # ~x
+        builder.not_(lay.y_row, aux2, win)          # ~y
+        builder.nor([aux, aux2], g_row, win)        # x AND y
+        builder.nor([lay.x_row, lay.y_row], t1, win)
+        builder.nor([lay.x_row, t1], n2, win)       # ~x AND y
+        builder.nor([lay.y_row, t1], n3, win)       # x AND ~y
+        builder.nor([n2, n3], xnr, win)             # XNOR(x, y)
+        builder.not_(xnr, p_row, win)               # XOR(x, y)
+    else:
+        # Borrow form: p = XNOR(x, y); g = ~x AND y, which falls out
+        # of the XNOR computation for free (4 ops; the remaining
+        # cycles are controller alignment so that subtraction fits
+        # the same 8 cc budget the paper charges for additions).
+        builder.nor([lay.x_row, lay.y_row], t1, win)
+        builder.nor([lay.x_row, t1], g_row, win)    # ~x AND y
+        builder.nor([lay.y_row, t1], n3, win)       # x AND ~y
+        builder.nor([g_row, n3], p_row, win)        # XNOR(x, y)
+        builder.nop(4)
 
-        # ---------------- sum stage: 2 + 5 + 2 = 9 cc ------------------
-        free = [r for r in pool if r not in (orig_p, g_cur)]
-        c_row, w1, w2, w3, w4 = free[:5]
-        # Carries are the prefix generates shifted up by one; carry-in 0.
-        builder.shift(g_cur, c_row, 1, fill=0, cols=win,
-                      also_init=(w1, w2, w3, w4, lay.out_row))
-        if op == OP_ADD:
-            # s = XOR(p, c): shared-NOR XNOR then a final NOT (5 ops).
-            builder.nor([orig_p, c_row], w1, win)
-            builder.nor([orig_p, w1], w2, win)
-            builder.nor([c_row, w1], w3, win)
-            builder.nor([w2, w3], w4, win)              # XNOR(p, c)
-            builder.not_(w4, lay.out_row, win)          # XOR(p, c)
-        else:
-            # s = XNOR(p, borrow): the difference bit is x^y^borrow and
-            # p already holds XNOR(x, y).  4 ops + 1 alignment cycle.
-            builder.nor([orig_p, c_row], w1, win)
-            builder.nor([orig_p, w1], w2, win)
-            builder.nor([c_row, w1], w3, win)
-            builder.nor([w2, w3], lay.out_row, win)     # XNOR(p, c)
-            builder.nop(1)
-        # Reset the scratch region for the next operation (2 cc).
-        builder.init(pool[:6], win)
-        builder.init(pool[6:], win)
-        return builder.build()
+    # ---------------- prefix levels: 11 cc each --------------------
+    # The original bit-wise propagate row stays live until the sum
+    # stage (s = p XOR carry); together with the running (P, G) pair
+    # and the nine per-level temporaries this accounts for exactly
+    # the 12 scratch rows the paper reserves.
+    orig_p = p_row
+    p_cur, g_cur = p_row, g_row
+    for level in range(ceil_log2(lay.width)):
+        distance = 1 << level
+        free = [r for r in pool if r not in (orig_p, p_cur, g_cur)]
+        ps, gs, ra, rb, rc, rd, re, rf, rg = free[:9]
+        # Shift P and G towards the MSB; identity element (1, 0)
+        # fills the vacated positions so low bits pass through.
+        builder.shift(p_cur, ps, distance, fill=1, cols=win,
+                      also_init=(ra, rb, rc, rd))
+        builder.shift(g_cur, gs, distance, fill=0, cols=win,
+                      also_init=(re, rf, rg))
+        builder.not_(p_cur, ra, win)                # ~P1
+        builder.not_(ps, rb, win)                   # ~P2
+        builder.nor([ra, rb], rc, win)              # P = P1 AND P2
+        builder.not_(gs, rd, win)                   # ~G2
+        builder.nor([ra, rd], re, win)              # P1 AND G2
+        builder.nor([g_cur, re], rf, win)
+        builder.not_(rf, rg, win)                   # G = G1 OR (P1 AND G2)
+        p_cur, g_cur = rc, rg
+
+    # ---------------- sum stage: 2 + 5 + 2 = 9 cc ------------------
+    free = [r for r in pool if r not in (orig_p, g_cur)]
+    c_row, w1, w2, w3, w4 = free[:5]
+    # Carries are the prefix generates shifted up by one; carry-in 0.
+    builder.shift(g_cur, c_row, 1, fill=0, cols=win,
+                  also_init=(w1, w2, w3, w4, lay.out_row))
+    if op == OP_ADD:
+        # s = XOR(p, c): shared-NOR XNOR then a final NOT (5 ops).
+        builder.nor([orig_p, c_row], w1, win)
+        builder.nor([orig_p, w1], w2, win)
+        builder.nor([c_row, w1], w3, win)
+        builder.nor([w2, w3], w4, win)              # XNOR(p, c)
+        builder.not_(w4, lay.out_row, win)          # XOR(p, c)
+    else:
+        # s = XNOR(p, borrow): the difference bit is x^y^borrow and
+        # p already holds XNOR(x, y).  4 ops + 1 alignment cycle.
+        builder.nor([orig_p, c_row], w1, win)
+        builder.nor([orig_p, w1], w2, win)
+        builder.nor([c_row, w1], w3, win)
+        builder.nor([w2, w3], lay.out_row, win)     # XNOR(p, c)
+        builder.nop(1)
+    # Reset the scratch region for the next operation (2 cc).
+    builder.init(pool[:6], win)
+    builder.init(pool[6:], win)
+    return builder.build()
+
+
+#: Keeps the 512 most recently used adder programs; the four bench
+#: workloads touch 256 in one process.
+@lru_cache(maxsize=512)
+def adder_program(
+    layout: KoggeStoneLayout, op: str, optimize: bool
+) -> Tuple[Program, Optional["OptimizationResult"]]:
+    """The compute program of *op* on *layout* and, with *optimize*,
+    the cycle packer's report on it (``None`` otherwise).
+
+    A pure function of its arguments, memoised process-wide: every
+    adder on an equal layout shares one program, generated and packed
+    once, so it also compiles once per array geometry.
+    """
+    if op not in (OP_ADD, OP_SUB):
+        raise DesignError(f"unknown adder op {op!r}")
+    if not optimize:
+        return _generate(layout, op), None
+    from repro.magic.passes import optimize_program
+
+    base, _ = adder_program(layout, op, False)
+    armed = frozenset(set(layout.scratch_rows) | {layout.out_row})
+    result = optimize_program(base, initially_ones=armed)
+    return result.program, result
 
 
 class AdderUnit(CrossbarStage):
@@ -395,6 +390,39 @@ class AdderUnit(CrossbarStage):
         return outs or []  # no pairs: no lanes were sensed
 
 
+#: Keeps the 64 most recently used stage programs.
+@lru_cache(maxsize=64)
+def mega_program(
+    unit: str,
+    writes: Tuple[Tuple[int, str, int, int], ...],
+    passes: Tuple[Tuple[KoggeStoneLayout, str, Tuple[str, ...]], ...],
+    reads: Tuple[str, ...],
+    closing: Tuple[int, ...],
+    cols: int,
+    optimize: bool,
+) -> Program:
+    """One stage unit's adder passes as one program, in logical rows.
+
+    The program WRITEs *writes* (``(row, name, col_offset, width)``),
+    then runs each of *passes*, ``(layout, op, operand names)``: it
+    WRITEs the named ``x``/``y`` operands into the adder's operand rows
+    (no names: the adder reads rows the program computed), runs the
+    adder program and READs the sum under its name in *reads*.  Last,
+    one INIT resets the *closing* rows.  Memoised process-wide, like
+    :func:`adder_program`: every stage of an equal layout replays one
+    program, which compiles once per array geometry.
+    """
+    builder = ProgramBuilder(label=f"{unit}-passes")
+    for row, name, col_offset, width in writes:
+        builder.write(row, name, col_offset=col_offset, width=width)
+    for (layout, op, operands), read in zip(passes, reads):
+        for row, name in zip((layout.x_row, layout.y_row), operands):
+            builder.write(row, name, width=cols)
+        builder.concat(adder_program(layout, op, optimize)[0])
+        builder.read(layout.out_row, read, width=cols)
+    if closing:
+        builder.init(closing)
+    return builder.build()
 
 
 class LanePlan:
@@ -556,10 +584,6 @@ class AdderPassStage:
         return row
 
     @cached_property
-    def _programs(self) -> Dict[int, Program]:
-        return {}
-
-    @cached_property
     def _powered(self) -> set:
         return set()
 
@@ -581,31 +605,34 @@ class AdderPassStage:
             )
             self._powered.add(key)
 
-    def _mega_program(self, k: int) -> Program:
-        """Unit *k*'s passes as one replayable program in logical rows
-        (built once per unit; the replay places it per wear group)."""
-        program = self._programs.get(k)
-        if program is None:
-            unit_passes = self.unit_passes()
-            first = sum(len(passes) for _, passes in unit_passes[:k])
-            passes = unit_passes[k][1]
-            cols = self.units[k].array.cols
-            unit = self.checker.stage if k == 0 else f"{self.checker.stage}.{k}"
-            builder = ProgramBuilder(label=f"{unit}-passes")
-            for row, name, col_offset, width in self._input_writes():
-                builder.write(row, name, col_offset=col_offset, width=width)
-            for index, (adder, op) in enumerate(passes, first):
-                lay = adder.layout
-                if self.stages_operands:
-                    builder.write(lay.x_row, f"x{index}", width=cols)
-                    builder.write(lay.y_row, f"y{index}", width=cols)
-                builder.concat(adder.program(op, optimize=self.optimize))
-                builder.read(lay.out_row, self._sense_name(index), width=cols)
-            closing = self._closing_rows()
-            if closing:
-                builder.init(closing)
-            program = self._programs[k] = builder.build()
-        return program
+    @cached_property
+    def _mega_programs(self) -> Tuple[Program, ...]:
+        """Each unit's passes as one replayable program in logical rows
+        (looked up once per stage; the replay places it per wear group)."""
+        programs = []
+        first = 0
+        for k, (unit, passes) in enumerate(self.unit_passes()):
+            indices = range(first, first + len(passes))
+            first += len(passes)
+            programs.append(
+                mega_program(
+                    self.checker.stage if k == 0 else f"{self.checker.stage}.{k}",
+                    tuple(self._input_writes()),
+                    tuple(
+                        (
+                            adder.layout,
+                            op,
+                            (f"x{i}", f"y{i}") if self.stages_operands else (),
+                        )
+                        for i, (adder, op) in zip(indices, passes)
+                    ),
+                    tuple(self._sense_name(i) for i in indices),
+                    tuple(self._closing_rows()),
+                    unit.array.cols,
+                    self.optimize,
+                )
+            )
+        return tuple(programs)
 
     def _placements(self, plans) -> Iterator[Placement]:
         """``(lane indices, wear permutation)`` of each wear group of
@@ -663,10 +690,12 @@ class AdderPassStage:
         pass, located at its lane's batch position, and tick the clock
         by the per-job histogram once per placement."""
         first = 0
-        for k, (unit, passes) in enumerate(self.unit_passes()):
+        for program, (unit, passes) in zip(
+            self._mega_programs, self.unit_passes()
+        ):
             stop = first + len(passes)
             stats, _ = unit.replay(
-                self._mega_program(k),
+                program,
                 [self._bindings(lanes[i], first, stop) for i in positions],
                 all_ones,
                 placements=placements,

@@ -23,7 +23,8 @@ function, ``O(n)`` versus ``O(log n)`` latency, on the same simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from functools import lru_cache
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.arith.bitops import mask
 from repro.crossbar.array import CrossbarArray
@@ -31,6 +32,9 @@ from repro.magic.executor import pack_ints, unpack_ints
 from repro.magic.program import Program, ProgramBuilder
 from repro.magic.stage import CrossbarStage
 from repro.sim.exceptions import DesignError
+
+if TYPE_CHECKING:
+    from repro.magic.passes import OptimizationResult
 
 #: Cycles per bit position (init + 9 NOR + 2-cc shift + 1 alignment).
 CYCLES_PER_BIT = 13
@@ -83,7 +87,6 @@ class RippleAdder:
 
     def __init__(self, layout: RippleLayout):
         self.layout = layout
-        self._programs = {}
         #: Per-variant :class:`~repro.magic.passes.OptimizationResult`.
         self.optimizer_reports = {}
 
@@ -93,52 +96,64 @@ class RippleAdder:
         ``optimize=True`` runs it through the SIMD cycle packer
         (:mod:`repro.magic.passes`): the alignment NOPs drop and the
         per-bit INIT arming coalesces, preserving bit-exact sums.  The
-        default reproduces the paper's serial schedule exactly.
+        default reproduces the paper's serial schedule exactly.  Every
+        adder on an equal layout gets the same program
+        (:func:`ripple_program`).
         """
-        key = bool(optimize)
-        if key not in self._programs:
-            base = self._generate()
-            if optimize:
-                from repro.magic.passes import optimize_program
-
-                lay = self.layout
-                armed = frozenset(set(lay.scratch_rows) | {lay.out_row})
-                result = optimize_program(base, initially_ones=armed)
-                self.optimizer_reports[key] = result
-                self._programs[key] = result.program
-            else:
-                self._programs[key] = base
-        return self._programs[key]
+        program, report = ripple_program(self.layout, bool(optimize))
+        if report is not None:
+            self.optimizer_reports[True] = report
+        return program
 
     def latency_cc(self) -> int:
         return latency_cc(self.layout.width)
 
-    def _generate(self) -> Program:
-        lay = self.layout
-        m1, m2, m3, m4, m5, m6, m7, ctmp = lay.scratch_rows
-        full = (0, lay.columns)
-        builder = ProgramBuilder(label=f"ripple-add-{lay.width}b")
-        for bit in range(lay.width + 1):
-            col = (bit, bit + 1)
-            builder.init(
-                [m1, m2, m3, m4, m5, m6, m7, ctmp, lay.out_row], col
-            )
-            builder.nor([lay.x_row, lay.y_row], m1, col)
-            builder.nor([lay.x_row, m1], m2, col)
-            builder.nor([lay.y_row, m1], m3, col)
-            builder.nor([m2, m3], m4, col)            # XNOR(x, y)
-            builder.nor([m4, lay.carry_row], m5, col)
-            builder.nor([m4, m5], m6, col)
-            builder.nor([lay.carry_row, m5], m7, col)
-            builder.nor([m6, m7], lay.out_row, col)   # x ^ y ^ c
-            builder.nor([m1, m5], ctmp, col)          # maj(x, y, c)
-            # Forward the carry one column to the right; columns at or
-            # below `bit` in the carry row become stale, which is fine
-            # because each carry bit is consumed before its column is
-            # overwritten.
-            builder.shift(ctmp, lay.carry_row, 1, fill=0, cols=full)
-            builder.nop(1)                            # controller alignment
-        return builder.build()
+
+def _generate(lay: RippleLayout) -> Program:
+    """The serial schedule on layout *lay*: 13 cc per bit position."""
+    m1, m2, m3, m4, m5, m6, m7, ctmp = lay.scratch_rows
+    full = (0, lay.columns)
+    builder = ProgramBuilder(label=f"ripple-add-{lay.width}b")
+    for bit in range(lay.width + 1):
+        col = (bit, bit + 1)
+        builder.init(
+            [m1, m2, m3, m4, m5, m6, m7, ctmp, lay.out_row], col
+        )
+        builder.nor([lay.x_row, lay.y_row], m1, col)
+        builder.nor([lay.x_row, m1], m2, col)
+        builder.nor([lay.y_row, m1], m3, col)
+        builder.nor([m2, m3], m4, col)            # XNOR(x, y)
+        builder.nor([m4, lay.carry_row], m5, col)
+        builder.nor([m4, m5], m6, col)
+        builder.nor([lay.carry_row, m5], m7, col)
+        builder.nor([m6, m7], lay.out_row, col)   # x ^ y ^ c
+        builder.nor([m1, m5], ctmp, col)          # maj(x, y, c)
+        # Forward the carry one column to the right; columns at or
+        # below `bit` in the carry row become stale, which is fine
+        # because each carry bit is consumed before its column is
+        # overwritten.
+        builder.shift(ctmp, lay.carry_row, 1, fill=0, cols=full)
+        builder.nop(1)                            # controller alignment
+    return builder.build()
+
+
+#: Keeps the 64 most recently used ripple programs.
+@lru_cache(maxsize=64)
+def ripple_program(
+    layout: RippleLayout, optimize: bool
+) -> Tuple[Program, Optional["OptimizationResult"]]:
+    """The serial adder program on *layout* and, with *optimize*, the
+    cycle packer's report on it (``None`` otherwise); memoised
+    process-wide, like :func:`repro.arith.koggestone.adder_program`."""
+    if not optimize:
+        return _generate(layout), None
+    from repro.magic.passes import optimize_program
+
+    armed = frozenset(set(layout.scratch_rows) | {layout.out_row})
+    result = optimize_program(
+        ripple_program(layout, False)[0], initially_ones=armed
+    )
+    return result.program, result
 
 
 class RippleUnit(CrossbarStage):

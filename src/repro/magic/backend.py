@@ -51,8 +51,8 @@ from repro.telemetry import spans
 class ExecutorBackend:
     """Strategy interface for batched MAGIC execution.
 
-    Concrete backends provide two factories; everything else (compile
-    caches, stage fold-back of writes/energy, telemetry) is shared
+    Concrete backends provide two factories; everything else (compiled
+    programs, stage fold-back of writes/energy, telemetry) is shared
     machinery that only touches the uniform array/executor surface:
     ``reset_to_ones`` / ``repin_faults`` / ``writes`` /
     ``total_energy_fj`` / ``snapshot(lane)`` on arrays, and
@@ -215,7 +215,7 @@ class ScalarLaneExecutor:
         self.fault_hook = fault_hook
 
     def compile(self, program) -> CompiledProgram:
-        return CompiledProgram(program, self.array.rows, self.array.cols)
+        return program.compiled(self.array.rows, self.array.cols)
 
     def execute(
         self,

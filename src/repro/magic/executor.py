@@ -10,13 +10,15 @@ Two execution paths share one instruction set:
   periphery shift (read + write-back).  It is kept as the
   differential-testing oracle.
 * :class:`WordPackedMagicExecutor` — the default SIMD path (paper
-  Sec. II-B).  A :class:`Program` is *compiled once* (parsed,
-  validated, column masks and field slices precomputed) into a
-  :class:`CompiledProgram`, lowered to a physical-row replay plan (one
-  step per gate, big-integer masks, rows already through the remap
-  table), then replayed against a :class:`WordPackedCrossbarArray`
-  whose rows each pack every lane into one Python integer, lane by
-  lane, each lane's columns side by side.
+  Sec. II-B).  A :class:`Program` is *compiled once* per array
+  geometry (parsed, validated, column masks and field slices
+  precomputed) into a :class:`CompiledProgram` the program keeps
+  (:meth:`Program.compiled`), lowered once to physical-row replay
+  plans (one step per gate, big-integer masks, rows already through
+  the remap table) the compiled form keeps, then replayed against a
+  :class:`WordPackedCrossbarArray` whose rows each pack every lane
+  into one Python integer, lane by lane, each lane's columns side by
+  side.
 
 Per-lane results, cycle counts and write counters of the SIMD path are
 bit-identical to running the scalar executor once per lane, and its
@@ -34,6 +36,7 @@ mapping and also attaches its own mapping to the returned stats.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,7 +62,7 @@ from repro.magic.ops import (
 from repro.magic.program import Program
 from repro.sim.clock import Clock
 from repro.sim.exceptions import MagicProtocolError, ProgramError
-from repro.sim.stats import RunStats
+from repro.sim.stats import CacheStats, RunStats
 from repro.telemetry import spans as _telemetry
 
 
@@ -187,9 +190,10 @@ class CompiledProgram:
     Compilation validates every op against the target array geometry,
     materialises column masks and field slices once, and precomputes the
     static stats (cycle count, op histogram, per-category cycles).  The
-    compiled form is immutable and reusable: one compile, any number of
-    :meth:`WordPackedMagicExecutor.execute` (or scalar-oracle) replays
-    with fresh bindings.
+    compiled form is immutable and reusable: one compile per program
+    and geometry (build it through :meth:`Program.compiled`), any
+    number of :meth:`WordPackedMagicExecutor.execute` (or
+    scalar-oracle) replays with fresh bindings.
     """
 
     def __init__(self, program: Program, rows: int, cols: int):
@@ -316,120 +320,10 @@ class CompiledProgram:
     def __len__(self) -> int:
         return len(self.steps)
 
-
-def compile_program(program: Program, rows: int, cols: int) -> CompiledProgram:
-    """Validate *program* against an array geometry and lower it."""
-    return CompiledProgram(program, rows, cols)
-
-
-class CompileCacheStats:
-    """Hit/miss/eviction counters of one compile cache.
-
-    The service layer aggregates these across every executor it owns to
-    surface program-compilation reuse in its metrics snapshot."""
-
-    __slots__ = ("hits", "misses", "evictions")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-
-#: Distinct programs the process-wide compile cache keeps (LRU).
-_SHARED_COMPILE_ENTRIES = 64
-
-#: ``(rows, cols, label, ops)`` -> compiled program, least recent first.
-_shared_compiled: Dict[tuple, CompiledProgram] = {}
-
-
-def _compile_shared(program: Program, rows: int, cols: int) -> CompiledProgram:
-    """The process-wide compiled form of *program*'s current content.
-
-    Every fresh service, way and shard builds its own copies of the same
-    few stage mega-programs; keyed by content (ops are frozen, hashable
-    dataclasses), they compile — and lower to word steps — once.  The
-    entry compiles a snapshot of the ops, so editing *program* in place
-    afterwards cannot leak into another program with the old content.
-    """
-    ops = tuple(program.ops)
-    key = (rows, cols, program.label, ops)
-    compiled = _shared_compiled.pop(key, None)
-    if compiled is None:
-        snapshot = Program(list(ops), program.label)
-        compiled = CompiledProgram(snapshot, rows, cols)
-    _shared_compiled[key] = compiled
-    if len(_shared_compiled) > _SHARED_COMPILE_ENTRIES:
-        del _shared_compiled[next(iter(_shared_compiled))]
-    return compiled
-
-
-class _CompileCache:
-    """Identity-keyed cache of compiled programs.
-
-    Keyed by ``(id(program), len(program), program.generation)`` with a
-    strong reference to the program so ids cannot be recycled.
-    Extending a program through :meth:`Program.extend` changes both the
-    length and the mutation generation; replacing ops *in place* at an
-    unchanged length bumps the generation alone — either way the stale
-    compiled artifact misses.  A miss resolves through the process-wide
-    content-keyed cache (:func:`_compile_shared`), so an equal program
-    seen by any executor before is not compiled again; the hit/miss
-    counters stay per-executor and identity-based.
-
-    An optional *max_entries* bounds the cache with least-recently-used
-    eviction; unbounded by default, which matches the historical
-    behaviour (stage executors hold a handful of mega-programs for the
-    lifetime of the stage).
-    """
-
-    def __init__(self, rows: int, cols: int, max_entries: Optional[int] = None):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("compile cache needs at least one entry")
-        self.rows = rows
-        self.cols = cols
-        self.max_entries = max_entries
-        self.stats = CompileCacheStats()
-        self._entries: Dict[
-            Tuple[int, int, int], Tuple[Program, CompiledProgram]
-        ] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, program: Program) -> CompiledProgram:
-        key = (
-            id(program),
-            len(program.ops),
-            getattr(program, "generation", 0),
-        )
-        entry = self._entries.get(key)
-        if entry is not None and entry[0] is program:
-            self.stats.hits += 1
-            # Refresh recency (dicts iterate in insertion order).
-            self._entries.pop(key)
-            self._entries[key] = entry
-            return entry[1]
-        self.stats.misses += 1
-        compiled = _compile_shared(program, self.rows, self.cols)
-        self._entries[key] = (program, compiled)
-        if self.max_entries is not None and len(self._entries) > self.max_entries:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
-            self.stats.evictions += 1
-        return compiled
+    @cached_property
+    def word(self) -> "_WordLoweredProgram":
+        """This compiled form lowered for the word-packed replay."""
+        return _WordLoweredProgram(self)
 
 
 class MagicExecutor:
@@ -459,21 +353,27 @@ class MagicExecutor:
         self.clock = clock if clock is not None else Clock()
         self.fault_hook = fault_hook
         self.results: Dict[str, int] = {}
-        self._compile_cache = _CompileCache(array.rows, array.cols)
+        self._compile_stats = CacheStats()
 
-    def compile_cache_stats(self) -> CompileCacheStats:
-        """Hit/miss counters of this executor's program-compile cache."""
-        return self._compile_cache.stats
+    def compile_cache_stats(self) -> CacheStats:
+        """This executor's compile lookups: a hit found *program*
+        already compiled for this geometry, a miss compiled it."""
+        return self._compile_stats
 
     def compile(self, program: Program) -> CompiledProgram:
-        """Compile (and cache) *program* for this array's geometry.
+        """*program*'s compiled form for this array's geometry.
 
-        The compiled form is immutable and geometry-keyed, so it can be
-        replayed by any batched executor whose array has
-        the same ``rows x cols`` — the stage batch paths use this to
-        compile their mega-programs once and replay them per batch.
+        The compiled form is immutable and kept on the program, so it
+        is replayed by any batched executor whose array has the same
+        ``rows x cols`` — the stage batch paths use this to compile
+        their mega-programs once and replay them per batch.
         """
-        return self._compile_cache.get(program)
+        rows, cols = self.array.rows, self.array.cols
+        if program.is_compiled(rows, cols):
+            self._compile_stats.hits += 1
+        else:
+            self._compile_stats.misses += 1
+        return program.compiled(rows, cols)
 
     # ------------------------------------------------------------------
     def _col_mask(self, cols) -> Optional[np.ndarray]:
@@ -647,8 +547,9 @@ class MagicExecutor:
 class _WordLoweredProgram:
     """A :class:`CompiledProgram` lowered to physical-row replay plans.
 
-    One lowering exists per compiled program (cached on it, so it is
-    shared wherever the compiled program is).  It precomputes the
+    One lowering exists per compiled program (:attr:`CompiledProgram
+    .word`, so it is shared wherever the compiled program is).  It
+    precomputes the
     program's data-independent accounting once: the per-lane pulse-cell
     counts (set/reset/read) behind the constant part of the energy
     model, and the write-pulse *recipe* from which a per-row-map
@@ -989,22 +890,10 @@ class WordPackedMagicExecutor:
         self.array = array
         self.clock = clock if clock is not None else Clock()
         self.fault_hook = fault_hook
-        self._compile_cache = _CompileCache(array.rows, array.cols)
-
-    def compile_cache_stats(self) -> CompileCacheStats:
-        """Hit/miss counters of this executor's program-compile cache."""
-        return self._compile_cache.stats
 
     def compile(self, program: Program) -> CompiledProgram:
-        """Compile (and cache) *program* for this array's geometry."""
-        return self._compile_cache.get(program)
-
-    # ------------------------------------------------------------------
-    def _lowered(self, compiled: CompiledProgram) -> _WordLoweredProgram:
-        lowered = getattr(compiled, "_word_lowered", None)
-        if lowered is None:
-            lowered = compiled._word_lowered = _WordLoweredProgram(compiled)
-        return lowered
+        """*program*'s compiled form for this array's geometry."""
+        return program.compiled(self.array.rows, self.array.cols)
 
     # ------------------------------------------------------------------
     def execute(
@@ -1031,7 +920,7 @@ class WordPackedMagicExecutor:
             raise ProgramError(
                 f"got {len(bindings_list)} binding sets for {batch} lanes"
             )
-        lowered = self._lowered(compiled)
+        lowered = compiled.word
         # Lane *lane*'s field starts at bit lane * cols of a row.
         lane_shifts = range(0, batch * array.cols, array.cols)
         packed: Dict[Tuple[str, int], int] = {}

@@ -472,10 +472,9 @@ class PassManager:
             )
             current = candidate
         current = Program(
-            ops=list(current.ops),
+            ops=current.ops,
             label=(program.label + "+opt") if program.label else "optimized",
         )
-        current.seal()
         return OptimizationResult(
             program=current,
             passes=tuple(stats),

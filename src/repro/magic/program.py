@@ -1,15 +1,29 @@
 """Program container and builder for MAGIC micro-op sequences.
 
-A :class:`Program` is an immutable-once-sealed list of micro-ops plus
-derived static properties (cycle count, op histogram).  The
-:class:`ProgramBuilder` offers a fluent API used by the arithmetic
-generators (Kogge-Stone adder, row multiplier, stage schedules).
+A :class:`Program` is an immutable value: a tuple of micro-ops, a
+label, and the static properties derived from them (cycle count, op
+histogram).  MAGIC schedules are static (paper Sec. II-B), so a
+program built once replays forever; each program also keeps its own
+compiled form per array geometry (:meth:`Program.compiled`), which in
+turn keeps its word lowering.  The :class:`ProgramBuilder` offers a
+fluent API used by the arithmetic generators (Kogge-Stone adder, row
+multiplier, stage schedules).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.magic.ops import (
     ColumnRange,
@@ -26,167 +40,68 @@ from repro.magic.ops import (
 )
 from repro.sim.exceptions import ProgramError
 
-
-class _OpList(list):
-    """Op list that bumps its owning program's mutation generation.
-
-    Every mutating list method notifies the owner, so memoised program
-    properties and downstream compile caches can detect in-place op
-    replacement even when the list length is unchanged.
-    """
-
-    __slots__ = ("_owner",)
-
-    def __init__(self, iterable=(), owner: "Program" = None):
-        super().__init__(iterable)
-        self._owner = owner
-
-    def _bump(self) -> None:
-        owner = self._owner
-        if owner is not None:
-            owner._generation += 1
-
-    def __setitem__(self, index, value):
-        super().__setitem__(index, value)
-        self._bump()
-
-    def __delitem__(self, index):
-        super().__delitem__(index)
-        self._bump()
-
-    def __iadd__(self, other):
-        result = super().__iadd__(other)
-        self._bump()
-        return result
-
-    def __imul__(self, other):
-        result = super().__imul__(other)
-        self._bump()
-        return result
-
-    def append(self, value):
-        super().append(value)
-        self._bump()
-
-    def extend(self, iterable):
-        super().extend(iterable)
-        self._bump()
-
-    def insert(self, index, value):
-        super().insert(index, value)
-        self._bump()
-
-    def pop(self, index=-1):
-        value = super().pop(index)
-        self._bump()
-        return value
-
-    def remove(self, value):
-        super().remove(value)
-        self._bump()
-
-    def clear(self):
-        super().clear()
-        self._bump()
-
-    def sort(self, **kwargs):
-        super().sort(**kwargs)
-        self._bump()
-
-    def reverse(self):
-        super().reverse()
-        self._bump()
-
-    def __reduce__(self):
-        return (list, (list(self),))
+if TYPE_CHECKING:
+    from repro.magic.executor import CompiledProgram
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
-    """An ordered sequence of micro-ops with static cost metadata.
+    """An immutable sequence of micro-ops with static cost metadata.
 
-    Derived static properties (cycle count, histograms, rows touched)
-    are memoised against the op list's *mutation generation*: the op
-    list is a tracking list that bumps a counter on every mutating
-    call, so a stale cache is detected even when ops are replaced in
-    place at unchanged length (the old length-only stamp missed that).
-    These properties are hot in scheduler admission and telemetry span
-    derivation, where the same sealed program is queried per batch.
+    *ops* may be given as any iterable; it is stored as a tuple.
+    Derived properties are computed on first access and kept.
     """
 
-    ops: List[MicroOp] = field(default_factory=list)
+    ops: Tuple[MicroOp, ...] = ()
     label: str = ""
-    #: Lazy cache of derived properties, stamped with
-    #: ``(len(ops), generation)``.
-    _cache: Dict[str, object] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    #: Mutation counter; bumped by every mutating call on :attr:`ops`.
-    _generation: int = field(
-        default=0, init=False, repr=False, compare=False
+    #: ``(rows, cols)`` -> compiled form (see :meth:`compiled`).
+    _compiled: Dict[Tuple[int, int], "CompiledProgram"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        self.ops = _OpList(self.ops, owner=self)
+        object.__setattr__(self, "ops", tuple(self.ops))
 
-    @property
-    def generation(self) -> int:
-        """Monotonic mutation counter for the op list.
+    def compiled(self, rows: int, cols: int) -> "CompiledProgram":
+        """This program validated and lowered for a ``rows x cols``
+        array: built on first use, then kept, so every executor of that
+        geometry replays the one compiled form."""
+        compiled = self._compiled.get((rows, cols))
+        if compiled is None:
+            from repro.magic.executor import CompiledProgram
 
-        Compile caches key on ``(id, len, generation)`` so a program
-        whose ops were swapped in place at the same length can never
-        alias a previously compiled artifact.
-        """
-        return self._generation
+            compiled = CompiledProgram(self, rows, cols)
+            self._compiled[(rows, cols)] = compiled
+        return compiled
 
-    def _cached(self, key: str, compute):
-        stamp = (len(self.ops), self._generation)
-        entry = self._cache.get(key)
-        if entry is not None and entry[0] == stamp:
-            return entry[1]
-        value = compute()
-        self._cache[key] = (stamp, value)
-        return value
+    def is_compiled(self, rows: int, cols: int) -> bool:
+        """Whether :meth:`compiled` already built the form for ``rows x cols``."""
+        return (rows, cols) in self._compiled
 
-    def seal(self) -> "Program":
-        """Precompute every derived property now (optional; the lazy
-        cache fills on first access either way).  Returns ``self``."""
-        self.cycle_count
-        self.histogram()
-        self.cycles_by_opcode()
-        self.rows_touched()
-        return self
-
-    @property
+    @cached_property
     def cycle_count(self) -> int:
         """Total cycles the program takes (static property of the op list)."""
-        return self._cached(
-            "cycle_count", lambda: sum(op.cycles for op in self.ops)
-        )
+        return sum(op.cycles for op in self.ops)
+
+    @cached_property
+    def _per_opcode(self) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """Op count and cycle cost per opcode."""
+        counts: Dict[str, int] = {}
+        cycles: Dict[str, int] = {}
+        for op in self.ops:
+            counts[op.opcode] = counts.get(op.opcode, 0) + 1
+            cycles[op.opcode] = cycles.get(op.opcode, 0) + op.cycles
+        return counts, cycles
 
     def histogram(self) -> Dict[str, int]:
         """Op-count per opcode."""
-
-        def compute() -> Dict[str, int]:
-            counts: Dict[str, int] = {}
-            for op in self.ops:
-                counts[op.opcode] = counts.get(op.opcode, 0) + 1
-            return counts
-
-        return dict(self._cached("histogram", compute))
+        return dict(self._per_opcode[0])
 
     def cycles_by_opcode(self) -> Dict[str, int]:
         """Cycle cost per opcode — the clock categories one execution
         ticks.  Batched stage schedules replay a program across many
         lanes and advance their clock from this histogram once."""
-
-        def compute() -> Dict[str, int]:
-            cycles: Dict[str, int] = {}
-            for op in self.ops:
-                cycles[op.opcode] = cycles.get(op.opcode, 0) + op.cycles
-            return cycles
-
-        return dict(self._cached("cycles_by_opcode", compute))
+        return dict(self._per_opcode[1])
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -194,40 +109,36 @@ class Program:
     def __iter__(self) -> Iterator[MicroOp]:
         return iter(self.ops)
 
-    def extend(self, other: "Program") -> None:
-        """Append all ops of *other* in order."""
-        self.ops.extend(other.ops)
-
     def rows_touched(self) -> Tuple[int, ...]:
         """Sorted set of every row referenced by any op (for layout checks)."""
+        return self._rows_touched
 
-        def compute() -> Tuple[int, ...]:
-            rows = set()
-            for op in self.ops:
-                if isinstance(op, Init):
-                    rows.update(op.rows)
-                elif isinstance(op, Nor):
-                    rows.update(op.in_rows)
-                    rows.add(op.out_row)
-                elif isinstance(op, Not):
-                    rows.add(op.in_row)
-                    rows.add(op.out_row)
-                elif isinstance(op, (ParallelNor, ParallelNot)):
-                    for g in op.gates:
-                        if isinstance(g, Nor):
-                            rows.update(g.in_rows)
-                        else:
-                            rows.add(g.in_row)
-                        rows.add(g.out_row)
-                elif isinstance(op, (Write, Read)):
-                    rows.add(op.row)
-                elif isinstance(op, Shift):
-                    rows.add(op.src_row)
-                    rows.add(op.dst_row)
-                    rows.update(op.also_init)
-            return tuple(sorted(rows))
-
-        return self._cached("rows_touched", compute)
+    @cached_property
+    def _rows_touched(self) -> Tuple[int, ...]:
+        rows = set()
+        for op in self.ops:
+            if isinstance(op, Init):
+                rows.update(op.rows)
+            elif isinstance(op, Nor):
+                rows.update(op.in_rows)
+                rows.add(op.out_row)
+            elif isinstance(op, Not):
+                rows.add(op.in_row)
+                rows.add(op.out_row)
+            elif isinstance(op, (ParallelNor, ParallelNot)):
+                for g in op.gates:
+                    if isinstance(g, Nor):
+                        rows.update(g.in_rows)
+                    else:
+                        rows.add(g.in_row)
+                    rows.add(g.out_row)
+            elif isinstance(op, (Write, Read)):
+                rows.add(op.row)
+            elif isinstance(op, Shift):
+                rows.add(op.src_row)
+                rows.add(op.dst_row)
+                rows.update(op.also_init)
+        return tuple(sorted(rows))
 
 
 class ProgramBuilder:
@@ -318,4 +229,4 @@ class ProgramBuilder:
         return self
 
     def build(self) -> Program:
-        return Program(ops=list(self._ops), label=self._label)
+        return Program(ops=self._ops, label=self._label)

@@ -65,8 +65,8 @@ class CrossbarStage:
         #: Per-lane results and accounting are bit-identical across
         #: backends; defaults to the word-packed replay.
         self.backend = get_backend(backend)
-        #: Anchor executor: owns the persistent compile cache (one
-        #: compile per program for the stage's lifetime) and the
+        #: Anchor executor: resolves each replayed program to its
+        #: compiled form (counting the lookups) and holds the
         #: transient-fault hook every lane executor inherits.
         self.executor = MagicExecutor(array, clock=clock)
 

@@ -613,12 +613,15 @@ class MultiplicationService:
     # Reporting
     # ------------------------------------------------------------------
     def _compile_cache_totals(self) -> Dict[str, int]:
-        totals = {"hits": 0, "misses": 0, "evictions": 0}
+        """Compile lookups of every way's crossbars: a hit found the
+        replayed program already compiled (by any way, service or
+        shard of this process), a miss compiled it."""
+        totals = {"hits": 0, "misses": 0}
         for way in self.dispatcher.all_ways():
             for _, unit in way.pipeline.controller.crossbar_units():
-                stats = unit.executor.compile_cache_stats().as_dict()
-                for key, value in stats.items():
-                    totals[key] += value
+                stats = unit.executor.compile_cache_stats()
+                totals["hits"] += stats.hits
+                totals["misses"] += stats.misses
         return totals
 
     def _optimizer_snapshot(self) -> Dict[str, object]:

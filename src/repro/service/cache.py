@@ -2,53 +2,28 @@
 
 Two cache layers sit in front of the simulated datapath:
 
-* :class:`ProgramCache` — keyed by ``(n_bits, depth, variant)``, holds
-  *warm pipelines*: a :class:`~repro.karatsuba.pipeline.KaratsubaPipeline`
-  together with the compiled stage mega-programs its executors have
-  accumulated (see :class:`repro.magic.executor.CompiledProgram`).
-  Building a pipeline for a new width costs program synthesis plus
-  compilation; recycling a retired-then-revived width pool is a cache
-  hit that skips all of it.
+* :class:`ProgramCache` — keyed by ``(n_bits, variant)``, holds *warm
+  pipelines*: a built datapath whose stages hold their (process-wide
+  shared, compiled) MAGIC programs.  Building a pipeline for a new
+  width costs stage construction and program synthesis; recycling a
+  retired-then-revived width pool is a cache hit that skips all of it.
 * :class:`OperandCache` — keyed by the (commutatively normalised)
   operand pair and width, memoises finished products so repeated
   requests never re-enter the scheduler at all.
 
 Both are thin wrappers over one generic :class:`LRUCache` that counts
-hits/misses/evictions; the service surfaces those counters in its
-metrics snapshot.
+hits/misses/evictions (:class:`~repro.sim.stats.CacheStats`); the
+service surfaces those counters in its metrics snapshot.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Optional, Tuple, TypeVar
+from typing import Callable, Hashable, Optional, Tuple, TypeVar
+
+from repro.sim.stats import CacheStats
 
 V = TypeVar("V")
-
-
-@dataclass
-class CacheStats:
-    """Mutable hit/miss/eviction counters of one cache."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
 
 
 class LRUCache:
@@ -95,17 +70,16 @@ class LRUCache:
 
 
 #: Cache key of one compiled datapath configuration.
-ProgramKey = Tuple[int, int, str]
+ProgramKey = Tuple[int, str]
 
 
 class ProgramCache:
-    """Warm-pipeline cache keyed by ``(n_bits, depth, variant)``.
+    """Warm-pipeline cache keyed by ``(n_bits, variant)``.
 
     The cached value is whatever the dispatcher considers a compiled
-    way (today a :class:`~repro.karatsuba.pipeline.KaratsubaPipeline`;
-    the key carries Karatsuba *depth* and a *variant* tag so future
-    designs — squarers, Toom-Cook ways — share the cache without key
-    collisions).
+    way; the *variant* names the way and its full design point
+    (algorithm, unroll depth, optimizer flag, backend), so two designs
+    at one width never share an entry.
     """
 
     def __init__(self, capacity: int = 16):
@@ -119,23 +93,20 @@ class ProgramCache:
         return len(self._cache)
 
     @staticmethod
-    def key(n_bits: int, depth: int = 2, variant: str = "pipeline") -> ProgramKey:
-        return (n_bits, depth, variant)
+    def key(n_bits: int, variant: str = "pipeline") -> ProgramKey:
+        return (n_bits, variant)
 
     def get_or_build(
         self,
         n_bits: int,
         factory: Callable[[], V],
-        depth: int = 2,
         variant: str = "pipeline",
     ) -> V:
-        return self._cache.get_or_create(
-            self.key(n_bits, depth, variant), factory
-        )
+        return self._cache.get_or_create(self.key(n_bits, variant), factory)
 
-    def discard(self, n_bits: int, depth: int = 2, variant: str = "pipeline") -> None:
+    def discard(self, n_bits: int, variant: str = "pipeline") -> None:
         """Drop an entry (e.g. a pipeline quarantined by fault handling)."""
-        self._cache._entries.pop(self.key(n_bits, depth, variant), None)
+        self._cache._entries.pop(self.key(n_bits, variant), None)
 
 
 class OperandCache:

@@ -5,7 +5,9 @@ The paper reports four headline metrics per design point: throughput
 area-time product (cells / throughput) and the maximum number of write
 operations applied to any single cell.  :class:`RunStats` collects the
 raw counters these are computed from, and :class:`DesignMetrics` is the
-value type used across the evaluation harness.
+value type used across the evaluation harness.  :class:`CacheStats`
+counts the lookups of every cache in the system, from compiled MAGIC
+programs up to the service's warm pipelines.
 """
 
 from __future__ import annotations
@@ -53,6 +55,30 @@ class RunStats:
         for key, value in other.op_counts.items():
             merged.op_counts[key] = merged.op_counts.get(key, 0) + value
         return merged
+
+
+@dataclass
+class CacheStats:
+    """Mutable hit/miss/eviction counters of one cache."""
+
+    hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+
+    @property
+    def lookups(self) -> int:
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        return self.hits / self.lookups if self.lookups else 0.0
+
+    def as_dict(self) -> Dict[str, int]:
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+        }
 
 
 @dataclass(frozen=True)

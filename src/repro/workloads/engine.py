@@ -127,7 +127,9 @@ class CryptoWorkloadEngine:
             ctx = self.contexts.get(
                 request.modulus, strategy=request.strategy
             )
-        return estimate_cost_cc(ctx.width, self.estimate_passes(request))
+        return estimate_cost_cc(
+            self.service, ctx.width, self.estimate_passes(request)
+        )
 
     def _admit(self, request: WorkloadRequest) -> None:
         self.telemetry.counter(f"workload_requests_{request.kind}").inc()

@@ -223,17 +223,22 @@ class MsmResult(WorkloadResult):
 # ----------------------------------------------------------------------
 # Deadline estimation from the closed-form cost model
 # ----------------------------------------------------------------------
-def estimate_cost_cc(n_bits: int, multiplier_passes: int) -> int:
+def estimate_cost_cc(service, n_bits: int, multiplier_passes: int) -> int:
     """Closed-form lower bound for *multiplier_passes* dependent
-    multiplications at width *n_bits*.
+    multiplications at width *n_bits* through *service*.
 
-    One pipeline pass costs the paper's three-stage latency; each
-    further dependent pass adds at least one bottleneck-stage interval
-    (the pipelined steady-state rate).  Real decompositions batch
-    independent passes per wave, so this is a floor the scheduler can
-    only meet, never beat — the right bound for rejecting infeasible
-    deadlines at admission.
+    The first pass costs the service's one-batch estimate for the width
+    (:meth:`~repro.service.MultiplicationService.min_latency_estimate_cc`);
+    each further dependent pass adds at least one bottleneck-stage
+    interval (the pipelined steady-state rate) of the design the service
+    routes the width to.  Real decompositions batch independent passes
+    per wave, so this is a floor the scheduler can only meet, never
+    beat — the right bound for rejecting infeasible deadlines at
+    admission.
     """
-    design = cost.design_cost(n_bits, 2)
+    design = service.dispatcher.design_for(n_bits)
+    bottleneck_cc = cost.design_cost(
+        n_bits, design.depth, design.algorithm
+    ).bottleneck_cc
     passes = max(1, multiplier_passes)
-    return design.latency_cc + (passes - 1) * design.bottleneck_cc
+    return service.min_latency_estimate_cc(n_bits) + (passes - 1) * bottleneck_cc

@@ -348,10 +348,12 @@ class TestBatchedDifferential:
         stage = CrossbarStage(CrossbarArray(2, 8))
         program = ProgramBuilder().write(0, "x", width=8).build()
         stage.replay(program, [{"x": 1}], lambda lanes: None)
-        compiled_first = stage.executor._compile_cache.get(program)
+        compiled_first = program.compiled(2, 8)
         stage.replay(program, [{"x": 2}, {"x": 3}], lambda lanes: None)
-        assert stage.executor._compile_cache.get(program) is compiled_first
-        assert stage.executor.compile_cache_stats().misses == 1
+        assert stage.executor.compile(program) is compiled_first
+        assert stage.executor.compile_cache_stats().as_dict() == {
+            "hits": 2, "misses": 1, "evictions": 0,
+        }
 
     def test_unbound_operand_raises(self):
         word = get_backend("word")

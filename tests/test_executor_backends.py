@@ -3,8 +3,8 @@ be interchangeable — per-lane results, cycle counts and write counters
 bit-identical to the scalar oracle, and the batch's femtojoule total
 equal to the oracle's lane sum — plus regression tests for the
 correctness-fix batch that rode along with the backend split
-(compile-cache staleness, pack_ints edge cases, fleet pack-factor
-aggregation).
+(pack_ints edge cases, fleet pack-factor aggregation), and the one
+program store (a memoised program carries its one compiled form).
 
 Default device energies are integer-valued, so float equality is exact
 and the comparisons below use ``==`` deliberately.
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.arith.koggestone import AdderUnit
+from repro.arith.koggestone import AdderUnit, mega_program
 from repro.crossbar import CrossbarArray, WordPackedCrossbarArray
 from repro.crossbar.faults import TransientFaultInjector, TransientFaultModel
 from repro.karatsuba.pipeline import KaratsubaPipeline
@@ -42,6 +42,7 @@ from repro.magic import (
 from repro.magic import executor as executor_mod
 from repro.magic.ops import ParallelNor, ParallelNot
 from repro.magic.passes import pack_cycles
+from repro.portfolio.toom3 import Toom3Controller
 from repro.sim.clock import Clock
 from repro.sim.exceptions import MagicProtocolError, ProgramError
 from repro.sim.stats import RunStats
@@ -401,66 +402,7 @@ class TestTelemetrySpanParity:
 
 
 # ----------------------------------------------------------------------
-# Satellite 1: compile-cache staleness on in-place op mutation
-# ----------------------------------------------------------------------
-class TestCompileCacheGeneration:
-    def test_same_length_mutation_invalidates_cache(self):
-        array = CrossbarArray(2, 8)
-        executor = MagicExecutor(array)
-        word = get_backend("word")
-
-        def replay():
-            lanes = word.make_executor(word.make_array(array, 1))
-            return lanes.execute(executor.compile(program), [{"x": 9}])
-
-        program = (
-            ProgramBuilder()
-            .write(0, "x", width=8)
-            .read(0, "out", width=8)
-            .build()
-        )
-        stats = replay()
-        assert stats[0].results["out"] == 9
-        stale = executor._compile_cache.get(program)
-
-        # Swap the READ for one sensing row 1 instead — the op count and
-        # list length are unchanged, which defeated the old
-        # (id, len) cache key and replayed the stale compiled steps.
-        generation = program.generation
-        program.ops[1] = (
-            ProgramBuilder().read(1, "out", width=8).build().ops[0]
-        )
-        assert program.generation == generation + 1
-        fresh = executor._compile_cache.get(program)
-        assert fresh is not stale
-        stats = replay()
-        assert stats[0].results["out"] == 0  # row 1 was never written
-
-    def test_every_list_mutator_bumps_generation(self):
-        nop = ProgramBuilder().nop().build().ops[0]
-        program = ProgramBuilder().nop().nop().build()
-        observed = {program.generation}
-        program.ops.append(nop)
-        program.ops.insert(0, nop)
-        program.ops[0] = nop
-        program.ops.pop()
-        program.ops.remove(nop)
-        program.ops.extend([nop, nop])
-        del program.ops[0]
-        program.ops.reverse()
-        program.ops.clear()
-        observed.add(program.generation)
-        assert program.generation == 9  # one bump per mutating call
-
-    def test_memoized_properties_track_mutation(self):
-        program = ProgramBuilder().nop(3).build()
-        assert program.cycle_count == 3
-        program.ops[0] = ProgramBuilder().nop(5).build().ops[0]
-        assert program.cycle_count == 5
-
-
-# ----------------------------------------------------------------------
-# Process-wide compile cache: one compiled form per distinct program
+# One program store: memoised programs carry their one compiled form
 # ----------------------------------------------------------------------
 def _tiny_program(label="tiny", row=0):
     return (
@@ -473,64 +415,83 @@ def _tiny_program(label="tiny", row=0):
     )
 
 
+def _compile_counts(controller):
+    """Summed compile hits and misses over *controller*'s crossbars."""
+    hits = misses = 0
+    for _, unit in controller.crossbar_units():
+        stats = unit.executor.compile_cache_stats()
+        hits += stats.hits
+        misses += stats.misses
+    return hits, misses
+
+
 class TestSharedCompileCache:
-    def test_fresh_stages_share_one_compiled_program(self):
-        """Equal mega-programs built by independent stages compile once;
-        each stage's own cache still counts its first lookup a miss."""
+    def test_fresh_stages_share_one_compiled_program(self, fresh_programs):
+        """Equal stages hold the same mega-program objects, so only the
+        first stage's replay compiles: the second one's counts a hit."""
         first, second = PostcomputeStage(256), PostcomputeStage(256)
-        program_a = first._mega_program(0)
-        program_b = second._mega_program(0)
-        assert program_a is not program_b
-        compiled = first.executor.compile(program_a)
-        assert second.executor.compile(program_b) is compiled
+        program = first._mega_programs[0]
+        assert second._mega_programs[0] is program
+        compiled = first.executor.compile(program)
+        assert second.executor.compile(program) is compiled
         assert first.executor.compile_cache_stats().as_dict() == {
             "hits": 0, "misses": 1, "evictions": 0,
         }
-        assert second.executor.compile_cache_stats().misses == 1
-        assert second.executor.compile(program_b) is compiled
-        assert second.executor.compile_cache_stats().hits == 1
+        assert second.executor.compile_cache_stats().as_dict() == {
+            "hits": 1, "misses": 0, "evictions": 0,
+        }
 
-    def test_in_place_edit_and_label_miss(self):
+        a, b = Toom3Controller(270), Toom3Controller(270)
+        for stage_a, stage_b in ((a.evaluate, b.evaluate),
+                                 (a.interpolate, b.interpolate)):
+            assert len(stage_a._mega_programs) == len(stage_a.units)
+            assert all(
+                pa is pb for pa, pb in zip(
+                    stage_a._mega_programs, stage_b._mega_programs
+                )
+            )
+        rng = random.Random(270)
+        pairs = [(rng.getrandbits(270), rng.getrandbits(270))]
+        for controller in (a, b):
+            (record,) = controller.run_jobs_batch(pairs)
+            assert record.product == pairs[0][0] * pairs[0][1]
+        hits_a, misses_a = _compile_counts(a)
+        assert misses_a == 3  # evaluate, interpolate and interpolate.1
+        assert _compile_counts(b) == (hits_a + misses_a, 0)
+
+    def test_lru_stays_within_bound(self, fresh_programs):
+        """The stage-program memo keeps its 64 most recent programs; an
+        evicted one is rebuilt as a new, equal, uncompiled program."""
+        bound = mega_program.cache_info().maxsize
+        assert bound == 64
+        first = mega_program("unit0", (), (), (), (), 8, False)
+        for index in range(1, bound + 5):
+            mega_program(f"unit{index}", (), (), (), (), 8, False)
+            assert mega_program.cache_info().currsize <= bound
+        assert mega_program.cache_info().currsize == bound
+        MagicExecutor(CrossbarArray(ROWS, COLS)).compile(first)
+        again = mega_program("unit0", (), (), (), (), 8, False)
+        assert again is not first
+        assert again == first
+        assert not again.is_compiled(ROWS, COLS)
+
+    def test_equal_programs_compile_separately(self):
+        """The compiled form lives on the program object: an equal
+        program built elsewhere compiles its own."""
         executor = MagicExecutor(CrossbarArray(ROWS, COLS))
         program = _tiny_program()
         compiled = executor.compile(program)
-        assert MagicExecutor(CrossbarArray(ROWS, COLS)).compile(
-            _tiny_program()
-        ) is compiled
-        relabelled = MagicExecutor(CrossbarArray(ROWS, COLS)).compile(
-            _tiny_program(label="other")
-        )
-        assert relabelled is not compiled
-        assert relabelled.label == "other"
-
-        # A same-length in-place edit bumps the generation: the identity
-        # entry misses, and the new content misses the shared cache too.
-        program.ops[0] = _tiny_program(row=1).ops[0]
-        edited = executor.compile(program)
-        assert edited is not compiled
-        assert edited.program.ops[0] == program.ops[0]
-        # The shared entry compiled a snapshot: the edit did not leak
-        # into what an unedited equal program resolves to.
-        again = MagicExecutor(CrossbarArray(ROWS, COLS)).compile(
-            _tiny_program()
-        )
-        assert again is compiled
-        assert again.program.ops[0] == _tiny_program().ops[0]
-
-    def test_lru_stays_within_bound(self, monkeypatch):
-        monkeypatch.setattr(executor_mod, "_shared_compiled", {})
-        bound = executor_mod._SHARED_COMPILE_ENTRIES
-        executor = MagicExecutor(CrossbarArray(ROWS, COLS))
-        first = executor.compile(_tiny_program(label="0"))
-        for index in range(1, bound + 5):
-            executor.compile(_tiny_program(label=str(index)))
-            assert len(executor_mod._shared_compiled) <= bound
-        assert len(executor_mod._shared_compiled) == bound
-        # The oldest entry was evicted: a fresh equal program recompiles.
-        again = MagicExecutor(CrossbarArray(ROWS, COLS)).compile(
-            _tiny_program(label="0")
-        )
-        assert again is not first
+        assert executor.compile(program) is compiled
+        other = _tiny_program()
+        assert other == program
+        assert executor.compile(other) is not compiled
+        assert executor.compile_cache_stats().as_dict() == {
+            "hits": 1, "misses": 2, "evictions": 0,
+        }
+        # Another geometry is another compiled form of the same program.
+        wide = MagicExecutor(CrossbarArray(ROWS, COLS + 1)).compile(program)
+        assert wide is not compiled
+        assert (wide.rows, wide.cols) == (ROWS, COLS + 1)
 
     def test_strides_share_stride_free_lowering(self):
         """Replay plans of one program hang off its one lowering: a plan
@@ -555,7 +516,7 @@ class TestSharedCompileCache:
             array = word.make_array(CrossbarArray(ROWS, COLS), batch)
             executor = word.make_executor(array)
             executor.execute(compiled, [{"x": 5}] * batch)
-            lowered[array.batch] = executor._lowered(compiled)
+            lowered[array.batch] = compiled.word
         one, four, wide = lowered[1], lowered[4], lowered[64]
         assert one is four is wide
         assert one._writes_deltas is four._writes_deltas
@@ -661,7 +622,7 @@ class TestReplayPlans:
         ]
         assert energy[0] == energy[1]
 
-        (plan,) = compiled._word_lowered._plans.values()
+        (plan,) = compiled.word._plans.values()
         n = (len(plan) - 6) // 2  # two WRITEs and a READ per pass
         assert len(plan) == 2 * n + 6
         assert all(a is b for a, b in zip(plan[2:2 + n], plan[n + 5:]))
@@ -796,7 +757,7 @@ def mega_programs():
     scalar = get_backend("scalar")
     out = []
     for stage in (PrecomputeStage(256), PostcomputeStage(256)):
-        compiled = stage.executor.compile(stage._mega_program(0))
+        compiled = stage.executor.compile(stage._mega_programs[0])
         pool = [
             {name: rng.getrandbits(width) for name, width in compiled.write_specs}
             for _ in range(MEGA_POOL)

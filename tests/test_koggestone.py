@@ -267,22 +267,21 @@ SHARED_LAYOUT = KoggeStoneLayout(
 
 
 @pytest.fixture
-def builds(monkeypatch):
+def builds(monkeypatch, fresh_programs):
     """Fresh memo plus counters of generation and packing calls."""
-    monkeypatch.setattr(koggestone_mod, "_shared_programs", {})
     calls = {"generate": 0, "optimize": 0}
-    generate = KoggeStoneAdder._generate
+    generate = koggestone_mod._generate
     optimize = passes_mod.optimize_program
 
-    def counting_generate(self, op):
+    def counting_generate(layout, op):
         calls["generate"] += 1
-        return generate(self, op)
+        return generate(layout, op)
 
     def counting_optimize(*args, **kwargs):
         calls["optimize"] += 1
         return optimize(*args, **kwargs)
 
-    monkeypatch.setattr(KoggeStoneAdder, "_generate", counting_generate)
+    monkeypatch.setattr(koggestone_mod, "_generate", counting_generate)
     monkeypatch.setattr(passes_mod, "optimize_program", counting_optimize)
     return calls
 
@@ -330,13 +329,15 @@ class TestSharedPrograms:
         assert builds == {"generate": 2, "optimize": 2}
 
     def test_lru_stays_within_bound(self, builds):
-        bound = koggestone_mod._SHARED_PROGRAM_ENTRIES
+        memo = koggestone_mod.adder_program
+        bound = memo.cache_info().maxsize
+        assert bound == 512
         first = KoggeStoneAdder(SHARED_LAYOUT).program("add")
         for col0 in range(1, bound + 5):
             layout = dataclasses.replace(SHARED_LAYOUT, width=3, col0=col0)
             KoggeStoneAdder(layout).program("add")
-            assert len(koggestone_mod._shared_programs) <= bound
-        assert len(koggestone_mod._shared_programs) == bound
+            assert memo.cache_info().currsize <= bound
+        assert memo.cache_info().currsize == bound
         # The oldest entry was evicted: an equal adder rebuilds it, equal
         # in content to the program it replaces.
         generated = builds["generate"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.crossbar import CrossbarArray
@@ -82,8 +84,19 @@ class TestProgram:
     def test_extend_concatenates(self):
         a = ProgramBuilder().nor([0], 1).build()
         b = ProgramBuilder().init([2]).build()
-        a.extend(b)
-        assert len(a) == 2
+        joined = ProgramBuilder().concat(a).concat(b).build()
+        assert joined.ops == a.ops + b.ops
+        assert len(a) == len(b) == 1  # the parts are left as they were
+
+    def test_ops_are_a_tuple(self):
+        program = Program(ops=[Nop(count=2)], label="x")
+        assert isinstance(program.ops, tuple)
+        assert isinstance(ProgramBuilder().nop().build().ops, tuple)
+        with pytest.raises(TypeError):
+            program.ops[0] = Nop()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            program.ops = ()
+        assert program.cycle_count == 2
 
     def test_builder_not_validates_single_input(self):
         with pytest.raises(ProgramError):

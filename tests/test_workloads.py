@@ -250,7 +250,9 @@ class TestEngine:
     def test_feasible_deadline_is_met_and_stamped(self):
         engine = CryptoWorkloadEngine(config=ServiceConfig(batch_size=4))
         ctx = engine.contexts.get(SPARSE_M)
-        budget = 100 * estimate_cost_cc(ctx.width, ctx.modmul_passes)
+        budget = 100 * estimate_cost_cc(
+            engine.service, ctx.width, ctx.modmul_passes
+        )
         result = engine.serve_modmul(
             ModMulRequest(
                 request_id=1, x=2, y=3, modulus=SPARSE_M,
