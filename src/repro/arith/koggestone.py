@@ -42,9 +42,8 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tupl
 from repro.arith.bitops import ceil_log2
 from repro.crossbar.array import CrossbarArray
 from repro.magic.backend import DEFAULT_BACKEND
-from repro.magic.executor import pack_ints, unpack_ints
 from repro.magic.program import Program, ProgramBuilder
-from repro.magic.stage import CrossbarStage, Placement, all_ones
+from repro.magic.stage import CrossbarStage, Placement
 from repro.sim.exceptions import DesignError, StageSelfCheckError
 
 if TYPE_CHECKING:
@@ -151,11 +150,11 @@ class KoggeStoneLayout:
 class KoggeStoneAdder:
     """Program generator for one placed Kogge-Stone adder instance.
 
-    The generated program contains only compute micro-ops; writing the
-    operands into ``x_row``/``y_row`` and reading the result are the
-    caller's responsibility (stage schedules account for those cycles
-    separately, as the paper does).  :class:`AdderUnit` places one
-    adder standalone and runs its passes.
+    The generated program contains only compute micro-ops; the WRITEs of
+    the operands into ``x_row``/``y_row`` and the READ of the result
+    wrap it in :func:`mega_program` (stage schedules account for those
+    cycles separately, as the paper does).  :class:`AdderUnit` places
+    one adder standalone and runs its passes.
     """
 
     def __init__(self, layout: KoggeStoneLayout):
@@ -192,13 +191,6 @@ class KoggeStoneAdder:
     def levels(self) -> int:
         """Number of prefix-graph levels: ``ceil(log2 width)``."""
         return ceil_log2(self.layout.width) if self.layout.width > 1 else 0
-
-    def latency_cc(self, optimize: bool = False) -> int:
-        """Latency of one pass; the paper's closed form by default, the
-        packed program's measured cycle count with ``optimize=True``."""
-        if optimize:
-            return self.program(OP_ADD, optimize=True).cycle_count
-        return latency_cc(self.layout.width)
 
 
 def _generate(lay: KoggeStoneLayout, op: str) -> Program:
@@ -317,11 +309,13 @@ class AdderUnit(CrossbarStage):
 
     The paper's footprint: a ``(3 + 12) x (width + 1)`` array holding
     the operand rows x and y, the sum row and the 12 scratch rows
-    (Sec. IV-B).  Each pass replays the adder program across one lane
-    per operand pair (:meth:`CrossbarStage.replay`): the seed writes x
-    and y, the sense step reads the sum, and the lanes' writes and
-    energy fold back into :attr:`array`.  Lanes run in lock-step, so a
-    caller advances its own clock by :meth:`pass_cc` per pass.
+    (Sec. IV-B).  Each pass replays a one-pass :func:`mega_program`
+    across one lane per operand pair (:meth:`CrossbarStage.replay`): it
+    WRITEs x and y, runs the adder program and READs the sum, and the
+    lanes' writes and energy fold back into :attr:`array`.  Lanes run in
+    lock-step, so a caller advances its own clock by :meth:`pass_cc` per
+    pass (the adder program's cycles; the WRITEs and the READ are the
+    caller's periphery cycles, as in every stage schedule).
     """
 
     def __init__(
@@ -371,23 +365,16 @@ class AdderUnit(CrossbarStage):
         the ``width + 1``-column window; anything else raises
         :class:`DesignError` before any lane runs.
         """
-        program = self.adder.program(op, optimize=self.optimize)
         lay = self.adder.layout
         cols = lay.columns
         for x, y in pairs:
             adder_result(op, x, y, cols)
-
-        def stage_operands(lanes) -> None:
-            lanes.write_row(lay.x_row, pack_ints([x for x, _ in pairs], cols))
-            lanes.write_row(lay.y_row, pack_ints([y for _, y in pairs], cols))
-
-        def sense(lanes) -> List[int]:
-            return unpack_ints(lanes.read_row(lay.out_row))
-
-        _, outs = self.replay(
-            program, [{} for _ in pairs], stage_operands, sense
+        program = mega_program(
+            "adder", (), ((lay, op, ("x0", "y0")),), ("out0",), (), cols,
+            self.optimize,
         )
-        return outs or []  # no pairs: no lanes were sensed
+        stats = self.replay(program, [{"x0": x, "y0": y} for x, y in pairs])
+        return [lane.results["out0"] for lane in stats]
 
 
 #: Keeps the 64 most recently used stage programs.
@@ -694,11 +681,10 @@ class AdderPassStage:
             self._mega_programs, self.unit_passes()
         ):
             stop = first + len(passes)
-            stats, _ = unit.replay(
+            stats = unit.replay(
                 program,
                 [self._bindings(lanes[i], first, stop) for i in positions],
-                all_ones,
-                placements=placements,
+                placements,
             )
             reads = [(i, self._sense_name(i)) for i in range(first, stop)]
             for index, lane_stats in zip(positions, stats):

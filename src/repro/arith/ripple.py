@@ -26,9 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.arith.bitops import mask
 from repro.crossbar.array import CrossbarArray
-from repro.magic.executor import pack_ints, unpack_ints
 from repro.magic.program import Program, ProgramBuilder
 from repro.magic.stage import CrossbarStage
 from repro.sim.exceptions import DesignError
@@ -156,9 +154,27 @@ def ripple_program(
     return result.program, result
 
 
+#: Keeps the 64 most recently used standalone-addition programs.
+@lru_cache(maxsize=64)
+def unit_program(layout: RippleLayout) -> Program:
+    """One standalone addition on *layout*: WRITE the operands ``x`` and
+    ``y`` and the carry-in ``c``, run the serial adder, READ the
+    ``width + 1``-bit ``sum`` (the slack column above the carry-out is
+    not part of it)."""
+    builder = ProgramBuilder(label=f"ripple-unit-{layout.width}b")
+    for row, name in (
+        (layout.x_row, "x"), (layout.y_row, "y"), (layout.carry_row, "c"),
+    ):
+        builder.write(row, name, width=layout.columns)
+    builder.concat(ripple_program(layout, False)[0])
+    builder.read(layout.out_row, "sum", width=layout.width + 1)
+    return builder.build()
+
+
 class RippleUnit(CrossbarStage):
     """One standalone serial adder on its own ``(4 + 8) x (width + 2)``
-    crossbar; each addition replays through :meth:`CrossbarStage.replay`.
+    crossbar; each addition replays :func:`unit_program` through
+    :meth:`CrossbarStage.replay`.
     """
 
     def __init__(self, width: int):
@@ -181,17 +197,7 @@ class RippleUnit(CrossbarStage):
             raise DesignError(f"operands must fit in {lay.width} bits")
         if carry_in not in (0, 1):
             raise DesignError("carry-in must be 0 or 1")
-
-        def seed(lanes) -> None:
-            for row, value in (
-                (lay.x_row, x), (lay.y_row, y), (lay.carry_row, carry_in),
-            ):
-                lanes.write_row(row, pack_ints([value], lay.columns))
-
-        def sense(lanes) -> int:
-            # The slack column above the carry-out is not part of the sum.
-            (word,) = unpack_ints(lanes.read_row(lay.out_row))
-            return word & mask(lay.width + 1)
-
-        _, total = self.replay(self.adder.program(), [{}], seed, sense)
-        return total
+        (stats,) = self.replay(
+            unit_program(lay), [{"x": x, "y": y, "c": carry_in}]
+        )
+        return stats.results["sum"]

@@ -17,14 +17,16 @@ and injected faults, but not time.  Cycle accounting belongs to the
 executors (:mod:`repro.magic.executor` and the baseline models), which
 call into this class.
 
-:class:`WordPackedCrossbarArray` is the SIMD counterpart used by the
+:class:`WordPackedCrossbarArray` is the SIMD lane container of the
 batched executor: it bit-slices *batch* independent operand sets into
 one big integer per word line, so one micro-op sequence evaluates every
-lane in a handful of integer operations.  Write-pulse counts are
-data-independent (every lane sees the same pulses for the same op
-sequence), so the write counters stay ``(rows, cols)`` with per-lane
-semantics; energy is counted once for the whole array (one total over
-every lane, not one figure per lane).
+lane in a handful of integer operations.  It is storage and accounting
+only: every write, read and gate on it is a micro-op replayed by
+:class:`repro.magic.executor.WordPackedMagicExecutor`.  Write-pulse
+counts are data-independent (every lane sees the same pulses for the
+same op sequence), so the write counters stay ``(rows, cols)`` with
+per-lane semantics; energy is counted once for the whole array (one
+total over every lane, not one figure per lane).
 """
 
 from __future__ import annotations
@@ -478,29 +480,26 @@ class WordPackedCrossbarArray:
     bits and each lane's word is one contiguous field (at one lane the
     row is the plain word).  A column mask, field or fault pin is a
     column word times :func:`_repunit`.  A row-parallel MAGIC NOR over
-    the whole batch is then a handful of bitwise integer operations.
+    the whole batch is then a handful of bitwise integer operations,
+    replayed by :class:`repro.magic.executor.WordPackedMagicExecutor`;
+    the array itself defines no memory or logic op.
 
     Accounting matches one :class:`CrossbarArray` per lane exactly —
-    ``writes`` is ``(phys_rows, cols)`` and counts pulses **per lane**
-    (pulse placement is data-independent, so :meth:`max_writes` matches
+    :attr:`writes` is ``(phys_rows, cols)`` and counts pulses **per
+    lane** (pulse placement is data-independent, so the executor adds
+    one precomputed per-program delta and :meth:`max_writes` matches
     what a scalar array running any one lane would report), and
     :meth:`total_energy_fj` equals the sum of the per-lane scalar
-    energies — but is *deferred* so the hot loop stays in integer land:
-
-    * data-dependent switching energy is one integer per coefficient:
-      each event adds the ``bit_count`` of its packed-cell mask, so the
-      array reports one energy total, ``sum(coeff * count)`` plus the
-      data-independent per-lane constant times ``batch``.  Per-lane
-      energy is not kept (the scalar oracle,
-      :class:`repro.magic.backend.ScalarLaneArray`, keeps it);
-    * write pulses are queued (or, on the executor fast path, applied
-      as one precomputed per-program delta) and folded into the
-      ``(phys_rows, cols)`` per-lane counters when :attr:`writes` is
-      read.
+    energies.  Data-dependent switching energy is one integer per
+    coefficient: each replay adds its switched cells, so the array
+    reports one energy total, ``sum(coeff * cells)`` plus the
+    data-independent per-lane constant times ``batch``.  Per-lane
+    energy is not kept (the scalar oracle,
+    :class:`repro.magic.backend.ScalarLaneArray`, keeps it).
 
     Every bit of a row belongs to a lane, so full-word invariants
     such as the strict-MAGIC init check are exactly per-lane checks, and
-    an event's ``bit_count`` is its switched cells over the batch.
+    a packed mask's ``bit_count`` is its cells over the batch.
     """
 
     def __init__(
@@ -530,9 +529,8 @@ class WordPackedCrossbarArray:
         self._repunit = _repunit(batch, cols)
         #: One packed integer per physical word line.
         self._state: list = [0] * (rows + spare_rows)
-        self._writes = np.zeros((rows + spare_rows, cols), dtype=np.int64)
-        #: Queued write pulses: (phys row, column mask or None, count).
-        self._pending_writes: list = []
+        #: Per-lane write-pulse counters, ``(phys_rows, cols)`` int64.
+        self.writes = np.zeros((rows + spare_rows, cols), dtype=np.int64)
         #: Per-lane-identical energy (data-independent pulses).
         self._energy_const = 0.0
         #: Data-dependent energy: switched cells per coefficient.
@@ -590,40 +588,13 @@ class WordPackedCrossbarArray:
         bits = np.unpackbits(raw, bitorder="little")[: self.row_bits]
         return bits.reshape(self.batch, self.cols).astype(bool)
 
-    def _mask_int(self, mask: Optional[np.ndarray]) -> int:
-        """Packed-cell mask selecting every lane of the masked columns."""
-        if mask is None:
-            return self._full
-        return _lane_spread(self._mask(mask), self.batch)
-
     # ------------------------------------------------------------------
-    # Deferred accounting
+    # Accounting
     # ------------------------------------------------------------------
     def _add_energy_cells(self, coeff: float, cells: int) -> None:
         """Charge *coeff* femtojoules to each of *cells* switched cells."""
         counts = self._energy_counts
         counts[coeff] = counts.get(coeff, 0) + cells
-
-    def _add_energy_event(self, coeff: float, mask: int) -> None:
-        """Charge *coeff* femtojoules to every set cell of *mask*."""
-        self._add_energy_cells(coeff, mask.bit_count())
-
-    def _flush_writes(self) -> None:
-        if not self._pending_writes:
-            return
-        pending = self._pending_writes
-        self._pending_writes = []
-        for phys, mask, count in pending:
-            if mask is None:
-                self._writes[phys] += count
-            else:
-                self._writes[phys][mask] += count
-
-    @property
-    def writes(self) -> np.ndarray:
-        """Per-lane write-pulse counters, ``(phys_rows, cols)`` int64."""
-        self._flush_writes()
-        return self._writes
 
     # ------------------------------------------------------------------
     @property
@@ -648,14 +619,6 @@ class WordPackedCrossbarArray:
     def physical_row(self, row: int) -> int:
         """Public logical->physical translation (see the scalar array)."""
         return self._row(row)
-
-    def _mask(self, mask: Optional[np.ndarray]) -> np.ndarray:
-        if mask is None:
-            return np.ones(self.cols, dtype=bool)
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.cols,):
-            raise AddressError(f"column mask shape {mask.shape} != ({self.cols},)")
-        return mask
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -694,10 +657,11 @@ class WordPackedCrossbarArray:
     def reset_to_ones(self) -> None:
         """Drive every cell (all lanes, spares included) to logic one.
 
-        The MAGIC steady state a stage batch starts from; no energy or
-        write pulses are charged — every pass ends in this state through
-        its accounted closing INIT and scratch reset, so the lane seed
-        is bookkeeping, not a modelled operation.  Re-pin faults after.
+        The MAGIC steady state every stage replay starts from; no
+        energy or write pulses are charged — every pass ends in this
+        state through its accounted closing INIT and scratch reset, so
+        starting there is bookkeeping, not a modelled operation.  Re-pin
+        faults after.
         """
         self._state[:] = [self._full] * len(self._state)
 
@@ -717,110 +681,6 @@ class WordPackedCrossbarArray:
     def store_row(self, row: int, bits: np.ndarray) -> None:
         """Store a ``(batch, cols)`` word back without any accounting."""
         self._state[self._row(row)] = self._pack_word(bits)
-
-    # ------------------------------------------------------------------
-    # Plain memory operations (per-lane words)
-    # ------------------------------------------------------------------
-    def write_row(
-        self, row: int, bits: np.ndarray, mask: Optional[np.ndarray] = None
-    ) -> None:
-        """Program one word per lane: *bits* is ``(batch, cols)``."""
-        phys = self._row(row)
-        bits = np.asarray(bits, dtype=bool)
-        if bits.shape != (self.batch, self.cols):
-            raise AddressError(
-                f"word shape {bits.shape} != ({self.batch}, {self.cols})"
-            )
-        value = self._pack_word(bits)
-        if mask is None:
-            self._state[phys] = value
-            cells = self.cols
-            masked = value
-        else:
-            mask = self._mask(mask)
-            m = self._mask_int(mask)
-            self._state[phys] = (self._state[phys] & ~m) | (value & m)
-            cells = int(mask.sum())
-            masked = value & m
-        self._pending_writes.append((phys, mask, 1))
-        self._energy_const += self.device.e_reset_fj * cells
-        self._add_energy_event(
-            self.device.e_set_fj - self.device.e_reset_fj, masked
-        )
-        if self._faults:
-            self._apply_faults()
-
-    def read_row(self, row: int, mask: Optional[np.ndarray] = None) -> np.ndarray:
-        """Sense one word per lane; returns ``(batch, cols)``."""
-        phys = self._row(row)
-        if mask is None:
-            sensed = self.cols
-        else:
-            sensed = int(self._mask(mask).sum())
-        self._energy_const += self.device.e_read_fj * sensed
-        return self._unpack_word(self._state[phys])
-
-    def peek_row(self, row: int) -> np.ndarray:
-        """Per-lane word of logical *row* without sensing (no energy)."""
-        return self._unpack_word(self._state[self._row(row)])
-
-    # ------------------------------------------------------------------
-    # Stateful logic primitives
-    # ------------------------------------------------------------------
-    def init_rows(
-        self, rows: Iterable[int], mask: Optional[np.ndarray] = None
-    ) -> None:
-        """Initialise cells in *rows* to logic one across all lanes."""
-        if mask is not None:
-            mask = self._mask(mask)
-        m = self._mask_int(mask)
-        cells = self.cols if mask is None else int(mask.sum())
-        for row in dict.fromkeys(rows):
-            phys = self._row(row)
-            self._state[phys] |= m
-            self._pending_writes.append((phys, mask, 1))
-            self._energy_const += self.device.e_set_fj * cells
-        if self._faults:
-            self._apply_faults()
-
-    def nor_rows(
-        self,
-        in_rows: Sequence[int],
-        out_row: int,
-        mask: Optional[np.ndarray] = None,
-    ) -> None:
-        """Row-parallel MAGIC NOR evaluated in every lane at once."""
-        if not in_rows:
-            raise MagicProtocolError("MAGIC NOR requires at least one input row")
-        in_phys = [self._row(row) for row in in_rows]
-        out_phys = self._row(out_row)
-        if out_phys in in_phys:
-            raise MagicProtocolError(
-                f"output row {out_row} cannot also be a NOR input"
-            )
-        if mask is not None:
-            mask = self._mask(mask)
-        m = self._mask_int(mask)
-        out = self._state[out_phys]
-        if self.strict_magic and (out & m) != m:
-            raise MagicProtocolError(
-                f"NOR output row {out_row} not initialised to logic one "
-                "in every lane"
-            )
-        any_one = self._state[in_phys[0]]
-        for row in in_phys[1:]:
-            any_one = any_one | self._state[row]
-        self._add_energy_event(self.device.e_reset_fj, any_one & out & m)
-        self._state[out_phys] = (out & ~m) | (~any_one & m)
-        self._pending_writes.append((out_phys, mask, 1))
-        if self._faults:
-            self._apply_faults()
-
-    def not_row(
-        self, in_row: int, out_row: int, mask: Optional[np.ndarray] = None
-    ) -> None:
-        """MAGIC NOT: single-input special case of :meth:`nor_rows`."""
-        self.nor_rows([in_row], out_row, mask)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -169,26 +169,6 @@ class ScalarLaneArray:
     def snapshot(self, lane: int) -> np.ndarray:
         return self.lanes[lane].snapshot()
 
-    # -- batched memory operations (per-lane words) --------------------
-    def peek_row(self, row: int) -> np.ndarray:
-        return np.stack([lane.peek_row(row) for lane in self.lanes])
-
-    def read_row(self, row: int) -> np.ndarray:
-        return np.stack([lane.read_row(row) for lane in self.lanes])
-
-    def write_row(self, row: int, bits, mask=None) -> None:
-        bits = np.asarray(bits, dtype=bool)
-        if bits.shape != (self.batch, self.cols):
-            raise ValueError(
-                f"word shape {bits.shape} != ({self.batch}, {self.cols})"
-            )
-        for lane, word in zip(self.lanes, bits):
-            lane.write_row(row, word, mask)
-
-    def init_rows(self, rows, mask=None) -> None:
-        for lane in self.lanes:
-            lane.init_rows(rows, mask)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ScalarLaneArray({self.batch}x{self.rows}x{self.cols})"
 

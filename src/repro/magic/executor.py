@@ -237,10 +237,6 @@ class CompiledProgram:
             )
         return slice(col_offset, col_offset + width)
 
-    def _check_row(self, row: int) -> None:
-        if not 0 <= row < self.rows:
-            raise ProgramError(f"row {row} outside array height {self.rows}")
-
     def _compile(self, program: Program) -> None:
         specs_seen: Dict[Tuple[str, int], None] = {}
         # A repeated op object (``ProgramBuilder.concat`` reuses the ops
@@ -1070,7 +1066,7 @@ class WordPackedMagicExecutor:
             array._add_energy_cells(w_coeff, write_cells)
 
         array._energy_const += lowered.energy_const_fj(device)
-        array._writes += lowered.writes_delta(row_map, array.phys_rows, array.cols)
+        array.writes += lowered.writes_delta(row_map, array.phys_rows, array.cols)
         _tick_batch(self.clock, compiled, batch)
 
         stats_list = []

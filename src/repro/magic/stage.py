@@ -5,18 +5,23 @@ subarrays, every standalone adder
 (:class:`~repro.arith.koggestone.AdderUnit`,
 :class:`~repro.arith.ripple.RippleUnit`) — runs a pass the same way.
 The stage array is the template: it is cloned into one lane per job,
-the caller seeds the lanes, the compiled program replays across all
-of them in lock-step, and the lanes' writes, energy and the all-ones
-steady state fold back into the stage array.  Each lane models
-one sequential reuse of the same physical subarray, so the folded
-counters equal what running the jobs one after another would leave.
+every lane starts at the all-ones MAGIC steady state, the compiled
+program replays across all of them in lock-step, and the lanes'
+writes, energy and the all-ones steady state fold back into the stage
+array.  The program is the only way into the lanes: it WRITEs its
+operands and READs its results, each a micro-op of the schedule
+(paper Sec. II-B), so every write, sense and fault hook is accounted
+in one place.  Each lane models one sequential reuse of the same
+physical subarray, so the folded counters equal what running the jobs
+one after another would leave.
 
 The four adder stages (Karatsuba precompute and postcompute, Toom-3
 evaluation and interpolation; :class:`~repro.arith.koggestone
 .AdderPassStage`) replay one mega-program per unit per batch, every
 pass of every job in one program, not one replay per pass; a
 standalone :meth:`AdderUnit.run_pass
-<repro.arith.koggestone.AdderUnit.run_pass>` replays one pass.
+<repro.arith.koggestone.AdderUnit.run_pass>` replays a one-pass
+mega-program.
 Wear leveling (paper Sec. IV-B) is a periphery remap: it decides which
 physical rows a job's pulses land on, not what the lanes compute, so
 the programs are built in logical rows and :meth:`CrossbarStage.replay`
@@ -29,7 +34,7 @@ bit-exact oracle); results and accounting are identical under both.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crossbar.array import CrossbarArray
 from repro.magic.backend import DEFAULT_BACKEND, get_backend
@@ -41,14 +46,6 @@ from repro.sim.stats import RunStats
 #: One wear group of a replay: the indices of its lanes and the wear
 #: permutation of logical rows its jobs meet (``None``: unmoved).
 Placement = Tuple[Sequence[int], Optional[Sequence[int]]]
-
-
-def all_ones(lanes) -> None:
-    """Seed lanes at the MAGIC steady state: every cell at logic one.
-
-    Where every adder-stage replay starts: its adder programs assume
-    their scratch and sum rows at logic one."""
-    lanes.reset_to_ones()
 
 
 class CrossbarStage:
@@ -74,20 +71,17 @@ class CrossbarStage:
         self,
         program: Program,
         bindings: Sequence[Dict[str, int]],
-        seed: Callable[[object], None],
-        sense: Optional[Callable[[object], object]] = None,
         placements: Optional[Sequence[Placement]] = None,
-    ) -> Tuple[List[RunStats], object]:
+    ) -> List[RunStats]:
         """Clone the stage array into one lane per binding set, replay.
 
-        *seed* prepares the fresh lanes before the faults are re-pinned
-        (the Karatsuba stages reset them to the all-ones steady state,
-        the adder units write their operand rows); *sense* reads the
-        lanes after the program, while the reads still charge the lane
-        energy.  Returns the per-lane run stats, in *bindings* order,
-        and what *sense* returned (``None`` without it).  An empty
-        *bindings* clones nothing and returns no stats; *sense* is not
-        called.
+        Every lane starts at the all-ones steady state (the adder
+        programs assume their scratch and sum rows at logic one) with
+        the array's faults pinned; *program* WRITEs its operands from
+        the lane's bindings and READs its results.  Returns the per-lane
+        run stats, in *bindings* order, each lane's READs in its
+        ``results``.  An empty *bindings* clones nothing and returns no
+        stats.
 
         *placements* splits the lanes into wear groups, ``(lane
         indices, wear permutation)`` each; the permutation maps every
@@ -97,10 +91,10 @@ class CrossbarStage:
         replay at once and each group's pulses fold back at its own
         rows.  A pinned stuck-at fault or a fault hook makes the data
         depend on placement: then each group replays under its own row
-        map, in group order (*sense* then reads the last group's).
+        map, in group order.
         """
         if not bindings:
-            return [], None
+            return []
         array = self.array
         remap = array._row_map
         if placements is None:
@@ -110,7 +104,7 @@ class CrossbarStage:
             for _, wear in placements
         ]
         if not self.placement_matters:
-            stats, sensed, lanes = self._run(program, bindings, seed, sense)
+            stats, lanes = self._run(program, bindings)
             # Every lane pulsed the same logical cells; each group lands
             # them on its own rows.
             logical = lanes.writes[remap]
@@ -122,28 +116,26 @@ class CrossbarStage:
         else:
             stats = [None] * len(bindings)
             for (group, _), rows in zip(placements, row_maps):
-                group_stats, sensed, lanes = self._run(
-                    program, [bindings[i] for i in group], seed, sense, rows
+                group_stats, lanes = self._run(
+                    program, [bindings[i] for i in group], rows
                 )
                 for i, lane_stats in zip(group, group_stats):
                     stats[i] = lane_stats
                 array.writes += lanes.writes * len(group)
                 array.energy_fj += lanes.total_energy_fj()
         array.state[:] = True
-        return stats, sensed
+        return stats
 
-    def _run(self, program, bindings, seed, sense, row_map=None):
-        """One lock-step replay over fresh lanes addressing *row_map*
-        (default: the array's own); returns ``(stats, sensed, lanes)``."""
+    def _run(self, program, bindings, row_map=None):
+        """One lock-step replay over fresh all-ones lanes addressing
+        *row_map* (default: the array's own); returns ``(stats, lanes)``."""
         lanes = self.backend.make_array(self.array, len(bindings), row_map)
-        seed(lanes)
+        lanes.reset_to_ones()
         lanes.repin_faults()
         executor = self.backend.make_executor(
             lanes, clock=Clock(), fault_hook=self.executor.fault_hook
         )
-        stats = executor.execute(self.executor.compile(program), bindings)
-        sensed = sense(lanes) if sense is not None else None
-        return stats, sensed, lanes
+        return executor.execute(self.executor.compile(program), bindings), lanes
 
     @property
     def placement_matters(self) -> bool:

@@ -18,9 +18,9 @@ def fresh_programs():
     """Empty the process-wide program memos before and after the test,
     so build and compile counts do not depend on which tests ran first."""
     from repro.arith.koggestone import adder_program, mega_program
-    from repro.arith.ripple import ripple_program
+    from repro.arith.ripple import ripple_program, unit_program
 
-    memos = (adder_program, mega_program, ripple_program)
+    memos = (adder_program, mega_program, ripple_program, unit_program)
     for memo in memos:
         memo.cache_clear()
     yield

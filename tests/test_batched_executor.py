@@ -17,7 +17,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.arith.koggestone import AdderUnit
+from repro.arith.koggestone import AdderUnit, latency_cc
 from repro.crossbar import CrossbarArray, DeviceModel
 from repro.karatsuba.pipeline import KaratsubaPipeline
 from repro.magic import (
@@ -347,9 +347,9 @@ class TestBatchedDifferential:
     def test_compile_cache_replays_program_identity(self):
         stage = CrossbarStage(CrossbarArray(2, 8))
         program = ProgramBuilder().write(0, "x", width=8).build()
-        stage.replay(program, [{"x": 1}], lambda lanes: None)
+        stage.replay(program, [{"x": 1}])
         compiled_first = program.compiled(2, 8)
-        stage.replay(program, [{"x": 2}, {"x": 3}], lambda lanes: None)
+        stage.replay(program, [{"x": 2}, {"x": 3}])
         assert stage.executor.compile(program) is compiled_first
         assert stage.executor.compile_cache_stats().as_dict() == {
             "hits": 2, "misses": 1, "evictions": 0,
@@ -390,7 +390,7 @@ class TestRunBatchAdder:
         oracle = AdderUnit(8, backend="scalar")
         assert results == [oracle.run_pass([pair])[0] for pair in pairs]
         assert results == [x + y for x, y in pairs]
-        assert unit.pass_cc() == unit.adder.latency_cc()
+        assert unit.pass_cc() == latency_cc(8)
 
     def test_run_batch_subtraction(self):
         pairs = [(200, 13), (55, 55), (9, 0)]

@@ -319,7 +319,7 @@ class TestRedundantEnergyCounter:
         array = WordPackedCrossbarArray(batch, 1, COUNTER_COLS)
         cells = 0
         for mask in masks:
-            array._add_energy_event(coeff, mask)
+            array._add_energy_cells(coeff, mask.bit_count())
             cells += int(_lane_counts(mask, COUNTER_COLS, batch).sum())
             assert array.total_energy_fj() == coeff * cells
         assert list(array._energy_counts.values()) == ([cells] if masks else [])
@@ -377,7 +377,7 @@ class TestRedundantEnergyCounter:
             masks.append(int.from_bytes(rng.bytes(row_bits // 8 + 1), "little") & full)
             counts = np.zeros(batch, dtype=np.int64)
             for mask in masks:
-                array._add_energy_event(2.0, mask)
+                array._add_energy_cells(2.0, mask.bit_count())
                 counts += _lane_counts(mask, cols, batch)
             assert counts[0] > 255
             assert array.total_energy_fj() == 2.0 * int(counts.sum())

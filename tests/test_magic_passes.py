@@ -556,7 +556,6 @@ class TestAdderOptOut:
             adder = AdderUnit(width).adder
             cycles = adder.program("add").cycle_count
             assert koggestone.latency_cc(width) == cycles, width
-            assert adder.latency_cc() == cycles, width
             assert cost.adder_latency_cc(width) == cycles, width
 
     def test_koggestone_optimized_is_faster_and_exact(self, rng):
@@ -566,7 +565,6 @@ class TestAdderOptOut:
         packed = adder.program("add", optimize=True)
         assert packed.cycle_count < base.cycle_count
         assert adder.optimizer_reports["add"].cycles_saved > 0
-        assert adder.latency_cc(optimize=True) == packed.cycle_count
         assert unit.pass_cc("add") == packed.cycle_count
         for _ in range(4):
             x, y = rng.getrandbits(16), rng.getrandbits(16)
