@@ -31,11 +31,11 @@ checks live here:
   bit-identical to lane 0 of the 64-lane run: a one-lane replay packs
   no operands, and its rows are 64 times narrower.
 * ``test_one_lane_oracle_speedup`` replays the same mega-programs at
-  one lane on the word backend and on the scalar oracle and asserts
-  the word replay is at least 59x faster with bit-identical results.
-  The 64-lane comparisons above speed up with the word backend's
-  per-gate loop too, so only this one catches a slower one-lane gate
-  step.
+  one lane on the word backend and on the scalar oracle (both timed
+  best-of-N) and asserts the word replay is at least 150x faster with
+  bit-identical results.  At one lane a replay is almost all per-gate
+  host work, so this is the floor that sees the generated straight-line
+  code: an interpreted replay reads ~105x.
 * ``test_wear_leveled_batch_speedup`` runs a 4-job n = 256
   ``KaratsubaController.run_jobs_batch`` (``optimize=True``) and a
   1-job batch and asserts the 4-job batch costs at most 1/2.5 of the
@@ -108,8 +108,10 @@ MIN_NARROW_SPEEDUP = 5.0
 MIN_ONE_LANE_SPEEDUP = 5
 
 #: Required advantage of the one-lane word replay over the one-lane
-#: scalar oracle replay of the same mega-programs.
-MIN_ONE_LANE_ORACLE_SPEEDUP = 59
+#: scalar oracle replay of the same mega-programs.  On a 2-vCPU VM,
+#: five runs read 104-111x with a step-interpreting replay and 209-217x
+#: with the generated code; the floor sits between the two.
+MIN_ONE_LANE_ORACLE_SPEEDUP = 150
 
 #: Timing repetitions of the narrow-batch comparison (sub-10 ms each).
 NARROW_REPS = 40

@@ -457,7 +457,8 @@ class CrossbarArray:
 def _repunit(batch: int, cols: int) -> int:
     """Lane-major row with column 0 set in each of *batch* lanes: a
     column word times it sets that word in every lane.  Cached, so an
-    array or plan of a known shape pays no big-int arithmetic for it."""
+    array or constants tuple of a known shape pays no big-int arithmetic
+    for it."""
     return sum(1 << lane * cols for lane in range(batch))
 
 

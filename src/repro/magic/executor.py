@@ -11,14 +11,16 @@ Two execution paths share one instruction set:
   differential-testing oracle.
 * :class:`WordPackedMagicExecutor` — the default SIMD path (paper
   Sec. II-B).  A :class:`Program` is *compiled once* per array
-  geometry (parsed, validated, column masks and field slices
-  precomputed) into a :class:`CompiledProgram` the program keeps
-  (:meth:`Program.compiled`), lowered once to physical-row replay
-  plans (one step per gate, big-integer masks, rows already through
-  the remap table) the compiled form keeps, then replayed against a
+  geometry (validated once, its static stats counted) into the
+  :class:`CompiledProgram` the program keeps
+  (:meth:`Program.compiled`).  A MAGIC program is a static schedule,
+  so its word lowering turns it into generated straight-line Python,
+  one function per chunk of gates, compiled once per row map and
+  strictness and kept on the compiled form; it replays against a
   :class:`WordPackedCrossbarArray` whose rows each pack every lane
   into one Python integer, lane by lane, each lane's columns side by
-  side.
+  side.  The code names no lane count: a batch size only adds one
+  tuple of constants.
 
 Per-lane results, cycle counts and write counters of the SIMD path are
 bit-identical to running the scalar executor once per lane, and its
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from types import FunctionType
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +47,6 @@ import numpy as np
 from repro.crossbar.array import (
     CrossbarArray,
     WordPackedCrossbarArray,
-    _lane_spread,
     _repunit,
 )
 from repro.magic.ops import (
@@ -165,14 +167,6 @@ def unpack_lanes(value: int, width: int, lane_bits: int, lanes: int) -> List[int
     return unpack_ints(np.ascontiguousarray(bits[:, :lanes].T))
 
 
-#: Compiled-step opcodes.  _PACK carries a gang of independent NOR
-#: gates retired in one cycle.
-_INIT, _NOR, _WRITE, _READ, _SHIFT, _NOP, _PACK = range(7)
-
-#: Word replay-plan gate kinds (plans reuse _INIT/_WRITE/_READ/_SHIFT):
-#: a strict full-width gate of one or two inputs, and every other gate.
-_NOR1, _NOR2, _GATE = range(7, 10)
-
 #: RunStats counter attribute per micro-op opcode.
 _STAT_FIELD = {
     "init": "init_ops",
@@ -184,16 +178,48 @@ _STAT_FIELD = {
 }
 
 
-class CompiledProgram:
-    """A :class:`Program` lowered for replay at near-zero Python cost.
+def _window(cols, width: int) -> Optional[Tuple[int, int]]:
+    """The validated column window *cols* of an array *width* columns
+    wide; a full-width window lowers to None (it selects the same
+    cells, so accounting is unchanged)."""
+    if cols is None:
+        return None
+    start, stop = cols
+    if not (0 <= start < stop <= width):
+        raise ProgramError(f"column range {cols} outside array width {width}")
+    return None if stop - start == width else (start, stop)
 
-    Compilation validates every op against the target array geometry,
-    materialises column masks and field slices once, and precomputes the
-    static stats (cycle count, op histogram, per-category cycles).  The
-    compiled form is immutable and reusable: one compile per program
-    and geometry (build it through :meth:`Program.compiled`), any
-    number of :meth:`WordPackedMagicExecutor.execute` (or
-    scalar-oracle) replays with fresh bindings.
+
+def _field(col_offset: int, width: Optional[int], cols: int) -> Tuple[int, int]:
+    """The validated ``(start, stop)`` columns of a WRITE/READ field."""
+    if width is None:
+        width = cols - col_offset
+    if col_offset < 0 or col_offset + width > cols:
+        raise ProgramError(
+            f"field [{col_offset}, {col_offset + width}) outside array"
+        )
+    return col_offset, col_offset + width
+
+
+def _mask(window: Optional[Tuple[int, int]], cols: int) -> Optional[np.ndarray]:
+    """Column mask of a window (None: every column)."""
+    if window is None:
+        return None
+    mask = np.zeros(cols, dtype=bool)
+    mask[window[0]:window[1]] = True
+    return mask
+
+
+class CompiledProgram:
+    """A :class:`Program` validated for one array geometry.
+
+    Compilation validates every op against the target array geometry
+    once and precomputes the WRITE operand widths and the static stats
+    (cycle count, op histogram, per-category cycles).  The compiled
+    form is immutable and reusable: one compile per program and
+    geometry (build it through :meth:`Program.compiled`), any number of
+    :meth:`WordPackedMagicExecutor.execute` (or scalar-oracle) replays
+    with fresh bindings; it keeps its word lowering (:attr:`word`).
     """
 
     def __init__(self, program: Program, rows: int, cols: int):
@@ -207,46 +233,17 @@ class CompiledProgram:
         self.stat_counts: Dict[str, int] = {}
         #: Unique (name, width) pairs consumed by WRITE ops.
         self.write_specs: List[Tuple[str, int]] = []
-        self.steps: List[tuple] = []
         self._compile(program)
-
-    # ------------------------------------------------------------------
-    def _col_mask(self, cols) -> Optional[np.ndarray]:
-        if cols is None:
-            return None
-        start, stop = cols
-        if not (0 <= start < stop <= self.cols):
-            raise ProgramError(
-                f"column range {cols} outside array width {self.cols}"
-            )
-        if start == 0 and stop == self.cols:
-            # Full-width window: lower to the unmasked fast path (a
-            # full-ones mask selects the same cells, so accounting is
-            # unchanged).
-            return None
-        mask = np.zeros(self.cols, dtype=bool)
-        mask[start:stop] = True
-        return mask
-
-    def _field(self, col_offset: int, width: Optional[int]) -> slice:
-        if width is None:
-            width = self.cols - col_offset
-        if col_offset < 0 or col_offset + width > self.cols:
-            raise ProgramError(
-                f"field [{col_offset}, {col_offset + width}) outside array"
-            )
-        return slice(col_offset, col_offset + width)
 
     def _compile(self, program: Program) -> None:
         specs_seen: Dict[Tuple[str, int], None] = {}
         # A repeated op object (``ProgramBuilder.concat`` reuses the ops
-        # of an adder program across passes) lowers to one shared step.
-        steps_of: Dict[int, tuple] = {}
+        # of an adder program across passes) is validated once.
+        validated = set()
         for op in program:
-            step = steps_of.get(id(op))
-            if step is None:
+            if id(op) not in validated:
+                validated.add(id(op))
                 op.validate(self.rows, self.cols)
-                step = steps_of[id(op)] = self._lower(op)
             self.cycle_count += op.cycles
             self.op_counts[op.opcode] = self.op_counts.get(op.opcode, 0) + 1
             self.cycles_by_opcode[op.opcode] = (
@@ -265,56 +262,13 @@ class CompiledProgram:
                 self.stat_counts[stat_field] = (
                     self.stat_counts.get(stat_field, 0) + weight
                 )
-            if step[0] == _WRITE:
-                specs_seen.setdefault(step[4])
-            self.steps.append(step)
+            if isinstance(op, Write):
+                start, stop = _field(op.col_offset, op.width, self.cols)
+                specs_seen.setdefault((op.name, stop - start))
         self.write_specs = list(specs_seen)
 
-    def _lower(self, op) -> tuple:
-        """The replay step of one validated op."""
-        if isinstance(op, (ParallelNor, ParallelNot)):
-            gang = []
-            for g in op.gates:
-                in_rows = list(g.in_rows) if isinstance(g, Nor) else [g.in_row]
-                gang.append((in_rows, g.out_row, self._col_mask(g.cols)))
-            return (_PACK, tuple(gang))
-        if isinstance(op, Init):
-            return (_INIT, tuple(dict.fromkeys(op.rows)), self._col_mask(op.cols))
-        if isinstance(op, Nor):
-            return (_NOR, list(op.in_rows), op.out_row, self._col_mask(op.cols))
-        if isinstance(op, Not):
-            return (_NOR, [op.in_row], op.out_row, self._col_mask(op.cols))
-        if isinstance(op, Write):
-            field = self._field(op.col_offset, op.width)
-            if field.start == 0 and field.stop == self.cols:
-                mask = None
-            else:
-                mask = np.zeros(self.cols, dtype=bool)
-                mask[field] = True
-            spec = (op.name, field.stop - field.start)
-            return (_WRITE, op.row, field, mask, spec)
-        if isinstance(op, Read):
-            field = self._field(op.col_offset, op.width)
-            return (_READ, op.row, field, op.name)
-        if isinstance(op, Shift):
-            mask = self._col_mask(op.cols)
-            window = slice(0, self.cols) if op.cols is None else slice(*op.cols)
-            return (
-                _SHIFT,
-                op.src_row,
-                op.dst_row,
-                op.offset,
-                bool(op.fill),
-                window,
-                mask,
-                tuple(dict.fromkeys(op.also_init)),
-            )
-        if isinstance(op, Nop):
-            return (_NOP,)
-        raise ProgramError(f"unknown micro-op {op!r}")  # pragma: no cover
-
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.program)
 
     @cached_property
     def word(self) -> "_WordLoweredProgram":
@@ -373,25 +327,10 @@ class MagicExecutor:
 
     # ------------------------------------------------------------------
     def _col_mask(self, cols) -> Optional[np.ndarray]:
-        if cols is None:
-            return None
-        start, stop = cols
-        if not (0 <= start < stop <= self.array.cols):
-            raise ProgramError(
-                f"column range {cols} outside array width {self.array.cols}"
-            )
-        mask = np.zeros(self.array.cols, dtype=bool)
-        mask[start:stop] = True
-        return mask
+        return _mask(_window(cols, self.array.cols), self.array.cols)
 
     def _field(self, col_offset: int, width: Optional[int]) -> slice:
-        if width is None:
-            width = self.array.cols - col_offset
-        if col_offset < 0 or col_offset + width > self.array.cols:
-            raise ProgramError(
-                f"field [{col_offset}, {col_offset + width}) outside array"
-            )
-        return slice(col_offset, col_offset + width)
+        return slice(*_field(col_offset, width, self.array.cols))
 
     # ------------------------------------------------------------------
     def execute(
@@ -540,259 +479,228 @@ class MagicExecutor:
             self.array.init_rows(op.also_init, mask)
 
 
+#: Gates in one generated chunk at most: a chunk is compiled on its
+#: own, so a long program never has its whole source compiled at once.
+_CHUNK_GATES = 128
+
+
+def _pack_row(values: List[int], cols: int) -> int:
+    """Lane-major row holding ``values[lane]`` at bit ``lane * cols``.
+
+    Up to eight lanes are shifted into place one by one; more are packed
+    eight at a time into blocks, which are packed the same way, so each
+    level costs a few passes over the row and the whole pack is
+    near-linear in it, where a shift per lane into the whole row is
+    quadratic.  Each value must fit in *cols* bits.
+    """
+    if len(values) > 8:
+        blocks = [_pack_row(values[i:i + 8], cols) for i in range(0, len(values), 8)]
+        return _pack_row(blocks, cols << 3)
+    if len(values) == 1:
+        return values[0]
+    word = 0
+    for value, shift in zip(values, range(0, len(values) * cols, cols)):
+        word |= value << shift
+    return word
+
+
+def _split_row(word: int, batch: int, cols: int) -> List[int]:
+    """The first *batch* *cols*-bit blocks of *word*, lowest first: the
+    inverse of :func:`_pack_row`, split the same way in near-linear
+    time.  Each block keeps the bits above it; callers mask."""
+    if batch <= 8:
+        return [word >> shift for shift in range(0, batch * cols, cols)]
+    lanes = 8
+    while lanes * 8 < batch:
+        lanes <<= 3
+    mask = (1 << lanes * cols) - 1
+    pieces: List[int] = []
+    for start in range(0, batch, lanes):
+        block = word >> start * cols & mask
+        pieces += _split_row(block, min(lanes, batch - start), cols)
+    return pieces
+
+
+def _span(start: int, stop: int) -> int:
+    """Column word of columns ``[start, stop)`` (none if empty)."""
+    return ((1 << (stop - start)) - 1) << start if start < stop else 0
+
+
 class _WordLoweredProgram:
-    """A :class:`CompiledProgram` lowered to physical-row replay plans.
+    """A :class:`CompiledProgram` lowered to generated replay code.
 
     One lowering exists per compiled program (:attr:`CompiledProgram
-    .word`, so it is shared wherever the compiled program is).  It
-    precomputes the
-    program's data-independent accounting once: the per-lane pulse-cell
-    counts (set/reset/read) behind the constant part of the energy
-    model, and the write-pulse *recipe* from which a per-row-map
-    ``(phys_rows, cols)`` write-counter delta is materialised once and
-    replayed per batch.
+    .word`), so everything that replays the program shares it.  One walk
+    over the program's ops builds the data-independent accounting (the
+    per-lane set/reset/read cell counts behind the constant part of the
+    energy model, and the write pulses per logical cell) and a lane-free
+    script: the gates cut into chunks of at most :data:`_CHUNK_GATES`,
+    and also around each operand WRITE and READ, every mask, field and
+    shift window a slot of one table of column words.
 
-    :meth:`plan` turns the compiled steps into the flat step list
-    :meth:`WordPackedMagicExecutor.execute` replays, once per
-    ``(batch, row map, strict)``: rows are already physical, a packed
-    gang is one step per gate, every column mask, field and shift
-    window is a big-int over the plan's lanes (equal ones built once),
-    and a whole-row INIT stores the all-ones row.  A strict full-width
-    gate with one or two inputs gets its own step kind; masked, wider
-    and non-strict gates share the general one.  Gates keep their logical output row for hooks and
-    error messages.  Plans of one row map and strictness share their
-    lane-free gate steps, a repeated compiled step (one op a
-    mega-program concatenates many times) reuses the entries of its
-    first occurrence, and NOPs (pure idle cycles) are dropped.
+    :meth:`replay` turns the script into Python source once per row map
+    and strictness (the slow variant once per strictness: it reads the
+    row map off the array) and compiles it chunk by chunk into
+    straight-line functions, called in program order by one generated
+    outer function that also does the WRITEs and READs.  A function's
+    rows, constants and hook masks are parameters bound per use, so chunks
+    equal up to them (every pass of one adder layout, or one chunk under
+    another row map) compile once.  The code names no lane count: its
+    constants are one tuple per batch size (:meth:`constants`).
+
+    The fast variant (no pinned fault, no hook) keeps a chunk's rows in
+    locals, loaded on entry and stored back with the chunk's switching
+    energy counts in a ``finally``, so a strict check that raises leaves
+    state and energy exactly at the failing gate.  A whole-row INIT
+    makes its row the all-ones constant until the row is next written:
+    a strict gate on it needs no check, and reads of it use the
+    constant.  The slow variant works on the state list itself, applies
+    the pinned faults and calls the hook after every gate, WRITE and
+    SHIFT, and checks every strict gate at run time.
     """
-
-    __slots__ = (
-        "cols",
-        "set_cells",
-        "reset_cells",
-        "read_cells",
-        "writes_recipe",
-        "_writes_deltas",
-        "_steps",
-        "_plans",
-    )
 
     def __init__(self, compiled: CompiledProgram):
         cols = self.cols = compiled.cols
-        self.set_cells = 0
-        self.reset_cells = 0
-        self.read_cells = 0
-        #: (logical row, column mask or None) per write pulse.
-        self.writes_recipe: List[Tuple[int, Optional[np.ndarray]]] = []
-        #: (row_map, phys_rows) -> materialised (phys_rows, cols) delta.
-        self._writes_deltas: Dict[tuple, np.ndarray] = {}
-        #: The compiled steps plans are built from (not the compiled
-        #: program itself, which holds this lowering).
-        self._steps = compiled.steps
-        #: (batch, row_map, strict) -> replay plan.
-        self._plans: Dict[tuple, List[tuple]] = {}
+        self.label = compiled.label or "program"
+        self.set_cells = self.reset_cells = self.read_cells = 0
+        all_cols = (1 << cols) - 1
+        #: Column word -> constant slot; slot 0 is the full row.
+        words: Dict[int, int] = {all_cols: 0}
+        #: The (read-only) columns a hook is handed per window; every
+        #: column for a full-width write (a full-width gate hands None).
+        hook_masks: Dict[Optional[tuple], np.ndarray] = {}
+        spec_index = {spec: i for i, spec in enumerate(compiled.write_specs)}
 
-        for step in compiled.steps:
-            code = step[0]
-            if code == _NOR or code == _PACK:
-                for in_rows, out_row, mask in (
-                    (step[1:],) if code == _NOR else step[1]
-                ):
-                    if out_row in in_rows:
-                        # Row maps are injective, so logical aliasing is
-                        # exactly physical aliasing; reject it once here
-                        # instead of on every replay.
-                        raise MagicProtocolError(
-                            f"output row {out_row} cannot also be a NOR input"
-                        )
-                    self.writes_recipe.append((out_row, mask))
-            elif code == _INIT:
-                _, rows, mask = step
-                cells = cols if mask is None else int(mask.sum())
-                self.set_cells += cells * len(rows)
-                for row in rows:
-                    self.writes_recipe.append((row, mask))
-            elif code == _WRITE:
-                _, row, field, mask, spec = step
-                # A full-row field lowers its mask to None; either way
-                # the driven cells are exactly the field's.
-                self.reset_cells += field.stop - field.start
-                self.writes_recipe.append((row, mask))
-            elif code == _READ:
-                # The batched read senses the full row (unmasked).
-                self.read_cells += cols
-            elif code == _SHIFT:
-                _, src, dst, offset, fill, window, mask, also_init = step
-                span = window.stop - window.start
-                # One sensed read of the window, one masked write-back,
-                # plus a piggy-backed INIT of each listed row.
-                self.read_cells += span
-                self.reset_cells += span
-                self.set_cells += span * len(also_init)
-                self.writes_recipe.append((dst, mask))
-                for row in also_init:
-                    self.writes_recipe.append((row, mask))
+        def slot(word: int) -> int:
+            return words.setdefault(word, len(words))
 
-    def plan(self, batch: int, row_map: tuple, strict: bool) -> List[tuple]:
-        """Replay steps over *batch* lanes, rows resolved through
-        *row_map*, for a strict or non-strict array (built once per
-        key)."""
-        key = (batch, row_map, strict)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = self._build_plan(batch, row_map, strict)
-        return plan
-
-    def _build_plan(self, batch: int, row_map: tuple, strict: bool) -> List[tuple]:
-        cols = self.cols
-        full = (1 << (cols * batch)) - 1
-        repunit = _repunit(batch, cols)
-        # A plan of the same row map and strictness at another batch
-        # lines up step for step; its lane-free entries are reused.
-        sibling = next(
-            (
-                plan
-                for (_, rows, is_strict), plan in self._plans.items()
-                if rows == row_map and is_strict == strict
-            ),
-            None,
-        )
-        # Equal masks, fields and shift windows share one big-int each.
-        by_mask: Dict[bytes, tuple] = {}
-        by_field: Dict[tuple, tuple] = {}
-        by_window: Dict[tuple, tuple] = {}
-
-        def span(start: int, stop: int) -> int:
-            # Every lane of columns [start, stop) (none if empty).
-            if start >= stop:
-                return 0
-            return (((1 << (stop - start)) - 1) << start) * repunit
-
-        def masked(mask: Optional[np.ndarray]) -> tuple:
-            # (m, full ^ m) of a column mask; equal masks share one pair.
+        def hook(window: Optional[tuple]) -> np.ndarray:
+            mask = hook_masks.get(window)
             if mask is None:
-                return full, 0
-            key = mask.tobytes()
-            pair = by_mask.get(key)
-            if pair is None:
-                m = _lane_spread(mask, batch)
-                pair = by_mask[key] = (m, full ^ m)
-            return pair
+                mask = _mask(window, cols) if window else np.ones(cols, dtype=bool)
+                mask.flags.writeable = False
+                hook_masks[window] = mask
+            return mask
 
-        def lane_free(entry: tuple) -> tuple:
-            # An entry that holds no lane mask: the sibling's, if any.
-            return entry if sibling is None else sibling[len(out)]
-
-        def init(phys: tuple, mask: Optional[int]) -> None:
-            # A whole-row INIT (mask None) stores the all-ones row.
-            entry = (_INIT, phys, mask)
-            out.append(entry if mask is not None else lane_free(entry))
-
-        # A write hook sees the written columns: all of them, unmasked.
-        every_col = np.ones(cols, dtype=bool)
-        every_col.flags.writeable = False
-        out: List[tuple] = []
-        # Plan entries per compiled step: a repeated step (a shared op
-        # lowered once) reuses the entries of its first occurrence.
-        entries_of: Dict[int, List[tuple]] = {}
-        for step in self._steps:
-            entries = entries_of.get(id(step))
-            if entries is not None:
-                out.extend(entries)
-                continue
-            start = len(out)
-            code = step[0]
-            if code == _NOR or code == _PACK:
-                for in_rows, out_row, mask in (
-                    (step[1:],) if code == _NOR else step[1]
-                ):
-                    dst = row_map[out_row]
-                    if strict and mask is None and len(in_rows) <= 2:
-                        if len(in_rows) == 1:
-                            entry = (_NOR1, row_map[in_rows[0]], dst, out_row)
-                        else:
-                            a, b = in_rows
-                            entry = (_NOR2, row_map[a], row_map[b], dst, out_row)
-                        out.append(lane_free(entry))
-                        continue
-                    phys = [row_map[row] for row in in_rows]
-                    out.append(
-                        (
-                            _GATE,
-                            phys[0],
-                            tuple(phys[1:]),
-                            dst,
-                            out_row,
-                            *masked(mask),
-                            mask,
+        def lower(op) -> tuple:
+            # (kind, payload, set, reset, read cells, write pulses) of
+            # one validated op; a pulse is (row, column window or None).
+            packed = isinstance(op, (ParallelNor, ParallelNot))
+            if packed or isinstance(op, (Nor, Not)):
+                items, pulses = [], []
+                for g in op.gates if packed else (op,):
+                    in_rows = tuple(g.in_rows) if isinstance(g, Nor) else (g.in_row,)
+                    if g.out_row in in_rows:
+                        # Row maps are injective, so logical aliasing is
+                        # exactly physical aliasing; reject it once here.
+                        raise MagicProtocolError(
+                            f"output row {g.out_row} cannot also be a NOR input"
                         )
+                    window = _window(g.cols, cols)
+                    m = not_m = h = None
+                    if window:
+                        m, not_m = slot(_span(*window)), slot(all_cols ^ _span(*window))
+                        h = hook(window)
+                    items.append(("nor", in_rows, g.out_row, m, not_m, h))
+                    pulses.append((g.out_row, window))
+                return "gates", items, 0, 0, 0, pulses
+            if isinstance(op, Init):
+                rows, window = tuple(dict.fromkeys(op.rows)), _window(op.cols, cols)
+                m = slot(_span(*window)) if window else None
+                cells = window[1] - window[0] if window else cols
+                pulses = [(row, window) for row in rows]
+                return "gates", [("init", rows, m)], cells * len(rows), 0, 0, pulses
+            if isinstance(op, Read):
+                start, stop = _field(op.col_offset, op.width, cols)
+                read = (op.row, op.name, start, (1 << stop - start) - 1)
+                return "read", read, 0, 0, cols, []
+            if isinstance(op, Write):
+                start, stop = _field(op.col_offset, op.width, cols)
+                window = None if stop - start == cols else (start, stop)
+                not_field = slot(all_cols ^ _span(start, stop)) if window else None
+                spec = spec_index[(op.name, stop - start)]
+                write = ("write", op.row, spec, start, not_field, hook(window))
+                return "write", write, 0, stop - start, 0, [(op.row, window)]
+            if isinstance(op, Shift):
+                window, offset = _window(op.cols, cols), op.offset
+                lo, hi = window or (0, cols)
+                fill_slot = None
+                if op.fill:
+                    fill_slot = slot(
+                        _span(lo, min(lo + offset, hi))
+                        if offset >= 0
+                        else _span(max(hi + offset, lo), hi)
                     )
-            elif code == _INIT:
-                _, rows, mask = step
-                phys = tuple(row_map[row] for row in rows)
-                init(phys, None if mask is None else masked(mask)[0])
-            elif code == _WRITE:
-                _, row, field, mask, spec = step
-                key = (field.start, field.stop)
-                pair = by_field.get(key)
-                if pair is None:
-                    pair = by_field[key] = (
-                        field.start,
-                        full ^ span(field.start, field.stop),
-                    )
-                write_mask = every_col if mask is None else mask
-                out.append((_WRITE, row_map[row], row, spec, *pair, write_mask))
-            elif code == _READ:
-                _, row, field, name = step
-                width = field.stop - field.start
-                out.append(
-                    lane_free(
-                        (_READ, row_map[row], row, field.start, (1 << width) - 1, name)
-                    )
-                )
-            elif code == _SHIFT:
-                _, src, dst, offset, fill, window, mask, also_init = step
-                key = (window.start, window.stop, offset, fill)
-                masks = by_window.get(key)
-                if masks is None:
-                    lo, hi = window.start, window.stop
-                    window_mask = span(lo, hi)
-                    if not fill:
-                        fill_mask = 0
-                    elif offset >= 0:
-                        fill_mask = span(lo, min(lo + offset, hi))
-                    else:
-                        fill_mask = span(max(hi + offset, lo), hi)
-                    # The source columns that land inside the window: a
-                    # shifted lane cannot spill into its neighbour.
-                    keep = span(max(lo, lo - offset), min(hi, hi - offset))
-                    masks = by_window[key] = (
-                        keep,
-                        full ^ window_mask,
-                        fill_mask,
-                        None if mask is None else window_mask,
-                    )
-                keep, not_window, fill_mask, init_mask = masks
-                out.append(
-                    (
-                        _SHIFT,
-                        row_map[src],
-                        row_map[dst],
-                        dst,
-                        offset,
-                        keep,
-                        not_window,
-                        fill_mask,
-                        every_col if mask is None else mask,
-                    )
-                )
+                # The source columns that land inside the window: a
+                # shifted lane cannot spill into its neighbour.
+                keep = slot(_span(max(lo, lo - offset), min(hi, hi - offset)))
+                not_window = slot(all_cols ^ _span(lo, hi)) if window else None
+                src, dst, h = op.src_row, op.dst_row, hook(window)
+                items = [("shift", src, dst, offset, keep, not_window, fill_slot, h)]
+                also_init = tuple(dict.fromkeys(op.also_init))
                 if also_init:
                     # The piggy-backed INIT of the write cycle, replayed
                     # right after the write as the window's own INIT.
-                    init(tuple(row_map[row] for row in also_init), init_mask)
-            # _NOP: an idle cycle, nothing to replay.
-            entries_of[id(step)] = out[start:]
-        return out
+                    m = slot(_span(lo, hi)) if window else None
+                    items.append(("init", also_init, m))
+                span = hi - lo
+                pulses = [(row, window) for row in (dst, *also_init)]
+                return "gates", items, span * len(also_init), span, span, pulses
+            return "gates", [], 0, 0, 0, []  # NOP: an idle cycle
+
+        pulse_counts: Dict[tuple, int] = {}
+        segments: List[tuple] = []
+        reads: List[tuple] = []
+        chunk: List[tuple] = []
+        chunk_key: List[int] = []
+
+        def cut() -> None:
+            if chunk:
+                segments.append(("chunk", tuple(chunk_key), tuple(chunk)))
+                chunk.clear()
+                chunk_key.clear()
+
+        # A repeated op object (one adder program a mega-program
+        # concatenates once per pass) is lowered once.
+        lowered_of: Dict[int, tuple] = {}
+        for op in compiled.program:
+            entry = lowered_of.get(id(op))
+            if entry is None:
+                entry = lowered_of[id(op)] = lower(op)
+            kind, payload, set_cells, reset_cells, read_cells, pulses = entry
+            self.set_cells += set_cells
+            self.reset_cells += reset_cells
+            self.read_cells += read_cells
+            for pulse in pulses:
+                pulse_counts[pulse] = pulse_counts.get(pulse, 0) + 1
+            if kind != "gates":
+                cut()
+                segments.append(payload if kind == "write" else ("read", payload[0]))
+                if kind == "read":
+                    reads.append(payload[1:])
+            elif payload:
+                if len(chunk) + len(payload) > _CHUNK_GATES:
+                    cut()
+                chunk.extend(payload)
+                chunk_key.append(id(op))
+        cut()
+
+        #: Write pulses per logical cell of one lane.
+        self._logical_writes = np.zeros((compiled.rows, cols), dtype=np.int64)
+        for (row, window), count in pulse_counts.items():
+            self._logical_writes[row, slice(*(window or (0, cols)))] += count
+        self._words = tuple(words)
+        self._segments = segments
+        #: (name, start column, field mask) per READ, in program order.
+        self._reads = reads
+        #: (row_map, phys_rows) -> write-counter delta.
+        self._writes_deltas: Dict[tuple, np.ndarray] = {}
+        #: batch -> constants tuple.
+        self._constants: Dict[int, tuple] = {}
+        #: (row_map or None, strict, slow) -> generated replay function.
+        self._replays: Dict[tuple, object] = {}
+        #: Generated source -> its compiled function body.
+        self._code: Dict[str, object] = {}
 
     def energy_const_fj(self, device) -> float:
         """Data-independent per-lane energy of one replay on *device*."""
@@ -802,27 +710,225 @@ class _WordLoweredProgram:
             + device.e_read_fj * self.read_cells
         )
 
-    def writes_delta(
-        self, row_map: Sequence[int], phys_rows: int, cols: int
-    ) -> np.ndarray:
+    def writes_delta(self, row_map: tuple, phys_rows: int) -> np.ndarray:
         """Write-counter delta of one replay under *row_map*.
 
         Pulse placement is data-independent, so the delta is a static
-        property of (program, remap table); it is materialised once per
+        property of (program, remap table); it is placed once per
         distinct row map and added to the array's counters per batch.
         """
-        key = (tuple(row_map), phys_rows)
+        key = (row_map, phys_rows)
         delta = self._writes_deltas.get(key)
         if delta is None:
-            delta = np.zeros((phys_rows, cols), dtype=np.int64)
-            for row, mask in self.writes_recipe:
-                phys = row_map[row]
-                if mask is None:
-                    delta[phys] += 1
-                else:
-                    delta[phys][mask] += 1
+            delta = np.zeros((phys_rows, self.cols), dtype=np.int64)
+            delta[list(row_map)] = self._logical_writes
             self._writes_deltas[key] = delta
         return delta
+
+    def constants(self, batch: int) -> tuple:
+        """The replay code's lane-dependent constants at *batch* lanes:
+        each column word in every lane (built once per batch size)."""
+        table = self._constants.get(batch)
+        if table is None:
+            repunit = _repunit(batch, self.cols)
+            table = tuple(word * repunit for word in self._words)
+            self._constants[batch] = table
+        return table
+
+    def results(self, sensed: List[int], batch: int) -> List[Dict[str, int]]:
+        """Each lane's READ results from the rows a replay sensed."""
+        lanes: List[Dict[str, int]] = [{} for _ in range(batch)]
+        for (name, start, mask), word in zip(self._reads, sensed):
+            for out, field in zip(lanes, _split_row(word >> start, batch, self.cols)):
+                out[name] = field & mask
+        return lanes
+
+    def replay(self, row_map: tuple, strict: bool, slow: bool):
+        """The generated replay function for *row_map* (logical ->
+        physical rows), a strict or non-strict array, and the fast path
+        or the slow one (a pinned fault or a hook), which serves every
+        row map; built once per key.
+
+        ``replay(state, K, W, acc[, array, hook])`` runs on the state
+        list *state* with the :meth:`constants` *K* and the packed WRITE
+        operands *W* (in ``write_specs`` order), adds the switched cells
+        to ``acc[0]`` (RESETs) and ``acc[1]`` (writes), also when a strict
+        check raises, and returns the sensed rows, one per READ.
+        """
+        key = (None if slow else row_map, strict, slow)
+        function = self._replays.get(key)
+        if function is None:
+            namespace = {"U": _uninitialised}
+            names: Dict[tuple, str] = {}
+            outer = []
+            for segment in self._segments:
+                if segment[0] == "chunk":
+                    _, chunk, items = segment
+                    if chunk not in names:
+                        names[chunk] = f"c{len(names)}"
+                        source = _source("chunk", items, row_map, strict, slow)
+                        namespace[names[chunk]] = self._function(namespace, *source)
+                    segment = ("call", names[chunk])
+                outer.append(segment)
+            source = _source("replay", outer, row_map, strict, slow, True)
+            function = self._replays[key] = self._function(namespace, *source)
+        return function
+
+    def _function(self, namespace: dict, name: str, source: str, defaults: tuple):
+        """Function *name* of the generated *source*, global to
+        *namespace*, its row, constant and mask parameters bound to
+        *defaults*.  Equal sources (chunks equal up to their rows,
+        constants and masks, such as every pass of one adder layout)
+        compile once."""
+        code = self._code.get(source)
+        if code is None:
+            scratch: Dict[str, object] = {}
+            exec(compile(source, self.label, "exec"), scratch)
+            code = self._code[source] = scratch[name].__code__
+        return FunctionType(code, namespace, name, defaults)
+
+
+def _source(
+    name: str,
+    items: Sequence[tuple],
+    row_map: tuple,
+    strict: bool,
+    slow: bool,
+    outer: bool = False,
+) -> Tuple[str, str, tuple]:
+    """Python source of one straight-line function of a generated replay
+    (see :class:`_WordLoweredProgram`), a chunk of gates or the *outer*
+    function that calls the chunks and does the WRITEs and READs, and
+    the values of its parameters.  Rows (``p`` physical, ``q``
+    logical), constant slots (``s``) and hook masks (``h``) are
+    parameters numbered in order of first use, so the source depends
+    only on what the function does."""
+    lines: List[str] = []
+    emit = lines.append
+    rows: Dict[int, int] = {}
+    slots: Dict[int, int] = {}
+    masks: Dict[int, tuple] = {}
+    #: Rows held in locals (a fast chunk's), and those written back.
+    loaded: Dict[int, None] = {}
+    stored: Dict[int, None] = {}
+    #: Rows a whole-row INIT of this fast chunk left at all ones.
+    ones = set()
+    sensed: List[str] = []
+    in_locals = not (slow or outer)
+
+    def q(row: int) -> str:
+        return f"q{rows.setdefault(row, len(rows))}"
+
+    def read(row: int) -> str:
+        i = rows.setdefault(row, len(rows))
+        if not in_locals:
+            return f"state[R[q{i}]]" if slow else f"state[p{i}]"
+        loaded.setdefault(i)
+        return "F" if row in ones else f"r{i}"
+
+    def write(row: int) -> str:
+        ones.discard(row)
+        if in_locals:
+            stored.setdefault(rows.setdefault(row, len(rows)))
+        return read(row)
+
+    def const(index: int) -> str:
+        return f"k{slots.setdefault(index, len(slots))}" if index else "F"
+
+    def hook(mask: Optional[np.ndarray]) -> str:
+        if mask is None:
+            return "None"
+        return f"h{masks.setdefault(id(mask), (len(masks), mask))[0]}"
+
+    def store(row: int, not_mask: Optional[int], mask: np.ndarray) -> None:
+        # Write the value t into the row's columns outside not_mask.
+        emit("wc += t.bit_count()")
+        if slow:
+            emit(f"pre = None if hook is None else array.unpack_row({q(row)})")
+        kept = "" if not_mask is None else f"{read(row)} & {const(not_mask)} | "
+        emit(f"{write(row)} = {kept}t")
+        if slow:
+            emit("if faults: apply()")
+            hooked = f"hook.on_write(array, {q(row)}, {hook(mask)}, pre)"
+            emit(f"if hook is not None: {hooked}")
+
+    for item in items:
+        kind = item[0]
+        if kind == "nor":
+            _, in_rows, out_row, m, not_m, mask = item
+            t = " | ".join(read(row) for row in in_rows)
+            if m is not None:
+                t = f"({t}) & {const(m)}"
+            if not (in_locals and t.isidentifier()):
+                emit(f"t = {t}")
+                t = "t"
+            proven = out_row in ones
+            o = read(out_row)
+            if not in_locals:
+                emit(f"o = {o}")
+                o = "o"
+            if strict:
+                if not proven:
+                    check = f"{o} != F"
+                    if m is not None:
+                        check = f"{o} & {const(m)} != {const(m)}"
+                    emit(f"if {check}: raise U({q(out_row)})")
+                emit(f"rc += {t}.bit_count()")
+                emit(f"{write(out_row)} = {o} ^ {t}")
+            else:
+                emit(f"rc += ({t} & {o}).bit_count()")
+                kept = "" if m is None else f"{o} & {const(not_m)} | "
+                emit(f"{write(out_row)} = {kept}{const(m or 0)} ^ {t}")
+            if slow:
+                emit("if faults: apply()")
+                hooked = f"hook.on_nor(array, {q(out_row)}, {hook(mask)})"
+                emit(f"if hook is not None: {hooked}")
+        elif kind == "init":
+            _, init_rows, m = item
+            for row in init_rows:
+                if m is None:
+                    emit(f"{write(row)} = F")
+                    if in_locals:
+                        ones.add(row)
+                elif row not in ones:
+                    emit(f"{write(row)} |= {const(m)}")
+            if slow:
+                emit("if faults: apply()")
+        elif kind == "shift":
+            _, src, dst, offset, keep, not_window, fill, mask = item
+            shifted = f"{read(src)} & {const(keep)}"
+            if offset:
+                shifted = f"({shifted}) {'<<' if offset > 0 else '>>'} {abs(offset)}"
+            emit(f"t = {shifted}" if fill is None else f"t = {shifted} | {const(fill)}")
+            store(dst, not_window, mask)
+        elif kind == "write":
+            _, row, spec, start, not_field, mask = item
+            emit(f"t = W[{spec}] << {start}" if start else f"t = W[{spec}]")
+            store(row, not_field, mask)
+        elif kind == "read":
+            sensed.append(f"x{len(sensed)}")
+            emit(f"{sensed[-1]} = {read(item[1])}")
+            if slow:
+                emit(f"if hook is not None: hook.on_read(array, {q(item[1])})")
+        else:  # call
+            emit(f"{item[1]}(state, K, W, acc{', array, hook' if slow else ''})")
+
+    args = ["state", "K", "W", "acc"] + (["array", "hook"] if slow else [])
+    args += [f"p{i}" for i in range(len(rows))] + [f"q{i}" for i in range(len(rows))]
+    args += [f"s{j}" for j in range(len(slots))] + [f"h{j}" for j in range(len(masks))]
+    head = ["    F = K[0]"] + [f"    k{j} = K[s{j}]" for j in range(len(slots))]
+    if slow:
+        head += ["    R = array._row_map", "    faults = array._faults"]
+        head.append("    apply = array._apply_faults")
+    head += [f"    r{i} = state[p{i}]" for i in loaded]
+    head += ["    rc = wc = 0", "    try:"]
+    tail = ["    finally:"] + [f"        state[p{i}] = r{i}" for i in stored]
+    tail += ["        acc[0] += rc", "        acc[1] += wc"]
+    tail.append(f"    return [{', '.join(sensed)}]")
+    body = [f"        {line}" for line in lines or ["pass"]]
+    source = "\n".join([f"def {name}({', '.join(args)}):"] + head + body + tail)
+    values = [row_map[row] for row in rows] + list(rows) + list(slots)
+    return name, source, tuple(values + [mask for _, mask in masks.values()])
 
 
 def _tick_batch(clock: Clock, compiled: CompiledProgram, lanes: int) -> None:
@@ -838,7 +944,7 @@ def _tick_batch(clock: Clock, compiled: CompiledProgram, lanes: int) -> None:
             begin_cc,
             clock.cycles,
             label=compiled.label or "program",
-            ops=len(compiled.steps),
+            ops=len(compiled.program),
             lanes=lanes,
             nor=compiled.stat_counts.get("nor_ops", 0)
             + compiled.stat_counts.get("not_ops", 0),
@@ -858,23 +964,19 @@ class WordPackedMagicExecutor:
     row is one big integer holding every lane's columns side by side
     (lane-major, exactly ``batch * cols`` bits), so a row-parallel NOR
     over the whole batch is a handful of bitwise integer operations.  A
-    replay walks the program's physical-row plan (see
-    :class:`_WordLoweredProgram`) for the array's batch, row map and
-    strictness, one Python step per gate: a strict NOR writes back with
-    one XOR, a SHIFT shifts the source row's in-window columns once, and
-    full-width gates apply no mask.  A WRITE operand is each lane's
-    value shifted to its lane's field and ORed together; a READ result
-    is each lane's field shifted out and masked.  Fault hooks and pinned
-    faults are served in the same loop behind one flag.
-    Accounting is deferred: data-dependent switching energy costs one
-    ``int.bit_count`` per event, into two local totals added to the
-    array's counters once per replay, at every lane count.  The array
-    reports one energy total
+    replay packs each WRITE operand, calls the program's generated
+    straight-line code (:meth:`_WordLoweredProgram.replay`) for the
+    array's row map and strictness, on the slow path when a fault hook
+    or a pinned fault is present, with the batch's constants tuple, and
+    splits each sensed row into the lanes' READ results; packing and
+    splitting are near-linear in the row.  Switching energy costs one
+    ``int.bit_count`` per event, added to the array's counters once per
+    replay; the array reports one energy total
     (:meth:`WordPackedCrossbarArray.total_energy_fj`), equal to the sum
-    of the scalar oracle's lanes; per-lane energy is not kept, so each
-    lane's :attr:`RunStats.energy_fj` is ``nan``.  Write counters are
-    applied as one precomputed per-program delta — per-lane results,
-    cycle counts and write counters stay bit-identical to the oracle.
+    of the scalar oracle's lanes, so each lane's
+    :attr:`RunStats.energy_fj` is ``nan``.  Write counters are one
+    precomputed per-program delta — per-lane results, cycle counts and
+    write counters stay bit-identical to the oracle.
     """
 
     def __init__(
@@ -917,9 +1019,7 @@ class WordPackedMagicExecutor:
                 f"got {len(bindings_list)} binding sets for {batch} lanes"
             )
         lowered = compiled.word
-        # Lane *lane*'s field starts at bit lane * cols of a row.
-        lane_shifts = range(0, batch * array.cols, array.cols)
-        packed: Dict[Tuple[str, int], int] = {}
+        packed = []
         for name, width in compiled.write_specs:
             try:
                 values = [bindings[name] for bindings in bindings_list]
@@ -928,157 +1028,43 @@ class WordPackedMagicExecutor:
                     f"WRITE references unbound operand {name!r}"
                 ) from None
             _check_storable(values, width)
-            word = 0
-            for value, lane_shift in zip(values, lane_shifts):
-                word |= value << lane_shift
-            packed[(name, width)] = word
+            packed.append(_pack_row(values, array.cols))
 
-        results: List[Dict[str, int]] = [{} for _ in range(batch)]
         row_map = tuple(array._row_map)
-        strict = array.strict_magic
-        plan = lowered.plan(batch, row_map, strict)
         hook = self.fault_hook
         # Hooks and pinned faults are the slow path; nothing else can
-        # pin a fault mid-replay, so the flag holds for the whole loop.
+        # pin a fault mid-replay, so the choice holds for the replay.
         slow = hook is not None or bool(array._faults)
+        replay = lowered.replay(row_map, array.strict_magic, slow)
         device = array.device
-        e_reset = device.e_reset_fj
-        w_coeff = device.e_set_fj - e_reset
-        state = array._state
-        full = array._full
-        # Switching energy per coefficient: set-cell counts in two
-        # locals, added to the array's counters once per replay.
-        reset_cells = write_cells = 0
+        # Switched cells per coefficient: RESETs, then writes.
+        counts = [0, 0]
         try:
-            for step in plan:
-                code = step[0]
-                if code == _NOR1:
-                    _, src, dst, out_row = step
-                    out = state[dst]
-                    if out != full:
-                        raise _uninitialised(out_row)
-                    # out is all ones and the input lies inside it, so
-                    # flipping the input writes the NOR, and the input's
-                    # set cells are the RESET events.
-                    am = state[src]
-                    reset_cells += am.bit_count()
-                    state[dst] = out ^ am
-                    if slow:
-                        if array._faults:
-                            array._apply_faults()
-                        if hook is not None:
-                            hook.on_nor(array, out_row, None)
-                elif code == _NOR2:
-                    _, a, b, dst, out_row = step
-                    out = state[dst]
-                    if out != full:
-                        raise _uninitialised(out_row)
-                    am = state[a] | state[b]
-                    reset_cells += am.bit_count()
-                    state[dst] = out ^ am
-                    if slow:
-                        if array._faults:
-                            array._apply_faults()
-                        if hook is not None:
-                            hook.on_nor(array, out_row, None)
-                elif code == _SHIFT:
-                    (
-                        _,
-                        src,
-                        dst,
-                        dst_row,
-                        offset,
-                        keep,
-                        not_window,
-                        fill_mask,
-                        write_mask,
-                    ) = step
-                    sh = state[src] & keep
-                    if offset >= 0:
-                        sh <<= offset
-                    else:
-                        sh >>= -offset
-                    sh |= fill_mask
-                    write_cells += sh.bit_count()
-                    pre = None
-                    if slow and hook is not None:
-                        pre = array.unpack_row(dst_row)
-                    state[dst] = (state[dst] & not_window) | sh
-                    if slow:
-                        if array._faults:
-                            array._apply_faults()
-                        if hook is not None:
-                            hook.on_write(array, dst_row, write_mask, pre)
-                elif code == _WRITE:
-                    _, phys, row, spec, shift, not_field, write_mask = step
-                    value = packed[spec] << shift
-                    write_cells += value.bit_count()
-                    pre = None
-                    if slow and hook is not None:
-                        pre = array.unpack_row(row)
-                    state[phys] = (state[phys] & not_field) | value
-                    if slow:
-                        if array._faults:
-                            array._apply_faults()
-                        if hook is not None:
-                            hook.on_write(array, row, write_mask, pre)
-                elif code == _INIT:
-                    _, rows, m = step
-                    if m is None:
-                        for phys in rows:
-                            state[phys] = full
-                    else:
-                        for phys in rows:
-                            state[phys] |= m
-                    if slow and array._faults:
-                        array._apply_faults()
-                elif code == _GATE:
-                    _, first, rest, dst, out_row, m, not_m, np_mask = step
-                    any_one = state[first]
-                    for row in rest:
-                        any_one |= state[row]
-                    am = any_one & m
-                    out = state[dst]
-                    if strict:
-                        if out & m != m:
-                            raise _uninitialised(out_row)
-                        state[dst] = out ^ am
-                    else:
-                        state[dst] = (out & not_m) | (m ^ am)
-                        am &= out
-                    reset_cells += am.bit_count()
-                    if slow:
-                        if array._faults:
-                            array._apply_faults()
-                        if hook is not None:
-                            hook.on_nor(array, out_row, np_mask)
-                else:  # _READ
-                    _, phys, row, start, field_mask, name = step
-                    word = state[phys] >> start
-                    for lane_results, lane_shift in zip(results, lane_shifts):
-                        lane_results[name] = (word >> lane_shift) & field_mask
-                    if slow and hook is not None:
-                        hook.on_read(array, row)
+            sensed = replay(
+                array._state,
+                lowered.constants(batch),
+                packed,
+                counts,
+                *((array, hook) if slow else ()),
+            )
         finally:
             # Also when a strict check raised mid-replay: the gates
             # before it stay counted.
-            array._add_energy_cells(e_reset, reset_cells)
-            array._add_energy_cells(w_coeff, write_cells)
+            array._add_energy_cells(device.e_reset_fj, counts[0])
+            array._add_energy_cells(device.e_set_fj - device.e_reset_fj, counts[1])
 
         array._energy_const += lowered.energy_const_fj(device)
-        array.writes += lowered.writes_delta(row_map, array.phys_rows, array.cols)
+        array.writes += lowered.writes_delta(row_map, array.phys_rows)
         _tick_batch(self.clock, compiled, batch)
 
-        stats_list = []
-        for lane in range(batch):
-            stats = RunStats(
+        return [
+            RunStats(
                 cycles=compiled.cycle_count,
                 # The array counts one energy total, not one per lane.
                 energy_fj=math.nan,
                 op_counts=dict(compiled.op_counts),
-                results=results[lane],
+                results=results,
+                **compiled.stat_counts,
             )
-            for field_name, count in compiled.stat_counts.items():
-                setattr(stats, field_name, count)
-            stats_list.append(stats)
-        return stats_list
+            for results in lowered.results(sensed, batch)
+        ]

@@ -80,8 +80,9 @@ class CrossbarStage:
         the array's faults pinned; *program* WRITEs its operands from
         the lane's bindings and READs its results.  Returns the per-lane
         run stats, in *bindings* order, each lane's READs in its
-        ``results``.  An empty *bindings* clones nothing and returns no
-        stats.
+        ``results``, and leaves the array at the all-ones steady state
+        with its faults re-pinned.  An empty *bindings* clones nothing
+        and returns no stats.
 
         *placements* splits the lanes into wear groups, ``(lane
         indices, wear permutation)`` each; the permutation maps every
@@ -124,6 +125,7 @@ class CrossbarStage:
                 array.writes += lanes.writes * len(group)
                 array.energy_fj += lanes.total_energy_fj()
         array.state[:] = True
+        array.repin_faults()
         return stats
 
     def _run(self, program, bindings, row_map=None):

@@ -494,11 +494,10 @@ class TestSharedCompileCache:
         assert (wide.rows, wide.cols) == (ROWS, COLS + 1)
 
     def test_strides_share_stride_free_lowering(self):
-        """Replay plans of one program hang off its one lowering: a plan
-        is cached by identity per (batch, row map, strict), plans at
-        other batch sizes share its lane-free entries (full-width gates,
-        whole-row INITs, READs) by identity, and equal masks are one
-        integer."""
+        """A program's generated replay names no lane count: batches of
+        1, 3 and 64 lanes run one function per (row map, strict), each
+        batch size adds only its tuple of constants (every column word
+        times the batch's repunit), and equal windows share one slot."""
         program = (
             ProgramBuilder(label="strides")
             .write(0, "x", width=COLS)
@@ -511,36 +510,34 @@ class TestSharedCompileCache:
         )
         word = get_backend("word")
         compiled = MagicExecutor(CrossbarArray(ROWS, COLS)).compile(program)
-        lowered = {}
-        for batch in (1, 4, 64):
-            array = word.make_array(CrossbarArray(ROWS, COLS), batch)
-            executor = word.make_executor(array)
-            executor.execute(compiled, [{"x": 5}] * batch)
-            lowered[array.batch] = compiled.word
-        one, four, wide = lowered[1], lowered[4], lowered[64]
-        assert one is four is wide
-        assert one._writes_deltas is four._writes_deltas
+        lowered = compiled.word
         identity = tuple(range(ROWS))
-        assert set(one._plans) == {(lanes, identity, True) for lanes in lowered}
-        plan1, plan4 = one.plan(1, identity, True), one.plan(4, identity, True)
-        assert plan1 is one.plan(1, identity, True)
-        write, init, full_nor, masked_nor, twin, read = plan1
-        assert full_nor[0] == executor_mod._NOR1
-        assert masked_nor[0] == twin[0] == executor_mod._GATE
-        assert plan4[1] is init and plan4[2] is full_nor and plan4[5] is read
-        assert plan4[3] is not masked_nor
-        mask = masked_nor[5]
-        assert mask == sum(1 << col for col in range(1, 9))
-        assert twin[5] is mask
-        # Another row map or strictness is another plan, rows resolved.
+        replays = []
+        for batch in (1, 3, 64):
+            array = word.make_array(CrossbarArray(ROWS, COLS), batch)
+            word.make_executor(array).execute(compiled, [{"x": 5}] * batch)
+            assert compiled.word is lowered
+            replays.append(lowered.replay(identity, True, False))
+        assert replays[0] is replays[1] is replays[2]
+        assert set(lowered._replays) == {(identity, True, False)}
+        assert set(lowered._constants) == {1, 3, 64}
+        window = sum(1 << col for col in range(1, 9))
+        full = (1 << COLS) - 1
+        assert lowered.constants(1) == (full, window, full ^ window)
+        repunit = sum(1 << lane * COLS for lane in range(3))
+        assert lowered.constants(3) == tuple(w * repunit for w in (full, window, full ^ window))
+        # Another row map or strictness is another function.
         swapped = (1, 0) + identity[2:]
-        assert one.plan(1, swapped, True)[2][1:3] == (1, 2)
-        lax = one.plan(1, identity, False)
-        assert lax[2][0] == executor_mod._GATE and lax[2][4] == 2
+        assert lowered.replay(swapped, True, False) is not replays[0]
+        lax = CrossbarArray(ROWS, COLS, strict_magic=False)
+        word.make_executor(word.make_array(lax, 2)).execute(compiled, [{"x": 5}] * 2)
+        assert set(lowered._replays) == {
+            (identity, True, False), (swapped, True, False), (identity, False, False),
+        }
 
 
 # ----------------------------------------------------------------------
-# Physical-row replay plans: remaps, packed gangs, strict raises
+# Generated replays: remaps, packed gangs, strict raises
 # ----------------------------------------------------------------------
 #: The one lane :data:`MIDWAY_ENERGY_FJ` was measured with.
 MIDWAY_BINDINGS = ({"x": 0xB66D, "y": 0x0F0F, "z": 0x7FFF},)
@@ -584,13 +581,90 @@ def _strict_violation_midway(bindings=MIDWAY_BINDINGS):
 MIDWAY_ENERGY_FJ = 2866.0
 
 
+def _strict_raise_parity(program, bindings, replays):
+    """Replay *program* *replays* times on one word array and, lane by
+    lane, on the scalar oracle: the last replay must raise on both at the
+    same gate and leave each lane's state as the oracle's.  Returns the
+    word array's energy total and the write pulses it was charged."""
+    template = CrossbarArray(ROWS, COLS)
+    template.state[:] = True
+    word = get_backend("word")
+    array = word.make_array(template, len(bindings))
+    executor = word.make_executor(array)
+    for _ in range(replays - 1):
+        executor.execute(program, list(bindings))
+    writes = array.writes.copy()
+    with pytest.raises(MagicProtocolError) as raised:
+        executor.execute(program, list(bindings))
+    for lane, lane_bindings in enumerate(bindings):
+        oracle = CrossbarArray(ROWS, COLS)
+        oracle.state[:] = True
+        scalar = MagicExecutor(oracle)
+        for _ in range(replays - 1):
+            scalar.execute(program, lane_bindings)
+        with pytest.raises(MagicProtocolError) as expected:
+            scalar.execute(program, lane_bindings)
+        assert str(raised.value).startswith(str(expected.value))
+        assert np.array_equal(array.snapshot(lane), oracle.snapshot())
+    return array.total_energy_fj(), array.writes - writes
+
+
+#: Lanes of the strict-raise cases; every lane fails at the same gate.
+STRICT_BINDINGS = (
+    {"x": 0x00F1, "y": 0x0F00},
+    {"x": 0x1234, "y": 0x00FF},
+    {"x": 0xFFFF, "y": 0x0001},
+)
+
+#: case -> (program, replays, one-lane energy; the replay that raises
+#: adds only the switching energy of the gates before it, as for
+#: :data:`MIDWAY_ENERGY_FJ`).  The gate that raises:
+#: ``earlier-replay`` - its output row was left at all ones by the
+#: array, not by an INIT of the program, so the second replay finds it
+#: holding the first one's NOR; ``masked-init`` - its output row's INIT
+#: covers columns 0-7 only; ``previous-chunk`` - its output row's INIT
+#: lies in the chunk before the WRITE that cuts the code and overwrites
+#: the row.
+STRICT_CASES = {
+    "earlier-replay": (
+        ProgramBuilder(label="earlier-replay")
+        .write(0, "x", width=COLS)
+        .nor([0], 2)
+        .read(2, "out", width=COLS)
+        .build(),
+        2,
+        1853.0,
+    ),
+    "masked-init": (
+        ProgramBuilder(label="masked-init")
+        .write(0, "x", width=COLS)
+        .write(2, "y", width=COLS)
+        .init([2], cols=(0, 8))
+        .nor([0], 2)
+        .build(),
+        1,
+        486.0,
+    ),
+    "previous-chunk": (
+        ProgramBuilder(label="previous-chunk")
+        .write(0, "x", width=COLS)
+        .init([2])
+        .write(2, "y", width=COLS)
+        .nor([0], 2)
+        .build(),
+        1,
+        486.0,
+    ),
+}
+
+
 class TestReplayPlans:
     @pytest.mark.parametrize("optimize", [False, True], ids=["paper", "packed"])
     def test_repeated_pass_shares_plan_entries(self, optimize):
         """A mega-program that concatenates one adder program twice
-        lowers each repeated op once: both passes' compiled steps and
-        plan entries are the same objects, and the replay still equals
-        the scalar oracle."""
+        holds both passes' ops as the same objects, which the word
+        lowering lowers once: their chunks are one generated function
+        each, and the replay still equals the scalar oracle."""
         unit = AdderUnit(16)
         lay = unit.adder.layout
         adder = unit.adder.program("add", optimize=optimize)
@@ -600,8 +674,8 @@ class TestReplayPlans:
             builder.concat(adder).read(lay.out_row, f"out{i}")
         compiled = unit.executor.compile(builder.build())
         m = len(adder.ops)
-        steps = compiled.steps
-        assert all(a is b for a, b in zip(steps[2:2 + m], steps[m + 5:]))
+        ops = compiled.program.ops
+        assert all(a is b for a, b in zip(ops[2:2 + m], ops[m + 5:]))
 
         rng = random.Random(0x5EED + optimize)
         bindings = [
@@ -622,15 +696,21 @@ class TestReplayPlans:
         ]
         assert energy[0] == energy[1]
 
-        (plan,) = compiled.word._plans.values()
-        n = (len(plan) - 6) // 2  # two WRITEs and a READ per pass
-        assert len(plan) == 2 * n + 6
-        assert all(a is b for a, b in zip(plan[2:2 + n], plan[n + 5:]))
+        # Both passes run the same chunk functions: the generated replay
+        # calls each of the first pass's chunks again for the second.
+        lowered = compiled.word
+        chunks = [seg[1] for seg in lowered._segments if seg[0] == "chunk"]
+        half = len(chunks) // 2
+        assert chunks[:half] == chunks[half:]
+        replay = lowered.replay(tuple(range(unit.array.rows)), True, False)
+        names = [name for name in replay.__globals__ if name[0] == "c"]
+        assert names == [f"c{i}" for i in range(half)]
 
     @pytest.mark.parametrize("batch", [1, 3, 64])
     def test_plan_rebound_after_remap(self, batch):
-        """A remap changes the row map, so the next replay takes a new
-        plan: a stale one would keep driving the old physical row."""
+        """A remap changes the row map, so the next replay runs code
+        generated for it: stale code would keep driving the old physical
+        row."""
         rng = random.Random(40 + batch)
         program, writes = _random_program(rng, ops=60)
         bindings = _random_bindings(rng, writes, batch)
@@ -657,14 +737,14 @@ class TestReplayPlans:
                 assert np.array_equal(array.snapshot(lane), oracle.snapshot())
                 assert np.array_equal(array.writes, oracle.writes)
                 oracle_energy += expected.energy_fj
-                # The lane alone, at one lane, through the same plan cache.
+                # The lane alone, at one lane, through the same lowering.
                 one = word.make_array(template, 1)
                 word.make_executor(one).execute(compiled, [lane_bindings])
                 assert one.total_energy_fj() == expected.energy_fj
             assert array.total_energy_fj() == oracle_energy
             if row is None:
-                # Remap a gate output the replay leaves off all ones: a
-                # stale plan never drives the spare, which stays all ones.
+                # Remap a gate output the replay leaves off all ones:
+                # stale code never drives the spare, which stays all ones.
                 final = oracle.snapshot()
                 row = next(
                     op.out_row
@@ -675,8 +755,8 @@ class TestReplayPlans:
     @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lax"])
     @pytest.mark.parametrize("batch", [1, 2, 3, 64, 65])
     def test_packed_gangs_match_oracle(self, batch, strict):
-        """pack_cycles fuses independent gates into gangs, which a plan
-        flattens into one step per gate."""
+        """pack_cycles fuses independent gates into gangs, which the
+        generated code flattens into one gate after another."""
         rng = random.Random(70 + batch + strict)
         # About half the random programs hold independent gates; take
         # the first of this seed's stream that packs at least one gang.
@@ -712,6 +792,29 @@ class TestReplayPlans:
         assert [m for m, _ in alone] == [message] * 3
         assert alone[0][1] == MIDWAY_ENERGY_FJ
         assert total == sum(energy for _, energy in alone)
+
+    @pytest.mark.parametrize("case", sorted(STRICT_CASES))
+    def test_strict_raise_matches_oracle(self, case):
+        """The generated code drops a strict check only where a whole-row
+        INIT of the same chunk proves it; each of these gates keeps its
+        check and raises where the oracle does, each lane left as the
+        oracle leaves it alone, with no write pulse charged and the
+        switching energy before the gate counted."""
+        program, replays, energy = STRICT_CASES[case]
+        if case == "previous-chunk":
+            lowered = program.compiled(ROWS, COLS).word
+            kinds = [seg[0] for seg in lowered._segments]
+            assert kinds == ["write", "chunk", "write", "chunk"]
+        one, writes = _strict_raise_parity(program, STRICT_BINDINGS[:1], replays)
+        assert one == energy
+        assert not writes.any()
+        total, writes = _strict_raise_parity(program, STRICT_BINDINGS, replays)
+        alone = sum(
+            _strict_raise_parity(program, (lane,), replays)[0]
+            for lane in STRICT_BINDINGS
+        )
+        assert total == alone
+        assert not writes.any()
 
     def test_strict_violation_survives_python_O(self):
         code = (

@@ -224,6 +224,23 @@ class TestStandaloneFaultHook:
         assert outcomes["word"] == outcomes["scalar"]
 
 
+class TestPinnedFaultAfterReplay:
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_stuck_cell_stays_pinned(self, backend):
+        """A replay leaves the unit's array at the all-ones steady state
+        with its faults re-pinned, so the array's own state shows a
+        stuck-at-0 cell at logic zero after a pass as before it."""
+        unit = AdderUnit(8, backend=backend)
+        unit.array.strict_magic = False
+        unit.array.inject_fault(2, 3, "sa0")
+        assert not unit.array.snapshot()[2, 3]
+        unit.run_pass([(1, 2)])
+        assert unit.array.faults == {(2, 3): "sa0"}
+        state = unit.array.snapshot()
+        assert not state[2, 3]
+        assert state.sum() == state.size - 1
+
+
 class TestBatchedOperation:
     """Two independent operations share one pass via disjoint column
     blocks — the paper's postcompute batching (Sec. IV-E)."""
