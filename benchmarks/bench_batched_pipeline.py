@@ -36,13 +36,15 @@ checks live here:
   bit-identical results.  At one lane a replay is almost all per-gate
   host work, so this is the floor that sees the generated straight-line
   code: an interpreted replay reads ~105x.
-* ``test_wear_leveled_batch_speedup`` runs a 4-job n = 256
-  ``KaratsubaController.run_jobs_batch`` (``optimize=True``) and a
-  1-job batch and asserts the 4-job batch costs at most 1/2.5 of the
-  1-job batch per job, with bit-exact products: the two wear-leveling
-  groups of a batch (the even and the odd jobs) share one replay per
-  MAGIC unit, so a narrow batch pays for one replay per stage, not
-  two.
+* ``test_wear_leveling_overhead`` runs a 4-job n = 256
+  ``KaratsubaController.run_jobs_batch`` (``optimize=True``) with wear
+  leveling and the same batch without it, interleaved, and asserts the
+  leveled batch costs at most 1.25x the unleveled one, with bit-exact
+  products: the two wear-leveling groups of a batch (the even and the
+  odd jobs) share one replay per MAGIC unit, so wear leveling moves
+  pulses but adds no replay.  Both sides pay the same fixed per-batch
+  cost, so making a batch cheaper cannot trip it.  The per-job
+  advantage of the 4-job batch over a 1-job batch is printed too.
 * ``test_rowmul_lane_parallel_speedup`` runs the n = 256 multiply
   stage (m = 66 rows, 64 jobs x 9 rows) as one bit-sliced lock-step
   pass and as one row-multiplier call per product, and asserts the
@@ -119,12 +121,14 @@ NARROW_REPS = 40
 #: Jobs in the narrow wear-leveled controller batch: two per wear state.
 WEAR_JOBS = 4
 
-#: Required per-job advantage of a :data:`WEAR_JOBS`-job controller
-#: batch over a 1-job batch.
-MIN_WEAR_BATCH_SPEEDUP = 2.5
+#: Largest allowed cost of a :data:`WEAR_JOBS`-job wear-leveled
+#: controller batch over the same batch without wear leveling.  On a
+#: 2-vCPU VM it read 1.47x when each wear group replayed on its own,
+#: and 1.05-1.07x with both groups in one replay per unit.
+MAX_WEAR_LEVELING_OVERHEAD = 1.25
 
-#: Timing repetitions of the wear-leveled batch comparison (~1-2 ms
-#: each), the two batch sizes interleaved.
+#: Timing repetitions of the wear-leveled batch comparison (~1 ms
+#: each), the batches interleaved.
 WEAR_REPS = 60
 
 #: Jobs in the lock-step multiply-stage batch (9 rows each).
@@ -360,41 +364,47 @@ def run_one_lane_oracle_bench():
 
 
 def run_wear_batch_bench():
-    """Per-job time of a :data:`WEAR_JOBS`-job batch against a 1-job
-    batch through one controller; returns the speedup and the table."""
+    """Time a :data:`WEAR_JOBS`-job batch with and without wear leveling,
+    and a 1-job wear-leveled batch, each on its own controller; returns
+    the wear-leveling overhead and the table."""
     rng = random.Random(0x3EA2)
     pairs = [
         (rng.getrandbits(N_BITS), rng.getrandbits(N_BITS))
         for _ in range(WEAR_JOBS)
     ]
-    controller = KaratsubaController(N_BITS, optimize=True)
-    best = {1: float("inf"), WEAR_JOBS: float("inf")}
+    runs = {
+        "1 job": (KaratsubaController(N_BITS, optimize=True), pairs[:1]),
+        f"{WEAR_JOBS} jobs": (KaratsubaController(N_BITS, optimize=True), pairs),
+        f"{WEAR_JOBS} jobs, no wear leveling": (
+            KaratsubaController(N_BITS, optimize=True, wear_leveling=False),
+            pairs,
+        ),
+    }
+    best = dict.fromkeys(runs, float("inf"))
     for _ in range(WEAR_REPS):
-        for jobs in best:
-            batch = pairs[:jobs]
+        for name, (controller, batch) in runs.items():
             begin = time.perf_counter()
             records = controller.run_jobs_batch(batch)
-            best[jobs] = min(best[jobs], time.perf_counter() - begin)
+            best[name] = min(best[name], time.perf_counter() - begin)
             assert [r.product for r in records] == [a * b for a, b in batch]
-    per_job = best[WEAR_JOBS] / WEAR_JOBS
-    speedup = best[1] / per_job
+    leveled, unleveled = (best[name] for name in list(runs)[1:])
+    overhead = leveled / unleveled
     table = format_table(
         ("controller batch", "wall ms", "ms/job"),
         [
-            ("1 job", f"{best[1] * 1e3:.2f}", f"{best[1] * 1e3:.2f}"),
-            (
-                f"{WEAR_JOBS} jobs (both wear states)",
-                f"{best[WEAR_JOBS] * 1e3:.2f}",
-                f"{per_job * 1e3:.2f}",
-            ),
+            (name, f"{best[name] * 1e3:.2f}",
+             f"{best[name] / len(batch) * 1e3:.2f}")
+            for name, (_, batch) in runs.items()
         ],
         title=(
-            f"Wear-leveled batch, {WEAR_JOBS} vs 1 job at n = {N_BITS}: "
-            f"{speedup:.2f}x per-job speedup "
-            f"(floor {MIN_WEAR_BATCH_SPEEDUP}x)"
+            f"Wear leveling at n = {N_BITS}: a {WEAR_JOBS}-job batch costs "
+            f"{overhead:.2f}x the unleveled batch "
+            f"(ceiling {MAX_WEAR_LEVELING_OVERHEAD}x), "
+            f"{best['1 job'] * WEAR_JOBS / leveled:.2f}x less per job "
+            f"than a 1-job batch"
         ),
     )
-    return speedup, table
+    return overhead, table
 
 
 def run_rowmul_bench():
@@ -494,12 +504,12 @@ def test_one_lane_oracle_speedup():
     )
 
 
-def test_wear_leveled_batch_speedup():
-    speedup, table = run_wear_batch_bench()
+def test_wear_leveling_overhead():
+    overhead, table = run_wear_batch_bench()
     _register("wear-batch", table)
-    assert speedup >= MIN_WEAR_BATCH_SPEEDUP, (
-        f"a {WEAR_JOBS}-job batch only {speedup:.2f}x faster per job than "
-        f"a 1-job batch (needs >= {MIN_WEAR_BATCH_SPEEDUP}x)"
+    assert overhead <= MAX_WEAR_LEVELING_OVERHEAD, (
+        f"a wear-leveled {WEAR_JOBS}-job batch costs {overhead:.2f}x the "
+        f"unleveled batch (needs <= {MAX_WEAR_LEVELING_OVERHEAD}x)"
     )
 
 
@@ -522,8 +532,6 @@ if __name__ == "__main__":
          "one lane"),
         (*run_one_lane_oracle_bench(), MIN_ONE_LANE_ORACLE_SPEEDUP,
          "one lane vs oracle"),
-        (*run_wear_batch_bench(), MIN_WEAR_BATCH_SPEEDUP,
-         "wear-leveled batch"),
         (*run_rowmul_bench(), MIN_ROWMUL_SPEEDUP, "row multiplier"),
     ):
         print(report)
@@ -532,4 +540,12 @@ if __name__ == "__main__":
             failed = True
         else:
             print(f"OK: {name} speedup {measured:.2f}x")
+    overhead, report = run_wear_batch_bench()
+    print(report)
+    if overhead > MAX_WEAR_LEVELING_OVERHEAD:
+        print(f"FAIL: wear-leveled batch {overhead:.2f}x over ceiling "
+              f"{MAX_WEAR_LEVELING_OVERHEAD}x")
+        failed = True
+    else:
+        print(f"OK: wear-leveled batch overhead {overhead:.2f}x")
     sys.exit(1 if failed else 0)

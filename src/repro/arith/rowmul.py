@@ -30,10 +30,13 @@ paper reports for [9] at n = 64..384.
 
 Lock-step stages run many rows and many jobs at once, so the simulator
 evaluates them the same way: :func:`carry_save_products` bit-slices all
-lanes into one pass of the algorithm, and
-:func:`charge_wear` charges a batch's wear to every row in closed
-form.  Products, cycle counts and write images equal those of one
-multiplication at a time.
+lanes into one pass of the algorithm.  Wear does not depend on the
+data, so it is not charged per batch at all: a :class:`RowWear` only
+counts passes, and charges them to its row images with one
+:func:`charge_wear` when someone reads an image; the hottest cell is a
+closed form of the pass count (:meth:`RowWear.max_writes`).  Products,
+cycle counts and write images equal those of one multiplication at a
+time.
 """
 
 from __future__ import annotations
@@ -213,6 +216,66 @@ def charge_wear(
             cells[..., _HOT_PAIRS] = cells[..., _SWAPPED_PAIRS]
 
 
+class RowWear:
+    """Write wear of one ``12 m``-cell row image, or of a stack of
+    *rows* such images that run in lock-step, charged lazily.
+
+    :meth:`charge` only counts passes.  :attr:`image` charges the
+    pending passes with one :func:`charge_wear` and returns the
+    ``(12 m,)`` or ``(rows, 12 m)`` counts, so a batch costs no array
+    work and the image is exact whenever it is read: charging per batch
+    and charging the total at once leave the same image.  A change of
+    the rotate flag first charges the passes pending under the old one.
+    """
+
+    def __init__(self, width: int, rows: int = None):
+        self.width = width
+        cells = area_cells(width)
+        self._image = np.zeros(
+            cells if rows is None else (rows, cells), dtype=np.int64
+        )
+        #: Multiplications charged so far, pending ones included.
+        self.passes = 0
+        self._pending = 0
+        self._rotate = False
+        #: Whether every pass was charged under one rotate flag, so the
+        #: image is the closed form of :attr:`passes`.
+        self._uniform = True
+
+    def charge(self, passes: int, rotate: bool) -> None:
+        """Charge *passes* multiplications (see :func:`charge_wear`)."""
+        if rotate != self._rotate:
+            if self.passes:
+                self._charge_pending()
+                self._uniform = False
+            self._rotate = rotate
+        self._pending += passes
+        self.passes += passes
+
+    def _charge_pending(self) -> None:
+        if self._pending:
+            charge_wear(self._image, self.width, self._pending, self._rotate)
+            self._pending = 0
+
+    @property
+    def image(self) -> np.ndarray:
+        """The per-cell write counts, every charged pass included."""
+        self._charge_pending()
+        return self._image
+
+    def max_writes(self) -> int:
+        """Hottest-cell write count.  After ``P`` passes under one flag
+        it is ``4 P m`` without rotation, and ``max(2 P m, ceil(P/2) 4 m)``
+        with it (the cool scratch cells take ``2 m`` per pass, each hot
+        pair every other pass's ``4 m``)."""
+        if not self._uniform:
+            return int(self.image.max())
+        passes, m = self.passes, self.width
+        if not self._rotate:
+            return 4 * passes * m
+        return max(2 * passes * m, -(-passes // 2) * 4 * m)
+
+
 class RowMultiplier:
     """Executable model of one single-row multiplier.
 
@@ -221,20 +284,27 @@ class RowMultiplier:
     *temporally* exact at phase granularity: every iteration charges
     ``ceil(log2 m) + 14`` cycles and the epilogue charges 3, matching
     the published closed form.  Per-cell write wear is charged to a
-    ``12 m``-cell row image so endurance analyses see realistic
-    hot spots.
+    ``12 m``-cell row image (a :class:`RowWear`, read through
+    :attr:`cell_writes`) so endurance analyses see realistic hot spots.
     """
 
-    def __init__(self, spec: RowMultiplierSpec, cell_writes=None):
+    def __init__(self, spec: RowMultiplierSpec, wear: RowWear = None, line=None):
         self.spec = spec
-        #: Per-cell write counts of the row image; *cell_writes* makes
-        #: it a view of a stage's shared ``(rows, cells)`` wear array.
-        self.cell_writes = (
-            np.zeros(spec.cells, dtype=np.int64)
-            if cell_writes is None
-            else cell_writes
-        )
-        self.multiplications = 0
+        #: The row's wear record; with *line*, the row is line *line* of
+        #: a lock-step stage's shared record and is charged by the stage.
+        self.wear = RowWear(spec.width) if wear is None else wear
+        self._line = line
+
+    @property
+    def cell_writes(self) -> np.ndarray:
+        """Per-cell write counts of the row image (a view of the
+        stage's image for a lock-step row)."""
+        image = self.wear.image
+        return image if self._line is None else image[self._line]
+
+    @property
+    def multiplications(self) -> int:
+        return self.wear.passes
 
     # ------------------------------------------------------------------
     def multiply(self, a: int, b: int, clock: Clock = None) -> int:
@@ -244,6 +314,7 @@ class RowMultiplier:
         advances by the row's full latency (callers modelling parallel
         rows advance a shared clock once for the slowest row instead).
         """
+        self._check_standalone()
         product = carry_save_products(self.spec.width, [(a, b)])[0]
         self.charge_passes(1, rotate=False)
         if clock is not None:
@@ -251,10 +322,16 @@ class RowMultiplier:
         return product
 
     def charge_passes(self, passes: int, rotate: bool) -> None:
-        """Charge the wear of *passes* multiplications in closed form
-        (see :func:`charge_wear`)."""
-        charge_wear(self.cell_writes, self.spec.width, passes, rotate)
-        self.multiplications += passes
+        """Charge the wear of *passes* multiplications (see
+        :func:`charge_wear`); the image catches up when read."""
+        self._check_standalone()
+        self.wear.charge(passes, rotate)
+
+    def _check_standalone(self) -> None:
+        if self._line is not None:
+            raise DesignError(
+                "a lock-step row multiplies and is charged through its stage"
+            )
 
     # ------------------------------------------------------------------
     def stats(self) -> RunStats:
@@ -266,7 +343,7 @@ class RowMultiplier:
 
     def max_writes(self) -> int:
         """Hottest-cell write count accumulated so far."""
-        return int(self.cell_writes.max()) if self.cell_writes.size else 0
+        return int(self.cell_writes.max())
 
 
 @dataclass(frozen=True)
@@ -283,12 +360,19 @@ class LockstepRowStage:
 
     The pipeline slot between a design's evaluation and interpolation
     stages (Karatsuba's nine sub-products, Toom-3's five point-wise
-    products, the schoolbook design's one full-width row).  A batch of B
-    jobs runs as one :meth:`lockstep_pass` and advances the stage clock by a single row latency.  The rows
-    are a numeric model: the stage owns no MAGIC crossbar
-    (:attr:`units` is empty).  *layout* is the slot's
-    :class:`~repro.karatsuba.cost.StageLayout`; its
+    products, the schoolbook design's one full-width row).  A batch of
+    B jobs runs as one :meth:`lockstep_pass` and advances the stage
+    clock by a single row latency.  The rows are a numeric model: the
+    stage owns no MAGIC crossbar (:attr:`units` is empty).  *layout* is
+    the slot's :class:`~repro.karatsuba.cost.StageLayout`; its
     ``multiplier_width`` is the rows' width.
+
+    Every row takes the same wear on every pass, so a batch charges its
+    B passes to the stage's one :class:`RowWear` and touches no image:
+    the ``(rows, 12 m)`` image is charged when :attr:`cell_writes`, a
+    row's :attr:`RowMultiplier.cell_writes` view or a row's
+    ``stats()`` reads it, and :meth:`max_writes` is the closed form of
+    the pass count.
     """
 
     units: Tuple[object, ...] = ()
@@ -307,15 +391,23 @@ class LockstepRowStage:
         self.wear_leveling = wear_leveling
         self.checker = ResidueChecker(name, residue_bits)
         spec = RowMultiplierSpec(width)
-        #: Wear of every row, one ``(rows, cells)`` array; each row's
-        #: :attr:`RowMultiplier.cell_writes` is a view of its line.
-        self.cell_writes = np.zeros((len(self.steps), spec.cells), dtype=np.int64)
+        #: Wear of every row; each row reads its line of the one image.
+        self.wear = RowWear(width, len(self.steps))
         self.rows: Dict[str, RowMultiplier] = {
-            out: RowMultiplier(spec, wear)
-            for (out, _, _), wear in zip(self.steps, self.cell_writes)
+            out: RowMultiplier(spec, self.wear, line)
+            for line, (out, _, _) in enumerate(self.steps)
         }
         self.clock = Clock()
-        self.passes = 0
+
+    @property
+    def cell_writes(self) -> np.ndarray:
+        """Wear of every row, one ``(rows, 12 m)`` image."""
+        return self.wear.image
+
+    @property
+    def passes(self) -> int:
+        """Jobs the rows have run."""
+        return self.wear.passes
 
     def process_batch(
         self, operands_list: Sequence[Mapping[str, int]]
@@ -331,7 +423,6 @@ class LockstepRowStage:
             return []
         products = self.lockstep_pass(operands_list)
         cycles = self.latency_cc()
-        self.passes += len(operands_list)
         self.clock.tick(cycles, category="rowmul")
         return [RowStageResult(products=p, cycles=cycles) for p in products]
 
@@ -342,11 +433,10 @@ class LockstepRowStage:
 
         All ``len(steps) * B`` sub-products go through one
         :func:`carry_save_products` call, every row is charged ``B``
-        multiplications in one :func:`charge_wear` step (plus the
-        hot-cell swap with wear leveling), and every sub-product is
-        residue-verified on its own under its *out* label:
-        ``res(z) == res(x)·res(y) mod (2^r − 1)``.  The stage clock is
-        the caller's.
+        multiplications (one count on the stage's :class:`RowWear`),
+        and every sub-product is residue-verified on its own under its
+        *out* label: ``res(z) == res(x)·res(y) mod (2^r − 1)``.  The
+        stage clock is the caller's.
         """
         try:
             pairs = [
@@ -357,10 +447,7 @@ class LockstepRowStage:
         except KeyError as missing:
             raise DesignError(f"missing operand {missing}") from None
         products = iter(zip(pairs, carry_save_products(self.width, pairs)))
-        passes = len(operands_list)
-        charge_wear(self.cell_writes, self.width, passes, self.wear_leveling)
-        for row in self.rows.values():
-            row.multiplications += passes
+        self.wear.charge(len(operands_list), self.wear_leveling)
         checker = self.checker
         res = checker.res
         results: List[Dict[str, int]] = []
@@ -382,4 +469,4 @@ class LockstepRowStage:
         return len(self.rows) * area_cells(self.width)
 
     def max_writes(self) -> int:
-        return max(row.max_writes() for row in self.rows.values())
+        return self.wear.max_writes()

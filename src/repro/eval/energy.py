@@ -74,9 +74,7 @@ def measure_ours(
     }
     # The multiplication stage charges writes per cell image; convert
     # with the same per-event cost (every charged write is one pulse).
-    mult_writes = sum(
-        row.cell_writes.sum() for row in controller.multiply_stage.rows.values()
-    )
+    mult_writes = controller.multiply_stage.cell_writes.sum()
     breakdown["multiply"] = (
         float(mult_writes) * device.e_reset_fj / samples
     )

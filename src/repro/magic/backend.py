@@ -75,6 +75,16 @@ class ExecutorBackend:
         """Wrap a :meth:`make_array` product in the matching executor."""
         raise NotImplementedError
 
+    def fold_writes(self, array, compiled, lanes, groups) -> None:
+        """Add the write pulses of a replay whose lanes all pulsed the
+        same cells to the stage *array*: per ``(rows, size)`` group,
+        *size* times one lane's pulses, landed on the physical *rows*
+        (one per logical row).  This default reads them back from the
+        lanes' own counters."""
+        logical = lanes.writes[array._row_map]
+        for rows, size in groups:
+            array.writes[rows] += logical * size
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"
 
@@ -259,6 +269,14 @@ class WordPackedBackend(ExecutorBackend):
         return WordPackedMagicExecutor(
             array, clock=clock, fault_hook=fault_hook
         )
+
+    def fold_writes(self, array, compiled, lanes, groups) -> None:
+        """Pulse placement is data-independent: each group adds the
+        program's cached physical delta for its rows, one in-place add."""
+        lowered = compiled.word
+        for rows, size in groups:
+            delta = lowered.writes_delta(tuple(rows), array.phys_rows)
+            array.writes += delta if size == 1 else delta * size
 
 
 #: Registry of selectable backends (aliases included).

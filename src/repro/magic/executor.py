@@ -483,6 +483,11 @@ class MagicExecutor:
 #: own, so a long program never has its whole source compiled at once.
 _CHUNK_GATES = 128
 
+#: Row maps whose write-counter delta a lowered program keeps at most
+#: (a stage meets its spare-row remap and each wear permutation of it;
+#: a fault campaign meets many more), the oldest dropped first.
+_WRITES_DELTAS = 8
+
 
 def _pack_row(values: List[int], cols: int) -> int:
     """Lane-major row holding ``values[lane]`` at bit ``lane * cols``.
@@ -715,14 +720,18 @@ class _WordLoweredProgram:
 
         Pulse placement is data-independent, so the delta is a static
         property of (program, remap table); it is placed once per
-        distinct row map and added to the array's counters per batch.
+        distinct row map (the last :data:`_WRITES_DELTAS` are kept) and
+        added to the array's counters per batch.
         """
         key = (row_map, phys_rows)
-        delta = self._writes_deltas.get(key)
+        deltas = self._writes_deltas
+        delta = deltas.get(key)
         if delta is None:
+            if len(deltas) >= _WRITES_DELTAS:
+                del deltas[next(iter(deltas))]
             delta = np.zeros((phys_rows, self.cols), dtype=np.int64)
             delta[list(row_map)] = self._logical_writes
-            self._writes_deltas[key] = delta
+            deltas[key] = delta
         return delta
 
     def constants(self, batch: int) -> tuple:

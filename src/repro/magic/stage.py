@@ -90,7 +90,9 @@ class CrossbarStage:
         (``None``: unmoved) and is composed with the array's spare-row
         remap.  Placement moves write pulses, never data, so all lanes
         replay at once and each group's pulses fold back at its own
-        rows.  A pinned stuck-at fault or a fault hook makes the data
+        rows (:meth:`~repro.magic.backend.ExecutorBackend.fold_writes`:
+        one add of the program's cached delta per group on the word
+        backend).  A pinned stuck-at fault or a fault hook makes the data
         depend on placement: then each group replays under its own row
         map, in group order.
         """
@@ -105,20 +107,27 @@ class CrossbarStage:
             for _, wear in placements
         ]
         if not self.placement_matters:
-            stats, lanes = self._run(program, bindings)
+            compiled = self.executor.compile(program)
+            stats, lanes = self._run(compiled, bindings)
             # Every lane pulsed the same logical cells; each group lands
             # them on its own rows.
-            logical = lanes.writes[remap]
-            for (group, _), rows in zip(placements, row_maps):
-                array.writes[remap if rows is None else rows] += (
-                    logical * len(group)
-                )
+            self.backend.fold_writes(
+                array,
+                compiled,
+                lanes,
+                [
+                    (remap if rows is None else rows, len(group))
+                    for (group, _), rows in zip(placements, row_maps)
+                ],
+            )
             array.energy_fj += lanes.total_energy_fj()
         else:
             stats = [None] * len(bindings)
             for (group, _), rows in zip(placements, row_maps):
                 group_stats, lanes = self._run(
-                    program, [bindings[i] for i in group], rows
+                    self.executor.compile(program),
+                    [bindings[i] for i in group],
+                    rows,
                 )
                 for i, lane_stats in zip(group, group_stats):
                     stats[i] = lane_stats
@@ -128,16 +137,17 @@ class CrossbarStage:
         array.repin_faults()
         return stats
 
-    def _run(self, program, bindings, row_map=None):
-        """One lock-step replay over fresh all-ones lanes addressing
-        *row_map* (default: the array's own); returns ``(stats, lanes)``."""
+    def _run(self, compiled, bindings, row_map=None):
+        """One lock-step replay of *compiled* over fresh all-ones lanes
+        addressing *row_map* (default: the array's own); returns
+        ``(stats, lanes)``."""
         lanes = self.backend.make_array(self.array, len(bindings), row_map)
         lanes.reset_to_ones()
         lanes.repin_faults()
         executor = self.backend.make_executor(
             lanes, clock=Clock(), fault_hook=self.executor.fault_hook
         )
-        return executor.execute(self.executor.compile(program), bindings), lanes
+        return executor.execute(compiled, bindings), lanes
 
     @property
     def placement_matters(self) -> bool:

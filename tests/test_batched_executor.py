@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.arith.koggestone import AdderUnit, latency_cc
+from repro.arith.rowmul import area_cells, charge_wear
 from repro.crossbar import CrossbarArray, DeviceModel
 from repro.karatsuba.pipeline import KaratsubaPipeline
 from repro.magic import (
@@ -431,7 +432,12 @@ def _run_differential(n_bits, jobs, batch_size, wear_leveling=True, seed=0):
             assert rec.postcompute_cycles == ref.postcompute_cycles
 
     ref_ctl = oracle.controller
-    for ctl in (singles.controller, batched.controller):
+    rows = ref_ctl.multiply_stage
+    row_wear = np.zeros((len(rows.steps), area_cells(rows.width)), dtype=np.int64)
+    for begin in range(0, jobs, batch_size):
+        batch = len(pairs[begin : begin + batch_size])
+        charge_wear(row_wear, rows.width, batch, wear_leveling)
+    for ctl in (singles.controller, batched.controller, ref_ctl):
         assert ctl.max_writes() == ref_ctl.max_writes()
         assert ctl.total_energy_fj() == ref_ctl.total_energy_fj()
         assert np.array_equal(
@@ -440,10 +446,14 @@ def _run_differential(n_bits, jobs, batch_size, wear_leveling=True, seed=0):
         assert np.array_equal(
             ctl.postcompute.array.writes, ref_ctl.postcompute.array.writes
         )
-        for name, row in ctl.multiply_stage.rows.items():
+        for line, (name, row) in enumerate(ctl.multiply_stage.rows.items()):
             assert np.array_equal(
                 row.cell_writes, ref_ctl.multiply_stage.rows[name].cell_writes
             )
+            # Equal views could both be stale: pin them to the wear the
+            # batches charged, one charge per batch.
+            assert row.cell_writes.any()
+            assert np.array_equal(row.cell_writes, row_wear[line])
         assert (
             ctl.precompute.leveler.swapped == ref_ctl.precompute.leveler.swapped
         )

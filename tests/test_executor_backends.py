@@ -706,6 +706,21 @@ class TestReplayPlans:
         names = [name for name in replay.__globals__ if name[0] == "c"]
         assert names == [f"c{i}" for i in range(half)]
 
+    def test_writes_delta_cache_is_bounded(self):
+        """Each row map's delta lands the one-lane pulses on its rows;
+        only the last few row maps are kept."""
+        lowered = _tiny_program().compiled(ROWS, COLS).word
+        phys_rows = ROWS + 2
+        for shift in range(2 * executor_mod._WRITES_DELTAS):
+            row_map = tuple((row + shift) % phys_rows for row in range(ROWS))
+            expected = np.zeros((phys_rows, COLS), dtype=np.int64)
+            expected[list(row_map)] = lowered._logical_writes
+            delta = lowered.writes_delta(row_map, phys_rows)
+            assert np.array_equal(delta, expected)
+            assert lowered.writes_delta(row_map, phys_rows) is delta
+            assert len(lowered._writes_deltas) <= executor_mod._WRITES_DELTAS
+        assert lowered._logical_writes.any()
+
     @pytest.mark.parametrize("batch", [1, 3, 64])
     def test_plan_rebound_after_remap(self, batch):
         """A remap changes the row map, so the next replay runs code

@@ -161,6 +161,97 @@ class TestChargePasses:
         assert batched.multiplications == passes
 
 
+def _wear_matches(row, expected, passes):
+    """*row*'s view, statistics and hottest cell equal *expected*."""
+    assert np.array_equal(row.cell_writes, expected)
+    assert row.max_writes() == expected.max()
+    assert row.stats().cell_writes == expected.sum()
+    assert row.multiplications == passes
+
+
+class TestLazyWear:
+    """Wear is charged when read: every view, statistic and closed-form
+    hottest cell must equal charging each batch as it runs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 5), st.booleans(), st.booleans()),
+            max_size=8,
+        ),
+        st.booleans(),
+    )
+    def test_stage_equals_per_batch_charges(self, batches, wear_leveling):
+        """Random batch sizes, with wear leveling on or off (and
+        switched between batches), reads at random points."""
+        stage = MultiplicationStage(16, wear_leveling=wear_leveling)
+        rng = random.Random(len(batches))
+        names = {name for _, lhs, rhs in stage.steps for name in (lhs, rhs)}
+        expected = np.zeros((len(stage.steps), stage.width * 12), dtype=np.int64)
+        passes = 0
+        for jobs, switch, read in batches:
+            if switch:
+                stage.wear_leveling = not stage.wear_leveling
+            stage.process_batch(
+                [{name: rng.getrandbits(stage.width) for name in names}
+                 for _ in range(jobs)]
+            )
+            rowmul.charge_wear(expected, stage.width, jobs, stage.wear_leveling)
+            passes += jobs
+            assert stage.max_writes() == expected.max()
+            if read:
+                assert np.array_equal(stage.cell_writes, expected)
+                for line, row in enumerate(stage.rows.values()):
+                    _wear_matches(row, expected[line], passes)
+        assert np.array_equal(stage.cell_writes, expected)
+        for line, row in enumerate(stage.rows.values()):
+            _wear_matches(row, expected[line], passes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.booleans(), st.booleans()),
+            max_size=10,
+        )
+    )
+    def test_standalone_row_mixes_flags(self, steps):
+        """``multiply()`` charges one unrotated pass, ``charge_passes``
+        any count under either flag; pending passes are charged under
+        the flag they were counted with."""
+        width = 5
+        row = RowMultiplier(RowMultiplierSpec(width))
+        expected = np.zeros(rowmul.area_cells(width), dtype=np.int64)
+        passes = 0
+        for count, rotate, read in steps:
+            if count == 0:
+                assert row.multiply(7, 9) == 63
+                rowmul.charge_wear(expected, width, 1, False)
+                passes += 1
+            else:
+                row.charge_passes(count, rotate)
+                rowmul.charge_wear(expected, width, count, rotate)
+                passes += count
+            if read:
+                _wear_matches(row, expected, passes)
+        _wear_matches(row, expected, passes)
+
+    @pytest.mark.parametrize("rotate", (False, True))
+    @pytest.mark.parametrize("passes", range(6))
+    def test_closed_form_max_writes(self, passes, rotate):
+        wear = rowmul.RowWear(7, rows=3)
+        wear.charge(passes, rotate)
+        assert wear.max_writes() == wear.image.max()
+
+    def test_stage_row_multiplies_through_its_stage(self):
+        stage = MultiplicationStage(16)
+        row = next(iter(stage.rows.values()))
+        with pytest.raises(DesignError):
+            row.multiply(1, 1)
+        with pytest.raises(DesignError):
+            row.charge_passes(1, rotate=True)
+        assert not stage.cell_writes.any()
+
+
 class TestStageBatchValidation:
     def test_bad_lane_leaves_wear_untouched(self):
         stage = MultiplicationStage(64)
