@@ -1,7 +1,7 @@
 """Benchmark: batched SIMD executor vs job-by-job scalar execution.
 
 The batched engines exist for one reason — to make the simulator's hot
-path keep up with the row-parallel hardware it models.  Seven perf-smoke
+path keep up with the row-parallel hardware it models.  Eight perf-smoke
 checks live here:
 
 * ``test_batched_run_stream_speedup`` replays the acceptance workload
@@ -45,6 +45,13 @@ checks live here:
   pulses but adds no replay.  Both sides pay the same fixed per-batch
   cost, so making a batch cheaper cannot trip it.  The per-job
   advantage of the 4-job batch over a 1-job batch is printed too.
+* ``test_host_calls_per_job`` counts the Python-level calls
+  (``sys.setprofile`` ``call`` events) of one warm 64-job
+  ``run_jobs_batch`` at n = 256 (Karatsuba) and n = 270 (Toom-3) and
+  asserts each stays at most 100 per job: the adder stages plan, bind
+  and check whole lane-major rows, so their host work does not grow
+  with the lane count.  A count, not a time, so no host speed can trip
+  it; one Python call per lane per pass reads 180 and 283.
 * ``test_rowmul_lane_parallel_speedup`` runs the n = 256 multiply
   stage (m = 66 rows, 64 jobs x 9 rows) as one bit-sliced lock-step
   pass and as one row-multiplier call per product, and asserts the
@@ -70,6 +77,7 @@ from repro.karatsuba.pipeline import KaratsubaPipeline
 from repro.karatsuba.postcompute import PostcomputeStage
 from repro.karatsuba.precompute import PrecomputeStage
 from repro.magic.backend import get_backend
+from repro.portfolio.toom3 import Toom3Controller
 from repro.sim.clock import Clock
 
 #: Acceptance workload: one full batch at the paper's flagship width.
@@ -130,6 +138,16 @@ MAX_WEAR_LEVELING_OVERHEAD = 1.25
 #: Timing repetitions of the wear-leveled batch comparison (~1 ms
 #: each), the batches interleaved.
 WEAR_REPS = 60
+
+#: Jobs in the call-count batches: the stream workload's lane count.
+CALLS_JOBS = 64
+
+#: Largest allowed Python-level calls per job of a warm
+#: :data:`CALLS_JOBS`-job ``run_jobs_batch``, n = 256 Karatsuba and
+#: n = 270 Toom-3 alike.  With the adder stages planning, binding and
+#: checking one lane at a time they read 180 and 283 per job; planned
+#: on lane-major rows, 60 and 51.
+MAX_CALLS_PER_JOB = 100
 
 #: Jobs in the lock-step multiply-stage batch (9 rows each).
 ROWMUL_JOBS = 64
@@ -407,6 +425,53 @@ def run_wear_batch_bench():
     return overhead, table
 
 
+def _calls_per_job(controller, n_bits):
+    """Python-level calls per job of one warm :data:`CALLS_JOBS`-job
+    batch on *controller*."""
+    rng = random.Random(0xCA11 + n_bits)
+    warm, pairs = (
+        [(rng.getrandbits(n_bits), rng.getrandbits(n_bits))
+         for _ in range(CALLS_JOBS)]
+        for _ in range(2)
+    )
+    controller.run_jobs_batch(warm)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        records = controller.run_jobs_batch(pairs)
+    finally:
+        sys.setprofile(None)
+    assert [r.product for r in records] == [a * b for a, b in pairs]
+    return calls / CALLS_JOBS
+
+
+def run_calls_bench():
+    """Count the Python-level calls per job of a 64-job batch per
+    design; returns the largest count and the table."""
+    counts = {
+        f"karatsuba n = {N_BITS}": _calls_per_job(
+            KaratsubaController(N_BITS, optimize=True), N_BITS
+        ),
+        "toom3 n = 270": _calls_per_job(Toom3Controller(270, optimize=True), 270),
+    }
+    worst = max(counts.values())
+    table = format_table(
+        ("controller batch", "Python calls/job"),
+        [(name, f"{count:.1f}") for name, count in counts.items()],
+        title=(
+            f"Host calls of a {CALLS_JOBS}-job run_jobs_batch: at most "
+            f"{worst:.1f} per job (ceiling {MAX_CALLS_PER_JOB})"
+        ),
+    )
+    return worst, table
+
+
 def run_rowmul_bench():
     stage = MultiplicationStage(N_BITS)
     rng = random.Random(0x66)
@@ -513,6 +578,15 @@ def test_wear_leveling_overhead():
     )
 
 
+def test_host_calls_per_job():
+    calls, table = run_calls_bench()
+    _register("host-calls", table)
+    assert calls <= MAX_CALLS_PER_JOB, (
+        f"a {CALLS_JOBS}-job batch makes {calls:.1f} Python calls per job "
+        f"(needs <= {MAX_CALLS_PER_JOB})"
+    )
+
+
 def test_rowmul_lane_parallel_speedup():
     speedup, table = run_rowmul_bench()
     _register("rowmul-lanes", table)
@@ -548,4 +622,12 @@ if __name__ == "__main__":
         failed = True
     else:
         print(f"OK: wear-leveled batch overhead {overhead:.2f}x")
+    calls, report = run_calls_bench()
+    print(report)
+    if calls > MAX_CALLS_PER_JOB:
+        print(f"FAIL: {calls:.1f} Python calls per job over ceiling "
+              f"{MAX_CALLS_PER_JOB}")
+        failed = True
+    else:
+        print(f"OK: {calls:.1f} Python calls per job")
     sys.exit(1 if failed else 0)

@@ -40,8 +40,9 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.arith.bitops import ceil_log2
-from repro.crossbar.array import CrossbarArray
+from repro.crossbar.array import CrossbarArray, _repunit
 from repro.magic.backend import DEFAULT_BACKEND
+from repro.magic.executor import LaneRows, lane_field, pack_row, split_row
 from repro.magic.program import Program, ProgramBuilder
 from repro.magic.stage import CrossbarStage, Placement
 from repro.sim.exceptions import DesignError, StageSelfCheckError
@@ -93,6 +94,33 @@ def adder_result(op: str, x: int, y: int, cols: int) -> int:
             f"sum of {x} and {y} overflows the {cols}-column adder window"
         )
     raise DesignError("subtraction requires x >= y (non-negative result)")
+
+
+def adder_rows(op: str, x: int, y: int, cols: int, lanes: int) -> int:
+    """:func:`adder_result` of every lane of the lane-major rows *x*
+    and *y* at once (*lanes* lanes of *cols* columns, each lane's value
+    fitting its lane): one big-integer add or subtract.
+
+    No carry or borrow may cross a lane.  ``result ^ x ^ y`` holds the
+    carry (or borrow) into every bit, so its bit at a lane's first
+    column exposes the lane below it overflowing (borrowing), and a
+    carry out of the top lane (a negative difference) exposes the top
+    lane.  The first lane that breaks the window rule raises
+    :func:`adder_result`'s :class:`DesignError`.
+    """
+    if op == OP_ADD:
+        result = x + y
+        if not ((result ^ x ^ y) & _repunit(lanes, cols) or result >> lanes * cols):
+            return result
+    elif op == OP_SUB:
+        result = x - y
+        if result >= 0 and not (result ^ x ^ y) & _repunit(lanes, cols):
+            return result
+    else:
+        raise DesignError(f"unknown adder op {op!r}")
+    for lane_x, lane_y in zip(split_row(x, lanes, cols), split_row(y, lanes, cols)):
+        adder_result(op, lane_x, lane_y, cols)
+    raise AssertionError(f"{op} crossed a lane of valid rows")
 
 
 def writes_per_cell(width: int) -> int:
@@ -373,8 +401,10 @@ class AdderUnit(CrossbarStage):
             "adder", (), ((lay, op, ("x0", "y0")),), ("out0",), (), cols,
             self.optimize,
         )
-        stats = self.replay(program, [{"x0": x, "y0": y} for x, y in pairs])
-        return [lane.results["out0"] for lane in stats]
+        if not pairs:
+            return []
+        runs = self.replay(program, [{"x0": x, "y0": y} for x, y in pairs])
+        return runs.results.split("out0")
 
 
 #: Keeps the 64 most recently used stage programs.
@@ -412,36 +442,92 @@ def mega_program(
     return builder.build()
 
 
-class LanePlan:
-    """One SIMD lane of an adder stage, unrolled on the host.
+class RowPlan:
+    """A batch's adder passes, planned on the host on lane-major rows.
 
-    :attr:`values` binds the operands the stage program writes itself;
+    Every value is one row holding each lane's value at bit ``lane *
+    cols``, ``cols`` the window columns of the unit that adds it: the
+    unit's packed array layout, so planned operands bind the replay's
+    WRITEs and planned results meet its READs as they stand.
     :meth:`run` records the next pass as ``(name, op, x, y, result)``
-    and returns the result, so every pass is planned from planned
-    values.
+    rows and returns the result row (:func:`adder_rows`); the helpers
+    shift, mask and re-pack rows lane-wise, and none lets a bit cross a
+    lane.  At one lane every row is the plain value.
     """
 
-    __slots__ = ("values", "passes", "_schedule")
+    __slots__ = ("lanes", "values", "passes", "_schedule")
 
     def __init__(
         self,
         schedule: Sequence[Tuple[str, int]],
+        lanes: int,
         values: Optional[Dict[str, int]] = None,
     ):
-        #: ``(op, window columns)`` of every pass the lane must run.
+        #: ``(op, window columns)`` of every pass a lane must run.
         self._schedule = schedule
+        self.lanes = lanes
+        #: Rows of the operands the stage program writes itself.
         self.values = values if values is not None else {}
         self.passes: List[Tuple[str, str, int, int, int]] = []
 
     def run(self, name: str, op: str, x: int, y: int) -> int:
-        """Record pass *name* (``op`` of ``x`` and ``y``); return its result."""
+        """Record pass *name* (``op`` of rows ``x`` and ``y``) in every
+        lane; return its result row."""
         passes = self.passes
         expected, cols = self._schedule[len(passes)]
         if op != expected:
             raise AssertionError(f"pass {name} ({op}) drifted from the schedule")
-        result = adder_result(op, x, y, cols)
+        result = adder_rows(op, x, y, cols, self.lanes)
         passes.append((name, op, x, y, result))
         return result
+
+    def pack(self, values: Sequence[int], cols: int) -> int:
+        """The row of the per-lane *values*, each non-negative and
+        fitting *cols* columns (:class:`DesignError` otherwise)."""
+        if min(values) < 0 or max(values) >> cols:
+            raise DesignError(
+                f"operands must fit the {cols}-column adder window, "
+                f"got {min(values)} and {max(values)}"
+            )
+        return pack_row(values, cols)
+
+    def split(self, row: int, cols: int) -> List[int]:
+        """Each lane's value of *row*, lane 0 first."""
+        return split_row(row, self.lanes, cols)
+
+    def restride(self, row: int, cols: int, new_cols: int) -> int:
+        """*row* re-packed from *cols*- to *new_cols*-column lanes."""
+        if self.lanes == 1:
+            return row
+        return self.pack(self.split(row, cols), new_cols)
+
+    def const(self, value: int, cols: int) -> int:
+        """The row holding *value* in every lane."""
+        return value * _repunit(self.lanes, cols)
+
+    def low(self, row: int, bits: int, cols: int) -> int:
+        """Each lane's low *bits* columns of *row* (``value & mask``)."""
+        return row & lane_field(self.lanes, cols, bits)
+
+    def shr(self, row: int, k: int, cols: int) -> int:
+        """Each lane's value shifted down *k* columns (``value >> k``)."""
+        return row >> k & lane_field(self.lanes, cols, cols - k)
+
+    def shl(self, row: int, k: int, cols: int) -> int:
+        """Each lane's value shifted up *k* columns (``value << k``), an
+        adder operand: a lane pushed past its window breaks the window
+        rule (:class:`DesignError`).  A truncating shift masks first
+        (``low(row, bits - k) << k``)."""
+        if not k:
+            return row
+        if row & ~lane_field(self.lanes, cols, cols - k):
+            for lane, value in enumerate(self.split(row, cols)):
+                if value >> cols - k:
+                    raise DesignError(
+                        f"lane {lane}: {value} << {k} does not fit the "
+                        f"{cols}-column adder window"
+                    )
+        return row << k
 
 
 class AdderPassStage:
@@ -452,14 +538,18 @@ class AdderPassStage:
     A stage declares :meth:`unit_passes` (the ``(adder, op)`` passes
     one job runs on each unit it owns, in replay order),
     :attr:`overhead` (periphery cycles per clock category), and
-    :meth:`_plan` (one job's :class:`LanePlan` lanes and result).
-    :meth:`process_batch` plans every job on the host, replays each
-    unit's one cached mega-program (in logical rows) once over every
-    lane of the batch, both wear groups placed at their own rows by
-    the replay, ticks the clock by the per-job histogram per group,
-    and checks every sensed pass against the plan.  Latency, optimizer
-    stats, area and wear derive from the same declarations, so none
-    can drift from the replay.
+    :meth:`_plan` (the whole batch's passes as one :class:`RowPlan`, and
+    each job's result).  :meth:`process_batch` plans the batch once on
+    the host, on lane-major rows in each unit's packed layout, its
+    arithmetic SWAR-style; replays each unit's one cached mega-program
+    (in logical rows) once over every lane, its planned rows bound as
+    the WRITE operands as they stand, both wear groups placed at their
+    own rows by the replay; ticks the clock by the per-job histogram
+    per group; and checks each sensed READ row against its planned row
+    with one integer compare.  Only a row that differs is split into
+    lanes, to raise the per-lane check's first failure.  Latency,
+    optimizer stats, area and wear derive from the same declarations,
+    so none can drift from the replay.
     """
 
     #: Periphery cycles one job spends outside the adder passes, per
@@ -479,6 +569,8 @@ class AdderPassStage:
     #: adder's operand rows; otherwise the adders read rows the program
     #: computed (precompute).
     stages_operands = True
+    #: SIMD lanes one job takes, side by side in job order.
+    lanes_per_job = 1
 
     def unit_passes(
         self,
@@ -487,8 +579,9 @@ class AdderPassStage:
         adders laid out in logical rows)."""
         raise NotImplementedError
 
-    def _plan(self, job) -> Tuple[List[LanePlan], object]:
-        """One job's lanes and its result, planned on the host."""
+    def _plan(self, jobs: list) -> Tuple[RowPlan, list]:
+        """The batch's passes planned on lane-major rows, and each
+        job's result."""
         raise NotImplementedError
 
     def adder_passes(self) -> List[Tuple[KoggeStoneAdder, str]]:
@@ -524,10 +617,19 @@ class AdderPassStage:
 
     @cached_property
     def _schedule(self) -> List[Tuple[str, int]]:
-        """``(op, window columns)`` of every pass a lane plans."""
-        return [
-            (op, adder.layout.columns) for adder, op in self.adder_passes()
-        ]
+        """``(op, window columns)`` of every pass a lane plans; a window
+        spans its unit's columns, so a planned row is the unit's packed
+        row."""
+        schedule = []
+        for unit, passes in self.unit_passes():
+            for adder, op in passes:
+                if adder.layout.columns != unit.array.cols:
+                    raise DesignError(
+                        f"a {adder.layout.columns}-column adder window on "
+                        f"{unit.array.cols} columns cannot replay packed rows"
+                    )
+                schedule.append((op, adder.layout.columns))
+        return schedule
 
     def optimizer_stats(self) -> Dict[str, object]:
         """Aggregated cycle-packer report over the adder passes one job
@@ -621,28 +723,26 @@ class AdderPassStage:
             )
         return tuple(programs)
 
-    def _placements(self, plans) -> Iterator[Placement]:
+    def _placements(self, jobs: int) -> Iterator[Placement]:
         """``(lane indices, wear permutation)`` of each wear group of
         the batch, lanes in job order (see :meth:`CrossbarStage.replay`).
 
-        Walks the leveler through the batch as *B* single-job batches
+        Walks the leveler through the batch as *jobs* single-job batches
         would, one group per step, powering each group's rows up the
         first time its wear state is met."""
-        starts = [0]
-        for job_lanes, _ in plans:
-            starts.append(starts[-1] + len(job_lanes))
+        per = self.lanes_per_job
         leveler = self.leveler
         if leveler is None:
-            groups = [range(len(plans))]
+            groups = [range(jobs)]
         else:
-            groups = leveler.job_groups(len(plans), self.wear_leveling)
+            groups = leveler.job_groups(jobs, self.wear_leveling)
         # A leveler moves the rows of its stage's one unit.
         rows = self.units[0].array.rows
         for group in groups:
             for k, (_, passes) in enumerate(self.unit_passes()):
                 self._power_up(k, passes)
             yield (
-                [i for j in group for i in range(starts[j], starts[j + 1])],
+                [lane for j in group for lane in range(j * per, (j + 1) * per)],
                 None if leveler is None else leveler.row_permutation(rows),
             )
 
@@ -650,76 +750,107 @@ class AdderPassStage:
     def process_batch(self, jobs) -> list:
         """Run B jobs through the stage; returns one result per job.
 
-        Every unit replays the whole batch once.  Where placement
-        changes the data (a pinned fault or a fault hook), each wear
-        group runs and is checked before the next group is placed."""
+        The batch is planned first, so a job breaking the window rule
+        raises :class:`DesignError` before any lane runs.  Every unit
+        replays the whole batch once.  Where placement changes the data
+        (a pinned fault or a fault hook), each wear group runs and is
+        checked before the next group is placed."""
         jobs = list(jobs)
         if not jobs:
             return []
-        plans = [self._plan(job) for job in jobs]
-        lanes = [lane for job_lanes, _ in plans for lane in job_lanes]
-        placements = self._placements(plans)
+        plan, results = self._plan(jobs)
+        placements = self._placements(len(jobs))
         if any(unit.placement_matters for unit in self.units):
             for group, wear in placements:
-                self._replay(lanes, group, [(range(len(group)), wear)])
+                self._replay(plan, group, [(range(len(group)), wear)])
         else:
-            self._replay(lanes, range(len(lanes)), list(placements))
-        return [result for _, result in plans]
+            self._replay(plan, range(plan.lanes), list(placements))
+        return results
 
     def _replay(
         self,
-        lanes: List[LanePlan],
+        plan: RowPlan,
         positions: Sequence[int],
         placements: List[Placement],
     ) -> None:
-        """Replay every unit over the lanes at batch *positions*, placed
-        by *placements* (indices into *positions*); check each sensed
-        pass, located at its lane's batch position, and tick the clock
-        by the per-job histogram once per placement."""
+        """Replay every unit over the planned lanes at batch *positions*,
+        placed by *placements* (indices into *positions*); check each
+        sensed pass, located at its lane's batch position, and tick the
+        clock by the per-job histogram once per placement."""
+        lanes = len(positions)
         first = 0
         for program, (unit, passes) in zip(
             self._mega_programs, self.unit_passes()
         ):
             stop = first + len(passes)
-            stats = unit.replay(
-                program,
-                [self._bindings(lanes[i], first, stop) for i in positions],
-                placements,
-            )
-            reads = [(i, self._sense_name(i)) for i in range(first, stop)]
-            for index, lane_stats in zip(positions, stats):
-                sensed, planned = lane_stats.results, lanes[index].passes
-                for i, read in reads:
-                    self._check_pass(sensed[read], planned[i], index)
+            cols = unit.array.cols
+            planned = plan.passes[first:stop]
+            rows = dict(plan.values)
+            if self.stages_operands:
+                for i, (_, _, x, y, _) in enumerate(planned, first):
+                    rows[f"x{i}"] = x
+                    rows[f"y{i}"] = y
+            if lanes != plan.lanes:
+                # A wear group's own lanes, re-packed.
+                def take(row: int) -> int:
+                    values = plan.split(row, cols)
+                    return pack_row([values[p] for p in positions], cols)
+
+                rows = {name: take(row) for name, row in rows.items()}
+                planned = [
+                    (name, op, take(x), take(y), take(result))
+                    for name, op, x, y, result in planned
+                ]
+            runs = unit.replay(program, LaneRows(rows, lanes, cols), placements)
+            sensed = runs.results
+            reads = self._sense_names[first:stop]
+            if any(
+                sensed.rows[read] != result
+                for read, (_, _, _, _, result) in zip(reads, planned)
+            ):
+                self._check_lanes(positions, planned, sensed, reads, cols)
+            # Equal rows: every lane sensed exactly x op y, whose
+            # residue is the one its operands' residues predict, so
+            # every lane's residue check holds; count them.
+            self.checker.checks += lanes * len(planned)
             first = stop
         for _ in placements:
             for category, cycles in self._clock_histogram.items():
                 self.clock.tick(cycles, category=category)
 
-    def _bindings(self, lane: LanePlan, first: int, stop: int) -> Dict[str, int]:
-        """One lane's WRITE operands for the passes ``first..stop-1``."""
-        if not self.stages_operands:
-            return lane.values
-        values = dict(lane.values)
-        for i in range(first, stop):
-            _, _, x, y, _ = lane.passes[i]
-            values[f"x{i}"] = x
-            values[f"y{i}"] = y
-        return values
+    @cached_property
+    def _sense_names(self) -> List[str]:
+        return [self._sense_name(i) for i in range(len(self._schedule))]
 
-    def _check_pass(self, sensed: int, planned: tuple, lane: int) -> None:
-        """Verify one sensed pass of *lane* against its planned
-        ``(name, op, x, y, result)``: the in-band residue code first
-        (from the operands' residues, what the periphery would check),
-        the full-width differential against the plan second.  A
-        failure is located at ``name[lane]``."""
-        name, op, x, y, expected = planned
+    def _check_lanes(
+        self,
+        positions: Sequence[int],
+        planned: list,
+        sensed: LaneRows,
+        reads: Sequence[str],
+        cols: int,
+    ) -> None:
+        """The per-lane check of one unit's sensed passes, lane by lane
+        and pass by pass: the in-band residue code first (from the
+        operands' residues, what the periphery would check), the
+        full-width differential against the plan second.  Raises the
+        first failure, located at ``name[lane]`` (the lane's batch
+        position), with every check before it counted."""
+        lanes = len(positions)
         checker = self.checker
-        checker.check_adder(sensed, op, x, y, name, lane)
-        if sensed != expected:
-            raise StageSelfCheckError(
-                f"{checker.stage} {op} produced {sensed}, expected {expected}",
-                stage=checker.stage,
-                check="differential",
-                location=f"{name}[{lane}]",
-            )
+        columns = [
+            (name, op, *(split_row(row, lanes, cols) for row in (x, y, result)),
+             sensed.split(read))
+            for (name, op, x, y, result), read in zip(planned, reads)
+        ]
+        for j, lane in enumerate(positions):
+            for name, op, xs, ys, expected, got in columns:
+                checker.check_adder(got[j], op, xs[j], ys[j], name, lane)
+                if got[j] != expected[j]:
+                    raise StageSelfCheckError(
+                        f"{checker.stage} {op} produced {got[j]}, "
+                        f"expected {expected[j]}",
+                        stage=checker.stage,
+                        check="differential",
+                        location=f"{name}[{lane}]",
+                    )

@@ -48,19 +48,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.arith.bitops import mask
 from repro.arith.koggestone import (
     SCRATCH_ROWS,
     AdderPassStage,
     KoggeStoneAdder,
     KoggeStoneLayout,
-    LanePlan,
+    RowPlan,
 )
 from repro.crossbar.array import CrossbarArray
 from repro.crossbar.endurance import WearLevelingController
 from repro.karatsuba.cost import StageLayout, UnitLayout
 from repro.karatsuba.unroll import UnrolledPlan, build_plan
 from repro.magic.backend import DEFAULT_BACKEND
+from repro.magic.executor import pack_row
 from repro.magic.stage import CrossbarStage
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
 from repro.sim.clock import Clock
@@ -225,9 +225,9 @@ class PostcomputeStage(AdderPassStage, CrossbarStage):
         An operand is the sum of ``values[key] << shift`` over its
         terms (the terms never overlap).  A lone block's result lands
         whole in ``values[outputs]``; a batched pass's outputs are
-        ``(key, col, mask)`` triples, each block's result being
-        ``(pass result >> col) & mask``.  A node's values are keyed by
-        its output name with a phase prefix (:func:`_key`).
+        ``(key, col, bits)`` triples, each block's result being the
+        low *bits* bits of ``pass result >> col``.  A node's values are
+        keyed by its output name with a phase prefix (:func:`_key`).
         """
         walk = []
         for index, step in enumerate(self.schedule[:-1]):
@@ -249,7 +249,7 @@ class PostcomputeStage(AdderPassStage, CrossbarStage):
                     else:
                         xs.append((_key("u", node), col))
                     ys.append((_key("tilde", node), col + s))
-                outs.append((_key(step.phase, node), col, mask(span)))
+                outs.append((_key(step.phase, node), col, min(span, self.cols - col)))
             walk.append(
                 (f"pass-{index + 1}", step.op, *xs[0], tuple(xs[1:]),
                  *ys[0], tuple(ys[1:]),
@@ -258,44 +258,46 @@ class PostcomputeStage(AdderPassStage, CrossbarStage):
         return walk
 
     def _plan(
-        self, products: Dict[str, int]
-    ) -> Tuple[List[LanePlan], PostcomputeResult]:
-        """Pure-integer walk of the pass schedule.
+        self, jobs: List[Dict[str, int]]
+    ) -> Tuple[RowPlan, List[PostcomputeResult]]:
+        """Pure-integer walk of the pass schedule over the batch.
 
-        Records the operand pair of every pass and returns the final
-        product.  The in-memory replay follows this plan and checks
-        each sensed result against it, so arithmetic remains verified
-        bit-for-bit through the real adder.
+        Records the operand rows of every pass and returns each job's
+        final product.  The in-memory replay follows this plan and
+        checks each sensed result against it, so arithmetic remains
+        verified bit-for-bit through the real adder.
         """
-        inputs = {}
-        try:
-            for name, width in self._slot_widths:
-                value = inputs[name] = products[name]
-                if value >> width:
-                    raise DesignError(f"product {name} does not fit its slot")
-        except KeyError:
-            missing = {name for name, _ in self._slot_widths} - products.keys()
-            raise DesignError(
-                f"missing partial products: {sorted(missing)}"
-            ) from None
-        lane = LanePlan(self._schedule, inputs)
-        run = lane.run
-        values = dict(inputs)
+        cols = self.cols
+        values = {}
+        for name, width in self._slot_widths:
+            try:
+                products = [job[name] for job in jobs]
+            except KeyError:
+                missing = {
+                    slot for slot, _ in self._slot_widths for job in jobs
+                    if slot not in job
+                }
+                raise DesignError(
+                    f"missing partial products: {sorted(missing)}"
+                ) from None
+            if min(products) < 0 or max(products) >> width:
+                raise DesignError(f"product {name} does not fit its slot")
+            values[name] = pack_row(products, cols)
+        plan = RowPlan(self._schedule, len(jobs), dict(values))
+        run, shl = plan.run, plan.shl
         for name, op, xk, xs, x_more, yk, ys, y_more, outs in self._walk:
-            x = values[xk] << xs
-            if x_more:
-                for key, shift in x_more:
-                    x |= values[key] << shift
-            y = values[yk] << ys
-            if y_more:
-                for key, shift in y_more:
-                    y |= values[key] << shift
+            x = shl(values[xk], xs, cols)
+            for key, shift in x_more:
+                x |= shl(values[key], shift, cols)
+            y = shl(values[yk], ys, cols)
+            for key, shift in y_more:
+                y |= shl(values[key], shift, cols)
             total = run(name, op, x, y)
             if outs.__class__ is str:
                 values[outs] = total
             else:
-                for key, col, width_mask in outs:
-                    values[key] = total >> col & width_mask
+                for key, col, bits in outs:
+                    values[key] = plan.low(total >> col, bits, cols)
         # Final addition on the top 1.5n bits only; the low shift bits
         # of c_l pass straight through to the result.  Its operands may
         # use all 1.5n columns (including the carry column): the sum is
@@ -303,8 +305,15 @@ class PostcomputeStage(AdderPassStage, CrossbarStage):
         name, low_key, high_key, tilde_key, shift = self._top
         low = values[low_key]
         total = run(
-            name, "add", (low >> shift) | (values[high_key] << shift),
+            name,
+            "add",
+            plan.shr(low, shift, cols) | shl(values[high_key], shift, cols),
             values[tilde_key],
         )
-        product = (total << shift) | (low & ((1 << shift) - 1))
-        return [lane], PostcomputeResult(product=product, cycles=self._latency)
+        keep = (1 << shift) - 1
+        return plan, [
+            PostcomputeResult(
+                product=(top << shift) | (low & keep), cycles=self._latency
+            )
+            for top, low in zip(plan.split(total, cols), plan.split(low, cols))
+        ]

@@ -34,13 +34,14 @@ from repro.arith.koggestone import (
     AdderPassStage,
     KoggeStoneAdder,
     KoggeStoneLayout,
-    LanePlan,
+    RowPlan,
 )
 from repro.crossbar.array import CrossbarArray
 from repro.crossbar.endurance import WearLevelingController
 from repro.karatsuba.cost import StageLayout, UnitLayout
 from repro.karatsuba.unroll import UnrolledPlan, build_plan
 from repro.magic.backend import DEFAULT_BACKEND
+from repro.magic.executor import pack_row
 from repro.magic.stage import CrossbarStage
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
 from repro.sim.clock import Clock
@@ -123,6 +124,7 @@ class PrecomputeStage(AdderPassStage, CrossbarStage):
         self._adds = tuple(
             (step.out, step.lhs, step.rhs) for step in self.plan.precompute_adds
         )
+        self._outs = tuple(out for out, _, _ in self._adds)
         data_rows = unit.rows - SCRATCH_ROWS
         self.overhead = self.layout.overhead
         self.clock = Clock()
@@ -150,10 +152,7 @@ class PrecomputeStage(AdderPassStage, CrossbarStage):
         self._scratch = range(data_rows, data_rows + SCRATCH_ROWS)
         #: Logical row of every named operand (inputs, then results).
         self._row_of = {
-            name: row
-            for row, name in enumerate(
-                self._inputs + tuple(out for out, _, _ in self._adds)
-            )
+            name: row for row, name in enumerate(self._inputs + self._outs)
         }
         scratch = tuple(self._scratch)
         #: One pass per addition, in logical rows.
@@ -191,30 +190,41 @@ class PrecomputeStage(AdderPassStage, CrossbarStage):
         return list(self._data_rows)
 
     def _sense_name(self, index: int) -> str:
-        return self._adds[index][0]
+        return self._outs[index]
 
     def _plan(
-        self, job: Tuple[List[int], List[int]]
-    ) -> Tuple[List[LanePlan], PrecomputeResult]:
-        """Every chunk addition of one job, unrolled on the host."""
-        a_chunks, b_chunks = job
+        self, jobs: List[Tuple[List[int], List[int]]]
+    ) -> Tuple[RowPlan, List[PrecomputeResult]]:
+        """Every chunk addition of the batch, one row per named value."""
         chunks = self.plan.num_chunks
-        if len(a_chunks) != chunks or len(b_chunks) != chunks:
-            raise DesignError(
-                f"precompute expects {chunks} chunks per operand"
-            )
-        inputs = (*a_chunks, *b_chunks)
-        if min(inputs) < 0 or max(inputs) >> self.plan.chunk_bits:
-            raise DesignError(
-                f"chunks must be non-negative and fit "
-                f"{self.plan.chunk_bits} bits"
-            )
-        values = dict(zip(self._inputs, inputs))
-        lane = LanePlan(self._schedule, values)
-        sums = dict(values)
-        run = lane.run
+        inputs = []
+        for a_chunks, b_chunks in jobs:
+            if len(a_chunks) != chunks or len(b_chunks) != chunks:
+                raise DesignError(
+                    f"precompute expects {chunks} chunks per operand"
+                )
+            inputs.append((*a_chunks, *b_chunks))
+        columns = list(zip(*inputs))
+        for values in columns:
+            if min(values) < 0 or max(values) >> self.plan.chunk_bits:
+                raise DesignError(
+                    f"chunks must be non-negative and fit "
+                    f"{self.plan.chunk_bits} bits"
+                )
+        cols = self.cols
+        rows = {
+            name: pack_row(values, cols)
+            for name, values in zip(self._inputs, columns)
+        }
+        plan = RowPlan(self._schedule, len(jobs), dict(rows))
+        run = plan.run
         for out, lhs, rhs in self._adds:
-            sums[out] = run(out, "add", sums[lhs], sums[rhs])
-        return [lane], PrecomputeResult(
-            chunk_sums=sums, cycles=self._latency
-        )
+            rows[out] = run(out, "add", rows[lhs], rows[rhs])
+        names = (*self._inputs, *self._outs)
+        columns += [plan.split(rows[out], cols) for out in self._outs]
+        return plan, [
+            PrecomputeResult(
+                chunk_sums=dict(zip(names, values)), cycles=self._latency
+            )
+            for values in zip(*columns)
+        ]

@@ -31,19 +31,20 @@ reproducible under either.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.crossbar.array import CrossbarArray, WordPackedCrossbarArray
 from repro.magic.executor import (
     CompiledProgram,
+    LaneRuns,
     MagicExecutor,
     WordPackedMagicExecutor,
     _tick_batch,
+    check_bindings,
 )
 from repro.sim.clock import Clock
-from repro.sim.exceptions import ProgramError
 from repro.sim.stats import RunStats
 from repro.telemetry import spans
 
@@ -56,7 +57,9 @@ class ExecutorBackend:
     machinery that only touches the uniform array/executor surface:
     ``reset_to_ones`` / ``repin_faults`` / ``writes`` /
     ``total_energy_fj`` / ``snapshot(lane)`` on arrays, and
-    ``execute(compiled, bindings)`` on executors.
+    ``execute(compiled, bindings)`` on executors: *bindings* a
+    :class:`~repro.magic.executor.LaneRows` or one dict per lane, the
+    result a :class:`~repro.magic.executor.LaneRuns`.
     """
 
     #: Registry name (``"scalar"`` / ``"word"``).
@@ -207,38 +210,32 @@ class ScalarLaneExecutor:
     def compile(self, program) -> CompiledProgram:
         return program.compiled(self.array.rows, self.array.cols)
 
-    def execute(
-        self,
-        program,
-        bindings_list: Sequence[Dict[str, int]],
-    ) -> List[RunStats]:
+    def execute(self, program, bindings) -> LaneRuns:
+        """Run every lane on its own scalar executor; *bindings* as in
+        :meth:`WordPackedMagicExecutor.execute` (a :class:`LaneRows` is
+        split into its lanes).  The lanes' results are packed into the
+        returned runs' rows; each lane keeps its own stats."""
         compiled = (
             program
             if isinstance(program, CompiledProgram)
             else self.compile(program)
         )
-        if compiled.rows != self.array.rows or compiled.cols != self.array.cols:
-            raise ProgramError(
-                f"program compiled for {compiled.rows}x{compiled.cols} "
-                f"cannot run on {self.array.rows}x{self.array.cols}"
-            )
-        if len(bindings_list) != self.array.batch:
-            raise ProgramError(
-                f"got {len(bindings_list)} binding sets for "
-                f"{self.array.batch} lanes"
-            )
+        array = self.array
+        check_bindings(compiled, bindings, array.rows, array.cols, array.batch)
         stats_list: List[RunStats] = []
         tracer = spans.install(None)
         try:
-            for lane, bindings in zip(self.array.lanes, bindings_list):
+            for lane, lane_bindings in zip(array.lanes, bindings):
                 executor = MagicExecutor(
                     lane, clock=Clock(), fault_hook=self.fault_hook
                 )
-                stats_list.append(executor.execute(compiled.program, bindings))
+                stats_list.append(
+                    executor.execute(compiled.program, lane_bindings)
+                )
         finally:
             spans.install(tracer)
-        _tick_batch(self.clock, compiled, self.array.batch)
-        return stats_list
+        _tick_batch(self.clock, compiled, array.batch)
+        return LaneRuns.of(stats_list, array.cols)
 
 
 class ScalarBackend(ExecutorBackend):

@@ -32,13 +32,19 @@ Data enters a program through *bindings* (name -> integer) consumed by
 WRITE ops and leaves through *results* (name -> integer) produced by
 READ ops; both are LSB-first bit fields within a row.  Results are
 per-run: each :meth:`MagicExecutor.execute` clears the previous run's
-mapping and also attaches its own mapping to the returned stats.
+mapping and also attaches its own mapping to the returned stats.  A
+batched executor takes the bindings of all its lanes at once, as a
+:class:`LaneRows` of lane-major rows (one integer per name, each lane's
+value in its own field) or one mapping per lane, and returns a
+:class:`LaneRuns`: every READ as one lane-major row, and each lane's
+:class:`RunStats` when asked for.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from collections import abc
+from functools import cached_property, lru_cache
 from types import FunctionType
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -489,18 +495,19 @@ _CHUNK_GATES = 128
 _WRITES_DELTAS = 8
 
 
-def _pack_row(values: List[int], cols: int) -> int:
+def pack_row(values: Sequence[int], cols: int) -> int:
     """Lane-major row holding ``values[lane]`` at bit ``lane * cols``.
 
     Up to eight lanes are shifted into place one by one; more are packed
     eight at a time into blocks, which are packed the same way, so each
     level costs a few passes over the row and the whole pack is
     near-linear in it, where a shift per lane into the whole row is
-    quadratic.  Each value must fit in *cols* bits.
+    quadratic.  Each value must fit in *cols* bits.  At one lane the row
+    is the value itself.
     """
     if len(values) > 8:
-        blocks = [_pack_row(values[i:i + 8], cols) for i in range(0, len(values), 8)]
-        return _pack_row(blocks, cols << 3)
+        blocks = [pack_row(values[i:i + 8], cols) for i in range(0, len(values), 8)]
+        return pack_row(blocks, cols << 3)
     if len(values) == 1:
         return values[0]
     word = 0
@@ -511,7 +518,7 @@ def _pack_row(values: List[int], cols: int) -> int:
 
 def _split_row(word: int, batch: int, cols: int) -> List[int]:
     """The first *batch* *cols*-bit blocks of *word*, lowest first: the
-    inverse of :func:`_pack_row`, split the same way in near-linear
+    inverse of :func:`pack_row`, split the same way in near-linear
     time.  Each block keeps the bits above it; callers mask."""
     if batch <= 8:
         return [word >> shift for shift in range(0, batch * cols, cols)]
@@ -524,6 +531,166 @@ def _split_row(word: int, batch: int, cols: int) -> List[int]:
         block = word >> start * cols & mask
         pieces += _split_row(block, min(lanes, batch - start), cols)
     return pieces
+
+
+def split_row(word: int, batch: int, cols: int) -> List[int]:
+    """Each of *batch* lanes' *cols*-bit value in the lane-major row
+    *word*, lane 0 first (the inverse of :func:`pack_row`)."""
+    mask = (1 << cols) - 1
+    return [block & mask for block in _split_row(word, batch, cols)]
+
+
+@lru_cache(maxsize=512)
+def lane_field(batch: int, cols: int, bits: int) -> int:
+    """Lane-major row with the low *bits* columns of each of *batch*
+    lanes set: a lane-wise mask of a *bits*-bit field."""
+    return _repunit(batch, cols) * ((1 << bits) - 1)
+
+
+class LaneRows(abc.Sequence):
+    """Named values of a batch's lanes, as lane-major rows.
+
+    Bit ``lane * cols + c`` of ``rows[name]`` is bit *c* of lane
+    *lane*'s value: the layout of a :class:`WordPackedCrossbarArray`
+    row, so a row binds a WRITE as it stands and a sensed row is one
+    integer per READ.  It is also the sequence of the lanes' ``{name:
+    value}`` dicts: ``len`` is the lane count, and indexing or
+    iterating splits the rows (the scalar oracle's per-lane view).
+    """
+
+    __slots__ = ("rows", "lanes", "cols")
+
+    def __init__(self, rows: Dict[str, int], lanes: int, cols: int):
+        self.rows = rows
+        self.lanes = lanes
+        self.cols = cols
+
+    def __len__(self) -> int:
+        return self.lanes
+
+    def __getitem__(self, lane: int) -> Dict[str, int]:
+        if lane < 0:
+            lane += self.lanes
+        if not 0 <= lane < self.lanes:
+            raise IndexError(f"lane {lane} of {self.lanes}")
+        shift, mask = lane * self.cols, (1 << self.cols) - 1
+        return {name: row >> shift & mask for name, row in self.rows.items()}
+
+    def __iter__(self):
+        names = list(self.rows)
+        if not names:
+            return iter([{} for _ in range(self.lanes)])
+        columns = [self.split(name) for name in names]
+        return (dict(zip(names, values)) for values in zip(*columns))
+
+    def split(self, name: str) -> List[int]:
+        """Every lane's value of *name*, lane 0 first."""
+        return split_row(self.rows[name], self.lanes, self.cols)
+
+
+class LaneRuns(abc.Sequence):
+    """What a batched replay returns: :attr:`results`, every READ
+    result as a :class:`LaneRows` row, and one :class:`RunStats` per
+    lane (``len`` is the lane count).
+
+    The word replay keeps the rows only and builds a lane's stats when
+    it is indexed; the scalar oracle keeps its lanes' own stats (with
+    per-lane energy) and packs their results into the rows.
+    """
+
+    __slots__ = ("results", "_stats", "_compiled")
+
+    def __init__(
+        self,
+        results: LaneRows,
+        compiled: Optional["CompiledProgram"] = None,
+        stats: Optional[List[RunStats]] = None,
+    ):
+        self.results = results
+        self._compiled = compiled
+        self._stats = stats
+
+    @classmethod
+    def of(cls, stats: List[RunStats], cols: int) -> "LaneRuns":
+        """The runs of per-lane *stats*, their results packed."""
+        names = stats[0].results if stats else {}
+        rows = {
+            name: pack_row([lane.results[name] for lane in stats], cols)
+            for name in names
+        }
+        return cls(LaneRows(rows, len(stats), cols), stats=stats)
+
+    def __len__(self) -> int:
+        return len(self.results)
+
+    def __getitem__(self, lane: int) -> RunStats:
+        if self._stats is not None:
+            return self._stats[lane]
+        return self._lane(self.results[lane])
+
+    def __iter__(self):
+        if self._stats is not None:
+            return iter(self._stats)
+        return map(self._lane, self.results)
+
+    def _lane(self, results: Dict[str, int]) -> RunStats:
+        compiled = self._compiled
+        return RunStats(
+            cycles=compiled.cycle_count,
+            # The word array counts one energy total, not one per lane.
+            energy_fj=math.nan,
+            op_counts=dict(compiled.op_counts),
+            results=results,
+            **compiled.stat_counts,
+        )
+
+
+def bound_rows(compiled, bindings, cols: int) -> List[int]:
+    """The packed WRITE operands of *bindings*, in ``write_specs``
+    order: a :class:`LaneRows`'s rows as they stand, each lane's value
+    checked to fit its field with one mask, or a sequence of per-lane
+    ``{name: value}`` dicts packed lane by lane."""
+    lanes = len(bindings)
+    rows = []
+    if isinstance(bindings, LaneRows):
+        for name, width in compiled.write_specs:
+            row = bindings.rows.get(name)
+            if row is None:
+                raise ProgramError(f"WRITE references unbound operand {name!r}")
+            if row & ~lane_field(lanes, cols, width):
+                if row < 0 or row >> lanes * cols:
+                    raise ValueError(
+                        f"row {name!r} is not {lanes} lanes of {cols} columns"
+                    )
+                _check_storable(bindings.split(name), width)
+            rows.append(row)
+        return rows
+    for name, width in compiled.write_specs:
+        try:
+            values = [lane[name] for lane in bindings]
+        except KeyError:
+            raise ProgramError(
+                f"WRITE references unbound operand {name!r}"
+            ) from None
+        _check_storable(values, width)
+        rows.append(pack_row(values, cols))
+    return rows
+
+
+def check_bindings(compiled, bindings, rows: int, cols: int, batch: int) -> None:
+    """Reject a program compiled for another geometry, and *bindings*
+    for another lane count or lane width."""
+    if compiled.rows != rows or compiled.cols != cols:
+        raise ProgramError(
+            f"program compiled for {compiled.rows}x{compiled.cols} "
+            f"cannot run on {rows}x{cols}"
+        )
+    if len(bindings) != batch:
+        raise ProgramError(f"got {len(bindings)} binding sets for {batch} lanes")
+    if isinstance(bindings, LaneRows) and bindings.cols != cols:
+        raise ProgramError(
+            f"rows of {bindings.cols}-column lanes cannot bind {cols} columns"
+        )
 
 
 def _span(start: int, stop: int) -> int:
@@ -617,7 +784,7 @@ class _WordLoweredProgram:
                 return "gates", [("init", rows, m)], cells * len(rows), 0, 0, pulses
             if isinstance(op, Read):
                 start, stop = _field(op.col_offset, op.width, cols)
-                read = (op.row, op.name, start, (1 << stop - start) - 1)
+                read = (op.row, op.name, start, stop - start)
                 return "read", read, 0, 0, cols, []
             if isinstance(op, Write):
                 start, stop = _field(op.col_offset, op.width, cols)
@@ -696,7 +863,7 @@ class _WordLoweredProgram:
             self._logical_writes[row, slice(*(window or (0, cols)))] += count
         self._words = tuple(words)
         self._segments = segments
-        #: (name, start column, field mask) per READ, in program order.
+        #: (name, start column, field width) per READ, in program order.
         self._reads = reads
         #: (row_map, phys_rows) -> write-counter delta.
         self._writes_deltas: Dict[tuple, np.ndarray] = {}
@@ -744,13 +911,17 @@ class _WordLoweredProgram:
             self._constants[batch] = table
         return table
 
-    def results(self, sensed: List[int], batch: int) -> List[Dict[str, int]]:
-        """Each lane's READ results from the rows a replay sensed."""
-        lanes: List[Dict[str, int]] = [{} for _ in range(batch)]
-        for (name, start, mask), word in zip(self._reads, sensed):
-            for out, field in zip(lanes, _split_row(word >> start, batch, self.cols)):
-                out[name] = field & mask
-        return lanes
+    def sensed_rows(self, sensed: List[int], batch: int) -> Dict[str, int]:
+        """Each READ's result as a lane-major row, from the rows a
+        replay sensed: the field shifted to column 0 of its lane and
+        masked lane-wise (a full-row READ is the row as sensed)."""
+        cols = self.cols
+        rows = {}
+        for (name, start, width), word in zip(self._reads, sensed):
+            if start or width != cols:
+                word = word >> start & lane_field(batch, cols, width)
+            rows[name] = word
+        return rows
 
     def replay(self, row_map: tuple, strict: bool, slow: bool):
         """The generated replay function for *row_map* (logical ->
@@ -824,6 +995,25 @@ def _source(
     ones = set()
     sensed: List[str] = []
     in_locals = not (slow or outer)
+    #: The strict fast path's known popcount of a row's value, as an
+    #: expression: ``N`` (the row's cells), ``0``, ``cK`` (a count the
+    #: chunk took) or ``N - cK``.
+    counted: Dict[int, str] = {}
+    counting = in_locals and strict
+
+    def complement(count: str) -> str:
+        # The popcount of F ^ v from that of v.
+        if count in ("N", "0"):
+            return "0" if count == "N" else "N"
+        return count[4:] if count.startswith("N - ") else f"N - {count}"
+
+    counts: List[str] = []
+    uses_n = False
+
+    def count(expr: str) -> Tuple[str, str]:
+        # One statement per gate: the popcount of expr, named for reuse.
+        counts.append(f"c{len(counts)}")
+        return f"({counts[-1]} := {expr}.bit_count())", counts[-1]
 
     def q(row: int) -> str:
         return f"q{rows.setdefault(row, len(rows))}"
@@ -837,6 +1027,7 @@ def _source(
 
     def write(row: int) -> str:
         ones.discard(row)
+        counted.pop(row, None)
         if in_locals:
             stored.setdefault(rows.setdefault(row, len(rows)))
         return read(row)
@@ -851,11 +1042,19 @@ def _source(
 
     def store(row: int, not_mask: Optional[int], mask: np.ndarray) -> None:
         # Write the value t into the row's columns outside not_mask.
-        emit("wc += t.bit_count()")
+        if counting and not_mask is None:
+            stored_count, known = count("t")
+            emit(f"wc += {stored_count}")
+        else:
+            known = None
+            emit("wc += t.bit_count()")
         if slow:
             emit(f"pre = None if hook is None else array.unpack_row({q(row)})")
         kept = "" if not_mask is None else f"{read(row)} & {const(not_mask)} | "
         emit(f"{write(row)} = {kept}t")
+        if known:
+            # A full-row store leaves the row holding exactly t.
+            counted[row] = known
         if slow:
             emit("if faults: apply()")
             hooked = f"hook.on_write(array, {q(row)}, {hook(mask)}, pre)"
@@ -882,8 +1081,20 @@ def _source(
                     if m is not None:
                         check = f"{o} & {const(m)} != {const(m)}"
                     emit(f"if {check}: raise U({q(out_row)})")
-                emit(f"rc += {t}.bit_count()")
+                known = None
+                if counting and len(in_rows) == 1 and m is None:
+                    # A NOT of a row whose count is known reuses it.
+                    known = counted.get(in_rows[0])
+                if known is None:
+                    expr, known = count(t) if counting else (f"{t}.bit_count()", None)
+                    emit(f"rc += {expr}")
+                elif known != "0":
+                    emit(f"rc += {known}")
+                    uses_n = uses_n or known.startswith("N")
                 emit(f"{write(out_row)} = {o} ^ {t}")
+                if known is not None and (proven or m is None):
+                    # The output was all ones: it now holds F ^ t.
+                    counted[out_row] = complement(known)
             else:
                 emit(f"rc += ({t} & {o}).bit_count()")
                 kept = "" if m is None else f"{o} & {const(not_m)} | "
@@ -899,6 +1110,8 @@ def _source(
                     emit(f"{write(row)} = F")
                     if in_locals:
                         ones.add(row)
+                    if counting:
+                        counted[row] = "N"
                 elif row not in ones:
                     emit(f"{write(row)} |= {const(m)}")
             if slow:
@@ -930,6 +1143,8 @@ def _source(
         head += ["    R = array._row_map", "    faults = array._faults"]
         head.append("    apply = array._apply_faults")
     head += [f"    r{i} = state[p{i}]" for i in loaded]
+    if uses_n:
+        head.append("    N = F.bit_count()")
     head += ["    rc = wc = 0", "    try:"]
     tail = ["    finally:"] + [f"        state[p{i}] = r{i}" for i in stored]
     tail += ["        acc[0] += rc", "        acc[1] += wc"]
@@ -973,14 +1188,18 @@ class WordPackedMagicExecutor:
     row is one big integer holding every lane's columns side by side
     (lane-major, exactly ``batch * cols`` bits), so a row-parallel NOR
     over the whole batch is a handful of bitwise integer operations.  A
-    replay packs each WRITE operand, calls the program's generated
-    straight-line code (:meth:`_WordLoweredProgram.replay`) for the
-    array's row map and strictness, on the slow path when a fault hook
-    or a pinned fault is present, with the batch's constants tuple, and
-    splits each sensed row into the lanes' READ results; packing and
-    splitting are near-linear in the row.  Switching energy costs one
-    ``int.bit_count`` per event, added to the array's counters once per
-    replay; the array reports one energy total
+    replay binds each WRITE operand as one lane-major row (a
+    :class:`LaneRows` row as it stands, checked with one mask; per-lane
+    dicts are packed, near-linear in the row), calls the program's
+    generated straight-line code (:meth:`_WordLoweredProgram.replay`)
+    for the array's row map and strictness, on the slow path when a
+    fault hook or a pinned fault is present, with the batch's constants
+    tuple, and returns each READ as one lane-major row
+    (:class:`LaneRuns`); a lane's results are split out only when that
+    lane is indexed.  Switching energy costs at most one
+    ``int.bit_count`` per event (the strict fast path reuses the counts
+    it already knows), added to the array's counters once per replay;
+    the array reports one energy total
     (:meth:`WordPackedCrossbarArray.total_energy_fj`), equal to the sum
     of the scalar oracle's lanes, so each lane's
     :attr:`RunStats.energy_fj` is ``nan``.  Write counters are one
@@ -1003,13 +1222,15 @@ class WordPackedMagicExecutor:
         return program.compiled(self.array.rows, self.array.cols)
 
     # ------------------------------------------------------------------
-    def execute(
-        self,
-        program,
-        bindings_list: Sequence[Dict[str, int]],
-    ) -> List[RunStats]:
-        """Execute a :class:`Program` or :class:`CompiledProgram` with
-        one binding set per lane; returns one :class:`RunStats` per lane.
+    def execute(self, program, bindings) -> LaneRuns:
+        """Execute a :class:`Program` or :class:`CompiledProgram` over
+        the array's lanes.
+
+        *bindings* holds the WRITE operands, one lane per item: a
+        :class:`LaneRows` binds its rows as they stand, a sequence of
+        per-lane ``{name: value}`` dicts is packed lane by lane.  Returns
+        the :class:`LaneRuns`: the READ results as lane-major rows,
+        split into per-lane stats only when a lane is indexed.
         """
         compiled = (
             program
@@ -1017,27 +1238,10 @@ class WordPackedMagicExecutor:
             else self.compile(program)
         )
         array = self.array
-        if compiled.rows != array.rows or compiled.cols != array.cols:
-            raise ProgramError(
-                f"program compiled for {compiled.rows}x{compiled.cols} "
-                f"cannot run on {array.rows}x{array.cols}"
-            )
         batch = array.batch
-        if len(bindings_list) != batch:
-            raise ProgramError(
-                f"got {len(bindings_list)} binding sets for {batch} lanes"
-            )
+        check_bindings(compiled, bindings, array.rows, array.cols, batch)
         lowered = compiled.word
-        packed = []
-        for name, width in compiled.write_specs:
-            try:
-                values = [bindings[name] for bindings in bindings_list]
-            except KeyError:
-                raise ProgramError(
-                    f"WRITE references unbound operand {name!r}"
-                ) from None
-            _check_storable(values, width)
-            packed.append(_pack_row(values, array.cols))
+        packed = bound_rows(compiled, bindings, array.cols)
 
         row_map = tuple(array._row_map)
         hook = self.fault_hook
@@ -1066,14 +1270,5 @@ class WordPackedMagicExecutor:
         array.writes += lowered.writes_delta(row_map, array.phys_rows)
         _tick_batch(self.clock, compiled, batch)
 
-        return [
-            RunStats(
-                cycles=compiled.cycle_count,
-                # The array counts one energy total, not one per lane.
-                energy_fj=math.nan,
-                op_counts=dict(compiled.op_counts),
-                results=results,
-                **compiled.stat_counts,
-            )
-            for results in lowered.results(sensed, batch)
-        ]
+        sensed = LaneRows(lowered.sensed_rows(sensed, batch), batch, array.cols)
+        return LaneRuns(sensed, compiled)

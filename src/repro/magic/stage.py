@@ -15,13 +15,19 @@ in one place.  Each lane models one sequential reuse of the same
 physical subarray, so the folded counters equal what running the jobs
 one after another would leave.
 
-The four adder stages (Karatsuba precompute and postcompute, Toom-3
-evaluation and interpolation; :class:`~repro.arith.koggestone
-.AdderPassStage`) replay one mega-program per unit per batch, every
-pass of every job in one program, not one replay per pass; a
-standalone :meth:`AdderUnit.run_pass
-<repro.arith.koggestone.AdderUnit.run_pass>` replays a one-pass
-mega-program.
+Operands and results cross the replay as lane-major rows: *bindings*
+may be a :class:`~repro.magic.executor.LaneRows` (bit ``lane * cols +
+c`` of a row is bit *c* of that lane's value, the word array's own
+layout) or one dict per lane, and the replay returns a
+:class:`~repro.magic.executor.LaneRuns` whose ``results`` hold each
+READ as one row.  The four adder stages (Karatsuba precompute and
+postcompute, Toom-3 evaluation and interpolation;
+:class:`~repro.arith.koggestone.AdderPassStage`) plan a whole batch on
+such rows, replay one mega-program per unit per batch, every pass of
+every job in one program, with the planned rows as its operands, and
+check each sensed row against its plan in one compare; a standalone
+:meth:`AdderUnit.run_pass <repro.arith.koggestone.AdderUnit.run_pass>`
+replays a one-pass mega-program.
 Wear leveling (paper Sec. IV-B) is a periphery remap: it decides which
 physical rows a job's pulses land on, not what the lanes compute, so
 the programs are built in logical rows and :meth:`CrossbarStage.replay`
@@ -34,14 +40,13 @@ bit-exact oracle); results and accounting are identical under both.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.crossbar.array import CrossbarArray
 from repro.magic.backend import DEFAULT_BACKEND, get_backend
-from repro.magic.executor import MagicExecutor
+from repro.magic.executor import LaneRuns, MagicExecutor
 from repro.magic.program import Program
 from repro.sim.clock import Clock
-from repro.sim.stats import RunStats
 
 #: One wear group of a replay: the indices of its lanes and the wear
 #: permutation of logical rows its jobs meet (``None``: unmoved).
@@ -70,19 +75,22 @@ class CrossbarStage:
     def replay(
         self,
         program: Program,
-        bindings: Sequence[Dict[str, int]],
+        bindings: Sequence,
         placements: Optional[Sequence[Placement]] = None,
-    ) -> List[RunStats]:
+    ) -> LaneRuns:
         """Clone the stage array into one lane per binding set, replay.
 
         Every lane starts at the all-ones steady state (the adder
         programs assume their scratch and sum rows at logic one) with
         the array's faults pinned; *program* WRITEs its operands from
-        the lane's bindings and READs its results.  Returns the per-lane
-        run stats, in *bindings* order, each lane's READs in its
-        ``results``, and leaves the array at the all-ones steady state
-        with its faults re-pinned.  An empty *bindings* clones nothing
-        and returns no stats.
+        *bindings* and READs its results.  *bindings* is what
+        :meth:`~repro.magic.executor.WordPackedMagicExecutor.execute`
+        takes: a :class:`~repro.magic.executor.LaneRows` of lane-major
+        rows (an adder stage's plan) or one ``{name: value}`` dict per
+        lane.  Returns the lanes' :class:`~repro.magic.executor.LaneRuns`
+        in *bindings* order, the READs as lane-major rows, and leaves the
+        array at the all-ones steady state with its faults re-pinned.
+        An empty *bindings* clones nothing and returns no lanes.
 
         *placements* splits the lanes into wear groups, ``(lane
         indices, wear permutation)`` each; the permutation maps every
@@ -108,7 +116,7 @@ class CrossbarStage:
         ]
         if not self.placement_matters:
             compiled = self.executor.compile(program)
-            stats, lanes = self._run(compiled, bindings)
+            runs, lanes = self._run(compiled, bindings)
             # Every lane pulsed the same logical cells; each group lands
             # them on its own rows.
             self.backend.fold_writes(
@@ -122,20 +130,25 @@ class CrossbarStage:
             )
             array.energy_fj += lanes.total_energy_fj()
         else:
+            # One group holding every lane replays them as bound.
+            whole = len(placements) == 1
             stats = [None] * len(bindings)
             for (group, _), rows in zip(placements, row_maps):
-                group_stats, lanes = self._run(
+                runs, lanes = self._run(
                     self.executor.compile(program),
-                    [bindings[i] for i in group],
+                    bindings if whole else [bindings[i] for i in group],
                     rows,
                 )
-                for i, lane_stats in zip(group, group_stats):
-                    stats[i] = lane_stats
+                if not whole:
+                    for i, lane_stats in zip(group, runs):
+                        stats[i] = lane_stats
                 array.writes += lanes.writes * len(group)
                 array.energy_fj += lanes.total_energy_fj()
+            if not whole:
+                runs = LaneRuns.of(stats, array.cols)
         array.state[:] = True
         array.repin_faults()
-        return stats
+        return runs
 
     def _run(self, compiled, bindings, row_map=None):
         """One lock-step replay of *compiled* over fresh all-ones lanes

@@ -39,9 +39,11 @@ interpolate 15 + ceil(log2(ceil(w/2))) narrow    Kogge-Stone adders,
 
 with ``cb = ceil(n/3)``.  The adder stages run the one
 :class:`~repro.arith.koggestone.AdderPassStage` body: the host plans
-every pass's operands, each adder replays all of a batch's passes as
-one mega-program, and every sensed pass is residue-verified (ABFT,
-mod ``2^r - 1``) and then compared with the plan.  Every point-wise
+every pass's operands for the whole batch on lane-major rows (the
+shifts, masks and the div-by-3 doublings lane-wise), each adder
+replays all of a batch's passes as one mega-program, and every sensed
+pass is residue-verified (ABFT, mod ``2^r - 1``) and compared with the
+plan, a whole row at a time.  Every point-wise
 product is residue-verified too, and the final product is checked
 against ``res(a) * res(b)``.  Transient-fault hooks and
 ``diagnose_and_repair`` (write-verify march + spare-row remap) work
@@ -64,7 +66,7 @@ from repro.arith.koggestone import (
     SCRATCH_ROWS,
     AdderPassStage,
     AdderUnit,
-    LanePlan,
+    RowPlan,
 )
 from repro.arith.rowmul import LockstepRowStage
 from repro.karatsuba.controller import PipelineController
@@ -279,38 +281,52 @@ class EvaluationStage(_Toom3AdderStage):
     """
 
     slot = 0
+    lanes_per_job = 2
 
     @property
     def unit(self) -> AdderUnit:
         return self.units[0]
 
     def _plan(
-        self, job: Tuple[List[int], List[int]]
-    ) -> Tuple[List[LanePlan], EvalResult]:
+        self, jobs: List[Tuple[List[int], List[int]]]
+    ) -> Tuple[RowPlan, List[EvalResult]]:
         """Two lanes per job, the a- and the b-operand:
         ``A(2^k) = a0 + (a1 << k) + (a2 << 2k)``, two passes per point."""
-        a_chunks, b_chunks = job
-        if len(a_chunks) != 3 or len(b_chunks) != 3:
-            raise DesignError("Toom-3 expects 3 chunks per operand")
-        for chunk in (*a_chunks, *b_chunks):
-            if chunk >> self.cb:
-                raise DesignError(f"chunk {chunk} exceeds {self.cb} bits")
         lanes = []
-        values: Dict[str, int] = {}
-        for side, chunks in (("A", a_chunks), ("B", b_chunks)):
-            lane = LanePlan(self._schedule)
-            values[f"{side}0"] = chunks[0]
-            for k in range(3):
-                point = 1 << k
-                s = lane.run(
-                    f"e{point}.sum", OP_ADD, chunks[1] << k, chunks[2] << (2 * k)
+        for a_chunks, b_chunks in jobs:
+            if len(a_chunks) != 3 or len(b_chunks) != 3:
+                raise DesignError("Toom-3 expects 3 chunks per operand")
+            lanes += (a_chunks, b_chunks)
+        columns = list(zip(*lanes))
+        for values in columns:
+            if min(values) < 0 or max(values) >> self.cb:
+                raise DesignError(
+                    f"chunks must be non-negative and fit {self.cb} bits"
                 )
-                values[f"{side}{point}"] = lane.run(
-                    f"e{point}", OP_ADD, s, chunks[0]
-                )
-            values[f"{side}inf"] = chunks[2]
-            lanes.append(lane)
-        return lanes, EvalResult(values=values, cycles=self.latency_cc())
+        cols = self.unit.array.cols
+        plan = RowPlan(self._schedule, len(lanes))
+        c0, c1, c2 = (plan.pack(values, cols) for values in columns)
+        points = []
+        for k in range(3):
+            point = 1 << k
+            s = plan.run(
+                f"e{point}.sum",
+                OP_ADD,
+                plan.shl(c1, k, cols),
+                plan.shl(c2, 2 * k, cols),
+            )
+            points.append(plan.split(plan.run(f"e{point}", OP_ADD, s, c0), cols))
+        results = []
+        for j, (a_chunks, b_chunks) in enumerate(jobs):
+            values: Dict[str, int] = {}
+            sides = ((2 * j, "A", a_chunks), (2 * j + 1, "B", b_chunks))
+            for lane, side, chunks in sides:
+                values[f"{side}0"] = chunks[0]
+                for k, evaluated in enumerate(points):
+                    values[f"{side}{1 << k}"] = evaluated[lane]
+                values[f"{side}inf"] = chunks[2]
+            results.append(EvalResult(values=values, cycles=self.latency_cc()))
+        return plan, results
 
 
 # ----------------------------------------------------------------------
@@ -366,55 +382,72 @@ class InterpolationStage(_Toom3AdderStage):
         return self.units[1]
 
     def _plan(
-        self, products: Dict[str, int]
-    ) -> Tuple[List[LanePlan], InterpolationResult]:
+        self, jobs: List[Dict[str, int]]
+    ) -> Tuple[RowPlan, List[InterpolationResult]]:
         cb = self.cb
         width = self.narrow.adder.layout.width
-        wmask = mask(width)
+        # Lane-major rows of the narrow (n) and the wide (w) adder.
+        n, w = self.narrow.array.cols, self.wide.array.cols
+        plan = RowPlan(self._schedule, len(jobs))
+        run, shl, shr = plan.run, plan.shl, plan.shr
+        inputs = {
+            key: [job[key] for job in jobs]
+            for key in ("v0", "v1", "v2", "v4", "vinf")
+        }
         v0, v1, v2, v4, vinf = (
-            products[key] for key in ("v0", "v1", "v2", "v4", "vinf")
+            plan.pack(values, n) for values in inputs.values()
         )
-        lane = LanePlan(self._schedule)
-        run = lane.run
+        wmask = plan.const(mask(width), n)
         # Reduction to w1 = c1+c2+c3, w2 = c1+2c2+4c3, w4 = c1+4c2+16c3.
         m1 = run("m1", OP_SUB, v1, v0)
         w1 = run("w1", OP_SUB, m1, vinf)
         m2 = run("m2", OP_SUB, v2, v0)
-        w2 = run("m2b", OP_SUB, m2, vinf << 4) >> 1  # exact: 2c1+4c2+8c3
+        # exact: 2c1+4c2+8c3
+        w2 = shr(run("m2b", OP_SUB, m2, shl(vinf, 4, n)), 1, n)
         m4 = run("m4", OP_SUB, v4, v0)
-        w4 = run("m4b", OP_SUB, m4, vinf << 8) >> 2  # exact: 4c1+16c2+64c3
+        # exact: 4c1+16c2+64c3
+        w4 = shr(run("m4b", OP_SUB, m4, shl(vinf, 8, n)), 2, n)
 
         # t1 = c2 + 3c3, t2 = c2 + 6c3, t3 = 3c3.
         t1 = run("t1", OP_SUB, w2, w1)
-        t2 = run("t2", OP_SUB, w4, w2) >> 1           # exact: 2c2 + 12c3
+        t2 = shr(run("t2", OP_SUB, w4, w2), 1, n)     # exact: 2c2 + 12c3
         t3 = run("t3", OP_SUB, t2, t1)
 
         # c3 = t3 / 3 via the two-adic inverse: multiply by
         # sum(4^i, i < K) with repeated doubling, then negate mod 2^w.
+        # Each doubling's (acc << s) & wmask masks before it shifts.
         acc = t3
         for j in range(div3_doublings(width)):
+            shift = 2 << j
             acc = run(
-                f"div3.{j}", OP_ADD, acc & wmask, (acc << (2 << j)) & wmask
+                f"div3.{j}",
+                OP_ADD,
+                plan.low(acc, width, n),
+                plan.low(acc, width - shift, n) << shift,
             )
-        neg = run("div3.neg", OP_SUB, wmask, acc & wmask)
-        c3 = run("div3.inc", OP_ADD, neg, 1) & wmask
+        neg = run("div3.neg", OP_SUB, wmask, plan.low(acc, width, n))
+        c3 = plan.low(run("div3.inc", OP_ADD, neg, plan.const(1, n)), width, n)
 
         # c2 = t1 - 3c3; c1 = w1 - (c2 + c3).
-        h = run("h", OP_ADD, c3, c3 << 1)
+        h = run("h", OP_ADD, c3, shl(c3, 1, n))
         c2 = run("c2", OP_SUB, t1, h)
         g = run("g", OP_ADD, c2, c3)
         c1 = run("c1", OP_SUB, w1, g)
 
         # Recombination on the wide adder; the low cb bits of v0 pass
         # through untouched (LSB pass-through, Karatsuba-style).
-        r = run("r1", OP_ADD, v0 >> cb, c1)
-        r = run("r2", OP_ADD, r, c2 << cb)
-        r = run("r3", OP_ADD, r, c3 << (2 * cb))
-        r = run("r4", OP_ADD, r, vinf << (3 * cb))
-        product = (r << cb) | (v0 & mask(cb))
-        return [lane], InterpolationResult(
-            product=product, cycles=self.latency_cc()
-        )
+        c1, c2, c3 = (plan.restride(row, n, w) for row in (c1, c2, c3))
+        r = run("r1", OP_ADD, shr(plan.pack(inputs["v0"], w), cb, w), c1)
+        r = run("r2", OP_ADD, r, shl(c2, cb, w))
+        r = run("r3", OP_ADD, r, shl(c3, 2 * cb, w))
+        r = run("r4", OP_ADD, r, shl(plan.pack(inputs["vinf"], w), 3 * cb, w))
+        keep = mask(cb)
+        return plan, [
+            InterpolationResult(
+                product=(top << cb) | (low & keep), cycles=self.latency_cc()
+            )
+            for top, low in zip(plan.split(r, w), inputs["v0"])
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -87,16 +87,44 @@ class EndurancePolicy:
         return self.remaining(way) / self.write_budget
 
 
+class _Wear:
+    """A way's hottest-cell count as a ranking key, read only when a
+    comparison reaches it (a ``busy_cc`` tie), at most once."""
+
+    __slots__ = ("policy", "way", "_used")
+
+    def __init__(self, policy: EndurancePolicy, way: Way):
+        self.policy = policy
+        self.way = way
+        self._used: Optional[int] = None
+
+    @property
+    def used(self) -> int:
+        if self._used is None:
+            self._used = self.policy.used(self.way)
+        return self._used
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Wear) and self.used == other.used
+
+    def __lt__(self, other: "_Wear") -> bool:
+        return self.used < other.used
+
+    __hash__ = None
+
+
 def make_wear_aware_ranker(policy: EndurancePolicy) -> WayRanker:
     """Least-loaded first, then least-worn, then stable by id.
 
     Load dominates (throughput comes from spreading batches), wear
     breaks ties — idle pools therefore rotate across ways instead of
-    hammering way 0, spreading endurance consumption.
+    hammering way 0, spreading endurance consumption.  A way's wear
+    (a max over its cells' write counters) is read only to break a
+    ``busy_cc`` tie.
     """
 
     def ranker(way: Way) -> Tuple:
-        return (way.busy_cc, policy.used(way), way.way_id)
+        return (way.busy_cc, _Wear(policy, way), way.way_id)
 
     return ranker
 
@@ -342,16 +370,16 @@ class DegradeController:
 
         The last healthy way of a pool is kept in service even when
         exhausted — degraded service beats none; the endurance snapshot
-        still reports it as over budget.
+        still reports it as over budget.  So each healthy way's wear is
+        read once, and not at all while one healthy way remains.
         """
         retired: List[str] = []
         for way in self.dispatcher.healthy_ways(n_bits):
-            if not self.policy.exhausted(way):
-                continue
             if len(self.dispatcher.healthy_ways(n_bits)) <= 1:
                 break
-            way.retire("endurance budget exhausted")
-            retired.append(way.way_id)
+            if self.policy.exhausted(way):
+                way.retire("endurance budget exhausted")
+                retired.append(way.way_id)
         return tuple(retired)
 
     # ------------------------------------------------------------------

@@ -311,6 +311,78 @@ class TestDegrade:
         a.busy_cc = 0  # equalise load: wear must break the tie
         assert min([a, b], key=ranker) is b
 
+    @pytest.mark.parametrize("ways", (1, 2, 3))
+    def test_wear_is_read_only_to_break_ties(self, ways, monkeypatch):
+        """A flush reads a way's hottest cell
+        (``PipelineController.max_writes``) in the ranker only for a way
+        that ties another on ``busy_cc``, at most once, and at
+        retirement once per healthy way it visits, none while one
+        healthy way remains.  The chosen ways and the retirements equal
+        the eager ranking's."""
+        from repro.karatsuba.controller import PipelineController
+
+        reads = []
+        max_writes = PipelineController.max_writes
+
+        def spy(controller):
+            reads.append(controller)
+            return max_writes(controller)
+
+        def eager(way):
+            return (way.busy_cc, max_writes(way.pipeline.controller), way.way_id)
+
+        monkeypatch.setattr(PipelineController, "max_writes", spy)
+        dispatcher = BankDispatcher(ways_per_width=ways)
+        run_on = dispatcher.run_on
+
+        def marked_run_on(way, pairs, request_ids=()):
+            reads.append("batch")
+            return run_on(way, pairs, request_ids=request_ids)
+
+        dispatcher.run_on = marked_run_on
+        # A budget the first batch on a way exhausts: retirement starts
+        # once a second way has run.
+        controller = DegradeController(
+            dispatcher, policy=EndurancePolicy(write_budget=1)
+        )
+        rng = random.Random(ways)
+        for flush in range(2 * ways + 2):
+            healthy = dispatcher.healthy_ways(64)
+            if flush == ways:
+                for way in healthy:
+                    way.busy_cc = 0  # a tie across every healthy way
+            expected = min(healthy, key=eager)
+            exhausted = {
+                way.way_id for way in healthy
+                if way is expected or max_writes(way.pipeline.controller)
+            }
+            # The eager retirement loop, and the ways it visits.
+            retired, visited, left = [], 0, len(healthy)
+            for way in healthy:
+                if left <= 1:
+                    break
+                visited += 1
+                if way.way_id in exhausted:
+                    retired.append(way.way_id)
+                    left -= 1
+            busy = [way.busy_cc for way in healthy]
+            tied = [
+                way.pipeline.controller
+                for way in healthy if busy.count(way.busy_cc) > 1
+            ]
+            del reads[:]
+            recovery = controller.execute(
+                64, [(rng.getrandbits(64), rng.getrandbits(64))]
+            )
+            assert recovery.report.way_id == expected.way_id
+            assert recovery.retired_ways == tuple(retired)
+            ranked = reads[: reads.index("batch")]
+            assert len(set(map(id, ranked))) == len(ranked)
+            assert all(any(c is t for t in tied) for c in ranked)
+            if len(healthy) > 1 and len(set(busy)) == 1:
+                assert len(ranked) == len(healthy)
+            assert len(reads) - len(ranked) - 1 == visited
+
 
 class TestServiceFacade:
     def test_cache_hit_short_circuits(self):

@@ -244,13 +244,16 @@ class TestFailureLocation:
         executor = EXECUTORS[backend]
         execute = executor.execute
 
-        def corrupt_job_3(self, program, bindings_list):
-            stats = execute(self, program, bindings_list)
-            for bindings, lane in zip(bindings_list, stats):
-                if all(bindings.get(k) == v for k, v in target.items()):
-                    for name in lane.results:
-                        lane.results[name] ^= 1
-            return stats
+        def corrupt_job_3(self, program, bindings):
+            # Flip bit 0 of every result of job 3's lane in the sensed
+            # lane-major rows the stage checks.
+            runs = execute(self, program, bindings)
+            sensed = runs.results
+            for lane, values in enumerate(bindings):
+                if all(values.get(k) == v for k, v in target.items()):
+                    for name in sensed.rows:
+                        sensed.rows[name] ^= 1 << lane * sensed.cols
+            return runs
 
         monkeypatch.setattr(executor, "execute", corrupt_job_3)
         with pytest.raises(StageSelfCheckError) as excinfo:
