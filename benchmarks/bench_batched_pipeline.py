@@ -12,7 +12,7 @@ checks live here:
 * ``test_word_backend_speedup`` replays the n = 256 stage mega-programs
   over a 64-lane batch on the word backend and on the scalar oracle
   (one scalar pass per lane) and asserts the word-packed engine is at
-  least 460x faster with bit-identical per-lane results: switching
+  least 850x faster with bit-identical per-lane results: switching
   energy is one ``int.bit_count`` per event at every lane count, with
   no per-lane count to flush.  The replay
   itself is measured (not ``run_stream`` wall clock) because program
@@ -48,10 +48,12 @@ checks live here:
 * ``test_host_calls_per_job`` counts the Python-level calls
   (``sys.setprofile`` ``call`` events) of one warm 64-job
   ``run_jobs_batch`` at n = 256 (Karatsuba) and n = 270 (Toom-3) and
-  asserts each stays at most 100 per job: the adder stages plan, bind
-  and check whole lane-major rows, so their host work does not grow
-  with the lane count.  A count, not a time, so no host speed can trip
-  it; one Python call per lane per pass reads 180 and 283.
+  asserts each stays at most 14 per job: every stage hands the next
+  lane-major rows, the adder stages plan, bind and check whole rows,
+  and the row stage bit-slices and residue-checks whole rows, so host
+  work does not grow with the lane count.  A count, not a time, so no
+  host speed can trip it; one Python call per lane per pass reads 180
+  and 283, and per-job hand-offs with per-product checks 60 and 51.
 * ``test_rowmul_lane_parallel_speedup`` runs the n = 256 multiply
   stage (m = 66 rows, 64 jobs x 9 rows) as one bit-sliced lock-step
   pass and as one row-multiplier call per product, and asserts the
@@ -93,8 +95,11 @@ MIN_SPEEDUP = 8.0
 BACKEND_LANES = 64
 
 #: Required advantage of the word-packed replay over the scalar oracle
-#: on the 64-lane n = 256 stage mega-programs.
-MIN_ORACLE_SPEEDUP = 460
+#: on the 64-lane n = 256 stage mega-programs.  On a 2-vCPU VM five runs
+#: of the straight-line replay read 1,140-1,331x, where the tree before
+#: the generated code read 729x; the floor sits between the two, at or
+#: below 80% of the lowest reading.
+MIN_ORACLE_SPEEDUP = 850
 
 #: Timing repetitions per measurement; best-of is reported so scheduler
 #: noise cannot fail a floor.
@@ -146,8 +151,10 @@ CALLS_JOBS = 64
 #: :data:`CALLS_JOBS`-job ``run_jobs_batch``, n = 256 Karatsuba and
 #: n = 270 Toom-3 alike.  With the adder stages planning, binding and
 #: checking one lane at a time they read 180 and 283 per job; planned
-#: on lane-major rows, 60 and 51.
-MAX_CALLS_PER_JOB = 100
+#: on lane-major rows, 60 and 51; with every stage handing the next
+#: lane-major rows and the row stage checking its products in bulk,
+#: 9.0 and 10.8.  The ceiling leaves about 25% headroom.
+MAX_CALLS_PER_JOB = 14
 
 #: Jobs in the lock-step multiply-stage batch (9 rows each).
 ROWMUL_JOBS = 64

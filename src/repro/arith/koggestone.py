@@ -42,7 +42,14 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tupl
 from repro.arith.bitops import ceil_log2
 from repro.crossbar.array import CrossbarArray, _repunit
 from repro.magic.backend import DEFAULT_BACKEND
-from repro.magic.executor import LaneRows, lane_field, pack_row, split_row
+from repro.magic.executor import (
+    LaneRows,
+    StageRows,
+    lane_field,
+    pack_row,
+    restride_row,
+    split_row,
+)
 from repro.magic.program import Program, ProgramBuilder
 from repro.magic.stage import CrossbarStage, Placement
 from repro.sim.exceptions import DesignError, StageSelfCheckError
@@ -496,10 +503,9 @@ class RowPlan:
         return split_row(row, self.lanes, cols)
 
     def restride(self, row: int, cols: int, new_cols: int) -> int:
-        """*row* re-packed from *cols*- to *new_cols*-column lanes."""
-        if self.lanes == 1:
-            return row
-        return self.pack(self.split(row, cols), new_cols)
+        """*row* re-packed from *cols*- to *new_cols*-column lanes, each
+        lane's value fitting *new_cols* columns."""
+        return restride_row(row, self.lanes, cols, new_cols)
 
     def const(self, value: int, cols: int) -> int:
         """The row holding *value* in every lane."""
@@ -579,9 +585,10 @@ class AdderPassStage:
         adders laid out in logical rows)."""
         raise NotImplementedError
 
-    def _plan(self, jobs: list) -> Tuple[RowPlan, list]:
-        """The batch's passes planned on lane-major rows, and each
-        job's result."""
+    def _plan(self, batch) -> Tuple[RowPlan, StageRows]:
+        """The batch's passes planned on lane-major rows, and the rows
+        the stage hands on (:meth:`process_batch` takes either form of
+        *batch*)."""
         raise NotImplementedError
 
     def adder_passes(self) -> List[Tuple[KoggeStoneAdder, str]]:
@@ -747,19 +754,23 @@ class AdderPassStage:
             )
 
     # ------------------------------------------------------------------
-    def process_batch(self, jobs) -> list:
-        """Run B jobs through the stage; returns one result per job.
+    def process_batch(self, batch) -> StageRows:
+        """Run B jobs through the stage; returns the rows it hands on,
+        which index into one result per job.
 
+        *batch* is the previous stage's (or the controller's) rows as
+        they stand, or one input per job (packed by :meth:`_plan`).
         The batch is planned first, so a job breaking the window rule
         raises :class:`DesignError` before any lane runs.  Every unit
         replays the whole batch once.  Where placement changes the data
         (a pinned fault or a fault hook), each wear group runs and is
         checked before the next group is placed."""
-        jobs = list(jobs)
-        if not jobs:
+        if not isinstance(batch, LaneRows):
+            batch = list(batch)
+        if not len(batch):
             return []
-        plan, results = self._plan(jobs)
-        placements = self._placements(len(jobs))
+        plan, results = self._plan(batch)
+        placements = self._placements(len(batch))
         if any(unit.placement_matters for unit in self.units):
             for group, wear in placements:
                 self._replay(plan, group, [(range(len(group)), wear)])

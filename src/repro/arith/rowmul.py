@@ -29,25 +29,39 @@ multiplication — matching the 256/512/1,024/1,536 max-writes column the
 paper reports for [9] at n = 64..384.
 
 Lock-step stages run many rows and many jobs at once, so the simulator
-evaluates them the same way: :func:`carry_save_products` bit-slices all
-lanes into one pass of the algorithm.  Wear does not depend on the
-data, so it is not charged per batch at all: a :class:`RowWear` only
-counts passes, and charges them to its row images with one
-:func:`charge_wear` when someone reads an image; the hottest cell is a
-closed form of the pass count (:meth:`RowWear.max_writes`).  Products,
-cycle counts and write images equal those of one multiplication at a
-time.
+evaluates them the same way: :func:`carry_save_bits` bit-slices all
+lanes into one pass of the algorithm.  A :class:`LockstepRowStage`
+takes the previous stage's lane-major rows as they stand, transposes
+each operand side into its bit-sliced field in one numpy step,
+residue-checks every product at once from the bit matrices, and hands
+the products on as rows in the next stage's lanes: no per-job integer
+exists on the way.  Wear does not depend on the data, so it is not
+charged per batch at all: a :class:`RowWear` only counts passes, and
+charges them to its row images with one :func:`charge_wear` when
+someone reads an image; the hottest cell is a closed form of the pass
+count (:meth:`RowWear.max_writes`).  Products, cycle counts, checker
+counts and write images equal those of one multiplication at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.arith.bitops import ceil_log2
-from repro.magic.executor import pack_lanes, unpack_lanes
+from repro.magic.executor import (
+    LaneRows,
+    StageRows,
+    bits_rows,
+    lane_field,
+    pack_ints,
+    pack_row,
+    rows_bits,
+    split_row,
+    unpack_ints,
+)
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
 from repro.sim.clock import Clock
 from repro.sim.exceptions import DesignError
@@ -90,69 +104,158 @@ def max_writes_per_cell(width: int) -> int:
     return 4 * width
 
 
-def carry_save_products(
-    width: int, pairs: Sequence[Tuple[int, int]]
-) -> List[int]:
-    """Products of every ``(a, b)`` pair through the row's carry-save
-    serial-parallel algorithm, all lanes in one bit-sliced pass.
+def _carry_save(
+    width: int, a_field: int, b_masks: Iterable[int], stride: int
+) -> Tuple[List[int], int]:
+    """The carry-save serial-parallel loop over bit-sliced fields.
 
-    An operand field is one integer in which bit ``j*S + lane`` is bit
-    *j* of that lane's operand.  The stride ``S`` is the lane count
-    rounded up to whole bytes (padding lanes repeat the last pair), or
-    1 for a single lane, whose field is then the value itself.  Each of
-    the ``m`` iterations ANDs the multiplicand field with multiplier
-    bit *t* of every lane, replicated to all ``m`` positions; adds it
-    to the carry-save accumulator (the sum is a 3-way XOR, the carry
-    the majority); and releases product bit *t* of every lane as the
-    low ``S`` bits of the sum.  The residual upper half is a lane-wise
-    ripple add.  All operands are validated before any work is done.
+    Bit ``j*S + lane`` of a field is bit *j* of that lane's value, ``S``
+    = *stride*.  Each of the ``m`` iterations ANDs the multiplicand
+    field with *b_masks*' next entry (multiplier bit *t* of every lane,
+    replicated to all ``m`` positions), adds it to the carry-save
+    accumulator (the sum is a 3-way XOR, the carry the majority) and
+    releases product bit *t* of every lane, the low ``S`` bits of the
+    sum.  Returns those ``m`` released words and the residual upper
+    half, carried through by a lane-wise ripple add.
     """
-    m = width
-    lanes = len(pairs)
-    if not lanes:
-        return []
-    for a, b in pairs:
-        if a >> m or b >> m or a < 0 or b < 0:
-            raise DesignError(f"operands must be {m}-bit non-negative integers")
-    if lanes == 1:
-        stride = 1
-        (a_field, b), = pairs
-        ones = (1 << m) - 1
-        b_masks = [ones if (b >> t) & 1 else 0 for t in range(m)]
-    else:
-        stride = -(-lanes // 8) * 8
-        a_field = pack_lanes([a for a, _ in pairs], m, stride)
-        step = stride // 8
-        b_bytes = pack_lanes([b for _, b in pairs], m, stride).to_bytes(
-            m * step, "little"
-        )
-        # Bit t of every lane, repeated at all m positions: byte-string
-        # repetition of the bit-t word is far cheaper than a big multiply.
-        b_masks = (
-            int.from_bytes(b_bytes[t * step:(t + 1) * step] * m, "little")
-            for t in range(m)
-        )
     lane_mask = (1 << stride) - 1
-
-    sum_acc = 0
-    carry_acc = 0
-    low = 0
-    for t, b_mask in enumerate(b_masks):
+    sum_acc = carry_acc = 0
+    low: List[int] = []
+    for b_mask in b_masks:
         partial = a_field & b_mask
         # One carry-save adder layer across all partitions and lanes.
         half = sum_acc ^ carry_acc
         new_sum = half ^ partial
         carry_acc = (sum_acc & carry_acc) | (half & partial)
-        low |= (new_sum & lane_mask) << (t * stride)
+        low.append(new_sum & lane_mask)
         sum_acc = new_sum >> stride
     # Final carry propagation of the residual upper half, overlapped
     # with the epilogue cycles.
     while carry_acc:
         sum_acc, carry_acc = sum_acc ^ carry_acc, (sum_acc & carry_acc) << stride
-    product = low | (sum_acc << (m * stride))
-    if product >> (2 * m * stride):
+    if sum_acc >> width * stride:
         raise AssertionError("row multiplier produced an overflowing product")
-    return unpack_lanes(product, 2 * m, stride, lanes)
+    return low, sum_acc
+
+
+#: Operand bits per side (``m`` x lanes) from which the carry-save loop
+#: runs on numpy ``uint64`` lane words rather than on one big integer
+#: per field: a wide batch's big-integer loop spends most of its time
+#: replicating multiplier bits, which a numpy operand broadcasts for
+#: free, while a narrow batch pays numpy's per-call cost on every step.
+_WORD_LOOP_BITS = 1 << 14
+
+
+def carry_save_bits(
+    width: int, a_bits: np.ndarray, b_bits: np.ndarray
+) -> np.ndarray:
+    """Products of every lane's operands through the row's carry-save
+    algorithm, all lanes in one bit-sliced pass.
+
+    *a_bits* and *b_bits* are position-major ``(m, lanes)`` operand bit
+    matrices (row *j* is bit *j* of every lane); the result is the
+    ``(2m, lanes)`` product bit matrix.  Each side packs into its field
+    in one numpy step.  A narrow batch runs :func:`_carry_save` on one
+    integer per field, its lanes padded to whole bytes (the stride
+    ``S``): a multiplier word is replicated by one small multiply up to
+    64 lanes, and by byte-string repetition above (far cheaper there
+    than a big multiply); the released product words are gathered as
+    bytes.  A wide batch (:data:`_WORD_LOOP_BITS`) runs
+    :func:`_carry_save_words` on 64-lane words.
+    """
+    m, lanes = a_bits.shape
+    if m * lanes >= _WORD_LOOP_BITS:
+        return _carry_save_words(a_bits, b_bits)
+    stride = -(-lanes // 8) * 8
+    step = stride // 8
+    a_bytes = np.packbits(a_bits, axis=1, bitorder="little").tobytes()
+    b_words = np.packbits(b_bits, axis=1, bitorder="little")
+    if step <= 8:
+        # Up to 64 lanes a multiplier word is one small integer, which
+        # one small multiply replicates.
+        words = np.zeros((m, 8), dtype=np.uint8)
+        words[:, :step] = b_words
+        repunit = lane_field(m, stride, 1)
+        masks = [word * repunit for word in words.view("<u8").ravel().tolist()]
+    else:
+        b_bytes = b_words.tobytes()
+        masks = (
+            int.from_bytes(b_bytes[t * step:(t + 1) * step] * m, "little")
+            for t in range(m)
+        )
+    low, high = _carry_save(m, int.from_bytes(a_bytes, "little"), masks, stride)
+    raw = b"".join([word.to_bytes(step, "little") for word in low])
+    raw += high.to_bytes(m * step, "little")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return bits.reshape(2 * m, stride)[:, :lanes]
+
+
+def _carry_save_words(a_bits: np.ndarray, b_bits: np.ndarray) -> np.ndarray:
+    """:func:`_carry_save`'s loop on numpy arrays of 64-lane words.
+
+    Row *j* of a side is bit *j* of every lane, packed into ``uint64``
+    words.  The accumulator is one ``(2m, words)`` array and the sum a
+    window of ``m`` rows into it that slides up one row per iteration,
+    so releasing product bit *t* costs nothing: row *t* is final once
+    the window has passed it.  The multiplier row broadcasts across
+    the window.
+    """
+    m, lanes = a_bits.shape
+    words = -(-lanes // 64)
+    a, b = (np.zeros((m, 8 * words), dtype=np.uint8) for _ in range(2))
+    for side, bits in ((a, a_bits), (b, b_bits)):
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        side[:, :packed.shape[1]] = packed
+    a, b = a.view("<u8"), b.view("<u8")
+    acc = np.zeros((2 * m, words), dtype="<u8")
+    carry, partial, half = (np.zeros((m, words), dtype="<u8") for _ in range(3))
+    and_, xor, or_ = np.bitwise_and, np.bitwise_xor, np.bitwise_or
+    for t in range(m):
+        total = acc[t:t + m]
+        and_(a, b[t], out=partial)
+        xor(total, carry, out=half)
+        and_(total, carry, out=carry)
+        xor(half, partial, out=total)
+        and_(half, partial, out=partial)
+        or_(carry, partial, out=carry)
+    # Final ripple of the upper half: the carry moves up one row.
+    total = acc[m:]
+    while carry.any():
+        and_(total, carry, out=partial)
+        xor(total, carry, out=total)
+        if partial[-1].any():
+            raise AssertionError("row multiplier produced an overflowing product")
+        carry[1:] = partial[:-1]
+        carry[0] = 0
+    bits = np.unpackbits(acc.view(np.uint8), axis=1, bitorder="little")
+    return bits[:, :lanes]
+
+
+def carry_save_products(
+    width: int, pairs: Sequence[Tuple[int, int]]
+) -> List[int]:
+    """Products of every ``(a, b)`` pair of ``width``-bit operands
+    through the row's carry-save algorithm, all lanes in one pass.
+
+    All operands are validated before any work is done.  One lane runs
+    the loop on the values themselves (stride 1, the field is the
+    value); more lanes run as one :func:`carry_save_bits` pass.
+    """
+    m = width
+    if not pairs:
+        return []
+    for a, b in pairs:
+        if a >> m or b >> m or a < 0 or b < 0:
+            raise DesignError(f"operands must be {m}-bit non-negative integers")
+    if len(pairs) == 1:
+        (a, b), = pairs
+        ones = (1 << m) - 1
+        low, high = _carry_save(
+            m, a, [ones if (b >> t) & 1 else 0 for t in range(m)], 1
+        )
+        return [sum(bit << t for t, bit in enumerate(low)) | high << m]
+    a_bits, b_bits = (pack_ints(values, m).T for values in zip(*pairs))
+    return unpack_ints(carry_save_bits(m, a_bits, b_bits).T)
 
 
 @dataclass(frozen=True)
@@ -354,6 +457,12 @@ class RowStageResult:
     cycles: int
 
 
+#: Sub-products per batch up to which a lock-step pass runs on their
+#: values (a Toom-3 or schoolbook batch of a few jobs); more run on bit
+#: matrices.
+_NARROW_PRODUCTS = 8
+
+
 class LockstepRowStage:
     """Single-row multipliers in lock-step, one row per ``(out, lhs, rhs)``
     step, all *width* bits wide.
@@ -365,7 +474,9 @@ class LockstepRowStage:
     clock by a single row latency.  The rows are a numeric model: the
     stage owns no MAGIC crossbar (:attr:`units` is empty).  *layout* is
     the slot's :class:`~repro.karatsuba.cost.StageLayout`; its
-    ``multiplier_width`` is the rows' width.
+    ``multiplier_width`` is the rows' width.  Products leave as
+    lane-major rows of *out_cols*-column lanes (the next stage's
+    stride; ``2 m`` by default).
 
     Every row takes the same wear on every pass, so a batch charges its
     B passes to the stage's one :class:`RowWear` and touches no image:
@@ -384,12 +495,14 @@ class LockstepRowStage:
         name: str,
         wear_leveling: bool = True,
         residue_bits: int = DEFAULT_RESIDUE_BITS,
+        out_cols: int = None,
     ):
         self.layout = layout
         self.width = width = layout.multiplier_width
         self.steps = tuple(steps)
         self.wear_leveling = wear_leveling
         self.checker = ResidueChecker(name, residue_bits)
+        self.out_cols = 2 * width if out_cols is None else out_cols
         spec = RowMultiplierSpec(width)
         #: Wear of every row; each row reads its line of the one image.
         self.wear = RowWear(width, len(self.steps))
@@ -398,6 +511,15 @@ class LockstepRowStage:
             for line, (out, _, _) in enumerate(self.steps)
         }
         self.clock = Clock()
+        self._outs = tuple(out for out, _, _ in self.steps)
+        #: Every operand name once, and each step's operands as indices
+        #: into them.
+        self._inputs = tuple(dict.fromkeys(
+            name for _, lhs, rhs in self.steps for name in (lhs, rhs)
+        ))
+        index = {name: k for k, name in enumerate(self._inputs)}
+        self._lhs = [index[lhs] for _, lhs, _ in self.steps]
+        self._rhs = [index[rhs] for _, _, rhs in self.steps]
 
     @property
     def cell_writes(self) -> np.ndarray:
@@ -410,55 +532,126 @@ class LockstepRowStage:
         return self.wear.passes
 
     def process_batch(
-        self, operands_list: Sequence[Mapping[str, int]]
-    ) -> List[RowStageResult]:
+        self, batch: Union[LaneRows, Sequence[Mapping[str, int]]]
+    ) -> StageRows:
         """Run B jobs in lock-step, advancing the clock once.
 
-        Every operand map must name each step's inputs.  All
-        ``len(steps) * B`` sub-products are residue-verified; products
-        and wear equal one pass per job.
+        *batch* is the previous stage's rows as they stand, or one
+        operand map per job; either must name each step's inputs.
+        Returns the product rows, which index into per-job
+        :class:`RowStageResult` views.  Products and wear equal one
+        pass per job.
         """
-        operands_list = list(operands_list)
-        if not operands_list:
-            return []
-        products = self.lockstep_pass(operands_list)
+        products = self.lockstep_pass(batch)
         cycles = self.latency_cc()
-        self.clock.tick(cycles, category="rowmul")
-        return [RowStageResult(products=p, cycles=cycles) for p in products]
+        if products.lanes:
+            self.clock.tick(cycles, category="rowmul")
+        return StageRows(
+            products.rows, products.lanes, products.cols, cycles, RowStageResult
+        )
 
     def lockstep_pass(
-        self, operands_list: Sequence[Mapping[str, int]]
-    ) -> List[Dict[str, int]]:
-        """Run the rows over a batch of jobs; one product map per job.
+        self, batch: Union[LaneRows, Sequence[Mapping[str, int]]]
+    ) -> LaneRows:
+        """Run the rows over a batch of jobs; one product row per step.
 
-        All ``len(steps) * B`` sub-products go through one
-        :func:`carry_save_products` call, every row is charged ``B``
+        The operand rows become one bit matrix, every operand is
+        range-checked before anything is charged, and each side of all
+        ``len(steps) * B`` sub-products goes through one
+        :func:`carry_save_bits` pass.  Every row is charged ``B``
         multiplications (one count on the stage's :class:`RowWear`),
-        and every sub-product is residue-verified on its own under its
-        *out* label: ``res(z) == res(x)·res(y) mod (2^r − 1)``.  The
-        stage clock is the caller's.
+        and every sub-product is residue-verified under its *out*
+        label, ``res(z) == res(x)·res(y) mod (2^r − 1)``, all at once
+        from the bit matrices, counted and raised in job-major order as
+        one check per product.  A batch of a few sub-products runs the
+        same pass and checks on their values (:meth:`_narrow_pass`).
+        The stage clock is the caller's.
         """
+        operands = self._operand_rows(batch)
+        lanes, m = operands.lanes, self.width
+        if not lanes:
+            return LaneRows({}, 0, self.out_cols)
         try:
-            pairs = [
-                (operands[lhs], operands[rhs])
-                for operands in operands_list
-                for _, lhs, rhs in self.steps
-            ]
+            rows = [operands.rows[name] for name in self._inputs]
         except KeyError as missing:
             raise DesignError(f"missing operand {missing}") from None
-        products = iter(zip(pairs, carry_save_products(self.width, pairs)))
-        self.wear.charge(len(operands_list), self.wear_leveling)
+        steps, cols = len(self.steps), operands.cols
+        if lanes * steps <= _NARROW_PRODUCTS:
+            return self._narrow_pass(rows, lanes, cols)
+        if cols < m:
+            raise DesignError(f"{cols}-column lanes cannot hold {m}-bit operands")
+        if cols > m and any(row & ~lane_field(lanes, cols, m) for row in rows):
+            raise DesignError(f"operands must be {m}-bit non-negative integers")
+        # Position-major, the kernel's and the residue fold's layout:
+        # ``[j, name, job]`` is bit j of a job's operand.
+        bits = rows_bits(rows, lanes, cols)[:, :, :m]
+        bits = np.ascontiguousarray(bits.transpose(2, 0, 1))
+        products = carry_save_bits(
+            m,
+            # Lane ``s*B + j`` is step s of job j.
+            bits[:, self._lhs].reshape(m, steps * lanes),
+            bits[:, self._rhs].reshape(m, steps * lanes),
+        )
+        self.wear.charge(lanes, self.wear_leveling)
         checker = self.checker
+        res = checker.residues(bits)
+        checker.check_products(
+            checker.residues(products).reshape(steps, lanes),
+            res[self._lhs],
+            res[self._rhs],
+            self._outs,
+        )
+        out_rows = bits_rows(
+            products.reshape(2 * m, steps, lanes).transpose(1, 2, 0), self.out_cols
+        )
+        return LaneRows(dict(zip(self._outs, out_rows)), lanes, self.out_cols)
+
+    def _narrow_pass(self, rows: List[int], lanes: int, cols: int) -> LaneRows:
+        """:meth:`lockstep_pass` of a batch of at most
+        :data:`_NARROW_PRODUCTS` sub-products, on their values: one
+        :func:`carry_save_products` pass and one residue check per
+        sub-product, job by job, where numpy's per-call cost would
+        outweigh the work."""
+        m, steps, checker = self.width, len(self.steps), self.checker
+        values = [split_row(row, lanes, cols) for row in rows]
+        pairs = [
+            (values[lhs][job], values[rhs][job])
+            for job in range(lanes)
+            for lhs, rhs in zip(self._lhs, self._rhs)
+        ]
+        products = carry_save_products(m, pairs)
+        self.wear.charge(lanes, self.wear_leveling)
         res = checker.res
-        results: List[Dict[str, int]] = []
-        for _ in operands_list:
-            job: Dict[str, int] = {}
-            for out, _, _ in self.steps:
-                (lhs, rhs), product = next(products)
-                checker.check_product(product, res(lhs), res(rhs), out)
-                job[out] = product
-            results.append(job)
-        return results
+        for (x, y), product, out in zip(pairs, products, self._outs * lanes):
+            checker.check_product(product, res(x), res(y), out)
+        return LaneRows(
+            {
+                out: pack_row(products[step::steps], self.out_cols)
+                for step, out in enumerate(self._outs)
+            },
+            lanes,
+            self.out_cols,
+        )
+
+    def _operand_rows(self, batch) -> LaneRows:
+        """*batch* as operand rows: rows as they stand, or per-job maps
+        packed at ``m`` columns per lane."""
+        if isinstance(batch, LaneRows):
+            return batch
+        jobs, m, rows = list(batch), self.width, {}
+        if not jobs:
+            return LaneRows(rows, 0, m)
+        for name in self._inputs:
+            try:
+                values = [job[name] for job in jobs]
+            except KeyError as missing:
+                raise DesignError(f"missing operand {missing}") from None
+            if min(values) < 0 or max(values) >> m:
+                raise DesignError(
+                    f"operands must be {m}-bit non-negative integers"
+                )
+            rows[name] = pack_row(values, m)
+        return LaneRows(rows, len(jobs), m)
 
     def latency_cc(self) -> int:
         """One row latency: the rows finish together."""

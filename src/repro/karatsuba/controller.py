@@ -20,11 +20,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.arith.bitops import split_chunks
 from repro.karatsuba.multiply import MultiplicationStage
 from repro.karatsuba.postcompute import PostcomputeStage
 from repro.karatsuba.precompute import PrecomputeStage
 from repro.magic.backend import DEFAULT_BACKEND
+from repro.magic.executor import LaneRows, chunk_rows
 from repro.magic.stage import CrossbarStage
 from repro.sim.exceptions import DesignError
 from repro.telemetry import spans as _telemetry
@@ -88,20 +88,21 @@ class PipelineController:
 
     A design subclass declares its slots — :attr:`stage_attr_names`,
     the attributes holding the stage objects, slot for slot — and keeps
-    only its constructor, its operand split (:meth:`_split`) and the
-    result field each stage hands to the next (:attr:`handoff`).
+    only its constructor and its operand split (:meth:`_split`).
     Every stage exposes its ``layout``, ``process_batch``,
     ``latency_cc()``, ``area_cells``, ``max_writes()``, ``checker``
     (``None`` when it checks nothing) and ``units``, the crossbar units
     it owns (none for the row-multiplier and periphery slots).  Energy, spares,
     fault hooks, repair, compile caches and optimizer stats all read
     those unit lists.
+
+    Stages hand a batch on as lane-major rows, one lane per job: each
+    ``process_batch`` returns a :class:`~repro.magic.executor.StageRows`
+    that the next stage takes as it stands, and the last stage's rows
+    hold every job's ``product``.
     """
 
     stage_attr_names: Tuple[str, str, str]
-    #: Result field each stage passes on, slot for slot; the last
-    #: stage's results carry ``product``.
-    handoff: Tuple[str, str]
 
     def __init__(self, n_bits: int, optimize: bool, backend: object):
         self.n_bits = n_bits
@@ -141,8 +142,8 @@ class PipelineController:
         ]
 
     # ------------------------------------------------------------------
-    def _split(self, pairs: List[Tuple[int, int]]) -> list:
-        """First-stage inputs of every operand pair."""
+    def _split(self, pairs: List[Tuple[int, int]]) -> LaneRows:
+        """The first stage's input rows of the operand pairs."""
         raise NotImplementedError
 
     def _check_products(
@@ -183,28 +184,17 @@ class PipelineController:
         tracer = _telemetry.active()
         jobs, width = len(pairs), self.n_bits
         batch = self._split(pairs)
-        results = []
-        slots = zip(self.stage_names, self.stages)
-        for slot, (name, stage) in enumerate(slots):
-            if slot:
-                field = self.handoff[slot - 1]
-                batch = [getattr(r, field) for r in results[-1]]
+        cycles = []
+        for name, stage in zip(self.stage_names, self.stages):
             with stage_span(tracer, name, stage, width, jobs):
-                results.append(stage.process_batch(batch))
-        first, middle, last = results
-        products = [r.product for r in last]
+                batch = stage.process_batch(batch)
+            cycles.append(batch.cycles)
+        products = batch.split("product")
         self._check_products(pairs, products)
         self.jobs += jobs
         return [
-            JobRecord(
-                a=a,
-                b=b,
-                product=products[i],
-                precompute_cycles=first[i].cycles,
-                multiply_cycles=middle[i].cycles,
-                postcompute_cycles=last[i].cycles,
-            )
-            for i, (a, b) in enumerate(pairs)
+            JobRecord(a, b, product, *cycles)
+            for (a, b), product in zip(pairs, products)
         ]
 
     # ------------------------------------------------------------------
@@ -297,7 +287,6 @@ class KaratsubaController(PipelineController):
     """
 
     stage_attr_names = ("precompute", "multiply_stage", "postcompute")
-    handoff = ("chunk_sums", "products")
 
     def __init__(
         self,
@@ -345,12 +334,18 @@ class KaratsubaController(PipelineController):
         )
 
     def _split(self, pairs):
-        chunk_bits, chunks = self.n_bits >> self.depth, 1 << self.depth
-        return [
-            (split_chunks(a, chunk_bits, chunks),
-             split_chunks(b, chunk_bits, chunks))
-            for a, b in pairs
-        ]
+        n_bits, chunks, jobs = self.n_bits, 1 << self.depth, len(pairs)
+        cols = self.precompute.cols
+        # One split of every a, then every b: each chunk row's low half
+        # is the a-chunk row, its high half the b-chunk row.
+        rows = chunk_rows(
+            [a for a, _ in pairs] + [b for _, b in pairs],
+            n_bits, n_bits // chunks, chunks, cols,
+        )
+        half = jobs * cols
+        a_rows = [row & ((1 << half) - 1) for row in rows]
+        b_rows = [row >> half for row in rows]
+        return LaneRows(dict(zip(self.precompute.inputs, a_rows + b_rows)), jobs, cols)
 
 
 def depth_study(

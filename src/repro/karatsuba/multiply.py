@@ -19,6 +19,7 @@ the hottest cell's write accumulation
 from __future__ import annotations
 
 from repro.arith.rowmul import LockstepRowStage
+from repro.karatsuba import postcompute
 from repro.karatsuba.cost import StageLayout
 from repro.karatsuba.unroll import UnrolledPlan, build_plan
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS
@@ -38,11 +39,11 @@ def layout(plan: UnrolledPlan) -> StageLayout:
 class MultiplicationStage(LockstepRowStage):
     """Cycle-accurate multiplication subarray (one row per product).
 
-    Each operand set must contain every name referenced by the plan
-    (the precompute stage's output mapping is exactly that); all
+    The precompute stage's rows name every operand of the plan; all
     ``3^L B`` sub-products of a batch run as one bit-sliced
     :meth:`~repro.arith.rowmul.LockstepRowStage.lockstep_pass`, each
-    residue-verified.
+    residue-verified, and leave as rows of the postcompute adder's
+    ``1.5 n``-column lanes.
     """
 
     def __init__(
@@ -54,10 +55,13 @@ class MultiplicationStage(LockstepRowStage):
     ):
         self.n_bits = n_bits
         self.plan: UnrolledPlan = build_plan(n_bits, depth)
+        (adder,) = postcompute.layout(self.plan).units
         super().__init__(
             layout(self.plan),
             [(s.out, s.lhs, s.rhs) for s in self.plan.multiplications],
             "multiply",
             wear_leveling=wear_leveling,
             residue_bits=residue_bits,
+            # Products leave in the postcompute adder's lanes.
+            out_cols=adder.cols,
         )

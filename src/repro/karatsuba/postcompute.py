@@ -60,7 +60,13 @@ from repro.crossbar.endurance import WearLevelingController
 from repro.karatsuba.cost import StageLayout, UnitLayout
 from repro.karatsuba.unroll import UnrolledPlan, build_plan
 from repro.magic.backend import DEFAULT_BACKEND
-from repro.magic.executor import pack_row
+from repro.magic.executor import (
+    LaneRows,
+    StageRows,
+    lane_field,
+    pack_row,
+    restride_row,
+)
 from repro.magic.stage import CrossbarStage
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
 from repro.sim.clock import Clock
@@ -257,33 +263,41 @@ class PostcomputeStage(AdderPassStage, CrossbarStage):
             )
         return walk
 
-    def _plan(
-        self, jobs: List[Dict[str, int]]
-    ) -> Tuple[RowPlan, List[PostcomputeResult]]:
+    def _plan(self, batch) -> Tuple[RowPlan, StageRows]:
         """Pure-integer walk of the pass schedule over the batch.
 
-        Records the operand rows of every pass and returns each job's
-        final product.  The in-memory replay follows this plan and
-        checks each sensed result against it, so arithmetic remains
-        verified bit-for-bit through the real adder.
+        *batch* is the multiply stage's product rows as they stand, or
+        one partial-product map per job.  Records the operand rows of
+        every pass and hands on the product row.  The in-memory replay
+        follows this plan and checks each sensed result against it, so
+        arithmetic remains verified bit-for-bit through the real adder.
         """
         cols = self.cols
+        if isinstance(batch, LaneRows):
+            lanes, rows = batch.lanes, batch.rows
+            if batch.cols != cols:
+                raise DesignError(
+                    f"product rows of {batch.cols}-column lanes, the stage "
+                    f"adds {cols}-column lanes"
+                )
+        else:
+            jobs = list(batch)
+            lanes, rows = len(jobs), {}
+            for name, width in self._slot_widths:
+                products = [job[name] for job in jobs if name in job]
+                if len(products) == lanes:
+                    if min(products) < 0 or max(products) >> width:
+                        raise DesignError(f"product {name} does not fit its slot")
+                    rows[name] = pack_row(products, cols)
+        missing = [name for name, _ in self._slot_widths if name not in rows]
+        if missing:
+            raise DesignError(f"missing partial products: {sorted(missing)}")
         values = {}
         for name, width in self._slot_widths:
-            try:
-                products = [job[name] for job in jobs]
-            except KeyError:
-                missing = {
-                    slot for slot, _ in self._slot_widths for job in jobs
-                    if slot not in job
-                }
-                raise DesignError(
-                    f"missing partial products: {sorted(missing)}"
-                ) from None
-            if min(products) < 0 or max(products) >> width:
+            if rows[name] & ~lane_field(lanes, cols, width):
                 raise DesignError(f"product {name} does not fit its slot")
-            values[name] = pack_row(products, cols)
-        plan = RowPlan(self._schedule, len(jobs), dict(values))
+            values[name] = rows[name]
+        plan = RowPlan(self._schedule, lanes, dict(values))
         run, shl = plan.run, plan.shl
         for name, op, xk, xs, x_more, yk, ys, y_more, outs in self._walk:
             x = shl(values[xk], xs, cols)
@@ -310,10 +324,16 @@ class PostcomputeStage(AdderPassStage, CrossbarStage):
             plan.shr(low, shift, cols) | shl(values[high_key], shift, cols),
             values[tilde_key],
         )
-        keep = (1 << shift) - 1
-        return plan, [
-            PostcomputeResult(
-                product=(top << shift) | (low & keep), cycles=self._latency
-            )
-            for top, low in zip(plan.split(total, cols), plan.split(low, cols))
-        ]
+        # The product lanes are 2n wide: each the sum's lanes above the
+        # pass-through bits of c_l.
+        width = 2 * self.n_bits
+        product = restride_row(total, lanes, cols, width) << shift | restride_row(
+            plan.low(low, shift, cols), lanes, cols, width
+        )
+        return plan, StageRows(
+            {"product": product}, lanes, width, self._latency, _product_result
+        )
+
+
+def _product_result(values: Dict[str, int], cycles: int) -> PostcomputeResult:
+    return PostcomputeResult(product=values["product"], cycles=cycles)

@@ -41,7 +41,7 @@ from repro.crossbar.endurance import WearLevelingController
 from repro.karatsuba.cost import StageLayout, UnitLayout
 from repro.karatsuba.unroll import UnrolledPlan, build_plan
 from repro.magic.backend import DEFAULT_BACKEND
-from repro.magic.executor import pack_row
+from repro.magic.executor import LaneRows, StageRows, lane_field, pack_row
 from repro.magic.stage import CrossbarStage
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
 from repro.sim.clock import Clock
@@ -117,7 +117,8 @@ class PrecomputeStage(AdderPassStage, CrossbarStage):
         (unit,) = self.layout.units
         self.cols = unit.cols
         chunks = self.plan.num_chunks
-        self._inputs = tuple(
+        #: The chunk rows every job writes, ``a0..`` then ``b0..``.
+        self.inputs = tuple(
             f"{prefix}{i}" for prefix in "ab" for i in range(chunks)
         )
         #: ``(out, lhs, rhs)`` of every addition, in plan order.
@@ -152,7 +153,7 @@ class PrecomputeStage(AdderPassStage, CrossbarStage):
         self._scratch = range(data_rows, data_rows + SCRATCH_ROWS)
         #: Logical row of every named operand (inputs, then results).
         self._row_of = {
-            name: row for row, name in enumerate(self._inputs + self._outs)
+            name: row for row, name in enumerate(self.inputs + self._outs)
         }
         scratch = tuple(self._scratch)
         #: One pass per addition, in logical rows.
@@ -179,7 +180,7 @@ class PrecomputeStage(AdderPassStage, CrossbarStage):
         return [(self, self._passes)]
 
     def _input_writes(self) -> List[Tuple[int, str, int, int]]:
-        return [(self._row_of[name], name, 0, self.cols) for name in self._inputs]
+        return [(self._row_of[name], name, 0, self.cols) for name in self.inputs]
 
     def _closing_rows(self) -> List[int]:
         # Reset the whole data region (inputs and results) in one
@@ -192,39 +193,45 @@ class PrecomputeStage(AdderPassStage, CrossbarStage):
     def _sense_name(self, index: int) -> str:
         return self._outs[index]
 
-    def _plan(
-        self, jobs: List[Tuple[List[int], List[int]]]
-    ) -> Tuple[RowPlan, List[PrecomputeResult]]:
-        """Every chunk addition of the batch, one row per named value."""
-        chunks = self.plan.num_chunks
-        inputs = []
-        for a_chunks, b_chunks in jobs:
-            if len(a_chunks) != chunks or len(b_chunks) != chunks:
+    def _plan(self, batch) -> Tuple[RowPlan, StageRows]:
+        """Every chunk addition of the batch, one row per named value.
+
+        *batch* is the controller's chunk rows as they stand, or one
+        ``(a_chunks, b_chunks)`` pair per job; the rows of every chunk
+        and every sum are handed on as they are."""
+        cols, chunk_bits = self.cols, self.plan.chunk_bits
+        if isinstance(batch, LaneRows):
+            lanes = batch.lanes
+            rows = {name: batch.rows[name] for name in self.inputs}
+            if batch.cols != cols or any(
+                row & ~lane_field(lanes, cols, chunk_bits) for row in rows.values()
+            ):
                 raise DesignError(
-                    f"precompute expects {chunks} chunks per operand"
+                    f"chunks must be non-negative and fit {chunk_bits} bits "
+                    f"in {cols}-column lanes"
                 )
-            inputs.append((*a_chunks, *b_chunks))
-        columns = list(zip(*inputs))
-        for values in columns:
-            if min(values) < 0 or max(values) >> self.plan.chunk_bits:
-                raise DesignError(
-                    f"chunks must be non-negative and fit "
-                    f"{self.plan.chunk_bits} bits"
-                )
-        cols = self.cols
-        rows = {
-            name: pack_row(values, cols)
-            for name, values in zip(self._inputs, columns)
-        }
-        plan = RowPlan(self._schedule, len(jobs), dict(rows))
+        else:
+            chunks = self.plan.num_chunks
+            inputs = []
+            for a_chunks, b_chunks in batch:
+                if len(a_chunks) != chunks or len(b_chunks) != chunks:
+                    raise DesignError(
+                        f"precompute expects {chunks} chunks per operand"
+                    )
+                inputs.append((*a_chunks, *b_chunks))
+            columns = list(zip(*inputs))
+            for values in columns:
+                if min(values) < 0 or max(values) >> chunk_bits:
+                    raise DesignError(
+                        f"chunks must be non-negative and fit {chunk_bits} bits"
+                    )
+            lanes = len(inputs)
+            rows = {
+                name: pack_row(values, cols)
+                for name, values in zip(self.inputs, columns)
+            }
+        plan = RowPlan(self._schedule, lanes, dict(rows))
         run = plan.run
         for out, lhs, rhs in self._adds:
             rows[out] = run(out, "add", rows[lhs], rows[rhs])
-        names = (*self._inputs, *self._outs)
-        columns += [plan.split(rows[out], cols) for out in self._outs]
-        return plan, [
-            PrecomputeResult(
-                chunk_sums=dict(zip(names, values)), cycles=self._latency
-            )
-            for values in zip(*columns)
-        ]
+        return plan, StageRows(rows, lanes, cols, self._latency, PrecomputeResult)

@@ -138,41 +138,6 @@ def unpack_ints(words: np.ndarray) -> List[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def pack_lanes(values: Sequence[int], width: int, lane_bits: int) -> int:
-    """Bit-slice per-lane values position-major into one integer (the
-    row multiplier's layout, :mod:`repro.arith.rowmul`).
-
-    Bit ``i * lane_bits + lane`` of the result is bit *i* of
-    ``values[lane]``.  Lanes past ``len(values)`` repeat the last value.
-    At one lane the field is the (validated) value itself, and nothing
-    is packed.
-    """
-    if lane_bits == 1:
-        (value,) = values
-        _check_storable((value,), width)
-        return value
-    bits = pack_ints(values, width)
-    if width == 0:
-        return 0
-    if lane_bits != bits.shape[0]:
-        pad = np.broadcast_to(bits[-1:], (lane_bits - bits.shape[0], width))
-        bits = np.concatenate([bits, pad], axis=0)
-    raw = np.packbits(np.ascontiguousarray(bits.T).reshape(-1), bitorder="little")
-    return int.from_bytes(raw.tobytes(), "little")
-
-
-def unpack_lanes(value: int, width: int, lane_bits: int, lanes: int) -> List[int]:
-    """The first *lanes* per-lane integers of a :func:`pack_lanes` field."""
-    if lane_bits == 1:
-        return [value][:lanes]
-    if width == 0:
-        return [0] * lanes
-    total = width * lane_bits
-    raw = np.frombuffer(value.to_bytes((total + 7) // 8, "little"), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")[:total].reshape(width, lane_bits)
-    return unpack_ints(np.ascontiguousarray(bits[:, :lanes].T))
-
-
 #: RunStats counter attribute per micro-op opcode.
 _STAT_FIELD = {
     "init": "init_ops",
@@ -547,6 +512,76 @@ def lane_field(batch: int, cols: int, bits: int) -> int:
     return _repunit(batch, cols) * ((1 << bits) - 1)
 
 
+def rows_bits(rows: Sequence[int], lanes: int, cols: int) -> np.ndarray:
+    """The ``(len(rows), lanes, cols)`` bit matrix (``uint8``) of the
+    lane-major *rows*: entry ``[k, lane, c]`` is bit ``lane * cols + c``
+    of ``rows[k]``.  Every row is non-negative and fits ``lanes * cols``
+    bits."""
+    total = lanes * cols
+    nbytes = (total + 7) // 8
+    raw = np.frombuffer(
+        b"".join([row.to_bytes(nbytes, "little") for row in rows]), dtype=np.uint8
+    )
+    bits = np.unpackbits(
+        raw.reshape(len(rows), nbytes), axis=1, count=total, bitorder="little"
+    )
+    return bits.reshape(len(rows), lanes, cols)
+
+
+def bits_rows(bits: np.ndarray, cols: int) -> List[int]:
+    """Lane-major rows of *cols*-column lanes from a ``(rows, lanes,
+    width)`` bit matrix, ``width <= cols``, the columns above *width*
+    zero (the inverse of :func:`rows_bits`)."""
+    count, lanes, width = bits.shape
+    if width != cols:
+        padded = np.zeros((count, lanes, cols), dtype=np.uint8)
+        padded[:, :, :width] = bits
+        bits = padded
+    packed = np.packbits(bits.reshape(count, lanes * cols), axis=1, bitorder="little")
+    step = packed.shape[1]
+    raw = packed.tobytes()
+    return [
+        int.from_bytes(raw[start:start + step], "little")
+        for start in range(0, count * step, step)
+    ]
+
+
+#: Lane counts up to which :func:`restride_row` and :func:`chunk_rows`
+#: split and pack lanes with integer shifts; wider rows go through one
+#: bit matrix.
+_SHIFT_LANES = 8
+
+
+def chunk_rows(
+    values: Sequence[int], width: int, chunk_bits: int, chunks: int, cols: int
+) -> List[int]:
+    """The lane-major rows of *values*' *chunk_bits*-bit chunks, chunk 0
+    first: one lane per value, of *cols* columns, each value
+    non-negative and fitting *width* ``<= chunks * chunk_bits`` bits.
+    A wide batch splits as one bit matrix, a narrow one with shifts."""
+    lanes = len(values)
+    if lanes <= _SHIFT_LANES:
+        mask = (1 << chunk_bits) - 1
+        return [
+            pack_row([value >> shift & mask for value in values], cols)
+            for shift in range(0, chunks * chunk_bits, chunk_bits)
+        ]
+    bits = np.zeros((lanes, chunks * chunk_bits), dtype=np.uint8)
+    bits[:, :width] = rows_bits(values, 1, width).reshape(lanes, width)
+    return bits_rows(bits.reshape(lanes, chunks, chunk_bits).transpose(1, 0, 2), cols)
+
+
+def restride_row(row: int, lanes: int, cols: int, new_cols: int) -> int:
+    """*row* re-packed from *cols*- to *new_cols*-column lanes; every
+    lane's value must fit *new_cols* columns."""
+    if lanes == 1 or cols == new_cols:
+        return row
+    if lanes <= _SHIFT_LANES:
+        return pack_row(split_row(row, lanes, cols), new_cols)
+    bits = rows_bits([row], lanes, cols)[:, :, :new_cols]
+    return bits_rows(bits, new_cols)[0]
+
+
 class LaneRows(abc.Sequence):
     """Named values of a batch's lanes, as lane-major rows.
 
@@ -586,6 +621,34 @@ class LaneRows(abc.Sequence):
     def split(self, name: str) -> List[int]:
         """Every lane's value of *name*, lane 0 first."""
         return split_row(self.rows[name], self.lanes, self.cols)
+
+
+class StageRows(LaneRows):
+    """One pipeline stage's results for a batch: the lane-major rows it
+    hands to the next stage, one lane per job, and each job's result
+    record, built only when indexed.
+
+    A controller hands the rows on as they stand; indexing or iterating
+    gives ``record(values, cycles)`` per job, *values* that job's
+    ``{name: value}`` view of the rows and *cycles* the stage latency
+    every job of the batch took.
+    """
+
+    __slots__ = ("cycles", "_record")
+
+    def __init__(
+        self, rows: Dict[str, int], lanes: int, cols: int, cycles: int, record
+    ):
+        super().__init__(rows, lanes, cols)
+        self.cycles = cycles
+        self._record = record
+
+    def __getitem__(self, job: int):
+        return self._record(super().__getitem__(job), self.cycles)
+
+    def __iter__(self):
+        record, cycles = self._record, self.cycles
+        return (record(values, cycles) for values in super().__iter__())
 
 
 class LaneRuns(abc.Sequence):

@@ -28,6 +28,7 @@ from repro.arith.rowmul import LockstepRowStage
 from repro.karatsuba.controller import JobRecord, PipelineController
 from repro.karatsuba.cost import StageLayout
 from repro.magic.backend import DEFAULT_BACKEND
+from repro.magic.executor import LaneRows, pack_row
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS
 from repro.sim.clock import Clock
 from repro.sim.exceptions import DesignError
@@ -135,15 +136,19 @@ class SchoolbookController(PipelineController):
         )
         latencies = self.stage_latencies()
         with stage_span:
-            products = self.multiply.lockstep_pass(
-                [{"a": a, "b": b} for a, b in pairs]
+            n = self.n_bits
+            operands = LaneRows(
+                {side: pack_row(values, n) for side, values in zip("ab", zip(*pairs))},
+                len(pairs),
+                n,
             )
+            products = self.multiply.lockstep_pass(operands).split("product")
             # Jobs run back to back in the single row; the batch
             # advances the clock once per job (no lane parallelism to
             # exploit — the row is the whole datapath).
             self.clock.tick(len(pairs) * sum(latencies), category="rowmul")
         self.jobs += len(pairs)
         return [
-            JobRecord(a, b, product["product"], *latencies)
+            JobRecord(a, b, product, *latencies)
             for (a, b), product in zip(pairs, products)
         ]

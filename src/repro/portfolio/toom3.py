@@ -57,7 +57,10 @@ the same point set (see ``tests/test_portfolio.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
+
+import numpy as np
 
 from repro.arith.bitops import ceil_div, ceil_log2, mask
 from repro.arith.koggestone import (
@@ -72,6 +75,13 @@ from repro.arith.rowmul import LockstepRowStage
 from repro.karatsuba.controller import PipelineController
 from repro.karatsuba.cost import StageLayout, UnitLayout
 from repro.magic.backend import DEFAULT_BACKEND
+from repro.magic.executor import (
+    LaneRows,
+    StageRows,
+    chunk_rows,
+    lane_field,
+    pack_row,
+)
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
 from repro.sim.clock import Clock
 from repro.sim.exceptions import DesignError
@@ -141,12 +151,6 @@ def _check_width(n_bits: int) -> None:
         raise DesignError(
             f"the Toom-3 design needs n >= {MIN_BITS}, got {n_bits}"
         )
-
-
-def split3(value: int, cb: int) -> List[int]:
-    """Split into three chunks of ``cb`` bits (top chunk may be short)."""
-    m = mask(cb)
-    return [(value >> (i * cb)) & m for i in range(3)]
 
 
 #: Point-wise products: output name -> (a-side input, b-side input).
@@ -249,6 +253,10 @@ class _Toom3AdderStage(AdderPassStage):
         self.clock = Clock()
 
     def unit_passes(self):
+        return self._unit_passes
+
+    @cached_property
+    def _unit_passes(self):
         return [
             (unit, [(unit.adder, op) for op, _ in planned.passes])
             for unit, planned in zip(self.units, self.layout.units)
@@ -287,26 +295,42 @@ class EvaluationStage(_Toom3AdderStage):
     def unit(self) -> AdderUnit:
         return self.units[0]
 
-    def _plan(
-        self, jobs: List[Tuple[List[int], List[int]]]
-    ) -> Tuple[RowPlan, List[EvalResult]]:
+    def _plan(self, batch) -> Tuple[RowPlan, StageRows]:
         """Two lanes per job, the a- and the b-operand:
-        ``A(2^k) = a0 + (a1 << k) + (a2 << 2k)``, two passes per point."""
-        lanes = []
-        for a_chunks, b_chunks in jobs:
-            if len(a_chunks) != 3 or len(b_chunks) != 3:
-                raise DesignError("Toom-3 expects 3 chunks per operand")
-            lanes += (a_chunks, b_chunks)
-        columns = list(zip(*lanes))
-        for values in columns:
-            if min(values) < 0 or max(values) >> self.cb:
-                raise DesignError(
-                    f"chunks must be non-negative and fit {self.cb} bits"
-                )
+        ``A(2^k) = a0 + (a1 << k) + (a2 << 2k)``, two passes per point.
+
+        *batch* is the controller's chunk rows ``c0``..``c2`` as they
+        stand (a job's two lanes side by side, one ``2 x cols``-column
+        lane per job), or one ``(a_chunks, b_chunks)`` pair per job.
+        Hands on each side's point values as its own row at that
+        stride."""
         cols = self.unit.array.cols
-        plan = RowPlan(self._schedule, len(lanes))
-        c0, c1, c2 = (plan.pack(values, cols) for values in columns)
-        points = []
+        if isinstance(batch, LaneRows):
+            jobs = batch.lanes
+            c0, c1, c2 = (batch.rows[f"c{i}"] for i in range(3))
+            if batch.cols != 2 * cols or any(
+                row & ~lane_field(2 * jobs, cols, self.cb) for row in (c0, c1, c2)
+            ):
+                raise DesignError(
+                    f"chunks must be non-negative and fit {self.cb} bits "
+                    f"in {cols}-column lanes"
+                )
+        else:
+            lanes = []
+            for a_chunks, b_chunks in batch:
+                if len(a_chunks) != 3 or len(b_chunks) != 3:
+                    raise DesignError("Toom-3 expects 3 chunks per operand")
+                lanes += (a_chunks, b_chunks)
+            columns = list(zip(*lanes))
+            for values in columns:
+                if min(values) < 0 or max(values) >> self.cb:
+                    raise DesignError(
+                        f"chunks must be non-negative and fit {self.cb} bits"
+                    )
+            jobs = len(lanes) // 2
+            c0, c1, c2 = (pack_row(values, cols) for values in columns)
+        plan = RowPlan(self._schedule, 2 * jobs)
+        points = [c0]
         for k in range(3):
             point = 1 << k
             s = plan.run(
@@ -315,18 +339,17 @@ class EvaluationStage(_Toom3AdderStage):
                 plan.shl(c1, k, cols),
                 plan.shl(c2, 2 * k, cols),
             )
-            points.append(plan.split(plan.run(f"e{point}", OP_ADD, s, c0), cols))
-        results = []
-        for j, (a_chunks, b_chunks) in enumerate(jobs):
-            values: Dict[str, int] = {}
-            sides = ((2 * j, "A", a_chunks), (2 * j + 1, "B", b_chunks))
-            for lane, side, chunks in sides:
-                values[f"{side}0"] = chunks[0]
-                for k, evaluated in enumerate(points):
-                    values[f"{side}{1 << k}"] = evaluated[lane]
-                values[f"{side}inf"] = chunks[2]
-            results.append(EvalResult(values=values, cycles=self.latency_cc()))
-        return plan, results
+            points.append(plan.run(f"e{point}", OP_ADD, s, c0))
+        points.append(c2)
+        # A job's a-lane is the low half of its double lane, its b-lane
+        # the high half.
+        side = lane_field(jobs, 2 * cols, cols)
+        names = ("0", "1", "2", "4", "inf")
+        rows = {f"A{name}": row & side for name, row in zip(names, points)}
+        rows.update(
+            (f"B{name}", row >> cols & side) for name, row in zip(names, points)
+        )
+        return plan, StageRows(rows, jobs, 2 * cols, self.latency_cc(), EvalResult)
 
 
 # ----------------------------------------------------------------------
@@ -342,12 +365,15 @@ class PointwiseStage(LockstepRowStage):
         residue_bits: int = DEFAULT_RESIDUE_BITS,
     ):
         self.n_bits = n_bits
+        pointwise, interpolate = layouts(n_bits)[1:]
         super().__init__(
-            layouts(n_bits)[1],
+            pointwise,
             POINTWISE_STEPS,
             "pointwise",
             wear_leveling=wear_leveling,
             residue_bits=residue_bits,
+            # Products leave in the narrow interpolation adder's lanes.
+            out_cols=interpolate.units[0].cols,
         )
 
 
@@ -381,22 +407,29 @@ class InterpolationStage(_Toom3AdderStage):
     def wide(self) -> AdderUnit:
         return self.units[1]
 
-    def _plan(
-        self, jobs: List[Dict[str, int]]
-    ) -> Tuple[RowPlan, List[InterpolationResult]]:
+    def _plan(self, batch) -> Tuple[RowPlan, StageRows]:
+        """*batch* is the point-wise product rows as they stand (lanes
+        of the narrow adder's columns), or one product map per job."""
         cb = self.cb
         width = self.narrow.adder.layout.width
         # Lane-major rows of the narrow (n) and the wide (w) adder.
         n, w = self.narrow.array.cols, self.wide.array.cols
-        plan = RowPlan(self._schedule, len(jobs))
+        keys = ("v0", "v1", "v2", "v4", "vinf")
+        if isinstance(batch, LaneRows):
+            if batch.cols != n:
+                raise DesignError(
+                    f"product rows of {batch.cols}-column lanes, the narrow "
+                    f"adder adds {n}-column lanes"
+                )
+            plan = RowPlan(self._schedule, batch.lanes)
+            v0, v1, v2, v4, vinf = (batch.rows[key] for key in keys)
+        else:
+            jobs = list(batch)
+            plan = RowPlan(self._schedule, len(jobs))
+            v0, v1, v2, v4, vinf = (
+                plan.pack([job[key] for job in jobs], n) for key in keys
+            )
         run, shl, shr = plan.run, plan.shl, plan.shr
-        inputs = {
-            key: [job[key] for job in jobs]
-            for key in ("v0", "v1", "v2", "v4", "vinf")
-        }
-        v0, v1, v2, v4, vinf = (
-            plan.pack(values, n) for values in inputs.values()
-        )
         wmask = plan.const(mask(width), n)
         # Reduction to w1 = c1+c2+c3, w2 = c1+2c2+4c3, w4 = c1+4c2+16c3.
         m1 = run("m1", OP_SUB, v1, v0)
@@ -436,18 +469,26 @@ class InterpolationStage(_Toom3AdderStage):
 
         # Recombination on the wide adder; the low cb bits of v0 pass
         # through untouched (LSB pass-through, Karatsuba-style).
-        c1, c2, c3 = (plan.restride(row, n, w) for row in (c1, c2, c3))
-        r = run("r1", OP_ADD, shr(plan.pack(inputs["v0"], w), cb, w), c1)
+        c1, c2, c3, wide_v0, wide_vinf = (
+            plan.restride(row, n, w) for row in (c1, c2, c3, v0, vinf)
+        )
+        r = run("r1", OP_ADD, shr(wide_v0, cb, w), c1)
         r = run("r2", OP_ADD, r, shl(c2, cb, w))
         r = run("r3", OP_ADD, r, shl(c3, 2 * cb, w))
-        r = run("r4", OP_ADD, r, shl(plan.pack(inputs["vinf"], w), 3 * cb, w))
-        keep = mask(cb)
-        return plan, [
-            InterpolationResult(
-                product=(top << cb) | (low & keep), cycles=self.latency_cc()
-            )
-            for top, low in zip(plan.split(r, w), inputs["v0"])
-        ]
+        r = run("r4", OP_ADD, r, shl(wide_vinf, 3 * cb, w))
+        # The 2n-bit product lanes: the sum's lanes above v0's low bits.
+        product_cols = 2 * self.n_bits
+        product = plan.restride(r, w, product_cols) << cb | plan.restride(
+            plan.low(v0, cb, n), n, product_cols
+        )
+        return plan, StageRows(
+            {"product": product}, plan.lanes, product_cols, self.latency_cc(),
+            _product_result,
+        )
+
+
+def _product_result(values: Dict[str, int], cycles: int) -> InterpolationResult:
+    return InterpolationResult(product=values["product"], cycles=cycles)
 
 
 # ----------------------------------------------------------------------
@@ -464,7 +505,6 @@ class Toom3Controller(PipelineController):
     """
 
     stage_attr_names = ("evaluate", "pointwise", "interpolate")
-    handoff = ("values", "products")
 
     def __init__(
         self,
@@ -499,14 +539,27 @@ class Toom3Controller(PipelineController):
         )
 
     def _split(self, pairs):
-        cb = chunk_bits(self.n_bits)
-        return [(split3(a, cb), split3(b, cb)) for a, b in pairs]
+        # Chunk i of a job's a and b side by side: the evaluation's two
+        # lanes per job, one double lane.
+        n_bits, cols = self.n_bits, self.evaluate.unit.array.cols
+        rows = chunk_rows(
+            [value for pair in pairs for value in pair],
+            n_bits, chunk_bits(n_bits), 3, cols,
+        )
+        return LaneRows(
+            {f"c{i}": row for i, row in enumerate(rows)}, len(pairs), 2 * cols
+        )
 
     def _check_products(self, pairs, products):
-        # End-to-end ABFT closure: the assembled product must agree
-        # with the operands' residues.
+        # End-to-end ABFT closure: every assembled product must agree
+        # with its operands' residues.
         checker = self.interpolate.checker
-        for (a, b), product in zip(pairs, products):
-            checker.check_product(
-                product, checker.res(a), checker.res(b), "product"
-            )
+        modulus = checker.modulus
+        residues = np.array([
+            [product % modulus for product in products],
+            [a % modulus for a, _ in pairs],
+            [b % modulus for _, b in pairs],
+        ])
+        checker.check_products(
+            residues[:1], residues[1:2], residues[2:], ("product",)
+        )

@@ -32,7 +32,9 @@ crossbar itself.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Sequence
+
+import numpy as np
 
 from repro.sim.exceptions import StageSelfCheckError
 
@@ -103,28 +105,56 @@ class ResidueChecker:
         self.modulus = modulus(residue_bits)
         self.checks = 0
         self.mismatches = 0
+        self._weights = np.zeros(0)
 
     # ------------------------------------------------------------------
     def res(self, value: int) -> int:
         """Residue of a full-width value (input digestion)."""
         return value % self.modulus
 
+    def residues(self, bits: np.ndarray) -> np.ndarray:
+        """Residue of every value of a position-major bit matrix: row
+        *i* of the ``(width, ...)`` *bits* is bit *i* of every value.
+
+        Bit *i* weighs ``2^(i mod r)``, as in the periphery's folding
+        tree over a sensed row.  Returns the ``int64`` residues, shaped
+        ``bits.shape[1:]``.
+        """
+        width = bits.shape[0]
+        weights = self._weights
+        if len(weights) < width:
+            # Float weights fold with one BLAS product, exact while every
+            # sum (at most width * 2^(r-1)) fits the float's mantissa.
+            r = self.residue_bits
+            exact32 = width << (r - 1) < 1 << 24
+            weights = self._weights = (2.0 ** (np.arange(width) % r)).astype(
+                np.float32 if exact32 else np.float64
+            )
+        folded = weights[:width] @ bits.reshape(width, -1)
+        return (folded.astype(np.int64) % self.modulus).reshape(bits.shape[1:])
+
     def _verify(
         self, sensed: int, predicted: int, location: str, lane=None
     ) -> None:
         self.checks += 1
         if sensed % self.modulus != predicted:
-            self.mismatches += 1
             if lane is not None:
                 location = f"{location}[{lane}]"
-            raise StageSelfCheckError(
-                f"{self.stage}: residue mismatch at {location}: "
-                f"res(sensed)={sensed % self.modulus} != predicted "
-                f"{predicted} (mod {self.modulus})",
-                stage=self.stage,
-                check="residue",
-                location=location,
-            )
+            raise self._mismatch(sensed % self.modulus, predicted, location)
+
+    def _mismatch(
+        self, sensed_residue: int, predicted: int, location: str
+    ) -> StageSelfCheckError:
+        """Count a mismatch; the error that reports it."""
+        self.mismatches += 1
+        return StageSelfCheckError(
+            f"{self.stage}: residue mismatch at {location}: "
+            f"res(sensed)={sensed_residue} != predicted "
+            f"{predicted} (mod {self.modulus})",
+            stage=self.stage,
+            check="residue",
+            location=location,
+        )
 
     def check_adder(
         self, sensed: int, op: str, x: int, y: int, location: str, lane=None
@@ -149,6 +179,30 @@ class ResidueChecker:
         predicted = (ra * rb) % self.modulus
         self._verify(sensed, predicted, location)
         return predicted
+
+    def check_products(
+        self,
+        sensed: np.ndarray,
+        ra: np.ndarray,
+        rb: np.ndarray,
+        locations: Sequence[str],
+    ) -> None:
+        """Verify many sensed sub-products at once from their residues:
+        ``sensed == ra·rb`` element-wise over ``(k, jobs)`` arrays, row
+        *s* located at ``locations[s]``.  Counts and raises exactly as
+        one :meth:`check_product` per product would, job by job and
+        row by row within a job: a mismatch raises at the first failing
+        product, every check before it counted."""
+        predicted = ra * rb % self.modulus
+        failed = sensed != predicted
+        if failed.any():
+            first = int(np.flatnonzero(failed.T)[0])
+            row, job = first % len(sensed), first // len(sensed)
+            self.checks += first + 1
+            raise self._mismatch(
+                int(sensed[row, job]), int(predicted[row, job]), locations[row]
+            )
+        self.checks += sensed.size
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:

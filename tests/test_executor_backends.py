@@ -943,20 +943,25 @@ class TestPackingEdgeCases:
                 assert packed.dtype == np.bool_
                 assert unpack_ints(packed) == values
 
-    def test_one_lane_field_is_the_value(self):
-        """At one lane pack_lanes / unpack_lanes are the identity, but
-        still validate like pack_ints and demand exactly one value."""
-        pack, unpack = executor_mod.pack_lanes, executor_mod.unpack_lanes
-        assert pack([0xB66D], 16, 1) == 0xB66D
-        assert pack(iter([7]), 3, 1) == 7
-        assert unpack(0xB66D, 16, 1, 1) == [0xB66D]
-        with pytest.raises(ValueError, match="only non-negative"):
-            pack([-1], 16, 1)
-        with pytest.raises(ValueError, match="does not fit in 16 bits"):
-            pack([1 << 16], 16, 1)
-        for values in ([], [1, 2]):
-            with pytest.raises(ValueError):
-                pack(values, 16, 1)
+    @pytest.mark.parametrize("lanes", (1, 3, 8, 9, 64))
+    def test_lane_rows_bit_matrix_roundtrip(self, lanes):
+        """rows_bits / bits_rows move lane-major rows to a (rows, lanes,
+        cols) bit matrix and back, and restride_row re-packs a row into
+        wider or narrower lanes, at every lane count."""
+        rng = random.Random(lanes)
+        cols, width = 13, 11
+        values = [[rng.getrandbits(width) for _ in range(lanes)] for _ in range(3)]
+        rows = [executor_mod.pack_row(v, cols) for v in values]
+        bits = executor_mod.rows_bits(rows, lanes, cols)
+        assert bits.shape == (3, lanes, cols)
+        assert [[int("".join(map(str, lane[::-1])), 2) for lane in row]
+                for row in bits] == values
+        assert executor_mod.bits_rows(bits, cols) == rows
+        assert executor_mod.bits_rows(bits[:, :, :width], cols) == rows
+        for new_cols in (width, cols, 40):
+            assert executor_mod.restride_row(
+                rows[0], lanes, cols, new_cols
+            ) == executor_mod.pack_row(values[0], new_cols)
 
     def test_boundary_values_roundtrip(self):
         for width in (1, 8, 64, 256):

@@ -8,7 +8,9 @@ planned row.  These tests pin that down:
 
 * the row arithmetic equals the per-lane arithmetic, including which
   lane breaks the window rule first;
-* a B-job batch equals B single-job batches on both backends;
+* a B-job batch equals B single-job batches on both backends, through
+  every controller's stage hand-offs (Karatsuba at depths 1-3, Toom-3,
+  the schoolbook row);
 * a corrupted lane raises the first failure of the per-lane check loop
   (unit, then lane, then pass; residue before differential) with the
   same checker counts;
@@ -20,12 +22,14 @@ planned row.  These tests pin that down:
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.arith.bitops import split_chunks
 from repro.arith.koggestone import (
     OP_ADD,
     OP_SUB,
@@ -44,6 +48,7 @@ from repro.magic.executor import (
 )
 from repro.magic.program import ProgramBuilder
 from repro.magic.stage import CrossbarStage
+from repro.portfolio.schoolbook import SchoolbookController
 from repro.portfolio.toom3 import Toom3Controller
 from repro.sim.exceptions import DesignError, ProgramError, StageSelfCheckError
 
@@ -54,13 +59,22 @@ DESIGNS = {
     "toom3-32": (Toom3Controller, 32),
     "toom3-270": (Toom3Controller, 270),
 }
+#: The designs a batch is checked against single-job batches on: the
+#: above, the other Karatsuba depths and the schoolbook row, so every
+#: stage hand-off of every controller is covered.
+BATCH_DESIGNS = {
+    **DESIGNS,
+    "karatsuba-64-L1": (partial(KaratsubaController, depth=1), 64),
+    "karatsuba-64-L3": (partial(KaratsubaController, depth=3), 64),
+    "schoolbook-32": (SchoolbookController, 32),
+}
 LANES = (1, 2, 3, 8, 9, 64, 65)
 #: The scalar oracle replays lane by lane; it runs the narrow batches.
 SCALAR_LANES = 9
 
 
 def _controller(design, **kwargs):
-    cls, n_bits = DESIGNS[design]
+    cls, n_bits = BATCH_DESIGNS[design]
     return cls(n_bits, **kwargs)
 
 
@@ -146,8 +160,19 @@ def _state(ctl):
         ctl.stages[1].wear.image.copy(),
         [getattr(stage, "leveler", None) and stage.leveler.swaps
          for stage in ctl.stages],
-        [stage.checker.stats() for stage in ctl.stages],
+        ctl.residue_stats(),
     )
+
+
+def _clocks(ctl):
+    """Every stage clock's cycles per category, and the controller's
+    own clock for a design that keeps one (the schoolbook row)."""
+    clocks = [stage.clock for stage in ctl.stages if hasattr(stage, "clock")]
+    return [
+        clock.by_category
+        for clock in clocks + [getattr(ctl, "clock", None)]
+        if clock is not None
+    ]
 
 
 def _assert_same_state(left, right):
@@ -167,7 +192,7 @@ def _assert_same_state(left, right):
 class TestBatchEqualsSingles:
     @pytest.mark.parametrize("wear_leveling", (True, False), ids=("wl", "no-wl"))
     @pytest.mark.parametrize("lanes", LANES)
-    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    @pytest.mark.parametrize("design", sorted(BATCH_DESIGNS))
     def test_batch_equals_single_job_batches(self, design, lanes, wear_leveling):
         """On the word backend, products, per-unit writes, energy,
         checker counts and per-job cycles of one batch equal those of
@@ -176,7 +201,7 @@ class TestBatchEqualsSingles:
         :data:`SCALAR_LANES` lanes the scalar oracle's batch leaves the
         same state, clocks included (the backends' single-job batches
         are bit-identical, ``tests/test_batched_executor.py``)."""
-        n_bits = DESIGNS[design][1]
+        n_bits = BATCH_DESIGNS[design][1]
 
         @settings(
             max_examples=1,
@@ -209,9 +234,7 @@ class TestBatchEqualsSingles:
                 )
                 assert oracle.run_jobs_batch(pairs) == records
                 _assert_same_state(_state(oracle), _state(batched))
-                assert [s.clock.by_category for s in oracle.stages] == [
-                    s.clock.by_category for s in batched.stages
-                ]
+                assert _clocks(oracle) == _clocks(batched)
 
         check()
 
@@ -311,14 +334,23 @@ def _plan_of(stage):
 # A window-rule violation raises before any lane runs
 # ----------------------------------------------------------------------
 def _stage_inputs(design, pairs):
-    """Each stage's batch input for *pairs*, from a twin controller."""
+    """Each stage's batch input for *pairs*, one input per job (the
+    first stage's chunk lists, the others' value maps), from a twin
+    controller."""
     ctl = _controller(design)
-    batch = ctl._split(pairs)
-    inputs = [batch]
-    for slot, stage in enumerate(ctl.stages[:2]):
-        results = stage.process_batch(batch)
-        batch = [getattr(r, ctl.handoff[slot]) for r in results]
-        inputs.append(batch)
+    first = ctl.stages[0]
+    if first.checker.stage == "precompute":
+        chunk_bits, chunks = first.plan.chunk_bits, first.plan.num_chunks
+    else:
+        chunk_bits, chunks = first.cb, 3
+    inputs = [[
+        tuple(split_chunks(value, chunk_bits, chunks) for value in pair)
+        for pair in pairs
+    ]]
+    batch = inputs[0]
+    for stage in ctl.stages[:2]:
+        batch = stage.process_batch(batch)
+        inputs.append(list(LaneRows(batch.rows, batch.lanes, batch.cols)))
     return inputs
 
 

@@ -10,10 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arith import rowmul
-from repro.arith.rowmul import RowMultiplier, RowMultiplierSpec
+from repro.arith.rowmul import LockstepRowStage, RowMultiplier, RowMultiplierSpec
+from repro.karatsuba.controller import KaratsubaController
 from repro.karatsuba.multiply import MultiplicationStage
+from repro.magic.executor import LaneRows, pack_row
+from repro.portfolio.schoolbook import SchoolbookController
+from repro.portfolio.toom3 import Toom3Controller
+from repro.reliability.residue import ResidueChecker
 from repro.sim.clock import Clock
-from repro.sim.exceptions import DesignError
+from repro.sim.exceptions import DesignError, StageSelfCheckError
 
 
 class TestSpec:
@@ -271,4 +276,155 @@ class TestStageBatchValidation:
             assert np.array_equal(row.cell_writes, before[out])
             assert row.multiplications == 1
         assert stage.passes == 1
+        assert stage.checker.stats() == checks
+
+
+# ----------------------------------------------------------------------
+# Row hand-offs: the designs pass a batch on as lane-major rows
+# ----------------------------------------------------------------------
+#: A controller of every design, each with a lock-step row stage.
+HANDOFF_DESIGNS = {
+    "karatsuba-L2": lambda: KaratsubaController(64),
+    "toom3-270": lambda: Toom3Controller(270),
+    "schoolbook-32": lambda: SchoolbookController(32),
+}
+
+
+class TestRowHandoffs:
+    @pytest.mark.parametrize("design", ("karatsuba-L2", "toom3-270"))
+    def test_stage_results_index_per_job(self, design):
+        """Each stage's rows index into per-job views that equal the
+        stage's results for that job alone."""
+        ctl = HANDOFF_DESIGNS[design]()
+        rng = random.Random(design)
+        pairs = [(rng.getrandbits(ctl.n_bits), rng.getrandbits(ctl.n_bits))
+                 for _ in range(9)]
+        twin = HANDOFF_DESIGNS[design]()
+        batch, singles = ctl._split(pairs), [twin._split([p]) for p in pairs]
+        for stage, twin_stage in zip(ctl.stages, twin.stages):
+            batch = stage.process_batch(batch)
+            singles = [twin_stage.process_batch(s) for s in singles]
+            assert len(batch) == len(pairs)
+            assert list(batch) == [s[0] for s in singles]
+
+    @pytest.mark.parametrize("n_bits", (16, 64, 90, 256, 270, 384))
+    def test_handoff_strides(self, n_bits):
+        """Each stage's rows arrive at a stride the next stage reads as
+        it stands: precompute lanes are m columns, evaluation lanes
+        m + 1 (two per job), narrow interpolation lanes 2m."""
+        if n_bits % 4 == 0:
+            karatsuba = KaratsubaController(n_bits)
+            m = karatsuba.multiply_stage.width
+            assert karatsuba.precompute.cols == m
+            assert karatsuba.multiply_stage.out_cols == karatsuba.postcompute.cols
+        toom = Toom3Controller(n_bits)
+        m = toom.pointwise.width
+        assert toom.evaluate.unit.array.cols == m + 1
+        assert toom.interpolate.narrow.array.cols == toom.pointwise.out_cols == 2 * m
+
+
+def _reference_checks(name, residue_bits, steps, jobs, products):
+    """The per-product loop over (job, step) in job-major order: the
+    error it raises (or None) and its counts."""
+    checker = ResidueChecker(name, residue_bits)
+    res = checker.res
+    try:
+        for job in range(jobs):
+            for (out, lhs, rhs), (x, y, z) in zip(steps, products[job]):
+                checker.check_product(z, res(x), res(y), out)
+    except StageSelfCheckError as err:
+        return (str(err), err.location), checker.stats()
+    return None, checker.stats()
+
+
+class TestBulkResidueCheck:
+    JOBS = 64
+
+    @pytest.mark.parametrize("invisible_first", (True, False))
+    @pytest.mark.parametrize("design", sorted(HANDOFF_DESIGNS))
+    def test_corrupted_products_raise_the_per_product_error(
+        self, design, invisible_first, monkeypatch
+    ):
+        """Two corrupted sub-products of a 64-job batch, one that the
+        residue code sees and one that it cannot (a multiple of the
+        modulus): the stage raises the per-product loop's first error,
+        located at its step's output, with the loop's counts."""
+        ctl = HANDOFF_DESIGNS[design]()
+        stage = next(s for s in ctl.stages if isinstance(s, LockstepRowStage))
+        steps, jobs, modulus = stage.steps, self.JOBS, stage.checker.modulus
+        # (job, step) of the invisible and the visible corruption.
+        invisible, visible = (11, len(steps) - 1), (37, 0)
+        if not invisible_first:
+            invisible, visible = (50, 0), (29, len(steps) - 1)
+        kernel = rowmul.carry_save_bits
+        seen = {}
+
+        def corrupting(width, a_bits, b_bits):
+            products = kernel(width, a_bits, b_bits).copy()
+            weights = 1 << np.arange(2 * width, dtype=object)
+            for (job, step), visible_change in ((invisible, False), (visible, True)):
+                lane = step * jobs + job
+                value = int(products[:, lane].astype(object) @ weights)
+                if visible_change:
+                    value ^= 1
+                else:
+                    value = value - modulus if value >= modulus else value + modulus
+                products[:, lane] = [(value >> i) & 1 for i in range(2 * width)]
+            columns = [
+                (int(a_bits[:, lane].astype(object) @ weights[:width]),
+                 int(b_bits[:, lane].astype(object) @ weights[:width]),
+                 int(products[:, lane].astype(object) @ weights))
+                for lane in range(a_bits.shape[1])
+            ]
+            seen["products"] = [
+                [columns[step * jobs + job] for step in range(len(steps))]
+                for job in range(jobs)
+            ]
+            return products
+
+        monkeypatch.setattr(rowmul, "carry_save_bits", corrupting)
+        rng = random.Random(design)
+        pairs = [(rng.getrandbits(ctl.n_bits), rng.getrandbits(ctl.n_bits))
+                 for _ in range(jobs)]
+        before = stage.checker.stats()
+        with pytest.raises(StageSelfCheckError) as excinfo:
+            ctl.run_jobs_batch(pairs)
+        error, counts = _reference_checks(
+            stage.checker.stage, stage.checker.residue_bits, steps, jobs,
+            seen["products"],
+        )
+        assert error == (str(excinfo.value), excinfo.value.location)
+        assert excinfo.value.location == steps[visible[1]][0]
+        assert counts["checks"] == visible[0] * len(steps) + visible[1] + 1
+        assert stage.checker.stats()["checks"] - before["checks"] == counts["checks"]
+        assert stage.checker.stats()["mismatches"] - before["mismatches"] == 1
+
+    def test_toom3_closure_counts_every_product(self):
+        ctl = Toom3Controller(90)
+        pairs = [(random.getrandbits(90), random.getrandbits(90)) for _ in range(7)]
+        ctl.run_jobs_batch(pairs)
+        # The interpolation checker counts its adder passes and one
+        # end-to-end product check per job.
+        passes = len(ctl.interpolate.adder_passes())
+        assert ctl.interpolate.checker.checks == 7 * passes + 7
+
+    def test_out_of_range_row_operand_charges_nothing(self):
+        """An operand row with a lane wider than the rows raises
+        DesignError before any wear is charged or the clock ticks."""
+        stage = Toom3Controller(90).pointwise
+        m, cols, lanes = stage.width, 2 * stage.width + 2, 9
+        rng = random.Random(9)
+        rows = {
+            name: pack_row([rng.getrandbits(m) for _ in range(lanes)], cols)
+            for name in stage._inputs
+        }
+        stage.process_batch(LaneRows(dict(rows), lanes, cols))
+        wear, passes = stage.cell_writes.copy(), stage.passes
+        clock, checks = stage.clock.snapshot(), stage.checker.stats()
+        rows["B4"] |= 1 << (5 * cols + m)
+        with pytest.raises(DesignError):
+            stage.process_batch(LaneRows(rows, lanes, cols))
+        assert np.array_equal(stage.cell_writes, wear)
+        assert stage.passes == passes
+        assert stage.clock.snapshot() == clock
         assert stage.checker.stats() == checks
