@@ -59,7 +59,6 @@ from repro.magic.executor import (
     pack_ints,
     pack_row,
     rows_bits,
-    split_row,
     unpack_ints,
 )
 from repro.reliability.residue import DEFAULT_RESIDUE_BITS, ResidueChecker
@@ -157,9 +156,8 @@ def carry_save_bits(
     ``(2m, lanes)`` product bit matrix.  Each side packs into its field
     in one numpy step.  A narrow batch runs :func:`_carry_save` on one
     integer per field, its lanes padded to whole bytes (the stride
-    ``S``): a multiplier word is replicated by one small multiply up to
-    64 lanes, and by byte-string repetition above (far cheaper there
-    than a big multiply); the released product words are gathered as
+    ``S``): each multiplier word is replicated to all ``m`` positions
+    by one multiply, and the released product words are gathered as
     bytes.  A wide batch (:data:`_WORD_LOOP_BITS`) runs
     :func:`_carry_save_words` on 64-lane words.
     """
@@ -171,18 +169,18 @@ def carry_save_bits(
     a_bytes = np.packbits(a_bits, axis=1, bitorder="little").tobytes()
     b_words = np.packbits(b_bits, axis=1, bitorder="little")
     if step <= 8:
-        # Up to 64 lanes a multiplier word is one small integer, which
-        # one small multiply replicates.
-        words = np.zeros((m, 8), dtype=np.uint8)
-        words[:, :step] = b_words
-        repunit = lane_field(m, stride, 1)
-        masks = [word * repunit for word in words.view("<u8").ravel().tolist()]
+        # Up to 64 lanes a multiplier word is one uint64.
+        padded = np.zeros((m, 8), dtype=np.uint8)
+        padded[:, :step] = b_words
+        words = padded.view("<u8").ravel().tolist()
     else:
-        b_bytes = b_words.tobytes()
-        masks = (
-            int.from_bytes(b_bytes[t * step:(t + 1) * step] * m, "little")
-            for t in range(m)
-        )
+        raw = b_words.tobytes()
+        words = [
+            int.from_bytes(raw[start:start + step], "little")
+            for start in range(0, m * step, step)
+        ]
+    repunit = lane_field(m, stride, 1)
+    masks = [word * repunit for word in words]
     low, high = _carry_save(m, int.from_bytes(a_bytes, "little"), masks, stride)
     raw = b"".join([word.to_bytes(step, "little") for word in low])
     raw += high.to_bytes(m * step, "little")
@@ -457,12 +455,6 @@ class RowStageResult:
     cycles: int
 
 
-#: Sub-products per batch up to which a lock-step pass runs on their
-#: values (a Toom-3 or schoolbook batch of a few jobs); more run on bit
-#: matrices.
-_NARROW_PRODUCTS = 8
-
-
 class LockstepRowStage:
     """Single-row multipliers in lock-step, one row per ``(out, lhs, rhs)``
     step, all *width* bits wide.
@@ -563,9 +555,7 @@ class LockstepRowStage:
         and every sub-product is residue-verified under its *out*
         label, ``res(z) == res(x)·res(y) mod (2^r − 1)``, all at once
         from the bit matrices, counted and raised in job-major order as
-        one check per product.  A batch of a few sub-products runs the
-        same pass and checks on their values (:meth:`_narrow_pass`).
-        The stage clock is the caller's.
+        one check per product.  The stage clock is the caller's.
         """
         operands = self._operand_rows(batch)
         lanes, m = operands.lanes, self.width
@@ -576,11 +566,12 @@ class LockstepRowStage:
         except KeyError as missing:
             raise DesignError(f"missing operand {missing}") from None
         steps, cols = len(self.steps), operands.cols
-        if lanes * steps <= _NARROW_PRODUCTS:
-            return self._narrow_pass(rows, lanes, cols)
         if cols < m:
             raise DesignError(f"{cols}-column lanes cannot hold {m}-bit operands")
-        if cols > m and any(row & ~lane_field(lanes, cols, m) for row in rows):
+        # A negative row, a bit above the top lane or above a lane's
+        # m-bit field all meet the complement of the operand field.
+        outside = ~lane_field(lanes, cols, m)
+        if any(row & outside for row in rows):
             raise DesignError(f"operands must be {m}-bit non-negative integers")
         # Position-major, the kernel's and the residue fold's layout:
         # ``[j, name, job]`` is bit j of a job's operand.
@@ -605,33 +596,6 @@ class LockstepRowStage:
             products.reshape(2 * m, steps, lanes).transpose(1, 2, 0), self.out_cols
         )
         return LaneRows(dict(zip(self._outs, out_rows)), lanes, self.out_cols)
-
-    def _narrow_pass(self, rows: List[int], lanes: int, cols: int) -> LaneRows:
-        """:meth:`lockstep_pass` of a batch of at most
-        :data:`_NARROW_PRODUCTS` sub-products, on their values: one
-        :func:`carry_save_products` pass and one residue check per
-        sub-product, job by job, where numpy's per-call cost would
-        outweigh the work."""
-        m, steps, checker = self.width, len(self.steps), self.checker
-        values = [split_row(row, lanes, cols) for row in rows]
-        pairs = [
-            (values[lhs][job], values[rhs][job])
-            for job in range(lanes)
-            for lhs, rhs in zip(self._lhs, self._rhs)
-        ]
-        products = carry_save_products(m, pairs)
-        self.wear.charge(lanes, self.wear_leveling)
-        res = checker.res
-        for (x, y), product, out in zip(pairs, products, self._outs * lanes):
-            checker.check_product(product, res(x), res(y), out)
-        return LaneRows(
-            {
-                out: pack_row(products[step::steps], self.out_cols)
-                for step, out in enumerate(self._outs)
-            },
-            lanes,
-            self.out_cols,
-        )
 
     def _operand_rows(self, batch) -> LaneRows:
         """*batch* as operand rows: rows as they stand, or per-job maps

@@ -36,10 +36,16 @@ from typing import Dict, Sequence
 
 import numpy as np
 
+from repro.magic.executor import unpack_ints
 from repro.sim.exceptions import StageSelfCheckError
 
 #: Default residue width r; M = 2^8 − 1 = 255.
 DEFAULT_RESIDUE_BITS = 8
+
+#: Widest residue code whose residues fold as floats and multiply as
+#: ``int64`` (a product of two residues stays under 2^62); wider codes
+#: fold and multiply exactly on Python integers.
+_WORD_RESIDUE_BITS = 31
 
 
 def modulus(residue_bits: int = DEFAULT_RESIDUE_BITS) -> int:
@@ -117,20 +123,24 @@ class ResidueChecker:
         *i* of the ``(width, ...)`` *bits* is bit *i* of every value.
 
         Bit *i* weighs ``2^(i mod r)``, as in the periphery's folding
-        tree over a sensed row.  Returns the ``int64`` residues, shaped
-        ``bits.shape[1:]``.
+        tree over a sensed row.  Returns the residues shaped
+        ``bits.shape[1:]``: ``int64`` up to :data:`_WORD_RESIDUE_BITS`,
+        Python integers (``object``) above.
         """
-        width = bits.shape[0]
+        width, r = bits.shape[0], self.residue_bits
+        flat = bits.reshape(width, -1)
+        if r > _WORD_RESIDUE_BITS or width << (r - 1) >= 1 << 53:
+            values = [value % self.modulus for value in unpack_ints(flat.T)]
+            return np.array(values, dtype=object).reshape(bits.shape[1:])
         weights = self._weights
         if len(weights) < width:
             # Float weights fold with one BLAS product, exact while every
             # sum (at most width * 2^(r-1)) fits the float's mantissa.
-            r = self.residue_bits
             exact32 = width << (r - 1) < 1 << 24
             weights = self._weights = (2.0 ** (np.arange(width) % r)).astype(
                 np.float32 if exact32 else np.float64
             )
-        folded = weights[:width] @ bits.reshape(width, -1)
+        folded = weights[:width] @ flat
         return (folded.astype(np.int64) % self.modulus).reshape(bits.shape[1:])
 
     def _verify(
@@ -193,6 +203,9 @@ class ResidueChecker:
         one :meth:`check_product` per product would, job by job and
         row by row within a job: a mismatch raises at the first failing
         product, every check before it counted."""
+        if self.residue_bits > _WORD_RESIDUE_BITS:
+            # Products of residues this wide overflow int64.
+            ra, rb = ra.astype(object), rb.astype(object)
         predicted = ra * rb % self.modulus
         failed = sensed != predicted
         if failed.any():

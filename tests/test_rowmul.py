@@ -428,3 +428,68 @@ class TestBulkResidueCheck:
         assert stage.passes == passes
         assert stage.clock.snapshot() == clock
         assert stage.checker.stats() == checks
+
+    @pytest.mark.parametrize("lanes", (1, 2, 64))
+    @pytest.mark.parametrize("extra, bad", (
+        (0, "negative"), (0, "above-top-lane"),
+        (3, "negative"), (3, "above-top-lane"), (3, "above-field"),
+    ))
+    def test_bad_operand_rows_raise_design_error(self, lanes, extra, bad):
+        """A negative row, a bit above the top lane, or a bit above a
+        lane's m-bit field raises DesignError at any batch width and
+        lane stride, with nothing charged."""
+        stage = SchoolbookController(32).multiply
+        m = stage.width
+        cols = m + extra
+        rng = random.Random(lanes * 10 + extra)
+        rows = {
+            name: pack_row([rng.getrandbits(m) for _ in range(lanes)], cols)
+            for name in stage._inputs
+        }
+        if bad == "negative":
+            rows["b"] = -rows["b"] - 1
+        elif bad == "above-top-lane":
+            rows["b"] |= 1 << lanes * cols
+        else:
+            rows["b"] |= 1 << (lanes - 1) * cols + m
+        with pytest.raises(DesignError):
+            stage.process_batch(LaneRows(rows, lanes, cols))
+        assert stage.passes == 0
+        assert stage.clock.snapshot() == Clock().snapshot()
+        assert stage.checker.checks == 0
+
+
+class TestWideResidueCodes:
+    @pytest.mark.parametrize("residue_bits", (2, 8, 31, 32, 47, 61, 64, 89))
+    @pytest.mark.parametrize("width", (1, 66, 132, 196))
+    def test_residues_equal_the_modulo(self, residue_bits, width):
+        checker = ResidueChecker("rows", residue_bits)
+        rng = np.random.default_rng(residue_bits * 1000 + width)
+        bits = rng.integers(0, 2, (width, 3, 5), dtype=np.uint8)
+        bits[:, 0, 0] = 1
+        weights = 1 << np.arange(width, dtype=object)
+        values = np.tensordot(weights, bits.astype(object), axes=1)
+        expected = [[value % checker.modulus for value in row] for row in values]
+        assert checker.residues(bits).tolist() == expected
+
+    @pytest.mark.parametrize("residue_bits", (40, 61, 89))
+    @pytest.mark.parametrize("design", ("karatsuba", "toom3", "schoolbook"))
+    def test_wide_codes_pass_correct_products(self, design, residue_bits):
+        """A correct product checks clean under any residue width, one
+        check per sub-product."""
+        ctl = {
+            "karatsuba": lambda: KaratsubaController(256, residue_bits=residue_bits),
+            "toom3": lambda: Toom3Controller(270, residue_bits=residue_bits),
+            "schoolbook": lambda: SchoolbookController(64, residue_bits=residue_bits),
+        }[design]()
+        stage = next(s for s in ctl.stages if isinstance(s, LockstepRowStage))
+        rng = random.Random(residue_bits)
+        top = (1 << ctl.n_bits) - 1
+        pairs = [(top, top)] + [
+            (rng.getrandbits(ctl.n_bits), rng.getrandbits(ctl.n_bits))
+            for _ in range(63)
+        ]
+        records = ctl.run_jobs_batch(pairs)
+        assert [record.product for record in records] == [a * b for a, b in pairs]
+        assert stage.checker.checks == len(stage.steps) * len(pairs)
+        assert stage.checker.mismatches == 0
